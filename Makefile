@@ -37,7 +37,7 @@ race:
 # target. CI runs this with a shorter budget; use `make fuzz
 # FUZZTIME=5m` for a real session.
 fuzz:
-	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/wal
+	$(GO) test -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=$(FUZZTIME) ./internal/wal
 	$(GO) test -run='^$$' -fuzz='^FuzzJournalDecode$$' -fuzztime=$(FUZZTIME) ./internal/journal
 	$(GO) test -run='^$$' -fuzz='^FuzzSegmentDecode$$' -fuzztime=$(FUZZTIME) ./internal/store
 	$(GO) test -run='^$$' -fuzz='^FuzzApplyRequest$$' -fuzztime=$(FUZZTIME) ./internal/transport

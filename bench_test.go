@@ -21,11 +21,9 @@ import (
 	"zerber/internal/experiments"
 	"zerber/internal/field"
 	"zerber/internal/peer"
-	"zerber/internal/posting"
 	"zerber/internal/proactive"
 	"zerber/internal/shamir"
 	"zerber/internal/transport"
-	"zerber/internal/wal"
 )
 
 var (
@@ -381,31 +379,6 @@ func BenchmarkSearchTopK(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkWALAppendSync measures the durable write path: one batch of
-// 100 records appended and fsynced (the §5.4.1 amortization unit).
-func BenchmarkWALAppendSync(b *testing.B) {
-	dir := b.TempDir()
-	log, err := wal.Open(dir + "/bench.wal")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer log.Close()
-	recs := make([]wal.Record, 100)
-	for i := range recs {
-		recs[i] = wal.Record{Op: wal.OpInsert, List: 1, ID: posting.GlobalID(i), Group: 1, Y: field.New(uint64(i))}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := log.Append(recs...); err != nil {
-			b.Fatal(err)
-		}
-		if err := log.Sync(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

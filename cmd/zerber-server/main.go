@@ -15,6 +15,14 @@
 // binary:// address) or http (the JSON debug transport; clients dial
 // http://). See the "Wire protocol" section of the zerber package docs.
 //
+// -store-engine picks where the shares live. memory and sharded (the
+// default) keep them in RAM: the index dies with the process. disk is
+// the durable configuration: the shares live in CRC-framed segment
+// files under -store-dir (default <name>.store), a restart on the same
+// directory replays them, and every acknowledged mutation has been
+// fsynced first — one fsync per Apply call. See the Durability section
+// of package server for the exact contract.
+//
 // The key is the 32-byte hex HMAC key of the enterprise authentication
 // service (see cmd/zerber-search -issue for minting matching tokens).
 package main
@@ -31,7 +39,6 @@ import (
 	"time"
 
 	"zerber/internal/auth"
-	"zerber/internal/durable"
 	"zerber/internal/field"
 	"zerber/internal/server"
 	"zerber/internal/store"
@@ -46,9 +53,8 @@ func main() {
 		groups = flag.String("groups", "", "comma-separated user:group memberships, e.g. alice:1,bob:2")
 		name   = flag.String("name", "", "server name for logs (default ix<x>)")
 		ttl    = flag.Duration("token-ttl", time.Hour, "token lifetime")
-		walAt  = flag.String("wal", "", "write-ahead log path for crash recovery (empty = in-memory only)")
 		shards = flag.Int("store-shards", 0, "storage engine lock stripes: 1 = single-lock baseline, 0 = GOMAXPROCS-scaled sharded default")
-		engine = flag.String("store-engine", "", "storage engine: memory, sharded, or disk (empty = -store-shards selection)")
+		engine = flag.String("store-engine", "", "storage engine: memory, sharded, or disk (empty = -store-shards selection); disk is crash-recoverable and fsyncs every acknowledged mutation")
 		stdir  = flag.String("store-dir", "", "segment directory for -store-engine disk (default <name>.store)")
 		wire   = flag.String("transport", "binary", "wire codec served on -addr: binary or http")
 	)
@@ -70,6 +76,7 @@ func main() {
 	}
 
 	gt := auth.NewGroupTable()
+	memberships := 0
 	if *groups != "" {
 		for _, pair := range strings.Split(*groups, ",") {
 			parts := strings.SplitN(strings.TrimSpace(pair), ":", 2)
@@ -80,41 +87,38 @@ func main() {
 			if err != nil {
 				log.Fatalf("zerber-server: bad group ID in %q: %v", pair, err)
 			}
-			gt.Add(auth.UserID(parts[0]), auth.GroupID(gid))
+			if !gt.IsMember(auth.UserID(parts[0]), auth.GroupID(gid)) {
+				gt.Add(auth.UserID(parts[0]), auth.GroupID(gid))
+				memberships++
+			}
 		}
 	}
 
 	if *stdir == "" {
 		*stdir = *name + ".store"
 	}
-	st, err := store.NewEngine(*engine, *shards, *stdir)
+	var st store.Store
+	if *engine == "disk" {
+		// Sync: an acknowledged Apply has been fsynced.
+		st, err = store.OpenDisk(*stdir, store.DiskOptions{Sync: true})
+	} else {
+		st, err = store.NewEngine(*engine, *shards, *stdir)
+	}
 	if err != nil {
 		log.Fatalf("zerber-server: %v", err)
 	}
-	cfg := server.Config{
+	api := server.New(server.Config{
 		Name:   *name,
 		X:      xe,
 		Auth:   auth.NewServiceWithKey(key, *ttl),
 		Groups: gt,
 		Store:  st,
-	}
-	var api transport.API
-	if *walAt != "" {
-		ds, err := durable.Open(cfg, *walAt)
-		if err != nil {
-			log.Fatalf("zerber-server: %v", err)
-		}
-		defer ds.Close()
-		log.Printf("zerber-server %s: recovered %d log records from %s", *name, ds.Recovered, *walAt)
-		api = ds
-	} else {
-		api = server.New(cfg)
-	}
+	})
 	if *wire != "binary" && *wire != "http" {
 		log.Fatalf("zerber-server: unknown -transport %q (want binary or http)", *wire)
 	}
 	log.Printf("zerber-server %s: listening on %s (%s transport, x=%d, %d group memberships)",
-		*name, *addr, *wire, xe, len(strings.Split(*groups, ",")))
+		*name, *addr, *wire, xe, memberships)
 	if *wire == "binary" {
 		ln, err := net.Listen("tcp", *addr)
 		if err != nil {

@@ -1,6 +1,6 @@
-// Operations: running Zerber in anger — crash recovery from the
-// write-ahead log, exactly-once peer mutations recovered from the
-// mutation journal, proactive share resharing, and tamper-detecting
+// Operations: running Zerber in anger — crash recovery from the disk
+// store engine's segment log, exactly-once peer mutations recovered from
+// the mutation journal, proactive share resharing, and tamper-detecting
 // verified retrieval.
 //
 //	go run ./examples/operations
@@ -19,13 +19,13 @@ import (
 	"zerber/internal/auth"
 	"zerber/internal/client"
 	"zerber/internal/confidential"
-	"zerber/internal/durable"
 	"zerber/internal/field"
 	"zerber/internal/merging"
 	"zerber/internal/peer"
 	"zerber/internal/posting"
 	"zerber/internal/proactive"
 	"zerber/internal/server"
+	"zerber/internal/store"
 	"zerber/internal/transport"
 	"zerber/internal/vocab"
 )
@@ -55,18 +55,28 @@ func main() {
 	}
 	voc := vocab.NewFromTerms(table.ListedTerms())
 
-	open := func(i int) *durable.Server {
-		s, err := durable.Open(server.Config{
-			Name: fmt.Sprintf("ix%d", i), X: field.Element(i + 1), Auth: svc, Groups: groups,
-		}, filepath.Join(dir, fmt.Sprintf("ix%d.wal", i)))
+	// A durable server is a server on the disk engine with Sync on (what
+	// zerber-server -store-engine disk runs): every acknowledged Apply has
+	// been fsynced into the store directory, which is the only log.
+	disks := make([]*store.Disk, 3)
+	open := func(i int) *server.Server {
+		d, err := store.OpenDisk(filepath.Join(dir, fmt.Sprintf("ix%d.store", i)), store.DiskOptions{Sync: true})
 		if err != nil {
 			log.Fatal(err)
 		}
-		return s
+		disks[i] = d
+		return server.New(server.Config{
+			Name: fmt.Sprintf("ix%d", i), X: field.Element(i + 1), Auth: svc, Groups: groups, Store: d,
+		})
+	}
+	closeAll := func() {
+		for _, d := range disks {
+			d.Close()
+		}
 	}
 
 	// --- 1. Durable cluster + indexing ------------------------------
-	servers := []*durable.Server{open(0), open(1), open(2)}
+	servers := []*server.Server{open(0), open(1), open(2)}
 	apis := []transport.API{servers[0], servers[1], servers[2]}
 	p, err := peer.New(peer.Config{
 		Name: "site", Servers: apis, K: 2, Table: table, Vocab: voc,
@@ -82,16 +92,14 @@ func main() {
 	if err := p.IndexDocument(tok, peer.Document{ID: 2, Content: "merger budget", Group: 1}); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("indexed 2 documents; each server logs its shares (WAL per server)\n")
+	fmt.Printf("indexed 2 documents; each server logs its shares (segment files per server)\n")
 
 	// --- 2. Crash and recover ----------------------------------------
-	for _, s := range servers {
-		s.Close() // power cut
-	}
-	servers = []*durable.Server{open(0), open(1), open(2)}
+	closeAll() // power cut
+	servers = []*server.Server{open(0), open(1), open(2)}
 	apis = []transport.API{servers[0], servers[1], servers[2]}
-	fmt.Printf("after crash: recovered %d/%d/%d log records per server\n",
-		servers[0].Recovered, servers[1].Recovered, servers[2].Recovered)
+	fmt.Printf("after crash: recovered %d/%d/%d elements per server\n",
+		servers[0].TotalElements(), servers[1].TotalElements(), servers[2].TotalElements())
 
 	cl, err := client.New(apis, 2, table, voc)
 	if err != nil {
@@ -129,7 +137,7 @@ func main() {
 	err = p2.UpdateDocument(tok, peer.Document{ID: 10, Content: "merger layoff", Group: 1})
 	fmt.Printf("update interrupted between stages: %v\n", err)
 	fmt.Printf("elements per server mid-crash: %d/%d/%d (old+new generations coexist; nothing lost)\n",
-		servers[0].Inner().TotalElements(), servers[1].Inner().TotalElements(), servers[2].Inner().TotalElements())
+		servers[0].TotalElements(), servers[1].TotalElements(), servers[2].TotalElements())
 	p2.Close() // power cut on the owner's machine
 
 	p2 = newSite2()
@@ -140,7 +148,7 @@ func main() {
 	}
 	fmt.Printf("Recover() completed %d op(s); elements per server: %d/%d/%d (superseded generation gone)\n",
 		done,
-		servers[0].Inner().TotalElements(), servers[1].Inner().TotalElements(), servers[2].Inner().TotalElements())
+		servers[0].TotalElements(), servers[1].TotalElements(), servers[2].TotalElements())
 	res, _, err = cl.Search(tok, []string{"layoff"}, 10)
 	if err != nil {
 		log.Fatal(err)
@@ -155,19 +163,18 @@ func main() {
 	defer p2.Close()
 
 	// --- 3. Proactive resharing --------------------------------------
-	inner := []*server.Server{servers[0].Inner(), servers[1].Inner(), servers[2].Inner()}
 	var lid merging.ListID
-	for l := range inner[0].ListLengths() {
+	for l := range servers[0].ListLengths() {
 		lid = l
 		break
 	}
-	stolen := inner[0].Store().List(lid) // adversary snapshots server 0 today
+	stolen := servers[0].Store().List(lid) // adversary snapshots server 0 today
 	// What the stolen share + a current server-1 share decode to, before
 	// and after the refresh.
-	xs := []field.Element{inner[0].XCoord(), inner[1].XCoord()}
+	xs := []field.Element{servers[0].XCoord(), servers[1].XCoord()}
 	decodeMix := func() posting.Element {
 		freshByID := map[posting.GlobalID]posting.EncryptedShare{}
-		for _, sh := range inner[1].Store().List(lid) {
+		for _, sh := range servers[1].Store().List(lid) {
 			freshByID[sh.GlobalID] = sh
 		}
 		elem, err := posting.Decrypt(
@@ -178,7 +185,7 @@ func main() {
 		return elem
 	}
 	before := decodeMix()
-	n, err := proactive.Reshare(inner, 2, nil)
+	n, err := proactive.Reshare(servers, 2, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -202,9 +209,7 @@ func main() {
 	}
 	fmt.Printf("verified retrieval: %d hit(s); %d elements cross-checked against two share subsets (k+1=%d servers)\n",
 		len(res), stats.ElementsVerified, stats.ServersQueried)
-	for _, s := range servers {
-		s.Close()
-	}
+	closeAll()
 }
 
 // failDeleteOnce drops the first delete-stage Apply on its way to the

@@ -10,11 +10,11 @@ import (
 	"zerber/internal/auth"
 	"zerber/internal/client"
 	"zerber/internal/confidential"
-	"zerber/internal/durable"
 	"zerber/internal/field"
 	"zerber/internal/merging"
 	"zerber/internal/peer"
 	"zerber/internal/server"
+	"zerber/internal/store"
 	"zerber/internal/transport"
 	"zerber/internal/vocab"
 )
@@ -132,7 +132,8 @@ func TestHTTPClusterEndToEnd(t *testing.T) {
 
 // TestHTTPDurableCluster runs the HTTP handler over crash-recoverable
 // servers and restarts them mid-test — the complete production shape:
-// HTTP transport + WAL durability + Shamir sharing + merging + ACLs.
+// HTTP transport + disk-engine durability (Sync on, as zerber-server
+// -store-engine disk runs it) + Shamir sharing + merging + ACLs.
 // Server count tiered like TestHTTPClusterEndToEnd.
 func TestHTTPDurableCluster(t *testing.T) {
 	numServers := tierCount(3, 3, 7)
@@ -154,19 +155,20 @@ func TestHTTPDurableCluster(t *testing.T) {
 	voc := vocab.NewFromTerms(table.ListedTerms())
 	dir := t.TempDir()
 
-	open := func(i int) (*durable.Server, *httptest.Server) {
-		ds, err := durable.Open(server.Config{
-			Name: fmt.Sprintf("dur-ix%d", i), X: field.Element(i + 1),
-			Auth: auth.NewServiceWithKey(svc.Key(), time.Minute), Groups: groups,
-		}, fmt.Sprintf("%s/ix%d.wal", dir, i))
+	open := func(i int) (*store.Disk, *httptest.Server) {
+		ds, err := store.OpenDisk(fmt.Sprintf("%s/ix%d.store", dir, i), store.DiskOptions{Sync: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ds, httptest.NewServer(transport.NewHTTPHandler(ds))
+		srv := server.New(server.Config{
+			Name: fmt.Sprintf("dur-ix%d", i), X: field.Element(i + 1),
+			Auth: auth.NewServiceWithKey(svc.Key(), time.Minute), Groups: groups, Store: ds,
+		})
+		return ds, httptest.NewServer(transport.NewHTTPHandler(srv))
 	}
 
 	var apis []transport.API
-	var handles []*durable.Server
+	var handles []*store.Disk
 	var servers []*httptest.Server
 	for i := 0; i < numServers; i++ {
 		ds, ts := open(i)
@@ -191,7 +193,7 @@ func TestHTTPDurableCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Crash all three servers and restart from their logs.
+	// Crash every server and restart from its store directory.
 	for i := range servers {
 		servers[i].Close()
 		if err := handles[i].Close(); err != nil {
@@ -203,7 +205,7 @@ func TestHTTPDurableCluster(t *testing.T) {
 		ds, ts := open(i)
 		defer ts.Close()
 		defer ds.Close()
-		if ds.Recovered == 0 {
+		if ds.TotalElements() == 0 {
 			t.Fatalf("server %d recovered nothing", i)
 		}
 		c, err := transport.DialHTTP(ts.URL, 5*time.Second)

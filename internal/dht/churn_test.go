@@ -17,6 +17,7 @@ import (
 	"zerber/internal/server"
 	"zerber/internal/store"
 	"zerber/internal/transport"
+	"zerber/internal/transport/transporttest"
 )
 
 // churnSlot builds one slot with nNodes nodes (n0..n{nNodes-1}) and an
@@ -147,7 +148,7 @@ func TestSlotChurnRace(t *testing.T) {
 					mu.Unlock()
 					if victim != 0 {
 						dels := []transport.DeleteOp{{List: vlid, ID: victim}}
-						if err := slot.Delete(ctx, tok, dels); err != nil {
+						if err := transporttest.Delete(ctx, slot, tok, dels); err != nil {
 							t.Errorf("delete: %v", err)
 							return
 						}

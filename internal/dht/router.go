@@ -56,9 +56,12 @@ type Slot struct {
 	stale    map[merging.ListID]string    // aborted/unfinished move: authority stays here
 	aborts   map[merging.ListID]abortRec  // undelivered target cleanups
 
-	// ops dedups mutation stages above the per-node windows, which stop
-	// working across topology changes (see opwindow.go).
-	ops *slotOpWindow
+	// ops dedups mutation stages above the per-node windows, which are
+	// route-dependent and stop working across topology changes (see
+	// Apply). Callers are keyed by token, like the node windows are
+	// keyed by verified user: op IDs are unique per caller, not globally.
+	// One FIFO across all tokens, so minting tokens cannot grow it.
+	ops *transport.OpWindow[auth.Token]
 }
 
 var _ transport.API = (*Slot)(nil)
@@ -77,7 +80,7 @@ func NewSlot(x field.Element, vnodesPerNode int) (*Slot, error) {
 		moves:    make(map[merging.ListID]*listMove),
 		stale:    make(map[merging.ListID]string),
 		aborts:   make(map[merging.ListID]abortRec),
-		ops:      newSlotOpWindow(),
+		ops:      transport.NewSharedOpWindow[auth.Token](),
 	}
 	s.sink = localSink{s}
 	return s, nil
@@ -248,7 +251,7 @@ func (s *Slot) routeLocked(inserts []transport.InsertOp, deletes []transport.Del
 // applyMoving dispatches one migrating list's part to the move's
 // source and records the touched IDs in the dirty set, atomically per
 // list (jmu), so drain rounds replay a consistent order.
-func (s *Slot) applyMoving(lid merging.ListID, p *opParts, call func(srv *server.Server) error) error {
+func (s *Slot) applyMoving(ctx context.Context, tok auth.Token, op transport.OpID, lid merging.ListID, p *opParts) error {
 	mv := s.moves[lid]
 	srv := s.nodes[mv.src]
 	if srv == nil {
@@ -256,7 +259,7 @@ func (s *Slot) applyMoving(lid merging.ListID, p *opParts, call func(srv *server
 	}
 	mv.jmu.Lock()
 	defer mv.jmu.Unlock()
-	if err := call(srv); err != nil {
+	if err := srv.Apply(ctx, tok, op, p.ins, p.dels); err != nil {
 		return err
 	}
 	for _, op := range p.ins {
@@ -264,62 +267,6 @@ func (s *Slot) applyMoving(lid merging.ListID, p *opParts, call func(srv *server
 	}
 	for _, op := range p.dels {
 		mv.markDirty(op.ID)
-	}
-	return nil
-}
-
-// Insert routes each op to the node authoritative for its posting list.
-func (s *Slot) Insert(ctx context.Context, tok auth.Token, ops []transport.InsertOp) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	normal, moving, err := s.routeLocked(ops, nil)
-	if err != nil {
-		return err
-	}
-	for name, p := range normal {
-		srv := s.nodes[name]
-		if srv == nil {
-			return fmt.Errorf("dht: owner %s vanished", name)
-		}
-		if err := srv.Insert(ctx, tok, p.ins); err != nil {
-			return err
-		}
-	}
-	for lid, p := range moving {
-		part := p
-		if err := s.applyMoving(lid, p, func(srv *server.Server) error {
-			return srv.Insert(ctx, tok, part.ins)
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Delete routes each op to the node authoritative for its posting list.
-func (s *Slot) Delete(ctx context.Context, tok auth.Token, ops []transport.DeleteOp) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	normal, moving, err := s.routeLocked(nil, ops)
-	if err != nil {
-		return err
-	}
-	for name, p := range normal {
-		srv := s.nodes[name]
-		if srv == nil {
-			return fmt.Errorf("dht: owner %s vanished", name)
-		}
-		if err := srv.Delete(ctx, tok, p.dels); err != nil {
-			return err
-		}
-	}
-	for lid, p := range moving {
-		part := p
-		if err := s.applyMoving(lid, p, func(srv *server.Server) error {
-			return srv.Delete(ctx, tok, part.dels)
-		}); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -338,7 +285,7 @@ func (s *Slot) Apply(ctx context.Context, tok auth.Token, op transport.OpID, ins
 	var sum uint32
 	if !op.IsZero() {
 		sum = transport.PayloadSum(inserts, deletes)
-		if s.ops.seen(tok, op, sum) {
+		if s.ops.Seen(tok, op, sum) {
 			return nil
 		}
 	}
@@ -358,17 +305,14 @@ func (s *Slot) Apply(ctx context.Context, tok auth.Token, op transport.OpID, ins
 		}
 	}
 	for lid, p := range moving {
-		part := p
-		if err := s.applyMoving(lid, p, func(srv *server.Server) error {
-			return srv.Apply(ctx, tok, op, part.ins, part.dels)
-		}); err != nil {
+		if err := s.applyMoving(ctx, tok, op, lid, p); err != nil {
 			return err
 		}
 	}
 	// Recorded only on full success: a partial failure must re-apply on
 	// retry, which converges (upserts + conditional deletes).
 	if !op.IsZero() {
-		s.ops.record(tok, op, sum)
+		s.ops.Record(tok, op, sum)
 	}
 	return nil
 }

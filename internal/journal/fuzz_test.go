@@ -52,7 +52,7 @@ func journalBytes(t testing.TB, ops []Op, acks [][3]uint64, ends []uint64) []byt
 // than the input holds, and must be prefix-stable: re-folding exactly
 // the valid prefix must reproduce the same states (so truncating a torn
 // tail, as Open does, never changes the recovered state). Seeds mirror
-// real records the way internal/wal's FuzzDecode seeds real frames. Run
+// real records the way internal/wal's FuzzReadFrame seeds real frames. Run
 // with `go test -fuzz=FuzzJournalDecode ./internal/journal`.
 func FuzzJournalDecode(f *testing.F) {
 	realOp := Op{

@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 
 	"zerber/internal/wal"
@@ -356,13 +357,14 @@ func (j *Journal) Close() error {
 }
 
 // Rewrite replaces the journal's contents with exactly the given states
-// — the peer-side twin of the durable server's WAL compaction. A
+// — the peer-side twin of the disk store's segment compaction. A
 // long-lived peer accumulates one op record per historical mutation;
 // rewriting with one completed snapshot op per live document plus the
 // in-flight ops bounds recovery time by the index size instead of its
 // history. The new contents go to a temporary file that atomically
 // replaces the journal, so a crash mid-rewrite leaves either the old or
-// the new journal intact.
+// the new journal intact; the directory is fsynced after the rename so
+// a power loss cannot bring the old journal back.
 func (j *Journal) Rewrite(states []*State) error {
 	tmp := j.path + ".compact"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -437,6 +439,7 @@ func (j *Journal) Rewrite(states []*State) error {
 	if err := os.Rename(tmp, j.path); err != nil {
 		return fmt.Errorf("journal: swapping journals: %w", err)
 	}
+	wal.SyncDir(filepath.Dir(j.path))
 	nf, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("journal: reopening compacted journal: %w", err)

@@ -19,6 +19,7 @@ import (
 	"zerber/internal/server"
 	"zerber/internal/shamir"
 	"zerber/internal/transport"
+	"zerber/internal/transport/transporttest"
 	"zerber/internal/vocab"
 )
 
@@ -216,7 +217,7 @@ func TestReshareValidation(t *testing.T) {
 		t.Errorf("too few servers: %v", err)
 	}
 	// Make inventories diverge: insert an element on one server only.
-	if err := f.servers[0].Insert(context.Background(), f.tok, []transport.InsertOp{{
+	if err := transporttest.Insert(context.Background(), f.servers[0], f.tok, []transport.InsertOp{{
 		List: 0, Share: posting.EncryptedShare{GlobalID: 999, Group: 1, Y: 1},
 	}}); err != nil {
 		t.Fatal(err)

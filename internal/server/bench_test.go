@@ -13,6 +13,7 @@ import (
 	"zerber/internal/posting"
 	"zerber/internal/store"
 	"zerber/internal/transport"
+	"zerber/internal/transport/transporttest"
 )
 
 // BenchmarkServerMixed drives parallel mixed insert/lookup/delete
@@ -72,7 +73,7 @@ func BenchmarkServerMixed(b *testing.B) {
 					gid := posting.GlobalID(lid*listLen + i)
 					ops[i] = transport.InsertOp{List: merging.ListID(lid), Share: share(gid, uint32(1+i%nGroups), uint64(i))}
 				}
-				if err := srv.Insert(ctx, tok, ops); err != nil {
+				if err := transporttest.Insert(ctx, srv, tok, ops); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -93,7 +94,7 @@ func BenchmarkServerMixed(b *testing.B) {
 					case 0: // insert one fresh element
 						nextGID++
 						op := transport.InsertOp{List: lid, Share: share(nextGID, curGroup, uint64(nextGID))}
-						if err := srv.Insert(ctx, tok, []transport.InsertOp{op}); err != nil {
+						if err := transporttest.Insert(ctx, srv, tok, []transport.InsertOp{op}); err != nil {
 							b.Error(err)
 							return
 						}
@@ -104,7 +105,7 @@ func BenchmarkServerMixed(b *testing.B) {
 						}
 						op := pending[len(pending)-1]
 						pending = pending[:len(pending)-1]
-						if err := srv.Delete(ctx, tok, []transport.DeleteOp{op}); err != nil {
+						if err := transporttest.Delete(ctx, srv, tok, []transport.DeleteOp{op}); err != nil {
 							b.Error(err)
 							return
 						}

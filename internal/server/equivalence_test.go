@@ -13,6 +13,7 @@ import (
 	"zerber/internal/posting"
 	"zerber/internal/store"
 	"zerber/internal/transport"
+	"zerber/internal/transport/transporttest"
 )
 
 // TestShardedServerMatchesBaseline replays one randomized client
@@ -46,15 +47,15 @@ func TestShardedServerMatchesBaseline(t *testing.T) {
 		switch r.Intn(5) {
 		case 0, 1:
 			ops := []transport.InsertOp{{List: lid, Share: share(gid, uint32(1+r.Intn(2)), uint64(i))}}
-			errA := base.Insert(ctx, tok, ops)
-			errB := shrd.Insert(ctx, tok, ops)
+			errA := transporttest.Insert(ctx, base, tok, ops)
+			errB := transporttest.Insert(ctx, shrd, tok, ops)
 			if (errA == nil) != (errB == nil) {
 				t.Fatalf("op %d: Insert errors diverged: %v vs %v", i, errA, errB)
 			}
 		case 2:
 			ops := []transport.DeleteOp{{List: lid, ID: gid}}
-			errA := base.Delete(ctx, tok, ops)
-			errB := shrd.Delete(ctx, tok, ops)
+			errA := transporttest.Delete(ctx, base, tok, ops)
+			errB := transporttest.Delete(ctx, shrd, tok, ops)
 			if fmt.Sprint(errA) != fmt.Sprint(errB) {
 				t.Fatalf("op %d: Delete errors diverged: %v vs %v", i, errA, errB)
 			}
@@ -116,13 +117,13 @@ func TestDeleteUnauthorizedCountsAppliedStats(t *testing.T) {
 			srv := New(Config{Name: "ix", X: 3, Auth: svc, Groups: groups, Store: store.New(shards)})
 			alice, bob := svc.Issue("alice"), svc.Issue("bob")
 			ctx := context.Background()
-			if err := srv.Insert(ctx, alice, []transport.InsertOp{{List: 1, Share: share(1, 1, 1)}, {List: 2, Share: share(2, 1, 2)}}); err != nil {
+			if err := transporttest.Insert(ctx, srv, alice, []transport.InsertOp{{List: 1, Share: share(1, 1, 1)}, {List: 2, Share: share(2, 1, 2)}}); err != nil {
 				t.Fatal(err)
 			}
-			if err := srv.Insert(ctx, bob, []transport.InsertOp{{List: 3, Share: share(3, 2, 3)}}); err != nil {
+			if err := transporttest.Insert(ctx, srv, bob, []transport.InsertOp{{List: 3, Share: share(3, 2, 3)}}); err != nil {
 				t.Fatal(err)
 			}
-			err = srv.Delete(ctx, alice, []transport.DeleteOp{
+			err = transporttest.Delete(ctx, srv, alice, []transport.DeleteOp{
 				{List: 1, ID: 1}, // alice's own: removed
 				{List: 3, ID: 3}, // bob's: unauthorized, aborts the batch
 				{List: 2, ID: 2}, // never reached

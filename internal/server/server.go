@@ -1,6 +1,6 @@
 // Package server implements one Zerber index server (paper Fig. 3): the
 // encrypted merged posting lists, the user-group metadata, and the access
-// control enforced on every insert, delete, and lookup.
+// control enforced on every mutation and lookup.
 //
 // A server stores, per merged posting list, the shares destined for its
 // own x-coordinate: tuples (global element ID, group ID, share value).
@@ -10,11 +10,37 @@
 //
 // Share storage lives behind the store.Store interface (package store):
 // the server is a policy layer — authentication, group checks, activity
-// stats — over a pluggable storage engine. Trusted node-to-node and
-// recovery paths (WAL replay, DHT migration, proactive resharing, the
-// security tests' adversary view) bypass the policy layer and operate on
-// Store() directly; they never see plaintext either, because the engine
-// only ever holds encrypted shares.
+// stats — over a pluggable storage engine. Trusted node-to-node paths
+// (DHT migration, proactive resharing, the security tests' adversary
+// view) bypass the policy layer and operate on Store() directly; they
+// never see plaintext either, because the engine only ever holds
+// encrypted shares.
+//
+// # Durability
+//
+// Apply is the only client-facing mutation, and the storage engine is
+// the server's only log. Apply ends by calling Store.Sync, the engine's
+// batch boundary, and returns its error, so an acknowledged Apply is
+// exactly as durable as the engine makes a synced batch. For the memory
+// engines that is nothing: state dies with the process. For store.Disk
+// it depends on DiskOptions.Sync, which cmd/zerber-server turns on for
+// -store-engine disk:
+//
+//   - Sync on: the acknowledged stage has been fsynced — once per
+//     Apply, however many lists it touched — and survives a process kill
+//     and a power loss alike.
+//   - Sync off (the library default; what the simulator and the
+//     benchmark run): every store call has been written to the OS before
+//     it returns, so a process kill loses nothing that was acknowledged;
+//     a power loss or kernel crash may lose every frame since the
+//     engine's last fsync (segment rollover, compaction, Close).
+//
+// Either way a crash mid-Apply can leave a prefix of the stage's store
+// calls on disk: each call is one CRC frame, atomic on its own, and the
+// unacknowledged stage is simply re-applied by the peer's retry (upserts
+// replace, deletes are conditional). The op-dedup window is memory only;
+// a redelivery after a restart re-applies, which converges for the same
+// reason.
 package server
 
 import (
@@ -31,11 +57,8 @@ import (
 	"zerber/internal/transport"
 )
 
-// Errors returned by server operations.
-var (
-	ErrUnauthorized = errors.New("server: caller not in the required group")
-	ErrNotFound     = errors.New("server: element not found")
-)
+// ErrUnauthorized rejects a mutation of a group the caller is not in.
+var ErrUnauthorized = errors.New("server: caller not in the required group")
 
 // Config configures an index server.
 type Config struct {
@@ -62,7 +85,7 @@ type Server struct {
 	// ops remembers recently applied mutation stages per caller so a
 	// redelivered Apply (client retry after a lost response, journal
 	// replay after a peer crash) is exactly-once in effect.
-	ops *opWindow
+	ops *transport.OpWindow[auth.UserID]
 
 	// Activity counters are atomic and updated once per batch, not once
 	// per element, so hot-path inserts don't serialize on a stats mutex.
@@ -91,7 +114,7 @@ func New(cfg Config) *Server {
 	if st == nil {
 		st = store.NewMemory()
 	}
-	return &Server{cfg: cfg, st: st, ops: newOpWindow()}
+	return &Server{cfg: cfg, st: st, ops: transport.NewOpWindow[auth.UserID]()}
 }
 
 var _ transport.API = (*Server)(nil)
@@ -107,33 +130,12 @@ func (s *Server) XCoord() field.Element { return s.cfg.X }
 func (s *Server) Groups() *auth.GroupTable { return s.cfg.Groups }
 
 // Store exposes the storage engine for the trusted paths that operate
-// below the client API: WAL replay and compaction (package durable), DHT
-// list migration (package dht), proactive resharing (package proactive),
-// and adversary simulation (an attacker who owns the box reads the
-// engine directly). Clients never touch it; every client-facing
-// operation goes through the authenticated methods above.
+// below the client API: DHT list migration (package dht), proactive
+// resharing (package proactive), and adversary simulation (an attacker
+// who owns the box reads the engine directly). Clients never touch it;
+// every client-facing operation goes through the authenticated methods
+// below.
 func (s *Server) Store() store.Store { return s.st }
-
-// Insert authenticates the caller, checks group membership for every
-// share, and appends the shares to their posting lists. The whole batch
-// is validated before any mutation, so a rejected batch changes nothing.
-func (s *Server) Insert(ctx context.Context, tok auth.Token, ops []transport.InsertOp) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("%s: %w", s.cfg.Name, err)
-	}
-	user, err := s.cfg.Auth.Verify(tok)
-	if err != nil {
-		return fmt.Errorf("%s: %w", s.cfg.Name, err)
-	}
-	memberOf := s.cfg.Groups.GroupSetOf(user)
-	if err := s.authorizeInserts(memberOf, ops); err != nil {
-		return err
-	}
-	if added := s.upsertAll(ops); added > 0 {
-		s.inserts.Add(int64(added))
-	}
-	return nil
-}
 
 // authorizeInserts checks group membership for every share before any
 // mutation, so a rejected batch changes nothing.
@@ -169,35 +171,11 @@ func (s *Server) upsertAll(ops []transport.InsertOp) int {
 	return added
 }
 
-// Delete authenticates the caller and removes elements by global ID. The
-// caller must belong to each element's group. Missing elements yield
-// ErrNotFound after all present elements have been removed, so deletes
-// are idempotent in effect but honest about absences.
-func (s *Server) Delete(ctx context.Context, tok auth.Token, ops []transport.DeleteOp) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("%s: %w", s.cfg.Name, err)
-	}
-	user, err := s.cfg.Auth.Verify(tok)
-	if err != nil {
-		return fmt.Errorf("%s: %w", s.cfg.Name, err)
-	}
-	memberOf := s.cfg.Groups.GroupSetOf(user)
-	missing, err := s.deleteAll(memberOf, ops)
-	if err != nil {
-		return err
-	}
-	if missing > 0 {
-		return fmt.Errorf("%s: %d of %d elements: %w", s.cfg.Name, missing, len(ops), ErrNotFound)
-	}
-	return nil
-}
-
 // deleteAll removes the addressed elements whose group the caller
-// belongs to, counting stats once per batch. It reports how many
-// elements were already absent; an element in a foreign group aborts
-// with ErrUnauthorized after the stats of the removals so far are
-// recorded.
-func (s *Server) deleteAll(memberOf map[auth.GroupID]struct{}, ops []transport.DeleteOp) (missing int, err error) {
+// belongs to, counting stats once per batch. An element already absent
+// is skipped; an element in a foreign group aborts with ErrUnauthorized
+// after the stats of the removals so far are recorded.
+func (s *Server) deleteAll(memberOf map[auth.GroupID]struct{}, ops []transport.DeleteOp) error {
 	var removed int64
 	defer func() {
 		if removed > 0 {
@@ -213,27 +191,30 @@ func (s *Server) deleteAll(memberOf map[auth.GroupID]struct{}, ops []transport.D
 			}
 			return true
 		})
-		switch {
-		case !found:
-			missing++
-		case !deleted:
-			return missing, fmt.Errorf("%s: delete from group %d: %w", s.cfg.Name, deniedGroup, ErrUnauthorized)
-		default:
+		if found && !deleted {
+			return fmt.Errorf("%s: delete from group %d: %w", s.cfg.Name, deniedGroup, ErrUnauthorized)
+		}
+		if deleted {
 			removed++
 		}
 	}
-	return missing, nil
+	return nil
 }
 
-// Apply authenticates the caller and applies one stage of a journaled
-// peer mutation: inserts are upserted, then deletes remove elements
-// conditionally (absence is not an error — an earlier delivery of the
-// same stage may already have removed them). A non-zero op ID
-// deduplicates redeliveries: a stage this caller already applied with an
-// identical payload returns nil without touching the store or the stats,
-// so retried mutations are exactly-once in effect. The window is
-// bounded (see opWindowCap); an evicted op re-applies, which still
-// converges because upserts replace by (list, global ID).
+// Apply authenticates the caller and applies one mutation stage: group
+// membership is checked for every insert before anything is written, so
+// a rejected batch changes nothing; inserts are upserted, then deletes
+// remove elements conditionally (absence is not an error — an earlier
+// delivery of the same stage may already have removed them). A non-zero
+// op ID deduplicates redeliveries: a stage this caller already applied
+// with an identical payload returns nil without touching the store or
+// the stats, so retried mutations are exactly-once in effect. The window
+// is bounded (see transport.OpWindow); an evicted op re-applies, which
+// still converges because upserts replace by (list, global ID).
+//
+// The stage is acknowledged only after the store's batch boundary: one
+// Sync per Apply, whose failure is Apply's error (see the package doc
+// for what that buys per engine).
 func (s *Server) Apply(ctx context.Context, tok auth.Token, op transport.OpID, inserts []transport.InsertOp, deletes []transport.DeleteOp) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("%s: %w", s.cfg.Name, err)
@@ -254,20 +235,24 @@ func (s *Server) Apply(ctx context.Context, tok auth.Token, op transport.OpID, i
 	}
 	var sum uint32
 	if !op.IsZero() {
-		sum = payloadSum(inserts, deletes)
-		if s.ops.seen(user, op, sum) {
+		sum = transport.PayloadSum(inserts, deletes)
+		if s.ops.Seen(user, op, sum) {
 			return nil
 		}
 	}
 	if added := s.upsertAll(inserts); added > 0 {
 		s.inserts.Add(int64(added))
 	}
-	if _, err := s.deleteAll(memberOf, deletes); err != nil {
-		// Not recorded in the window: the retry must re-apply.
+	// A failure below is not recorded in the window: the retry must
+	// re-apply (and re-sync).
+	if err := s.deleteAll(memberOf, deletes); err != nil {
 		return err
 	}
+	if err := s.st.Sync(); err != nil {
+		return fmt.Errorf("%s: %w", s.cfg.Name, err)
+	}
 	if !op.IsZero() {
-		s.ops.record(user, op, sum)
+		s.ops.Record(user, op, sum)
 	}
 	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"zerber/internal/merging"
 	"zerber/internal/posting"
 	"zerber/internal/transport"
+	"zerber/internal/transport/transporttest"
 )
 
 type fixture struct {
@@ -48,7 +49,7 @@ func share(gid posting.GlobalID, group uint32, y uint64) posting.EncryptedShare 
 
 func TestInsertAndLookup(t *testing.T) {
 	f := newFixture(t)
-	err := f.srv.Insert(context.Background(), f.alice, []transport.InsertOp{
+	err := transporttest.Insert(context.Background(), f.srv, f.alice, []transport.InsertOp{
 		{List: 10, Share: share(1, 1, 111)},
 		{List: 10, Share: share(2, 1, 222)},
 		{List: 20, Share: share(3, 1, 333)},
@@ -74,10 +75,10 @@ func TestInsertAndLookup(t *testing.T) {
 func TestAccessControlFiltersByGroup(t *testing.T) {
 	f := newFixture(t)
 	// Alice (group 1) and Bob (group 2) both have elements in list 5.
-	if err := f.srv.Insert(context.Background(), f.alice, []transport.InsertOp{{List: 5, Share: share(1, 1, 1)}}); err != nil {
+	if err := transporttest.Insert(context.Background(), f.srv, f.alice, []transport.InsertOp{{List: 5, Share: share(1, 1, 1)}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.srv.Insert(context.Background(), f.bob, []transport.InsertOp{{List: 5, Share: share(2, 2, 2)}}); err != nil {
+	if err := transporttest.Insert(context.Background(), f.srv, f.bob, []transport.InsertOp{{List: 5, Share: share(2, 2, 2)}}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := f.srv.GetPostingLists(context.Background(), f.alice, []merging.ListID{5})
@@ -106,12 +107,12 @@ func TestAccessControlFiltersByGroup(t *testing.T) {
 
 func TestInsertRequiresGroupMembership(t *testing.T) {
 	f := newFixture(t)
-	err := f.srv.Insert(context.Background(), f.alice, []transport.InsertOp{{List: 1, Share: share(1, 2, 9)}})
+	err := transporttest.Insert(context.Background(), f.srv, f.alice, []transport.InsertOp{{List: 1, Share: share(1, 2, 9)}})
 	if !errors.Is(err, ErrUnauthorized) {
 		t.Fatalf("insert into foreign group: %v", err)
 	}
 	// A batch with one bad op must be rejected atomically.
-	err = f.srv.Insert(context.Background(), f.alice, []transport.InsertOp{
+	err = transporttest.Insert(context.Background(), f.srv, f.alice, []transport.InsertOp{
 		{List: 1, Share: share(1, 1, 9)},
 		{List: 1, Share: share(2, 2, 9)},
 	})
@@ -126,14 +127,14 @@ func TestInsertRequiresGroupMembership(t *testing.T) {
 func TestBadTokenRejected(t *testing.T) {
 	f := newFixture(t)
 	bad := auth.Token("not.a.token")
-	if err := f.srv.Insert(context.Background(), bad, nil); err == nil {
-		t.Error("insert with bad token succeeded")
+	if err := f.srv.Apply(context.Background(), bad, transport.OpID{}, nil, nil); err == nil {
+		t.Error("apply with bad token succeeded")
 	}
 	if _, err := f.srv.GetPostingLists(context.Background(), bad, nil); err == nil {
 		t.Error("lookup with bad token succeeded")
 	}
-	if err := f.srv.Delete(context.Background(), bad, nil); err == nil {
-		t.Error("delete with bad token succeeded")
+	if _, err := f.srv.GetPostingBlocks(context.Background(), bad, 1, 0, 1); err == nil {
+		t.Error("paged lookup with bad token succeeded")
 	}
 }
 
@@ -144,10 +145,10 @@ func TestDelete(t *testing.T) {
 		{List: 7, Share: share(2, 1, 20)},
 		{List: 7, Share: share(3, 1, 30)},
 	}
-	if err := f.srv.Insert(context.Background(), f.alice, ops); err != nil {
+	if err := transporttest.Insert(context.Background(), f.srv, f.alice, ops); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.srv.Delete(context.Background(), f.alice, []transport.DeleteOp{{List: 7, ID: 2}}); err != nil {
+	if err := transporttest.Delete(context.Background(), f.srv, f.alice, []transport.DeleteOp{{List: 7, ID: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	if f.srv.ListLength(7) != 2 {
@@ -162,25 +163,29 @@ func TestDelete(t *testing.T) {
 			t.Fatal("deleted element still served")
 		}
 	}
-	// Deleting a missing element reports ErrNotFound.
-	if err := f.srv.Delete(context.Background(), f.alice, []transport.DeleteOp{{List: 7, ID: 99}}); !errors.Is(err, ErrNotFound) {
+	// Deleting a missing element is not an error (an earlier delivery
+	// may have removed it) and touches nothing.
+	if err := transporttest.Delete(context.Background(), f.srv, f.alice, []transport.DeleteOp{{List: 7, ID: 99}}); err != nil {
 		t.Errorf("missing delete: %v", err)
 	}
+	if f.srv.ListLength(7) != 2 || f.srv.StatsSnapshot().Deletes != 1 {
+		t.Errorf("missing delete changed state: len=%d stats=%+v", f.srv.ListLength(7), f.srv.StatsSnapshot())
+	}
 	// Deleting another group's element is unauthorized.
-	if err := f.srv.Insert(context.Background(), f.bob, []transport.InsertOp{{List: 8, Share: share(5, 2, 50)}}); err != nil {
+	if err := transporttest.Insert(context.Background(), f.srv, f.bob, []transport.InsertOp{{List: 8, Share: share(5, 2, 50)}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.srv.Delete(context.Background(), f.alice, []transport.DeleteOp{{List: 8, ID: 5}}); !errors.Is(err, ErrUnauthorized) {
+	if err := transporttest.Delete(context.Background(), f.srv, f.alice, []transport.DeleteOp{{List: 8, ID: 5}}); !errors.Is(err, ErrUnauthorized) {
 		t.Errorf("cross-group delete: %v", err)
 	}
 }
 
 func TestDeleteEmptiesList(t *testing.T) {
 	f := newFixture(t)
-	if err := f.srv.Insert(context.Background(), f.alice, []transport.InsertOp{{List: 3, Share: share(1, 1, 1)}}); err != nil {
+	if err := transporttest.Insert(context.Background(), f.srv, f.alice, []transport.InsertOp{{List: 3, Share: share(1, 1, 1)}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.srv.Delete(context.Background(), f.alice, []transport.DeleteOp{{List: 3, ID: 1}}); err != nil {
+	if err := transporttest.Delete(context.Background(), f.srv, f.alice, []transport.DeleteOp{{List: 3, ID: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if f.srv.ListLength(3) != 0 || f.srv.TotalElements() != 0 {
@@ -193,10 +198,10 @@ func TestDeleteEmptiesList(t *testing.T) {
 
 func TestIdempotentReinsertReplacesShare(t *testing.T) {
 	f := newFixture(t)
-	if err := f.srv.Insert(context.Background(), f.alice, []transport.InsertOp{{List: 4, Share: share(9, 1, 100)}}); err != nil {
+	if err := transporttest.Insert(context.Background(), f.srv, f.alice, []transport.InsertOp{{List: 4, Share: share(9, 1, 100)}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.srv.Insert(context.Background(), f.alice, []transport.InsertOp{{List: 4, Share: share(9, 1, 200)}}); err != nil {
+	if err := transporttest.Insert(context.Background(), f.srv, f.alice, []transport.InsertOp{{List: 4, Share: share(9, 1, 200)}}); err != nil {
 		t.Fatal(err)
 	}
 	if f.srv.ListLength(4) != 1 {
@@ -213,7 +218,7 @@ func TestIdempotentReinsertReplacesShare(t *testing.T) {
 
 func TestMembershipRevocationImmediate(t *testing.T) {
 	f := newFixture(t)
-	if err := f.srv.Insert(context.Background(), f.alice, []transport.InsertOp{{List: 1, Share: share(1, 1, 1)}}); err != nil {
+	if err := transporttest.Insert(context.Background(), f.srv, f.alice, []transport.InsertOp{{List: 1, Share: share(1, 1, 1)}}); err != nil {
 		t.Fatal(err)
 	}
 	f.srv.Groups().Remove("alice", 1)
@@ -241,7 +246,7 @@ func TestAdversaryViewOnlyLengths(t *testing.T) {
 	// elements are not equal (randomized sharing happens client-side; here
 	// we just verify the store's raw view exposes exactly what was stored).
 	f := newFixture(t)
-	if err := f.srv.Insert(context.Background(), f.alice, []transport.InsertOp{
+	if err := transporttest.Insert(context.Background(), f.srv, f.alice, []transport.InsertOp{
 		{List: 2, Share: share(1, 1, 123)},
 		{List: 2, Share: share(2, 1, 456)},
 	}); err != nil {
@@ -262,13 +267,13 @@ func TestAdversaryViewOnlyLengths(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	f := newFixture(t)
-	if err := f.srv.Insert(context.Background(), f.alice, []transport.InsertOp{{List: 1, Share: share(1, 1, 1)}}); err != nil {
+	if err := transporttest.Insert(context.Background(), f.srv, f.alice, []transport.InsertOp{{List: 1, Share: share(1, 1, 1)}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.srv.GetPostingLists(context.Background(), f.alice, []merging.ListID{1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.srv.Delete(context.Background(), f.alice, []transport.DeleteOp{{List: 1, ID: 1}}); err != nil {
+	if err := transporttest.Delete(context.Background(), f.srv, f.alice, []transport.DeleteOp{{List: 1, ID: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	st := f.srv.StatsSnapshot()
@@ -298,7 +303,7 @@ func TestConcurrentMixedOps(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				gid := posting.GlobalID(g*1000 + i)
 				lid := merging.ListID(r.Intn(4))
-				if err := f.srv.Insert(context.Background(), f.alice, []transport.InsertOp{{List: lid, Share: share(gid, 1, uint64(i))}}); err != nil {
+				if err := transporttest.Insert(context.Background(), f.srv, f.alice, []transport.InsertOp{{List: lid, Share: share(gid, 1, uint64(i))}}); err != nil {
 					t.Errorf("insert: %v", err)
 					return
 				}
@@ -307,7 +312,7 @@ func TestConcurrentMixedOps(t *testing.T) {
 					return
 				}
 				if i%2 == 0 {
-					if err := f.srv.Delete(context.Background(), f.alice, []transport.DeleteOp{{List: lid, ID: gid}}); err != nil {
+					if err := transporttest.Delete(context.Background(), f.srv, f.alice, []transport.DeleteOp{{List: lid, ID: gid}}); err != nil {
 						t.Errorf("delete: %v", err)
 						return
 					}

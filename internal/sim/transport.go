@@ -240,23 +240,6 @@ var _ transport.API = (*Transport)(nil)
 // XCoord returns the wrapped server's x-coordinate.
 func (t *Transport) XCoord() field.Element { return t.api.XCoord() }
 
-// Insert forwards when the server is up (the journaled mutation engine
-// never calls it; kept total for API completeness).
-func (t *Transport) Insert(ctx context.Context, tok auth.Token, ops []transport.InsertOp) error {
-	if t.core.isDown(t.idx) {
-		return fmt.Errorf("server %d: %w", t.idx, ErrServerDown)
-	}
-	return t.api.Insert(ctx, tok, ops)
-}
-
-// Delete forwards when the server is up.
-func (t *Transport) Delete(ctx context.Context, tok auth.Token, ops []transport.DeleteOp) error {
-	if t.core.isDown(t.idx) {
-		return fmt.Errorf("server %d: %w", t.idx, ErrServerDown)
-	}
-	return t.api.Delete(ctx, tok, ops)
-}
-
 // Apply delivers one mutation stage through the fault schedule.
 func (t *Transport) Apply(ctx context.Context, tok auth.Token, op transport.OpID, inserts []transport.InsertOp, deletes []transport.DeleteOp) error {
 	if t.core.isDown(t.idx) {

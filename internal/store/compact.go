@@ -15,7 +15,7 @@ import (
 // — replaced upserts, delete and drop records, reset frames — that
 // replay must read but the index no longer references. Compaction
 // rewrites the live index as one snapshot segment using the same
-// temp+rename pattern as durable.Compact:
+// temp+rename pattern as journal.Rewrite:
 //
 //  1. Write a reset frame followed by every live list (in its exact
 //     stored order, so replay reproduces the bucket-major layout
@@ -131,7 +131,7 @@ func (d *Disk) compactLocked() error {
 	if err := os.Rename(tmpPath, d.segPath(snapID)); err != nil {
 		return fmt.Errorf("store: compaction rename: %w", err)
 	}
-	syncDir(d.dir)
+	wal.SyncDir(d.dir)
 	if d.hooks != nil && d.hooks.CrashCompaction == 2 {
 		// The snapshot is durable but the stale segments remain and the
 		// in-memory state still points at them; the engine must be
@@ -160,6 +160,7 @@ func (d *Disk) compactLocked() error {
 	d.activeSize = cur
 	d.totalBytes = cur
 	d.w = bufio.NewWriter(nf)
+	d.dirty = false // the snapshot was fsynced whole
 	for lid, offs := range newOffs {
 		dl := d.lists[lid]
 		for i := range dl.entries {
@@ -169,15 +170,4 @@ func (d *Disk) compactLocked() error {
 	}
 	d.compactions++
 	return nil
-}
-
-// syncDir fsyncs a directory so a just-renamed file's directory entry is
-// durable; best effort (some filesystems reject directory fsync).
-func syncDir(dir string) {
-	df, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	df.Sync()
-	df.Close()
 }

@@ -56,6 +56,11 @@ type Disk struct {
 	lru         *list.List // of merging.ListID, front = most recently admitted/written
 	cachedBytes int
 
+	// dirty: the active segment holds frames written since its last
+	// fsync. syncs counts the batch-boundary fsyncs, for the tests.
+	dirty bool
+	syncs int
+
 	compactions int
 	closed      bool
 }
@@ -75,10 +80,14 @@ type DiskOptions struct {
 	// CompactMinBytes is the log size below which auto-compaction never
 	// triggers. 0 picks 1 MiB.
 	CompactMinBytes int64
-	// Sync fsyncs the active segment after every mutation. Off by
-	// default: the write is flushed to the OS on every mutation (a
-	// process kill loses nothing), and fsync still happens at rollover,
-	// compaction, and Close.
+	// Sync makes the Sync method fsync the active segment, so a caller
+	// that marks its batch boundaries (server.Apply does, once per call)
+	// acknowledges only what a power loss cannot take back. ApplyDeltas,
+	// one atomic round, is its own boundary. Off by default: every
+	// mutation is still flushed to the OS before it returns (a process
+	// kill loses nothing), the Sync method is a no-op, and fsync happens
+	// only at rollover, compaction, and Close — a power loss may lose the
+	// frames since then.
 	Sync bool
 }
 
@@ -300,6 +309,7 @@ func (d *Disk) load() error {
 			return fmt.Errorf("store: creating segment: %w", err)
 		}
 		d.segs[1] = f
+		d.syncNewSegmentEntry()
 	}
 	for i, id := range ids {
 		f := d.segs[id]
@@ -552,15 +562,38 @@ func (d *Disk) appendFrame(payload []byte) (seg uint32, payloadOff int64) {
 	if err := d.w.Flush(); err != nil {
 		panic(fmt.Sprintf("store: disk flush: %v", err))
 	}
-	if d.opt.Sync {
-		if err := d.active.Sync(); err != nil {
-			panic(fmt.Sprintf("store: disk sync: %v", err))
-		}
-	}
+	d.dirty = true
 	sz := wal.FrameSize(payload)
 	d.activeSize += sz
 	d.totalBytes += sz
 	return d.activeID, start + 4
+}
+
+// Sync implements Store: the batch boundary. With DiskOptions.Sync it
+// fsyncs the active segment if any frame was written since the last
+// fsync — frames in older segments were fsynced at rollover — so one
+// call covers every mutation that returned before it, however many
+// frames and lists they spanned. On failure the batch stays dirty and
+// the next boundary tries again.
+func (d *Disk) Sync() error {
+	if !d.opt.Sync {
+		return nil // without touching the lock readers share
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.syncLocked()
+}
+
+func (d *Disk) syncLocked() error {
+	if !d.opt.Sync || !d.dirty {
+		return nil
+	}
+	if err := d.active.Sync(); err != nil {
+		return fmt.Errorf("store: disk sync: %w", err)
+	}
+	d.dirty = false
+	d.syncs++
+	return nil
 }
 
 func (d *Disk) rollover() {
@@ -570,16 +603,27 @@ func (d *Disk) rollover() {
 	if err := d.active.Sync(); err != nil {
 		panic(fmt.Sprintf("store: disk sync: %v", err))
 	}
+	d.dirty = false
 	id := d.activeID + 1
 	f, err := os.OpenFile(d.segPath(id), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		panic(fmt.Sprintf("store: disk rollover: %v", err))
 	}
+	d.syncNewSegmentEntry()
 	d.segs[id] = f
 	d.active = f
 	d.activeID = id
 	d.activeSize = 0
 	d.w = bufio.NewWriter(f)
+}
+
+// syncNewSegmentEntry makes a just-created segment file's directory
+// entry durable under DiskOptions.Sync: without it a power loss could
+// unlink the file that later acknowledged frames were fsynced into.
+func (d *Disk) syncNewSegmentEntry() {
+	if d.opt.Sync {
+		wal.SyncDir(d.dir)
+	}
 }
 
 func (d *Disk) getList(lid merging.ListID) *diskList {
@@ -800,7 +844,7 @@ func (d *Disk) ApplyDeltas(deltas map[merging.ListID]map[posting.GlobalID]field.
 		}
 	}
 	d.maybeCompact()
-	return nil
+	return d.syncLocked()
 }
 
 // ---- read path ----

@@ -314,6 +314,62 @@ func TestDiskSegmentRollover(t *testing.T) {
 	}
 }
 
+// TestDiskSyncBoundary pins DiskOptions.Sync: mutations alone never
+// fsync, one Sync call covers every frame written before it (across a
+// rollover too), an idle boundary is free, an ApplyDeltas round is its
+// own boundary, and with the option off a boundary never fsyncs.
+func TestDiskSyncBoundary(t *testing.T) {
+	d, err := store.OpenDisk(t.TempDir(), store.DiskOptions{SegmentBytes: 4 << 10, Sync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	expect := func(what string, want int) {
+		t.Helper()
+		if got := d.Syncs(); got != want {
+			t.Fatalf("%s: %d batch-boundary fsyncs, want %d", what, got, want)
+		}
+	}
+	for lid := merging.ListID(1); lid <= 4; lid++ {
+		var batch []posting.EncryptedShare
+		for j := 0; j < 60; j++ {
+			batch = append(batch, tagged(uint64(int(lid)*1000+j), 3, 1))
+		}
+		d.Upsert(lid, batch)
+	}
+	d.DeleteIf(1, d.Keys()[1][0], nil)
+	d.DropList(4)
+	if st := d.Stats(); st.Segments < 2 {
+		t.Fatalf("history stayed in %d segment(s), want a rollover inside the batch", st.Segments)
+	}
+	expect("mutations without a boundary", 0)
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	expect("first boundary", 1)
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	expect("idle boundary", 1)
+	if err := d.ApplyDeltas(map[merging.ListID]map[posting.GlobalID]field.Element{
+		2: {d.Keys()[2][0]: field.New(5)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	expect("resharing round", 2)
+
+	// With Sync off the boundary costs nothing: no fsync, ever.
+	off, err := store.OpenDisk(t.TempDir(), store.DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer off.Close()
+	off.Upsert(1, []posting.EncryptedShare{tagged(1, 3, 1)})
+	if err := off.Sync(); err != nil || off.Syncs() != 0 {
+		t.Fatalf("Sync-off boundary: err %v, %d fsyncs, want none", err, off.Syncs())
+	}
+}
+
 func TestNewEngineSelects(t *testing.T) {
 	if st, err := store.NewEngine("memory", 0, ""); err != nil {
 		t.Fatal(err)

@@ -114,6 +114,9 @@ func (m *Memory) ListLengths() map[merging.ListID]int {
 	return out
 }
 
+// Sync implements Store; memory has nothing to make durable.
+func (m *Memory) Sync() error { return nil }
+
 // TotalElements implements Store.
 func (m *Memory) TotalElements() int {
 	m.mu.RLock()

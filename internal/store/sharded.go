@@ -224,6 +224,9 @@ func (s *Sharded) ListLengths() map[merging.ListID]int {
 	return out
 }
 
+// Sync implements Store; memory has nothing to make durable.
+func (s *Sharded) Sync() error { return nil }
+
 // TotalElements implements Store. Lock-free: it sums the per-shard
 // atomic counters.
 func (s *Sharded) TotalElements() int {

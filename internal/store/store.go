@@ -135,6 +135,13 @@ type Store interface {
 	// TotalElements returns the number of stored shares. Implementations
 	// maintain this incrementally; it never scans the index.
 	TotalElements() int
+
+	// Sync marks a batch boundary: when it returns nil, every mutation
+	// that returned before the call is as durable as the engine makes
+	// anything. The server calls it once at the end of each Apply and
+	// acknowledges only on nil. The memory engines have nothing to make
+	// durable; for Disk see DiskOptions.Sync.
+	Sync() error
 }
 
 // New returns the store for a configured shard count: 1 selects the

@@ -1,11 +1,19 @@
 // Package transport defines the narrow wire interface of a Zerber index
 // server — "only insert, delete, and look up posting elements" (§5) —
-// together with two interchangeable implementations:
+// as one mutation verb (Apply: a batch of inserts and deletes) and two
+// lookups, together with its implementations and decorators:
 //
-//   - Local: in-process calls with byte accounting, used by the simulation
-//     experiments (§7.3 network bandwidth) and the tests;
-//   - HTTP: a JSON-over-HTTP client/server pair, used by the cmd/ binaries
-//     so a Zerber cluster actually runs across processes.
+//   - BinaryClient / ServeBinary: the production wire, length-prefixed
+//     CRC frames over one pipelined TCP connection per server;
+//   - HTTPClient / NewHTTPHandler: the JSON-over-HTTP debug wire;
+//   - Local: in-process calls with byte accounting, used by the
+//     simulation experiments (§7.3 network bandwidth) and the tests;
+//   - Latency: a fixed simulated round-trip time per call;
+//   - Hooked: before/after interception for fault injection.
+//
+// OpWindow and PayloadSum, the exactly-once memory behind Apply, live
+// here too because every layer that deduplicates (the index server, the
+// dht slot) shares them.
 package transport
 
 import (
@@ -38,7 +46,7 @@ type DeleteOp struct {
 // the server-side deduplication that makes redelivered mutations —
 // client retries after a lost response, journal replay after a peer
 // crash — exactly-once in effect. The zero OpID disables deduplication:
-// the call is applied unconditionally (Insert/Delete semantics).
+// the call is applied unconditionally, every time it is delivered.
 type OpID struct {
 	ID    uint64 `json:"id"`
 	Stage uint8  `json:"stage"`
@@ -65,16 +73,12 @@ func (o OpID) IsZero() bool { return o == OpID{} }
 type API interface {
 	// XCoord returns the server's public Shamir x-coordinate.
 	XCoord() field.Element
-	// Insert authenticates the caller and appends shares to posting
-	// lists; the caller must belong to each share's group.
-	Insert(ctx context.Context, tok auth.Token, ops []InsertOp) error
-	// Delete authenticates the caller and removes elements by global ID.
-	Delete(ctx context.Context, tok auth.Token, ops []DeleteOp) error
-	// Apply authenticates the caller and applies one stage of a
-	// journaled mutation: inserts are upserted by (list, global ID),
-	// then deletes remove elements conditionally — an element already
-	// absent is not an error, because an earlier delivery of the same
-	// stage may have removed it. A non-zero op ID makes the call
+	// Apply is the only mutation verb. It authenticates the caller and
+	// applies one stage of a mutation: inserts are upserted by (list,
+	// global ID) — the caller must belong to each share's group — then
+	// deletes remove elements conditionally: an element already absent
+	// is not an error, because an earlier delivery of the same stage
+	// may have removed it. A non-zero op ID makes the call
 	// idempotent: a server that already applied (caller, op) with an
 	// identical payload acknowledges without re-applying or re-counting
 	// stats, so redelivered mutations are exactly-once in effect.

@@ -13,6 +13,7 @@ import (
 
 	"zerber/internal/merging"
 	"zerber/internal/transport"
+	"zerber/internal/transport/transporttest"
 	"zerber/internal/wal"
 )
 
@@ -91,19 +92,19 @@ func TestBinaryReconnect(t *testing.T) {
 	}
 	defer c.Close()
 	ctx := context.Background()
-	if err := c.Insert(ctx, tok, []transport.InsertOp{{List: 1, Share: sampleShare(1, 1)}}); err != nil {
+	if err := transporttest.Insert(ctx, c, tok, []transport.InsertOp{{List: 1, Share: sampleShare(1, 1)}}); err != nil {
 		t.Fatal(err)
 	}
 
 	bs.Close()
-	if err := c.Insert(ctx, tok, []transport.InsertOp{{List: 1, Share: sampleShare(2, 2)}}); err == nil {
+	if err := transporttest.Insert(ctx, c, tok, []transport.InsertOp{{List: 1, Share: sampleShare(2, 2)}}); err == nil {
 		t.Fatal("call against a dead server must fail")
 	}
 
 	startBinary(t, srv, addr)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		err := c.Insert(ctx, tok, []transport.InsertOp{{List: 1, Share: sampleShare(3, 3)}})
+		err := transporttest.Insert(ctx, c, tok, []transport.InsertOp{{List: 1, Share: sampleShare(3, 3)}})
 		if err == nil {
 			break
 		}
@@ -137,10 +138,10 @@ func TestBinaryBackoffFailsFast(t *testing.T) {
 	ins := []transport.InsertOp{{List: 1, Share: sampleShare(1, 1)}}
 	// First failure kills the connection; second triggers the failed
 	// re-dial that opens the backoff window; the third must fail fast.
-	c.Insert(ctx, tok, ins)
-	c.Insert(ctx, tok, ins)
+	transporttest.Insert(ctx, c, tok, ins)
+	transporttest.Insert(ctx, c, tok, ins)
 	start := time.Now()
-	err = c.Insert(ctx, tok, ins)
+	err = transporttest.Insert(ctx, c, tok, ins)
 	if err == nil {
 		t.Fatal("call against a dead server must fail")
 	}
@@ -238,33 +239,60 @@ func xcoordFrame(t *testing.T, id uint64) []byte {
 	return frameBytes(t, payload)
 }
 
-// TestBinaryServerMalformedRequest sends a well-framed request with an
-// unknown message kind: the server must answer with an addressed 400
-// and keep the connection alive — mirroring HTTP's clean-4xx contract.
+// TestBinaryServerMalformedRequest sends well-framed requests with an
+// unknown message kind: the server must answer each with an addressed
+// 400 and keep the connection alive — mirroring HTTP's clean-4xx
+// contract. The retired standalone insert (2) and delete (3) kinds are
+// unknown kinds like any other, even framed exactly as an old client
+// would, with a valid token and a valid body.
 func TestBinaryServerMalformedRequest(t *testing.T) {
-	srv, _ := newServer(t)
+	srv, tok := newServer(t)
 	bs := startBinary(t, srv, "")
 	raw := dialRaw(t, bs.Addr().String())
 
-	bad := binary.LittleEndian.AppendUint64(nil, 77)
-	bad = append(bad, 99) // unknown kind
-	raw.send(frameBytes(t, bad))
-	id, kind, status, _ := raw.recv()
-	if id != 77 || kind != 99 || status != 400 {
-		t.Errorf("malformed request answered (id=%d kind=%d status=%d), want (77, 99, 400)", id, kind, status)
+	header := func(id uint64, kind byte) []byte {
+		p := binary.LittleEndian.AppendUint64(nil, id)
+		p = append(p, kind)
+		p = binary.LittleEndian.AppendUint16(p, uint16(len(tok)))
+		return append(p, tok...)
 	}
+	retiredInsert := binary.LittleEndian.AppendUint32(header(80, 2), 1)
+	retiredInsert = binary.LittleEndian.AppendUint32(retiredInsert, 1)  // list
+	retiredInsert = binary.LittleEndian.AppendUint64(retiredInsert, 1)  // global ID
+	retiredInsert = binary.LittleEndian.AppendUint32(retiredInsert, 1)  // group
+	retiredInsert = binary.LittleEndian.AppendUint64(retiredInsert, 10) // share value
+	retiredDelete := binary.LittleEndian.AppendUint32(header(81, 3), 1)
+	retiredDelete = binary.LittleEndian.AppendUint32(retiredDelete, 1) // list
+	retiredDelete = binary.LittleEndian.AppendUint64(retiredDelete, 1) // global ID
 
-	// The connection must still serve valid requests.
-	raw.send(xcoordFrame(t, 78))
-	id, _, status, body := raw.recv()
-	if id != 78 || status != 0 {
-		t.Fatalf("connection unusable after malformed request: id=%d status=%d", id, status)
-	}
-	if x := binary.LittleEndian.Uint64(body); x != 42 {
-		t.Errorf("XCoord = %d, want 42", x)
-	}
-	if srv.TotalElements() != 0 {
-		t.Error("malformed request mutated the server")
+	for _, bad := range []struct {
+		id      uint64
+		kind    byte
+		payload []byte
+	}{
+		{77, 99, header(77, 99)},
+		{80, 2, retiredInsert},
+		{81, 3, retiredDelete},
+	} {
+		raw.send(frameBytes(t, bad.payload))
+		id, kind, status, _ := raw.recv()
+		if id != bad.id || kind != bad.kind || status != 400 {
+			t.Errorf("malformed request answered (id=%d kind=%d status=%d), want (%d, %d, 400)",
+				id, kind, status, bad.id, bad.kind)
+		}
+
+		// The connection must still serve valid requests.
+		raw.send(xcoordFrame(t, bad.id+100))
+		id, _, status, body := raw.recv()
+		if id != bad.id+100 || status != 0 {
+			t.Fatalf("connection unusable after malformed request: id=%d status=%d", id, status)
+		}
+		if x := binary.LittleEndian.Uint64(body); x != 42 {
+			t.Errorf("XCoord = %d, want 42", x)
+		}
+		if srv.TotalElements() != 0 {
+			t.Error("malformed request mutated the server")
+		}
 	}
 }
 
@@ -355,7 +383,7 @@ func TestBinaryDialScheme(t *testing.T) {
 		t.Fatalf("Dial(binary://...) returned %T, want *BinaryClient", c)
 	}
 	defer bc.Close()
-	if err := bc.Insert(context.Background(), tok, []transport.InsertOp{{List: 1, Share: sampleShare(1, 1)}}); err != nil {
+	if err := transporttest.Insert(context.Background(), bc, tok, []transport.InsertOp{{List: 1, Share: sampleShare(1, 1)}}); err != nil {
 		t.Fatal(err)
 	}
 }

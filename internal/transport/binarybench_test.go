@@ -85,7 +85,7 @@ func BenchmarkEncodeGetPostingLists(b *testing.B) {
 func BenchmarkBinaryVsJSONRoundTrip(b *testing.B) {
 	ops := benchInsertOps(64)
 	b.Run("binary", func(b *testing.B) {
-		req := binRequest{id: 1, kind: binMsgInsert, tok: "bench-token", inserts: ops}
+		req := binRequest{id: 1, kind: binMsgApply, tok: "bench-token", inserts: ops}
 		var n int
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -86,18 +86,6 @@ func (c *BinaryClient) Addr() string { return c.addr }
 // XCoord returns the server's x-coordinate fetched at dial time.
 func (c *BinaryClient) XCoord() field.Element { return c.x }
 
-// Insert sends insert ops.
-func (c *BinaryClient) Insert(ctx context.Context, tok auth.Token, ops []InsertOp) error {
-	_, err := c.call(ctx, binRequest{kind: binMsgInsert, tok: tok, inserts: ops})
-	return err
-}
-
-// Delete sends delete ops.
-func (c *BinaryClient) Delete(ctx context.Context, tok auth.Token, ops []DeleteOp) error {
-	_, err := c.call(ctx, binRequest{kind: binMsgDelete, tok: tok, deletes: ops})
-	return err
-}
-
 // Apply sends one mutation stage.
 func (c *BinaryClient) Apply(ctx context.Context, tok auth.Token, op OpID, inserts []InsertOp, deletes []DeleteOp) error {
 	_, err := c.call(ctx, binRequest{kind: binMsgApply, tok: tok, op: op, inserts: inserts, deletes: deletes})

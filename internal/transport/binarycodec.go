@@ -15,7 +15,7 @@ import (
 // The binary wire codec. Every message travels as one internal/wal
 // variable-length frame (4-byte length + payload + CRC-32 over both), so
 // torn and corrupted frames are detected by the same machinery that
-// guards the journal and the WAL. Frame payloads are fixed-width
+// guards the journal and the disk segments. Frame payloads are fixed-width
 // little-endian records — no field names, no escaping, no base-10
 // integers — sized exactly by the §7.3 wire constants: an insert op is
 // ListIDBytes+ShareBytes (24) bytes, a delete op ListIDBytes+8 (12), a
@@ -42,10 +42,12 @@ import (
 // fixed-width records; a count that does not match the remaining bytes
 // exactly is rejected, so a frame decodes to precisely one value or to
 // an error — never to a value plus trailing garbage.
+//
+// Kinds 2 and 3 were the standalone insert and delete calls. They stay
+// reserved: a frame carrying one is answered as an unknown kind, never
+// reassigned and misread.
 const (
 	binMsgXCoord       byte = 1
-	binMsgInsert       byte = 2
-	binMsgDelete       byte = 3
 	binMsgApply        byte = 4
 	binMsgLookup       byte = 5
 	binMsgLookupBlocks byte = 6
@@ -68,8 +70,8 @@ type binRequest struct {
 	tok  auth.Token
 
 	op      OpID       // apply
-	inserts []InsertOp // insert, apply
-	deletes []DeleteOp // delete, apply
+	inserts []InsertOp // apply
+	deletes []DeleteOp // apply
 	lists   []merging.ListID
 
 	list merging.ListID // lookupblocks
@@ -118,10 +120,6 @@ func appendDeleteOps(dst []byte, ops []DeleteOp) []byte {
 func binRequestSize(r *binRequest) int {
 	n := 8 + 1 + 2 + len(r.tok)
 	switch r.kind {
-	case binMsgInsert:
-		n += 4 + len(r.inserts)*binInsertSize
-	case binMsgDelete:
-		n += 4 + len(r.deletes)*binDeleteSize
 	case binMsgApply:
 		n += OpIDBytes + 4 + len(r.inserts)*binInsertSize + 4 + len(r.deletes)*binDeleteSize
 	case binMsgLookup:
@@ -149,10 +147,6 @@ func appendBinRequest(dst []byte, r *binRequest) []byte {
 	dst = append(dst, r.tok...)
 	switch r.kind {
 	case binMsgXCoord:
-	case binMsgInsert:
-		dst = appendInsertOps(dst, r.inserts)
-	case binMsgDelete:
-		dst = appendDeleteOps(dst, r.deletes)
 	case binMsgApply:
 		dst = appendU64(dst, r.op.ID)
 		dst = append(dst, r.op.Stage)
@@ -277,10 +271,6 @@ func decodeBinRequest(payload []byte) (binRequest, error) {
 	}
 	switch req.kind {
 	case binMsgXCoord:
-	case binMsgInsert:
-		req.inserts = r.insertOps()
-	case binMsgDelete:
-		req.deletes = r.deleteOps()
 	case binMsgApply:
 		req.op.ID = r.u64()
 		req.op.Stage = r.u8()
@@ -398,7 +388,7 @@ func decodeBinResponse(payload []byte) (binResponse, error) {
 	switch resp.kind {
 	case binMsgXCoord:
 		resp.x = r.u64()
-	case binMsgInsert, binMsgDelete, binMsgApply:
+	case binMsgApply:
 	case binMsgLookupBlocks:
 		resp.page.Total = int(r.u32())
 		resp.page.Next = r.u8()
@@ -454,10 +444,6 @@ func binKindName(kind byte) string {
 	switch kind {
 	case binMsgXCoord:
 		return "xcoord"
-	case binMsgInsert:
-		return "insert"
-	case binMsgDelete:
-		return "delete"
 	case binMsgApply:
 		return "apply"
 	case binMsgLookup:

@@ -19,12 +19,12 @@ func share(gid posting.GlobalID, group uint32, y uint64) posting.EncryptedShare 
 func sampleRequests() []binRequest {
 	return []binRequest{
 		{id: 0, kind: binMsgXCoord},
-		{id: 1, kind: binMsgInsert, tok: "tok-a", inserts: []InsertOp{
+		{id: 1, kind: binMsgApply, tok: "tok-a", inserts: []InsertOp{
 			{List: 5, Share: share(10, 1, 123456789012345)},
 			{List: ^merging.ListID(0), Share: share(^posting.GlobalID(0), ^uint32(0), uint64(field.P-1))},
 		}},
-		{id: 2, kind: binMsgInsert, tok: "t"},
-		{id: 3, kind: binMsgDelete, tok: "tok-b", deletes: []DeleteOp{
+		{id: 2, kind: binMsgApply, tok: "t"},
+		{id: 3, kind: binMsgApply, tok: "tok-b", deletes: []DeleteOp{
 			{List: 1, ID: 2}, {List: 3, ID: 4},
 		}},
 		{id: 4, kind: binMsgApply, tok: "tok-c",
@@ -36,6 +36,19 @@ func sampleRequests() []binRequest {
 		{id: ^uint64(0), kind: binMsgLookup, tok: "tok-e", lists: []merging.ListID{3, 1, 2}},
 		{id: 7, kind: binMsgLookup, tok: ""},
 	}
+}
+
+// retiredInsertRequest and retiredDeleteRequest build well-formed
+// request payloads of the retired standalone kinds 2 (insert) and 3
+// (delete), exactly as a pre-Apply client framed them.
+func retiredInsertRequest(id uint64) []byte {
+	payload := appendBinRequest(nil, &binRequest{id: id, kind: 2, tok: "tok"})
+	return appendInsertOps(payload, []InsertOp{{List: 5, Share: share(10, 1, 100)}})
+}
+
+func retiredDeleteRequest(id uint64) []byte {
+	payload := appendBinRequest(nil, &binRequest{id: id, kind: 3, tok: "tok"})
+	return appendDeleteOps(payload, []DeleteOp{{List: 5, ID: 10}})
 }
 
 func TestBinaryRequestRoundTrip(t *testing.T) {
@@ -65,8 +78,8 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 		{"xcoord", appendBinOK(nil, 1, binMsgXCoord, func(dst []byte) []byte {
 			return appendU64(dst, 42)
 		}), binResponse{id: 1, kind: binMsgXCoord, x: 42}},
-		{"insert-ok", appendBinOK(nil, 2, binMsgInsert, nil),
-			binResponse{id: 2, kind: binMsgInsert}},
+		{"apply-ok", appendBinOK(nil, 2, binMsgApply, nil),
+			binResponse{id: 2, kind: binMsgApply}},
 		{"lookup", appendBinOK(nil, 3, binMsgLookup, func(dst []byte) []byte {
 			return appendLookupBody(dst, lookup)
 		}), binResponse{id: 3, kind: binMsgLookup, lists: map[merging.ListID][]posting.EncryptedShare{
@@ -103,7 +116,7 @@ func TestBinaryLookupCanonical(t *testing.T) {
 
 func TestBinaryDecodeRejectsMalformed(t *testing.T) {
 	valid := appendBinRequest(nil, &binRequest{
-		id: 1, kind: binMsgInsert, tok: "tok",
+		id: 1, kind: binMsgApply, tok: "tok",
 		inserts: []InsertOp{{List: 5, Share: share(10, 1, 100)}},
 	})
 	cases := []struct {
@@ -116,6 +129,8 @@ func TestBinaryDecodeRejectsMalformed(t *testing.T) {
 		{"truncated-body", valid[:len(valid)-1]},
 		{"trailing-bytes", append(append([]byte{}, valid...), 0)},
 		{"unknown-kind", appendBinRequest(nil, &binRequest{id: 1, kind: 99})},
+		{"retired-insert-kind", retiredInsertRequest(1)},
+		{"retired-delete-kind", retiredDeleteRequest(1)},
 	}
 	for _, tc := range cases {
 		if _, err := decodeBinRequest(tc.payload); err == nil {
@@ -126,8 +141,9 @@ func TestBinaryDecodeRejectsMalformed(t *testing.T) {
 	// A count claiming more records than the payload holds must be
 	// rejected before any allocation is attempted.
 	huge := appendU64(nil, 1)
-	huge = append(huge, binMsgInsert)
+	huge = append(huge, binMsgApply)
 	huge = appendU16(huge, 0)
+	huge = append(huge, make([]byte, OpIDBytes)...)
 	huge = appendU32(huge, 1<<30)
 	if _, err := decodeBinRequest(huge); err == nil {
 		t.Error("oversized element count accepted")
@@ -152,7 +168,7 @@ func TestBinaryDecodeRejectsMalformed(t *testing.T) {
 }
 
 func TestBinaryErrorMessageCapped(t *testing.T) {
-	payload := appendBinError(nil, 1, binMsgInsert, 400, strings.Repeat("x", 10000))
+	payload := appendBinError(nil, 1, binMsgApply, 400, strings.Repeat("x", 10000))
 	resp, err := decodeBinResponse(payload)
 	if err != nil {
 		t.Fatal(err)

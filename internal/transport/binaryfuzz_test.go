@@ -20,11 +20,12 @@ func fuzzFrame(payload []byte) []byte {
 
 // FuzzBinaryFrameDecode throws arbitrary byte streams at the binary
 // wire's full receive path — frame extraction, then request and
-// response payload decoding — and pins three properties:
+// response payload decoding — and pins four properties:
 //
 //   - no panic, ever, on any input;
 //   - torn, truncated, and CRC-corrupted frames are rejected at the
 //     frame layer, never surfaced as payloads;
+//   - a request of the retired kinds 2 and 3 never decodes;
 //   - anything the request decoder accepts re-encodes to the identical
 //     bytes (the codec is canonical and invents no information), and
 //     anything the response decoder accepts reaches an encode/decode
@@ -33,14 +34,16 @@ func FuzzBinaryFrameDecode(f *testing.F) {
 	// Valid frames of every message kind.
 	for _, req := range []binRequest{
 		{id: 1, kind: binMsgXCoord},
-		{id: 2, kind: binMsgInsert, tok: "tok", inserts: []InsertOp{{List: 5, Share: share(10, 1, 100)}}},
-		{id: 3, kind: binMsgDelete, tok: "tok", deletes: []DeleteOp{{List: 5, ID: 10}}},
 		{id: 4, kind: binMsgApply, tok: "tok", op: OpID{ID: 9, Stage: StageInsert},
 			inserts: []InsertOp{{List: 1, Share: share(1, 1, 1)}}},
 		{id: 5, kind: binMsgLookup, tok: "tok", lists: []merging.ListID{1, 2}},
 	} {
 		f.Add(fuzzFrame(appendBinRequest(nil, &req)))
 	}
+	// The retired standalone insert and delete kinds, framed as an old
+	// client would: well-formed, and still refused.
+	f.Add(fuzzFrame(retiredInsertRequest(2)))
+	f.Add(fuzzFrame(retiredDeleteRequest(3)))
 	lookup := map[merging.ListID][]posting.EncryptedShare{7: {share(70, 1, 700)}}
 	f.Add(fuzzFrame(appendBinOK(nil, 6, binMsgLookup, func(dst []byte) []byte {
 		return appendLookupBody(dst, lookup)
@@ -69,6 +72,9 @@ func FuzzBinaryFrameDecode(f *testing.F) {
 				return
 			}
 			if req, err := decodeBinRequest(payload); err == nil {
+				if req.kind == 2 || req.kind == 3 {
+					t.Fatalf("retired message kind %d decoded: %x", req.kind, payload)
+				}
 				re := appendBinRequest(nil, &req)
 				if !bytes.Equal(re, payload) {
 					t.Fatalf("request decode/encode not canonical:\n in %x\nout %x", payload, re)

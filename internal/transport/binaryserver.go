@@ -219,18 +219,12 @@ func (s *BinaryServer) dispatch(ctx context.Context, req binRequest) []byte {
 		return appendBinOK(dst, req.id, req.kind, func(dst []byte) []byte {
 			return appendBlockBody(dst, page)
 		})
-	}
-	var err error
-	switch req.kind {
-	case binMsgInsert:
-		err = s.api.Insert(ctx, req.tok, req.inserts)
-	case binMsgDelete:
-		err = s.api.Delete(ctx, req.tok, req.deletes)
 	case binMsgApply:
-		err = s.api.Apply(ctx, req.tok, req.op, req.inserts, req.deletes)
+		if err := s.api.Apply(ctx, req.tok, req.op, req.inserts, req.deletes); err != nil {
+			return appendBinError(nil, req.id, req.kind, statusCodeOf(err), err.Error())
+		}
+		return appendBinOK(nil, req.id, req.kind, nil)
 	}
-	if err != nil {
-		return appendBinError(nil, req.id, req.kind, statusCodeOf(err), err.Error())
-	}
-	return appendBinOK(nil, req.id, req.kind, nil)
+	// Unreachable while decodeBinRequest rejects every other kind.
+	return appendBinError(nil, req.id, req.kind, 400, errBinMalformed.Error())
 }

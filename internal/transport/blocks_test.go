@@ -7,6 +7,7 @@ import (
 	"zerber/internal/field"
 	"zerber/internal/posting"
 	"zerber/internal/transport"
+	"zerber/internal/transport/transporttest"
 )
 
 // taggedShare builds a group-1 share whose GlobalID carries impact
@@ -33,7 +34,7 @@ func TestWireBlockPages(t *testing.T) {
 				{List: 5, Share: taggedShare(3, 3, 30)},
 				{List: 5, Share: taggedShare(4, 7, 40)},
 			}
-			if err := c.Insert(ctx, tok, ins); err != nil {
+			if err := transporttest.Insert(ctx, c, tok, ins); err != nil {
 				t.Fatal(err)
 			}
 
@@ -86,7 +87,7 @@ func TestWireBlockPages(t *testing.T) {
 func TestLocalBlockByteAccounting(t *testing.T) {
 	srv, tok := newServer(t)
 	l := transport.NewLocal(srv)
-	if err := l.Insert(context.Background(), tok, []transport.InsertOp{
+	if err := transporttest.Insert(context.Background(), l, tok, []transport.InsertOp{
 		{List: 1, Share: taggedShare(1, 2, 1)},
 		{List: 1, Share: taggedShare(2, 5, 2)},
 	}); err != nil {

@@ -14,9 +14,7 @@ type Method uint8
 
 // The hookable API methods.
 const (
-	MethodInsert Method = iota + 1
-	MethodDelete
-	MethodApply
+	MethodApply Method = iota + 1
 	MethodLookup
 	MethodLookupBlocks
 )
@@ -24,10 +22,6 @@ const (
 // String returns the method's wire-path-like name.
 func (m Method) String() string {
 	switch m {
-	case MethodInsert:
-		return "insert"
-	case MethodDelete:
-		return "delete"
 	case MethodApply:
 		return "apply"
 	case MethodLookup:
@@ -91,20 +85,6 @@ func (h *Hooked) run(call Call, deliver func() error) error {
 		err = h.hooks.After(call, err)
 	}
 	return err
-}
-
-// Insert runs the hooks around the wrapped Insert.
-func (h *Hooked) Insert(ctx context.Context, tok auth.Token, ops []InsertOp) error {
-	return h.run(Call{Method: MethodInsert, Inserts: ops}, func() error {
-		return h.api.Insert(ctx, tok, ops)
-	})
-}
-
-// Delete runs the hooks around the wrapped Delete.
-func (h *Hooked) Delete(ctx context.Context, tok auth.Token, ops []DeleteOp) error {
-	return h.run(Call{Method: MethodDelete, Deletes: ops}, func() error {
-		return h.api.Delete(ctx, tok, ops)
-	})
 }
 
 // Apply runs the hooks around the wrapped Apply.

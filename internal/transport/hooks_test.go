@@ -7,6 +7,7 @@ import (
 
 	"zerber/internal/merging"
 	"zerber/internal/transport"
+	"zerber/internal/transport/transporttest"
 )
 
 // TestHooksInterception pins the fault-hook wrapper the simulator and
@@ -18,12 +19,12 @@ func TestHooksInterception(t *testing.T) {
 	ctx := context.Background()
 
 	var calls []transport.Method
-	dropInserts := false
+	dropUnconditional := false
 	loseApplies := false
 	h := transport.WithHooks(srv, transport.Hooks{
 		Before: func(c transport.Call) error {
 			calls = append(calls, c.Method)
-			if dropInserts && c.Method == transport.MethodInsert {
+			if dropUnconditional && c.Method == transport.MethodApply && c.Op.IsZero() {
 				return errors.New("dropped before delivery")
 			}
 			return nil
@@ -40,12 +41,12 @@ func TestHooksInterception(t *testing.T) {
 	}
 
 	// Dropped before delivery: the server never sees it.
-	dropInserts = true
-	err := h.Insert(ctx, tok, []transport.InsertOp{{List: 1, Share: sampleShare(1, 10)}})
+	dropUnconditional = true
+	err := transporttest.Insert(ctx, h, tok, []transport.InsertOp{{List: 1, Share: sampleShare(1, 10)}})
 	if err == nil || srv.TotalElements() != 0 {
 		t.Fatalf("Before hook did not drop the call: err=%v, elements=%d", err, srv.TotalElements())
 	}
-	dropInserts = false
+	dropUnconditional = false
 
 	// Lost response: the state changes but the caller sees an error —
 	// exactly the redelivery scenario the dedup window absorbs.
@@ -64,10 +65,10 @@ func TestHooksInterception(t *testing.T) {
 	if out, err := h.GetPostingLists(ctx, tok, []merging.ListID{1}); err != nil || len(out[1]) != 1 {
 		t.Fatalf("lookup through hooks: %v, %v", out, err)
 	}
-	if err := h.Delete(ctx, tok, []transport.DeleteOp{{List: 1, ID: 2}}); err != nil {
+	if err := transporttest.Delete(ctx, h, tok, []transport.DeleteOp{{List: 1, ID: 2}}); err != nil {
 		t.Fatal(err)
 	}
-	want := []transport.Method{transport.MethodInsert, transport.MethodApply, transport.MethodLookup, transport.MethodDelete}
+	want := []transport.Method{transport.MethodApply, transport.MethodApply, transport.MethodLookup, transport.MethodApply}
 	if len(calls) != len(want) {
 		t.Fatalf("hook saw %v, want %v", calls, want)
 	}

@@ -17,13 +17,13 @@ import (
 	"zerber/internal/posting"
 )
 
-// The HTTP wire protocol: three POST endpoints mirroring the narrow API,
-// with the auth token in the Authorization header. Payloads are JSON; the
-// paper's near-random share values make compression pointless (§7.3), so
-// none is applied.
+// The HTTP wire protocol: one POST endpoint per API call (apply, lookup,
+// lookupblocks) plus a GET for the public x-coordinate, with the auth
+// token in the Authorization header. Payloads are JSON; the paper's
+// near-random share values make compression pointless (§7.3), so none is
+// applied. The retired /v1/insert and /v1/delete routes answer 404 like
+// any other unknown path.
 const (
-	pathInsert       = "/v1/insert"
-	pathDelete       = "/v1/delete"
 	pathApply        = "/v1/apply"
 	pathLookup       = "/v1/lookup"
 	pathLookupBlocks = "/v1/lookupblocks"
@@ -46,28 +46,6 @@ func NewHTTPHandler(api API) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(pathXCoord, func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, api.XCoord().Uint64())
-	})
-	mux.HandleFunc(pathInsert, func(w http.ResponseWriter, r *http.Request) {
-		var ops []InsertOp
-		if !readJSON(w, r, &ops) {
-			return
-		}
-		if err := api.Insert(r.Context(), token(r), ops); err != nil {
-			httpError(w, err)
-			return
-		}
-		writeJSON(w, "ok")
-	})
-	mux.HandleFunc(pathDelete, func(w http.ResponseWriter, r *http.Request) {
-		var ops []DeleteOp
-		if !readJSON(w, r, &ops) {
-			return
-		}
-		if err := api.Delete(r.Context(), token(r), ops); err != nil {
-			httpError(w, err)
-			return
-		}
-		writeJSON(w, "ok")
 	})
 	mux.HandleFunc(pathApply, func(w http.ResponseWriter, r *http.Request) {
 		var req applyRequest
@@ -265,18 +243,6 @@ var _ API = (*HTTPClient)(nil)
 
 // XCoord returns the server's x-coordinate fetched at dial time.
 func (c *HTTPClient) XCoord() field.Element { return c.x }
-
-// Insert posts insert ops.
-func (c *HTTPClient) Insert(ctx context.Context, tok auth.Token, ops []InsertOp) error {
-	var ok string
-	return c.post(ctx, pathInsert, tok, ops, &ok)
-}
-
-// Delete posts delete ops.
-func (c *HTTPClient) Delete(ctx context.Context, tok auth.Token, ops []DeleteOp) error {
-	var ok string
-	return c.post(ctx, pathDelete, tok, ops, &ok)
-}
 
 // Apply posts one mutation stage.
 func (c *HTTPClient) Apply(ctx context.Context, tok auth.Token, op OpID, inserts []InsertOp, deletes []DeleteOp) error {

@@ -13,6 +13,7 @@ import (
 	"zerber/internal/posting"
 	"zerber/internal/server"
 	"zerber/internal/transport"
+	"zerber/internal/transport/transporttest"
 )
 
 // serverFingerprint captures everything an HTTP request must not change
@@ -21,7 +22,7 @@ func serverFingerprint(s *server.Server) string {
 	return fmt.Sprintf("%d/%v/%+v", s.TotalElements(), s.ListLengths(), s.StatsSnapshot())
 }
 
-// TestApplyHandlerErrorPaths drives /v1/apply (and the sibling mutation
+// TestApplyHandlerErrorPaths drives /v1/apply (and the lookup
 // endpoints) through every malformed-request shape: each must produce a
 // clean 4xx and leave the store byte-for-byte untouched. The handler is
 // the cluster's only unauthenticated-input surface, so "reject without
@@ -32,7 +33,7 @@ func TestApplyHandlerErrorPaths(t *testing.T) {
 	defer ts.Close()
 
 	// One legitimate element so "untouched" means a non-empty store.
-	if err := srv.Insert(context.Background(), tok,
+	if err := transporttest.Insert(context.Background(), srv, tok,
 		[]transport.InsertOp{{List: 1, Share: sampleShare(7, 70)}}); err != nil {
 		t.Fatal(err)
 	}
@@ -43,6 +44,14 @@ func TestApplyHandlerErrorPaths(t *testing.T) {
 			"op":      transport.OpID{ID: 99, Stage: stage},
 			"inserts": []transport.InsertOp{{List: 2, Share: sampleShare(8, 80)}},
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+
+	retired := func(ops any) string {
+		body, err := json.Marshal(ops)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,12 +98,16 @@ func TestApplyHandlerErrorPaths(t *testing.T) {
 			token: "garbage", body: validApply(1), wantCode: http.StatusUnauthorized,
 		},
 		{
-			name: "malformed JSON on insert", path: "/v1/insert",
-			body: `[{`, wantCode: http.StatusBadRequest,
+			// The retired standalone routes are unknown paths now, even
+			// for the exact request an old client would send.
+			name: "retired insert route", path: "/v1/insert", token: "valid",
+			body:     retired([]transport.InsertOp{{List: 2, Share: sampleShare(8, 80)}}),
+			wantCode: http.StatusNotFound,
 		},
 		{
-			name: "malformed JSON on delete", path: "/v1/delete",
-			body: `not json at all`, wantCode: http.StatusBadRequest,
+			name: "retired delete route", path: "/v1/delete", token: "valid",
+			body:     retired([]transport.DeleteOp{{List: 1, ID: 7}}),
+			wantCode: http.StatusNotFound,
 		},
 		{
 			name: "malformed JSON on lookup", path: "/v1/lookup",

@@ -32,22 +32,6 @@ var _ API = (*Latency)(nil)
 // coordinate is fetched once at dial time, not per query).
 func (l *Latency) XCoord() field.Element { return l.api.XCoord() }
 
-// Insert waits out the simulated RTT, then forwards.
-func (l *Latency) Insert(ctx context.Context, tok auth.Token, ops []InsertOp) error {
-	if err := l.wait(ctx); err != nil {
-		return err
-	}
-	return l.api.Insert(ctx, tok, ops)
-}
-
-// Delete waits out the simulated RTT, then forwards.
-func (l *Latency) Delete(ctx context.Context, tok auth.Token, ops []DeleteOp) error {
-	if err := l.wait(ctx); err != nil {
-		return err
-	}
-	return l.api.Delete(ctx, tok, ops)
-}
-
 // Apply waits out the simulated RTT, then forwards.
 func (l *Latency) Apply(ctx context.Context, tok auth.Token, op OpID, inserts []InsertOp, deletes []DeleteOp) error {
 	if err := l.wait(ctx); err != nil {

@@ -30,18 +30,6 @@ var _ API = (*Local)(nil)
 // XCoord returns the wrapped server's x-coordinate.
 func (l *Local) XCoord() field.Element { return l.api.XCoord() }
 
-// Insert forwards to the wrapped server and charges request bytes.
-func (l *Local) Insert(ctx context.Context, tok auth.Token, ops []InsertOp) error {
-	l.charge(int64(len(tok))+int64(len(ops))*(ListIDBytes+ShareBytes), 1)
-	return l.api.Insert(ctx, tok, ops)
-}
-
-// Delete forwards to the wrapped server and charges request bytes.
-func (l *Local) Delete(ctx context.Context, tok auth.Token, ops []DeleteOp) error {
-	l.charge(int64(len(tok))+int64(len(ops))*(ListIDBytes+8), 1)
-	return l.api.Delete(ctx, tok, ops)
-}
-
 // Apply forwards to the wrapped server and charges request bytes: the
 // op-ID header plus both payload halves.
 func (l *Local) Apply(ctx context.Context, tok auth.Token, op OpID, inserts []InsertOp, deletes []DeleteOp) error {

@@ -1,0 +1,101 @@
+package transport
+
+import "sync"
+
+// opWindowCap is how many recently applied mutation stages one FIFO of
+// an OpWindow remembers. A peer retries a stage until it is acknowledged
+// and never has more than a handful of mutations in flight, so a few
+// hundred entries cover any realistic redelivery window. An op evicted
+// from the window is re-applied on redelivery, which converges — inserts
+// upsert by (list, global ID) and Apply's deletes are conditional —
+// unless a deletion of the same elements landed in between; the window
+// otherwise only spares the redundant work and keeps the activity stats
+// exact.
+const opWindowCap = 1024
+
+// OpWindow is the dedup memory behind Apply: a bounded FIFO of applied
+// stages with their payload checksums (see PayloadSum for the
+// skip-vs-reapply semantics). The key type is whatever identifies a
+// caller at the layer holding the window — op IDs are unique per
+// caller, not globally. An index server keys by the verified user and
+// keeps one FIFO per caller (NewOpWindow): callers are enterprise users,
+// bounded by the group table, and one caller's traffic never evicts
+// another's entries. A dht slot sits above token verification and keys
+// by the token itself; tokens are minted without bound, so it keeps one
+// FIFO across all callers (NewSharedOpWindow) and its memory stays
+// opWindowCap entries whatever the number of distinct tokens.
+type OpWindow[K comparable] struct {
+	mu     sync.Mutex
+	shared bool
+	sums   map[opKey[K]]uint32
+	fifos  map[K]*opFIFO[K] // shared: the one FIFO, under the zero K
+}
+
+// opKey identifies one mutation stage of one caller. The stored checksum
+// guards against the one hazard of ID-based dedup: the same (ID, stage)
+// redelivered with a different payload — e.g. a routing layer
+// re-partitioning a stage across nodes between attempt and retry — must
+// be re-applied, not skipped, or elements silently go missing.
+type opKey[K comparable] struct {
+	caller K
+	id     uint64
+	stage  uint8
+}
+
+// opFIFO is the eviction order of up to opWindowCap recorded keys.
+type opFIFO[K comparable] struct {
+	keys []opKey[K]
+	next int
+}
+
+// NewOpWindow returns an empty window holding opWindowCap stages per
+// caller.
+func NewOpWindow[K comparable]() *OpWindow[K] {
+	return &OpWindow[K]{sums: make(map[opKey[K]]uint32), fifos: make(map[K]*opFIFO[K])}
+}
+
+// NewSharedOpWindow returns an empty window holding opWindowCap stages
+// in all, oldest evicted first whichever caller recorded it.
+func NewSharedOpWindow[K comparable]() *OpWindow[K] {
+	w := NewOpWindow[K]()
+	w.shared = true
+	return w
+}
+
+// Seen reports whether the caller already applied this stage with an
+// identical payload.
+func (w *OpWindow[K]) Seen(caller K, op OpID, sum uint32) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	prev, ok := w.sums[opKey[K]{caller, op.ID, op.Stage}]
+	return ok && prev == sum
+}
+
+// Record remembers a fully applied stage, evicting the oldest entry of
+// its FIFO once that is full.
+func (w *OpWindow[K]) Record(caller K, op OpID, sum uint32) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	key := opKey[K]{caller, op.ID, op.Stage}
+	if _, ok := w.sums[key]; ok {
+		w.sums[key] = sum // payload changed: update in place
+		return
+	}
+	if w.shared {
+		var all K
+		caller = all
+	}
+	f := w.fifos[caller]
+	if f == nil {
+		f = &opFIFO[K]{}
+		w.fifos[caller] = f
+	}
+	if len(f.keys) < opWindowCap {
+		f.keys = append(f.keys, key)
+	} else {
+		delete(w.sums, f.keys[f.next])
+		f.keys[f.next] = key
+		f.next = (f.next + 1) % opWindowCap
+	}
+	w.sums[key] = sum
+}

@@ -13,6 +13,7 @@ import (
 	"zerber/internal/server"
 	"zerber/internal/store"
 	"zerber/internal/transport"
+	"zerber/internal/transport/transporttest"
 )
 
 // storeEngines names the storage engines the duplicate-delivery
@@ -124,14 +125,14 @@ func TestApplySemantics(t *testing.T) {
 			srv, tok := newStoreServer(t, eng.shards)
 			ctx := context.Background()
 
-			// Conditional deletes: a missing element is not an error on
-			// the mutation path (Delete, by contrast, reports it).
+			// Conditional deletes: a missing element is not an error,
+			// with or without an op ID.
 			op := transport.OpID{ID: 1, Stage: transport.StageDelete}
 			if err := srv.Apply(ctx, tok, op, nil, []transport.DeleteOp{{List: 9, ID: 404}}); err != nil {
 				t.Fatalf("conditional delete of a missing element: %v", err)
 			}
-			if err := srv.Delete(ctx, tok, []transport.DeleteOp{{List: 9, ID: 404}}); err == nil {
-				t.Fatal("strict Delete must still report missing elements")
+			if err := transporttest.Delete(ctx, srv, tok, []transport.DeleteOp{{List: 9, ID: 404}}); err != nil {
+				t.Fatalf("unconditional delete of a missing element: %v", err)
 			}
 
 			// Zero op ID: no deduplication, every delivery applies.

@@ -15,6 +15,7 @@ import (
 	"zerber/internal/posting"
 	"zerber/internal/server"
 	"zerber/internal/transport"
+	"zerber/internal/transport/transporttest"
 )
 
 func newServer(t testing.TB) (*server.Server, auth.Token) {
@@ -81,7 +82,7 @@ func TestLocalPassThrough(t *testing.T) {
 	if l.XCoord() != field.New(42) {
 		t.Error("XCoord passthrough broken")
 	}
-	if err := l.Insert(context.Background(), tok, []transport.InsertOp{{List: 1, Share: sampleShare(1, 100)}}); err != nil {
+	if err := transporttest.Insert(context.Background(), l, tok, []transport.InsertOp{{List: 1, Share: sampleShare(1, 100)}}); err != nil {
 		t.Fatal(err)
 	}
 	out, err := l.GetPostingLists(context.Background(), tok, []merging.ListID{1})
@@ -91,7 +92,7 @@ func TestLocalPassThrough(t *testing.T) {
 	if len(out[1]) != 1 || out[1][0].Y != field.New(100) {
 		t.Fatalf("lookup via local transport: %v", out)
 	}
-	if err := l.Delete(context.Background(), tok, []transport.DeleteOp{{List: 1, ID: 1}}); err != nil {
+	if err := transporttest.Delete(context.Background(), l, tok, []transport.DeleteOp{{List: 1, ID: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if srv.TotalElements() != 0 {
@@ -102,13 +103,13 @@ func TestLocalPassThrough(t *testing.T) {
 func TestLocalByteAccounting(t *testing.T) {
 	srv, tok := newServer(t)
 	l := transport.NewLocal(srv)
-	if err := l.Insert(context.Background(), tok, []transport.InsertOp{
+	if err := transporttest.Insert(context.Background(), l, tok, []transport.InsertOp{
 		{List: 1, Share: sampleShare(1, 1)},
 		{List: 1, Share: sampleShare(2, 2)},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	wantSent := int64(len(tok)) + 2*(transport.ListIDBytes+transport.ShareBytes)
+	wantSent := int64(len(tok)) + transport.OpIDBytes + 2*(transport.ListIDBytes+transport.ShareBytes)
 	if got := l.BytesSent(); got != wantSent {
 		t.Errorf("BytesSent after insert = %d, want %d", got, wantSent)
 	}
@@ -133,7 +134,7 @@ func TestWireRoundTrip(t *testing.T) {
 			if c.XCoord() != field.New(42) {
 				t.Errorf("XCoord over %s = %d, want 42", codec.name, c.XCoord())
 			}
-			if err := c.Insert(context.Background(), tok, []transport.InsertOp{
+			if err := transporttest.Insert(context.Background(), c, tok, []transport.InsertOp{
 				{List: 5, Share: sampleShare(10, 123456789012345)},
 				{List: 5, Share: sampleShare(11, 9)},
 			}); err != nil {
@@ -159,7 +160,7 @@ func TestWireRoundTrip(t *testing.T) {
 			if len(out[77]) != 0 {
 				t.Error("unknown list must come back empty")
 			}
-			if err := c.Delete(context.Background(), tok, []transport.DeleteOp{{List: 5, ID: 10}}); err != nil {
+			if err := transporttest.Delete(context.Background(), c, tok, []transport.DeleteOp{{List: 5, ID: 10}}); err != nil {
 				t.Fatal(err)
 			}
 			if srv.TotalElements() != 1 {
@@ -176,7 +177,7 @@ func TestWireLargeYPrecision(t *testing.T) {
 			srv, tok := newServer(t)
 			c := codec.dial(t, srv)
 			huge := uint64(field.P - 1) // 2^61 - 2: above 2^53, so any float64 detour would corrupt it
-			if err := c.Insert(context.Background(), tok, []transport.InsertOp{{List: 1, Share: sampleShare(1, huge)}}); err != nil {
+			if err := transporttest.Insert(context.Background(), c, tok, []transport.InsertOp{{List: 1, Share: sampleShare(1, huge)}}); err != nil {
 				t.Fatal(err)
 			}
 			out, err := c.GetPostingLists(context.Background(), tok, []merging.ListID{1})
@@ -195,7 +196,7 @@ func TestWireAuthFailures(t *testing.T) {
 		t.Run(codec.name, func(t *testing.T) {
 			srv, _ := newServer(t)
 			c := codec.dial(t, srv)
-			err := c.Insert(context.Background(), auth.Token("garbage"), []transport.InsertOp{{List: 1, Share: sampleShare(1, 1)}})
+			err := transporttest.Insert(context.Background(), c, auth.Token("garbage"), []transport.InsertOp{{List: 1, Share: sampleShare(1, 1)}})
 			if err == nil {
 				t.Fatalf("bad token accepted over %s", codec.name)
 			}
@@ -212,7 +213,7 @@ func TestWireForbidden(t *testing.T) {
 			srv, tok := newServer(t)
 			c := codec.dial(t, srv)
 			// alice is in group 1 only; group 99 insert is forbidden.
-			err := c.Insert(context.Background(), tok, []transport.InsertOp{{List: 1, Share: posting.EncryptedShare{GlobalID: 1, Group: 99, Y: 1}}})
+			err := transporttest.Insert(context.Background(), c, tok, []transport.InsertOp{{List: 1, Share: posting.EncryptedShare{GlobalID: 1, Group: 99, Y: 1}}})
 			if err == nil {
 				t.Fatalf("cross-group insert accepted over %s", codec.name)
 			}
@@ -239,7 +240,7 @@ func TestLatencyWrapper(t *testing.T) {
 		t.Error("XCoord must pass through without delay")
 	}
 	start := time.Now()
-	if err := l.Insert(context.Background(), tok, []transport.InsertOp{{List: 1, Share: sampleShare(1, 1)}}); err != nil {
+	if err := transporttest.Insert(context.Background(), l, tok, []transport.InsertOp{{List: 1, Share: sampleShare(1, 1)}}); err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d < 20*time.Millisecond {

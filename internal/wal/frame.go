@@ -1,17 +1,12 @@
-package wal
-
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"hash/crc32"
-	"io"
-)
-
-// Variable-length framed records. The fixed 29-byte record format above
-// suits the index server's log, where every mutation is one element; the
-// peer-side mutation journal (package journal) stores whole operation
-// records of arbitrary size, so it reuses this framing instead:
+// Package wal is the CRC frame primitive under every append-only log in
+// the tree: the peer-side mutation journal (package journal), the disk
+// store's segment files (package store), and the binary wire protocol
+// (package transport) all carry their records as these frames, so a torn
+// or corrupt frame is detected identically on disk and on the wire. The
+// package knows nothing about what a payload means; each user brings its
+// own record schema, replay and truncation.
+//
+// Frame layout:
 //
 //	offset    size  field
 //	0         4     payload length L (little endian)
@@ -21,6 +16,16 @@ import (
 // The checksum covers the length header, so a torn write inside the
 // header is detected like any other corruption instead of sending the
 // reader off by a garbage length.
+package wal
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"io"
+	"os"
+)
 
 // MaxFramePayload bounds one frame's payload. A length above it marks
 // the frame corrupt; without the bound, a damaged header could demand a
@@ -30,9 +35,16 @@ const MaxFramePayload = 64 << 20
 // frameOverhead is the per-frame cost beyond the payload.
 const frameOverhead = 8
 
-// ErrTornFrame reports a frame cut short by a crash mid-write; readers
-// treat it like EOF at the last intact frame.
-var ErrTornFrame = errors.New("wal: torn frame")
+// Errors a reader stops at; everything before the failed frame is the
+// valid prefix.
+var (
+	// ErrTornFrame reports a frame cut short by a crash mid-write;
+	// readers treat it like EOF at the last intact frame.
+	ErrTornFrame = errors.New("wal: torn frame")
+	// ErrBadRecord reports a frame whose length exceeds MaxFramePayload
+	// or whose checksum does not match.
+	ErrBadRecord = errors.New("wal: corrupt record")
+)
 
 // AppendFrame writes one framed payload to w.
 func AppendFrame(w io.Writer, payload []byte) error {
@@ -113,4 +125,17 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("%w: frame checksum mismatch", ErrBadRecord)
 	}
 	return body[:n], nil
+}
+
+// SyncDir fsyncs a directory so the entry of a file just created in it
+// or renamed into it is durable — without it a power loss after a
+// temp+rename commit can bring the old file back. Best effort: some
+// filesystems reject directory fsync.
+func SyncDir(dir string) {
+	df, err := os.Open(dir)
+	if err != nil {
+		return
+	}
+	df.Sync()
+	df.Close()
 }

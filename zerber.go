@@ -90,8 +90,9 @@
 // group checks, stats) over the store.Store interface, which captures
 // the keyed share operations of the paper's recovery design (§5.4.1):
 // batch append/replace, swap-delete by (list, global ID), authorized
-// scan, full-list ingest/drop for DHT migration, delta application for
-// proactive resharing, and keyed iteration for WAL compaction.
+// scan, full-list ingest/drop for DHT migration, delta application and
+// keyed inventory for proactive resharing, and a Sync batch boundary
+// the server marks at the end of every mutation.
 //
 // The StoreShards option selects the engine. StoreShards=1 is the
 // single-lock legacy baseline: one RWMutex over flat maps, so every
@@ -113,17 +114,21 @@
 // (store.Disk), whose resident memory is O(index) rather than O(data):
 // share payloads live in CRC-framed append-only segment files under
 // StoreDir and only a compact per-list index — plus a bounded LRU cache
-// of hot lists — stays in memory. Its durability contract mirrors the
-// peer journal's: every mutation batch is one framed record group, so a
-// crash either persists a whole Upsert/ApplyDeltas batch or none of it;
-// a torn tail from a kill mid-append is detected by CRC and truncated
+// of hot lists — stays in memory. The engine is the server's only log:
+// a server restarted on the same directory replays it, and there is no
+// separate write-ahead log to configure. Every store call is one framed
+// record group, so a crash either persists a whole Upsert/ApplyDeltas
+// batch or none of it; a torn tail from a kill mid-append is detected by CRC and truncated
 // at the next open; and background compaction rewrites live data to a
 // fresh segment with a temp-file-plus-rename commit, so a crash at any
 // point inside compaction recovers to exactly the pre- or
 // post-compaction state, never a mix. The engine passes the same
 // randomized cross-engine equivalence and simulation tiers as the
 // in-memory stores — retrieval output and Stats are bit-identical;
-// only residency and latency change.
+// only residency and latency change. What an acknowledged mutation has
+// survived — a process kill always, a power loss only with
+// store.DiskOptions.Sync, which zerber-server -store-engine disk sets —
+// is stated once, in the Durability section of package server.
 //
 // # Indexing pipeline
 //
@@ -176,8 +181,8 @@
 // operation evicted from a server's window re-applies convergently:
 // retries and replays are exactly-once in effect, with no coordination
 // beyond the operation ID. peer.CompactJournal bounds journal growth by
-// rewriting it to one snapshot per live document, like the durable
-// server's WAL compaction.
+// rewriting it to one snapshot per live document, like the disk
+// engine's segment compaction.
 //
 // Guarantees, precisely: a mutation whose call returned nil is applied
 // on every server exactly once; a mutation that failed or was
@@ -266,9 +271,9 @@
 //
 //   - "binary" (the default) is a length-prefixed binary framing:
 //     every message is a 4-byte little-endian length, the payload, and
-//     a CRC32 — the same frame format the write-ahead log uses on
-//     disk, so torn and corrupted frames are detected identically in
-//     both places. Payloads are fixed-width field encodings (a share
+//     a CRC32 — the same frame format (package wal) the peer journal
+//     and the disk engine's segments use on disk, so torn and corrupted
+//     frames are detected identically in both places. Payloads are fixed-width field encodings (a share
 //     is exactly 20 bytes on the wire), so encoding is a single
 //     pre-sized allocation and decoding validates lengths before
 //     reading. Each client holds one persistent TCP connection per
