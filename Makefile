@@ -80,10 +80,10 @@ benchstore:
 # would truncate it before the parser even runs.
 benchjson:
 	$(GO) test -run='^$$' \
-		-bench='^(BenchmarkSplitBatch|BenchmarkSplitSequential|BenchmarkEncryptBatch|BenchmarkEncryptSequential|BenchmarkIndexDocument5k|BenchmarkIndexDocument5kSerial|BenchmarkUpdateDocument|BenchmarkJournaledFlush|BenchmarkUnjournaledFlush|BenchmarkFillRandDRBG|BenchmarkFillRandCryptoDirect|BenchmarkInvChain|BenchmarkInvGenericPow|BenchmarkEncodeGetPostingLists|BenchmarkBinaryVsJSONRoundTrip|BenchmarkMigrationThroughput|BenchmarkSearchTopK|BenchmarkServerMixed)$$' \
+		-bench='^(BenchmarkSplitBatch|BenchmarkSplitSequential|BenchmarkEncryptBatch|BenchmarkEncryptSequential|BenchmarkIndexDocument5k|BenchmarkIndexDocument5kSerial|BenchmarkUpdateDocument|BenchmarkJournaledFlush|BenchmarkUnjournaledFlush|BenchmarkFillRandDRBG|BenchmarkFillRandCryptoDirect|BenchmarkInvChain|BenchmarkInvGenericPow|BenchmarkEncodeGetPostingLists|BenchmarkBinaryVsJSONRoundTrip|BenchmarkMigrationThroughput|BenchmarkSearchTopK|BenchmarkRetrieveJoinRank|BenchmarkServerMixed)$$' \
 		-benchmem -benchtime=$(BENCHTIME) -count=1 \
 		./internal/field/ ./internal/shamir/ ./internal/posting/ ./internal/peer/ \
-		./internal/transport/ ./internal/dht/ ./internal/server/ . \
+		./internal/transport/ ./internal/dht/ ./internal/server/ ./internal/client/ . \
 		> bench_index.out.tmp
 	$(GO) run ./cmd/zerber-benchjson -commit $(COMMIT) -scale benchtime-$(BENCHTIME) \
 		< bench_index.out.tmp > bench_index.json.tmp

@@ -496,8 +496,8 @@ func (pe *parallelBenchEnv) tunedClient(b *testing.B, tuning client.Tuning) *cli
 
 // BenchmarkRetrieveParallel compares the query engine's tunings on a
 // 5-server, k=3 cluster with a simulated 2 ms server RTT: the
-// pre-concurrency sequential walk (one request at a time, one decrypt
-// goroutine) pays k serial RTTs; the parallel fan-out pays roughly one,
+// pre-concurrency sequential walk (one request at a time) pays k serial
+// RTTs; the parallel fan-out pays roughly one,
 // bounded by the slowest of the first k responders; hedged keeps only k
 // requests in flight and backfills stragglers after a hedge delay.
 func BenchmarkRetrieveParallel(b *testing.B) {
@@ -506,42 +506,12 @@ func BenchmarkRetrieveParallel(b *testing.B) {
 		name   string
 		tuning client.Tuning
 	}{
-		{"sequential", client.Tuning{Fanout: 1, DecryptWorkers: 1}},
+		{"sequential", client.Tuning{Fanout: 1}},
 		{"fanout", client.Tuning{}},
 		{"fanout-hedged", client.Tuning{Fanout: 3, HedgeDelay: benchRTT / 2}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			cl := pe.tunedClient(b, tc.tuning)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := cl.Retrieve(pe.tok, pe.query); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkDecryptWorkers isolates the decrypt stage: zero RTT, so the
-// difference between the variants is the worker-pool reconstruction of
-// the joined shares.
-func BenchmarkDecryptWorkers(b *testing.B) {
-	pe := parallelEnv(b)
-	for _, tc := range []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 1},
-		{"pool", 0}, // one worker per CPU
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			apis := pe.cluster.APIs()
-			cl, err := client.New(apis, pe.cluster.K(), pe.cluster.Table(), pe.cluster.Vocab())
-			if err != nil {
-				b.Fatal(err)
-			}
-			cl.SetTuning(client.Tuning{DecryptWorkers: tc.workers})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -5,25 +5,36 @@
 // reconstruction, filtering false positives (elements of merged-in terms
 // the user did not query), and ranking the survivors client-side.
 //
-// The hot path is concurrent end-to-end: requests fan out to up to
+// The network half is concurrent: requests fan out to up to
 // Tuning.Fanout servers in parallel, the query completes as soon as the
-// first k respond (stragglers are cancelled through the context), slow
-// servers can be hedged after Tuning.HedgeDelay, and the joined shares
-// are reconstructed by a pool of Tuning.DecryptWorkers goroutines with
-// an ordered merge so results and Stats stay deterministic.
+// first k respond (stragglers are cancelled through the context), and
+// slow servers can be hedged after Tuning.HedgeDelay. The compute half
+// is one flat, single-goroutine pipeline that exact, verified and top-k
+// retrieval share (join.go): each list's responses are joined through a
+// pointer-free gid → row table into share columns, whole columns are
+// reconstructed by one batch kernel (shamir.Reconstructor's
+// ReconstructBatch), and decode, false-positive filtering and Stats
+// counting happen in the same pass. At a few nanoseconds per element a
+// worker pool costs more than it spreads, and nothing in the pipeline
+// sorts shares or allocates per element. Stats and results are the same
+// whichever servers answer; Retrieve returns each term's postings in
+// ascending (document, frequency) order, and the search paths skip even
+// that, because ranking does not read the order.
 package client
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
+	"slices"
 
 	"zerber/internal/auth"
 	"zerber/internal/field"
 	"zerber/internal/merging"
 	"zerber/internal/posting"
 	"zerber/internal/ranking"
-	"zerber/internal/shamir"
 	"zerber/internal/transport"
 	"zerber/internal/vocab"
 )
@@ -40,12 +51,19 @@ type Client struct {
 	k       int
 	table   *merging.Table
 	voc     *vocab.Vocabulary
-	tuning  Tuning
+	// xs are the servers' x-coordinates: xs[i] belongs to servers[i],
+	// which is also column i of every join and bit i of every holder
+	// mask.
+	xs     []field.Element
+	tuning Tuning
 	// verify enables k+1 cross-checked retrieval (see EnableVerification).
 	verify bool
-	// recs caches Lagrange bases across queries, keyed by the responding
-	// servers' x-coordinate sequence (hot terms hit the same basis).
+	// recs caches Lagrange bases across queries, keyed by the set of
+	// servers whose shares they consume (hot terms hit the same basis).
 	recs recCache
+	// joinMul keys the share join's hash (see newJoin): random, odd,
+	// never shown to a server.
+	joinMul uint64
 }
 
 // Stats describes one search, for the bandwidth/efficiency experiments.
@@ -64,9 +82,10 @@ type Stats struct {
 	// against two k-subsets (verified retrieval only).
 	ElementsVerified int
 	// ReconstructorHits and ReconstructorMisses count Lagrange-basis
-	// cache lookups for this query: hits skip the O(k²) basis build, so
-	// a hot-term workload should show hits approaching every query after
-	// the first.
+	// cache lookups for this query — one per distinct set of servers
+	// whose shares were combined, per block round on the top-k path:
+	// hits skip the O(k²) basis build, so a hot-term workload should
+	// show hits approaching every query after the first.
 	ReconstructorHits   int
 	ReconstructorMisses int
 	// TA instruments the streaming top-k path (SearchTopK); zero for
@@ -76,27 +95,32 @@ type Stats struct {
 
 // New creates a client. servers are the index servers in preference
 // order; at least k must be reachable per query. table and voc are the
-// public mapping table and vocabulary distributed with it.
+// public mapping table and vocabulary distributed with it. A client
+// addresses at most 64 servers (a join row records which of them hold
+// the element in one uint64); New rejects more.
 func New(servers []transport.API, k int, table *merging.Table, voc *vocab.Vocabulary) (*Client, error) {
 	if k < 1 || len(servers) < k {
 		return nil, fmt.Errorf("%w: k=%d, servers=%d", ErrTooFewServers, k, len(servers))
 	}
-	seen := make(map[field.Element]struct{}, len(servers))
-	for _, s := range servers {
+	if len(servers) > maxServers {
+		return nil, fmt.Errorf("client: %d servers, at most %d supported", len(servers), maxServers)
+	}
+	xs := make([]field.Element, len(servers))
+	for i, s := range servers {
 		x := s.XCoord()
 		if x == 0 {
 			return nil, errors.New("client: server with zero x-coordinate")
 		}
-		if _, dup := seen[x]; dup {
+		if slices.Contains(xs[:i], x) {
 			return nil, fmt.Errorf("client: duplicate server x-coordinate %d", x)
 		}
-		seen[x] = struct{}{}
+		xs[i] = x
 	}
-	return &Client{servers: servers, k: k, table: table, voc: voc}, nil
+	return &Client{servers: servers, k: k, table: table, voc: voc, xs: xs, joinMul: rand.Uint64() | 1}, nil
 }
 
 // SetTuning replaces the query-engine tuning (fan-out width, hedge
-// delay, decrypt parallelism). Call it before issuing queries; it is not
+// delay, top-k block size). Call it before issuing queries; it is not
 // synchronized with concurrent Retrieve calls.
 func (c *Client) SetTuning(t Tuning) { c.tuning = t }
 
@@ -109,27 +133,15 @@ func (c *Client) Search(tok auth.Token, query []string, topK int) ([]ranking.Sco
 // SearchContext is Search bounded by ctx: cancelling it aborts the
 // server fan-out and the decrypt stage.
 func (c *Client) SearchContext(ctx context.Context, tok auth.Token, query []string, topK int) ([]ranking.ScoredDoc, Stats, error) {
-	lists, stats, err := c.RetrieveContext(ctx, tok, query)
+	terms := dedup(query)
+	lists, stats, err := c.retrieve(ctx, tok, terms)
 	if err != nil {
 		return nil, stats, err
 	}
-	// Personalized collection statistics: document frequencies among the
-	// documents this user can access, derived from the decrypted results.
-	dfs := make(map[string]int, len(lists))
-	docs := make(map[uint32]struct{})
-	for term, ps := range lists {
-		dfs[term] = len(ps)
-		for _, p := range ps {
-			docs[p.DocID] = struct{}{}
-		}
-	}
-	in := ranking.Input{
-		Query:   query,
-		Lists:   lists,
-		NumDocs: len(docs),
-		DocFreq: dfs,
-	}
-	return ranking.TopK(in, topK), stats, nil
+	// Personalized collection statistics: ranking takes the collection
+	// size and the document frequencies from the decrypted lists — the
+	// documents this user can access — when the input names neither.
+	return ranking.TopK(ranking.Input{Query: terms, Lists: byTerm(terms, lists)}, topK), stats, nil
 }
 
 // Retrieve performs the fetch-join-decrypt-filter pipeline and returns
@@ -142,124 +154,117 @@ func (c *Client) Retrieve(tok auth.Token, query []string) (map[string][]ranking.
 // RetrieveContext is Retrieve bounded by ctx. The fan-out launches
 // requests to up to Tuning.Fanout servers concurrently and returns as
 // soon as the first k respond; ctx cancellation propagates to every
-// in-flight server call.
+// in-flight server call. Each term's postings come back in ascending
+// (document, frequency) order — a function of the set alone, not of
+// which servers answered or how they lay a list out.
 func (c *Client) RetrieveContext(ctx context.Context, tok auth.Token, query []string) (map[string][]ranking.Posting, Stats, error) {
-	var stats Stats
 	terms := dedup(query)
-	if len(terms) == 0 {
-		return map[string][]ranking.Posting{}, stats, nil
+	lists, stats, err := c.retrieve(ctx, tok, terms)
+	if err != nil {
+		return nil, stats, err
 	}
+	for ti, ps := range lists {
+		// retrieve sizes a term's slice for every row of its merged list;
+		// the caller keeps only what the term's own postings need.
+		ps = slices.Clone(ps)
+		lists[ti] = ps
+		slices.SortFunc(ps, func(a, b ranking.Posting) int {
+			return cmp.Compare(uint64(a.DocID)<<16|uint64(a.TF), uint64(b.DocID)<<16|uint64(b.TF))
+		})
+	}
+	return byTerm(terms, lists), stats, nil
+}
+
+// byTerm keys the non-empty per-term posting slices by their term.
+func byTerm(terms []string, lists [][]ranking.Posting) map[string][]ranking.Posting {
+	out := make(map[string][]ranking.Posting, len(terms))
+	for ti, ps := range lists {
+		if len(ps) > 0 {
+			out[terms[ti]] = ps
+		}
+	}
+	return out
+}
+
+// retrieve is the whole-list pipeline behind Retrieve, Search and the
+// wide-query top-k fallback: fetch every list of terms from k servers
+// (k+1 under verification), then join, decrypt and filter list by list.
+// It returns the surviving postings per term, indexed like terms, in
+// join order.
+func (c *Client) retrieve(ctx context.Context, tok auth.Token, terms []string) ([][]ranking.Posting, Stats, error) {
+	var stats Stats
+	if len(terms) == 0 {
+		return nil, stats, nil
+	}
+	need := c.k
 	if c.verify {
-		return c.retrieveVerified(ctx, tok, terms)
+		need++
 	}
 	lids := c.table.ListsOf(terms)
 	stats.ListsRequested = len(lids)
 
-	responses, err := c.fanOut(ctx, tok, lids, c.k)
+	responses, err := fanOutCall(ctx, c, need, func(ctx context.Context, i int) (map[merging.ListID][]posting.EncryptedShare, error) {
+		return c.servers[i].GetPostingLists(ctx, tok, lids)
+	})
 	if err != nil {
 		return nil, stats, err
 	}
 	stats.ServersQueried = len(responses)
 
-	// Elements replicated on all k responding servers share one Lagrange
-	// basis; fetch it from the cross-query cache (the §7.6 "700
-	// elements/ms" fast path, amortized across repeated hot-term queries).
-	fullXs := make([]field.Element, c.k)
-	for i, resp := range responses {
-		fullXs[i] = resp.x
+	// Elements replicated on the k lowest responders share one Lagrange
+	// basis, fetched from the cross-query cache (the §7.6 "700
+	// elements/ms" fast path, amortized across repeated hot-term
+	// queries). Verification cross-checks it against the basis over the
+	// k highest responders: the two overlap in all but one server each.
+	p := c.newPipeline(terms, &stats)
+	var responders uint64
+	for _, r := range responses {
+		responders |= 1 << uint(r.idx)
 	}
-	fastRec, hit, err := c.recs.get(fullXs)
-	if err != nil {
-		return nil, stats, fmt.Errorf("client: building reconstructor: %w", err)
-	}
-	if hit {
-		stats.ReconstructorHits++
-	} else {
-		stats.ReconstructorMisses++
-	}
-
-	jobs := joinResponses(lids, responses)
-	results, err := runDecrypt(ctx, jobs, c.tuning.decryptWorkers(), func(j *joinedElem) (decrypted, error) {
-		if len(j.ys) < c.k {
-			// Element not replicated on enough of the responding
-			// servers (e.g. mid-batch); skip rather than mis-decrypt.
-			return decrypted{}, nil
-		}
-		var secret field.Element
-		var rerr error
-		if len(j.ys) == c.k && sameXs(j.xs, fullXs) {
-			secret, rerr = fastRec.Reconstruct(j.ys)
-		} else {
-			secret, rerr = reconstructSlow(j.xs[:c.k], j.ys[:c.k])
-		}
-		if rerr != nil {
-			return decrypted{}, fmt.Errorf("client: decrypting element %d of list %d: %w", j.gid, j.lid, rerr)
-		}
-		return decrypted{elem: posting.Decode(secret), ok: true}, nil
-	})
+	a, err := p.basisFor(responders)
 	if err != nil {
 		return nil, stats, err
 	}
+	var check *basis
+	if c.verify {
+		if check, err = p.basisFor(responders &^ (responders & -responders)); err != nil {
+			return nil, stats, err
+		}
+	}
 
-	out := c.mergeDecrypted(terms, results, &stats)
+	out := make([][]ranking.Posting, len(terms))
+	emit := func(term int, post ranking.Posting) { out[term] = append(out[term], post) }
+	t := c.newJoin()
+	for _, lid := range lids {
+		if err := ctx.Err(); err != nil {
+			return nil, stats, err
+		}
+		shares := 0
+		for _, r := range responses {
+			shares += len(r.val[lid])
+		}
+		t.reset(0, shares)
+		for _, r := range responses {
+			if i := t.add(r.idx, r.val[lid]); i >= 0 {
+				return nil, stats, errRedelivered(r.val[lid][i].GlobalID, lid, r.idx, c.xs[r.idx])
+			}
+		}
+		// One allocation per term, sized by its list's rows: a term's
+		// postings all live in the one list it maps to.
+		for ti, term := range terms {
+			if c.table.ListOf(term) == lid {
+				out[ti] = make([]ranking.Posting, 0, len(t.gids))
+			}
+		}
+		if err := p.open(&t, lid, a, check, emit); err != nil {
+			return nil, stats, err
+		}
+	}
 	return out, stats, nil
-}
-
-// mergeDecrypted runs the ordered merge: it walks the decrypt outcomes
-// in deterministic job order, counts stats, filters the false positives
-// of merged-in neighbor terms (§5.4.2), and groups postings by term.
-func (c *Client) mergeDecrypted(terms []string, results []decrypted, stats *Stats) map[string][]ranking.Posting {
-	// The set of term IDs we are actually looking for.
-	wanted := make(map[uint32]string, len(terms))
-	for _, term := range terms {
-		wanted[c.voc.Resolve(term)] = term
-	}
-	out := make(map[string][]ranking.Posting, len(terms))
-	for _, d := range results {
-		if !d.ok {
-			continue
-		}
-		stats.ElementsFetched++
-		if d.verified {
-			stats.ElementsVerified++
-		}
-		term, ok := wanted[d.elem.TermID]
-		if !ok {
-			stats.FalsePositives++ // merged-in neighbor term; discard
-			continue
-		}
-		out[term] = append(out[term], ranking.Posting{DocID: d.elem.DocID, TF: d.elem.TF})
-	}
-	return out
 }
 
 // K returns the reconstruction threshold.
 func (c *Client) K() int { return c.k }
-
-// sameXs reports whether the element's share origins match the
-// precomputed basis order exactly.
-func sameXs(a, b []field.Element) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// reconstructSlow handles elements whose shares come from an unusual
-// server subset (e.g. a server missed a batch): plain Lagrange on the
-// ad-hoc point set.
-func reconstructSlow(xs, ys []field.Element) (field.Element, error) {
-	pts := make([]shamir.Share, len(xs))
-	for i := range xs {
-		pts[i] = shamir.Share{X: xs[i], Y: ys[i]}
-	}
-	return shamir.Reconstruct(pts, len(pts))
-}
 
 func dedup(terms []string) []string {
 	seen := make(map[string]struct{}, len(terms))

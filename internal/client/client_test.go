@@ -34,7 +34,7 @@ var terms = []string{"martha", "imclone", "layoff", "merger", "quarterly", "budg
 
 // newEnv builds a 3-server cluster with a single-list merging table
 // variant configurable by M, one peer, and the groups alice:1, bob:2.
-func newEnv(t *testing.T, m int) *env {
+func newEnv(t testing.TB, m int) *env {
 	t.Helper()
 	svc, err := auth.NewService(time.Minute)
 	if err != nil {

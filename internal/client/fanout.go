@@ -3,27 +3,14 @@ package client
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
-
-	"zerber/internal/auth"
-	"zerber/internal/field"
-	"zerber/internal/merging"
-	"zerber/internal/posting"
 )
 
-// response is one server's answer to a posting-list fetch, tagged with
-// the server's position in the client's preference order.
-type response struct {
-	idx   int
-	x     field.Element
-	lists map[merging.ListID][]posting.EncryptedShare
-}
-
-// fanResult is one server's answer in a generic fan-out round.
+// fanResult is one server's answer in a fan-out round, tagged with the
+// server's position in the client's preference order.
 type fanResult[T any] struct {
 	idx int
-	x   field.Element
 	val T
 }
 
@@ -97,7 +84,7 @@ func fanOutCall[T any](ctx context.Context, c *Client, need int, call func(ctx c
 				launch() // replace the failed request with the next server
 				continue
 			}
-			responses = append(responses, fanResult[T]{idx: r.idx, x: c.servers[r.idx].XCoord(), val: r.val})
+			responses = append(responses, fanResult[T]{idx: r.idx, val: r.val})
 		case <-hedge:
 			if launch() && next < n {
 				hedgeTimer.Reset(c.tuning.HedgeDelay)
@@ -108,22 +95,6 @@ func fanOutCall[T any](ctx context.Context, c *Client, need int, call func(ctx c
 			return nil, ctx.Err()
 		}
 	}
-	sort.Slice(responses, func(i, j int) bool { return responses[i].idx < responses[j].idx })
-	return responses, nil
-}
-
-// fanOut is the whole-list fetch round: GetPostingLists from need
-// servers through the generic fan-out engine.
-func (c *Client) fanOut(ctx context.Context, tok auth.Token, lids []merging.ListID, need int) ([]response, error) {
-	results, err := fanOutCall(ctx, c, need, func(ctx context.Context, i int) (map[merging.ListID][]posting.EncryptedShare, error) {
-		return c.servers[i].GetPostingLists(ctx, tok, lids)
-	})
-	if err != nil {
-		return nil, err
-	}
-	responses := make([]response, len(results))
-	for i, r := range results {
-		responses[i] = response{idx: r.idx, x: r.x, lists: r.val}
-	}
+	slices.SortFunc(responses, func(a, b fanResult[T]) int { return a.idx - b.idx })
 	return responses, nil
 }

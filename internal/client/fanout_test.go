@@ -163,8 +163,8 @@ func TestHedgeLaunchesBackupServers(t *testing.T) {
 }
 
 func TestSequentialTuningMatchesParallel(t *testing.T) {
-	// Fanout=1 + one decrypt worker is the pre-concurrency client; its
-	// results and stats must be identical to the parallel defaults.
+	// Fanout=1 is the pre-concurrency client; its results and stats
+	// must be identical to the parallel defaults.
 	e := newEnv(t, 2)
 	alice := e.svc.Issue("alice")
 	e.index(t, alice,
@@ -174,7 +174,7 @@ func TestSequentialTuningMatchesParallel(t *testing.T) {
 	)
 	par := e.client(t)
 	seq := e.client(t)
-	seq.SetTuning(client.Tuning{Fanout: 1, DecryptWorkers: 1})
+	seq.SetTuning(client.Tuning{Fanout: 1})
 
 	for _, q := range [][]string{{"martha"}, {"martha", "imclone"}, {"budget", "chemical"}} {
 		lp, sp, err := par.Retrieve(alice, q)
@@ -185,6 +185,12 @@ func TestSequentialTuningMatchesParallel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Each client has its own basis cache, and which k of the n
+		// servers answer the parallel one first is a race: whether a
+		// lookup hits depends on it, how many lookups a query makes does
+		// not. Fold the split into the sum and compare everything.
+		sp.ReconstructorHits, sp.ReconstructorMisses = sp.ReconstructorHits+sp.ReconstructorMisses, 0
+		ss.ReconstructorHits, ss.ReconstructorMisses = ss.ReconstructorHits+ss.ReconstructorMisses, 0
 		if sp != ss {
 			t.Errorf("query %v: stats diverge: parallel %+v, sequential %+v", q, sp, ss)
 		}
@@ -195,8 +201,8 @@ func TestSequentialTuningMatchesParallel(t *testing.T) {
 }
 
 func TestRetrieveDeterministicOrder(t *testing.T) {
-	// The ordered merge must make per-term posting order reproducible
-	// across runs regardless of worker scheduling.
+	// Per-term posting order must be reproducible across runs whichever
+	// servers answer first.
 	e := newEnv(t, 2)
 	alice := e.svc.Issue("alice")
 	docs := make([]peer.Document, 0, 30)
@@ -223,7 +229,7 @@ func TestRetrieveDeterministicOrder(t *testing.T) {
 
 func TestConcurrentRetrieve(t *testing.T) {
 	// Hammer one shared client from many goroutines; run under -race in
-	// CI to catch data races in the fan-out and decrypt pool.
+	// CI to catch data races in the fan-out, the join and the basis cache.
 	e := newEnv(t, 2)
 	alice := e.svc.Issue("alice")
 	e.index(t, alice,

@@ -1,11 +1,11 @@
 // Top-k retrieval: the streaming threshold-algorithm loop of Zerber+R
 // (paper §6). Instead of fetching whole posting lists, the client pulls
 // score-ordered blocks of each query term's list from k servers, joins
-// and decrypts them incrementally on the worker pool, and stops as soon
-// as the NRA threshold (ranking.Stream) proves the top k are final. The
-// cost of a query then scales with how deep the k-th result sits, not
-// with the length of the posting list — the property that makes hot
-// Zipfian terms affordable.
+// and decrypts them incrementally through the shared pipeline (join.go),
+// and stops as soon as the NRA threshold (ranking.Stream) proves the top
+// k are final. The cost of a query then scales with how deep the k-th
+// result sits, not with the length of the posting list — the property
+// that makes hot Zipfian terms affordable.
 //
 // Ranking in this mode is by summed term frequency (ties broken by
 // ascending document ID): a collection-independent, monotone score that
@@ -18,13 +18,10 @@ package client
 
 import (
 	"context"
-	"fmt"
-	"sort"
+	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"zerber/internal/auth"
-	"zerber/internal/field"
 	"zerber/internal/merging"
 	"zerber/internal/posting"
 	"zerber/internal/ranking"
@@ -44,7 +41,7 @@ func (c *Client) SearchTopK(tok auth.Token, query []string, k int) ([]ranking.Sc
 }
 
 // SearchTopKContext is SearchTopK bounded by ctx: cancelling it aborts
-// the block fan-out and the decrypt stage.
+// the block fan-out.
 func (c *Client) SearchTopKContext(ctx context.Context, tok auth.Token, query []string, k int) ([]ranking.ScoredDoc, Stats, error) {
 	var stats Stats
 	if k <= 0 {
@@ -57,7 +54,7 @@ func (c *Client) SearchTopKContext(ctx context.Context, tok auth.Token, query []
 	if len(terms) > ranking.MaxStreamTerms {
 		// Queries wider than the stream's term mask fall back to
 		// exhaustive retrieval under the same frequency-sum order.
-		return c.searchTopKExhaustive(ctx, tok, terms, k, &stats)
+		return c.searchTopKExhaustive(ctx, tok, terms, k)
 	}
 	return c.searchTopKStream(ctx, tok, terms, k, &stats)
 }
@@ -69,13 +66,6 @@ type blockReq struct {
 	n    int
 }
 
-// pendShare accumulates the shares of one not-yet-decryptable element
-// across block rounds and servers, xs/ys positionally paired.
-type pendShare struct {
-	xs []field.Element
-	ys []field.Element
-}
-
 // listState tracks the retrieval progress of one merged posting list.
 type listState struct {
 	lid       merging.ListID
@@ -84,7 +74,10 @@ type listState struct {
 	exhausted bool
 	suffix    uint8 // impact bound on unfetched positions (valid while !exhausted)
 	total     int   // longest unfiltered length any server reported
-	pending   map[posting.GlobalID]*pendShare
+	// join is the list's share join. Between rounds its rows are the
+	// pending elements: seen in some server's window but on fewer than
+	// k servers so far.
+	join joinTable
 }
 
 // searchTopKStream is the streaming no-random-access TA loop: rounds of
@@ -99,7 +92,7 @@ func (c *Client) searchTopKStream(ctx context.Context, tok auth.Token, terms []s
 		lid := c.table.ListOf(term)
 		st := byLID[lid]
 		if st == nil {
-			st = &listState{lid: lid, pending: make(map[posting.GlobalID]*pendShare)}
+			st = &listState{lid: lid, join: c.newJoin()}
 			byLID[lid] = st
 			states = append(states, st)
 		}
@@ -107,15 +100,11 @@ func (c *Client) searchTopKStream(ctx context.Context, tok auth.Token, terms []s
 	}
 	stats.ListsRequested = len(states)
 
-	wanted := make(map[uint32]int, len(terms))
-	for ti, term := range terms {
-		wanted[c.voc.Resolve(term)] = ti
-	}
-
+	p := c.newPipeline(terms, stats)
 	stream := ranking.NewStream(len(terms), k)
-	serversSeen := make(map[int]struct{}, c.k)
+	observe := func(term int, post ranking.Posting) { stream.Observe(term, post.DocID, float64(post.TF)) }
+	var serversSeen uint64
 	window := c.tuning.blockSize()
-	var recHits, recMisses atomic.Int64
 
 	for round := 0; ; round++ {
 		// Snapshot this round's requests: every still-open list advances
@@ -136,24 +125,35 @@ func (c *Client) searchTopKStream(ctx context.Context, tok auth.Token, terms []s
 		if err != nil {
 			return nil, *stats, err
 		}
+		// Elements the round's k responders all delivered share one
+		// Lagrange basis, fetched from the cross-query cache once per
+		// round; stragglers rotate the responder set between rounds.
+		var responders uint64
 		for _, r := range results {
-			serversSeen[r.idx] = struct{}{}
+			responders |= 1 << uint(r.idx)
+		}
+		serversSeen |= responders
+		p.bases = p.bases[:0]
+		roundBasis, err := p.basisFor(responders)
+		if err != nil {
+			return nil, *stats, err
 		}
 		stats.TA.Depth = round + 1
 		stats.TA.BlocksFetched += len(reqs) * len(results)
 
-		// Fold every server's pages into the per-list pending state and
-		// recompute each list's exhaustion and suffix bound. An element
-		// missing from a server's window may still arrive in a later one
-		// (replication skew shifts positions), so shares accumulate in
-		// pending until k distinct x-coordinates are on hand.
-		ready := make([]joinedElem, 0, 64)
+		// Fold every server's pages into the per-list join and recompute
+		// each list's exhaustion and suffix bound. An element missing
+		// from a server's window may still arrive in a later one
+		// (replication skew shifts positions), so its row waits in the
+		// join until k servers have delivered it.
 		for _, rq := range reqs {
 			st := byLID[rq.lid]
 			allExhausted := true
 			var suffix uint8
+			shares := 0
 			for _, r := range results {
 				page := r.val[rq.lid]
+				shares += len(page.Shares)
 				stats.TA.WireBytes += transport.BlockHeaderBytes + len(page.Shares)*transport.ShareBytes
 				stats.TA.SortedAccesses += len(page.Shares)
 				if page.Total > st.total {
@@ -169,82 +169,28 @@ func (c *Client) searchTopKStream(ctx context.Context, tok auth.Token, terms []s
 						suffix = page.Next
 					}
 				}
-				for _, sh := range page.Shares {
-					p := st.pending[sh.GlobalID]
-					if p == nil {
-						p = &pendShare{}
-						st.pending[sh.GlobalID] = p
-					}
-					if hasX(p.xs, r.x) {
-						continue // redelivered share from an overlapping window
-					}
-					p.xs = append(p.xs, r.x)
-					p.ys = append(p.ys, sh.Y)
-				}
 			}
 			st.fetched = rq.from + rq.n
 			st.exhausted = allExhausted
 			st.suffix = suffix
 
-			// Elements with k shares are decryptable now; drain them in
-			// deterministic (list order, ascending gid) order so Stats and
-			// results are schedule-independent.
-			gids := make([]posting.GlobalID, 0, len(st.pending))
-			for gid, p := range st.pending {
-				if len(p.xs) >= c.k {
-					gids = append(gids, gid)
-				}
+			st.join.reset(len(st.join.gids), shares)
+			for _, r := range results {
+				// A share for a cell already filled is a redelivery from
+				// an overlapping window; the join drops it.
+				st.join.add(r.idx, r.val[rq.lid].Shares)
 			}
-			sort.Slice(gids, func(a, b int) bool { return gids[a] < gids[b] })
-			for _, gid := range gids {
-				p := st.pending[gid]
-				delete(st.pending, gid)
-				ready = append(ready, joinedElem{lid: st.lid, gid: gid, xs: p.xs[:c.k], ys: p.ys[:c.k]})
+			// Rows with k shares are decryptable now and leave the join;
+			// Stats and results do not depend on their order.
+			if err := p.open(&st.join, st.lid, roundBasis, nil, observe); err != nil {
+				return nil, *stats, err
 			}
 			if st.exhausted {
 				// No further windows will arrive for this list;
 				// under-replicated leftovers are skipped, exactly as the
 				// whole-list path skips elements with fewer than k shares.
-				clear(st.pending)
+				st.join.reset(0, 0)
 			}
-		}
-
-		// Decrypt the round's ready elements on the worker pool, Lagrange
-		// bases served from the cross-query cache. Block rounds can yield
-		// several distinct x-sequences (stragglers rotate the responder
-		// set), so each element fetches its own basis.
-		decs, err := runDecrypt(ctx, ready, c.tuning.decryptWorkers(), func(j *joinedElem) (decrypted, error) {
-			rec, hit, rerr := c.recs.get(j.xs)
-			if rerr != nil {
-				return decrypted{}, fmt.Errorf("client: building reconstructor: %w", rerr)
-			}
-			if hit {
-				recHits.Add(1)
-			} else {
-				recMisses.Add(1)
-			}
-			secret, rerr := rec.Reconstruct(j.ys)
-			if rerr != nil {
-				return decrypted{}, fmt.Errorf("client: decrypting element %d of list %d: %w", j.gid, j.lid, rerr)
-			}
-			return decrypted{elem: posting.Decode(secret), ok: true}, nil
-		})
-		if err != nil {
-			return nil, *stats, err
-		}
-
-		for _, d := range decs {
-			if !d.ok {
-				continue
-			}
-			stats.ElementsFetched++
-			stats.TA.ElementsDecrypted++
-			ti, ok := wanted[d.elem.TermID]
-			if !ok {
-				stats.FalsePositives++ // merged-in neighbor term; discard
-				continue
-			}
-			stream.Observe(ti, d.elem.DocID, float64(d.elem.TF))
 		}
 
 		// Publish the per-term bounds: a term's unobserved postings are
@@ -258,7 +204,7 @@ func (c *Client) searchTopKStream(ctx context.Context, tok auth.Token, terms []s
 			if !st.exhausted {
 				bound = float64(posting.BucketMaxTF(st.suffix))
 			}
-			for gid := range st.pending {
+			for _, gid := range st.join.gids {
 				if b := float64(posting.BucketMaxTF(posting.ImpactOf(gid))); b > bound {
 					bound = b
 				}
@@ -280,9 +226,8 @@ func (c *Client) searchTopKStream(ctx context.Context, tok auth.Token, terms []s
 		}
 	}
 
-	stats.ServersQueried = len(serversSeen)
-	stats.ReconstructorHits = int(recHits.Load())
-	stats.ReconstructorMisses = int(recMisses.Load())
+	stats.ServersQueried = bits.OnesCount64(serversSeen)
+	stats.TA.ElementsDecrypted = stats.ElementsFetched
 	for _, st := range states {
 		stats.TA.TotalPostings += st.total
 	}
@@ -337,41 +282,22 @@ func (c *Client) fetchBlockRound(ctx context.Context, server int, tok auth.Token
 // whole-list retrieval re-ranked under the same frequency-sum order, so
 // results are identical to the streaming path, just without the early
 // exit.
-func (c *Client) searchTopKExhaustive(ctx context.Context, tok auth.Token, terms []string, k int, stats *Stats) ([]ranking.ScoredDoc, Stats, error) {
-	lists, st, err := c.RetrieveContext(ctx, tok, terms)
+func (c *Client) searchTopKExhaustive(ctx context.Context, tok auth.Token, terms []string, k int) ([]ranking.ScoredDoc, Stats, error) {
+	lists, stats, err := c.retrieve(ctx, tok, terms)
 	if err != nil {
-		return nil, st, err
+		return nil, stats, err
 	}
-	*stats = st
 	scores := make(map[uint32]float64)
 	for _, ps := range lists {
 		for _, p := range ps {
 			scores[p.DocID] += float64(p.TF)
 		}
 	}
-	out := make([]ranking.ScoredDoc, 0, len(scores))
+	// A one-term stream fed whole documents is the frequency-sum
+	// order's top-k selection.
+	best := ranking.NewStream(1, k)
 	for doc, sc := range scores {
-		out = append(out, ranking.ScoredDoc{DocID: doc, Score: sc})
+		best.Observe(0, doc, sc)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].DocID < out[j].DocID
-	})
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out, *stats, nil
-}
-
-// hasX reports whether x is already among xs (duplicate share from an
-// overlapping or redelivered window).
-func hasX(xs []field.Element, x field.Element) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
+	return best.Results(), stats, nil
 }

@@ -231,7 +231,7 @@ func TestSearchTopKReconstructorCache(t *testing.T) {
 		peer.Document{ID: 2, Content: "martha", Group: 1},
 	)
 	c := e.client(t)
-	c.SetTuning(client.Tuning{Fanout: 1, DecryptWorkers: 1})
+	c.SetTuning(client.Tuning{Fanout: 1})
 
 	_, first, err := c.SearchTopK(alice, []string{"martha"}, 2)
 	if err != nil {

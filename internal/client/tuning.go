@@ -1,15 +1,15 @@
 package client
 
-import (
-	"runtime"
-	"time"
-)
+import "time"
 
-// Tuning configures the concurrent query engine. The zero value selects
-// the aggressive defaults: fan out to every known server at once and
-// decrypt on one worker per CPU. The pre-concurrency sequential behavior
-// is recoverable with Fanout=1, HedgeDelay=0, DecryptWorkers=1 — useful
-// as a benchmark baseline, but strictly dominated in latency.
+// Tuning configures the query engine's network half: how wide a query
+// fans out, when it hedges, and how large a top-k block round is. The
+// zero value selects the aggressive defaults: fan out to every known
+// server at once. Fanout=1, HedgeDelay=0 walks the servers one request
+// at a time — useful as a benchmark baseline, but strictly dominated in
+// latency. Join, decrypt and ranking have no knobs: they run inline on
+// the calling goroutine at a few nanoseconds per element, with the same
+// results and Stats under every tuning.
 type Tuning struct {
 	// Fanout caps the number of concurrently in-flight GetPostingLists
 	// requests. 0 (or >= n) queries all servers at once; 1 walks the
@@ -21,9 +21,6 @@ type Tuning struct {
 	// without the query having gathered enough responses. This hedges
 	// against stragglers without the full cost of querying everyone.
 	HedgeDelay time.Duration
-	// DecryptWorkers is the number of goroutines reconstructing Shamir
-	// shares. 0 means runtime.NumCPU(); 1 decrypts serially.
-	DecryptWorkers int
 	// BlockSize is the number of score-ordered posting elements fetched
 	// per list per round by the top-k retrieval loop (SearchTopK). 0
 	// selects the default. Larger blocks cost bandwidth on short
@@ -49,12 +46,4 @@ func (t Tuning) fanoutWidth(n int) int {
 		return n
 	}
 	return t.Fanout
-}
-
-// decryptWorkers resolves the decrypt-stage worker count.
-func (t Tuning) decryptWorkers() int {
-	if t.DecryptWorkers > 0 {
-		return t.DecryptWorkers
-	}
-	return runtime.NumCPU()
 }

@@ -1,15 +1,8 @@
 package client
 
 import (
-	"context"
 	"errors"
 	"fmt"
-
-	"zerber/internal/auth"
-	"zerber/internal/field"
-	"zerber/internal/posting"
-	"zerber/internal/ranking"
-	"zerber/internal/shamir"
 )
 
 // ErrCorruptShare reports that two k-subsets of shares reconstructed
@@ -22,7 +15,9 @@ var ErrCorruptShare = errors.New("client: share sets disagree; a server returned
 // reconstructed from two distinct k-subsets, which must agree. This
 // detects (not just tolerates) a server that tampers with stored shares
 // — Shamir sharing alone hides information but does not authenticate it.
-// The price is one extra server response per query.
+// The price is one extra server response per query. An element that
+// only k of the k+1 responders hold is decrypted from those k without a
+// cross-check (Stats.ElementsVerified counts the checked ones).
 //
 // It returns an error if the client does not know at least k+1 servers.
 func (c *Client) EnableVerification() error {
@@ -35,71 +30,3 @@ func (c *Client) EnableVerification() error {
 
 // VerificationEnabled reports whether verified retrieval is active.
 func (c *Client) VerificationEnabled() bool { return c.verify }
-
-// retrieveVerified is the verification variant of Retrieve: it fans out
-// until k+1 servers have answered and cross-checks each fully replicated
-// element, using the same parallel fan-out and decrypt pool as the plain
-// path.
-func (c *Client) retrieveVerified(ctx context.Context, tok auth.Token, terms []string) (map[string][]ranking.Posting, Stats, error) {
-	var stats Stats
-	lids := c.table.ListsOf(terms)
-	stats.ListsRequested = len(lids)
-
-	need := c.k + 1
-	responses, err := c.fanOut(ctx, tok, lids, need)
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.ServersQueried = len(responses)
-
-	// Two overlapping bases: responders [0..k) and responders [1..k+1).
-	xsA := make([]field.Element, c.k)
-	xsB := make([]field.Element, c.k)
-	for i := 0; i < c.k; i++ {
-		xsA[i] = responses[i].x
-		xsB[i] = responses[i+1].x
-	}
-	recA, err := shamir.NewReconstructor(xsA)
-	if err != nil {
-		return nil, stats, err
-	}
-	recB, err := shamir.NewReconstructor(xsB)
-	if err != nil {
-		return nil, stats, err
-	}
-
-	jobs := joinResponses(lids, responses)
-	results, err := runDecrypt(ctx, jobs, c.tuning.decryptWorkers(), func(j *joinedElem) (decrypted, error) {
-		if len(j.ys) < c.k {
-			return decrypted{}, nil
-		}
-		if len(j.ys) >= need {
-			// Present on all k+1 responders, so j.xs follows the
-			// response order and both precomputed bases apply.
-			a, rerr := recA.Reconstruct(j.ys[:c.k])
-			if rerr != nil {
-				return decrypted{}, rerr
-			}
-			b, rerr := recB.Reconstruct(j.ys[1 : c.k+1])
-			if rerr != nil {
-				return decrypted{}, rerr
-			}
-			if a != b {
-				return decrypted{}, fmt.Errorf("%w (element %d, list %d)", ErrCorruptShare, j.gid, j.lid)
-			}
-			return decrypted{elem: posting.Decode(a), ok: true, verified: true}, nil
-		}
-		// Not replicated on all k+1 responders: decrypt from the first
-		// k shares without cross-checking.
-		secret, rerr := reconstructSlow(j.xs[:c.k], j.ys[:c.k])
-		if rerr != nil {
-			return decrypted{}, rerr
-		}
-		return decrypted{elem: posting.Decode(secret), ok: true}, nil
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-	out := c.mergeDecrypted(terms, results, &stats)
-	return out, stats, nil
-}

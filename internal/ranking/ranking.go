@@ -10,6 +10,7 @@ package ranking
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -27,7 +28,8 @@ type Input struct {
 	// Lists holds, per query term, the decrypted postings.
 	Lists map[string][]Posting
 	// NumDocs is the number of documents accessible to the user — the
-	// personalized collection size.
+	// personalized collection size. Zero makes ScoreAll and TopK count
+	// the distinct documents in Lists instead.
 	NumDocs int
 	// DocFreq gives, per query term, its document frequency among the
 	// user's accessible documents. Zero values fall back to the list
@@ -45,25 +47,37 @@ type ScoredDoc struct {
 	Score float64
 }
 
-// idf returns the inverse document frequency log(1 + N/df).
-func idf(numDocs, df int) float64 {
+// collectionSize is the N of the idf: NumDocs, or when that is zero
+// distinct, the number of distinct documents in the query's lists.
+func (in *Input) collectionSize(distinct int) int {
+	if in.NumDocs != 0 {
+		return in.NumDocs
+	}
+	return distinct
+}
+
+// idf returns term's inverse document frequency log(1 + N/df) in a
+// collection of numDocs documents, with df from DocFreq or else the
+// length of the term's list.
+func (in *Input) idf(term string, numDocs int) float64 {
+	df := in.DocFreq[term]
+	if df == 0 {
+		df = len(in.Lists[term])
+	}
 	if df <= 0 || numDocs <= 0 {
 		return 0
 	}
 	return math.Log(1 + float64(numDocs)/float64(df))
 }
 
-// weight is the per-term contribution of a posting: tf_norm * idf.
-func (in *Input) weight(term string, p Posting) float64 {
-	df := in.DocFreq[term]
-	if df == 0 {
-		df = len(in.Lists[term])
+// contribution is one posting's share of its document's score: tf,
+// divided by the document's length when that is known, times idf.
+func contribution(tf uint16, docLen, idf float64) float64 {
+	tfNorm := float64(tf)
+	if docLen > 0 {
+		tfNorm /= docLen
 	}
-	tfNorm := float64(p.TF)
-	if l := in.DocLen[p.DocID]; l > 0 {
-		tfNorm /= float64(l)
-	}
-	return tfNorm * idf(in.NumDocs, df)
+	return tfNorm * idf
 }
 
 // dedupQuery returns the distinct query terms preserving order.
@@ -79,22 +93,62 @@ func (in *Input) dedupQuery() []string {
 	return out
 }
 
+// accumulate is the one scoring pass ScoreAll and TopK share: it returns
+// every matching document with its full TF-IDF score, in first-seen
+// order. The first sweep gives each document a slot (one map access per
+// posting, the only ones) and settles the collection size; the second
+// adds tf·idf contributions slot by slot, with each term's idf and each
+// document's length looked up once instead of once per posting.
+func accumulate(in *Input) []ScoredDoc {
+	terms := in.dedupQuery()
+	longest, total := 0, 0
+	for _, term := range terms {
+		n := len(in.Lists[term])
+		longest, total = max(longest, n), total+n
+	}
+	slotOf := make(map[uint32]int32, longest)
+	slots := make([]int32, 0, total) // posting → its document's slot
+	docs := make([]ScoredDoc, 0, longest)
+	for _, term := range terms {
+		for _, p := range in.Lists[term] {
+			slot, seen := slotOf[p.DocID]
+			if !seen {
+				slot = int32(len(docs))
+				slotOf[p.DocID] = slot
+				docs = append(docs, ScoredDoc{DocID: p.DocID})
+			}
+			slots = append(slots, slot)
+		}
+	}
+	var lens []float64 // slot → document length, when any are known
+	if len(in.DocLen) > 0 {
+		lens = make([]float64, len(docs))
+		for slot, d := range docs {
+			lens[slot] = float64(in.DocLen[d.DocID])
+		}
+	}
+	numDocs := in.collectionSize(len(docs))
+	for _, term := range terms {
+		ps, idf := in.Lists[term], in.idf(term, numDocs)
+		for i, p := range ps {
+			slot := slots[i]
+			docLen := 0.0
+			if lens != nil {
+				docLen = lens[slot]
+			}
+			docs[slot].Score += contribution(p.TF, docLen, idf)
+		}
+		slots = slots[len(ps):]
+	}
+	return docs
+}
+
 // ScoreAll computes the full TF-IDF score of every matching document and
 // returns all results sorted by descending score (ties by ascending doc
 // ID). It is the exhaustive reference implementation; TopK must agree
 // with its first K entries.
 func ScoreAll(in Input) []ScoredDoc {
-	terms := in.dedupQuery()
-	scores := make(map[uint32]float64)
-	for _, term := range terms {
-		for _, p := range in.Lists[term] {
-			scores[p.DocID] += in.weight(term, p)
-		}
-	}
-	out := make([]ScoredDoc, 0, len(scores))
-	for doc, s := range scores {
-		out = append(out, ScoredDoc{DocID: doc, Score: s})
-	}
+	out := accumulate(&in)
 	sortScored(out)
 	return out
 }
@@ -126,18 +180,36 @@ type TAStats struct {
 	WireBytes int
 }
 
-// TopK returns the K highest-scoring documents using Fagin's Threshold
-// Algorithm: per-term lists are sorted by descending contribution, scanned
-// in lockstep with random access to complete each candidate's score, and
-// the scan stops as soon as the K-th best score reaches the threshold
-// (the sum of the current per-list contributions). The early exit is what
-// gives the sub-linear behaviour the paper quotes for its modified TA.
+// TopK returns the K highest-scoring documents — ScoreAll's first K
+// entries, scores included — by scoring every matching document once and
+// keeping the best K in a bounded heap: O(postings + docs·log K), with no
+// sort over the lists or over the documents. Once the lists are
+// decrypted and in memory an early exit has nothing left to save; the
+// early exit that matters happens on the wire (Stream).
 func TopK(in Input, k int) []ScoredDoc {
-	out, _ := TopKStats(in, k)
-	return out
+	if k <= 0 {
+		return nil
+	}
+	docs := accumulate(&in)
+	if len(docs) == 0 {
+		return nil
+	}
+	best := topHeap{k: k, docs: make([]ScoredDoc, 0, min(k, len(docs)))}
+	for _, d := range docs {
+		best.offer(d)
+	}
+	return best.ranked()
 }
 
-// TopKStats is TopK with access instrumentation.
+// TopKStats is the instrumented in-memory emulation of the paper's
+// modified Threshold Algorithm (§5.4.2): per-term lists are sorted by
+// descending contribution, scanned in lockstep with random access to
+// complete each candidate's score, and the scan stops as soon as the
+// K-th best score reaches the threshold (the sum of the current per-list
+// contributions). It exists to make that early exit observable, not to
+// be fast. Given at most one posting per term and document its scores
+// equal TopK's position by position; the documents can differ only where
+// equal scores straddle the cut.
 func TopKStats(in Input, k int) ([]ScoredDoc, TAStats) {
 	var st TAStats
 	if k <= 0 {
@@ -156,13 +228,14 @@ func TopKStats(in Input, k int) ([]ScoredDoc, TAStats) {
 	lists := make([][]entry, 0, len(terms))
 	// Random-access structure: term index -> doc -> weight.
 	access := make([]map[uint32]float64, 0, len(terms))
+	numDocs := in.collectionSize(len(accumulate(&in))) // one entry per distinct document
 	for _, term := range terms {
-		ps := in.Lists[term]
+		ps, idf := in.Lists[term], in.idf(term, numDocs)
 		st.TotalPostings += len(ps)
 		es := make([]entry, 0, len(ps))
 		am := make(map[uint32]float64, len(ps))
 		for _, p := range ps {
-			w := in.weight(term, p)
+			w := contribution(p.TF, float64(in.DocLen[p.DocID]), idf)
 			es = append(es, entry{doc: p.DocID, w: w})
 			am[p.DocID] = w
 		}
@@ -233,11 +306,70 @@ func TopKStats(in Input, k int) ([]ScoredDoc, TAStats) {
 	return out, st
 }
 
+// outranks is the result order: higher score first, ties by ascending
+// document ID. Over distinct documents it is a strict total order.
+func outranks(a, b ScoredDoc) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	return a.DocID < b.DocID
+}
+
 func sortScored(s []ScoredDoc) {
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].Score != s[j].Score {
-			return s[i].Score > s[j].Score
+	slices.SortFunc(s, func(a, b ScoredDoc) int {
+		switch {
+		case outranks(a, b):
+			return -1
+		case outranks(b, a):
+			return 1
 		}
-		return s[i].DocID < s[j].DocID
+		return 0
 	})
+}
+
+// topHeap keeps the k best documents offered to it: a binary heap with
+// the worst kept document at the root, so an offer costs one comparison
+// when it does not make the cut and O(log k) when it does.
+type topHeap struct {
+	k    int
+	docs []ScoredDoc
+}
+
+func (h *topHeap) offer(d ScoredDoc) {
+	if len(h.docs) < h.k {
+		h.docs = append(h.docs, d)
+		for i := len(h.docs) - 1; i > 0; {
+			parent := (i - 1) / 2
+			if !outranks(h.docs[parent], h.docs[i]) {
+				break
+			}
+			h.docs[parent], h.docs[i] = h.docs[i], h.docs[parent]
+			i = parent
+		}
+		return
+	}
+	if h.k <= 0 || !outranks(d, h.docs[0]) {
+		return
+	}
+	h.docs[0] = d
+	for i := 0; ; {
+		worst := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(h.docs); c++ {
+			if outranks(h.docs[worst], h.docs[c]) {
+				worst = c
+			}
+		}
+		if worst == i {
+			return
+		}
+		h.docs[i], h.docs[worst] = h.docs[worst], h.docs[i]
+		i = worst
+	}
+}
+
+// ranked returns the kept documents best first. It reorders the heap's
+// own storage, so the heap must be refilled before it is offered more.
+func (h *topHeap) ranked() []ScoredDoc {
+	sortScored(h.docs)
+	return h.docs
 }

@@ -3,6 +3,7 @@ package ranking
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -79,45 +80,78 @@ func TestDocLenNormalization(t *testing.T) {
 	}
 }
 
+// TestTopKMatchesScoreAll is the property both top-K implementations
+// rest on. On random inputs — with and without document lengths, explicit
+// and derived collection statistics, and frequencies from so small a
+// range that scores tie constantly — the bounded-heap TopK is ScoreAll's
+// prefix exactly, document for document and bit for bit, repeated
+// (term, document) postings included; and on the trials without such
+// repeats the Threshold Algorithm emulation TopKStats returns the same
+// scores position by position, each for a document that really has it
+// (which of several tied documents makes the cut is the one freedom TA's
+// early exit has).
 func TestTopKMatchesScoreAll(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		terms := []string{"t1", "t2", "t3"}
+	for trial := 0; trial < 200; trial++ {
+		terms := []string{"t1", "t2", "t3", "t1"}
 		lists := make(map[string][]Posting)
-		dfs := make(map[string]int)
-		lens := make(map[uint32]int)
-		numDocs := 50
-		for d := uint32(0); d < uint32(numDocs); d++ {
-			lens[d] = 20 + r.Intn(200)
+		numDocs := 5 + r.Intn(60)
+		maxTF := 1 + r.Intn(3) // few distinct weights: ties at every cut
+		if trial%5 == 0 {
+			maxTF = 9
 		}
-		for _, term := range terms {
-			n := 1 + r.Intn(30)
-			seen := map[uint32]bool{}
-			for i := 0; i < n; i++ {
+		repeats := trial%4 == 3
+		for _, term := range terms[:3] {
+			seen := make(map[uint32]bool)
+			for i, n := 0, r.Intn(40); i < n; i++ {
 				d := uint32(r.Intn(numDocs))
-				if seen[d] {
+				if seen[d] && !repeats {
 					continue
 				}
 				seen[d] = true
-				lists[term] = append(lists[term], Posting{DocID: d, TF: uint16(1 + r.Intn(9))})
+				lists[term] = append(lists[term], Posting{DocID: d, TF: uint16(1 + r.Intn(maxTF))})
 			}
-			dfs[term] = len(lists[term])
 		}
-		in := Input{Query: terms, Lists: lists, NumDocs: numDocs, DocFreq: dfs, DocLen: lens}
+		in := Input{Query: terms, Lists: lists}
+		if trial%2 == 0 {
+			in.NumDocs = numDocs
+			in.DocFreq = map[string]int{"t1": 1 + r.Intn(numDocs), "t3": 1 + r.Intn(numDocs)}
+		}
+		if trial%3 == 0 {
+			in.DocLen = make(map[uint32]int)
+			for d := 0; d < numDocs; d += 1 + r.Intn(2) {
+				in.DocLen[uint32(d)] = 20 * (1 + r.Intn(3))
+			}
+		}
 		all := ScoreAll(in)
+		scoreOf := make(map[uint32]float64, len(all))
+		for i, d := range all {
+			if i > 0 && !outranks(all[i-1], d) {
+				t.Fatalf("trial %d: ScoreAll out of order at %d: %v then %v", trial, i, all[i-1], d)
+			}
+			scoreOf[d.DocID] = d.Score
+		}
 		for _, k := range []int{1, 3, 10, 1000} {
-			got := TopK(in, k)
-			wantLen := k
-			if wantLen > len(all) {
-				wantLen = len(all)
+			want := all[:min(k, len(all))]
+			if got := TopK(in, k); !slices.Equal(got, want) {
+				t.Fatalf("trial %d k=%d: TopK = %v, want ScoreAll's prefix %v", trial, k, got, want)
 			}
-			if len(got) != wantLen {
-				t.Fatalf("trial %d k=%d: TopK returned %d, want %d", trial, k, len(got), wantLen)
+			if repeats {
+				continue
 			}
-			for i := range got {
-				if math.Abs(got[i].Score-all[i].Score) > 1e-9 {
-					t.Fatalf("trial %d k=%d pos %d: TA score %v != exhaustive %v",
-						trial, k, i, got[i].Score, all[i].Score)
+			ta, _ := TopKStats(in, k)
+			if len(ta) != len(want) {
+				t.Fatalf("trial %d k=%d: TopKStats returned %d, want %d", trial, k, len(ta), len(want))
+			}
+			for i, d := range ta {
+				if math.Abs(d.Score-want[i].Score) > 1e-9 {
+					t.Fatalf("trial %d k=%d pos %d: TA score %v != exhaustive %v", trial, k, i, d.Score, want[i].Score)
+				}
+				if s, ok := scoreOf[d.DocID]; !ok || math.Abs(s-d.Score) > 1e-9 {
+					t.Fatalf("trial %d k=%d pos %d: TA gave document %d score %v, it has %v", trial, k, i, d.DocID, d.Score, s)
+				}
+				if i > 0 && !outranks(ta[i-1], d) {
+					t.Fatalf("trial %d k=%d: TA results out of order at %d: %v then %v", trial, k, i, ta[i-1], d)
 				}
 			}
 		}

@@ -1,5 +1,7 @@
 package ranking
 
+import "slices"
+
 // MaxStreamTerms is the widest query a Stream supports: per-candidate
 // term coverage is tracked in one 64-bit mask. Clients fall back to
 // exact retrieval for wider queries (which do not occur in practice).
@@ -25,13 +27,13 @@ type Stream struct {
 	nTerms int
 	bounds []float64
 	open   []bool
-	cands  map[uint32]*streamCand
-}
-
-type streamCand struct {
-	doc   uint32
-	score float64 // exact sum of observed contributions
-	seen  uint64  // bitmask of observed terms
+	// Candidates by value: slotOf finds a document's slot, cands[slot]
+	// holds its exact score so far (the sum of observed contributions)
+	// and seen[slot] the bitmask of terms observed for it.
+	slotOf map[uint32]int32
+	cands  []ScoredDoc
+	seen   []uint64
+	best   topHeap // the current top k, reselected per convergence check
 }
 
 // NewStream returns a stream for a query of nTerms distinct terms.
@@ -45,7 +47,8 @@ func NewStream(nTerms, k int) *Stream {
 		nTerms: nTerms,
 		bounds: make([]float64, nTerms),
 		open:   make([]bool, nTerms),
-		cands:  make(map[uint32]*streamCand),
+		slotOf: make(map[uint32]int32),
+		best:   topHeap{k: k},
 	}
 	for i := range s.open {
 		s.open[i] = true
@@ -57,17 +60,19 @@ func NewStream(nTerms, k int) *Stream {
 // under query term index term. Duplicate (term, doc) observations are
 // ignored, so redelivered elements cannot double-count.
 func (s *Stream) Observe(term int, doc uint32, w float64) {
-	c := s.cands[doc]
-	if c == nil {
-		c = &streamCand{doc: doc}
-		s.cands[doc] = c
+	slot, ok := s.slotOf[doc]
+	if !ok {
+		slot = int32(len(s.cands))
+		s.slotOf[doc] = slot
+		s.cands = append(s.cands, ScoredDoc{DocID: doc})
+		s.seen = append(s.seen, 0)
 	}
 	bit := uint64(1) << uint(term)
-	if c.seen&bit != 0 {
+	if s.seen[slot]&bit != 0 {
 		return
 	}
-	c.seen |= bit
-	c.score += w
+	s.seen[slot] |= bit
+	s.cands[slot].Score += w
 }
 
 // SetBound publishes the caller's current knowledge about term: no
@@ -91,23 +96,23 @@ func (s *Stream) unseenBound() float64 {
 	return total
 }
 
-// upper is c's score upper bound: observed contributions plus the bound
-// of every open term not yet observed for it.
-func (s *Stream) upper(c *streamCand) float64 {
-	u := c.score
+// upper is a candidate's score upper bound: observed contributions plus
+// the bound of every open term not yet observed for it.
+func (s *Stream) upper(slot int) float64 {
+	u := s.cands[slot].Score
 	for i, b := range s.bounds {
-		if s.open[i] && c.seen&(uint64(1)<<uint(i)) == 0 {
+		if s.open[i] && s.seen[slot]&(uint64(1)<<uint(i)) == 0 {
 			u += b
 		}
 	}
 	return u
 }
 
-// exact reports whether c's score is final: every still-open term has
-// been observed for it.
-func (s *Stream) exact(c *streamCand) bool {
+// exact reports whether a candidate's score is final: every still-open
+// term has been observed for it.
+func (s *Stream) exact(slot int) bool {
 	for i := range s.open {
-		if s.open[i] && c.seen&(uint64(1)<<uint(i)) == 0 {
+		if s.open[i] && s.seen[slot]&(uint64(1)<<uint(i)) == 0 {
 			return false
 		}
 	}
@@ -115,17 +120,15 @@ func (s *Stream) exact(c *streamCand) bool {
 }
 
 // topK returns the current best k candidates by (score desc, doc asc) —
-// scores being the exact lower bounds.
+// scores being the exact lower bounds — selected through the bounded
+// heap, not by sorting every candidate. The slice is the stream's own
+// and is overwritten by the next call.
 func (s *Stream) topK() []ScoredDoc {
-	out := make([]ScoredDoc, 0, len(s.cands))
+	s.best.docs = s.best.docs[:0]
 	for _, c := range s.cands {
-		out = append(out, ScoredDoc{DocID: c.doc, Score: c.score})
+		s.best.offer(c)
 	}
-	sortScored(out)
-	if len(out) > s.k {
-		out = out[:s.k]
-	}
-	return out
+	return s.best.ranked()
 }
 
 // Converged reports whether the top k are provably final. It holds when
@@ -154,26 +157,24 @@ func (s *Stream) Converged() bool {
 		return false
 	}
 	top := s.topK()
-	inTop := make(map[uint32]struct{}, len(top))
-	for _, d := range top {
-		if !s.exact(s.cands[d.DocID]) {
-			return false
-		}
-		inTop[d.DocID] = struct{}{}
-	}
 	kth := top[len(top)-1]
 	if s.unseenBound() >= kth.Score {
 		return false
 	}
-	for doc, c := range s.cands {
-		if _, ok := inTop[doc]; ok {
+	for slot, c := range s.cands {
+		if !outranks(kth, c) {
+			// In the top k (candidates are distinct documents, so
+			// whatever kth does not outrank is kth or ranks above it).
+			if !s.exact(slot) {
+				return false
+			}
 			continue
 		}
-		u := s.upper(c)
+		u := s.upper(slot)
 		if u > kth.Score {
 			return false
 		}
-		if u == kth.Score && !s.exact(c) {
+		if u == kth.Score && !s.exact(slot) {
 			return false
 		}
 	}
@@ -184,7 +185,7 @@ func (s *Stream) Converged() bool {
 // meaningful once Converged reports true (or all input is exhausted);
 // scores are then exact.
 func (s *Stream) Results() []ScoredDoc {
-	return s.topK()
+	return slices.Clone(s.topK())
 }
 
 // Candidates returns the number of distinct documents observed so far.

@@ -142,3 +142,28 @@ func TestStreamDuplicateObserve(t *testing.T) {
 		t.Fatalf("score = %v, want 8", res)
 	}
 }
+
+// TestStreamRoundAllocations: once a block's documents are candidates,
+// observing a 512-posting block of another term and checking convergence
+// allocates O(1) — candidates live by value and the top k is reselected
+// in the stream's own heap, not by sorting a fresh copy of every
+// candidate.
+func TestStreamRoundAllocations(t *testing.T) {
+	const block = 512
+	s := NewStream(MaxStreamTerms, 10)
+	term := 0
+	round := func() {
+		for doc := uint32(0); doc < block; doc++ {
+			s.Observe(term, doc, float64(1+doc%7))
+		}
+		s.SetBound(term, 7, true)
+		if s.Converged() {
+			t.Fatal("open terms bounded above the k-th score cannot have converged")
+		}
+		term++
+	}
+	round() // creates the candidates
+	if allocs := testing.AllocsPerRun(20, round); allocs > 1 {
+		t.Errorf("a %d-posting round over existing candidates allocated %.1f times, want at most once", block, allocs)
+	}
+}

@@ -1,6 +1,8 @@
 package shamir
 
 import (
+	"fmt"
+
 	"zerber/internal/field"
 )
 
@@ -65,4 +67,35 @@ func (r *Reconstructor) Reconstruct(ys []field.Element) (field.Element, error) {
 		secret = field.Add(secret, field.Mul(r.coef[i], y))
 	}
 	return secret, nil
+}
+
+// ReconstructBatch is the read-side twin of Splitter.SplitBatch: it
+// recovers one secret per row of ys, a caller-owned row-major share
+// matrix of stride values per row, into dst. Row i's share from the
+// server with x-coordinate Xs()[j] sits at ys[i*stride+cols[j]], so a
+// join that keeps one column per known server reconstructs from
+// whichever K of them a basis was built for without gathering.
+// len(cols) must equal K, every column must lie inside the stride, and
+// len(ys) must equal stride*len(dst). It performs no allocation.
+func (r *Reconstructor) ReconstructBatch(dst, ys []field.Element, stride int, cols []int) error {
+	if len(cols) != len(r.xs) {
+		return ErrTooFewShares
+	}
+	for _, c := range cols {
+		if c < 0 || c >= stride {
+			return fmt.Errorf("shamir: share column %d outside stride %d", c, stride)
+		}
+	}
+	if len(ys) != stride*len(dst) {
+		return fmt.Errorf("shamir: %d share values for %d rows of %d", len(ys), len(dst), stride)
+	}
+	for i := range dst {
+		row := ys[i*stride : (i+1)*stride]
+		var secret field.Element
+		for j, c := range cols {
+			secret = field.Add(secret, field.Mul(r.coef[j], row[c]))
+		}
+		dst[i] = secret
+	}
+	return nil
 }

@@ -96,3 +96,69 @@ func BenchmarkReconstructorK2(b *testing.B) {
 		}
 	}
 }
+
+// TestReconstructBatchMatchesReconstruct: over a share matrix with one
+// column per server, the batch kernel recovers every row's secret from
+// whichever k columns its basis names — the same value Reconstruct gives
+// on the gathered shares — without allocating.
+func TestReconstructBatchMatchesReconstruct(t *testing.T) {
+	rng := detRand(32)
+	xs := xsUpTo(5)
+	const rows = 300
+	secrets := make([]field.Element, rows)
+	for i := range secrets {
+		secrets[i] = field.New(rng.Uint64())
+	}
+	sp, err := NewSplitter(3, xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byServer := make([]field.Element, len(xs)*rows)
+	if err := sp.SplitBatch(secrets, byServer, rng); err != nil {
+		t.Fatal(err)
+	}
+	ys := make([]field.Element, rows*len(xs)) // row-major: one column per server
+	for s := range xs {
+		for i := 0; i < rows; i++ {
+			ys[i*len(xs)+s] = byServer[s*rows+i]
+		}
+	}
+	for _, cols := range [][]int{{0, 1, 2}, {1, 2, 3}, {0, 2, 4}} {
+		rec, err := NewReconstructor([]field.Element{xs[cols[0]], xs[cols[1]], xs[cols[2]]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]field.Element, rows)
+		if allocs := testing.AllocsPerRun(1, func() {
+			if err := rec.ReconstructBatch(got, ys, len(xs), cols); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("cols %v: %v allocations, want none", cols, allocs)
+		}
+		for i, want := range secrets {
+			one, err := rec.Reconstruct([]field.Element{ys[i*len(xs)+cols[0]], ys[i*len(xs)+cols[1]], ys[i*len(xs)+cols[2]]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[i] != want || one != want {
+				t.Fatalf("cols %v row %d: batch %d, single %d, want %d", cols, i, got[i], one, want)
+			}
+		}
+	}
+	rec, err := NewReconstructor(xs[:3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]field.Element, 2)
+	for name, call := range map[string]func() error{
+		"too few columns":   func() error { return rec.ReconstructBatch(dst, ys[:10], 5, []int{0, 1}) },
+		"column off stride": func() error { return rec.ReconstructBatch(dst, ys[:10], 5, []int{0, 1, 5}) },
+		"negative column":   func() error { return rec.ReconstructBatch(dst, ys[:10], 5, []int{0, -1, 2}) },
+		"short matrix":      func() error { return rec.ReconstructBatch(dst, ys[:9], 5, []int{0, 1, 2}) },
+	} {
+		if call() == nil {
+			t.Errorf("%s must be rejected", name)
+		}
+	}
+}

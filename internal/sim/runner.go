@@ -272,9 +272,9 @@ func newRunner(cfg Config) (*runner, error) {
 		r.close()
 		return nil, err
 	}
-	// Sequential fan-out and a single decrypt worker keep the whole run
-	// deterministic under one seed.
-	r.client.SetTuning(client.Tuning{Fanout: 1, DecryptWorkers: 1})
+	// Sequential fan-out keeps the whole run deterministic under one
+	// seed.
+	r.client.SetTuning(client.Tuning{Fanout: 1})
 	// A second client drives the early-terminating top-k protocol over
 	// the same transports; the tiny block size forces multi-round block
 	// streaming so the TA loop is exercised, not just its first page.
@@ -283,7 +283,7 @@ func newRunner(cfg Config) (*runner, error) {
 		r.close()
 		return nil, err
 	}
-	r.topkClient.SetTuning(client.Tuning{Fanout: 1, DecryptWorkers: 1, BlockSize: 4})
+	r.topkClient.SetTuning(client.Tuning{Fanout: 1, BlockSize: 4})
 	return r, nil
 }
 

@@ -941,27 +941,6 @@ func (d *Disk) loadList(dl *diskList, lid merging.ListID) ([]posting.EncryptedSh
 	return shares, false
 }
 
-func filterShares(src []posting.EncryptedShare, keep func(posting.EncryptedShare) bool, copySrc bool) []posting.EncryptedShare {
-	if keep == nil {
-		if len(src) == 0 {
-			return nil
-		}
-		if !copySrc {
-			return src
-		}
-		out := make([]posting.EncryptedShare, len(src))
-		copy(out, src)
-		return out
-	}
-	var out []posting.EncryptedShare
-	for _, sh := range src {
-		if keep(sh) {
-			out = append(out, sh)
-		}
-	}
-	return out
-}
-
 // Scan implements Store.
 func (d *Disk) Scan(lid merging.ListID, keep func(posting.EncryptedShare) bool) []posting.EncryptedShare {
 	d.mu.RLock()
@@ -971,7 +950,7 @@ func (d *Disk) Scan(lid merging.ListID, keep func(posting.EncryptedShare) bool) 
 		return nil
 	}
 	if dl.shares != nil {
-		out := filterShares(dl.shares, keep, true)
+		out := filterShares(dl.shares, keep, false)
 		d.mu.RUnlock()
 		return out
 	}
@@ -984,10 +963,10 @@ func (d *Disk) Scan(lid merging.ListID, keep func(posting.EncryptedShare) bool) 
 		return nil
 	}
 	if dl.shares != nil {
-		return filterShares(dl.shares, keep, true)
+		return filterShares(dl.shares, keep, false)
 	}
 	shares, cached := d.loadList(dl, lid)
-	return filterShares(shares, keep, cached)
+	return filterShares(shares, keep, !cached)
 }
 
 // List implements Store.
@@ -1019,22 +998,14 @@ func (d *Disk) ScanRange(lid merging.ListID, from, n int, keep func(posting.Encr
 	if from > total {
 		from = total
 	}
-	if from < end {
-		var window []posting.EncryptedShare
-		if dl.shares != nil {
-			window = dl.shares[from:end]
-		} else {
-			var err error
-			window, err = d.readEntries(dl, lid, from, end)
-			if err != nil {
-				panic(fmt.Sprintf("store: disk read: %v", err))
-			}
+	if dl.shares != nil {
+		shares = filterShares(dl.shares[from:end], keep, false)
+	} else if from < end {
+		window, err := d.readEntries(dl, lid, from, end)
+		if err != nil {
+			panic(fmt.Sprintf("store: disk read: %v", err))
 		}
-		for _, sh := range window {
-			if keep == nil || keep(sh) {
-				shares = append(shares, sh)
-			}
-		}
+		shares = filterShares(window, keep, true)
 	}
 	if end < total {
 		next = posting.ImpactOf(dl.entries[end].gid)

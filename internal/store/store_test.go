@@ -202,6 +202,41 @@ func TestScanFiltersInStoredOrder(t *testing.T) {
 		if st.Scan(99, nil) != nil {
 			t.Error("scan of unknown list must be nil")
 		}
+		// What a scan returns is the caller's: scribbling over it must
+		// not reach the store, filtered or not.
+		for _, keep := range []func(posting.EncryptedShare) bool{nil, func(s posting.EncryptedShare) bool { return s.Group == 1 }} {
+			got := st.Scan(6, keep)
+			for i := range got {
+				got[i] = sh(77, 7, 7)
+			}
+			if again := st.Scan(6, nil); len(again) != 3 || again[0] != sh(1, 1, 1) {
+				t.Errorf("store changed through a scan result: %+v", again)
+			}
+		}
+	})
+}
+
+// TestScanAllocatesOnce is the read filter's budget: a group-filtered
+// scan or window of a resident list is one allocation, sized up front,
+// not a slice grown from nothing through append.
+func TestScanAllocatesOnce(t *testing.T) {
+	each(t, func(t *testing.T, st store.Store) {
+		if _, disk := st.(*store.Disk); disk {
+			t.Skip("disk reads allocate their own buffers")
+		}
+		shares := make([]posting.EncryptedShare, 2000)
+		for i := range shares {
+			shares[i] = sh(posting.GlobalID(i+1), uint32(i%2), uint64(i))
+		}
+		st.Upsert(4, shares)
+		keep := func(s posting.EncryptedShare) bool { return s.Group == 1 }
+		var n int
+		if allocs := testing.AllocsPerRun(10, func() { n = len(st.Scan(4, keep)) }); allocs > 1 || n != 1000 {
+			t.Errorf("filtered Scan: %v allocations for %d shares, want 1 for 1000", allocs, n)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { got, _, _ := st.ScanRange(4, 100, 512, keep); n = len(got) }); allocs > 1 || n != 256 {
+			t.Errorf("filtered ScanRange: %v allocations for %d shares, want 1 for 256", allocs, n)
+		}
 	})
 }
 

@@ -124,23 +124,37 @@ func (t *table) deleteIf(lid merging.ListID, gid posting.GlobalID, allow func(po
 	return true, true
 }
 
-func (t *table) scan(lid merging.ListID, keep func(posting.EncryptedShare) bool) []posting.EncryptedShare {
-	src := t.lists[lid]
-	if keep == nil {
-		if len(src) == 0 {
-			return nil
-		}
-		out := make([]posting.EncryptedShare, len(src))
-		copy(out, src)
-		return out
+// filterShares is the one read-side filter of every engine: it returns
+// the shares of src that keep accepts (nil keeps all), or nil when there
+// are none. The result never aliases engine state: it is src itself,
+// filtered in place, when the caller owns src (a list just read from
+// disk), and otherwise a copy sized once to len(src) — a scan returns
+// half a list on average, so growing from nothing through append cost
+// more in reallocation than the spare half costs in memory.
+func filterShares(src []posting.EncryptedShare, keep func(posting.EncryptedShare) bool, owned bool) []posting.EncryptedShare {
+	if len(src) == 0 {
+		return nil
 	}
-	var out []posting.EncryptedShare
+	out := src[:0]
+	if !owned {
+		out = make([]posting.EncryptedShare, 0, len(src))
+	}
+	if keep == nil {
+		return append(out, src...)
+	}
 	for _, sh := range src {
 		if keep(sh) {
 			out = append(out, sh)
 		}
 	}
+	if len(out) == 0 {
+		return nil
+	}
 	return out
+}
+
+func (t *table) scan(lid merging.ListID, keep func(posting.EncryptedShare) bool) []posting.EncryptedShare {
+	return filterShares(t.lists[lid], keep, false)
 }
 
 // scanRange copies positions [from, from+n) of the list (group-filtered
@@ -164,15 +178,10 @@ func (t *table) scanRange(lid merging.ListID, from, n int, keep func(posting.Enc
 	if from > total {
 		from = total
 	}
-	for _, sh := range src[from:end] {
-		if keep == nil || keep(sh) {
-			shares = append(shares, sh)
-		}
-	}
 	if end < total {
 		next = posting.ImpactOf(src[end].GlobalID)
 	}
-	return shares, total, next
+	return filterShares(src[from:end], keep, false), total, next
 }
 
 func (t *table) dropList(lid merging.ListID) int {

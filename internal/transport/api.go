@@ -85,7 +85,13 @@ type API interface {
 	Apply(ctx context.Context, tok auth.Token, op OpID, inserts []InsertOp, deletes []DeleteOp) error
 	// GetPostingLists authenticates the caller and returns, for each
 	// requested list, the shares belonging to groups the caller is a
-	// member of (paper §5.4.2).
+	// member of (paper §5.4.2), in the server's stored order.
+	//
+	// The map and every slice in it belong to the caller: an
+	// implementation returns copies it keeps no reference to, so the
+	// caller may reorder, overwrite or retain them, and nothing it does
+	// reaches the server or another caller. (The client only reads
+	// them: it joins shares by global ID without moving them.)
 	GetPostingLists(ctx context.Context, tok auth.Token, lists []merging.ListID) (map[merging.ListID][]posting.EncryptedShare, error)
 	// GetPostingBlocks is the paged lookup behind top-k retrieval
 	// (Zerber+R §6): it authenticates the caller and returns the window
@@ -93,6 +99,7 @@ type API interface {
 	// like GetPostingLists. The page reports the unfiltered list length
 	// and the impact bucket of the first element past the window so the
 	// client can bound the score of everything it has not fetched.
+	// page.Shares is the caller's, like the slices of GetPostingLists.
 	GetPostingBlocks(ctx context.Context, tok auth.Token, list merging.ListID, from, n int) (BlockPage, error)
 }
 

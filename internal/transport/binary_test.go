@@ -338,35 +338,43 @@ func TestBinaryServerTruncatedFrame(t *testing.T) {
 
 // TestBinaryClientRejectsCorruptResponse runs a fake server that
 // answers with garbage: the client must fail the call and mark the
-// connection dead rather than mis-decode.
+// connection dead rather than mis-decode — both when the reader cannot
+// even route the frame (too short to carry a request ID) and when it
+// routes it and the waiting caller finds the body malformed.
 func TestBinaryClientRejectsCorruptResponse(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		nc, err := ln.Accept()
+	for name, payload := range map[string][]byte{
+		"no header": {1, 2, 3},
+		// Request ID 0 (the dial's x-coordinate call), kind xcoord,
+		// status OK, then 3 of the 8 body bytes.
+		"short body": {0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 2, 3},
+	} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			return
+			t.Fatal(err)
 		}
-		defer nc.Close()
-		br := bufio.NewReader(nc)
-		if _, err := wal.ReadFrame(br); err != nil {
-			return
-		}
-		// Answer with a frame whose payload is too short to be a header.
-		var buf bytes.Buffer
-		wal.AppendFrame(&buf, []byte{1, 2, 3})
-		nc.Write(buf.Bytes())
-	}()
+		defer ln.Close()
+		go func() {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer nc.Close()
+			br := bufio.NewReader(nc)
+			if _, err := wal.ReadFrame(br); err != nil {
+				return
+			}
+			var buf bytes.Buffer
+			wal.AppendFrame(&buf, payload)
+			nc.Write(buf.Bytes())
+		}()
 
-	_, err = transport.DialBinary(ln.Addr().String(), time.Second)
-	if err == nil {
-		t.Fatal("client accepted a garbage response")
-	}
-	if !strings.Contains(err.Error(), "malformed") {
-		t.Errorf("expected a malformed-message error, got: %v", err)
+		_, err = transport.DialBinary(ln.Addr().String(), time.Second)
+		if err == nil {
+			t.Fatalf("%s: client accepted a garbage response", name)
+		}
+		if !strings.Contains(err.Error(), "malformed") {
+			t.Errorf("%s: expected a malformed-message error, got: %v", name, err)
+		}
 	}
 }
 

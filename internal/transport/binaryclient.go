@@ -35,7 +35,12 @@ var errClientClosed = errors.New("transport: binary client closed")
 // with request pipelining: every call is tagged with a request ID,
 // written by a per-connection writer goroutine, and matched to its
 // response by a reader goroutine — so a connection carries many
-// in-flight calls and none of them waits for another's round trip.
+// in-flight calls and none of them waits for another's round trip. The
+// reader only routes: it hands the frame to the caller that is waiting
+// for it, which decodes it on its own goroutine, so a 100 KB response
+// does not hold up the connection's other calls and the response of an
+// abandoned call (a straggler the fan-out cancelled) is dropped
+// undecoded.
 //
 // A broken connection fails every in-flight call and is re-dialed
 // lazily with exponential backoff on the next call. That retry surface
@@ -181,23 +186,29 @@ func (c *BinaryClient) call(ctx context.Context, req binRequest) (binResponse, e
 	}
 }
 
-// finish turns one delivered result into the call's return values.
+// finish turns one delivered result into the call's return values,
+// decoding the response frame on the calling goroutine. A frame that
+// does not decode, or answers a different kind of request, means the
+// stream cannot be trusted: the connection dies with the call.
 func (c *BinaryClient) finish(conn *binConn, name string, kind byte, res binResult) (binResponse, error) {
 	if res.err != nil {
 		return binResponse{}, fmt.Errorf("transport: %s %s: %w", name, c.addr, res.err)
 	}
-	if res.resp.kind != kind {
-		conn.die(fmt.Errorf("transport: response kind %s for a %s request",
-			binKindName(res.resp.kind), name))
-		return binResponse{}, fmt.Errorf("transport: %s %s: %w", name, c.addr, conn.failure())
+	resp, err := decodeBinResponse(res.payload)
+	if err == nil && resp.kind != kind {
+		err = fmt.Errorf("transport: response kind %s for a %s request", binKindName(resp.kind), name)
 	}
-	if res.resp.status != 0 {
+	if err != nil {
+		conn.die(err)
+		return binResponse{}, fmt.Errorf("transport: %s %s: %w", name, c.addr, err)
+	}
+	if resp.status != 0 {
 		// Mirror the HTTP client's error shape so status-sensitive
 		// callers (and the conformance tests) see identical text.
 		return binResponse{}, fmt.Errorf("transport: %s: status %d: %s",
-			name, res.resp.status, res.resp.msg)
+			name, resp.status, resp.msg)
 	}
-	return res.resp, nil
+	return resp, nil
 }
 
 // register returns a live connection (dialing under the backoff policy
@@ -236,10 +247,12 @@ func (c *BinaryClient) register() (*binConn, uint64, *binCall, error) {
 	return c.conn, id, call, nil
 }
 
-// binResult is one call's outcome, delivered by the reader goroutine.
+// binResult is one call's outcome, delivered by the reader goroutine:
+// the response frame's payload, still encoded, or the connection's
+// failure.
 type binResult struct {
-	resp binResponse
-	err  error
+	payload []byte
+	err     error
 }
 
 type binCall struct {
@@ -372,16 +385,17 @@ func (bc *binConn) readLoop() {
 			bc.die(fmt.Errorf("transport: read: %w", err))
 			return
 		}
-		resp, err := decodeBinResponse(payload)
-		if err != nil {
-			bc.die(err)
+		id, _, ok := binPeekID(payload)
+		if !ok {
+			bc.die(fmt.Errorf("%w: truncated response header", errBinMalformed))
 			return
 		}
-		if call := bc.take(resp.id); call != nil {
-			call.ch <- binResult{resp: resp}
+		if call := bc.take(id); call != nil {
+			call.ch <- binResult{payload: payload}
 		}
 		// No pending entry: the caller gave up (context cancellation);
-		// the response is dropped and the connection stays in sync.
+		// the response is dropped undecoded and the connection stays in
+		// sync.
 	}
 }
 

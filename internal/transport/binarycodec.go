@@ -227,6 +227,25 @@ func (r *binReader) count(size int) int {
 	return int(n)
 }
 
+// shares reads a 4-byte count and that many fixed-width share records.
+// The count is checked against the remaining bytes once, which covers
+// every record, so the loop pays one bounds check per record instead of
+// one per field.
+func (r *binReader) shares() []posting.EncryptedShare {
+	n := r.count(binShareSize)
+	b := r.take(n * binShareSize)
+	out := make([]posting.EncryptedShare, n)
+	for i := range out {
+		rec := b[i*binShareSize : (i+1)*binShareSize]
+		out[i] = posting.EncryptedShare{
+			GlobalID: posting.GlobalID(binary.LittleEndian.Uint64(rec)),
+			Group:    binary.LittleEndian.Uint32(rec[8:]),
+			Y:        field.Element(binary.LittleEndian.Uint64(rec[12:])),
+		}
+	}
+	return out
+}
+
 func (r *binReader) insertOps() []InsertOp {
 	n := r.count(binInsertSize)
 	if r.err || n == 0 {
@@ -392,27 +411,13 @@ func decodeBinResponse(payload []byte) (binResponse, error) {
 	case binMsgLookupBlocks:
 		resp.page.Total = int(r.u32())
 		resp.page.Next = r.u8()
-		nShares := r.count(binShareSize)
-		if nShares > 0 {
-			resp.page.Shares = make([]posting.EncryptedShare, nShares)
-			for j := range resp.page.Shares {
-				resp.page.Shares[j].GlobalID = posting.GlobalID(r.u64())
-				resp.page.Shares[j].Group = r.u32()
-				resp.page.Shares[j].Y = field.Element(r.u64())
-			}
-		}
+		resp.page.Shares = r.shares()
 	case binMsgLookup:
 		nLists := r.count(8) // at least list ID + share count per list
 		resp.lists = make(map[merging.ListID][]posting.EncryptedShare, nLists)
 		for i := 0; i < nLists && !r.err; i++ {
 			lid := merging.ListID(r.u32())
-			nShares := r.count(binShareSize)
-			shares := make([]posting.EncryptedShare, nShares)
-			for j := range shares {
-				shares[j].GlobalID = posting.GlobalID(r.u64())
-				shares[j].Group = r.u32()
-				shares[j].Y = field.Element(r.u64())
-			}
+			shares := r.shares()
 			if _, dup := resp.lists[lid]; dup {
 				return resp, fmt.Errorf("%w: duplicate list %d in response", errBinMalformed, lid)
 			}

@@ -51,6 +51,33 @@ func retiredDeleteRequest(id uint64) []byte {
 	return appendDeleteOps(payload, []DeleteOp{{List: 5, ID: 10}})
 }
 
+// duplicateListLookupResponse is a lookup response naming list 7 twice,
+// once with a share and once empty.
+func duplicateListLookupResponse() []byte {
+	return appendBinOK(nil, 1, binMsgLookup, func(dst []byte) []byte {
+		dst = appendU32(dst, 2)
+		dst = appendLookupBody(dst, map[merging.ListID][]posting.EncryptedShare{7: {share(70, 1, 700)}})[4:]
+		dst = appendU32(dst, 7)
+		return appendU32(dst, 0)
+	})
+}
+
+// miscountedLookupResponse is a one-list lookup response whose share
+// count says claimed while two share records follow.
+func miscountedLookupResponse(claimed uint32) []byte {
+	return appendBinOK(nil, 1, binMsgLookup, func(dst []byte) []byte {
+		dst = appendU32(dst, 1)
+		dst = appendU32(dst, 7)
+		dst = appendU32(dst, claimed)
+		for _, sh := range []posting.EncryptedShare{share(70, 1, 700), share(71, 1, 710)} {
+			dst = appendU64(dst, uint64(sh.GlobalID))
+			dst = appendU32(dst, sh.Group)
+			dst = appendU64(dst, sh.Y.Uint64())
+		}
+		return dst
+	})
+}
+
 func TestBinaryRequestRoundTrip(t *testing.T) {
 	for _, want := range sampleRequests() {
 		payload := appendBinRequest(nil, &want)
@@ -149,17 +176,15 @@ func TestBinaryDecodeRejectsMalformed(t *testing.T) {
 		t.Error("oversized element count accepted")
 	}
 
-	// Response side: duplicate list IDs and truncations are rejected.
-	dup := appendU64(nil, 1)
-	dup = append(dup, binMsgLookup)
-	dup = appendU16(dup, 0)
-	dup = appendU32(dup, 2)
-	for i := 0; i < 2; i++ {
-		dup = appendU32(dup, 7)
-		dup = appendU32(dup, 0)
-	}
-	if _, err := decodeBinResponse(dup); err == nil {
+	// Response side: duplicate list IDs, share counts that disagree with
+	// the bytes that follow, and truncations are rejected.
+	if _, err := decodeBinResponse(duplicateListLookupResponse()); err == nil {
 		t.Error("duplicate list in lookup response accepted")
+	}
+	for _, claimed := range []uint32{1, 3, 1 << 30} {
+		if _, err := decodeBinResponse(miscountedLookupResponse(claimed)); err == nil {
+			t.Errorf("lookup response claiming %d shares over 2 records accepted", claimed)
+		}
 	}
 	okResp := appendBinOK(nil, 1, binMsgXCoord, func(dst []byte) []byte { return appendU64(dst, 42) })
 	if _, err := decodeBinResponse(okResp[:len(okResp)-1]); err == nil {
@@ -186,5 +211,35 @@ func TestBinaryPeekID(t *testing.T) {
 	}
 	if _, _, ok := binPeekID(payload[:8]); ok {
 		t.Error("binPeekID accepted a payload shorter than the header")
+	}
+}
+
+// TestBinaryLookupDecodeAllocations is the decode budget: a lookup
+// response costs one share slice per non-empty list plus the map, however
+// many shares it carries.
+func TestBinaryLookupDecodeAllocations(t *testing.T) {
+	const nLists, perList = 3, 1200
+	lists := make(map[merging.ListID][]posting.EncryptedShare, nLists)
+	for l := 0; l < nLists; l++ {
+		shares := make([]posting.EncryptedShare, perList)
+		for i := range shares {
+			shares[i] = share(posting.GlobalID(l*perList+i), 1, uint64(i))
+		}
+		lists[merging.ListID(l)] = shares
+	}
+	payload := appendBinOK(nil, 9, binMsgLookup, func(dst []byte) []byte { return appendLookupBody(dst, lists) })
+	var resp binResponse
+	allocs := testing.AllocsPerRun(20, func() {
+		var err error
+		if resp, err = decodeBinResponse(payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !reflect.DeepEqual(resp.lists, lists) {
+		t.Fatal("decoded lists differ from the encoded ones")
+	}
+	// The map is two allocations: its header and its one group of slots.
+	if allocs > nLists+2 {
+		t.Errorf("decoding %d lists of %d shares allocated %.0f times, want at most %d", nLists, perList, allocs, nLists+2)
 	}
 }

@@ -49,6 +49,13 @@ func FuzzBinaryFrameDecode(f *testing.F) {
 		return appendLookupBody(dst, lookup)
 	})))
 	f.Add(fuzzFrame(appendBinError(nil, 7, binMsgApply, 403, "not in the required group")))
+	// Lookup responses the decoder must refuse: a share count that
+	// disagrees with the records behind it (short, long, absurd) and a
+	// list named twice.
+	for _, claimed := range []uint32{1, 3, 1 << 30} {
+		f.Add(fuzzFrame(miscountedLookupResponse(claimed)))
+	}
+	f.Add(fuzzFrame(duplicateListLookupResponse()))
 	// Corruptions of a valid frame: flipped CRC byte, torn tail, torn
 	// header, trailing garbage, and two concatenated frames.
 	base := fuzzFrame(appendBinRequest(nil, &binRequest{id: 8, kind: binMsgXCoord}))

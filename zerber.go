@@ -35,18 +35,19 @@
 // posting-list request out to the index servers in parallel and
 // completes as soon as the first k respond (Algorithm 2 needs any k of
 // the n shares); stragglers are cancelled through context.Context, which
-// the transport layer threads down to every server call. Three Options
+// the transport layer threads down to every server call. Two Options
 // knobs tune the engine:
 //
 //   - FanoutWidth caps the number of concurrently in-flight server
 //     requests (0 = all n at once; 1 = the sequential baseline);
 //
 //   - HedgeDelay, with a narrow fan-out, launches one extra server each
-//     time the delay elapses without k responses, hedging tail latency;
+//     time the delay elapses without k responses, hedging tail latency.
 //
-//   - DecryptWorkers sets how many goroutines reconstruct the returned
-//     Shamir shares (0 = one per CPU). Joined elements are processed in
-//     a deterministic order, so results and Stats are reproducible.
+// What happens once k responses are in has no knob: the shares are
+// joined by element ID, reconstructed, filtered and ranked inline on the
+// calling goroutine, at a few nanoseconds per element, with results and
+// Stats that do not depend on which servers answered.
 //
 // # Top-k retrieval
 //
@@ -59,7 +60,7 @@
 // global ID, and every index server keeps each merged list ordered by
 // descending bucket. A top-k query then streams score-ordered blocks —
 // GetPostingBlocks(list, from, n) — from k servers round by round,
-// decrypts incrementally on the worker pool, and stops as soon as a
+// decrypts each round's elements as they arrive, and stops as soon as a
 // no-random-access threshold argument (ranking.Stream) proves that no
 // unfetched element can alter the top k: the bucket of the first
 // unfetched position bounds everything behind it. Latency then scales
@@ -369,7 +370,7 @@ const (
 type Options struct {
 	// N is the number of index servers; K is the secret-sharing
 	// threshold (k-of-n). Defaults: N=3, K=2 (the paper's evaluation
-	// setup).
+	// setup). A searcher addresses at most 64 servers (client.New).
 	N, K int
 	// Heuristic, M, R and RareCutoff configure posting-list merging; see
 	// merging.Options. Defaults: DFM with M = max(1, vocab/8) lists and
@@ -393,9 +394,6 @@ type Options struct {
 	// launches one additional server each time the delay elapses without
 	// k responses (tail-latency hedging).
 	HedgeDelay time.Duration
-	// DecryptWorkers is the share-reconstruction worker count per query.
-	// 0 means one worker per CPU; 1 decrypts serially.
-	DecryptWorkers int
 	// TopKMode switches searches to the early-terminating block protocol
 	// (see "Top-k retrieval" above): score-ordered block rounds that stop
 	// as soon as the top k are provably final, ranked by summed term
@@ -829,18 +827,17 @@ type Searcher struct {
 }
 
 // Searcher creates a query client over the cluster's servers, tuned by
-// the cluster's FanoutWidth, HedgeDelay, DecryptWorkers, TopKMode, and
-// BlockSize options.
+// the cluster's FanoutWidth, HedgeDelay, TopKMode, and BlockSize
+// options.
 func (c *Cluster) Searcher() (*Searcher, error) {
 	cl, err := client.New(c.apis, c.opts.K, c.table, c.voc)
 	if err != nil {
 		return nil, err
 	}
 	cl.SetTuning(client.Tuning{
-		Fanout:         c.opts.FanoutWidth,
-		HedgeDelay:     c.opts.HedgeDelay,
-		DecryptWorkers: c.opts.DecryptWorkers,
-		BlockSize:      c.opts.BlockSize,
+		Fanout:     c.opts.FanoutWidth,
+		HedgeDelay: c.opts.HedgeDelay,
+		BlockSize:  c.opts.BlockSize,
 	})
 	return &Searcher{c: cl, cluster: c, topK: c.opts.TopKMode}, nil
 }
