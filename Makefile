@@ -7,8 +7,7 @@ FUZZTIME ?= 10s
 COMMIT ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 
 .PHONY: build test test-full race fuzz cover bench benchstore benchjson \
-	loadsmoke loadfull loadbaseline loadbaseline-binary loadbaseline-disk \
-	loadbaseline-full lint fmt ci
+	soak soak-full lint fmt ci
 
 build:
 	$(GO) build ./...
@@ -61,8 +60,8 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # Storage-engine comparison: BenchmarkServerMixed runs the same parallel
-# mixed insert/lookup/delete workload against the single-lock baseline
-# (StoreShards=1), the sharded default, and the log-structured disk
+# mixed insert/lookup/delete workload against the one-stripe single-lock
+# reference (shards=1), the sharded default, and the log-structured disk
 # engine under a cache budget well below the dataset, so the sharding
 # speedup and the disk residency cost are reproducible from one
 # command. Needs >1 CPU to show parallel gain.
@@ -80,7 +79,7 @@ benchstore:
 # would truncate it before the parser even runs.
 benchjson:
 	$(GO) test -run='^$$' \
-		-bench='^(BenchmarkSplitBatch|BenchmarkSplitSequential|BenchmarkEncryptBatch|BenchmarkEncryptSequential|BenchmarkIndexDocument5k|BenchmarkIndexDocument5kSerial|BenchmarkUpdateDocument|BenchmarkJournaledFlush|BenchmarkUnjournaledFlush|BenchmarkFillRandDRBG|BenchmarkFillRandCryptoDirect|BenchmarkInvChain|BenchmarkInvGenericPow|BenchmarkEncodeGetPostingLists|BenchmarkBinaryVsJSONRoundTrip|BenchmarkMigrationThroughput|BenchmarkSearchTopK|BenchmarkRetrieveJoinRank|BenchmarkServerMixed)$$' \
+		-bench='^(BenchmarkSplitBatch|BenchmarkSplitSequential|BenchmarkEncryptBatch|BenchmarkEncryptSequential|BenchmarkIndexDocument5k|BenchmarkUpdateDocument|BenchmarkJournaledFlush|BenchmarkUnjournaledFlush|BenchmarkFillRandDRBG|BenchmarkFillRandCryptoDirect|BenchmarkInvChain|BenchmarkInvGenericPow|BenchmarkEncodeGetPostingLists|BenchmarkBinaryVsJSONRoundTrip|BenchmarkMigrationThroughput|BenchmarkSearchTopK|BenchmarkRetrieveJoinRank|BenchmarkServerMixed)$$' \
 		-benchmem -benchtime=$(BENCHTIME) -count=1 \
 		./internal/field/ ./internal/shamir/ ./internal/posting/ ./internal/peer/ \
 		./internal/transport/ ./internal/dht/ ./internal/server/ ./internal/client/ . \
@@ -91,59 +90,20 @@ benchjson:
 	@rm -f bench_index.out.tmp
 	@cat BENCH_index.json
 
-# Closed-loop load harness (cmd/zerber-loadgen): a real multi-server
-# cluster served over the HTTP transport, with concurrent searchers
-# replaying the Zipfian query model while peers index/update/delete and
-# group churn + proactive resharing run in the background. Artifacts are
-# written through temp files for the same no-truncation reason as
-# benchjson. `compare` exits nonzero on a REGRESS verdict, failing the
-# job; LOAD_baseline.json is the committed reference (see TESTING.md for
-# when and how to re-record it).
-loadsmoke:
-	$(GO) run ./cmd/zerber-loadgen run -scale smoke -commit $(COMMIT) \
-		-out load_smoke.json.tmp
-	mv load_smoke.json.tmp LOAD_smoke.json
-	$(GO) run ./cmd/zerber-loadgen compare -out LOAD_verdict.json \
-		LOAD_baseline.json LOAD_smoke.json
-	$(GO) run ./cmd/zerber-loadgen run -scale smoke -transport binary \
-		-commit $(COMMIT) -out load_smoke_binary.json.tmp
-	mv load_smoke_binary.json.tmp LOAD_smoke_binary.json
-	$(GO) run ./cmd/zerber-loadgen compare -out LOAD_verdict_binary.json \
-		LOAD_baseline_binary.json LOAD_smoke_binary.json
-	$(GO) run ./cmd/zerber-loadgen run -scale smoke -store-engine disk \
-		-commit $(COMMIT) -out load_smoke_disk.json.tmp
-	mv load_smoke_disk.json.tmp LOAD_smoke_disk.json
-	$(GO) run ./cmd/zerber-loadgen compare -out LOAD_verdict_disk.json \
-		LOAD_baseline_disk.json LOAD_smoke_disk.json
+# Soak (cmd/zerber-loadgen): a real multi-server cluster over loopback
+# TCP with searchers on both retrieval paths, journaled peers mutating,
+# group churn, node join/leave with live migration and proactive
+# resharing all running at once, no fault injected. It exits nonzero on
+# any error, any idle operation kind, or servers that do not end up
+# holding exactly the peers' committed elements. It measures nothing:
+# speed is `go run ./benchmark` (benchmark/README.md).
+soak:
+	$(GO) run ./cmd/zerber-loadgen -scale smoke -transport http
+	$(GO) run ./cmd/zerber-loadgen -scale smoke -transport binary
+	$(GO) run ./cmd/zerber-loadgen -scale smoke -store-engine disk
 
-loadfull:
-	$(GO) run ./cmd/zerber-loadgen run -scale full -commit $(COMMIT) \
-		-out load_full.json.tmp
-	mv load_full.json.tmp LOAD_full.json
-	$(GO) run ./cmd/zerber-loadgen compare -out LOAD_verdict.json \
-		LOAD_baseline_full.json LOAD_full.json
-
-# Baseline refresh: re-record the committed reference artifacts after an
-# intentional performance change (then commit the updated files).
-loadbaseline:
-	$(GO) run ./cmd/zerber-loadgen run -scale smoke -commit $(COMMIT) \
-		-out load_baseline.json.tmp
-	mv load_baseline.json.tmp LOAD_baseline.json
-
-loadbaseline-binary:
-	$(GO) run ./cmd/zerber-loadgen run -scale smoke -transport binary \
-		-commit $(COMMIT) -out load_baseline.json.tmp
-	mv load_baseline.json.tmp LOAD_baseline_binary.json
-
-loadbaseline-disk:
-	$(GO) run ./cmd/zerber-loadgen run -scale smoke -store-engine disk \
-		-commit $(COMMIT) -out load_baseline.json.tmp
-	mv load_baseline.json.tmp LOAD_baseline_disk.json
-
-loadbaseline-full:
-	$(GO) run ./cmd/zerber-loadgen run -scale full -commit $(COMMIT) \
-		-out load_baseline.json.tmp
-	mv load_baseline.json.tmp LOAD_baseline_full.json
+soak-full:
+	$(GO) run ./cmd/zerber-loadgen -scale full
 
 lint:
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \

@@ -10,11 +10,10 @@
 //	  }
 //	}
 //
-// The meta block uses the same fields as the load-harness artifact
-// (internal/load.Meta) — commit SHA, scale, Go runtime — so bench and
-// load artifacts are comparable across runs. -commit and -scale stamp
-// the provenance; benchmark names have their -GOMAXPROCS suffix
-// stripped. It backs `make benchjson`, which records the
+// The meta block is the provenance needed to read two artifacts side
+// by side: commit SHA, scale, Go version, GOMAXPROCS. -commit and
+// -scale stamp the first two; benchmark names have their -GOMAXPROCS
+// suffix stripped. It backs `make benchjson`, which records the
 // indexing-pipeline benchmarks as BENCH_index.json so the performance
 // trajectory of the write path is tracked alongside the code.
 // Non-benchmark lines are ignored; benchmarks that appear multiple
@@ -27,12 +26,23 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-
-	"zerber/internal/load"
 )
+
+// schema identifies the artifact format. A format change is a new
+// version string, never a silent reinterpretation.
+const schema = "zerber-bench/v1"
+
+// meta stamps the artifact with its provenance.
+type meta struct {
+	Commit     string `json:"commit"`
+	Scale      string `json:"scale"`
+	GoVersion  string `json:"go_version"`
+	GoMaxProcs int    `json:"gomaxprocs"`
+}
 
 // measurement is one benchmark result row. Extra holds custom metrics
 // reported through b.ReportMetric (e.g. the migration benchmark's
@@ -111,7 +121,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "zerber-benchjson: no benchmark lines on stdin")
 		os.Exit(1)
 	}
-	meta, err := json.Marshal(load.NewMeta(*commit, *scale, 0))
+	if *commit == "" {
+		*commit = "unknown"
+	}
+	metaJSON, err := json.Marshal(meta{*commit, *scale, runtime.Version(), runtime.GOMAXPROCS(0)})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "zerber-benchjson: %v\n", err)
 		os.Exit(1)
@@ -124,8 +137,8 @@ func main() {
 	sort.Strings(names)
 	var sb strings.Builder
 	sb.WriteString("{\n")
-	fmt.Fprintf(&sb, "  \"schema\": %q,\n", load.BenchSchema)
-	fmt.Fprintf(&sb, "  \"meta\": %s,\n", meta)
+	fmt.Fprintf(&sb, "  \"schema\": %q,\n", schema)
+	fmt.Fprintf(&sb, "  \"meta\": %s,\n", metaJSON)
 	sb.WriteString("  \"results\": {\n")
 	for i, n := range names {
 		row, err := json.Marshal(results[n])

@@ -1,31 +1,20 @@
-// Command zerber-loadgen drives a real multi-server Zerber cluster over
-// the HTTP transport under sustained mixed traffic and judges runs
-// against each other.
+// Command zerber-loadgen soaks a real multi-server Zerber cluster: every
+// kind of traffic at once, over loopback TCP, with no fault injected.
 //
-// Two subcommands:
+//	zerber-loadgen [-scale smoke|full] [-transport http|binary]
+//	               [-store-engine sharded|disk] [-dht-nodes N]
+//	               [-seed N] [-duration D] [-q]
 //
-//	zerber-loadgen run -scale smoke|full [-transport http|binary]
-//	                   [-store-engine memory|sharded|disk] [-dht-nodes N]
-//	                   [-seed N] [-duration D]
-//	                   [-commit SHA] [-out FILE] [-q]
+// One run (internal/load) has concurrent users issuing Zipfian searches
+// on both retrieval paths while journaled peers index, update and
+// delete documents, and group churn, node join/leave churn with its
+// online list migration, and proactive resharing run in the background.
+// It prints one line per operation kind — successful operations and
+// errors — and exits 1 if any kind recorded an error, if a kind the run
+// exists to exercise did no work, or if the servers do not end up
+// holding exactly the peers' committed elements.
 //
-// runs one closed-loop load session (internal/load): N concurrent users
-// issuing Zipfian searches while peers index/update/delete documents
-// and group churn, node join/leave churn with its online list
-// migration, plus proactive resharing run in the background. The
-// schema-versioned JSON artifact goes to -out (atomically, via temp
-// file + rename) or stdout.
-//
-//	zerber-loadgen compare [-out FILE] [threshold flags] BASELINE CANDIDATE
-//
-// diffs two artifacts metric by metric and renders a PASS / NEUTRAL /
-// REGRESS verdict table (markdown) on stdout — appended to
-// $GITHUB_STEP_SUMMARY when that variable is set, so CI runs show the
-// table on the workflow summary page — and exits nonzero on REGRESS.
-// -out additionally records the verdict as a JSON artifact. Thresholds
-// default to noise-tolerant values suited to cross-machine comparison
-// (see load.DefaultThresholds); tighten them with flags when baseline
-// and candidate ran on the same hardware.
+// It measures nothing: speed is benchmark/'s job (benchmark/README.md).
 package main
 
 import (
@@ -38,40 +27,18 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-	}
-	switch os.Args[1] {
-	case "run":
-		runCmd(os.Args[2:])
-	case "compare":
-		compareCmd(os.Args[2:])
-	default:
-		usage()
-	}
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: zerber-loadgen run|compare [flags]  (see -h of each subcommand)")
-	os.Exit(2)
-}
-
-func runCmd(args []string) {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	var (
-		scale     = fs.String("scale", "smoke", "scale tier: smoke (CI) or full (nightly)")
-		seed      = fs.Int64("seed", 0, "workload seed override (0 = tier default)")
-		duration  = fs.Duration("duration", 0, "measured-phase duration override (0 = tier default)")
-		transport = fs.String("transport", "http", "wire codec the cluster serves and dials: http or binary")
-		engine    = fs.String("store-engine", "", "storage engine the servers run on: memory, sharded, or disk (empty = tier default)")
-		dhtNodes  = fs.Int("dht-nodes", -1, "physical nodes per share slot (-1 = tier default; 0 or 1 = monolithic, disables node churn)")
-		commit    = fs.String("commit", "", "commit SHA recorded in the artifact meta")
-		out       = fs.String("out", "", "artifact path (empty = stdout)")
-		quiet     = fs.Bool("q", false, "suppress progress logging")
+		scale     = flag.String("scale", "smoke", "scale tier: smoke (CI) or full (nightly)")
+		seed      = flag.Int64("seed", 0, "workload seed override (0 = tier default)")
+		duration  = flag.Duration("duration", 0, "mixed-traffic duration override (0 = tier default)")
+		transport = flag.String("transport", "http", "wire codec the cluster serves and dials: http or binary")
+		engine    = flag.String("store-engine", "sharded", "storage engine the servers run on: sharded (in memory) or disk")
+		dhtNodes  = flag.Int("dht-nodes", -1, "physical nodes per share slot (-1 = tier default; 0 or 1 = monolithic, disables node churn)")
+		quiet     = flag.Bool("q", false, "suppress progress logging")
 	)
-	fs.Parse(args)
-	if fs.NArg() != 0 {
-		fs.Usage()
+	flag.Parse()
+	if flag.NArg() != 0 {
+		flag.Usage()
 		os.Exit(2)
 	}
 
@@ -87,7 +54,6 @@ func runCmd(args []string) {
 	}
 	cfg.Transport = *transport
 	cfg.StoreEngine = *engine
-	cfg.Commit = *commit
 	if *dhtNodes >= 0 {
 		cfg.DHTNodes = *dhtNodes
 		if cfg.DHTNodes < 2 {
@@ -101,81 +67,16 @@ func runCmd(args []string) {
 	}
 
 	start := time.Now()
-	report, err := load.Run(cfg)
+	res, err := load.Run(cfg)
 	if err != nil {
 		fatal(err)
 	}
-	data, err := report.Encode()
-	if err != nil {
+	fmt.Print(res)
+	if err := res.Check(); err != nil {
 		fatal(err)
 	}
-	if *out == "" {
-		os.Stdout.Write(data)
-	} else if err := load.WriteFileAtomic(*out, data); err != nil {
-		fatal(fmt.Errorf("writing %s: %w", *out, err))
-	}
-	fmt.Fprintf(os.Stderr, "zerber-loadgen: %s run complete in %v\n",
-		cfg.Scale, time.Since(start).Round(time.Millisecond))
-}
-
-func compareCmd(args []string) {
-	fs := flag.NewFlagSet("compare", flag.ExitOnError)
-	var th load.Thresholds
-	var (
-		out = fs.String("out", "", "verdict artifact path (JSON; empty = none)")
-	)
-	fs.Float64Var(&th.LatencyRegress, "regress-latency", 0, "latency ratio at or above which REGRESS (0 = default)")
-	fs.Float64Var(&th.LatencyPass, "pass-latency", 0, "latency ratio at or below which PASS (0 = default)")
-	fs.Float64Var(&th.ThroughputRegress, "regress-throughput", 0, "throughput ratio at or below which REGRESS (0 = default)")
-	fs.Float64Var(&th.ThroughputPass, "pass-throughput", 0, "throughput ratio at or above which PASS (0 = default)")
-	fs.Float64Var(&th.ErrorRateSlack, "error-slack", 0, "tolerated error-rate increase over baseline (0 = default)")
-	fs.Int64Var(&th.MinOps, "min-ops", 0, "minimum successful ops per side before a kind is judged (0 = default)")
-	fs.Parse(args)
-	if fs.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: zerber-loadgen compare [flags] BASELINE.json CANDIDATE.json")
-		os.Exit(2)
-	}
-
-	base, err := load.ReadReport(fs.Arg(0))
-	if err != nil {
-		fatal(err)
-	}
-	cand, err := load.ReadReport(fs.Arg(1))
-	if err != nil {
-		fatal(err)
-	}
-	rows, overall, err := load.Compare(base, cand, th)
-	if err != nil {
-		fatal(err)
-	}
-
-	table := load.RenderTable(base, cand, rows, overall)
-	fmt.Print(table)
-	if path := os.Getenv("GITHUB_STEP_SUMMARY"); path != "" {
-		if f, ferr := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644); ferr == nil {
-			fmt.Fprintf(f, "%s\n", table)
-			f.Close()
-		}
-	}
-	if *out != "" {
-		v := load.VerdictReport{
-			Schema:    load.VerdictSchema,
-			Overall:   overall,
-			Baseline:  base.Meta,
-			Candidate: cand.Meta,
-			Metrics:   rows,
-		}
-		data, err := v.Encode()
-		if err != nil {
-			fatal(err)
-		}
-		if err := load.WriteFileAtomic(*out, data); err != nil {
-			fatal(fmt.Errorf("writing %s: %w", *out, err))
-		}
-	}
-	if overall == load.Regress {
-		os.Exit(1)
-	}
+	fmt.Fprintf(os.Stderr, "zerber-loadgen: %s soak over %s on %s clean in %v\n",
+		*scale, *transport, *engine, time.Since(start).Round(time.Millisecond))
 }
 
 func fatal(err error) {

@@ -15,8 +15,8 @@
 // binary:// address) or http (the JSON debug transport; clients dial
 // http://). See the "Wire protocol" section of the zerber package docs.
 //
-// -store-engine picks where the shares live. memory and sharded (the
-// default) keep them in RAM: the index dies with the process. disk is
+// -store-engine picks where the shares live. sharded (the default)
+// keeps them in RAM: the index dies with the process. disk is
 // the durable configuration: the shares live in CRC-framed segment
 // files under -store-dir (default <name>.store), a restart on the same
 // directory replays them, and every acknowledged mutation has been
@@ -53,8 +53,7 @@ func main() {
 		groups = flag.String("groups", "", "comma-separated user:group memberships, e.g. alice:1,bob:2")
 		name   = flag.String("name", "", "server name for logs (default ix<x>)")
 		ttl    = flag.Duration("token-ttl", time.Hour, "token lifetime")
-		shards = flag.Int("store-shards", 0, "storage engine lock stripes: 1 = single-lock baseline, 0 = GOMAXPROCS-scaled sharded default")
-		engine = flag.String("store-engine", "", "storage engine: memory, sharded, or disk (empty = -store-shards selection); disk is crash-recoverable and fsyncs every acknowledged mutation")
+		engine = flag.String("store-engine", "sharded", "storage engine: sharded (in memory) or disk; disk is crash-recoverable and fsyncs every acknowledged mutation")
 		stdir  = flag.String("store-dir", "", "segment directory for -store-engine disk (default <name>.store)")
 		wire   = flag.String("transport", "binary", "wire codec served on -addr: binary or http")
 	)
@@ -102,7 +101,7 @@ func main() {
 		// Sync: an acknowledged Apply has been fsynced.
 		st, err = store.OpenDisk(*stdir, store.DiskOptions{Sync: true})
 	} else {
-		st, err = store.NewEngine(*engine, *shards, *stdir)
+		st, err = store.NewEngine(*engine, *stdir)
 	}
 	if err != nil {
 		log.Fatalf("zerber-server: %v", err)

@@ -34,7 +34,7 @@ func BenchmarkMigrationThroughput(b *testing.B) {
 	tok := svc.Issue("alice")
 	newNode := func(name string) *server.Server {
 		return server.New(server.Config{
-			Name: name, X: 1, Auth: svc, Groups: groups, Store: store.New(0),
+			Name: name, X: 1, Auth: svc, Groups: groups, Store: store.NewSharded(0),
 		})
 	}
 

@@ -37,7 +37,7 @@ func churnSlot(t *testing.T, nNodes int) (*dht.Slot, *auth.Service, auth.Token) 
 	for n := 0; n < nNodes; n++ {
 		srv := server.New(server.Config{
 			Name: fmt.Sprintf("node%d", n), X: 1, Auth: svc, Groups: groups,
-			Store: store.New(0),
+			Store: store.NewSharded(0),
 		})
 		if err := slot.AddNode(fmt.Sprintf("n%d", n), srv); err != nil {
 			t.Fatal(err)
@@ -50,7 +50,7 @@ func churnNodeServer(t *testing.T, svc *auth.Service, name string) *server.Serve
 	t.Helper()
 	groups := auth.NewGroupTable()
 	groups.Add("alice", 1)
-	return server.New(server.Config{Name: name, X: 1, Auth: svc, Groups: groups, Store: store.New(0)})
+	return server.New(server.Config{Name: name, X: 1, Auth: svc, Groups: groups, Store: store.NewSharded(0)})
 }
 
 // checkSlotSettled drives the slot to Pending()==0 and verifies every

@@ -173,7 +173,7 @@ type abortRec struct {
 }
 
 // localSink delivers transfers in-process — the default wire when all
-// of a slot's nodes live in one process (tests, the load harness).
+// of a slot's nodes live in one process (tests, the soak).
 type localSink struct{ s *Slot }
 
 func (l localSink) Ingest(_ context.Context, target string, ep Epoch, seq uint64, lid merging.ListID, shares []posting.EncryptedShare) error {

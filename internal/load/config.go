@@ -5,33 +5,27 @@ import (
 	"time"
 )
 
-// Config parameterizes one load run. The two committed tiers come from
+// Config parameterizes one soak run. The two committed tiers come from
 // SmokeConfig (the CI gate) and FullConfig (nightly); tests shrink a
 // tier further. Every derived quantity — corpus, query log, group
 // memberships, per-worker samplers — is seeded from Seed, so two runs
 // of the same config execute the same logical workload and differ only
 // in timing.
 type Config struct {
-	// Scale names the tier recorded in the artifact. Comparisons across
-	// different scales are rejected.
-	Scale string
 	// Seed drives corpus generation, the query log, memberships, and
 	// all worker randomness.
 	Seed int64
-	// Duration is the measured (steady-state) phase length; preload is
-	// not measured.
+	// Duration is the length of the mixed-traffic phase; preload comes
+	// before it.
 	Duration time.Duration
 
 	// Servers and K shape the cluster (n index servers, k-of-n
-	// sharing); StoreShards selects the storage engine (0 = sharded
-	// default, 1 = single-lock baseline).
-	Servers, K, StoreShards int
+	// sharing).
+	Servers, K int
 
-	// StoreEngine overrides the StoreShards engine selection by name:
-	// "memory", "sharded", or "disk" (the log-structured on-disk engine,
-	// segments in a temporary directory). Recorded in the artifact meta;
-	// Compare refuses to judge runs on different engines against each
-	// other. Empty keeps the StoreShards selection.
+	// StoreEngine names the servers' storage engine: "" or "sharded"
+	// (in memory) or "disk" (the log-structured on-disk engine, segments
+	// in a temporary directory).
 	StoreEngine string
 
 	// DHTNodes, when above 1, fronts each share slot with that many
@@ -41,8 +35,8 @@ type Config struct {
 
 	// NodeChurnEvery, when positive, paces node join/leave churn: a
 	// background worker alternately joins a fresh node to every slot and
-	// drains it back out while all other traffic keeps flowing, so the
-	// run measures serving performance during live migration. Requires
+	// drains it back out while all other traffic keeps flowing, so
+	// every kind of operation runs across live migrations. Requires
 	// DHTNodes > 1.
 	NodeChurnEvery time.Duration
 
@@ -73,26 +67,19 @@ type Config struct {
 	Journal bool
 
 	// Transport selects the wire codec the loopback cluster serves and
-	// dials: "http" (the JSON debug transport, the default — matching
-	// the committed baselines recorded before the binary codec existed)
-	// or "binary" (the framed protocol over persistent pipelined TCP).
-	// Recorded in the artifact meta; Compare refuses to judge runs over
-	// different codecs against each other.
+	// dials: "http" (the JSON debug transport, the default) or "binary"
+	// (the framed protocol over persistent pipelined TCP).
 	Transport string
-
-	// Commit is recorded in the artifact's meta block.
-	Commit string
 
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 }
 
 // SmokeConfig is the CI tier: a 3-server cluster under a few seconds of
-// mixed traffic — enough samples for the verdict gate, small enough for
-// the per-commit pipeline.
+// mixed traffic — long enough for two resharing rounds and four node
+// churn steps, small enough for the per-commit pipeline.
 func SmokeConfig() Config {
 	return Config{
-		Scale:           "smoke",
 		Seed:            1,
 		Duration:        5 * time.Second,
 		Servers:         3,
@@ -118,7 +105,6 @@ func SmokeConfig() Config {
 // corpus, and 16 concurrent searchers for half a minute.
 func FullConfig() Config {
 	return Config{
-		Scale:           "full",
 		Seed:            1,
 		Duration:        30 * time.Second,
 		Servers:         5,
@@ -154,8 +140,6 @@ func ConfigFor(scale string) (Config, error) {
 
 func (c *Config) validate() error {
 	switch {
-	case c.Scale == "":
-		return fmt.Errorf("load: Scale is required")
 	case c.Duration <= 0:
 		return fmt.Errorf("load: Duration must be positive")
 	case c.Servers < 1 || c.K < 1 || c.K > c.Servers:
@@ -175,8 +159,8 @@ func (c *Config) validate() error {
 		return fmt.Errorf("load: node churn needs DHTNodes > 1, got %d", c.DHTNodes)
 	case c.Transport != "" && c.Transport != "http" && c.Transport != "binary":
 		return fmt.Errorf("load: unknown transport %q (want http or binary)", c.Transport)
-	case c.StoreEngine != "" && c.StoreEngine != "memory" && c.StoreEngine != "sharded" && c.StoreEngine != "disk":
-		return fmt.Errorf("load: unknown store engine %q (want memory, sharded, or disk)", c.StoreEngine)
+	case c.StoreEngine != "" && c.StoreEngine != "sharded" && c.StoreEngine != "disk":
+		return fmt.Errorf("load: unknown store engine %q (want sharded or disk)", c.StoreEngine)
 	}
 	return nil
 }
@@ -187,17 +171,4 @@ func (c *Config) transportName() string {
 		return "http"
 	}
 	return c.Transport
-}
-
-// engineName returns the effective storage engine name: the explicit
-// StoreEngine if set, otherwise what StoreShards selects.
-func (c *Config) engineName() string {
-	switch {
-	case c.StoreEngine != "":
-		return c.StoreEngine
-	case c.StoreShards == 1:
-		return "memory"
-	default:
-		return "sharded"
-	}
 }

@@ -16,19 +16,22 @@ import (
 	"zerber"
 	"zerber/internal/client"
 	"zerber/internal/corpus"
+	"zerber/internal/field"
 	"zerber/internal/peer"
 	"zerber/internal/transport"
 	"zerber/internal/workload"
 )
 
-// Run executes one closed-loop load run: it builds a synthetic corpus
-// and query log, wires a real multi-server cluster whose index servers
-// listen on loopback HTTP, preloads the steady-state document set, and
-// then drives Duration of mixed traffic — concurrent Zipfian searches,
+// Run executes one soak: it builds a synthetic corpus and query log,
+// wires a real multi-server cluster whose index servers listen on
+// loopback TCP, preloads the steady-state document set, and then drives
+// Duration of closed-loop mixed traffic — concurrent Zipfian searches,
 // per-peer index/update/delete mutations, group-membership churn, node
 // join/leave churn with its online list migration, and periodic
-// proactive resharing — recording per-operation latencies and errors
-// into a versioned Report.
+// proactive resharing — counting successes and errors per operation
+// kind. Once the workers stop it checks the stored state (checkState);
+// a violation there is returned as an error. Result.Check judges the
+// counts.
 //
 // Proactive resharing snapshots and compares the servers' element
 // inventories, so a mutation landing mid-round would abort it (and a
@@ -36,7 +39,7 @@ import (
 // the harness therefore serializes resharing against mutations with a
 // maintenance lock, while searches keep flowing throughout — resharing
 // preserves the shared secrets, so queries keep working (§5.1).
-func Run(cfg Config) (*Report, error) {
+func Run(cfg Config) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -66,14 +69,12 @@ func Run(cfg Config) (*Report, error) {
 		N:           cfg.Servers,
 		K:           cfg.K,
 		Seed:        cfg.Seed,
-		StoreShards: cfg.StoreShards,
 		StoreEngine: cfg.StoreEngine,
 		DHTNodes:    cfg.DHTNodes,
-		Transport:   cfg.transportName(),
 	}
 	if cfg.StoreEngine == "disk" {
-		// Root the segment files in a run-scoped directory so the
-		// artifact measures a disk-backed index without littering.
+		// Root the segment files in a run-scoped directory so the run
+		// leaves nothing behind.
 		dir, err := os.MkdirTemp("", "zerber-load-store-")
 		if err != nil {
 			return nil, fmt.Errorf("load: creating store dir: %w", err)
@@ -119,7 +120,7 @@ func Run(cfg Config) (*Report, error) {
 
 	// The cluster's index servers listen on loopback; every peer and
 	// searcher operation below crosses the configured wire codec.
-	apis, shutdown, err := serveWire(cluster)
+	apis, shutdown, err := serveWire(cluster, cfg.transportName())
 	if err != nil {
 		return nil, err
 	}
@@ -181,21 +182,23 @@ func Run(cfg Config) (*Report, error) {
 		return nil, fmt.Errorf("load: building search client: %w", err)
 	}
 
-	recs := map[string]*recorder{
+	recs := map[string]*tally{
 		"search": {}, "searchk": {}, "index": {}, "update": {}, "delete": {},
-		"churn": {}, "reshare": {}, "nodechurn": {},
+		"churn": {}, "reshare": {},
+	}
+	if cfg.NodeChurnEvery > 0 {
+		recs["nodechurn"] = &tally{}
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.Duration)
 	defer cancel()
 	var wg sync.WaitGroup
 	var maint sync.RWMutex // mutations (read side) vs resharing (write side)
-	start := time.Now()
 
 	// Searchers: each samples the query log's frequency model with its
 	// own deterministic stream. Odd-indexed searchers drive the
 	// early-terminating top-k block protocol ("searchk") so both
-	// retrieval paths are measured against the same Zipfian traffic.
+	// retrieval paths see the same Zipfian traffic.
 	for i := 0; i < cfg.Searchers; i++ {
 		sampler := workload.NewQuerySampler(qlog.Queries, cfg.Seed+200+int64(i))
 		tok := searcherToks[i]
@@ -205,7 +208,6 @@ func Run(cfg Config) (*Report, error) {
 			defer wg.Done()
 			for ctx.Err() == nil {
 				q := sampler.Next()
-				t0 := time.Now()
 				var err error
 				if topk {
 					_, _, err = cl.SearchTopKContext(ctx, tok, q, cfg.TopK)
@@ -213,12 +215,12 @@ func Run(cfg Config) (*Report, error) {
 					_, _, err = cl.SearchContext(ctx, tok, q, cfg.TopK)
 				}
 				if ctx.Err() != nil {
-					return // shutdown-aborted call: not a measurement
+					return // shutdown-aborted call: neither success nor error
 				}
 				if topk {
-					recs["searchk"].done(time.Since(t0), err)
+					recs["searchk"].done(err)
 				} else {
-					recs["search"].done(time.Since(t0), err)
+					recs["search"].done(err)
 				}
 			}
 		}()
@@ -233,12 +235,12 @@ func Run(cfg Config) (*Report, error) {
 			defer wg.Done()
 			for ctx.Err() == nil {
 				maint.RLock()
-				kind, d, err := m.step()
+				kind, err := m.step()
 				maint.RUnlock()
 				if ctx.Err() != nil && err != nil {
 					return
 				}
-				recs[kind].done(d, err)
+				recs[kind].done(err)
 			}
 		}()
 	}
@@ -263,14 +265,13 @@ func Run(cfg Config) (*Report, error) {
 				if member[u] == nil {
 					member[u] = make(map[zerber.GroupID]bool)
 				}
-				t0 := time.Now()
 				if member[u][g] {
 					cluster.RemoveUser(user, g)
 				} else {
 					cluster.AddUser(user, g)
 				}
 				member[u][g] = !member[u][g]
-				recs["churn"].done(time.Since(t0), nil)
+				recs["churn"].done(nil)
 			}
 		}
 	}()
@@ -293,7 +294,6 @@ func Run(cfg Config) (*Report, error) {
 					return
 				case <-ticker.C:
 					maint.RLock()
-					t0 := time.Now()
 					var err error
 					if joined == "" {
 						joined = fmt.Sprintf("x%d", seq)
@@ -306,9 +306,8 @@ func Run(cfg Config) (*Report, error) {
 					if err == nil {
 						_, err = cluster.Rebalance()
 					}
-					d := time.Since(t0)
 					maint.RUnlock()
-					recs["nodechurn"].done(d, err)
+					recs["nodechurn"].done(err)
 					if err != nil {
 						logf("load: node churn step failed: %v", err)
 					}
@@ -332,68 +331,64 @@ func Run(cfg Config) (*Report, error) {
 				return
 			case <-ticker.C:
 				maint.Lock()
-				t0 := time.Now()
 				err := rebalanceQuiet(cluster)
 				var n int
 				if err == nil {
 					n, err = cluster.ProactiveReshare()
 				}
-				d := time.Since(t0)
 				maint.Unlock()
-				recs["reshare"].done(d, err)
+				recs["reshare"].done(err)
 				if err != nil {
 					logf("load: reshare round failed: %v", err)
 				} else {
-					logf("load: reshared %d elements in %v", n, d.Round(time.Millisecond))
+					logf("load: reshared %d elements", n)
 				}
 			}
 		}
 	}()
 
 	wg.Wait()
-	elapsed := time.Since(start)
 
-	ops := make(map[string]OpMetrics, len(recs))
-	for kind, r := range recs {
-		ops[kind] = r.metrics(elapsed)
+	if err := checkState(cluster, mutators); err != nil {
+		return nil, err
 	}
-	meta := NewMeta(cfg.Commit, cfg.Scale, cfg.Seed)
-	meta.Transport = cfg.transportName()
-	meta.StoreEngine = cfg.engineName()
-	report := &Report{
-		Schema: Schema,
-		Meta:   meta,
-		Cluster: ClusterInfo{
-			Servers:    cfg.Servers,
-			K:          cfg.K,
-			DHTNodes:   cfg.DHTNodes,
-			Peers:      cfg.Peers,
-			Searchers:  cfg.Searchers,
-			CorpusDocs: cfg.CorpusDocs,
-			LiveDocs:   cfg.LiveDocs,
-			Journaled:  cfg.Journal,
-		},
-		DurationSec: elapsed.Seconds(),
-		Ops:         ops,
+	res := make(Result, len(recs))
+	for kind, t := range recs {
+		res[kind] = Counts{Ops: t.ops.Load(), Errors: t.errs.Load()}
 	}
-	logf("load: %s", Summary(report))
-	return report, nil
+	return res, nil
 }
 
-// Summary renders a one-line human digest of a report.
-func Summary(r *Report) string {
-	kinds := make([]string, 0, len(r.Ops))
-	for k := range r.Ops {
-		kinds = append(kinds, k)
+// checkState is the soak's end-of-run invariant, the model checker's
+// zero-orphans rule applied after real concurrency: with every worker
+// stopped and migrations driven to quiescence, no peer has a pending
+// operation and every share slot stores — summed over the slot's nodes
+// — exactly as many elements as the peers committed. Churn, migration
+// and resharing may neither lose an element nor leave one behind.
+func checkState(cluster *zerber.Cluster, mutators []*mutator) error {
+	if err := rebalanceQuiet(cluster); err != nil {
+		return fmt.Errorf("load: after the run: %w", err)
 	}
-	sort.Strings(kinds)
-	parts := make([]string, 0, len(kinds))
-	for _, k := range kinds {
-		m := r.Ops[k]
-		parts = append(parts, fmt.Sprintf("%s %.1f/s p99=%.1fms errs=%d",
-			k, m.PerSec, m.LatencyMs.P99, m.Errors))
+	want := 0
+	for i, m := range mutators {
+		if n := m.p.PendingOps(); n != 0 {
+			return fmt.Errorf("load: after the run: peer %d has %d pending operations", i, n)
+		}
+		want += len(m.p.ElementGIDs())
 	}
-	return fmt.Sprintf("%.1fs: %s", r.DurationSec, strings.Join(parts, "; "))
+	stored := make(map[field.Element]int) // slot x-coordinate -> elements
+	for _, s := range cluster.Servers() {
+		stored[s.XCoord()] += s.TotalElements()
+	}
+	if len(stored) != cluster.N() {
+		return fmt.Errorf("load: after the run: %d share slots hold servers, want %d", len(stored), cluster.N())
+	}
+	for x, got := range stored {
+		if got != want {
+			return fmt.Errorf("load: after the run: slot x=%d stores %d elements, peers committed %d", x, got, want)
+		}
+	}
+	return nil
 }
 
 // rebalanceQuiet retries pending migration work until every list sits
@@ -415,11 +410,11 @@ func rebalanceQuiet(cluster *zerber.Cluster) error {
 }
 
 // serveWire puts every index server behind a loopback listener speaking
-// the cluster's configured wire codec and dials it back through the
-// matching client, so all traffic pays real encoding and TCP round
+// the named wire codec ("binary" or "http") and dials it back through
+// the matching client, so all traffic pays real encoding and TCP round
 // trips.
-func serveWire(cluster *zerber.Cluster) ([]transport.API, func(), error) {
-	if cluster.Transport() == zerber.TransportBinary {
+func serveWire(cluster *zerber.Cluster, codec string) ([]transport.API, func(), error) {
+	if codec == "binary" {
 		return serveBinary(cluster)
 	}
 	return serveHTTP(cluster)
@@ -502,7 +497,7 @@ type mutator struct {
 	rev  map[int]int
 }
 
-// preload indexes the steady-state document set (not measured).
+// preload indexes the steady-state document set (not counted).
 func (m *mutator) preload() error {
 	for len(m.live) < m.target {
 		i, ok := m.takeUnindexed()
@@ -519,20 +514,17 @@ func (m *mutator) preload() error {
 // step performs one mutation chosen to hold the live count near target:
 // below target it indexes, at target it mixes updates with occasional
 // deletes (which later index operations refill).
-func (m *mutator) step() (kind string, d time.Duration, err error) {
-	t0 := time.Now()
+func (m *mutator) step() (kind string, err error) {
 	if len(m.live) < m.target {
 		if i, ok := m.takeUnindexed(); ok {
 			_, err = m.index(i)
-			return "index", time.Since(t0), err
+			return "index", err
 		}
 	}
 	if len(m.live) > m.target/2 && m.rng.Float64() < 0.3 {
-		err = m.delete()
-		return "delete", time.Since(t0), err
+		return "delete", m.delete()
 	}
-	err = m.update()
-	return "update", time.Since(t0), err
+	return "update", m.update()
 }
 
 func (m *mutator) takeUnindexed() (int, bool) {

@@ -1,89 +1,141 @@
 package load
 
 import (
+	"strings"
 	"testing"
 	"time"
+
+	"zerber"
+	"zerber/internal/field"
+	"zerber/internal/merging"
+	"zerber/internal/peer"
+	"zerber/internal/posting"
 )
 
-// TestRunSmokeTiny drives the full closed loop — real HTTP cluster,
-// concurrent searchers, mutating peers, group churn, proactive reshare —
-// at a tiny scale and checks the artifact it emits.
+// TestRunSmokeTiny drives the whole soak — real TCP cluster behind DHT
+// slots, concurrent searchers on both retrieval paths, journaled
+// mutating peers, group churn, node churn with live migration,
+// proactive reshare — at a tiny scale over both codecs and both storage
+// engines. Run itself fails on the end-of-run element check; Check
+// fails on any error or any idle kind.
 func TestRunSmokeTiny(t *testing.T) {
 	if testing.Short() {
-		t.Skip("end-to-end load run; skipped in -short mode")
+		t.Skip("end-to-end soak; skipped in -short mode")
 	}
-	cfg := SmokeConfig()
-	cfg.Duration = 800 * time.Millisecond
-	cfg.Peers = 2
-	cfg.Searchers = 2
-	cfg.CorpusDocs = 100
-	cfg.VocabSize = 1000
-	cfg.Queries = 500
-	cfg.LiveDocs = 40
-	cfg.ChurnInterval = 50 * time.Millisecond
-	cfg.ReshareInterval = 300 * time.Millisecond
-	cfg.NodeChurnEvery = 200 * time.Millisecond
-	cfg.Commit = "testcommit"
-	cfg.Logf = t.Logf
+	for _, row := range []struct{ transport, engine string }{
+		{"http", "sharded"},
+		{"http", "disk"},
+		{"binary", "sharded"},
+		{"binary", "disk"},
+	} {
+		t.Run(row.transport+"/"+row.engine, func(t *testing.T) {
+			cfg := SmokeConfig()
+			cfg.Duration = 800 * time.Millisecond
+			cfg.Searchers = 2
+			cfg.CorpusDocs = 100
+			cfg.VocabSize = 1000
+			cfg.Queries = 500
+			cfg.LiveDocs = 40
+			cfg.ChurnInterval = 50 * time.Millisecond
+			cfg.ReshareInterval = 300 * time.Millisecond
+			cfg.NodeChurnEvery = 200 * time.Millisecond
+			cfg.Transport = row.transport
+			cfg.StoreEngine = row.engine
+			cfg.Logf = t.Logf
 
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			t.Logf("\n%s", res)
+			if err := res.Check(); err != nil {
+				t.Error(err)
+			}
+			for _, kind := range []string{"search", "searchk", "index", "update", "delete", "churn", "reshare", "nodechurn"} {
+				if _, ok := res[kind]; !ok {
+					t.Errorf("op kind %q missing from result", kind)
+				}
+			}
+		})
 	}
-	if rep.Schema != Schema {
-		t.Errorf("schema = %q, want %q", rep.Schema, Schema)
-	}
-	if rep.Meta.Commit != "testcommit" || rep.Meta.Scale != "smoke" {
-		t.Errorf("meta = %+v, want commit=testcommit scale=smoke", rep.Meta)
-	}
-	for _, kind := range []string{"search", "index", "update", "delete", "churn", "reshare", "nodechurn"} {
-		if _, ok := rep.Ops[kind]; !ok {
-			t.Errorf("op kind %q missing from report", kind)
+}
+
+// TestCheck pins the verdict rule on hand-built results.
+func TestCheck(t *testing.T) {
+	clean := func() Result {
+		return Result{
+			"search": {Ops: 900}, "searchk": {Ops: 800},
+			"index": {Ops: 3}, "update": {Ops: 40}, "delete": {Ops: 12},
+			"churn": {Ops: 16}, "reshare": {Ops: 2}, "nodechurn": {Ops: 4},
 		}
 	}
-	if rep.Ops["search"].Ops == 0 {
-		t.Error("no searches completed")
+	for _, tc := range []struct {
+		name string
+		edit func(Result)
+		want string // substring of the error; "" = passes
+	}{
+		{"clean", func(Result) {}, ""},
+		{"one reshare error out of two", func(r Result) { r["reshare"] = Counts{Ops: 1, Errors: 1} }, "reshare: 1 errors"},
+		{"one nodechurn error out of four", func(r Result) { r["nodechurn"] = Counts{Ops: 3, Errors: 1} }, "nodechurn: 1 errors"},
+		{"one search error in a thousand", func(r Result) { r["search"] = Counts{Ops: 999, Errors: 1} }, "search: 1 errors"},
+		{"churn error", func(r Result) { r["churn"] = Counts{Ops: 15, Errors: 1} }, "churn: 1 errors"},
+		{"idle searchk", func(r Result) { r["searchk"] = Counts{} }, "searchk: no successful operation"},
+		{"idle reshare", func(r Result) { r["reshare"] = Counts{} }, "reshare: no successful operation"},
+		{"idle nodechurn", func(r Result) { r["nodechurn"] = Counts{} }, "nodechurn: no successful operation"},
+		{"one mutation kind idle", func(r Result) { r["index"] = Counts{} }, ""},
+		{"every mutation kind idle", func(r Result) {
+			r["index"], r["update"], r["delete"] = Counts{}, Counts{}, Counts{}
+		}, "index/update/delete: no successful operation"},
+		{"node churn off", func(r Result) { delete(r, "nodechurn") }, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := clean()
+			tc.edit(r)
+			err := r.Check()
+			switch {
+			case tc.want == "" && err != nil:
+				t.Errorf("Check = %v, want nil", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Errorf("Check = %v, want an error naming %q", err, tc.want)
+			}
+		})
 	}
-	if rep.Ops["search"].Errors != 0 {
-		t.Errorf("search errors = %d, want 0", rep.Ops["search"].Errors)
+}
+
+// TestCheckStateIsNotVacuous shows the end-of-run check failing on the
+// two defects it exists for: an element a server holds that no peer
+// committed, and an element a peer committed that a server lost.
+func TestCheckStateIsNotVacuous(t *testing.T) {
+	cluster, err := zerber.NewCluster(map[string]int{"alpha": 3, "beta": 2, "gamma": 1}, zerber.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	mutations := rep.Ops["index"].Ops + rep.Ops["update"].Ops + rep.Ops["delete"].Ops
-	if mutations == 0 {
-		t.Error("no mutations completed")
+	cluster.AddUser("w", 1)
+	p, err := cluster.NewPeer("site", 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, kind := range []string{"index", "update", "delete", "churn", "reshare", "nodechurn"} {
-		if n := rep.Ops[kind].Errors; n != 0 {
-			t.Errorf("%s errors = %d, want 0", kind, n)
-		}
+	if err := p.IndexDocument(cluster.IssueToken("w"), peer.Document{ID: 1, Content: "alpha beta gamma", Group: 1}); err != nil {
+		t.Fatal(err)
 	}
-	if rep.Ops["nodechurn"].Ops == 0 {
-		t.Error("no node churn steps completed")
-	}
-	if rep.Cluster.Servers != cfg.Servers || rep.Cluster.K != cfg.K || rep.Cluster.DHTNodes != cfg.DHTNodes {
-		t.Errorf("cluster info = %+v, want servers=%d k=%d dht=%d", rep.Cluster, cfg.Servers, cfg.K, cfg.DHTNodes)
-	}
-	if rep.DurationSec <= 0 {
-		t.Errorf("duration_sec = %v, want > 0", rep.DurationSec)
+	peers := []*mutator{{p: p}}
+	if err := checkState(cluster, peers); err != nil {
+		t.Fatalf("healthy cluster: %v", err)
 	}
 
-	// Round-trip the artifact and compare it against itself: a run
-	// compared to itself must never be judged a regression.
-	data, err := rep.Encode()
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
+	st := cluster.Servers()[0].Store()
+	var lid merging.ListID
+	for l := range st.ListLengths() {
+		lid = l
 	}
-	back, err := DecodeReport(data)
-	if err != nil {
-		t.Fatalf("DecodeReport: %v", err)
+	orphan := posting.EncryptedShare{GlobalID: 1 << 40, Group: 1, Y: field.New(9)}
+	st.Upsert(lid, []posting.EncryptedShare{orphan})
+	if err := checkState(cluster, peers); err == nil || !strings.Contains(err.Error(), "slot x=1 stores 4 elements, peers committed 3") {
+		t.Errorf("orphan element: checkState = %v", err)
 	}
-	rows, overall, err := Compare(back, back, DefaultThresholds())
-	if err != nil {
-		t.Fatalf("Compare: %v", err)
-	}
-	if overall == Regress {
-		t.Errorf("self-compare verdict = %v, want not REGRESS", overall)
-	}
-	if len(rows) == 0 {
-		t.Error("self-compare produced no metric rows")
+	st.DeleteIf(lid, orphan.GlobalID, nil)
+	st.DeleteIf(lid, st.List(lid)[0].GlobalID, nil)
+	if err := checkState(cluster, peers); err == nil || !strings.Contains(err.Error(), "slot x=1 stores 2 elements, peers committed 3") {
+		t.Errorf("lost element: checkState = %v", err)
 	}
 }

@@ -44,7 +44,7 @@ func (discardAPI) GetPostingBlocks(context.Context, auth.Token, merging.ListID, 
 
 // bench5kPeer builds a peer over a 5,000-term vocabulary wired to n
 // discarding servers, plus the document containing every term once.
-func bench5kPeer(b *testing.B, n, k, workers int) (*Peer, Document) {
+func bench5kPeer(b *testing.B, n, k int) (*Peer, Document) {
 	b.Helper()
 	const terms = 5000
 	dfs := make(map[string]int, terms)
@@ -66,12 +66,11 @@ func bench5kPeer(b *testing.B, n, k, workers int) (*Peer, Document) {
 		apis[i] = discardAPI{x: field.Element(i + 1)}
 	}
 	p, err := New(Config{
-		Name:           "bench",
-		Servers:        apis,
-		K:              k,
-		Table:          table,
-		Vocab:          vocab.NewFromTerms(names),
-		EncryptWorkers: workers,
+		Name:    "bench",
+		Servers: apis,
+		K:       k,
+		Table:   table,
+		Vocab:   vocab.NewFromTerms(names),
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -95,22 +94,7 @@ func benchToken(b *testing.B) auth.Token {
 // document end-to-end through the owner pipeline (paper §5.1's
 // document-splitting unit, n=3, k=2 evaluation setup).
 func BenchmarkIndexDocument5k(b *testing.B) {
-	p, doc := bench5kPeer(b, 3, 2, 0)
-	tok := benchToken(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		doc.ID = uint32(i%posting.MaxDocID + 1)
-		if err := p.IndexDocument(tok, doc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkIndexDocument5kSerial pins the single-worker pipeline, the
-// baseline for the EncryptWorkers knob.
-func BenchmarkIndexDocument5kSerial(b *testing.B) {
-	p, doc := bench5kPeer(b, 3, 2, 1)
+	p, doc := bench5kPeer(b, 3, 2)
 	tok := benchToken(b)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -223,11 +207,11 @@ func BenchmarkUnjournaledFlush(b *testing.B) {
 	}
 }
 
-// TestEncryptWorkersParallelPipeline drives the crypto-mode worker pool
-// (the path deterministic tests cannot reach) and verifies every
-// produced share set still reconstructs its element: index one
-// many-term document with 4 workers against recording servers, then
-// decrypt everything with k shares.
+// TestEncryptWorkersParallelPipeline drives crypto-mode share generation
+// (pooled DRBG sources, the path deterministic tests cannot reach) over
+// more than one encryptChunk and verifies every produced share set
+// still reconstructs its element: index one many-term document against
+// recording servers, then decrypt everything with k shares.
 func TestEncryptWorkersParallelPipeline(t *testing.T) {
 	const n, k, terms = 3, 2, 1500 // > encryptChunk so several tasks exist
 	names := make([]string, terms)
@@ -240,12 +224,11 @@ func TestEncryptWorkersParallelPipeline(t *testing.T) {
 	tc.groups.Add("alice", 1)
 	tok := tc.svc.Issue("alice")
 	p, err := New(Config{
-		Name:           "par",
-		Servers:        tc.apis,
-		K:              k,
-		Table:          tc.table,
-		Vocab:          tc.voc,
-		EncryptWorkers: 4, // crypto mode: Rand nil
+		Name:    "par",
+		Servers: tc.apis,
+		K:       k,
+		Table:   tc.table,
+		Vocab:   tc.voc, // crypto mode: Rand nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	mrand "math/rand"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -65,15 +64,8 @@ type Config struct {
 	Vocab *vocab.Vocabulary
 	// Rand supplies randomness for sharing polynomials and global IDs.
 	// nil means a crypto-seeded buffered DRBG (field.ShareSource); tests
-	// inject a deterministic source. With an injected source, share
-	// generation always runs on a single goroutine so the stream stays
-	// reproducible.
+	// inject a deterministic source.
 	Rand io.Reader
-	// EncryptWorkers caps the goroutines splitting staged elements into
-	// shares when the peer uses crypto randomness (Rand nil). 0 means
-	// one per CPU; 1 encrypts serially. Each worker draws coefficients
-	// from its own DRBG, so workers never contend on an entropy stream.
-	EncryptWorkers int
 	// JournalPath, when non-empty, persists every mutation through a
 	// journal at that path (package journal): payloads are fsynced
 	// before the first network send, per-server acknowledgements are
@@ -109,8 +101,8 @@ type SimHooks struct {
 type Peer struct {
 	cfg      Config
 	splitter *shamir.Splitter // validated once against the servers' x-coordinates
-	crypto   bool             // cfg.Rand was nil: crypto randomness, parallelism allowed
-	rngPool  sync.Pool        // *field.ShareSource per concurrent caller/worker
+	crypto   bool             // cfg.Rand was nil: crypto randomness
+	rngPool  sync.Pool        // *field.ShareSource per concurrent caller
 
 	mu    sync.RWMutex
 	docs  map[uint32]Document
@@ -442,9 +434,8 @@ func (st *staged) drop(n int) {
 	st.groups = st.groups[n:]
 }
 
-// encryptChunk is the target element count per encryption task. Chunks
-// small enough to spread one large document across the worker pool,
-// large enough that per-task scratch allocation stays negligible.
+// encryptChunk caps the element count of one EncryptBatchInto call, so
+// the call's scratch stays a fixed size however large the document.
 const encryptChunk = 512
 
 // encTask is one contiguous same-group window of staged elements.
@@ -469,27 +460,9 @@ func chunkTasks(groups []uint32) []encTask {
 	return tasks
 }
 
-// encryptWorkers resolves the worker count for a given task count.
-// Deterministic peers always encrypt on one goroutine.
-func (p *Peer) encryptWorkers(tasks int) int {
-	if !p.crypto {
-		return 1
-	}
-	w := p.cfg.EncryptWorkers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > tasks {
-		w = tasks
-	}
-	return w
-}
-
 // encryptStaged splits every staged element into n per-server share
 // rows backed by a single allocation: out[i][e] is server i's share of
-// st.elems[e]. Tasks are fanned across the encrypt worker pool when the
-// peer uses crypto randomness; each worker fills disjoint element
-// windows of the shared buffers from its own DRBG.
+// st.elems[e].
 func (p *Peer) encryptStaged(st *staged, rng io.Reader) ([][]posting.EncryptedShare, error) {
 	n := len(p.cfg.Servers)
 	total := len(st.elems)
@@ -498,42 +471,9 @@ func (p *Peer) encryptStaged(st *staged, rng io.Reader) ([][]posting.EncryptedSh
 	for i := range dst {
 		dst[i] = flat[i*total : (i+1)*total : (i+1)*total]
 	}
-	tasks := chunkTasks(st.groups)
-	workers := p.encryptWorkers(len(tasks))
-	if workers <= 1 {
-		for _, t := range tasks {
-			if err := posting.EncryptBatchInto(p.splitter, st.elems[t.lo:t.hi],
-				st.gids[t.lo:t.hi], t.group, rng, dst, t.lo); err != nil {
-				return nil, err
-			}
-		}
-		return dst, nil
-	}
-	ch := make(chan encTask, len(tasks))
-	for _, t := range tasks {
-		ch <- t
-	}
-	close(ch)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			src := p.rngPool.Get().(*field.ShareSource)
-			defer p.rngPool.Put(src)
-			for t := range ch {
-				if errs[w] != nil {
-					continue // drain after failure
-				}
-				errs[w] = posting.EncryptBatchInto(p.splitter, st.elems[t.lo:t.hi],
-					st.gids[t.lo:t.hi], t.group, src, dst, t.lo)
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	for _, t := range chunkTasks(st.groups) {
+		if err := posting.EncryptBatchInto(p.splitter, st.elems[t.lo:t.hi],
+			st.gids[t.lo:t.hi], t.group, rng, dst, t.lo); err != nil {
 			return nil, err
 		}
 	}
@@ -546,9 +486,9 @@ func (p *Peer) encryptStaged(st *staged, rng io.Reader) ([][]posting.EncryptedSh
 //
 // Add only stages cleartext elements (term IDs, counts, fresh global
 // IDs); all share generation is deferred to Flush, where one batched
-// pass — fanned across the peer's encrypt workers — splits every staged
-// element of every queued document into one journaled operation. A batch
-// is not safe for concurrent use; the peer it flushes into is.
+// pass splits every staged element of every queued document into one
+// journaled operation. A batch is not safe for concurrent use; the peer
+// it flushes into is.
 type Batch struct {
 	peer   *Peer
 	st     staged

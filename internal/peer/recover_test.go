@@ -22,8 +22,8 @@ import (
 )
 
 // storeEngines names the storage engines every recovery scenario must
-// hold on: the single-lock Memory baseline and the lock-striped Sharded
-// store.
+// hold on: the lock-striped Sharded store with one stripe ("memory",
+// the single-lock reference) and with the default count.
 var storeEngines = []struct {
 	name   string
 	shards int
@@ -59,7 +59,7 @@ func newEngineCluster(t *testing.T, n int, terms []string, shards int) *testClus
 			X:      field.Element(i + 1),
 			Auth:   svc,
 			Groups: groups,
-			Store:  store.New(shards),
+			Store:  store.NewSharded(shards),
 		})
 		tc.servers = append(tc.servers, s)
 		tc.apis = append(tc.apis, transport.NewLocal(s))

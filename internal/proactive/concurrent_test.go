@@ -33,7 +33,7 @@ func concurrentCluster(t *testing.T) []*server.Server {
 			X:      field.Element(i + 1),
 			Auth:   svc,
 			Groups: groups,
-			Store:  store.New(1),
+			Store:  store.NewSharded(1),
 		})
 		for lid, gids := range map[merging.ListID][]posting.GlobalID{
 			1: {1, 2, 3, 4, 5},

@@ -18,7 +18,7 @@ import (
 
 // BenchmarkServerMixed drives parallel mixed insert/lookup/delete
 // traffic against one index server, once per storage engine: the
-// single-lock Memory baseline (StoreShards=1), the lock-striped
+// one-stripe single-lock reference (shards=1), the lock-striped
 // Sharded default, and the log-structured Disk engine with a cache
 // budget well below the seeded dataset (~1.5 MB of payloads against a
 // 256 KB cache), so scans pay real segment reads and the stream of
@@ -41,8 +41,8 @@ func BenchmarkServerMixed(b *testing.B) {
 		name string
 		mk   func(b *testing.B) store.Store
 	}{
-		{"shards=1", func(*testing.B) store.Store { return store.New(1) }},
-		{fmt.Sprintf("shards=%d", store.DefaultShards()), func(*testing.B) store.Store { return store.New(0) }},
+		{"shards=1", func(*testing.B) store.Store { return store.NewSharded(1) }},
+		{fmt.Sprintf("shards=%d", store.DefaultShards()), func(*testing.B) store.Store { return store.NewSharded(0) }},
 		{"disk", func(b *testing.B) store.Store {
 			d, err := store.OpenDisk(b.TempDir(), store.DiskOptions{CacheBytes: 256 << 10})
 			if err != nil {

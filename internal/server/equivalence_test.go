@@ -17,11 +17,11 @@ import (
 )
 
 // TestShardedServerMatchesBaseline replays one randomized client
-// workload against a server on the legacy single-lock store and a
-// server on the sharded store, and requires byte-identical observable
-// behaviour: errors, retrieval contents and ordering, list lengths, and
-// Stats. This is the StoreShards-is-invisible acceptance criterion at
-// the policy layer.
+// workload against a server on the one-stripe single-lock store and a
+// server on an eight-stripe store, and requires byte-identical
+// observable behaviour: errors, retrieval contents and ordering, list
+// lengths, and Stats: the stripe count is invisible at the policy
+// layer.
 func TestShardedServerMatchesBaseline(t *testing.T) {
 	svc, err := auth.NewService(time.Minute)
 	if err != nil {
@@ -31,7 +31,7 @@ func TestShardedServerMatchesBaseline(t *testing.T) {
 	groups.Add("alice", 1)
 	groups.Add("alice", 2)
 	groups.Add("bob", 2)
-	base := New(Config{Name: "ix", X: 17, Auth: svc, Groups: groups, Store: store.New(1)})
+	base := New(Config{Name: "ix", X: 17, Auth: svc, Groups: groups, Store: store.NewSharded(1)})
 	shrd := New(Config{Name: "ix", X: 17, Auth: svc, Groups: groups, Store: store.NewSharded(8)})
 	alice, bob := svc.Issue("alice"), svc.Issue("bob")
 	ctx := context.Background()
@@ -114,7 +114,7 @@ func TestDeleteUnauthorizedCountsAppliedStats(t *testing.T) {
 			groups := auth.NewGroupTable()
 			groups.Add("alice", 1)
 			groups.Add("bob", 2)
-			srv := New(Config{Name: "ix", X: 3, Auth: svc, Groups: groups, Store: store.New(shards)})
+			srv := New(Config{Name: "ix", X: 3, Auth: svc, Groups: groups, Store: store.NewSharded(shards)})
 			alice, bob := svc.Issue("alice"), svc.Issue("bob")
 			ctx := context.Background()
 			if err := transporttest.Insert(ctx, srv, alice, []transport.InsertOp{{List: 1, Share: share(1, 1, 1)}, {List: 2, Share: share(2, 1, 2)}}); err != nil {

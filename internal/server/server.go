@@ -21,8 +21,8 @@
 // Apply is the only client-facing mutation, and the storage engine is
 // the server's only log. Apply ends by calling Store.Sync, the engine's
 // batch boundary, and returns its error, so an acknowledged Apply is
-// exactly as durable as the engine makes a synced batch. For the memory
-// engines that is nothing: state dies with the process. For store.Disk
+// exactly as durable as the engine makes a synced batch. For the in-memory
+// engine that is nothing: state dies with the process. For store.Disk
 // it depends on DiskOptions.Sync, which cmd/zerber-server turns on for
 // -store-engine disk:
 //
@@ -73,7 +73,7 @@ type Config struct {
 	// one table object in simulations; real deployments replicate it.
 	Groups *auth.GroupTable
 	// Store is the storage engine holding the encrypted shares. Nil
-	// selects the single-lock store.Memory baseline.
+	// selects the in-memory default, store.NewSharded(0).
 	Store store.Store
 }
 
@@ -112,7 +112,7 @@ func New(cfg Config) *Server {
 	}
 	st := cfg.Store
 	if st == nil {
-		st = store.NewMemory()
+		st = store.NewSharded(0)
 	}
 	return &Server{cfg: cfg, st: st, ops: transport.NewOpWindow[auth.UserID]()}
 }

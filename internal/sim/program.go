@@ -66,12 +66,12 @@ const (
 	// KindStoreReopen kills and recovers every disk store in place: the
 	// in-memory index and cache are discarded and rebuilt by replaying
 	// the segment files (with a torn tail injected first when the config
-	// arms TearSegments). A no-op on memory/sharded engines.
+	// arms TearSegments). A no-op on the in-memory engine.
 	KindStoreReopen
 	// KindCrashCompact crashes every disk store's compaction inside one
 	// of its two crash windows (Server%2 selects: temp written but not
 	// renamed, or renamed but stale segments kept) and then recovers by
-	// reopening. A no-op on memory/sharded engines.
+	// reopening. A no-op on the in-memory engine.
 	KindCrashCompact
 )
 
@@ -187,7 +187,7 @@ func Generate(cfg Config) Program {
 		}
 		var op Op
 		// Disk-engine configs fold in the storage fault class with a
-		// pre-roll, leaving memory/sharded programs byte-identical
+		// pre-roll, leaving in-memory programs byte-identical
 		// seed-for-seed (the branch draws from the rng only for disk).
 		if cfg.StoreEngine == "disk" {
 			switch roll := rng.Intn(100); {

@@ -351,7 +351,7 @@ func (r *runner) diskHooks() *store.DiskSimHooks {
 // 32-step program.
 func (r *runner) newStore(name string) (store.Store, error) {
 	if r.cfg.StoreEngine != "disk" {
-		return store.New(r.cfg.StoreShards), nil
+		return store.NewSharded(r.cfg.StoreShards), nil
 	}
 	d, err := store.OpenDisk(filepath.Join(r.dir, "stores", name), store.DiskOptions{
 		SegmentBytes:    4 << 10,

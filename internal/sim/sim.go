@@ -35,11 +35,12 @@ type Config struct {
 	Seed int64
 	// N and K are the server count and Shamir threshold (default 3, 2).
 	N, K int
-	// StoreShards selects the storage engine per server/node: 1 the
-	// single-lock Memory baseline, 0 the GOMAXPROCS-scaled Sharded
-	// default, any other value that many shards.
+	// StoreShards is the lock-stripe count of each server/node's
+	// in-memory store (store.NewSharded): 1 the single-lock reference,
+	// 0 the GOMAXPROCS-scaled default, any other value that many
+	// stripes.
 	StoreShards int
-	// StoreEngine overrides the shard-count engine selection: "disk"
+	// StoreEngine overrides the in-memory engine: "disk"
 	// runs every server/node on a log-structured store.Disk with tiny
 	// segment/cache/compaction thresholds (so rollover, cache misses,
 	// and auto-compaction all fire inside a 32-step program), and adds
@@ -130,7 +131,7 @@ func (c Config) engineName() string {
 	case c.StoreEngine == "disk":
 		b.WriteString("disk")
 	case c.StoreShards == 1:
-		b.WriteString("memory")
+		b.WriteString("sharded-1")
 	default:
 		b.WriteString("sharded")
 	}

@@ -29,8 +29,8 @@ import (
 // atomic across a crash, which is how ApplyDeltas stays all-or-nothing.
 // The in-memory index applies exactly the bucket-major bubble moves of
 // the shared table core (table.go), so the stored order — a pure
-// function of the per-list operation history — matches Memory and
-// Sharded element for element.
+// function of the per-list operation history — matches Sharded element
+// for element.
 //
 // Opening a directory replays the segments in id order, truncating a
 // torn tail of the last segment at the last intact frame. Compaction

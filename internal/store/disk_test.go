@@ -206,7 +206,7 @@ func TestDiskCrashMidCompaction(t *testing.T) {
 
 // TestDiskAutoCompaction churns one keyspace so most of the log is
 // garbage and verifies compaction fires on its own, reclaims the space,
-// and never changes the observable state (mirrored against Memory).
+// and never changes the observable state (mirrored against a one-stripe Sharded).
 func TestDiskAutoCompaction(t *testing.T) {
 	dir := t.TempDir()
 	d, err := store.OpenDisk(dir, store.DiskOptions{
@@ -218,7 +218,7 @@ func TestDiskAutoCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	mem := store.NewMemory()
+	mem := store.NewSharded(1)
 	r := rand.New(rand.NewSource(3))
 	for i := 0; i < 6000; i++ {
 		lid := merging.ListID(r.Intn(8))
@@ -371,23 +371,17 @@ func TestDiskSyncBoundary(t *testing.T) {
 }
 
 func TestNewEngineSelects(t *testing.T) {
-	if st, err := store.NewEngine("memory", 0, ""); err != nil {
-		t.Fatal(err)
-	} else if _, ok := st.(*store.Memory); !ok {
-		t.Errorf("NewEngine(memory) = %T", st)
-	}
-	if st, err := store.NewEngine("sharded", 4, ""); err != nil {
-		t.Fatal(err)
-	} else if _, ok := st.(*store.Sharded); !ok {
-		t.Errorf("NewEngine(sharded) = %T", st)
-	}
-	if st, err := store.NewEngine("", 1, ""); err != nil {
-		t.Fatal(err)
-	} else if _, ok := st.(*store.Memory); !ok {
-		t.Errorf("NewEngine(\"\", 1) = %T", st)
+	for _, name := range []string{"", "sharded"} {
+		st, err := store.NewEngine(name, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s, ok := st.(*store.Sharded); !ok || s.NumShards() != store.DefaultShards() {
+			t.Errorf("NewEngine(%q) = %T, want the default Sharded", name, st)
+		}
 	}
 	dir := t.TempDir()
-	st, err := store.NewEngine("disk", 0, dir)
+	st, err := store.NewEngine("disk", dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +393,9 @@ func TestNewEngineSelects(t *testing.T) {
 		t.Errorf("disk dir = %q, want %q", d.Dir(), dir)
 	}
 	d.Close()
-	if _, err := store.NewEngine("mmap", 0, ""); err == nil {
-		t.Error("unknown engine accepted")
+	for _, name := range []string{"mmap", "memory"} {
+		if _, err := store.NewEngine(name, ""); err == nil {
+			t.Errorf("unknown engine %q accepted", name)
+		}
 	}
 }

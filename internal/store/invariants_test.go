@@ -10,12 +10,12 @@ import (
 )
 
 // TestCheckInvariantsAccepts runs the checker over healthy stores of
-// both engines through a mutation sequence.
+// one and several stripes through a mutation sequence.
 func TestCheckInvariantsAccepts(t *testing.T) {
 	for _, eng := range []struct {
 		name string
 		s    Store
-	}{{"memory", NewMemory()}, {"sharded", NewSharded(4)}} {
+	}{{"memory", NewSharded(1)}, {"sharded", NewSharded(4)}} {
 		t.Run(eng.name, func(t *testing.T) {
 			s := eng.s
 			for lid := merging.ListID(0); lid < 8; lid++ {
@@ -42,7 +42,7 @@ func TestCheckInvariantsAccepts(t *testing.T) {
 	}
 }
 
-// corruptStore wraps Memory and misreports one observable, proving the
+// corruptStore wraps a healthy store and misreports one observable, proving the
 // checker actually distinguishes healthy from broken engines.
 type corruptStore struct {
 	Store
@@ -78,7 +78,7 @@ func (c *corruptStore) ListLengths() map[merging.ListID]int {
 
 func TestCheckInvariantsRejects(t *testing.T) {
 	base := func() Store {
-		s := NewMemory()
+		s := NewSharded(1)
 		s.Upsert(1, []posting.EncryptedShare{
 			{GlobalID: 10, Group: 1, Y: field.New(5)},
 			{GlobalID: 11, Group: 1, Y: field.New(6)},

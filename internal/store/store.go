@@ -49,11 +49,12 @@
 //     index may reveal more (e.g. insertion timestamps or per-term
 //     structure).
 //
-// Three implementations ship: Memory, the single-lock baseline; Sharded,
-// which stripes lists across independently locked shards for parallel
-// mixed workloads (see BenchmarkServerMixed in package server); and
-// Disk, the log-structured engine whose resident memory is O(index)
-// rather than O(shares), for indexes that outgrow RAM (see disk.go).
+// Two implementations ship: Sharded, which stripes lists across
+// independently locked shards for parallel mixed workloads (see
+// BenchmarkServerMixed in package server; NewSharded(1) is the one-lock
+// reference the tests compare against); and Disk, the log-structured
+// engine whose resident memory is O(index) rather than O(shares), for
+// indexes that outgrow RAM (see disk.go).
 package store
 
 import (
@@ -139,38 +140,22 @@ type Store interface {
 	// Sync marks a batch boundary: when it returns nil, every mutation
 	// that returned before the call is as durable as the engine makes
 	// anything. The server calls it once at the end of each Apply and
-	// acknowledges only on nil. The memory engines have nothing to make
+	// acknowledges only on nil. The in-memory engine has nothing to make
 	// durable; for Disk see DiskOptions.Sync.
 	Sync() error
 }
 
-// New returns the store for a configured shard count: 1 selects the
-// single-lock Memory baseline (the legacy engine), any other value a
-// Sharded store with that many lock stripes (0 picks a GOMAXPROCS-scaled
-// default).
-func New(shards int) Store {
-	if shards == 1 {
-		return NewMemory()
-	}
-	return NewSharded(shards)
-}
-
-// NewEngine returns the store selected by name: "memory", "sharded"
-// (shards lock stripes, 0 for the GOMAXPROCS default), "disk" (the
-// log-structured engine rooted at dir, with default DiskOptions), or ""
-// for the legacy shard-count selection of New. Only "disk" can fail —
-// opening replays the segment files.
-func NewEngine(engine string, shards int, dir string) (Store, error) {
+// NewEngine returns the store selected by name: "" or "sharded" (the
+// GOMAXPROCS-scaled lock-striped in-memory engine) or "disk" (the
+// log-structured engine rooted at dir, with default DiskOptions). Only
+// "disk" can fail — opening replays the segment files.
+func NewEngine(engine, dir string) (Store, error) {
 	switch engine {
-	case "":
-		return New(shards), nil
-	case "memory":
-		return NewMemory(), nil
-	case "sharded":
-		return NewSharded(shards), nil
+	case "", "sharded":
+		return NewSharded(0), nil
 	case "disk":
 		return OpenDisk(dir, DiskOptions{})
 	default:
-		return nil, fmt.Errorf("store: unknown engine %q (want memory, sharded, or disk)", engine)
+		return nil, fmt.Errorf("store: unknown engine %q (want sharded or disk)", engine)
 	}
 }

@@ -14,8 +14,10 @@ import (
 )
 
 // each runs a subtest against every Store implementation, so the
-// interface contract is enforced uniformly on the baseline, the sharded
-// engine (including the degenerate 1- and 2-shard layouts), and the
+// interface contract is enforced uniformly on the sharded engine
+// (including the degenerate 1- and 2-shard layouts; the "memory" row is
+// the one-lock reference again, under the subtest name tier 1 is held
+// to) and the
 // log-structured disk engine — the latter with segment, cache, and
 // compaction thresholds shrunk so rollover, cache misses, and
 // auto-compaction all fire inside these small tests.
@@ -25,7 +27,7 @@ func each(t *testing.T, run func(t *testing.T, st store.Store)) {
 		name string
 		mk   func(t *testing.T) store.Store
 	}{
-		{"memory", func(t *testing.T) store.Store { return store.NewMemory() }},
+		{"memory", func(t *testing.T) store.Store { return store.NewSharded(1) }},
 		{"sharded-1", func(t *testing.T) store.Store { return store.NewSharded(1) }},
 		{"sharded-2", func(t *testing.T) store.Store { return store.NewSharded(2) }},
 		{"sharded-default", func(t *testing.T) store.Store { return store.NewSharded(0) }},
@@ -358,23 +360,20 @@ func TestConcurrentMixedStoreOps(t *testing.T) {
 }
 
 func TestNewSelectsEngine(t *testing.T) {
-	if _, ok := store.New(1).(*store.Memory); !ok {
-		t.Error("New(1) must be the single-lock Memory baseline")
+	if got := store.NewSharded(1).NumShards(); got != 1 {
+		t.Errorf("NewSharded(1) shards = %d, want the one-lock reference", got)
 	}
-	s, ok := store.New(0).(*store.Sharded)
-	if !ok {
-		t.Fatal("New(0) must be Sharded")
+	if got := store.NewSharded(0).NumShards(); got != store.DefaultShards() {
+		t.Errorf("NewSharded(0) shards = %d, want default %d", got, store.DefaultShards())
 	}
-	if s.NumShards() != store.DefaultShards() {
-		t.Errorf("New(0) shards = %d, want default %d", s.NumShards(), store.DefaultShards())
-	}
-	if got := store.New(5).(*store.Sharded).NumShards(); got != 8 {
-		t.Errorf("New(5) shards = %d, want next power of two 8", got)
+	if got := store.NewSharded(5).NumShards(); got != 8 {
+		t.Errorf("NewSharded(5) shards = %d, want next power of two 8", got)
 	}
 }
 
 // TestEnginesMatch replays one randomized operation history against the
-// baseline, the sharded engine, and the log-structured disk engine, and
+// one-stripe reference, the default sharded engine, and the
+// log-structured disk engine, and
 // requires identical observable state — the engine-is-invisible half of
 // the acceptance criteria at the store level. The history mixes
 // impact-tagged inserts (so the bucket-major layout gets exercised, not
@@ -383,8 +382,8 @@ func TestNewSelectsEngine(t *testing.T) {
 // and periodic disk Reopens so the comparison also proves the replayed
 // layout equals the live one.
 func TestEnginesMatch(t *testing.T) {
-	mem := store.NewMemory()
-	shd := store.NewSharded(8)
+	mem := store.NewSharded(1)
+	shd := store.NewSharded(0)
 	dsk := newTestDisk(t)
 	engines := []struct {
 		name string

@@ -9,7 +9,7 @@ import (
 	"zerber/internal/posting"
 )
 
-// table is the unsynchronized core shared by Memory and Sharded: merged
+// table is the unsynchronized core of each Sharded lock stripe: merged
 // posting lists plus a position index for O(1) keyed access. Callers
 // hold the appropriate lock.
 //

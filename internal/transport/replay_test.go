@@ -35,7 +35,7 @@ func newStoreServer(t *testing.T, shards int) (*server.Server, auth.Token) {
 	groups := auth.NewGroupTable()
 	groups.Add("alice", 1)
 	srv := server.New(server.Config{
-		Name: "ix", X: field.New(42), Auth: svc, Groups: groups, Store: store.New(shards),
+		Name: "ix", X: field.New(42), Auth: svc, Groups: groups, Store: store.NewSharded(shards),
 	})
 	return srv, svc.Issue("alice")
 }

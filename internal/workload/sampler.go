@@ -10,7 +10,7 @@ import (
 // its empirical query-frequency model: each distinct query is sampled
 // with probability proportional to its frequency in the log, so a
 // Zipfian log (corpus.SyntheticQueryLog) yields Zipfian traffic — the
-// q_j of formula (6) become arrival rates. The load harness gives each
+// q_j of formula (6) become arrival rates. The soak gives each
 // simulated user one sampler.
 //
 // Sampling is deterministic given the seed and the log order: two

@@ -8,8 +8,8 @@ import (
 )
 
 // simEngines is the storage/routing matrix every simulation tier runs
-// across: the single-lock Memory baseline, the lock-striped Sharded
-// store, Sharded behind DHT-routed server slots, and the log-structured
+// across: the one-stripe single-lock reference ("memory"), the
+// lock-striped Sharded store at its default width, Sharded behind DHT-routed server slots, and the log-structured
 // Disk engine with tiny segment/cache/compaction thresholds plus torn
 // tails injected before every replay (lossless under correct torn-tail
 // truncation). Disk programs additionally draw KindStoreReopen and

@@ -95,24 +95,22 @@
 // keyed inventory for proactive resharing, and a Sync batch boundary
 // the server marks at the end of every mutation.
 //
-// The StoreShards option selects the engine. StoreShards=1 is the
-// single-lock legacy baseline: one RWMutex over flat maps, so every
-// insert, delete, and lookup on a server serializes. Any other value
-// stripes the merged posting lists over independently locked shards
-// keyed by hash(ListID) (0 picks a GOMAXPROCS-scaled power of two), so
-// mixed traffic on different lists proceeds in parallel. A merged list
-// lives entirely in one shard, so within-list share ordering — and
-// therefore retrieval output and Stats — is identical under every
-// setting; only throughput changes. Sharding is invisible to the
-// confidentiality analysis: shares stay encrypted inside the engine and
-// access control stays at the server boundary (see the contract in
-// internal/store).
+// The default engine (store.Sharded) stripes the merged posting lists
+// over independently locked shards keyed by hash(ListID), a
+// GOMAXPROCS-scaled power of two of them, so mixed traffic on different
+// lists proceeds in parallel. A merged list lives entirely in one
+// shard, so within-list share ordering — and therefore retrieval output
+// and Stats — is identical under every stripe count (the tests hold
+// every engine to the one-stripe reference); only throughput changes.
+// Sharding is invisible to the confidentiality analysis: shares stay
+// encrypted inside the engine and access control stays at the server
+// boundary (see the contract in internal/store).
 //
 // # Disk engine
 //
-// The StoreEngine option selects an engine by name instead; "disk"
-// swaps every server's store for the log-structured on-disk engine
-// (store.Disk), whose resident memory is O(index) rather than O(data):
+// StoreEngine "disk" swaps every server's store for the log-structured
+// on-disk engine (store.Disk), whose resident memory is O(index) rather
+// than O(data):
 // share payloads live in CRC-framed append-only segment files under
 // StoreDir and only a compact per-list index — plus a bounded LRU cache
 // of hot lists — stays in memory. The engine is the server's only log:
@@ -125,7 +123,7 @@
 // point inside compaction recovers to exactly the pre- or
 // post-compaction state, never a mix. The engine passes the same
 // randomized cross-engine equivalence and simulation tiers as the
-// in-memory stores — retrieval output and Stats are bit-identical;
+// in-memory store — retrieval output and Stats are bit-identical;
 // only residency and latency change. What an acknowledged mutation has
 // survived — a process kill always, a power loss only with
 // store.DiskOptions.Sync, which zerber-server -store-engine disk sets —
@@ -150,10 +148,11 @@
 //
 // Batch flushes defer splitting entirely to Flush, so one batched pass
 // covers every queued document before the correlation-hiding shuffle
-// (§5.4.1). The EncryptWorkers option fans that pass out across
-// same-group windows of staged elements, each worker drawing from its
-// own DRBG; peers with a deterministic seed always encrypt serially so
-// their share streams stay reproducible. Proactive resharing rides the
+// (§5.4.1). The pass runs inline over same-group windows of staged
+// elements: share generation is a few percent of an indexing operation
+// (BENCH_index.json: BenchmarkEncryptBatch against
+// BenchmarkIndexDocument5k), so there is nothing for a worker pool to
+// win. Proactive resharing rides the
 // same pipeline: a refresh delta is a Shamir share of zero, so delta
 // generation is a SplitBatch over a zero-secret vector.
 //
@@ -267,8 +266,9 @@
 //
 // Share traffic between peers, searchers, and index servers crosses
 // one of two interchangeable codecs behind the same transport.API
-// interface, selected by the Transport option (and the -transport flag
-// of the commands):
+// interface, selected per listener by the -transport flag of
+// zerber-server and per address by the clients (bare host:port dials
+// binary, http:// dials JSON):
 //
 //   - "binary" (the default) is a length-prefixed binary framing:
 //     every message is a 4-byte little-endian length, the payload, and
@@ -292,32 +292,24 @@
 //
 // Each listener serves exactly one codec (transport.ServeBinary or the
 // HTTP handler), and the conformance test suite, the fault-injecting
-// simulator, and the load harness all run over both codecs, so the two
-// stay behaviorally identical.
+// simulator, and the soak all run over both codecs, so the two stay
+// behaviorally identical.
 //
-// # Load harness & verdict gate
+// # Soak
 //
-// The simulator proves correctness; cmd/zerber-loadgen (logic in
-// internal/load) proves the system stays fast while everything above
-// happens at once. "zerber-loadgen run" stands up a real cluster over
-// a real wire — each server on its own loopback listener serving the
-// binary or HTTP codec, so every operation pays genuine encoding and
-// TCP costs — and drives it with
-// concurrent searchers replaying the Zipfian query-frequency model
-// (internal/workload.QuerySampler over a synthetic corpus), mutating
-// peers holding a live document set near a target size, group
-// membership churn, and periodic proactive resharing. The run emits a
-// schema-versioned JSON artifact with throughput, latency percentiles,
-// error counts, and provenance (commit, scale tier, seed).
-//
-// "zerber-loadgen compare baseline.json candidate.json" turns two such
-// artifacts into a PASS/NEUTRAL/REGRESS verdict with noise-tolerant
-// thresholds and exits nonzero on REGRESS; CI runs a smoke tier per
-// commit against the committed LOAD_baseline.json and the nightly
-// workflow runs a larger full tier, so a change that collapses
-// retrieval throughput or doubles tail latency fails the pipeline
-// rather than landing silently. TESTING.md covers the tiers and the
-// baseline-refresh workflow.
+// The simulator proves correctness under injected faults, one operation
+// at a time; cmd/zerber-loadgen (logic in internal/load) is the
+// fault-free complement that runs everything at once over real TCP:
+// each server on its own loopback listener serving the binary or HTTP
+// codec, concurrent searchers replaying the Zipfian query-frequency
+// model on both retrieval paths, journaled peers holding a live
+// document set near a target size, group-membership churn, node
+// join/leave with live migration, and periodic proactive resharing.
+// Its whole verdict is that every operation kind did some work with
+// zero errors and that, once the workers stop, every share slot stores
+// exactly the peers' committed elements. It measures nothing: how fast
+// the system is, and whether a change made it slower, is decided by
+// benchmark/ alone (benchmark/README.md).
 package zerber
 
 import (
@@ -410,29 +402,17 @@ type Options struct {
 	// LeaveNode then change the node set online. 0 or 1 keeps the
 	// monolithic one-server-per-slot layout.
 	DHTNodes int
-	// StoreShards selects each index server's storage engine: 1 is the
-	// legacy single-lock baseline, any other value a lock-striped
-	// sharded store with that many shards (rounded up to a power of
-	// two); 0 picks a GOMAXPROCS-scaled default. Results and Stats are
-	// identical under every setting; only server-side throughput under
-	// concurrent mixed traffic changes.
-	StoreShards int
-	// StoreEngine overrides the StoreShards engine selection by name:
-	// "memory" (single-lock baseline), "sharded" (the lock-striped
-	// default), or "disk" (the log-structured on-disk engine — see
-	// "Disk engine" above). Empty keeps the StoreShards selection.
+	// StoreEngine names each index server's storage engine: "" or
+	// "sharded" (the lock-striped in-memory default — see "Storage
+	// engine" above) or "disk" (the log-structured on-disk engine — see
+	// "Disk engine"). Results and Stats are identical under both.
 	StoreEngine string
 	// StoreDir is where the "disk" engine keeps its segment files; each
 	// server gets its own subdirectory <StoreDir>/<server name>. Empty
 	// with StoreEngine "disk" picks a fresh temporary directory (the
 	// index is durable for the directory's lifetime but effectively
-	// process-scoped). Ignored by the in-memory engines.
+	// process-scoped). Ignored by the in-memory engine.
 	StoreDir string
-	// EncryptWorkers caps the goroutines each peer uses to split staged
-	// posting elements into Shamir shares when indexing. 0 means one
-	// per CPU; 1 encrypts serially. Peers created with a deterministic
-	// seed always encrypt serially so their output is reproducible.
-	EncryptWorkers int
 	// JournalDir, when non-empty, gives every peer a crash-safe
 	// mutation journal at <JournalDir>/<peer name>.journal: mutations
 	// are persisted before the first network send and replayed to
@@ -440,24 +420,7 @@ type Options struct {
 	// & recovery" above). Empty disables journaling; mutations are then
 	// retryable within the process but lost with it.
 	JournalDir string
-	// Transport names the wire codec deployments should put in front of
-	// the cluster's index servers: TransportBinary (the default) or
-	// TransportHTTP (the JSON debug transport). The in-process cluster
-	// itself calls servers directly; this knob is recorded for harnesses
-	// and the cmd binaries, which serve and dial accordingly (see the
-	// "Wire protocol" section above).
-	Transport string
 }
-
-// Wire codecs for Options.Transport.
-const (
-	// TransportBinary is the length-prefixed binary framed protocol over
-	// persistent pipelined TCP connections — the production transport.
-	TransportBinary = "binary"
-	// TransportHTTP is the JSON/HTTP debug transport: one POST per call,
-	// human-readable payloads, inspectable with curl.
-	TransportHTTP = "http"
-)
 
 // Cluster is a complete in-process Zerber deployment: n index servers,
 // the shared group table, the public mapping table and vocabulary, and
@@ -536,18 +499,10 @@ func NewCluster(docFreqs map[string]int, opts Options) (*Cluster, error) {
 	if opts.Heuristic == "" {
 		opts.Heuristic = DFM
 	}
-	switch opts.Transport {
-	case "":
-		opts.Transport = TransportBinary
-	case TransportBinary, TransportHTTP:
-	default:
-		return nil, fmt.Errorf("zerber: unknown transport %q (want %q or %q)",
-			opts.Transport, TransportBinary, TransportHTTP)
-	}
 	switch opts.StoreEngine {
-	case "", "memory", "sharded", "disk":
+	case "", "sharded", "disk":
 	default:
-		return nil, fmt.Errorf("zerber: unknown store engine %q (want \"memory\", \"sharded\", or \"disk\")",
+		return nil, fmt.Errorf("zerber: unknown store engine %q (want \"sharded\" or \"disk\")",
 			opts.StoreEngine)
 	}
 	if opts.StoreEngine == "disk" && opts.StoreDir == "" {
@@ -651,8 +606,7 @@ func NewCluster(docFreqs map[string]int, opts Options) (*Cluster, error) {
 // The disk engine roots each server's segment files in its own
 // subdirectory of StoreDir, so servers never share a log.
 func (c *Cluster) newStore(name string) (store.Store, error) {
-	st, err := store.NewEngine(c.opts.StoreEngine, c.opts.StoreShards,
-		filepath.Join(c.opts.StoreDir, name))
+	st, err := store.NewEngine(c.opts.StoreEngine, filepath.Join(c.opts.StoreDir, name))
 	if err != nil {
 		return nil, fmt.Errorf("zerber: store for %s: %w", name, err)
 	}
@@ -780,12 +734,11 @@ func (c *Cluster) IssueToken(user UserID) Token { return c.authSvc.Issue(c.ident
 // ID space among sites.
 func (c *Cluster) NewPeer(name string, seed int64) (*peer.Peer, error) {
 	cfg := peer.Config{
-		Name:           name,
-		Servers:        c.apis,
-		K:              c.opts.K,
-		Table:          c.table,
-		Vocab:          c.voc,
-		EncryptWorkers: c.opts.EncryptWorkers,
+		Name:    name,
+		Servers: c.apis,
+		K:       c.opts.K,
+		Table:   c.table,
+		Vocab:   c.voc,
 	}
 	if c.opts.JournalDir != "" {
 		if err := os.MkdirAll(c.opts.JournalDir, 0o755); err != nil {
@@ -975,10 +928,6 @@ func equalNames(a, b []string) bool {
 
 // K returns the secret-sharing threshold.
 func (c *Cluster) K() int { return c.opts.K }
-
-// Transport returns the configured wire codec (TransportBinary or
-// TransportHTTP).
-func (c *Cluster) Transport() string { return c.opts.Transport }
 
 // N returns the number of share slots (logical index servers).
 func (c *Cluster) N() int { return len(c.apis) }
