@@ -27,9 +27,12 @@ test-full:
 
 # The race tier runs -short so the detector's ~10-20x slowdown stays off
 # the critical path; the full-size suite runs race-free in `test` and at
-# full depth in the nightly `test-full`.
+# full depth in the nightly `test-full`. The second line repeats the one
+# test whose subject is a race: recycled wire buffers against calls
+# abandoned at random instants, which one pass samples too thinly.
 race:
 	$(GO) test -race -short -shuffle=on ./...
+	$(GO) test -race -short -count=20 -run='^TestBinaryCancelStress$$' ./internal/transport
 
 # Fuzz smoke: every fuzz target for FUZZTIME (default 10s) each. Go
 # allows one -fuzz pattern per package invocation, hence one line per
@@ -79,10 +82,10 @@ benchstore:
 # would truncate it before the parser even runs.
 benchjson:
 	$(GO) test -run='^$$' \
-		-bench='^(BenchmarkSplitBatch|BenchmarkSplitSequential|BenchmarkEncryptBatch|BenchmarkEncryptSequential|BenchmarkIndexDocument5k|BenchmarkUpdateDocument|BenchmarkJournaledFlush|BenchmarkUnjournaledFlush|BenchmarkFillRandDRBG|BenchmarkFillRandCryptoDirect|BenchmarkInvChain|BenchmarkInvGenericPow|BenchmarkEncodeGetPostingLists|BenchmarkBinaryVsJSONRoundTrip|BenchmarkMigrationThroughput|BenchmarkSearchTopK|BenchmarkRetrieveJoinRank|BenchmarkServerMixed)$$' \
+		-bench='^(BenchmarkSplitBatch|BenchmarkSplitSequential|BenchmarkEncryptBatch|BenchmarkEncryptSequential|BenchmarkIndexDocument5k|BenchmarkUpdateDocument|BenchmarkJournaledFlush|BenchmarkUnjournaledFlush|BenchmarkFillRandDRBG|BenchmarkFillRandCryptoDirect|BenchmarkInvChain|BenchmarkInvGenericPow|BenchmarkEncodeGetPostingLists|BenchmarkBinaryVsJSONRoundTrip|BenchmarkBinaryLookupRoundTrip|BenchmarkScanFiltered|BenchmarkMigrationThroughput|BenchmarkSearchTopK|BenchmarkRetrieveJoinRank|BenchmarkServerMixed)$$' \
 		-benchmem -benchtime=$(BENCHTIME) -count=1 \
 		./internal/field/ ./internal/shamir/ ./internal/posting/ ./internal/peer/ \
-		./internal/transport/ ./internal/dht/ ./internal/server/ ./internal/client/ . \
+		./internal/transport/ ./internal/dht/ ./internal/server/ ./internal/store/ ./internal/client/ . \
 		> bench_index.out.tmp
 	$(GO) run ./cmd/zerber-benchjson -commit $(COMMIT) -scale benchtime-$(BENCHTIME) \
 		< bench_index.out.tmp > bench_index.json.tmp

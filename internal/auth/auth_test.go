@@ -131,16 +131,17 @@ func TestGroupTableImmediateRevocation(t *testing.T) {
 	g := NewGroupTable()
 	g.Add("carol", 7)
 	set := g.GroupSetOf("carol")
-	if _, ok := set[7]; !ok {
+	if !set.Has(7) {
 		t.Fatal("set missing group")
 	}
 	g.Remove("carol", 7)
-	if _, ok := g.GroupSetOf("carol")[7]; ok {
+	if g.GroupSetOf("carol").Has(7) {
 		t.Error("revoked group still in set")
 	}
-	// Previously-fetched snapshots are unaffected (they are copies).
-	if _, ok := set[7]; !ok {
-		t.Error("GroupSetOf must return a snapshot copy")
+	// Previously-fetched snapshots are unaffected: a request finishes
+	// with the set it started with.
+	if !set.Has(7) {
+		t.Error("GroupSetOf must return a snapshot")
 	}
 }
 

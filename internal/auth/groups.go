@@ -1,6 +1,7 @@
 package auth
 
 import (
+	"slices"
 	"sort"
 	"sync"
 )
@@ -8,6 +9,39 @@ import (
 // GroupID identifies a collaboration group. Documents are shared with one
 // group; users belong to a (small, §2) set of groups.
 type GroupID uint32
+
+// GroupSet is an immutable set of groups: one user's memberships as the
+// table held them at one instant. It is a snapshot, not a view: a request
+// that has fetched its set finishes with it, as it did with the
+// per-request copy this type replaces — a Remove landing mid-scan does
+// not reach it, and the next request's set never admits the removed
+// group. Nothing outside this package can write to a set, so one value
+// serves every request of the user until the next Add or Remove replaces
+// it, and handing it out copies nothing. The zero GroupSet is empty.
+type GroupSet struct {
+	ids []GroupID // ascending, distinct, never written after construction
+}
+
+// groupSetLinear is the length up to which Has tests every member instead
+// of bisecting: users are in a handful of groups (§2).
+const groupSetLinear = 16
+
+// Has reports whether g is in the set: the per-element test of every
+// posting-list scan (§5.4.2). The short case ORs the comparisons
+// together in arithmetic with no exit at the first match: an element's
+// group is as good as random, and the mispredicted early exit made a
+// filtered scan of unseen lists twice as slow per element.
+func (s GroupSet) Has(g GroupID) bool {
+	if len(s.ids) > groupSetLinear {
+		_, found := slices.BinarySearch(s.ids, g)
+		return found
+	}
+	var hit uint64
+	for _, id := range s.ids {
+		hit |= (uint64(id^g) - 1) >> 63 // 1 exactly when id == g
+	}
+	return hit != 0
+}
 
 // GroupTable is the user-group metadata each index server records
 // (paper Fig. 3). Membership changes take effect immediately: "To add or
@@ -17,14 +51,14 @@ type GroupID uint32
 // GroupTable is safe for concurrent use.
 type GroupTable struct {
 	mu      sync.RWMutex
-	byUser  map[UserID]map[GroupID]struct{}
+	byUser  map[UserID]GroupSet // a set is replaced whole, never edited
 	byGroup map[GroupID]map[UserID]struct{}
 }
 
 // NewGroupTable returns an empty table.
 func NewGroupTable() *GroupTable {
 	return &GroupTable{
-		byUser:  make(map[UserID]map[GroupID]struct{}),
+		byUser:  make(map[UserID]GroupSet),
 		byGroup: make(map[GroupID]map[UserID]struct{}),
 	}
 }
@@ -33,10 +67,10 @@ func NewGroupTable() *GroupTable {
 func (g *GroupTable) Add(user UserID, group GroupID) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.byUser[user] == nil {
-		g.byUser[user] = make(map[GroupID]struct{})
+	ids := g.byUser[user].ids
+	if i, found := slices.BinarySearch(ids, group); !found {
+		g.byUser[user] = GroupSet{ids: slices.Insert(slices.Clone(ids), i, group)}
 	}
-	g.byUser[user][group] = struct{}{}
 	if g.byGroup[group] == nil {
 		g.byGroup[group] = make(map[UserID]struct{})
 	}
@@ -49,12 +83,15 @@ func (g *GroupTable) Add(user UserID, group GroupID) {
 func (g *GroupTable) Remove(user UserID, group GroupID) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if _, ok := g.byUser[user][group]; !ok {
+	ids := g.byUser[user].ids
+	i, found := slices.BinarySearch(ids, group)
+	if !found {
 		return false
 	}
-	delete(g.byUser[user], group)
-	if len(g.byUser[user]) == 0 {
+	if len(ids) == 1 {
 		delete(g.byUser, user)
+	} else {
+		g.byUser[user] = GroupSet{ids: slices.Delete(slices.Clone(ids), i, i+1)}
 	}
 	delete(g.byGroup[group], user)
 	if len(g.byGroup[group]) == 0 {
@@ -63,29 +100,17 @@ func (g *GroupTable) Remove(user UserID, group GroupID) bool {
 	return true
 }
 
-// GroupsOf returns the sorted groups of a user. This is the O(N) group
-// lookup performed per query (§5.4.2).
+// GroupsOf returns the sorted groups of a user, in a slice of the caller's.
 func (g *GroupTable) GroupsOf(user UserID) []GroupID {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	out := make([]GroupID, 0, len(g.byUser[user]))
-	for gid := range g.byUser[user] {
-		out = append(out, gid)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return append([]GroupID{}, g.GroupSetOf(user).ids...)
 }
 
-// GroupSetOf returns the user's groups as a set for O(1) membership
-// filtering during posting-list scans.
-func (g *GroupTable) GroupSetOf(user UserID) map[GroupID]struct{} {
+// GroupSetOf returns the user's current snapshot — the group lookup done
+// once per query (§5.4.2) — without copying or allocating.
+func (g *GroupTable) GroupSetOf(user UserID) GroupSet {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	out := make(map[GroupID]struct{}, len(g.byUser[user]))
-	for gid := range g.byUser[user] {
-		out[gid] = struct{}{}
-	}
-	return out
+	return g.byUser[user]
 }
 
 // MembersOf returns the sorted members of a group.
@@ -102,10 +127,7 @@ func (g *GroupTable) MembersOf(group GroupID) []UserID {
 
 // IsMember reports whether user belongs to group.
 func (g *GroupTable) IsMember(user UserID, group GroupID) bool {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	_, ok := g.byUser[user][group]
-	return ok
+	return g.GroupSetOf(user).Has(group)
 }
 
 // NumGroups returns the number of non-empty groups.

@@ -53,11 +53,11 @@ type DocumentResponse struct {
 // groups supplies the caller's memberships for the per-document access
 // check (the peer trusts its own group view, like every index server).
 func NewHTTPHandler(p *Peer, verifier *auth.Service, groups *auth.GroupTable) http.Handler {
-	authed := func(w http.ResponseWriter, r *http.Request) (map[auth.GroupID]struct{}, bool) {
+	authed := func(w http.ResponseWriter, r *http.Request) (auth.GroupSet, bool) {
 		user, err := verifier.Verify(auth.Token(r.Header.Get(authHeader)))
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusUnauthorized)
-			return nil, false
+			return auth.GroupSet{}, false
 		}
 		return groups.GroupSetOf(user), true
 	}
@@ -93,7 +93,7 @@ func NewHTTPHandler(p *Peer, verifier *auth.Service, groups *auth.GroupTable) ht
 			http.Error(w, fmt.Sprintf("unknown document %d", req.DocID), http.StatusNotFound)
 			return
 		}
-		if _, member := groupSet[doc.Group]; !member {
+		if !groupSet.Has(doc.Group) {
 			http.Error(w, "access denied", http.StatusForbidden)
 			return
 		}

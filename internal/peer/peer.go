@@ -219,14 +219,14 @@ func (p *Peer) DocIDs() []uint32 {
 // Snippet serves the result snippet for a hosted document if the
 // requesting user belongs to the document's group — the peer-side check
 // of §5.4.2's snippet fetch. groupsOf is the caller's verified group set.
-func (p *Peer) Snippet(docID uint32, query []string, width int, groupsOf map[auth.GroupID]struct{}) (string, error) {
+func (p *Peer) Snippet(docID uint32, query []string, width int, groupsOf auth.GroupSet) (string, error) {
 	p.mu.RLock()
 	doc, ok := p.docs[docID]
 	p.mu.RUnlock()
 	if !ok {
 		return "", fmt.Errorf("%w: %d", ErrUnknownDoc, docID)
 	}
-	if _, member := groupsOf[doc.Group]; !member {
+	if !groupsOf.Has(doc.Group) {
 		return "", fmt.Errorf("peer: document %d: access denied", docID)
 	}
 	return textproc.Snippet(doc.Content, query, width), nil

@@ -282,17 +282,20 @@ func TestSnippetAccessControl(t *testing.T) {
 	if err := p.IndexDocument(tok, Document{ID: 1, Content: "the martha memo about imclone", Group: 1}); err != nil {
 		t.Fatal(err)
 	}
-	s, err := p.Snippet(1, []string{"imclone"}, 50, map[auth.GroupID]struct{}{1: {}})
+	groups := auth.NewGroupTable()
+	groups.Add("in", 1)
+	groups.Add("out", 2)
+	s, err := p.Snippet(1, []string{"imclone"}, 50, groups.GroupSetOf("in"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s == "" {
 		t.Error("empty snippet")
 	}
-	if _, err := p.Snippet(1, []string{"imclone"}, 50, map[auth.GroupID]struct{}{2: {}}); err == nil {
+	if _, err := p.Snippet(1, []string{"imclone"}, 50, groups.GroupSetOf("out")); err == nil {
 		t.Error("snippet served to non-member")
 	}
-	if _, err := p.Snippet(99, nil, 50, nil); !errors.Is(err, ErrUnknownDoc) {
+	if _, err := p.Snippet(99, nil, 50, auth.GroupSet{}); !errors.Is(err, ErrUnknownDoc) {
 		t.Errorf("unknown doc: %v", err)
 	}
 }

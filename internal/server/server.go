@@ -139,9 +139,9 @@ func (s *Server) Store() store.Store { return s.st }
 
 // authorizeInserts checks group membership for every share before any
 // mutation, so a rejected batch changes nothing.
-func (s *Server) authorizeInserts(memberOf map[auth.GroupID]struct{}, ops []transport.InsertOp) error {
+func (s *Server) authorizeInserts(memberOf auth.GroupSet, ops []transport.InsertOp) error {
 	for _, op := range ops {
-		if _, ok := memberOf[auth.GroupID(op.Share.Group)]; !ok {
+		if !memberOf.Has(auth.GroupID(op.Share.Group)) {
 			return fmt.Errorf("%s: insert into group %d: %w", s.cfg.Name, op.Share.Group, ErrUnauthorized)
 		}
 	}
@@ -175,7 +175,7 @@ func (s *Server) upsertAll(ops []transport.InsertOp) int {
 // belongs to, counting stats once per batch. An element already absent
 // is skipped; an element in a foreign group aborts with ErrUnauthorized
 // after the stats of the removals so far are recorded.
-func (s *Server) deleteAll(memberOf map[auth.GroupID]struct{}, ops []transport.DeleteOp) error {
+func (s *Server) deleteAll(memberOf auth.GroupSet, ops []transport.DeleteOp) error {
 	var removed int64
 	defer func() {
 		if removed > 0 {
@@ -185,7 +185,7 @@ func (s *Server) deleteAll(memberOf map[auth.GroupID]struct{}, ops []transport.D
 	for _, op := range ops {
 		var deniedGroup uint32
 		found, deleted := s.st.DeleteIf(op.List, op.ID, func(sh posting.EncryptedShare) bool {
-			if _, member := memberOf[auth.GroupID(sh.Group)]; !member {
+			if !memberOf.Has(auth.GroupID(sh.Group)) {
 				deniedGroup = sh.Group
 				return false
 			}
@@ -257,10 +257,18 @@ func (s *Server) Apply(ctx context.Context, tok auth.Token, op transport.OpID, i
 	return nil
 }
 
+// keepGroups returns the scan filter of one request: it accepts the
+// shares of the caller's groups, as the set stood when the request
+// resolved it.
+func keepGroups(memberOf auth.GroupSet) func(posting.EncryptedShare) bool {
+	return func(sh posting.EncryptedShare) bool { return memberOf.Has(auth.GroupID(sh.Group)) }
+}
+
 // GetPostingLists authenticates the caller and returns, for each
 // requested list, only the shares whose group the caller belongs to
 // (Algorithm 2, server side). Unknown lists come back empty: the mapping
-// table is public, so list existence is not a secret.
+// table is public, so list existence is not a secret. A list named more
+// than once is scanned, returned and counted once.
 func (s *Server) GetPostingLists(ctx context.Context, tok auth.Token, lists []merging.ListID) (map[merging.ListID][]posting.EncryptedShare, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("%s: %w", s.cfg.Name, err)
@@ -269,15 +277,14 @@ func (s *Server) GetPostingLists(ctx context.Context, tok auth.Token, lists []me
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", s.cfg.Name, err)
 	}
-	memberOf := s.cfg.Groups.GroupSetOf(user)
-	authorized := func(sh posting.EncryptedShare) bool {
-		_, member := memberOf[auth.GroupID(sh.Group)]
-		return member
-	}
+	authorized := keepGroups(s.cfg.Groups.GroupSetOf(user))
 
 	out := make(map[merging.ListID][]posting.EncryptedShare, len(lists))
 	served := int64(0)
 	for _, lid := range lists {
+		if _, done := out[lid]; done {
+			continue
+		}
 		// A cancelled fan-out straggler stops scanning mid-request; the
 		// client has already abandoned the response.
 		if err := ctx.Err(); err != nil {
@@ -306,12 +313,7 @@ func (s *Server) GetPostingBlocks(ctx context.Context, tok auth.Token, list merg
 	if err != nil {
 		return transport.BlockPage{}, fmt.Errorf("%s: %w", s.cfg.Name, err)
 	}
-	memberOf := s.cfg.Groups.GroupSetOf(user)
-	authorized := func(sh posting.EncryptedShare) bool {
-		_, member := memberOf[auth.GroupID(sh.Group)]
-		return member
-	}
-	shares, total, next := s.st.ScanRange(list, from, n, authorized)
+	shares, total, next := s.st.ScanRange(list, from, n, keepGroups(s.cfg.Groups.GroupSetOf(user)))
 	s.lookups.Add(1)
 	s.served.Add(int64(len(shares)))
 	return transport.BlockPage{Shares: shares, Total: total, Next: next}, nil

@@ -93,6 +93,12 @@ type Store interface {
 	// Scan returns the shares of lid accepted by keep (nil keeps all)
 	// in stored order, or nil if none match. The same locking rules as
 	// DeleteIf's allow apply to keep.
+	//
+	// The result is the caller's to keep or overwrite: a fresh slice per
+	// call that never aliases engine state or a buffer the engine
+	// reuses. It is sized to what it holds (a scan that keeps half a list
+	// does not allocate the other half), except that a list Disk had to
+	// read for this call is that read's buffer, filtered in place.
 	Scan(lid merging.ListID, keep func(posting.EncryptedShare) bool) []posting.EncryptedShare
 
 	// ScanRange returns the shares at positions [from, from+n) of lid's
@@ -101,6 +107,7 @@ type Store interface {
 	// position from+n (0 when the window reaches the end). total and
 	// next describe the whole list, before keep filtering, so a top-k
 	// client can bound the score of everything it has not fetched.
+	// shares is the caller's and sized like Scan's result.
 	ScanRange(lid merging.ListID, from, n int, keep func(posting.EncryptedShare) bool) (shares []posting.EncryptedShare, total int, next uint8)
 
 	// IngestList merges a whole list — the trusted node-to-node

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"zerber/internal/field"
 	"zerber/internal/merging"
@@ -124,33 +125,58 @@ func (t *table) deleteIf(lid merging.ListID, gid posting.GlobalID, allow func(po
 	return true, true
 }
 
+// scanScratch recycles the buffers filterShares filters into. One is
+// private to a call from Get to Put; what a scan returns is a copy.
+var scanScratch = sync.Pool{New: func() any { return new([]posting.EncryptedShare) }}
+
 // filterShares is the one read-side filter of every engine: it returns
 // the shares of src that keep accepts (nil keeps all), or nil when there
-// are none. The result never aliases engine state: it is src itself,
-// filtered in place, when the caller owns src (a list just read from
-// disk), and otherwise a copy sized once to len(src) — a scan returns
-// half a list on average, so growing from nothing through append cost
-// more in reallocation than the spare half costs in memory.
+// are none. The result is the caller's and never aliases engine state or
+// the scratch. When the caller owns src (a list just read from disk) it
+// is src itself, filtered in place. Otherwise src is read once into a
+// recycled scratch buffer and the result is a copy of exactly what was
+// kept: a scan keeps half a list on average, so a result sized to
+// len(src) allocated and zeroed twice what it returned, and counting
+// first would read a memory-bound list twice.
 func filterShares(src []posting.EncryptedShare, keep func(posting.EncryptedShare) bool, owned bool) []posting.EncryptedShare {
 	if len(src) == 0 {
 		return nil
 	}
-	out := src[:0]
-	if !owned {
-		out = make([]posting.EncryptedShare, 0, len(src))
+	if keep == nil && owned {
+		return src
+	} else if keep == nil {
+		return append([]posting.EncryptedShare(nil), src...)
+	} else if owned {
+		return keepInto(src, src, keep)
 	}
-	if keep == nil {
-		return append(out, src...)
+	scratch := scanScratch.Get().(*[]posting.EncryptedShare)
+	if cap(*scratch) < len(src) {
+		*scratch = make([]posting.EncryptedShare, len(src))
 	}
+	// append to nil sizes the copy to what was kept without zeroing it.
+	out := append([]posting.EncryptedShare(nil), keepInto(*scratch, src, keep)...)
+	scanScratch.Put(scratch)
+	return out
+}
+
+// keepInto writes the shares of src that keep accepts to the front of
+// dst, which has room for all of src (and may be src), and returns that
+// prefix, nil when empty. Every share is stored and only the advance
+// depends on keep: whether an element passes is a coin toss, and a
+// conditional move is cheaper than a branch mispredicted half the time.
+func keepInto(dst, src []posting.EncryptedShare, keep func(posting.EncryptedShare) bool) []posting.EncryptedShare {
+	dst = dst[:len(src)]
+	n := 0
 	for _, sh := range src {
+		dst[n] = sh
 		if keep(sh) {
-			out = append(out, sh)
+			n++
 		}
 	}
-	if len(out) == 0 {
+	if n == 0 {
 		return nil
 	}
-	return out
+	return dst[:n]
 }
 
 func (t *table) scan(lid merging.ListID, keep func(posting.EncryptedShare) bool) []posting.EncryptedShare {

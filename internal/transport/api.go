@@ -4,7 +4,9 @@
 // lookups, together with its implementations and decorators:
 //
 //   - BinaryClient / ServeBinary: the production wire, length-prefixed
-//     CRC frames over one pipelined TCP connection per server;
+//     CRC frames over one pipelined TCP connection per server, built
+//     and read in place in recycled buffers (framebuf.go states who
+//     owns one when);
 //   - HTTPClient / NewHTTPHandler: the JSON-over-HTTP debug wire;
 //   - Local: in-process calls with byte accounting, used by the
 //     simulation experiments (§7.3 network bandwidth) and the tests;
@@ -91,7 +93,10 @@ type API interface {
 	// implementation returns copies it keeps no reference to, so the
 	// caller may reorder, overwrite or retain them, and nothing it does
 	// reaches the server or another caller. (The client only reads
-	// them: it joins shares by global ID without moving them.)
+	// them: it joins shares by global ID without moving them.) Nor may
+	// whatever carries a result onward (the binary server, framing it)
+	// recycle it: a slice does not say where it came from, so a layer
+	// reuses only buffers it allocated itself.
 	GetPostingLists(ctx context.Context, tok auth.Token, lists []merging.ListID) (map[merging.ListID][]posting.EncryptedShare, error)
 	// GetPostingBlocks is the paged lookup behind top-k retrieval
 	// (Zerber+R §6): it authenticates the caller and returns the window

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"encoding/json"
 	"strconv"
 	"testing"
@@ -113,4 +114,24 @@ func BenchmarkBinaryVsJSONRoundTrip(b *testing.B) {
 		}
 		b.ReportMetric(float64(n), "wire-B/op")
 	})
+}
+
+// BenchmarkBinaryLookupRoundTrip measures one 3,500-share lookup (a
+// 70 KB response frame, one server's part of a benchmark search) over a
+// loopback connection, server and client in one process: request
+// framing, dispatch, the response built in place, the socket, the read
+// into a recycled buffer and the decode. B/op is dominated by what
+// decoding hands the caller (84 KB of shares); what it is beyond that is
+// the transport's own.
+func BenchmarkBinaryLookupRoundTrip(b *testing.B) {
+	_, c := serveCanned(b)
+	lists := []merging.ListID{3, 17, 40}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := c.GetPostingLists(context.Background(), "tok", lists)
+		if err != nil || len(out) != 3 {
+			b.Fatal(err)
+		}
+	}
 }

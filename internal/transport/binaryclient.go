@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -15,7 +14,6 @@ import (
 	"zerber/internal/field"
 	"zerber/internal/merging"
 	"zerber/internal/posting"
-	"zerber/internal/wal"
 )
 
 // Reconnect backoff bounds. After a failed dial the client refuses new
@@ -41,6 +39,16 @@ var errClientClosed = errors.New("transport: binary client closed")
 // does not hold up the connection's other calls and the response of an
 // abandoned call (a straggler the fan-out cancelled) is dropped
 // undecoded.
+//
+// Frames live in pooled buffers (framebuf.go), each with one owner. A
+// request frame is built in place by the caller and is the caller's
+// until the connection's writer takes it from the queue and, once it is
+// written, releases it. A response frame is the reader's until it finds
+// the call waiting for it: then it is that call's, and finish releases
+// it after decoding. When nobody is waiting — the abandoned-call rule —
+// the reader releases it itself. So exactly one of the two releases a
+// response buffer, except one handed over in the instant its caller gave
+// up: that is never read and goes to the garbage collector.
 //
 // A broken connection fails every in-flight call and is re-dialed
 // lazily with exponential backoff on the next call. That retry surface
@@ -151,17 +159,19 @@ func (c *BinaryClient) call(ctx context.Context, req binRequest) (binResponse, e
 		return binResponse{}, fmt.Errorf("transport: %s %s: %w", name, c.addr, err)
 	}
 	req.id = id
-	frame, err := encodeFrame(appendBinRequest(make([]byte, 0, binRequestSize(&req)), &req))
+	frame, err := buildFrame(binRequestSize(&req), func(dst []byte) []byte { return appendBinRequest(dst, &req) })
 	if err != nil {
 		conn.unregister(id)
 		return binResponse{}, fmt.Errorf("transport: %s %s: %w", name, c.addr, err)
 	}
 	select {
-	case conn.writeCh <- frame:
+	case conn.writeCh <- frame: // the writer's from here on
 	case <-conn.done:
+		frame.release()
 		conn.unregister(id)
 		return binResponse{}, fmt.Errorf("transport: %s %s: %w", name, c.addr, conn.failure())
 	case <-ctx.Done():
+		frame.release()
 		conn.unregister(id)
 		return binResponse{}, ctx.Err()
 	}
@@ -179,22 +189,24 @@ func (c *BinaryClient) call(ctx context.Context, req binRequest) (binResponse, e
 			return binResponse{}, fmt.Errorf("transport: %s %s: %w", name, c.addr, conn.failure())
 		}
 	case <-ctx.Done():
-		// Abandon the call: the reader drops responses without a
-		// pending entry, so the connection stays usable.
+		// Abandon the call: the reader drops (and recycles) responses
+		// without a pending entry, so the connection stays usable.
 		conn.unregister(id)
 		return binResponse{}, ctx.Err()
 	}
 }
 
 // finish turns one delivered result into the call's return values,
-// decoding the response frame on the calling goroutine. A frame that
-// does not decode, or answers a different kind of request, means the
-// stream cannot be trusted: the connection dies with the call.
+// decoding the response frame on the calling goroutine and releasing
+// its buffer. A frame that does not decode, or answers a different kind
+// of request, means the stream cannot be trusted: the connection dies
+// with the call.
 func (c *BinaryClient) finish(conn *binConn, name string, kind byte, res binResult) (binResponse, error) {
 	if res.err != nil {
 		return binResponse{}, fmt.Errorf("transport: %s %s: %w", name, c.addr, res.err)
 	}
-	resp, err := decodeBinResponse(res.payload)
+	resp, err := decodeBinResponse(res.frame.b)
+	res.frame.release()
 	if err == nil && resp.kind != kind {
 		err = fmt.Errorf("transport: response kind %s for a %s request", binKindName(resp.kind), name)
 	}
@@ -248,11 +260,11 @@ func (c *BinaryClient) register() (*binConn, uint64, *binCall, error) {
 }
 
 // binResult is one call's outcome, delivered by the reader goroutine:
-// the response frame's payload, still encoded, or the connection's
-// failure.
+// the response frame's payload, still encoded, in a buffer the receiver
+// now owns, or the connection's failure.
 type binResult struct {
-	payload []byte
-	err     error
+	frame *frameBuf
+	err   error
 }
 
 type binCall struct {
@@ -264,7 +276,7 @@ type binCall struct {
 // frames to pending calls by request ID.
 type binConn struct {
 	nc      net.Conn
-	writeCh chan []byte
+	writeCh chan *frameBuf
 	done    chan struct{}
 
 	mu      sync.Mutex
@@ -274,8 +286,10 @@ type binConn struct {
 
 func newBinConn(nc net.Conn) *binConn {
 	bc := &binConn{
-		nc:      nc,
-		writeCh: make(chan []byte, 64),
+		nc: nc,
+		// Room for a burst of pipelined calls to queue without blocking
+		// on the writer's flush.
+		writeCh: make(chan *frameBuf, 64),
 		done:    make(chan struct{}),
 		pending: make(map[uint64]*binCall),
 	}
@@ -344,9 +358,9 @@ func (bc *binConn) die(err error) {
 	}
 }
 
-// writeLoop batches queued frames: it writes everything immediately
-// available, then flushes once — so a burst of pipelined calls shares
-// one syscall.
+// writeLoop writes the queued frames, flushing whenever the queue runs
+// empty — so a burst of pipelined calls shares one syscall — and
+// releases each frame once it is written.
 func (bc *binConn) writeLoop() {
 	bw := bufio.NewWriter(bc.nc)
 	for {
@@ -354,23 +368,13 @@ func (bc *binConn) writeLoop() {
 		case <-bc.done:
 			return
 		case frame := <-bc.writeCh:
-			if _, err := bw.Write(frame); err != nil {
+			_, err := bw.Write(frame.b)
+			frame.release()
+			if err == nil && len(bc.writeCh) == 0 {
+				err = bw.Flush()
+			}
+			if err != nil {
 				bc.die(fmt.Errorf("transport: write: %w", err))
-				return
-			}
-			for drained := false; !drained; {
-				select {
-				case more := <-bc.writeCh:
-					if _, err := bw.Write(more); err != nil {
-						bc.die(fmt.Errorf("transport: write: %w", err))
-						return
-					}
-				default:
-					drained = true
-				}
-			}
-			if err := bw.Flush(); err != nil {
-				bc.die(fmt.Errorf("transport: flush: %w", err))
 				return
 			}
 		}
@@ -380,31 +384,24 @@ func (bc *binConn) writeLoop() {
 func (bc *binConn) readLoop() {
 	br := bufio.NewReader(bc.nc)
 	for {
-		payload, err := wal.ReadFrame(br)
+		frame, err := readFrame(br)
 		if err != nil {
 			bc.die(fmt.Errorf("transport: read: %w", err))
 			return
 		}
-		id, _, ok := binPeekID(payload)
+		id, _, ok := binPeekID(frame.b)
 		if !ok {
+			frame.release()
 			bc.die(fmt.Errorf("%w: truncated response header", errBinMalformed))
 			return
 		}
 		if call := bc.take(id); call != nil {
-			call.ch <- binResult{payload: payload}
+			call.ch <- binResult{frame: frame}
+		} else {
+			// No pending entry: the caller gave up (context
+			// cancellation); the response is dropped undecoded and the
+			// connection stays in sync.
+			frame.release()
 		}
-		// No pending entry: the caller gave up (context cancellation);
-		// the response is dropped undecoded and the connection stays in
-		// sync.
 	}
-}
-
-// encodeFrame wraps a payload in the wal length+payload+CRC frame.
-func encodeFrame(payload []byte) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Grow(len(payload) + 8)
-	if err := wal.AppendFrame(&buf, payload); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }

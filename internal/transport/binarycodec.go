@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"zerber/internal/auth"
 	"zerber/internal/field"
@@ -58,6 +58,9 @@ const (
 	binInsertSize = ListIDBytes + ShareBytes
 	binDeleteSize = ListIDBytes + 8
 	binShareSize  = ShareBytes
+	// binRespHeaderSize is the request ID, kind and status that open
+	// every response payload.
+	binRespHeaderSize = 8 + 1 + 2
 )
 
 // errBinMalformed reports a structurally invalid frame payload.
@@ -94,6 +97,24 @@ type binResponse struct {
 func appendU16(dst []byte, v uint16) []byte { return binary.LittleEndian.AppendUint16(dst, v) }
 func appendU32(dst []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(dst, v) }
 func appendU64(dst []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(dst, v) }
+
+// appendShares encodes a 4-byte count and that many fixed-width share
+// records. The room is claimed once and the records are written by
+// position, so the loop pays no per-field growth check; a dst sized by
+// the *BodySize functions is never reallocated.
+func appendShares(dst []byte, shares []posting.EncryptedShare) []byte {
+	dst = appendU32(dst, uint32(len(shares)))
+	off := len(dst)
+	dst = slices.Grow(dst, len(shares)*binShareSize)[:off+len(shares)*binShareSize]
+	for _, sh := range shares {
+		rec := dst[off : off+binShareSize]
+		binary.LittleEndian.PutUint64(rec, uint64(sh.GlobalID))
+		binary.LittleEndian.PutUint32(rec[8:], sh.Group)
+		binary.LittleEndian.PutUint64(rec[12:], sh.Y.Uint64())
+		off += binShareSize
+	}
+	return dst
+}
 
 func appendInsertOps(dst []byte, ops []InsertOp) []byte {
 	dst = appendU32(dst, uint32(len(ops)))
@@ -351,17 +372,10 @@ func appendLookupBody(dst []byte, out map[merging.ListID][]posting.EncryptedShar
 	for lid := range out {
 		lids = append(lids, lid)
 	}
-	sort.Slice(lids, func(i, j int) bool { return lids[i] < lids[j] })
+	slices.Sort(lids)
 	dst = appendU32(dst, uint32(len(lids)))
 	for _, lid := range lids {
-		shares := out[lid]
-		dst = appendU32(dst, uint32(lid))
-		dst = appendU32(dst, uint32(len(shares)))
-		for _, sh := range shares {
-			dst = appendU64(dst, uint64(sh.GlobalID))
-			dst = appendU32(dst, sh.Group)
-			dst = appendU64(dst, sh.Y.Uint64())
-		}
+		dst = appendShares(appendU32(dst, uint32(lid)), out[lid])
 	}
 	return dst
 }
@@ -376,14 +390,7 @@ func binBlockBodySize(page BlockPage) int {
 // (total, next bucket, share count) followed by the share records.
 func appendBlockBody(dst []byte, page BlockPage) []byte {
 	dst = appendU32(dst, uint32(page.Total))
-	dst = append(dst, page.Next)
-	dst = appendU32(dst, uint32(len(page.Shares)))
-	for _, sh := range page.Shares {
-		dst = appendU64(dst, uint64(sh.GlobalID))
-		dst = appendU32(dst, sh.Group)
-		dst = appendU64(dst, sh.Y.Uint64())
-	}
-	return dst
+	return appendShares(append(dst, page.Next), page.Shares)
 }
 
 // decodeBinResponse decodes one response frame payload.

@@ -70,7 +70,9 @@ func FuzzBinaryFrameDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bytes.NewReader(data)
 		for {
-			payload, err := wal.ReadFrame(br)
+			// The connections' own reader: frames land in recycled
+			// buffers still holding earlier iterations' bytes.
+			frame, err := readFrame(br)
 			if err != nil {
 				// Frame layer rejected the rest of the stream (torn,
 				// truncated, corrupt CRC, oversized, or EOF): the payload
@@ -78,6 +80,7 @@ func FuzzBinaryFrameDecode(f *testing.F) {
 				// handlers drop the socket on the first framing error.
 				return
 			}
+			payload := frame.b
 			if req, err := decodeBinRequest(payload); err == nil {
 				if req.kind == 2 || req.kind == 3 {
 					t.Fatalf("retired message kind %d decoded: %x", req.kind, payload)
@@ -97,6 +100,7 @@ func FuzzBinaryFrameDecode(f *testing.F) {
 					t.Fatalf("response encode/decode has no fixpoint:\n one %x\n two %x", re, re2)
 				}
 			}
+			frame.release()
 		}
 	})
 }

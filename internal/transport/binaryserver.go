@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-
-	"zerber/internal/wal"
 )
 
 // binMaxConnInflight bounds the request goroutines one connection may
@@ -20,6 +18,13 @@ const binMaxConnInflight = 64
 // request workers in between — so pipelined requests execute
 // concurrently and responses return in completion order, matched by
 // request ID.
+//
+// Frames live in pooled buffers (framebuf.go). A request frame is the
+// connection reader's, released as soon as the request is decoded
+// (decoding copies out). A response frame is built in place by the
+// worker that ran the request and is that worker's until it is queued
+// for the connection's writer, which releases it once written. What the
+// API returned is never recycled: a slice does not say where it came from.
 type BinaryServer struct {
 	ln  net.Listener
 	api API
@@ -96,7 +101,9 @@ func (s *BinaryServer) serveConn(nc net.Conn) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	writeCh := make(chan []byte, binMaxConnInflight)
+	// One slot per request worker, so a finished worker never waits to
+	// queue its response.
+	writeCh := make(chan *frameBuf, binMaxConnInflight)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
@@ -107,42 +114,25 @@ func (s *BinaryServer) serveConn(nc net.Conn) {
 	var inflight sync.WaitGroup
 	br := bufio.NewReader(nc)
 	for {
-		payload, err := wal.ReadFrame(br)
+		in, err := readFrame(br)
 		if err != nil {
 			break // EOF, torn, or corrupt: stream sync is gone
 		}
-		req, derr := decodeBinRequest(payload)
+		req, derr := decodeBinRequest(in.b)
+		id, kind, addressed := binPeekID(in.b)
+		in.release()
 		if derr != nil {
-			id, kind, ok := binPeekID(payload)
-			if !ok {
+			if !addressed {
 				break
 			}
-			resp, ferr := encodeFrame(appendBinError(nil, id, kind, 400, derr.Error()))
-			if ferr != nil {
-				break
-			}
-			select {
-			case writeCh <- resp:
-			case <-writerDone:
-			}
+			writeCh <- errorFrame(id, kind, 400, derr.Error())
 			continue
 		}
 		sem <- struct{}{}
 		inflight.Add(1)
 		go func() {
 			defer func() { <-sem; inflight.Done() }()
-			resp := s.dispatch(ctx, req)
-			frame, err := encodeFrame(resp)
-			if err != nil {
-				// A response that exceeds the frame bound cannot be
-				// sent; the capped error message always fits.
-				frame, _ = encodeFrame(appendBinError(nil, req.id, req.kind, 400,
-					fmt.Sprintf("response exceeds frame limit: %v", err)))
-			}
-			select {
-			case writeCh <- frame:
-			case <-writerDone:
-			}
+			writeCh <- s.respond(ctx, req)
 		}()
 	}
 	cancel()
@@ -151,80 +141,74 @@ func (s *BinaryServer) serveConn(nc net.Conn) {
 	<-writerDone
 }
 
-// connWriter drains writeCh into batched, flushed frame writes; on a
-// write error it closes the socket (stopping the reader) and keeps
-// draining so workers never block.
-func (s *BinaryServer) connWriter(nc net.Conn, writeCh chan []byte) {
+// connWriter writes the queued frames, flushing whenever the queue runs
+// empty so a burst shares one syscall, and releases each frame once it
+// is written. On a write error it closes the socket (stopping the
+// reader) and keeps draining so workers never block. It runs until
+// writeCh is closed.
+func (s *BinaryServer) connWriter(nc net.Conn, writeCh chan *frameBuf) {
 	bw := bufio.NewWriter(nc)
-	dead := false
-	write := func(frame []byte) {
-		if dead {
-			return
-		}
-		if _, err := bw.Write(frame); err != nil {
-			dead = true
-			nc.Close()
-		}
-	}
+	var err error
 	for frame := range writeCh {
-		write(frame)
-		for drained := false; !drained && !dead; {
-			select {
-			case more, ok := <-writeCh:
-				if !ok {
-					drained = true
-					break
-				}
-				write(more)
-			default:
-				drained = true
+		if err == nil {
+			if _, err = bw.Write(frame.b); err == nil && len(writeCh) == 0 {
+				err = bw.Flush()
 			}
-		}
-		if !dead {
-			if err := bw.Flush(); err != nil {
-				dead = true
+			if err != nil {
 				nc.Close()
 			}
 		}
-	}
-	if !dead {
-		bw.Flush()
+		frame.release()
 	}
 }
 
-// dispatch executes one decoded request against the API and encodes the
-// response payload.
-func (s *BinaryServer) dispatch(ctx context.Context, req binRequest) []byte {
+// errorFrame builds an addressed error response. The message is capped
+// (appendBinError), so the frame always fits the bound.
+func errorFrame(id uint64, kind byte, status uint16, msg string) *frameBuf {
+	fb, _ := buildFrame(binRespHeaderSize+2+len(msg), func(dst []byte) []byte {
+		return appendBinError(dst, id, kind, status, msg)
+	})
+	return fb
+}
+
+// respond executes one decoded request against the API and builds the
+// response frame in place; the caller owns it. A response that exceeds
+// the frame bound cannot be sent: the caller is told so instead.
+func (s *BinaryServer) respond(ctx context.Context, req binRequest) *frameBuf {
+	ok := func(bodySize int, body func(dst []byte) []byte) *frameBuf {
+		frame, err := buildFrame(binRespHeaderSize+bodySize, func(dst []byte) []byte {
+			return appendBinOK(dst, req.id, req.kind, body)
+		})
+		if err != nil {
+			return errorFrame(req.id, req.kind, 400, fmt.Sprintf("response exceeds frame limit: %v", err))
+		}
+		return frame
+	}
+	failed := func(err error) *frameBuf {
+		return errorFrame(req.id, req.kind, statusCodeOf(err), err.Error())
+	}
 	switch req.kind {
 	case binMsgXCoord:
 		x := s.api.XCoord().Uint64()
-		return appendBinOK(nil, req.id, req.kind, func(dst []byte) []byte {
-			return appendU64(dst, x)
-		})
+		return ok(8, func(dst []byte) []byte { return appendU64(dst, x) })
 	case binMsgLookup:
 		out, err := s.api.GetPostingLists(ctx, req.tok, req.lists)
 		if err != nil {
-			return appendBinError(nil, req.id, req.kind, statusCodeOf(err), err.Error())
+			return failed(err)
 		}
-		dst := make([]byte, 0, 11+binLookupBodySize(out))
-		return appendBinOK(dst, req.id, req.kind, func(dst []byte) []byte {
-			return appendLookupBody(dst, out)
-		})
+		return ok(binLookupBodySize(out), func(dst []byte) []byte { return appendLookupBody(dst, out) })
 	case binMsgLookupBlocks:
 		page, err := s.api.GetPostingBlocks(ctx, req.tok, req.list, int(req.from), int(req.n))
 		if err != nil {
-			return appendBinError(nil, req.id, req.kind, statusCodeOf(err), err.Error())
+			return failed(err)
 		}
-		dst := make([]byte, 0, 11+binBlockBodySize(page))
-		return appendBinOK(dst, req.id, req.kind, func(dst []byte) []byte {
-			return appendBlockBody(dst, page)
-		})
+		return ok(binBlockBodySize(page), func(dst []byte) []byte { return appendBlockBody(dst, page) })
 	case binMsgApply:
 		if err := s.api.Apply(ctx, req.tok, req.op, req.inserts, req.deletes); err != nil {
-			return appendBinError(nil, req.id, req.kind, statusCodeOf(err), err.Error())
+			return failed(err)
 		}
-		return appendBinOK(nil, req.id, req.kind, nil)
+		return ok(0, nil)
 	}
 	// Unreachable while decodeBinRequest rejects every other kind.
-	return appendBinError(nil, req.id, req.kind, 400, errBinMalformed.Error())
+	return failed(errBinMalformed)
 }

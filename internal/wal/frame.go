@@ -16,6 +16,16 @@
 // The checksum covers the length header, so a torn write inside the
 // header is detected like any other corruption instead of sending the
 // reader off by a garbage length.
+//
+// There is one format and one set of checks (the MaxFramePayload bound
+// on both sides, the checksum on read), reached two ways each. A writer
+// hands AppendFrame a finished payload, or builds the frame where it
+// will be sent from: BeginFrame reserves the length word in a buffer,
+// the writer appends its payload, SealFrame fills the length in and
+// appends the checksum — byte for byte what AppendFrame writes, without
+// a second copy of the payload. A reader lets ReadFrame allocate the
+// payload, or gives ReadFrameInto a function that supplies the buffer
+// once the length is known and has passed the bound.
 package wal
 
 import (
@@ -46,18 +56,22 @@ var (
 	ErrBadRecord = errors.New("wal: corrupt record")
 )
 
+// checkPayloadLen is the writer-side bound of both ways to build a frame.
+func checkPayloadLen(n int) error {
+	if n > MaxFramePayload {
+		return fmt.Errorf("wal: frame payload %d exceeds %d bytes", n, MaxFramePayload)
+	}
+	return nil
+}
+
 // AppendFrame writes one framed payload to w.
 func AppendFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFramePayload {
-		return fmt.Errorf("wal: frame payload %d exceeds %d bytes", len(payload), MaxFramePayload)
+	if err := checkPayloadLen(len(payload)); err != nil {
+		return err
 	}
-	var hdr [4]byte
+	var hdr, sum [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[:])
-	crc.Write(payload)
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
+	binary.LittleEndian.PutUint32(sum[:], crc32.Update(crc32.ChecksumIEEE(hdr[:]), crc32.IEEETable, payload))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return fmt.Errorf("wal: frame header: %w", err)
 	}
@@ -68,6 +82,23 @@ func AppendFrame(w io.Writer, payload []byte) error {
 		return fmt.Errorf("wal: frame checksum: %w", err)
 	}
 	return nil
+}
+
+// BeginFrame starts a frame in place in buf, whose contents are
+// discarded: it reserves the length word. The caller appends the payload
+// to the result and passes that to SealFrame.
+func BeginFrame(buf []byte) []byte { return append(buf[:0], 0, 0, 0, 0) }
+
+// SealFrame finishes a frame begun by BeginFrame (everything after the
+// length word is the payload) by filling in the length and appending the
+// checksum: the result is exactly what AppendFrame writes for that
+// payload. One above MaxFramePayload is refused, frame returned as it came.
+func SealFrame(frame []byte) ([]byte, error) {
+	if err := checkPayloadLen(len(frame) - 4); err != nil {
+		return frame, err
+	}
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+	return binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(frame)), nil
 }
 
 // FrameSize returns the on-disk size of a frame carrying len(payload)
@@ -91,12 +122,21 @@ func TornFrame(n int) []byte {
 	return buf
 }
 
-// ReadFrame reads the next framed payload from r. It returns io.EOF at a
-// clean end of input and ErrTornFrame (or ErrBadRecord for a checksum or
-// length violation) when the input ends or corrupts mid-frame; in both
-// failure cases the reader should stop and treat everything before the
-// failed frame as the valid prefix.
-func ReadFrame(r io.Reader) ([]byte, error) {
+// ReadFrame reads the next framed payload from r into a buffer of its
+// own. It returns io.EOF at a clean end of input and ErrTornFrame (or
+// ErrBadRecord for a checksum or length violation) when the input ends
+// or corrupts mid-frame; in both failure cases the reader should stop
+// and treat everything before the failed frame as the valid prefix.
+func ReadFrame(r io.Reader) ([]byte, error) { return ReadFrameInto(r, nil) }
+
+// ReadFrameInto is ReadFrame reading into a buffer the caller supplies:
+// once the length word has passed the MaxFramePayload bound, buf is
+// called, at most once, with the size the rest of the frame needs, and
+// the payload returned aliases what buf returned. A dirty buffer is fine
+// (every byte returned was read from r, under the checksum); one shorter
+// than asked for, or a nil buf, and a fresh one is allocated instead. The
+// buffer stays the caller's, to recycle after the payload or on error.
+func ReadFrameInto(r io.Reader, buf func(size int) []byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) {
@@ -107,21 +147,25 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 		}
 		return nil, fmt.Errorf("wal: frame header: %w", err)
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := int(binary.LittleEndian.Uint32(hdr[:]))
 	if n > MaxFramePayload {
 		return nil, fmt.Errorf("%w: frame length %d", ErrBadRecord, n)
 	}
-	body := make([]byte, n+4)
+	var body []byte
+	if buf != nil {
+		body = buf(n + 4)
+	}
+	if len(body) < n+4 {
+		body = make([]byte, n+4)
+	}
+	body = body[:n+4]
 	if _, err := io.ReadFull(r, body); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return nil, ErrTornFrame
 		}
 		return nil, fmt.Errorf("wal: frame body: %w", err)
 	}
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[:])
-	crc.Write(body[:n])
-	if crc.Sum32() != binary.LittleEndian.Uint32(body[n:]) {
+	if crc32.Update(crc32.ChecksumIEEE(hdr[:]), crc32.IEEETable, body[:n]) != binary.LittleEndian.Uint32(body[n:]) {
 		return nil, fmt.Errorf("%w: frame checksum mismatch", ErrBadRecord)
 	}
 	return body[:n], nil

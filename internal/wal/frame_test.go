@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math/rand"
 	"testing"
 )
 
@@ -84,5 +85,48 @@ func TestFrameLengthBound(t *testing.T) {
 	}
 	if err := AppendFrame(io.Discard, make([]byte, MaxFramePayload+1)); err == nil {
 		t.Fatal("oversized payload accepted")
+	}
+	// The in-place form refuses the same bound and leaves the buffer as
+	// it came; one byte less is sealed.
+	buf := make([]byte, 4+MaxFramePayload+1)
+	if got, err := SealFrame(buf); err == nil || len(got) != len(buf) {
+		t.Fatalf("oversized payload sealed (len %d -> %d, err %v)", len(buf), len(got), err)
+	}
+	if got, err := SealFrame(buf[:len(buf)-1]); err != nil || len(got) != len(buf)+3 {
+		t.Fatalf("payload of exactly the limit: len %d, %v", len(got), err)
+	}
+}
+
+// TestSealFrameMatchesAppendFrame is the one-format property: a frame
+// built in place, in a dirty buffer of any capacity, is byte for byte
+// what AppendFrame writes for the same payload, and reads back through
+// both readers.
+func TestSealFrameMatchesAppendFrame(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 500; trial++ {
+		payload := make([]byte, rng.Intn(3000))
+		rng.Read(payload)
+		var want bytes.Buffer
+		if err := AppendFrame(&want, payload); err != nil {
+			t.Fatal(err)
+		}
+		// Sometimes too small to hold the frame, sometimes far too large.
+		dirty := bytes.Repeat([]byte{0xEE}, rng.Intn(2*len(payload)+16))
+		frame, err := SealFrame(append(BeginFrame(dirty), payload...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(frame, want.Bytes()) || int64(len(frame)) != FrameSize(payload) {
+			t.Fatalf("trial %d: sealed %x, AppendFrame wrote %x", trial, frame, want.Bytes())
+		}
+		got, err := ReadFrame(bytes.NewReader(frame))
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("trial %d: ReadFrame of a sealed frame: %v", trial, err)
+		}
+		into := bytes.Repeat([]byte{0xEE}, len(payload)+4)
+		got, err = ReadFrameInto(bytes.NewReader(frame), func(int) []byte { return into })
+		if err != nil || !bytes.Equal(got, payload) || (len(got) > 0 && &got[0] != &into[0]) {
+			t.Fatalf("trial %d: ReadFrameInto of a sealed frame: %v", trial, err)
+		}
 	}
 }

@@ -19,13 +19,30 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// recycledBuf is the fuzz target's stand-in for a pooled buffer: it grows
+// to the largest frame asked for and is never cleaned, so it carries the
+// bytes of earlier frames (and 0xEE where none has been read yet).
+var recycledBuf []byte
+
+func recycled(size int) []byte {
+	if cap(recycledBuf) < size {
+		recycledBuf = bytes.Repeat([]byte{0xEE}, size)
+	}
+	return recycledBuf[:size]
+}
+
 // FuzzReadFrame throws arbitrary bytes at the frame reader every log
 // and the binary wire share. It must never panic; a header claiming
 // more than MaxFramePayload must be rejected before a single body byte
 // is read; and anything accepted must consume exactly one frame and
-// re-encode to the bytes it was read from (the framing is canonical, so
-// no information was invented). Run with
-// `go test -fuzz=FuzzReadFrame ./internal/wal`.
+// re-encode to the bytes it was read from, through AppendFrame and
+// through the in-place form alike (the framing is canonical, so no
+// information was invented). The buffer-supplied reader must draw the
+// same line: over the same bytes, with a dirty buffer of the size asked
+// for, with one too short, and with none, it accepts exactly what
+// ReadFrame accepts, returns the same payload having read the same
+// number of bytes, asks for a buffer at most once and never for a frame
+// over the limit. Run with `go test -fuzz=FuzzReadFrame ./internal/wal`.
 func FuzzReadFrame(f *testing.F) {
 	var intact bytes.Buffer
 	if err := AppendFrame(&intact, []byte("seed payload")); err != nil {
@@ -37,6 +54,33 @@ func FuzzReadFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &countingReader{r: bytes.NewReader(data)}
 		payload, err := ReadFrame(r)
+		for name, supply := range map[string]func(size int) []byte{
+			"dirty": func(size int) []byte { return recycled(size + 3) },
+			"short": func(size int) []byte { return recycled(size / 2) },
+			"empty": func(int) []byte { return nil },
+		} {
+			calls := 0
+			var supplied []byte
+			ri := &countingReader{r: bytes.NewReader(data)}
+			got, ierr := ReadFrameInto(ri, func(size int) []byte {
+				calls++
+				if size > MaxFramePayload+4 {
+					t.Fatalf("%s: asked for a %d-byte buffer", name, size)
+				}
+				supplied = supply(size)
+				return supplied
+			})
+			if (ierr == nil) != (err == nil) || !bytes.Equal(got, payload) || ri.n != r.n {
+				t.Fatalf("%s buffer: read %d bytes, payload %x, err %v; ReadFrame read %d bytes, payload %x, err %v",
+					name, ri.n, got, ierr, r.n, payload, err)
+			}
+			if calls > 1 || (ierr == nil && calls != 1) {
+				t.Fatalf("%s buffer: asked for %d times (err %v)", name, calls, ierr)
+			}
+			if name == "dirty" && ierr == nil && &got[:1][0] != &supplied[0] {
+				t.Fatalf("a buffer large enough was not used")
+			}
+		}
 		if err != nil {
 			if len(data) >= 4 && binary.LittleEndian.Uint32(data) > MaxFramePayload && r.n != 4 {
 				t.Fatalf("over-limit header: read %d bytes, want to stop after the 4-byte header", r.n)
@@ -55,6 +99,10 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		if !bytes.Equal(re.Bytes(), data[:r.n]) {
 			t.Fatalf("read/append not canonical: %x -> %x", data[:r.n], re.Bytes())
+		}
+		sealed, err := SealFrame(append(BeginFrame(nil), payload...))
+		if err != nil || !bytes.Equal(sealed, data[:r.n]) {
+			t.Fatalf("read/seal not canonical: %x -> %x, %v", data[:r.n], sealed, err)
 		}
 	})
 }

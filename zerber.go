@@ -274,10 +274,15 @@
 //     every message is a 4-byte little-endian length, the payload, and
 //     a CRC32 — the same frame format (package wal) the peer journal
 //     and the disk engine's segments use on disk, so torn and corrupted
-//     frames are detected identically in both places. Payloads are fixed-width field encodings (a share
-//     is exactly 20 bytes on the wire), so encoding is a single
-//     pre-sized allocation and decoding validates lengths before
-//     reading. Each client holds one persistent TCP connection per
+//     frames are detected identically in both places. Payloads are
+//     fixed-width field encodings (a share is exactly 20 bytes on the
+//     wire), and decoding validates lengths before reading. A frame is
+//     written once: both ends build it in place, header to checksum, in
+//     the buffer it is sent from, and read it into a buffer of the same
+//     kind; those buffers are recycled once written or decoded, never
+//     shared between two messages at a time, and only a frame's own
+//     bytes are ever sent from one. What a lookup allocates per call is
+//     the shares it returns. Each client holds one persistent TCP connection per
 //     server and pipelines concurrent requests over it, tagging every
 //     frame with a request ID so responses can return in any order;
 //     a dead connection is redialed lazily with exponential backoff,
