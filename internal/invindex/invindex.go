@@ -10,9 +10,14 @@
 //     documents to support efficient updates (§7.2);
 //  3. the source of the document-frequency statistics that drive the
 //     merging heuristics (§6).
+//
+// A posting list keeps insertion order: a posting stays where its first
+// Add put it while its document keeps the term, also when a re-Add
+// changes the tf (rewritten in place, not moved to the tail).
 package invindex
 
 import (
+	"slices"
 	"sort"
 	"sync"
 )
@@ -34,48 +39,81 @@ type Index struct {
 	mu      sync.RWMutex
 	lists   map[string][]Posting
 	docLens map[uint32]int // total term count per document
-	// docTerms is the reverse map: the terms each document contributed
-	// postings to, so removal touches only the document's own lists
-	// instead of scanning the whole vocabulary.
-	docTerms map[uint32][]string
+	// docTerms is the reverse map: each document's terms, sorted, with the
+	// tf its posting carries, so an update diffs against it and removal
+	// touches only the document's own lists. A term is its index in names,
+	// which only grows (ids leads back): 8 bytes a term, never scanned.
+	docTerms map[uint32][]docTerm
+	ids      map[string]uint32
+	names    []string
 	postings int // total posting count, maintained incrementally
 }
+
+// docTerm is a term ID and, in the low 16 bits, the tf: sortable by ID.
+type docTerm uint64
+
+func (dt docTerm) id() uint32 { return uint32(dt >> 16) }
+func (dt docTerm) tf() uint16 { return uint16(dt) }
 
 // New returns an empty index.
 func New() *Index {
 	return &Index{
 		lists:    make(map[string][]Posting),
 		docLens:  make(map[uint32]int),
-		docTerms: make(map[uint32][]string),
+		docTerms: make(map[uint32][]docTerm),
+		ids:      make(map[string]uint32),
 	}
 }
 
 // Add indexes a document given its per-term counts. Re-adding an existing
-// document ID replaces the previous version (remove-then-insert), which is
-// how owner daemons handle document updates (§5.4.1, footnote 2).
+// document ID replaces the previous version, which is how owner daemons
+// handle document updates (§5.4.1, footnote 2), as a diff: an unchanged
+// (term, tf) is left alone, a changed tf is rewritten in place, dropped
+// terms are removed and new ones appended, at a cost that follows the
+// changed terms, not the lengths of the document's lists.
 func (ix *Index) Add(docID uint32, counts map[string]int) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if _, exists := ix.docLens[docID]; exists {
-		ix.removeLocked(docID)
-	}
-	total := 0
-	terms := make([]string, 0, len(counts))
+	next, total := make([]docTerm, 0, len(counts)), 0
 	for term, c := range counts {
 		if c <= 0 {
 			continue
 		}
-		tf := uint16(c)
-		if c > 1<<16-1 {
-			tf = 1<<16 - 1
+		id, known := ix.ids[term]
+		if !known {
+			id = uint32(len(ix.names))
+			ix.ids[term] = id
+			ix.names = append(ix.names, term)
 		}
-		ix.lists[term] = append(ix.lists[term], Posting{DocID: docID, TF: tf})
-		ix.postings++
+		next = append(next, docTerm(id)<<16|docTerm(min(c, 1<<16-1)))
 		total += c
-		terms = append(terms, term)
 	}
+	slices.Sort(next)
+	// Both versions are sorted by term ID: one merge walk finds the terms
+	// only old has (dropped), both (kept, retagged) and only next (new).
+	old := ix.docTerms[docID]
+	for _, dt := range next {
+		for len(old) > 0 && old[0].id() < dt.id() {
+			ix.dropPosting(ix.names[old[0].id()], docID)
+			old = old[1:]
+		}
+		term := ix.names[dt.id()]
+		if len(old) == 0 || old[0].id() != dt.id() {
+			ix.lists[term] = append(ix.lists[term], Posting{DocID: docID, TF: dt.tf()})
+			ix.postings++
+			continue
+		}
+		if old[0] != dt { // an unchanged (term, tf) costs no list lookup
+			pl := ix.lists[term]
+			pl[find(pl, docID)].TF = dt.tf()
+		}
+		old = old[1:]
+	}
+	for _, dt := range old {
+		ix.dropPosting(ix.names[dt.id()], docID)
+	}
+	ix.docTerms[docID] = next
 	ix.docLens[docID] = total
-	ix.docTerms[docID] = terms
 }
 
 // Remove deletes all postings of a document. It reports whether the
@@ -86,29 +124,36 @@ func (ix *Index) Remove(docID uint32) bool {
 	if _, ok := ix.docLens[docID]; !ok {
 		return false
 	}
-	ix.removeLocked(docID)
-	return true
-}
-
-func (ix *Index) removeLocked(docID uint32) {
-	for _, term := range ix.docTerms[docID] {
-		pl := ix.lists[term]
-		out := pl[:0]
-		for _, p := range pl {
-			if p.DocID != docID {
-				out = append(out, p)
-			} else {
-				ix.postings--
-			}
-		}
-		if len(out) == 0 {
-			delete(ix.lists, term)
-		} else {
-			ix.lists[term] = out
-		}
+	for _, dt := range ix.docTerms[docID] {
+		ix.dropPosting(ix.names[dt.id()], docID)
 	}
 	delete(ix.docTerms, docID)
 	delete(ix.docLens, docID)
+	return true
+}
+
+// find returns the position of docID's posting in pl, which holds one.
+func find(pl []Posting, docID uint32) int {
+	for i := range pl {
+		if pl[i].DocID == docID {
+			return i
+		}
+	}
+	panic("invindex: docTerms names a list that lacks the document")
+}
+
+// dropPosting removes docID's posting from term's list in place, keeping
+// the order of the rest; an emptied list leaves the vocabulary.
+func (ix *Index) dropPosting(term string, docID uint32) {
+	pl := ix.lists[term]
+	i := find(pl, docID)
+	ix.postings--
+	if len(pl) == 1 {
+		delete(ix.lists, term)
+		return
+	}
+	copy(pl[i:], pl[i+1:])
+	ix.lists[term] = pl[:len(pl)-1]
 }
 
 // Lookup returns a copy of the posting list for term (nil if absent).

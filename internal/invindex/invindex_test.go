@@ -194,6 +194,135 @@ func TestInvariantPostingsCountQuick(t *testing.T) {
 	}
 }
 
+// removeThenInsert is the model of TestIndexMatchesRemoveThenInsertModel:
+// the index as it used to be kept, every list rebuilt on every change.
+// Add drops all of the document's postings and appends the new ones.
+type removeThenInsert struct {
+	lists   map[string][]Posting
+	docLens map[uint32]int
+}
+
+func (m *removeThenInsert) remove(docID uint32) {
+	for term, pl := range m.lists {
+		var out []Posting
+		for _, p := range pl {
+			if p.DocID != docID {
+				out = append(out, p)
+			}
+		}
+		if len(out) == 0 {
+			delete(m.lists, term)
+		} else {
+			m.lists[term] = out
+		}
+	}
+	delete(m.docLens, docID)
+}
+
+func (m *removeThenInsert) add(docID uint32, counts map[string]int) {
+	m.remove(docID)
+	total := 0
+	for term, c := range counts {
+		if c <= 0 {
+			continue
+		}
+		m.lists[term] = append(m.lists[term], Posting{DocID: docID, TF: uint16(min(c, 1<<16-1))})
+		total += c
+	}
+	m.docLens[docID] = total
+}
+
+// TestIndexMatchesRemoveThenInsertModel drives the diff-updated index
+// and the remove-then-insert model through 2,000 random Add, re-Add and
+// Remove steps and compares, after every step, everything a reader can
+// see except the order inside a list (a re-Add no longer moves a
+// posting to the tail): DocFreq, Lookup as a set, DocLen, HasDoc,
+// TotalPostings, NumTerms, NumDocs.
+func TestIndexMatchesRemoveThenInsertModel(t *testing.T) {
+	const docs, vocab = 24, 16
+	rng := rand.New(rand.NewSource(7))
+	ix := New()
+	model := &removeThenInsert{lists: make(map[string][]Posting), docLens: make(map[uint32]int)}
+	term := func(i int) string { return "t" + string(rune('a'+i)) }
+	for step := 0; step < 2000; step++ {
+		doc := uint32(rng.Intn(docs))
+		if rng.Intn(4) == 0 {
+			_, had := model.docLens[doc]
+			model.remove(doc)
+			if got := ix.Remove(doc); got != had {
+				t.Fatalf("step %d: Remove(%d) = %v, model held it: %v", step, doc, got, had)
+			}
+		} else {
+			counts := make(map[string]int)
+			if old := model.docLens[doc]; old > 0 && rng.Intn(2) == 0 {
+				// An update in the benchmark's shape: most terms kept.
+				for tm, pl := range model.lists {
+					for _, p := range pl {
+						if p.DocID == doc && rng.Intn(5) != 0 {
+							counts[tm] = int(p.TF)
+						}
+					}
+				}
+			}
+			for n := rng.Intn(5); n > 0; n-- {
+				// Counts of every kind: ignored, ordinary, saturating.
+				counts[term(rng.Intn(vocab))] = []int{-1, 0, 1, 2, 3, 7, 1<<16 - 1, 1 << 20}[rng.Intn(8)]
+			}
+			model.add(doc, counts)
+			ix.Add(doc, counts)
+		}
+
+		postings := 0
+		for i := 0; i < vocab; i++ {
+			want := model.lists[term(i)]
+			postings += len(want)
+			if got := ix.DocFreq(term(i)); got != len(want) {
+				t.Fatalf("step %d: DocFreq(%s) = %d, model %d", step, term(i), got, len(want))
+			}
+			got := make(map[Posting]bool)
+			for _, p := range ix.Lookup(term(i)) {
+				got[p] = true
+			}
+			if len(got) != len(want) {
+				t.Fatalf("step %d: Lookup(%s) holds %d distinct postings, model %d", step, term(i), len(got), len(want))
+			}
+			for _, p := range want {
+				if !got[p] {
+					t.Fatalf("step %d: Lookup(%s) lacks %+v", step, term(i), p)
+				}
+			}
+		}
+		if ix.TotalPostings() != postings || ix.NumTerms() != len(model.lists) || ix.NumDocs() != len(model.docLens) {
+			t.Fatalf("step %d: postings/terms/docs = %d/%d/%d, model %d/%d/%d", step,
+				ix.TotalPostings(), ix.NumTerms(), ix.NumDocs(), postings, len(model.lists), len(model.docLens))
+		}
+		for d := uint32(0); d < docs; d++ {
+			wantLen, has := model.docLens[d]
+			if ix.DocLen(d) != wantLen || ix.HasDoc(d) != has {
+				t.Fatalf("step %d: doc %d: DocLen %d HasDoc %v, model %d %v", step, d, ix.DocLen(d), ix.HasDoc(d), wantLen, has)
+			}
+		}
+	}
+}
+
+// TestReAddKeepsListOrder pins what the package doc promises: a posting
+// stays where its first Add put it while its document keeps the term,
+// whether the tf changes or not, and a dropped term closes its gap.
+func TestReAddKeepsListOrder(t *testing.T) {
+	ix := New()
+	for d := uint32(1); d <= 3; d++ {
+		ix.Add(d, map[string]int{"common": int(d), "other": 1})
+	}
+	ix.Add(1, map[string]int{"common": 9, "other": 1}) // tf retagged in place
+	ix.Add(2, map[string]int{"common": 2})             // "other" dropped
+	if got := ix.Lookup("common"); len(got) != 3 || got[0] != (Posting{1, 9}) || got[1] != (Posting{2, 2}) || got[2] != (Posting{3, 3}) {
+		t.Errorf("common = %v, want docs 1, 2, 3 in insertion order with doc 1 at tf 9", got)
+	}
+	if got := ix.Lookup("other"); len(got) != 2 || got[0].DocID != 1 || got[1].DocID != 3 {
+		t.Errorf("other = %v, want docs 1 and 3", got)
+	}
+}
+
 func BenchmarkAddDocument(b *testing.B) {
 	counts := make(map[string]int, 100)
 	r := rand.New(rand.NewSource(1))

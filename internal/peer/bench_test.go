@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -160,6 +162,73 @@ func BenchmarkUpdateDocument(b *testing.B) {
 			doc.Content = contentA
 		}
 		if err := p.UpdateDocument(tok, doc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkUpdateDocumentPopulated: one op = an update that replaces 3
+// of a document's ~50 terms, on a peer that hosts 4,000 such documents
+// over a 5,000-term Zipfian vocabulary (the repository benchmark's
+// write-journal shape, one peer's share). BenchmarkUpdateDocument's peer
+// hosts one document, so every list of its local index has length 1 and
+// whatever an update does per list element costs nothing there; here the
+// head terms' lists hold thousands.
+func BenchmarkUpdateDocumentPopulated(b *testing.B) {
+	const docs, perDoc, vocabSize = 4000, 50, 5000
+	p, names := benchMutationPeer(b, vocabSize, "")
+	tok := benchToken(b)
+	rng := rand.New(rand.NewSource(1))
+	cdf := make([]float64, vocabSize) // Zipfian: weight 1/rank
+	sum := 0.0
+	for i := range cdf {
+		sum += 1 / float64(i+1)
+		cdf[i] = sum
+	}
+	draw := func() int { return sort.SearchFloat64s(cdf, rng.Float64()*sum) }
+	// A document is its distinct terms, each repeated tf times (a power
+	// law, P(tf >= x) = 1/x), about 350 tokens in all.
+	terms := make([][]int, docs)
+	render := func(ts []int) string {
+		var sb strings.Builder
+		for _, t := range ts {
+			for tf := min(int(1/(1-rng.Float64())), 200); tf > 0; tf-- {
+				sb.WriteString(names[t])
+				sb.WriteByte(' ')
+			}
+		}
+		return sb.String()
+	}
+	batch := p.NewBatch()
+	for d := range terms {
+		seen := make(map[int]bool, perDoc)
+		for len(terms[d]) < perDoc {
+			if t := draw(); !seen[t] {
+				seen[t] = true
+				terms[d] = append(terms[d], t)
+			}
+		}
+		if err := batch.Add(Document{ID: uint32(d + 1), Content: render(terms[d]), Group: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := batch.Flush(tok); err != nil {
+		b.Fatal(err)
+	}
+	// The updates are rendered before the clock starts: one op is the
+	// peer's work, not the generator's.
+	updates := make([]Document, 2048)
+	for i := range updates {
+		d := rng.Intn(docs)
+		for n := 0; n < 3; n++ {
+			terms[d][rng.Intn(perDoc)] = draw() // may repeat a term the document has: fewer than 3 change
+		}
+		updates[i] = Document{ID: uint32(d + 1), Content: render(terms[d]), Group: 1}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.UpdateDocument(tok, updates[i%len(updates)]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"sort"
 
 	"zerber/internal/auth"
@@ -36,6 +37,14 @@ import (
 //     superseded elements are deleted (transport.StageDelete).
 //  5. Commit. The local document state is installed and the journal
 //     records the operation's end.
+//
+// Within stage 3 and within stage 4 the servers are sent to concurrently
+// (runStage): a stage costs the slowest round trip, not the sum. The
+// barrier is between them: no delete is sent before all n insert acks.
+// A failed stage leaves any subset of the servers acknowledged, where a
+// serial walk left a prefix. Under Config.Sim the walk has width 1: the
+// simulator draws its faults per call, so a seed replays, and a kill
+// point lies between two sends, only if calls are made one at a time.
 //
 // Each per-server acknowledgement is journaled, so recovery resumes
 // exactly where a crash interrupted, resending only to servers that
@@ -171,13 +180,6 @@ func deleteOpsOf(op *journal.Op) []transport.DeleteOp {
 	return ops
 }
 
-// shufflePerm draws a fresh whole-payload shuffle permutation.
-func (p *Peer) shufflePerm(n int) ([]int, error) {
-	rng, release := p.acquireRand()
-	defer release()
-	return randomPerm(rng, n)
-}
-
 // beginOp enqueues a mutation and persists its operation record. The op
 // is enqueued first: if the Begin fails (disk full, fsync error), the
 // op stays pending with journaled=false and the caller's error is
@@ -236,30 +238,22 @@ func (p *Peer) dispatch(tok auth.Token, m *mutOp) error {
 	}
 	all := uint64(1)<<len(p.cfg.Servers) - 1
 	if len(m.op.Elems) > 0 && m.insertAcks != all {
-		perm, err := p.shufflePerm(len(m.op.Elems))
+		rng, release := p.acquireRand()
+		perm, err := randomPerm(rng, len(m.op.Elems)) // a fresh whole-payload shuffle
+		release()
 		if err != nil {
 			return fmt.Errorf("peer %s: op %d shuffle: %w", p.cfg.Name, m.op.ID, err)
 		}
 		oid := transport.OpID{ID: m.op.ID, Stage: transport.StageInsert}
-		for i, s := range p.cfg.Servers {
-			if m.insertAcks&(1<<i) != 0 {
-				continue
-			}
+		err = p.runStage(m, "insert", journal.StageInsert, &m.insertAcks, func(i int) error {
 			ops, err := insertOpsForServer(&m.op, i, perm)
 			if err != nil {
-				return fmt.Errorf("peer %s: op %d: %w", p.cfg.Name, m.op.ID, err)
-			}
-			if err := p.simBeforeStage(m.op.ID, transport.StageInsert, i); err != nil {
 				return err
 			}
-			if err := s.Apply(context.Background(), tok, oid, ops, nil); err != nil {
-				p.syncJournal()
-				return fmt.Errorf("peer %s: op %d insert stage: %w", p.cfg.Name, m.op.ID, err)
-			}
-			m.insertAcks |= 1 << i
-			if err := p.ackJournal(m.op.ID, journal.StageInsert, i); err != nil {
-				return err
-			}
+			return p.cfg.Servers[i].Apply(context.Background(), tok, oid, ops, nil)
+		})
+		if err != nil {
+			return err
 		}
 	}
 	// The delete stage starts only once every server holds the fresh
@@ -273,24 +267,66 @@ func (p *Peer) dispatch(tok auth.Token, m *mutOp) error {
 	if len(m.op.Dels) > 0 && m.deleteAcks != all {
 		dels := deleteOpsOf(&m.op)
 		oid := transport.OpID{ID: m.op.ID, Stage: transport.StageDelete}
-		for i, s := range p.cfg.Servers {
-			if m.deleteAcks&(1<<i) != 0 {
-				continue
-			}
-			if err := p.simBeforeStage(m.op.ID, transport.StageDelete, i); err != nil {
-				return err
-			}
-			if err := s.Apply(context.Background(), tok, oid, nil, dels); err != nil {
-				p.syncJournal()
-				return fmt.Errorf("peer %s: op %d delete stage: %w", p.cfg.Name, m.op.ID, err)
-			}
-			m.deleteAcks |= 1 << i
-			if err := p.ackJournal(m.op.ID, journal.StageDelete, i); err != nil {
-				return err
-			}
-		}
+		return p.runStage(m, "delete", journal.StageDelete, &m.deleteAcks, func(i int) error {
+			return p.cfg.Servers[i].Apply(context.Background(), tok, oid, nil, dels)
+		})
 	}
 	return nil
+}
+
+// runStage sends one stage of m to every server whose bit in acks is
+// clear, all at once (one at a time under Config.Sim), and returns when
+// every call it started has. The last send of a window runs on the
+// calling goroutine, so a walk of width 1 starts none. Only the calling
+// goroutine touches acks and the journal: it records the servers that
+// answered, also when another failed, and returns the first error.
+func (p *Peer) runStage(m *mutOp, name string, stage uint8, acks *uint64, send func(server int) error) error {
+	n := len(p.cfg.Servers)
+	width := n - bits.OnesCount64(*acks)
+	if p.cfg.Sim != nil {
+		width = 1
+	}
+	errs := make([]error, n)
+	returned := make(chan int, n) // a server's index once errs holds its outcome; room for all
+	inflight, firstErr := 0, error(nil)
+	collect := func() {
+		i := <-returned
+		inflight--
+		err := errs[i]
+		if err != nil {
+			err = fmt.Errorf("peer %s: op %d %s stage: %w", p.cfg.Name, m.op.ID, name, err)
+		} else {
+			*acks |= 1 << i
+			err = p.ackJournal(m.op.ID, stage, i)
+		}
+		if firstErr == nil {
+			firstErr = err
+		}
+	}
+	for i := 0; i < n && firstErr == nil; i++ {
+		if *acks&(1<<i) != 0 {
+			continue
+		}
+		if h := p.cfg.Sim; h != nil && h.BeforeStage != nil { // the simulation's kill point
+			if firstErr = h.BeforeStage(m.op.ID, stage, i); firstErr != nil {
+				break
+			}
+		}
+		call := func() { errs[i] = send(i); returned <- i }
+		if inflight++; inflight < width {
+			go call()
+			continue
+		}
+		call()
+		collect()
+	}
+	for inflight > 0 {
+		collect()
+	}
+	if firstErr != nil {
+		p.syncJournal()
+	}
+	return firstErr
 }
 
 // applyLocal installs an op's local post-state: touched documents with
@@ -382,14 +418,6 @@ func (p *Peer) Recover(tok auth.Token) (int, error) {
 	before := len(p.pending)
 	err := p.drainPending(tok)
 	return before - len(p.pending), err
-}
-
-// simBeforeStage runs the simulation kill-point hook, if configured.
-func (p *Peer) simBeforeStage(opID uint64, stage uint8, server int) error {
-	if p.cfg.Sim == nil || p.cfg.Sim.BeforeStage == nil {
-		return nil
-	}
-	return p.cfg.Sim.BeforeStage(opID, stage, server)
 }
 
 // PendingOps reports how many journaled mutations await completion.

@@ -11,7 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	mrand "math/rand"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -75,8 +75,8 @@ type Config struct {
 	// process, lost on crash).
 	JournalPath string
 	// Sim injects simulation-only behavior (kill points, re-enabled bug
-	// shapes) into the mutation engine. It must be nil outside the model
-	// checker (internal/sim) and its tests.
+	// shapes, one-server-at-a-time stages) into the mutation engine. It
+	// must be nil outside the model checker (internal/sim) and its tests.
 	Sim *SimHooks
 }
 
@@ -84,10 +84,12 @@ type Config struct {
 // the deterministic cluster simulator uses to place crashes at exact
 // protocol positions and to prove its checker is not vacuous. They are
 // test instrumentation, never part of the production configuration.
+// A non-nil SimHooks, even an empty one, also makes the engine send each
+// stage to one server at a time, in server order: one sequence of calls.
 type SimHooks struct {
-	// BeforeStage runs immediately before one stage of one mutation is
-	// sent to one server; a non-nil error aborts the dispatch there —
-	// a deterministic kill point between any two protocol steps.
+	// BeforeStage runs after one server's call returned and before the
+	// stage is sent to the next; a non-nil error aborts the dispatch
+	// there — a deterministic kill point between any two protocol steps.
 	BeforeStage func(opID uint64, stage uint8, server int) error
 	// SkipDeleteReplay re-enables a known bug shape for the checker's
 	// mutation-smoke test: operations restored from the journal skip
@@ -307,7 +309,7 @@ func (p *Peer) mutateDoc(tok auth.Token, doc Document) error {
 	// diff base: everything is new, nothing is deleted.
 	p.mu.RLock()
 	oldRefs := p.refs[doc.ID]
-	keep := make(map[string]elemRef)
+	keep := make(map[string]elemRef, len(newCounts))
 	var dels []journal.Del
 	for term, ref := range oldRefs {
 		if c, still := newCounts[term]; still && posting.ClampTF(c) == ref.tf {
@@ -692,14 +694,25 @@ func randomGlobalID(r io.Reader) (posting.GlobalID, error) {
 	return posting.GlobalID(binary.LittleEndian.Uint64(buf[:])), nil
 }
 
-// randomPerm returns a Fisher-Yates permutation of [0, n) seeded from r.
+// randomPerm returns a uniformly random permutation of [0, n):
+// Fisher-Yates, each index a 64-bit draw from r reduced by multiply-shift
+// (bias below 2^-32). The peer's r is its DRBG, so the §5.4.1 shuffle is
+// as unpredictable as the shares it orders. All draws are read before
+// the first swap: a failed read yields no permutation, never a partial one.
 func randomPerm(r io.Reader, n int) ([]int, error) {
-	var seed [8]byte
-	if _, err := io.ReadFull(r, seed[:]); err != nil {
+	draws := make([]byte, 8*max(n-1, 0))
+	if _, err := io.ReadFull(r, draws); err != nil {
 		return nil, err
 	}
-	rng := mrand.New(mrand.NewSource(int64(binary.LittleEndian.Uint64(seed[:]))))
-	return rng.Perm(n), nil
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	for i := n - 1; i > 0; i-- {
+		j, _ := bits.Mul64(binary.LittleEndian.Uint64(draws[8*(i-1):]), uint64(i+1))
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+	return perm, nil
 }
 
 func sortDeleteOps(ops []transport.DeleteOp) {

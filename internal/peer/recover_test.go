@@ -35,6 +35,12 @@ var storeEngines = []struct {
 // newEngineCluster is newCluster with a selectable storage engine.
 func newEngineCluster(t *testing.T, n int, terms []string, shards int) *testCluster {
 	t.Helper()
+	return newStoreCluster(t, n, terms, func(int) store.Store { return store.NewSharded(shards) })
+}
+
+// newStoreCluster is newCluster over the stores mk opens, one a server.
+func newStoreCluster(t *testing.T, n int, terms []string, mk func(server int) store.Store) *testCluster {
+	t.Helper()
 	svc, err := auth.NewService(time.Minute)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +65,7 @@ func newEngineCluster(t *testing.T, n int, terms []string, shards int) *testClus
 			X:      field.Element(i + 1),
 			Auth:   svc,
 			Groups: groups,
-			Store:  store.NewSharded(shards),
+			Store:  mk(i),
 		})
 		tc.servers = append(tc.servers, s)
 		tc.apis = append(tc.apis, transport.NewLocal(s))
@@ -165,14 +171,31 @@ func TestUpdateRecoveryAfterCrash(t *testing.T) {
 
 			// The update keeps "martha", deletes "imclone", inserts
 			// "layoff". The injected outage hits the delete stage on
-			// server 1: all servers hold the fresh element, server 0
-			// already deleted the old one, servers 1 and 2 still hold it.
+			// server 1. The stage goes to the servers concurrently, so
+			// which of the others already deleted the old element is not
+			// fixed; what is: the delete stage ran, so every server holds
+			// the fresh element, and the server that failed still holds
+			// both generations.
+			old := gidsOf(t, p1, 1)
 			v2 := Document{ID: 1, Name: "memo", Content: "martha layoff", Group: 1}
 			if err := p1.UpdateDocument(tok, v2); err == nil {
 				t.Fatal("update must surface the injected outage")
 			}
-			if got := tc.servers[2].TotalElements(); got != 3 {
-				t.Fatalf("server 2 should transiently hold both generations, has %d elements", got)
+			for i, s := range tc.servers {
+				fresh := 0
+				for lid := range s.ListLengths() {
+					for _, sh := range s.Store().List(lid) {
+						if _, was := old[sh.GlobalID]; !was {
+							fresh++
+						}
+					}
+				}
+				if fresh != 1 {
+					t.Fatalf("server %d holds %d fresh elements, want the one inserted", i, fresh)
+				}
+			}
+			if got := tc.servers[1].TotalElements(); got != 3 {
+				t.Fatalf("the failed server should still hold both generations, has %d elements", got)
 			}
 			if err := p1.Close(); err != nil { // crash: drop the peer
 				t.Fatal(err)

@@ -140,3 +140,64 @@ func TestDeleteUnauthorizedCountsAppliedStats(t *testing.T) {
 		})
 	}
 }
+
+// countingStore counts the Upsert calls that reach the engine.
+type countingStore struct {
+	store.Store
+	upserts int
+}
+
+func (c *countingStore) Upsert(lid merging.ListID, shares []posting.EncryptedShare) int {
+	c.upserts++
+	return c.Store.Upsert(lid, shares)
+}
+
+// TestShuffledInsertsEnterTheStoreOncePerList pins the grouping of an
+// insert stage: the peer shuffles a whole payload, so 1,000 inserts
+// over 10 lists arrive with no two neighbours in one list, and must
+// still reach the engine as 10 Upsert calls, not 1,000, and leave every
+// list laid out as applying the inserts one by one, in arrival order,
+// would (the layout store.TestEnginesMatch compares across engines).
+func TestShuffledInsertsEnterTheStoreOncePerList(t *testing.T) {
+	svc, err := auth.NewService(time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := auth.NewGroupTable()
+	groups.Add("alice", 1)
+	counted := &countingStore{Store: store.NewSharded(0)}
+	srv := New(Config{Name: "ix", X: 3, Auth: svc, Groups: groups, Store: counted})
+
+	r := rand.New(rand.NewSource(9))
+	ops := make([]transport.InsertOp, 1000)
+	for i := range ops {
+		gid := posting.TagImpact(posting.GlobalID(i+1)<<8, uint8(r.Intn(posting.ImpactBuckets)))
+		ops[i] = transport.InsertOp{List: merging.ListID(i % 10), Share: share(gid, 1, uint64(i))}
+	}
+	r.Shuffle(len(ops), func(i, j int) { ops[i], ops[j] = ops[j], ops[i] })
+	oneByOne := store.NewSharded(1)
+	for _, op := range ops {
+		oneByOne.Upsert(op.List, []posting.EncryptedShare{op.Share})
+	}
+
+	if err := transporttest.Insert(context.Background(), srv, svc.Issue("alice"), ops); err != nil {
+		t.Fatal(err)
+	}
+	if counted.upserts != 10 {
+		t.Errorf("1,000 inserts over 10 lists entered the store %d times, want 10", counted.upserts)
+	}
+	if got := srv.StatsSnapshot().Inserts; got != 1000 {
+		t.Errorf("Stats.Inserts = %d, want 1000", got)
+	}
+	for lid := merging.ListID(0); lid < 10; lid++ {
+		got, want := counted.List(lid), oneByOne.List(lid)
+		if len(got) != len(want) {
+			t.Fatalf("list %d holds %d shares, one by one %d", lid, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("list %d position %d: %+v, one by one %+v", lid, i, got[i], want[i])
+			}
+		}
+	}
+}

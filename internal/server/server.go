@@ -44,9 +44,11 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"zerber/internal/auth"
@@ -148,24 +150,27 @@ func (s *Server) authorizeInserts(memberOf auth.GroupSet, ops []transport.Insert
 	return nil
 }
 
-// upsertAll writes an authorized insert batch into the store, grouped by
-// destination list so the store is entered once per touched list rather
-// than once per element. It returns how many shares were newly appended:
-// idempotent re-inserts (an owner retrying after a partial failure)
-// replace the stored share and are not counted.
+// upsertAll writes an authorized insert batch into the store, entering
+// it once per touched list rather than once per element. The peer
+// shuffles a whole payload (§5.4.1), so a list's shares arrive scattered:
+// the batch is sorted by list, stably, which keeps each list's shares in
+// arrival order and every list laid out as one-by-one application would.
+// It returns how many shares were newly appended: idempotent re-inserts
+// (an owner retrying after a partial failure) replace and are not counted.
 func (s *Server) upsertAll(ops []transport.InsertOp) int {
+	byList := slices.Clone(ops)
+	slices.SortStableFunc(byList, func(a, b transport.InsertOp) int { return cmp.Compare(a.List, b.List) })
+	shares := make([]posting.EncryptedShare, len(byList))
+	for i, op := range byList {
+		shares[i] = op.Share
+	}
 	added := 0
-	for i := 0; i < len(ops); {
-		lid := ops[i].List
+	for i := 0; i < len(byList); {
 		j := i + 1
-		for j < len(ops) && ops[j].List == lid {
+		for j < len(byList) && byList[j].List == byList[i].List {
 			j++
 		}
-		run := make([]posting.EncryptedShare, 0, j-i)
-		for _, op := range ops[i:j] {
-			run = append(run, op.Share)
-		}
-		added += s.st.Upsert(lid, run)
+		added += s.st.Upsert(byList[i].List, shares[i:j])
 		i = j
 	}
 	return added
@@ -182,15 +187,16 @@ func (s *Server) deleteAll(memberOf auth.GroupSet, ops []transport.DeleteOp) err
 			s.deletes.Add(removed)
 		}
 	}()
+	var deniedGroup uint32
+	allow := func(sh posting.EncryptedShare) bool {
+		if !memberOf.Has(auth.GroupID(sh.Group)) {
+			deniedGroup = sh.Group
+			return false
+		}
+		return true
+	}
 	for _, op := range ops {
-		var deniedGroup uint32
-		found, deleted := s.st.DeleteIf(op.List, op.ID, func(sh posting.EncryptedShare) bool {
-			if !memberOf.Has(auth.GroupID(sh.Group)) {
-				deniedGroup = sh.Group
-				return false
-			}
-			return true
-		})
+		found, deleted := s.st.DeleteIf(op.List, op.ID, allow)
 		if found && !deleted {
 			return fmt.Errorf("%s: delete from group %d: %w", s.cfg.Name, deniedGroup, ErrUnauthorized)
 		}

@@ -301,9 +301,9 @@ func (r *runner) openPeer() error {
 		Rand:        rand.New(rand.NewSource(r.cfg.Seed ^ 0x7ee2 + int64(r.restarts)<<32)),
 		JournalPath: filepath.Join(r.dir, "site.journal"),
 	}
-	if r.cfg.SkipDeleteReplay {
-		cfg.Sim = &peer.SimHooks{SkipDeleteReplay: true}
-	}
+	// Always set: under Sim a stage goes to one server at a time, which
+	// keeps the fault stream's draws, and so a seed's trace, in one order.
+	cfg.Sim = &peer.SimHooks{SkipDeleteReplay: r.cfg.SkipDeleteReplay}
 	p, err := peer.New(cfg)
 	if err != nil {
 		return fmt.Errorf("sim: reopening peer: %w", err)

@@ -49,3 +49,53 @@ func BenchmarkScanFiltered(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/element")
 }
+
+// BenchmarkTableUpsertDelete is the store's half of a mutation: one op
+// upserts one fresh share into a list and conditionally deletes that
+// list's oldest, on the one-stripe engine (the table behind a single
+// lock) holding 500,000 elements in 625 lists, the repository
+// benchmark's server. Consecutive ops go to different lists and every
+// global ID is random, so each keyed access misses the caches the way
+// the elements of a shuffled payload do; on a handful of hot lists the
+// per-list lookups this measures cost nothing.
+func BenchmarkTableUpsertDelete(b *testing.B) {
+	const lists, perList = 625, 800
+	rng := rand.New(rand.NewSource(1))
+	fresh := func() posting.EncryptedShare {
+		tf := uint16(min(1/(1-rng.Float64()), 1023)) // the benchmark's power law
+		gid := posting.TagImpact(posting.GlobalID(rng.Uint64()), posting.ImpactBucket(tf))
+		return sh(gid, uint32(rng.Intn(8)), rng.Uint64()>>4)
+	}
+	st := store.NewSharded(1)
+	resident := make([][]posting.GlobalID, lists) // per list, a ring whose oldest is at i/lists
+	for lid := range resident {
+		shares := make([]posting.EncryptedShare, perList)
+		for i := range shares {
+			shares[i] = fresh()
+			resident[lid] = append(resident[lid], shares[i].GlobalID)
+		}
+		st.Upsert(merging.ListID(lid), shares)
+	}
+	incoming := make([]posting.EncryptedShare, 1<<16)
+	for i := range incoming {
+		incoming[i] = fresh()
+	}
+	allow := func(posting.EncryptedShare) bool { return true }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lid := i * 257 % lists
+		in := incoming[i%len(incoming)]
+		in.GlobalID += posting.GlobalID(i / len(incoming)) // never the same ID twice
+		st.Upsert(merging.ListID(lid), []posting.EncryptedShare{in})
+		oldest := &resident[lid][i/lists%perList]
+		if _, deleted := st.DeleteIf(merging.ListID(lid), *oldest, allow); !deleted {
+			b.Fatalf("op %d: list %d lost element %d", i, lid, *oldest)
+		}
+		*oldest = in.GlobalID
+	}
+	b.StopTimer()
+	if got := st.TotalElements(); got != lists*perList {
+		b.Fatalf("store holds %d elements after the run, want %d", got, lists*perList)
+	}
+}

@@ -32,9 +32,9 @@ type shard struct {
 	elems atomic.Int64
 	// Pad each stripe to 128 bytes — a whole spatial-prefetcher pair of
 	// cache lines — so neighbouring stripes' hot mutex and counter words
-	// don't false-share under write-heavy load. The payload above is 48
-	// bytes (24 mutex + 16 table + 8 counter).
-	_ [128 - 48]byte
+	// don't false-share under write-heavy load. The payload above is 40
+	// bytes (24 mutex + 8 table + 8 counter).
+	_ [128 - 40]byte
 }
 
 var _ Store = (*Sharded)(nil)
@@ -209,7 +209,7 @@ func (s *Sharded) ListLen(lid merging.ListID) int {
 	sh := s.shardOf(lid)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return len(sh.tab.lists[lid])
+	return len(sh.tab.sharesOf(lid))
 }
 
 // ListLengths implements Store.

@@ -11,8 +11,9 @@ import (
 )
 
 // table is the unsynchronized core of each Sharded lock stripe: merged
-// posting lists plus a position index for O(1) keyed access. Callers
-// hold the appropriate lock.
+// posting lists, each with a position index for O(1) keyed access.
+// Callers hold the appropriate lock. All of a list sits in one struct, so
+// a call looks its list up once, however many shares it carries.
 //
 // Each list is kept bucket-major in descending impact order (the Zerber+R
 // score-ordered layout): all elements whose GlobalID carries impact bucket
@@ -21,19 +22,28 @@ import (
 // most one element per lower bucket — O(ImpactBuckets) moves, never a
 // full-list shift.
 type table struct {
-	lists map[merging.ListID][]posting.EncryptedShare
-	// pos locates an element inside its list for O(1) replace/delete.
-	pos map[merging.ListID]map[posting.GlobalID]int
-	// cnt is the per-list count of elements in each impact bucket.
-	cnt map[merging.ListID]*[posting.ImpactBuckets]int
+	lists map[merging.ListID]*memList
+}
+
+// memList is one merged posting list, never empty while in the table.
+type memList struct {
+	shares []posting.EncryptedShare
+	// pos locates an element inside shares for O(1) replace/delete.
+	pos map[posting.GlobalID]int
+	// cnt is the count of elements in each impact bucket.
+	cnt [posting.ImpactBuckets]int
 }
 
 func newTable() table {
-	return table{
-		lists: make(map[merging.ListID][]posting.EncryptedShare),
-		pos:   make(map[merging.ListID]map[posting.GlobalID]int),
-		cnt:   make(map[merging.ListID]*[posting.ImpactBuckets]int),
+	return table{lists: make(map[merging.ListID]*memList)}
+}
+
+// sharesOf returns the stored shares of a list, nil when there is none.
+func (t *table) sharesOf(lid merging.ListID) []posting.EncryptedShare {
+	if l := t.lists[lid]; l != nil {
+		return l.shares
 	}
+	return nil
 }
 
 // upsert appends or replaces shares; returns the number newly appended.
@@ -43,39 +53,36 @@ func (t *table) upsert(lid merging.ListID, shares []posting.EncryptedShare) int 
 	if len(shares) == 0 {
 		return 0
 	}
-	if t.pos[lid] == nil {
-		t.pos[lid] = make(map[posting.GlobalID]int, len(shares))
-	}
-	cnt := t.cnt[lid]
-	if cnt == nil {
-		cnt = new([posting.ImpactBuckets]int)
-		t.cnt[lid] = cnt
+	l := t.lists[lid]
+	if l == nil {
+		l = &memList{pos: make(map[posting.GlobalID]int, len(shares))}
+		t.lists[lid] = l
 	}
 	added := 0
 	for _, sh := range shares {
-		if i, exists := t.pos[lid][sh.GlobalID]; exists {
-			t.lists[lid][i] = sh
+		if i, exists := l.pos[sh.GlobalID]; exists {
+			l.shares[i] = sh
 			continue
 		}
 		b := posting.ImpactOf(sh.GlobalID)
-		list := append(t.lists[lid], posting.EncryptedShare{})
+		list := append(l.shares, posting.EncryptedShare{})
 		// Bubble the hole from the tail up to the end of bucket b's
 		// segment, displacing the first element of each lower bucket to
 		// the (new) tail of its own segment.
 		hole := len(list) - 1
 		for j := 0; j < int(b); j++ {
-			if cnt[j] == 0 {
+			if l.cnt[j] == 0 {
 				continue
 			}
-			s := hole - cnt[j]
+			s := hole - l.cnt[j]
 			list[hole] = list[s]
-			t.pos[lid][list[hole].GlobalID] = hole
+			l.pos[list[hole].GlobalID] = hole
 			hole = s
 		}
 		list[hole] = sh
-		t.pos[lid][sh.GlobalID] = hole
-		t.lists[lid] = list
-		cnt[b]++
+		l.pos[sh.GlobalID] = hole
+		l.shares = list
+		l.cnt[b]++
 		added++
 	}
 	return added
@@ -85,43 +92,45 @@ func (t *table) upsert(lid merging.ListID, shares []posting.EncryptedShare) int 
 // impact-bucket layout: swap-delete within the element's own bucket
 // segment, then shift one element per lower bucket into the hole.
 func (t *table) deleteIf(lid merging.ListID, gid posting.GlobalID, allow func(posting.EncryptedShare) bool) (found, deleted bool) {
-	idx, ok := t.pos[lid][gid]
+	l := t.lists[lid]
+	if l == nil {
+		return false, false
+	}
+	idx, ok := l.pos[gid]
 	if !ok {
 		return false, false
 	}
-	list := t.lists[lid]
+	list := l.shares
 	if allow != nil && !allow(list[idx]) {
 		return true, false
 	}
+	if len(list) == 1 {
+		delete(t.lists, lid)
+		return true, true
+	}
 	b := posting.ImpactOf(gid)
-	cnt := t.cnt[lid]
 	// End of bucket b's segment: everything in buckets >= b.
 	end := 0
 	for j := int(b); j < posting.ImpactBuckets; j++ {
-		end += cnt[j]
+		end += l.cnt[j]
 	}
 	hole := end - 1
 	if idx != hole {
 		list[idx] = list[hole]
-		t.pos[lid][list[idx].GlobalID] = idx
+		l.pos[list[idx].GlobalID] = idx
 	}
 	for j := int(b) - 1; j >= 0; j-- {
-		if cnt[j] == 0 {
+		if l.cnt[j] == 0 {
 			continue
 		}
-		src := hole + cnt[j]
+		src := hole + l.cnt[j]
 		list[hole] = list[src]
-		t.pos[lid][list[hole].GlobalID] = hole
+		l.pos[list[hole].GlobalID] = hole
 		hole = src
 	}
-	t.lists[lid] = list[:len(list)-1]
-	cnt[b]--
-	delete(t.pos[lid], gid)
-	if len(t.lists[lid]) == 0 {
-		delete(t.lists, lid)
-		delete(t.pos, lid)
-		delete(t.cnt, lid)
-	}
+	l.shares = list[:len(list)-1]
+	l.cnt[b]--
+	delete(l.pos, gid)
 	return true, true
 }
 
@@ -180,7 +189,7 @@ func keepInto(dst, src []posting.EncryptedShare, keep func(posting.EncryptedShar
 }
 
 func (t *table) scan(lid merging.ListID, keep func(posting.EncryptedShare) bool) []posting.EncryptedShare {
-	return filterShares(t.lists[lid], keep, false)
+	return filterShares(t.sharesOf(lid), keep, false)
 }
 
 // scanRange copies positions [from, from+n) of the list (group-filtered
@@ -189,7 +198,7 @@ func (t *table) scan(lid merging.ListID, keep func(posting.EncryptedShare) bool)
 // everything it has not fetched yet. next is 0 when the range reaches the
 // end of the list.
 func (t *table) scanRange(lid merging.ListID, from, n int, keep func(posting.EncryptedShare) bool) (shares []posting.EncryptedShare, total int, next uint8) {
-	src := t.lists[lid]
+	src := t.sharesOf(lid)
 	total = len(src)
 	if from < 0 {
 		from = 0
@@ -211,18 +220,20 @@ func (t *table) scanRange(lid merging.ListID, from, n int, keep func(posting.Enc
 }
 
 func (t *table) dropList(lid merging.ListID) int {
-	n := len(t.lists[lid])
+	n := len(t.sharesOf(lid))
 	delete(t.lists, lid)
-	delete(t.pos, lid)
-	delete(t.cnt, lid)
 	return n
 }
 
 // checkDeltas verifies every addressed element exists in this table.
 func (t *table) checkDeltas(deltas map[merging.ListID]map[posting.GlobalID]field.Element) error {
 	for lid, byID := range deltas {
+		var pos map[posting.GlobalID]int
+		if l := t.lists[lid]; l != nil {
+			pos = l.pos
+		}
 		for gid := range byID {
-			if _, ok := t.pos[lid][gid]; !ok {
+			if _, ok := pos[gid]; !ok {
 				return fmt.Errorf("reshare delta for element %d in list %d: %w", gid, lid, ErrMissing)
 			}
 		}
@@ -234,9 +245,10 @@ func (t *table) checkDeltas(deltas map[merging.ListID]map[posting.GlobalID]field
 // (checkDeltas first).
 func (t *table) applyDeltas(deltas map[merging.ListID]map[posting.GlobalID]field.Element) {
 	for lid, byID := range deltas {
+		l := t.lists[lid]
 		for gid, delta := range byID {
-			idx := t.pos[lid][gid]
-			t.lists[lid][idx].Y = field.Add(t.lists[lid][idx].Y, delta)
+			sh := &l.shares[l.pos[gid]]
+			sh.Y = field.Add(sh.Y, delta)
 		}
 	}
 }
@@ -244,9 +256,9 @@ func (t *table) applyDeltas(deltas map[merging.ListID]map[posting.GlobalID]field
 // keys appends this table's inventory (list -> ascending global IDs)
 // into out.
 func (t *table) keys(out map[merging.ListID][]posting.GlobalID) {
-	for lid, list := range t.lists {
-		ids := make([]posting.GlobalID, len(list))
-		for i, sh := range list {
+	for lid, l := range t.lists {
+		ids := make([]posting.GlobalID, len(l.shares))
+		for i, sh := range l.shares {
 			ids[i] = sh.GlobalID
 		}
 		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
@@ -257,6 +269,6 @@ func (t *table) keys(out map[merging.ListID][]posting.GlobalID) {
 // lengths appends this table's list lengths into out.
 func (t *table) lengths(out map[merging.ListID]int) {
 	for lid, l := range t.lists {
-		out[lid] = len(l)
+		out[lid] = len(l.shares)
 	}
 }

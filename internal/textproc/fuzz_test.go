@@ -7,16 +7,17 @@ import (
 )
 
 // FuzzTokenize verifies the tokenizer's invariants on arbitrary input:
-// no panics, no empty tokens, all tokens lowercase, and token counts
-// consistent with TermCounts.
+// no panics, no empty tokens, all tokens lowercase, and TermCounts, which
+// counts over the content without calling Tokenize, equal key for key to
+// a count over Tokenize's output.
 func FuzzTokenize(f *testing.F) {
 	f.Add("Martha sold ImClone; layoffs followed.")
 	f.Add("Цербер — мифический пёс 123")
 	f.Add("")
 	f.Add(strings.Repeat("a", 10000))
+	f.Add("lower MiXed lower\u00a0nbsp…ellipsis İstanbul ǅ straße ÉCOLE école x\xffy\xc3 9z")
 	f.Fuzz(func(t *testing.T, content string) {
 		tokens := Tokenize(content)
-		total := 0
 		for _, tok := range tokens {
 			if tok == "" {
 				t.Fatal("empty token")
@@ -24,18 +25,19 @@ func FuzzTokenize(f *testing.F) {
 			if tok != strings.ToLower(tok) {
 				t.Fatalf("token %q not lowercase", tok)
 			}
-			total++
+		}
+		want := make(map[string]int)
+		for _, tok := range tokens {
+			want[tok]++
 		}
 		counts := TermCounts(content)
-		sum := 0
-		for _, c := range counts {
-			if c <= 0 {
-				t.Fatal("non-positive count")
-			}
-			sum += c
+		if len(counts) != len(want) {
+			t.Fatalf("TermCounts has %d terms, Tokenize yields %d", len(counts), len(want))
 		}
-		if sum != total {
-			t.Fatalf("TermCounts sums to %d, Tokenize yields %d", sum, total)
+		for term, c := range counts {
+			if c != want[term] {
+				t.Fatalf("TermCounts[%q] = %d, counting Tokenize gives %d", term, c, want[term])
+			}
 		}
 	})
 }

@@ -8,6 +8,7 @@ package textproc
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Tokenize splits content into lowercase terms. A term is a maximal run
@@ -34,11 +35,51 @@ func Tokenize(content string) []string {
 	return out
 }
 
-// TermCounts tokenizes content and returns the raw per-term counts.
+// TermCounts returns the raw per-term counts of the terms Tokenize would
+// return, counting over content itself: a token is a substring, lowered
+// only if it needs to be, and only a term's first occurrence allocates,
+// a copy for the key, so the map never pins the document.
 func TermCounts(content string) map[string]int {
-	counts := make(map[string]int)
-	for _, term := range Tokenize(content) {
-		counts[term]++
+	// at is read with substrings of content but written with copies: an
+	// assignment (a counts[term]++) replaces the stored key with an alias.
+	at := make(map[string]int, len(content)/32) // term -> its index in terms and n
+	terms, n := make([]string, 0, 64), make([]int, 0, 64)
+	add := func(term string, mixed bool) {
+		if mixed {
+			term = strings.ToLower(term)
+		}
+		if i, ok := at[term]; ok {
+			n[i]++
+			return
+		}
+		term = strings.Clone(term)
+		at[term] = len(terms)
+		terms, n = append(terms, term), append(n, 1)
+	}
+	// The token being read began at start (-1: none) and needs lowering if mixed.
+	start, mixed := -1, false
+	for i, r := range content {
+		switch {
+		case 'a' <= r && r <= 'z' || '0' <= r && r <= '9':
+		case 'A' <= r && r <= 'Z' || r >= utf8.RuneSelf && (unicode.IsLetter(r) || unicode.IsDigit(r)):
+			mixed = true
+		default:
+			if start >= 0 {
+				add(content[start:i], mixed)
+				start, mixed = -1, false
+			}
+			continue
+		}
+		if start < 0 {
+			start = i
+		}
+	}
+	if start >= 0 {
+		add(content[start:], mixed)
+	}
+	counts := make(map[string]int, len(terms))
+	for i, term := range terms {
+		counts[term] = n[i]
 	}
 	return counts
 }

@@ -1,10 +1,12 @@
 package textproc
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
 	"unicode/utf8"
+	"unsafe"
 )
 
 func TestTokenizeBasic(t *testing.T) {
@@ -127,6 +129,42 @@ func TestSnippetValidUTF8(t *testing.T) {
 		t.Error("snippet split a UTF-8 sequence")
 	}
 }
+
+// TestTermCountsKeysDoNotPinContent: the counts outlive the document
+// (the peer's local index keeps the keys), so no key may be a substring
+// of the content it was counted from.
+func TestTermCountsKeysDoNotPinContent(t *testing.T) {
+	content := "plain tokens plain UPPER école plain"
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(content)))
+	counts := TermCounts(content)
+	if counts["plain"] != 3 || counts["upper"] != 1 || counts["école"] != 1 || len(counts) != 4 {
+		t.Fatalf("counts = %v", counts)
+	}
+	for term := range counts {
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(term))); p >= lo && p < lo+uintptr(len(content)) {
+			t.Errorf("key %q aliases the content", term)
+		}
+	}
+}
+
+// BenchmarkTermCounts counts a document shaped like the repository
+// benchmark's: 50 distinct lowercase terms, about 350 tokens.
+func BenchmarkTermCounts(b *testing.B) {
+	var sb strings.Builder
+	for i := 0; i < 50; i++ {
+		for c := 0; c < 1+350/(7*(i+1)); c++ {
+			fmt.Fprintf(&sb, "term%04d ", i*37)
+		}
+	}
+	content := sb.String()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkCounts = TermCounts(content)
+	}
+}
+
+var sinkCounts map[string]int
 
 func BenchmarkTokenize(b *testing.B) {
 	content := strings.Repeat("the quick brown fox jumps over the lazy dog 1234 ", 100)

@@ -165,7 +165,12 @@
 // interruption at any point leaves the old postings intact (at worst
 // both generations exist transiently). The complete encrypted payload
 // is built before the first byte is sent; a payload-construction
-// failure leaves the index untouched.
+// failure leaves the index untouched. Within a stage the n servers are
+// sent to concurrently, so a stage costs one round trip; the barrier is
+// between the stages: every insert acknowledgement is awaited before the
+// first delete leaves. Each attempt's wire order is a fresh shuffle from
+// the shares' generator (§5.4.1); the owner's local index (§7.2) is
+// updated by diff, touching only the changed terms.
 //
 // With the JournalDir option set, each peer persists its operations to
 // a journal (fsynced before the first send) along with one record per
