@@ -29,13 +29,16 @@ test-full:
 # the critical path; the full-size suite runs race-free in `test` and at
 # full depth in the nightly `test-full`. The lines after it repeat the
 # tests whose subject is a race, which one pass samples too thinly:
-# recycled wire buffers against calls abandoned at random instants, and
-# the peer's concurrent per-stage fan-out (the barrier between the
-# stages; recovery from every subset of acknowledgements).
+# recycled wire buffers against calls abandoned at random instants, the
+# peer's concurrent per-stage fan-out (the barrier between the stages;
+# recovery from every subset of acknowledgements), and the top-k client's
+# block rounds losing a responder or waiting for a slow one, with
+# searches of both plans sharing the client.
 race:
 	$(GO) test -race -short -shuffle=on ./...
 	$(GO) test -race -short -count=20 -run='^TestBinaryCancelStress$$' ./internal/transport
 	$(GO) test -race -short -count=20 -run='^(TestDeleteStageWaitsForEveryInsertAck|TestRecoverFromAnyAckSubset)$$' ./internal/peer
+	$(GO) test -race -short -count=20 -run='^(TestTopKSurvivesResponderChange|TestTopKKeepsSlowPinnedResponder|TestConcurrentTopK)$$' ./internal/client
 
 # Fuzz smoke: every fuzz target for FUZZTIME (default 10s) each. Go
 # allows one -fuzz pattern per package invocation, hence one line per
@@ -79,7 +82,9 @@ benchstore:
 # batched split/encrypt vs the per-element baselines, the end-to-end
 # 5,000-term document index (paper §5.1), and the steady-state mutation
 # by layer (a 3-term update on a populated peer, the term count, the
-# store's keyed upsert and delete on a resident index).
+# store's keyed upsert and delete on a resident index), and the read
+# path's (the two top-k plans over loopback, which the planner's rule is
+# read from; the stream's candidate table per posting).
 # Both steps write to temp files (gitignored) so a benchmark failure or
 # parser failure aborts the recipe without touching the committed
 # BENCH_index.json: a pipe would take only the last command's exit
@@ -87,10 +92,11 @@ benchstore:
 # would truncate it before the parser even runs.
 benchjson:
 	$(GO) test -run='^$$' \
-		-bench='^(BenchmarkSplitBatch|BenchmarkSplitSequential|BenchmarkEncryptBatch|BenchmarkEncryptSequential|BenchmarkIndexDocument5k|BenchmarkUpdateDocument|BenchmarkUpdateDocumentPopulated|BenchmarkTermCounts|BenchmarkTableUpsertDelete|BenchmarkJournaledFlush|BenchmarkUnjournaledFlush|BenchmarkFillRandDRBG|BenchmarkFillRandCryptoDirect|BenchmarkInvChain|BenchmarkInvGenericPow|BenchmarkEncodeGetPostingLists|BenchmarkBinaryVsJSONRoundTrip|BenchmarkBinaryLookupRoundTrip|BenchmarkScanFiltered|BenchmarkMigrationThroughput|BenchmarkSearchTopK|BenchmarkRetrieveJoinRank|BenchmarkServerMixed)$$' \
+		-bench='^(BenchmarkSplitBatch|BenchmarkSplitSequential|BenchmarkEncryptBatch|BenchmarkEncryptSequential|BenchmarkIndexDocument5k|BenchmarkUpdateDocument|BenchmarkUpdateDocumentPopulated|BenchmarkTermCounts|BenchmarkTableUpsertDelete|BenchmarkJournaledFlush|BenchmarkUnjournaledFlush|BenchmarkFillRandDRBG|BenchmarkFillRandCryptoDirect|BenchmarkInvChain|BenchmarkInvGenericPow|BenchmarkEncodeGetPostingLists|BenchmarkBinaryVsJSONRoundTrip|BenchmarkBinaryLookupRoundTrip|BenchmarkScanFiltered|BenchmarkMigrationThroughput|BenchmarkSearchTopK|BenchmarkTopKPlan|BenchmarkStreamObserve|BenchmarkRetrieveJoinRank|BenchmarkServerMixed)$$' \
 		-benchmem -benchtime=$(BENCHTIME) -count=1 \
 		./internal/field/ ./internal/shamir/ ./internal/posting/ ./internal/peer/ ./internal/textproc/ \
-		./internal/transport/ ./internal/dht/ ./internal/server/ ./internal/store/ ./internal/client/ . \
+		./internal/transport/ ./internal/dht/ ./internal/server/ ./internal/store/ ./internal/client/ \
+		./internal/ranking/ . \
 		> bench_index.out.tmp
 	$(GO) run ./cmd/zerber-benchjson -commit $(COMMIT) -scale benchtime-$(BENCHTIME) \
 		< bench_index.out.tmp > bench_index.json.tmp

@@ -129,8 +129,9 @@ func main() {
 			stats.ListsRequested, stats.ElementsFetched, stats.FalsePositives,
 			stats.ServersQueried, elapsed.Round(time.Millisecond))
 		if *topkMode {
-			fmt.Printf("top-k: %d/%d postings touched, %d block fetches, %d bytes on wire, depth %d\n",
-				stats.TA.ElementsDecrypted, stats.TA.TotalPostings,
+			plan := map[bool]string{true: "streamed", false: "whole lists"}[stats.TA.Streamed]
+			fmt.Printf("top-k (%s): %d/%d postings touched, %d block fetches, %d bytes on wire, depth %d\n",
+				plan, stats.TA.ElementsDecrypted, stats.TA.TotalPostings,
 				stats.TA.BlocksFetched, stats.TA.WireBytes, stats.TA.Depth)
 		}
 	}

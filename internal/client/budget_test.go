@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -147,4 +148,39 @@ func BenchmarkRetrieveJoinRank(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/elements, "ns/element")
+}
+
+// TestTopKWholeListAllocationBudget is TestSearchAllocationBudget for
+// the whole-list plan of top-k, which the three-term query over lists
+// the client has never seen takes: join, decrypt, filter and the stream's
+// flat candidate table over 3,500 elements stay within 45 allocations
+// (34 measured, 41 under the race detector, whose tier runs this too),
+// and ten times the elements add fewer than one per 256.
+// One processor, so the count is not at the mercy of which of the
+// fan-out's goroutines the scheduler runs first.
+func TestTopKWholeListAllocationBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const small, large = 3500, 35000
+	allocs := func(elements int) float64 {
+		c := syntheticCluster(t, elements)
+		search := func() {
+			res, stats, err := c.SearchTopK("tok", syntheticQuery, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := elements / 3 * 3; stats.ElementsFetched != want || stats.FalsePositives != want/2 || stats.TA.Depth != 1 || len(res) != 10 {
+				t.Fatalf("%d elements: fetched %d, false positives %d, %d rounds, %d results", elements, stats.ElementsFetched, stats.FalsePositives, stats.TA.Depth, len(res))
+			}
+		}
+		search() // fill the basis cache
+		return testing.AllocsPerRun(20, search)
+	}
+	atSmall, atLarge := allocs(small), allocs(large)
+	t.Logf("allocations per whole-list top-k search: %.0f at %d elements, %.0f at %d", atSmall, small, atLarge, large)
+	if atSmall > 45 {
+		t.Errorf("%.0f allocations per search of %d elements, budget 45", atSmall, small)
+	}
+	if grown := atLarge - atSmall; grown >= (large-small)/256 {
+		t.Errorf("%.0f more allocations for %d more elements, budget under one per 256", grown, large-small)
+	}
 }

@@ -88,8 +88,8 @@ type Stats struct {
 	// show hits approaching every query after the first.
 	ReconstructorHits   int
 	ReconstructorMisses int
-	// TA instruments the streaming top-k path (SearchTopK); zero for
-	// exact retrieval.
+	// TA instruments top-k retrieval (SearchTopK), on either of its
+	// plans; zero for exact retrieval.
 	TA ranking.TAStats
 }
 
@@ -186,28 +186,51 @@ func byTerm(terms []string, lists [][]ranking.Posting) map[string][]ranking.Post
 	return out
 }
 
-// retrieve is the whole-list pipeline behind Retrieve, Search and the
-// wide-query top-k fallback: fetch every list of terms from k servers
-// (k+1 under verification), then join, decrypt and filter list by list.
-// It returns the surviving postings per term, indexed like terms, in
-// join order.
+// retrieve is wholeLists materialised for Retrieve and Search: the
+// surviving postings per term, indexed like terms, in join order.
 func (c *Client) retrieve(ctx context.Context, tok auth.Token, terms []string) ([][]ranking.Posting, Stats, error) {
 	var stats Stats
+	out := make([][]ranking.Posting, len(terms))
+	_, err := c.wholeLists(ctx, tok, terms, c.table.ListsOf(terms), &stats, false,
+		func(lid merging.ListID, rows int) {
+			// One allocation per term, sized by its list's rows: a term's
+			// postings all live in the one list it maps to.
+			for ti, term := range terms {
+				if c.table.ListOf(term) == lid {
+					out[ti] = make([]ranking.Posting, 0, rows)
+				}
+			}
+		},
+		func(term int, post ranking.Posting) { out[term] = append(out[term], post) })
+	if err != nil {
+		return nil, stats, err
+	}
+	return out, stats, nil
+}
+
+// wholeLists is the whole-list pipeline behind exact retrieval and the
+// whole-list plan of top-k: fetch lids, the lists of terms, from k servers
+// (k+1 under verification), one call each, then join, decrypt and filter
+// list by list: begin gets a list's joined row count, then emit each of
+// its surviving postings. A global ID one server delivers twice fails
+// the query, unless dropRedelivered (top-k's rule on both plans) keeps
+// the first copy. It returns the number of shares received.
+func (c *Client) wholeLists(ctx context.Context, tok auth.Token, terms []string, lids []merging.ListID, stats *Stats, dropRedelivered bool,
+	begin func(lid merging.ListID, rows int), emit func(term int, post ranking.Posting)) (shares int, err error) {
 	if len(terms) == 0 {
-		return nil, stats, nil
+		return 0, nil
 	}
 	need := c.k
 	if c.verify {
 		need++
 	}
-	lids := c.table.ListsOf(terms)
 	stats.ListsRequested = len(lids)
 
-	responses, err := fanOutCall(ctx, c, need, func(ctx context.Context, i int) (map[merging.ListID][]posting.EncryptedShare, error) {
+	responses, err := fanOutCall(ctx, c, need, nil, func(ctx context.Context, i int) (map[merging.ListID][]posting.EncryptedShare, error) {
 		return c.servers[i].GetPostingLists(ctx, tok, lids)
 	})
 	if err != nil {
-		return nil, stats, err
+		return 0, err
 	}
 	stats.ServersQueried = len(responses)
 
@@ -216,51 +239,44 @@ func (c *Client) retrieve(ctx context.Context, tok auth.Token, terms []string) (
 	// elements/ms" fast path, amortized across repeated hot-term
 	// queries). Verification cross-checks it against the basis over the
 	// k highest responders: the two overlap in all but one server each.
-	p := c.newPipeline(terms, &stats)
+	p := c.newPipeline(terms, stats)
 	var responders uint64
 	for _, r := range responses {
 		responders |= 1 << uint(r.idx)
 	}
 	a, err := p.basisFor(responders)
 	if err != nil {
-		return nil, stats, err
+		return 0, err
 	}
 	var check *basis
 	if c.verify {
 		if check, err = p.basisFor(responders &^ (responders & -responders)); err != nil {
-			return nil, stats, err
+			return 0, err
 		}
 	}
 
-	out := make([][]ranking.Posting, len(terms))
-	emit := func(term int, post ranking.Posting) { out[term] = append(out[term], post) }
 	t := c.newJoin()
 	for _, lid := range lids {
 		if err := ctx.Err(); err != nil {
-			return nil, stats, err
+			return shares, err
 		}
-		shares := 0
+		listShares := 0
 		for _, r := range responses {
-			shares += len(r.val[lid])
+			listShares += len(r.val[lid])
 		}
-		t.reset(0, shares)
+		shares += listShares
+		t.reset(0, listShares)
 		for _, r := range responses {
-			if i := t.add(r.idx, r.val[lid]); i >= 0 {
-				return nil, stats, errRedelivered(r.val[lid][i].GlobalID, lid, r.idx, c.xs[r.idx])
+			if i := t.add(r.idx, r.val[lid]); i >= 0 && !dropRedelivered {
+				return shares, errRedelivered(r.val[lid][i].GlobalID, lid, r.idx, c.xs[r.idx])
 			}
 		}
-		// One allocation per term, sized by its list's rows: a term's
-		// postings all live in the one list it maps to.
-		for ti, term := range terms {
-			if c.table.ListOf(term) == lid {
-				out[ti] = make([]ranking.Posting, 0, len(t.gids))
-			}
-		}
+		begin(lid, len(t.gids))
 		if err := p.open(&t, lid, a, check, emit); err != nil {
-			return nil, stats, err
+			return shares, err
 		}
 	}
-	return out, stats, nil
+	return shares, nil
 }
 
 // K returns the reconstruction threshold.

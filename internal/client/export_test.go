@@ -1,0 +1,20 @@
+package client
+
+import (
+	"context"
+
+	"zerber/internal/auth"
+	"zerber/internal/ranking"
+)
+
+// The two top-k plans, exported to the package's external tests so they
+// can run either on any query, whatever its term count would pick.
+
+func (c *Client) SearchTopKStreamed(tok auth.Token, query []string, k int) ([]ranking.ScoredDoc, Stats, error) {
+	return c.searchTopKStream(context.Background(), tok, dedup(query), k)
+}
+
+func (c *Client) SearchTopKWhole(tok auth.Token, query []string, k int) ([]ranking.ScoredDoc, Stats, error) {
+	terms := dedup(query)
+	return c.searchTopKWhole(context.Background(), tok, terms, c.table.ListsOf(terms), k)
+}

@@ -21,11 +21,17 @@ type fanResult[T any] struct {
 // next untried server, optionally hedges stragglers after
 // Tuning.HedgeDelay, and returns as soon as need servers have answered.
 // Outstanding requests are cancelled through the per-call context. The
-// returned results are sorted back into preference order so downstream
-// Lagrange bases are deterministic. Both the whole-list fetch and each
-// top-k block round run through this one engine, so hedging and first-k
-// completion apply uniformly.
-func fanOutCall[T any](ctx context.Context, c *Client, need int, call func(ctx context.Context, server int) (T, error)) ([]fanResult[T], error) {
+// results come back sorted by server index so downstream Lagrange bases
+// are deterministic. Whole-list fetches and top-k block rounds share this
+// one engine.
+//
+// pinned is nil for all of that. A streamed top-k query's rounds after
+// its first pass the servers in the order to try them, the first round's
+// responders first: at most need are asked at once and none is hedged (a
+// responder slower than the hedge delay is still the only one whose
+// windows line up with the rounds before); the rest only replace a
+// failure.
+func fanOutCall[T any](ctx context.Context, c *Client, need int, pinned []int, call func(ctx context.Context, server int) (T, error)) ([]fanResult[T], error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -43,6 +49,9 @@ func fanOutCall[T any](ctx context.Context, c *Client, need int, call func(ctx c
 			return false
 		}
 		i := next
+		if pinned != nil {
+			i = pinned[next]
+		}
 		next++
 		go func() {
 			out, err := call(ctx, i)
@@ -50,7 +59,11 @@ func fanOutCall[T any](ctx context.Context, c *Client, need int, call func(ctx c
 		}()
 		return true
 	}
-	for started := c.tuning.fanoutWidth(n); started > 0; started-- {
+	width := c.tuning.fanoutWidth(n)
+	if pinned != nil {
+		width = min(width, need)
+	}
+	for started := width; started > 0; started-- {
 		launch()
 	}
 
@@ -58,7 +71,7 @@ func fanOutCall[T any](ctx context.Context, c *Client, need int, call func(ctx c
 	// one more server in flight.
 	var hedge <-chan time.Time
 	var hedgeTimer *time.Timer
-	if c.tuning.HedgeDelay > 0 && next < n {
+	if c.tuning.HedgeDelay > 0 && next < n && pinned == nil {
 		hedgeTimer = time.NewTimer(c.tuning.HedgeDelay)
 		defer hedgeTimer.Stop()
 		hedge = hedgeTimer.C

@@ -56,10 +56,11 @@ func sameScored(a, b []ranking.ScoredDoc) bool {
 }
 
 // TestSearchTopKMatchesExhaustive is the client-level property test: on
-// a randomized corpus with merged lists and both user groups, the
-// streaming TA loop returns exactly the exhaustive frequency-sum top k
-// for every query shape, even with a tiny block size forcing many
-// rounds.
+// a randomized corpus with merged lists and both user groups, SearchTopK
+// returns exactly the exhaustive frequency-sum top k for every query
+// shape, whichever plan it picks, even with a tiny block size forcing
+// many rounds on the streamed one. (TestTopKPlansAgree runs both plans
+// on every query.)
 func TestSearchTopKMatchesExhaustive(t *testing.T) {
 	e := newEnv(t, 2) // heavy merging -> false positives in the stream
 	alice := e.svc.Issue("alice")
@@ -196,9 +197,9 @@ func TestSearchTopKEdgeCases(t *testing.T) {
 	}
 }
 
-// TestSearchTopKWideQueryFallback drives a query wider than the stream's
-// 64-term mask through the exhaustive fallback and checks the ranking
-// order is identical.
+// TestSearchTopKWideQueryFallback drives a query wider than one 64-term
+// word of the stream's masks (once a special case with its own ranking
+// path) and checks the ranking order is identical.
 func TestSearchTopKWideQueryFallback(t *testing.T) {
 	e := newEnv(t, 1)
 	alice := e.svc.Issue("alice")
@@ -208,7 +209,7 @@ func TestSearchTopKWideQueryFallback(t *testing.T) {
 	)
 	c := e.client(t)
 	query := []string{"martha", "imclone"}
-	for i := 0; i < ranking.MaxStreamTerms+5; i++ {
+	for i := 0; i < 64+5; i++ { // wider than one word of the stream's term masks
 		query = append(query, fmt.Sprintf("filler-%d", i))
 	}
 	got, _, err := c.SearchTopK(alice, query, 2)

@@ -3,7 +3,7 @@ package client
 import "time"
 
 // Tuning configures the query engine's network half: how wide a query
-// fans out, when it hedges, and how large a top-k block round is. The
+// fans out, when it hedges, and where a streamed top-k query starts. The
 // zero value selects the aggressive defaults: fan out to every known
 // server at once. Fanout=1, HedgeDelay=0 walks the servers one request
 // at a time — useful as a benchmark baseline, but strictly dominated in
@@ -19,16 +19,20 @@ type Tuning struct {
 	// HedgeDelay, when positive and Fanout leaves servers unstarted,
 	// launches one additional server each time this delay elapses
 	// without the query having gathered enough responses. This hedges
-	// against stragglers without the full cost of querying everyone.
+	// against stragglers without the full cost of querying everyone. A
+	// streamed top-k query hedges its first round only: the later ones
+	// wait for the servers that answered it (see topk.go).
 	HedgeDelay time.Duration
-	// BlockSize is the number of score-ordered posting elements fetched
-	// per list per round by the top-k retrieval loop (SearchTopK). 0
-	// selects the default. Larger blocks cost bandwidth on short
-	// queries; smaller blocks cost round trips on deep ones.
+	// BlockSize is the first window of a streamed query: the number of
+	// score-ordered posting elements SearchTopK fetches per list in the
+	// first round of its streamed plan; later windows double. 0 selects
+	// the default. Larger blocks cost bandwidth on short queries; smaller
+	// blocks cost round trips on deep ones.
 	BlockSize int
 }
 
-// defaultBlockSize is the top-k block window when Tuning.BlockSize is 0.
+// defaultBlockSize is the first top-k block window when Tuning.BlockSize
+// is 0.
 const defaultBlockSize = 256
 
 // blockSize resolves the top-k retrieval window.

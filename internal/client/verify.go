@@ -19,6 +19,10 @@ var ErrCorruptShare = errors.New("client: share sets disagree; a server returned
 // only k of the k+1 responders hold is decrypted from those k without a
 // cross-check (Stats.ElementsVerified counts the checked ones).
 //
+// Verification covers every whole-list fetch: Retrieve, Search and the
+// whole-list plan of SearchTopK. A streamed top-k query is not verified:
+// its block rounds ask k servers and cross-check nothing.
+//
 // It returns an error if the client does not know at least k+1 servers.
 func (c *Client) EnableVerification() error {
 	if len(c.servers) < c.k+1 {

@@ -95,7 +95,7 @@ func (in *Input) dedupQuery() []string {
 
 // accumulate is the one scoring pass ScoreAll and TopK share: it returns
 // every matching document with its full TF-IDF score, in first-seen
-// order. The first sweep gives each document a slot (one map access per
+// order. The first sweep gives each document a slot (one table probe per
 // posting, the only ones) and settles the collection size; the second
 // adds tf·idf contributions slot by slot, with each term's idf and each
 // document's length looked up once instead of once per posting.
@@ -106,18 +106,13 @@ func accumulate(in *Input) []ScoredDoc {
 		n := len(in.Lists[term])
 		longest, total = max(longest, n), total+n
 	}
-	slotOf := make(map[uint32]int32, longest)
+	var table docTable
 	slots := make([]int32, 0, total) // posting → its document's slot
 	docs := make([]ScoredDoc, 0, longest)
+	table.reserve(docs, longest)
 	for _, term := range terms {
 		for _, p := range in.Lists[term] {
-			slot, seen := slotOf[p.DocID]
-			if !seen {
-				slot = int32(len(docs))
-				slotOf[p.DocID] = slot
-				docs = append(docs, ScoredDoc{DocID: p.DocID})
-			}
-			slots = append(slots, slot)
+			slots = append(slots, int32(table.slotOf(&docs, p.DocID)))
 		}
 	}
 	var lens []float64 // slot → document length, when any are known
@@ -168,9 +163,13 @@ type TAStats struct {
 	// TotalPostings is the summed length of the query's posting lists.
 	TotalPostings int
 
-	// The remaining fields instrument the streaming (networked) TA path;
-	// the in-memory TopKStats leaves them zero.
+	// The remaining fields instrument networked top-k retrieval
+	// (client.SearchTopK); the in-memory TopKStats leaves them zero.
 
+	// Streamed reports which of the client's two plans answered: rounds
+	// of score-ordered blocks (true), or whole lists in one call, where
+	// Depth is 1 and TotalPostings counts accessible elements only.
+	Streamed bool
 	// BlocksFetched counts score-ordered block requests sent to servers.
 	BlocksFetched int
 	// ElementsDecrypted counts posting elements actually reconstructed —

@@ -1,11 +1,60 @@
 package ranking
 
-import "slices"
+import (
+	"math/bits"
+	"math/rand/v2"
+	"slices"
+)
 
-// MaxStreamTerms is the widest query a Stream supports: per-candidate
-// term coverage is tracked in one 64-bit mask. Clients fall back to
-// exact retrieval for wider queries (which do not occur in practice).
-const MaxStreamTerms = 64
+// docTable finds a document's slot in a []ScoredDoc holding each document
+// once: a pointer-free open-addressing table of indices into that slice
+// (the shape of the client's share join), grown by rehashing from it.
+type docTable struct {
+	shift uint     // 64 - log2(len(slots))
+	slots []uint32 // doc hash → slot+1, 0 = empty; len is a power of two
+}
+
+// docHashMul keys the multiply-shift hash, per process like a Go map's
+// seed: document owners choose IDs, and must not be able to pile them up.
+var docHashMul = rand.Uint64() | 1
+
+// reserve sizes the table for n documents at load factor at most 1/2.
+func (t *docTable) reserve(docs []ScoredDoc, n int) {
+	size := 16
+	for size < 2*n {
+		size *= 2
+	}
+	if size <= len(t.slots) {
+		return
+	}
+	t.shift, t.slots = uint(64-bits.TrailingZeros(uint(size))), make([]uint32, size)
+	for slot, d := range docs {
+		t.slots[t.probe(docs, d.DocID)] = uint32(slot + 1)
+	}
+}
+
+// probe returns the index in slots of doc's entry, or of the free entry
+// where it belongs.
+func (t *docTable) probe(docs []ScoredDoc, doc uint32) int {
+	i := int(uint64(doc) * docHashMul >> t.shift)
+	for t.slots[i] != 0 && docs[t.slots[i]-1].DocID != doc {
+		i = (i + 1) & (len(t.slots) - 1)
+	}
+	return i
+}
+
+// slotOf returns doc's slot in *docs, appending an entry for a new one.
+func (t *docTable) slotOf(docs *[]ScoredDoc, doc uint32) int {
+	if 2*len(*docs) >= len(t.slots) {
+		t.reserve(*docs, len(*docs)+1)
+	}
+	i := t.probe(*docs, doc)
+	if t.slots[i] == 0 {
+		*docs = append(*docs, ScoredDoc{DocID: doc})
+		t.slots[i] = uint32(len(*docs))
+	}
+	return int(t.slots[i]) - 1
+}
 
 // Stream is the incremental no-random-access Threshold Algorithm behind
 // networked top-k retrieval (Zerber+R §6). The client feeds it decrypted
@@ -27,27 +76,26 @@ type Stream struct {
 	nTerms int
 	bounds []float64
 	open   []bool
-	// Candidates by value: slotOf finds a document's slot, cands[slot]
+	// Candidates by value: table finds a document's slot, cands[slot]
 	// holds its exact score so far (the sum of observed contributions)
-	// and seen[slot] the bitmask of terms observed for it.
-	slotOf map[uint32]int32
-	cands  []ScoredDoc
-	seen   []uint64
-	best   topHeap // the current top k, reselected per convergence check
+	// and seen[slot*words:][:words] the bitmask of terms observed for it.
+	table docTable
+	cands []ScoredDoc
+	words int
+	seen  []uint64
+	best  topHeap // the current top k, reselected per convergence check
 }
 
-// NewStream returns a stream for a query of nTerms distinct terms.
-// nTerms must be in [1, MaxStreamTerms]; every term starts open with an
-// unbounded (+inf is unnecessary — the caller sets real bounds before
-// asking for convergence, so the zero value is simply "unknown yet")
-// conservative state of open until SetBound closes it.
+// NewStream returns a stream for a query of nTerms distinct terms, any
+// number of them. Every term starts open — the caller sets real bounds
+// before asking for convergence — until SetBound closes it.
 func NewStream(nTerms, k int) *Stream {
 	s := &Stream{
 		k:      k,
 		nTerms: nTerms,
 		bounds: make([]float64, nTerms),
 		open:   make([]bool, nTerms),
-		slotOf: make(map[uint32]int32),
+		words:  (nTerms + 63) / 64,
 		best:   topHeap{k: k},
 	}
 	for i := range s.open {
@@ -56,23 +104,33 @@ func NewStream(nTerms, k int) *Stream {
 	return s
 }
 
+// Reserve makes room for n more candidates (a whole joined list) at once.
+func (s *Stream) Reserve(n int) {
+	n += len(s.cands)
+	s.table.reserve(s.cands, n)
+	s.cands = slices.Grow(s.cands, n-len(s.cands))
+	s.seen = slices.Grow(s.seen, n*s.words-len(s.seen))
+}
+
 // Observe feeds one decrypted posting: document doc contributes weight w
 // under query term index term. Duplicate (term, doc) observations are
-// ignored, so redelivered elements cannot double-count.
+// ignored: neither a redelivered element nor a list holding one posting
+// twice can double-count.
 func (s *Stream) Observe(term int, doc uint32, w float64) {
-	slot, ok := s.slotOf[doc]
-	if !ok {
-		slot = int32(len(s.cands))
-		s.slotOf[doc] = slot
-		s.cands = append(s.cands, ScoredDoc{DocID: doc})
-		s.seen = append(s.seen, 0)
+	slot := s.table.slotOf(&s.cands, doc)
+	for len(s.seen) < (slot+1)*s.words {
+		s.seen = append(s.seen, 0) // a new candidate's mask, one word at a time: no temporary
 	}
-	bit := uint64(1) << uint(term)
-	if s.seen[slot]&bit != 0 {
+	if s.sawTerm(slot, term) {
 		return
 	}
-	s.seen[slot] |= bit
+	s.seen[slot*s.words+term>>6] |= 1 << uint(term&63)
 	s.cands[slot].Score += w
+}
+
+// sawTerm reports whether term has been observed for the candidate.
+func (s *Stream) sawTerm(slot, term int) bool {
+	return s.seen[slot*s.words+term>>6]&(1<<uint(term&63)) != 0
 }
 
 // SetBound publishes the caller's current knowledge about term: no
@@ -101,7 +159,7 @@ func (s *Stream) unseenBound() float64 {
 func (s *Stream) upper(slot int) float64 {
 	u := s.cands[slot].Score
 	for i, b := range s.bounds {
-		if s.open[i] && s.seen[slot]&(uint64(1)<<uint(i)) == 0 {
+		if s.open[i] && !s.sawTerm(slot, i) {
 			u += b
 		}
 	}
@@ -112,7 +170,7 @@ func (s *Stream) upper(slot int) float64 {
 // term has been observed for it.
 func (s *Stream) exact(slot int) bool {
 	for i := range s.open {
-		if s.open[i] && s.seen[slot]&(uint64(1)<<uint(i)) == 0 {
+		if s.open[i] && !s.sawTerm(slot, i) {
 			return false
 		}
 	}

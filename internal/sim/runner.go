@@ -19,6 +19,7 @@ import (
 	"zerber/internal/peer"
 	"zerber/internal/posting"
 	"zerber/internal/proactive"
+	"zerber/internal/ranking"
 	"zerber/internal/server"
 	"zerber/internal/store"
 	"zerber/internal/transport"
@@ -99,6 +100,10 @@ type runner struct {
 	ownerTok   auth.Token
 	userID     []auth.UserID
 	userTok    []auth.Token
+
+	// topkRuns keeps Stats.TA of every top-k search fullCheck has
+	// compared with the oracle: which plan answered, in how many rounds.
+	topkRuns []ranking.TAStats
 
 	// queued are the oracle effects of the single begun-but-incomplete
 	// peer operation (the engine never has more than one in flight);
@@ -988,10 +993,11 @@ func (r *runner) fullCheck() error {
 		}
 		queries = append(queries, r.cfg.Vocabulary)
 		for _, q := range queries {
-			got, _, err := r.topkClient.SearchTopK(tok, q, topkCheckK)
+			got, stats, err := r.topkClient.SearchTopK(tok, q, topkCheckK)
 			if err != nil {
 				return fmt.Errorf("quiescent top-k search %v by %s failed: %v", q, names[ui], err)
 			}
+			r.topkRuns = append(r.topkRuns, stats.TA)
 			want := r.oracle.ExpectedTopK(names[ui], q, topkCheckK)
 			if len(got) != len(want) {
 				return fmt.Errorf("top-k %v by %s: %d results, oracle %d (cluster %v, oracle %v)",

@@ -53,6 +53,8 @@ func TestRunDeterministic(t *testing.T) {
 // calls in the same order, which is what sending a stage to one server
 // at a time under Config.Sim (see peer.SimHooks) is for. Share values
 // are left out: a resharing round draws its deltas from crypto/rand.
+// The trace ends with the Stats.TA of every top-k search the checker
+// made: a replay takes the same plan for each, in the same rounds.
 func TestRunLeavesTheSameTrace(t *testing.T) {
 	trace := func(seed int64) string {
 		cfg := Config{Seed: seed, Faults: DefaultFaults()}.withDefaults()
@@ -84,16 +86,56 @@ func TestRunLeavesTheSameTrace(t *testing.T) {
 				sb.WriteByte('\n')
 			}
 		}
+		fmt.Fprintf(&sb, "top-k %+v\n", r.topkRuns)
 		return sb.String()
 	}
 	for seed := int64(1); seed <= 20; seed++ {
 		first := trace(seed)
-		if !strings.Contains(first, "list") {
+		if !strings.Contains(first, "list") || !strings.Contains(first, "Streamed:true") {
 			t.Fatalf("seed %d left the servers empty: the comparison would be vacuous", seed)
 		}
 		if again := trace(seed); again != first {
 			t.Fatalf("seed %d: two runs left different traces:\n%s\n--- again ---\n%s", seed, first, again)
 		}
+	}
+}
+
+// TestTopKPlansBothRun keeps the top-k oracle check from going vacuous
+// on one side of the planner: over the smoke seeds the checker's top-k
+// client (Fanout 1, BlockSize 4) must have answered from whole lists,
+// from block rounds, and from more than one block round, each answer
+// having been compared with Oracle.ExpectedTopK where it was recorded
+// (fullCheck).
+func TestTopKPlansBothRun(t *testing.T) {
+	var whole, streamed, deep int
+	for seed := int64(1); seed <= 5; seed++ {
+		cfg := Config{Seed: seed, Faults: DefaultFaults()}.withDefaults()
+		r, err := newRunner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(r.close)
+		for i, op := range append(Generate(cfg), Op{Kind: KindHeal}) {
+			r.step = i
+			if err := r.exec(op); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, i, err)
+			}
+		}
+		for _, ta := range r.topkRuns {
+			switch {
+			case !ta.Streamed:
+				whole++
+			case ta.Depth >= 2:
+				deep++
+				fallthrough
+			default:
+				streamed++
+			}
+		}
+	}
+	t.Logf("top-k searches checked against the oracle: %d whole-list, %d streamed, %d of those in two rounds or more", whole, streamed, deep)
+	if whole == 0 || streamed == 0 || deep == 0 {
+		t.Errorf("a plan never ran: %d whole-list, %d streamed, %d multi-round", whole, streamed, deep)
 	}
 }
 

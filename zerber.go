@@ -58,16 +58,23 @@
 // encryption time, with a coarse impact bucket (the rounded log2 of its
 // term frequency) carried in the top bits of the element's public
 // global ID, and every index server keeps each merged list ordered by
-// descending bucket. A top-k query then streams score-ordered blocks —
-// GetPostingBlocks(list, from, n) — from k servers round by round,
-// decrypts each round's elements as they arrive, and stops as soon as a
+// descending bucket. A top-k query can then stream score-ordered blocks
+// — GetPostingBlocks(list, from, n) — from k servers round by round,
+// decrypt each round's elements as they arrive, and stop as soon as a
 // no-random-access threshold argument (ranking.Stream) proves that no
 // unfetched element can alter the top k: the bucket of the first
-// unfetched position bounds everything behind it. Latency then scales
-// with the depth of the k-th result, not with the list length, which is
-// what makes hot Zipfian terms affordable; BlockSize tunes the
-// per-round window (doubling each round), trading round trips against
-// over-fetch.
+// unfetched position bounds everything behind it.
+//
+// When that pays is decided per query. A one-term query streams: its
+// latency scales with the depth of the k-th result, not with the list
+// length, which is what makes hot Zipfian terms affordable. A query of
+// several terms must see each of its best documents in every term's
+// list, or reach the list's end, before their scores are exact; streamed,
+// it would read all of its lists but the longest to the end, a round trip
+// per window. It fetches its lists in one call per server instead, as
+// exact retrieval does, and ranks them by the same frequency sum: never
+// slower than exact search, and no faster. BlockSize sets a streamed
+// query's first window; later ones double.
 //
 // Ranking under TopKMode is by summed term frequency with ties broken
 // by ascending document ID — a collection-independent order that the
@@ -396,15 +403,15 @@ type Options struct {
 	// launches one additional server each time the delay elapses without
 	// k responses (tail-latency hedging).
 	HedgeDelay time.Duration
-	// TopKMode switches searches to the early-terminating block protocol
-	// (see "Top-k retrieval" above): score-ordered block rounds that stop
-	// as soon as the top k are provably final, ranked by summed term
-	// frequency. Off, searches fetch whole lists and rank by TF-IDF.
+	// TopKMode switches searches to top-k retrieval (see above): ranked by
+	// summed term frequency, from score-ordered block rounds that stop
+	// once the top k are provably final where that is cheaper, from whole
+	// lists where not. Off, searches fetch whole lists and rank by TF-IDF.
 	TopKMode bool
-	// BlockSize is the number of score-ordered posting elements fetched
-	// per list per round under TopKMode (doubling each round; 0 picks
-	// the default). Smaller blocks terminate earlier on easy queries;
-	// larger blocks save round trips on deep ones.
+	// BlockSize is the first window of a streamed query under TopKMode:
+	// the score-ordered posting elements fetched per list in its first
+	// round (0 picks the default). Smaller blocks terminate earlier on
+	// easy queries; larger blocks save round trips on deep ones.
 	BlockSize int
 	// DHTNodes, when greater than 1, fronts each of the N share slots
 	// with that many physical storage nodes behind a consistent-hashing
@@ -813,7 +820,7 @@ func (s *Searcher) Search(tok Token, query []string, topK int) ([]Result, error)
 
 // SearchContext is Search bounded by ctx: cancellation aborts the server
 // fan-out and the decrypt stage. Under TopKMode the query runs the
-// early-terminating block protocol instead of fetching whole lists.
+// early-terminating block protocol where that beats whole lists.
 func (s *Searcher) SearchContext(ctx context.Context, tok Token, query []string, topK int) ([]Result, error) {
 	ranked, _, err := s.ranked(ctx, tok, query, topK)
 	if err != nil {
