@@ -1,5 +1,7 @@
-# Zerber build targets. CI (.github/workflows/ci.yml) runs exactly these,
-# so a green `make ci` locally means a green pipeline.
+# Zerber build targets. CI (.github/workflows/ci.yml) runs exactly these.
+# `make ci FUZZTIME=5s` runs every workflow step in the workflow's order
+# except `benchjson`, the one step left out because it rewrites the
+# committed BENCH_index.json.
 
 GO ?= go
 BENCHTIME ?= 0.5s
@@ -132,4 +134,4 @@ lint:
 fmt:
 	gofmt -w .
 
-ci: build lint cover race bench
+ci: build lint cover race fuzz bench benchstore soak

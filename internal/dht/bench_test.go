@@ -55,7 +55,7 @@ func BenchmarkMigrationThroughput(b *testing.B) {
 			gid++
 			shares[i] = posting.EncryptedShare{GlobalID: gid, Group: 1, Y: 7}
 		}
-		base.Store().IngestList(merging.ListID(l), shares)
+		base.Store().Upsert(merging.ListID(l), shares)
 	}
 
 	// Concurrent serving: one reader hammering the full list set, so

@@ -231,7 +231,7 @@ func preload(slot *dht.Slot, node string, lists, count int) map[posting.GlobalID
 			shares[i] = posting.EncryptedShare{GlobalID: gid, Group: 1, Y: 7}
 			want[gid] = true
 		}
-		srv.Store().IngestList(merging.ListID(l), shares)
+		srv.Store().Upsert(merging.ListID(l), shares)
 	}
 	return want
 }

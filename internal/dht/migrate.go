@@ -239,7 +239,7 @@ func (s *Slot) DeliverIngest(target string, ep Epoch, seq uint64, lid merging.Li
 		return fmt.Errorf("ingest of list %d on %s: got seq %d, want %d: %w",
 			lid, target, seq, mv.lastSeq+1, ErrStaleTransfer)
 	}
-	srv.Store().IngestList(lid, shares)
+	srv.Store().Upsert(lid, shares)
 	mv.lastSeq = seq
 	return nil
 }

@@ -3,8 +3,7 @@ package journal
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
-	"encoding/json"
+	"io"
 	"reflect"
 	"testing"
 
@@ -15,35 +14,40 @@ import (
 // byte stream, for the fuzz seed corpus.
 func journalBytes(t testing.TB, ops []Op, acks [][3]uint64, ends []uint64) []byte {
 	t.Helper()
-	var buf bytes.Buffer
+	var recs [][]byte
 	for _, op := range ops {
-		body, err := json.Marshal(op)
+		rec, err := beginRecord(op)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := wal.AppendFrame(&buf, append([]byte{recBegin}, body...)); err != nil {
-			t.Fatal(err)
-		}
+		recs = append(recs, rec)
 	}
 	for _, a := range acks {
-		var rec [12]byte
-		rec[0] = recAck
-		binary.LittleEndian.PutUint64(rec[1:9], a[0])
-		rec[9] = uint8(a[1])
-		binary.LittleEndian.PutUint16(rec[10:12], uint16(a[2]))
-		if err := wal.AppendFrame(&buf, rec[:]); err != nil {
-			t.Fatal(err)
-		}
+		rec := ackRecord(a[0], uint8(a[1]), int(a[2]))
+		recs = append(recs, rec[:])
 	}
 	for _, id := range ends {
-		var rec [9]byte
-		rec[0] = recEnd
-		binary.LittleEndian.PutUint64(rec[1:9], id)
-		if err := wal.AppendFrame(&buf, rec[:]); err != nil {
+		rec := endRecord(id)
+		recs = append(recs, rec[:])
+	}
+	var buf bytes.Buffer
+	for _, rec := range recs {
+		if err := wal.AppendFrame(&buf, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return buf.Bytes()
+}
+
+// foldStream folds a journal byte stream the way Open folds the file —
+// wal.Replay into replayState.fold — and reports the valid prefix.
+func foldStream(r io.Reader) ([]*State, int64) {
+	var rs replayState
+	valid, err := wal.Replay(r, rs.fold)
+	if err != nil {
+		panic(err) // in-memory readers do not fail
+	}
+	return rs.order, valid
 }
 
 // FuzzJournalDecode throws arbitrary byte streams at the journal replay

@@ -17,10 +17,11 @@
 // come back with their ack bitmaps so recovery resumes exactly where the
 // crash interrupted, skipping servers that already acknowledged.
 //
-// Records ride the variable-length CRC framing of package wal
-// (wal.AppendFrame/ReadFrame): a torn or corrupt tail — the normal
-// result of a crash mid-append — ends replay cleanly and is truncated so
-// subsequent appends continue from a consistent point.
+// The journal is a record schema over package wal's log, which owns the
+// file: replay, the truncation of a torn or corrupt tail (the normal
+// result of a crash mid-append), appending, and the atomic rewrite. This
+// package owns what a record means: Op and State, one encoder per record
+// kind, and fold, which applies one record to the replayed states.
 //
 // Durability contract: Begin is synced before the first network send, so
 // a crash can lose acks (re-sending is idempotent) but never the payload
@@ -29,14 +30,10 @@
 package journal
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"zerber/internal/wal"
@@ -149,8 +146,7 @@ var ErrClosed = errors.New("journal: closed")
 // use, though peers serialize mutations anyway.
 type Journal struct {
 	mu     sync.Mutex
-	f      *os.File
-	w      *bufio.Writer
+	log    *wal.Log
 	path   string
 	closed bool
 }
@@ -161,67 +157,32 @@ type Journal struct {
 // order: replaying their Done ops in order reproduces the peer's local
 // document state, and the rest are the in-flight ops to resume.
 func Open(path string) (*Journal, []*State, error) {
-	states, validBytes, err := replay(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	if info, err := os.Stat(path); err == nil && info.Size() > validBytes {
-		if err := os.Truncate(path, validBytes); err != nil {
-			return nil, nil, fmt.Errorf("journal: truncating torn tail: %w", err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	var rs replayState
+	l, valid, err := wal.Open(path, rs.fold)
 	if err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	return &Journal{f: f, w: bufio.NewWriter(f), path: path}, states, nil
+	if err := l.Truncate(valid); err != nil {
+		l.Close()
+		return nil, nil, fmt.Errorf("journal: %w", err)
+	}
+	return &Journal{log: l, path: path}, rs.order, nil
 }
 
-// replay folds the journal file into operation states and reports how
-// many bytes of the file were valid.
-func replay(path string) ([]*State, int64, error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, 0, nil
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("journal: %w", err)
-	}
-	defer f.Close()
-	states, validBytes := foldStream(bufio.NewReader(f))
-	return states, validBytes, nil
+// replayState is the fold of a journal's records into operation states.
+type replayState struct {
+	byID  map[uint64]*State
+	order []*State
 }
 
-// foldStream folds a journal byte stream into operation states and
-// reports how many bytes formed the valid prefix. It never fails: a
-// torn, truncated, or corrupt frame — the normal result of a crash
-// mid-append, or arbitrary fuzzer input — simply ends the prefix, and
-// everything before it is the consistent journal.
-func foldStream(r io.Reader) ([]*State, int64) {
-	br := bufio.NewReader(r)
-	byID := make(map[uint64]*State)
-	var order []*State
-	var validBytes int64
-	for {
-		payload, err := wal.ReadFrame(br)
-		if err != nil {
-			// io.EOF is the clean end; anything else is a torn tail or
-			// corruption. Either way everything before this frame is
-			// the consistent prefix.
-			break
-		}
-		if decodeErr := fold(payload, byID, &order); decodeErr != nil {
-			break
-		}
-		validBytes += wal.FrameSize(payload)
-	}
-	return order, validBytes
-}
-
-// fold applies one record payload to the replay state.
-func fold(payload []byte, byID map[uint64]*State, order *[]*State) error {
+// fold applies one record payload to the replay state. A record it
+// rejects ends the valid prefix like a torn frame does.
+func (rs *replayState) fold(payload []byte, _ int64) error {
 	if len(payload) == 0 {
 		return errors.New("journal: empty record")
+	}
+	if rs.byID == nil {
+		rs.byID = make(map[uint64]*State)
 	}
 	body := payload[1:]
 	switch payload[0] {
@@ -230,7 +191,7 @@ func fold(payload []byte, byID map[uint64]*State, order *[]*State) error {
 		if err := json.Unmarshal(body, &op); err != nil {
 			return fmt.Errorf("journal: op record: %w", err)
 		}
-		if st, ok := byID[op.ID]; ok {
+		if st, ok := rs.byID[op.ID]; ok {
 			// A re-Begin replaces the payload (a batch extended between
 			// retries) and restarts the insert stage: earlier acks cover
 			// a smaller payload, so they no longer count.
@@ -239,8 +200,8 @@ func fold(payload []byte, byID map[uint64]*State, order *[]*State) error {
 			return nil
 		}
 		st := &State{Op: op}
-		byID[op.ID] = st
-		*order = append(*order, st)
+		rs.byID[op.ID] = st
+		rs.order = append(rs.order, st)
 	case recAck:
 		if len(body) != 11 {
 			return fmt.Errorf("journal: ack record of %d bytes", len(body))
@@ -248,7 +209,7 @@ func fold(payload []byte, byID map[uint64]*State, order *[]*State) error {
 		id := binary.LittleEndian.Uint64(body[:8])
 		stage := body[8]
 		srv := binary.LittleEndian.Uint16(body[9:11])
-		st, ok := byID[id]
+		st, ok := rs.byID[id]
 		if !ok || srv >= MaxServers {
 			return fmt.Errorf("journal: ack for unknown op %d / server %d", id, srv)
 		}
@@ -265,7 +226,7 @@ func fold(payload []byte, byID map[uint64]*State, order *[]*State) error {
 			return fmt.Errorf("journal: end record of %d bytes", len(body))
 		}
 		id := binary.LittleEndian.Uint64(body[:8])
-		st, ok := byID[id]
+		st, ok := rs.byID[id]
 		if !ok {
 			return fmt.Errorf("journal: end for unknown op %d", id)
 		}
@@ -276,13 +237,82 @@ func fold(payload []byte, byID map[uint64]*State, order *[]*State) error {
 	return nil
 }
 
-func (j *Journal) append(payload []byte) error {
+// beginRecord encodes an op record.
+func beginRecord(op Op) ([]byte, error) {
+	body, err := json.Marshal(op)
+	if err != nil {
+		return nil, fmt.Errorf("journal: encoding op %d: %w", op.ID, err)
+	}
+	return append([]byte{recBegin}, body...), nil
+}
+
+// ackRecord encodes one server's acknowledgement of one stage.
+func ackRecord(opID uint64, stage uint8, server int) [12]byte {
+	var rec [12]byte
+	rec[0] = recAck
+	binary.LittleEndian.PutUint64(rec[1:9], opID)
+	rec[9] = stage
+	binary.LittleEndian.PutUint16(rec[10:12], uint16(server))
+	return rec
+}
+
+// endRecord encodes an op's completion.
+func endRecord(opID uint64) [9]byte {
+	var rec [9]byte
+	rec[0] = recEnd
+	binary.LittleEndian.PutUint64(rec[1:9], opID)
+	return rec
+}
+
+// appendStates appends the records that replay to states: per state its
+// op, its acks server by server, and its end if it is done.
+func appendStates(l *wal.Log, states []*State) error {
+	var err error
+	put := func(rec []byte) {
+		if err == nil {
+			_, err = l.Append(rec)
+		}
+	}
+	for _, st := range states {
+		rec, berr := beginRecord(st.Op)
+		if berr != nil {
+			return berr
+		}
+		put(rec)
+		for srv := 0; srv < MaxServers; srv++ {
+			if st.InsertAcks&(1<<srv) != 0 {
+				ack := ackRecord(st.Op.ID, StageInsert, srv)
+				put(ack[:])
+			}
+			if st.DeleteAcks&(1<<srv) != 0 {
+				ack := ackRecord(st.Op.ID, StageDelete, srv)
+				put(ack[:])
+			}
+		}
+		if st.Done {
+			end := endRecord(st.Op.ID)
+			put(end[:])
+		}
+	}
+	return err
+}
+
+// append journals rec, if any; with sync it also fsyncs it and every
+// record buffered before it.
+func (j *Journal) append(rec []byte, sync bool) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return ErrClosed
 	}
-	return wal.AppendFrame(j.w, payload)
+	var err error
+	if rec != nil {
+		_, err = j.log.Append(rec)
+	}
+	if err == nil && sync {
+		err = j.log.Sync()
+	}
+	return err
 }
 
 // Begin journals an operation record and syncs it to stable storage: the
@@ -291,14 +321,11 @@ func (j *Journal) append(payload []byte) error {
 // re-derive. Re-beginning an op ID replaces its payload and clears its
 // acks (see Open).
 func (j *Journal) Begin(op Op) error {
-	body, err := json.Marshal(op)
+	rec, err := beginRecord(op)
 	if err != nil {
-		return fmt.Errorf("journal: encoding op %d: %w", op.ID, err)
-	}
-	if err := j.append(append([]byte{recBegin}, body...)); err != nil {
 		return err
 	}
-	return j.Sync()
+	return j.append(rec, true)
 }
 
 // Ack journals one server's acknowledgement of one stage. Acks are
@@ -307,40 +334,18 @@ func (j *Journal) Ack(opID uint64, stage uint8, server int) error {
 	if server < 0 || server >= MaxServers {
 		return fmt.Errorf("journal: server index %d out of range", server)
 	}
-	var body [12]byte
-	body[0] = recAck
-	binary.LittleEndian.PutUint64(body[1:9], opID)
-	body[9] = stage
-	binary.LittleEndian.PutUint16(body[10:12], uint16(server))
-	return j.append(body[:])
+	rec := ackRecord(opID, stage, server)
+	return j.append(rec[:], false)
 }
 
 // End journals an operation's completion and syncs.
 func (j *Journal) End(opID uint64) error {
-	var body [9]byte
-	body[0] = recEnd
-	binary.LittleEndian.PutUint64(body[1:9], opID)
-	if err := j.append(body[:]); err != nil {
-		return err
-	}
-	return j.Sync()
+	rec := endRecord(opID)
+	return j.append(rec[:], true)
 }
 
 // Sync flushes buffered records and fsyncs the file.
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return ErrClosed
-	}
-	if err := j.w.Flush(); err != nil {
-		return fmt.Errorf("journal: flush: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("journal: fsync: %w", err)
-	}
-	return nil
-}
+func (j *Journal) Sync() error { return j.append(nil, true) }
 
 // Close flushes and closes the journal.
 func (j *Journal) Close() error {
@@ -350,10 +355,7 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	j.closed = true
-	if err := j.w.Flush(); err != nil {
-		return fmt.Errorf("journal: flush on close: %w", err)
-	}
-	return j.f.Close()
+	return j.log.Close()
 }
 
 // Rewrite replaces the journal's contents with exactly the given states
@@ -361,90 +363,22 @@ func (j *Journal) Close() error {
 // long-lived peer accumulates one op record per historical mutation;
 // rewriting with one completed snapshot op per live document plus the
 // in-flight ops bounds recovery time by the index size instead of its
-// history. The new contents go to a temporary file that atomically
-// replaces the journal, so a crash mid-rewrite leaves either the old or
-// the new journal intact; the directory is fsynced after the rename so
-// a power loss cannot bring the old journal back.
+// history. The rewrite is wal.WriteAtomic's: a crash leaves either the
+// old or the new journal intact, and a failure leaves the journal
+// appending to the old file.
 func (j *Journal) Rewrite(states []*State) error {
-	tmp := j.path + ".compact"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: opening compaction file: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	for _, st := range states {
-		body, err := json.Marshal(st.Op)
-		if err != nil {
-			return fail(fmt.Errorf("journal: encoding op %d: %w", st.Op.ID, err))
-		}
-		if err := wal.AppendFrame(w, append([]byte{recBegin}, body...)); err != nil {
-			return fail(err)
-		}
-		for srv := 0; srv < MaxServers; srv++ {
-			for _, stage := range []struct {
-				acks  uint64
-				stage uint8
-			}{{st.InsertAcks, StageInsert}, {st.DeleteAcks, StageDelete}} {
-				if stage.acks&(1<<srv) == 0 {
-					continue
-				}
-				var rec [12]byte
-				rec[0] = recAck
-				binary.LittleEndian.PutUint64(rec[1:9], st.Op.ID)
-				rec[9] = stage.stage
-				binary.LittleEndian.PutUint16(rec[10:12], uint16(srv))
-				if err := wal.AppendFrame(w, rec[:]); err != nil {
-					return fail(err)
-				}
-			}
-		}
-		if st.Done {
-			var rec [9]byte
-			rec[0] = recEnd
-			binary.LittleEndian.PutUint64(rec[1:9], st.Op.ID)
-			if err := wal.AppendFrame(w, rec[:]); err != nil {
-				return fail(err)
-			}
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return fail(fmt.Errorf("journal: flushing compaction file: %w", err))
-	}
-	if err := f.Sync(); err != nil {
-		return fail(fmt.Errorf("journal: syncing compaction file: %w", err))
-	}
-	if err := f.Close(); err != nil {
-		return fail(err)
-	}
-
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
-		os.Remove(tmp)
 		return ErrClosed
 	}
-	if err := j.w.Flush(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("journal: flush before swap: %w", err)
-	}
-	if err := j.f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("journal: closing old journal: %w", err)
-	}
-	if err := os.Rename(tmp, j.path); err != nil {
-		return fmt.Errorf("journal: swapping journals: %w", err)
-	}
-	wal.SyncDir(filepath.Dir(j.path))
-	nf, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
+	l, err := wal.WriteAtomic(j.path, func(l *wal.Log) error { return appendStates(l, states) })
 	if err != nil {
-		return fmt.Errorf("journal: reopening compacted journal: %w", err)
+		return fmt.Errorf("journal: rewrite: %w", err)
 	}
-	j.f = nf
-	j.w = bufio.NewWriter(nf)
+	// The old file is unlinked and every record of it that still matters
+	// is in the new one, so its close error changes nothing.
+	_ = j.log.Close()
+	j.log = l
 	return nil
 }

@@ -1,6 +1,8 @@
 package journal
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"testing"
@@ -177,6 +179,110 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	defer j3.Close()
 	if len(states) != 2 {
 		t.Fatalf("replayed %d ops after post-truncation append, want 2", len(states))
+	}
+}
+
+func fileDigest(t *testing.T, path string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestJournalFormatPinned pins the journal's bytes: a fixed sequence of
+// every record kind, the Rewrite of it, and appends to the rewritten file
+// must hash to what the journal wrote before the log primitive moved into
+// package wal.
+func TestJournalFormatPinned(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "peer.journal")
+	j, _ := open(t, path)
+	defer j.Close()
+	for _, step := range []struct {
+		name, want string
+		run        func() error
+	}{
+		{"appended", "dec3344186db83cefa321730d2c6ba3e0ff7d1f467f2ae30f3b6429385d62c42", func() error {
+			for _, err := range []error{
+				j.Begin(sampleOp(1, KindIndex)), j.Ack(1, StageInsert, 2), j.Ack(1, StageInsert, 0), j.End(1),
+				j.Begin(sampleOp(2, KindUpdate)), j.Ack(2, StageInsert, 1), j.Ack(2, StageDelete, 1),
+			} {
+				if err != nil {
+					return err
+				}
+			}
+			return j.Sync()
+		}},
+		{"rewritten", "2284f3b0a46a77ea8f3b21ebdc6d71f39fe27226c1a8c500a5e36e2cf43ad594", func() error {
+			return j.Rewrite([]*State{
+				{Op: Op{ID: 9, Kind: KindIndex, Servers: 3, Docs: []DocState{{ID: 7, Content: "live", Group: 1}}}, Done: true},
+				{Op: sampleOp(2, KindUpdate), InsertAcks: 0b101, DeleteAcks: 0b110},
+			})
+		}},
+		{"appended after rewrite", "a0d4f77fbfa9d94e42c7edd1da37984fbe32abe4d67e97abf16a31a4d295b508", func() error {
+			if err := j.Ack(2, StageInsert, 1); err != nil {
+				return err
+			}
+			return j.End(2)
+		}},
+	} {
+		if err := step.run(); err != nil {
+			t.Fatal(err)
+		}
+		if got := fileDigest(t, path); got != step.want {
+			t.Errorf("%s: journal hashes to %s, want %s", step.name, got, step.want)
+		}
+	}
+}
+
+// TestJournalRewriteFailureKeepsJournal is the regression test of a
+// Rewrite that fails at its rename: it must report the failure and leave
+// the journal appending to the old file, and the next open removes the
+// temp file it left.
+func TestJournalRewriteFailureKeepsJournal(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "peer.journal")
+	j, _ := open(t, path)
+	if err := j.Begin(sampleOp(1, KindIndex)); err != nil {
+		t.Fatal(err)
+	}
+	// Move the live file aside (the open handle follows it) and put a
+	// non-empty directory at the journal's path, which no rename replaces.
+	aside := filepath.Join(dir, "aside")
+	if err := os.Rename(path, aside); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(path, "blocker"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Rewrite([]*State{{Op: sampleOp(1, KindIndex), Done: true}}); err == nil {
+		t.Fatal("Rewrite over a directory reported success")
+	}
+	for i, err := range []error{j.Begin(sampleOp(2, KindUpdate)), j.Ack(2, StageInsert, 0), j.End(2), j.End(1), j.Close()} {
+		if err != nil {
+			t.Fatalf("call %d after the failed Rewrite: %v", i, err)
+		}
+	}
+
+	if err := os.RemoveAll(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(aside, path); err != nil {
+		t.Fatal(err)
+	}
+	j2, states := open(t, path)
+	defer j2.Close()
+	if len(states) != 2 || !states[0].Done || !states[1].Done || states[1].InsertAcks != 1 {
+		t.Fatalf("old file after the failed Rewrite replayed %+v", states)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Errorf("reopen left %d files beside the journal: %v", len(entries)-1, entries)
 	}
 }
 

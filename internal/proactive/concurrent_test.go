@@ -46,7 +46,7 @@ func concurrentCluster(t *testing.T) []*server.Server {
 					Y: field.Element(uint64(gid)*10 + uint64(i)),
 				}
 			}
-			servers[i].Store().IngestList(lid, shares)
+			servers[i].Store().Upsert(lid, shares)
 		}
 	}
 	return servers

@@ -939,7 +939,7 @@ func (r *runner) quickInvariants() error {
 				return fmt.Errorf("server %d node %q: %v", i, ns.name, err)
 			}
 			if r.slots != nil {
-				// Migration's trusted IngestList/DropList primitives and
+				// Migration's direct store Upsert/DropList calls and
 				// node retirement move elements without touching server
 				// stats, so the per-node stats identity only holds for
 				// static plain servers; fullCheck's exact element-set

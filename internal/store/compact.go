@@ -1,9 +1,7 @@
 package store
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 
@@ -14,16 +12,14 @@ import (
 // Compaction for the Disk engine. A log under churn accumulates garbage
 // — replaced upserts, delete and drop records, reset frames — that
 // replay must read but the index no longer references. Compaction
-// rewrites the live index as one snapshot segment using the same
-// temp+rename pattern as journal.Rewrite:
+// rewrites the live index as one snapshot segment:
 //
-//  1. Write a reset frame followed by every live list (in its exact
-//     stored order, so replay reproduces the bucket-major layout
-//     element for element) to seg-<N+1>.zseg.tmp, where N is the
-//     current active segment id; fsync.
-//  2. Rename the temp file to seg-<N+1>.zseg.
-//  3. Delete the stale segments and make the snapshot the active
-//     segment.
+//  1. wal.WriteAtomic writes a reset frame followed by every live list
+//     (in its exact stored order, so replay reproduces the bucket-major
+//     layout element for element) to seg-<N+1>.zseg, where N is the
+//     current active segment id, through a temp file, fsync and rename.
+//  2. Delete the stale segments; the handle WriteAtomic returns is the
+//     new active segment.
 //
 // Every crash window is safe: before the rename, open ignores and
 // removes the temp file; after it, replaying the stale segments
@@ -64,102 +60,73 @@ func (d *Disk) maybeCompact() {
 }
 
 func (d *Disk) compactLocked() error {
-	if err := d.w.Flush(); err != nil {
-		return fmt.Errorf("store: compaction flush: %w", err)
-	}
-	snapID := d.activeID + 1
-	tmpPath := d.segPath(snapID) + ".tmp"
-	f, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: compaction temp: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	var cur int64
-	if err := wal.AppendFrame(w, []byte{segOpReset}); err != nil {
-		f.Close()
-		return fmt.Errorf("store: compaction reset frame: %w", err)
-	}
-	cur += wal.FrameSize([]byte{segOpReset})
-
 	lids := make([]merging.ListID, 0, len(d.lists))
 	for lid := range d.lists {
 		lids = append(lids, lid)
 	}
 	sort.Slice(lids, func(a, b int) bool { return lids[a] < lids[b] })
 	newOffs := make(map[merging.ListID][]uint32, len(lids))
-	for _, lid := range lids {
-		dl := d.lists[lid]
-		shares := dl.shares
-		if shares == nil {
-			shares, err = d.readEntries(dl, lid, 0, len(dl.entries))
-			if err != nil {
-				f.Close()
-				return fmt.Errorf("store: compaction read: %w", err)
-			}
+	snapID := d.activeID + 1
+	snap, err := wal.WriteAtomic(d.segPath(snapID), func(l *wal.Log) error {
+		if _, err := l.Append([]byte{segOpReset}); err != nil {
+			return err
 		}
-		offs := make([]uint32, len(shares))
-		for start := 0; start < len(shares); start += compactChunk {
-			chunk := shares[start:min(start+compactChunk, len(shares))]
-			payload := make([]byte, 0, len(chunk)*segUpsertSize)
-			for i, sh := range chunk {
-				offs[start+i] = uint32(cur + 4 + int64(i)*segUpsertSize)
-				payload = appendUpsertRec(payload, lid, sh)
+		for _, lid := range lids {
+			dl := d.lists[lid]
+			shares := dl.shares
+			if shares == nil {
+				var err error
+				if shares, err = d.readEntries(dl, lid, 0, len(dl.entries)); err != nil {
+					return err
+				}
 			}
-			if err := wal.AppendFrame(w, payload); err != nil {
-				f.Close()
-				return fmt.Errorf("store: compaction frame: %w", err)
+			offs := make([]uint32, len(shares))
+			for start := 0; start < len(shares); start += compactChunk {
+				chunk := shares[start:min(start+compactChunk, len(shares))]
+				payload := make([]byte, 0, len(chunk)*segUpsertSize)
+				for _, sh := range chunk {
+					payload = appendUpsertRec(payload, lid, sh)
+				}
+				off, err := l.Append(payload)
+				if err != nil {
+					return err
+				}
+				for i := range chunk {
+					offs[start+i] = uint32(off + int64(i)*segUpsertSize)
+				}
 			}
-			cur += wal.FrameSize(payload)
+			newOffs[lid] = offs
 		}
-		newOffs[lid] = offs
+		if d.hooks != nil && d.hooks.CrashCompaction == 1 {
+			return fmt.Errorf("compaction stopped before rename: %w", ErrSimulatedCrash)
+		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("store: compaction: %w", err)
 	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("store: compaction flush: %w", err)
-	}
-	if d.hooks != nil && d.hooks.CrashCompaction == 1 {
-		f.Close()
-		return fmt.Errorf("compaction stopped before rename: %w", ErrSimulatedCrash)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("store: compaction sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: compaction close: %w", err)
-	}
-	if err := os.Rename(tmpPath, d.segPath(snapID)); err != nil {
-		return fmt.Errorf("store: compaction rename: %w", err)
-	}
-	wal.SyncDir(d.dir)
 	if d.hooks != nil && d.hooks.CrashCompaction == 2 {
 		// The snapshot is durable but the stale segments remain and the
 		// in-memory state still points at them; the engine must be
 		// Reopened before any further mutation, like after a real crash.
+		snap.Close()
 		return fmt.Errorf("compaction stopped before stale-segment cleanup: %w", ErrSimulatedCrash)
 	}
 
-	// Commit: from here on, failure leaves the in-memory index pointing
-	// at files we are destroying, so errors are fail-fast.
+	// Commit. A stale segment that cannot be removed is harmless (the
+	// next open replays it before the snapshot's reset frame), so the
+	// engine switches to the snapshot whatever happens and only reports.
+	var stale error
 	for id, old := range d.segs {
 		old.Close()
-		if err := os.Remove(d.segPath(id)); err != nil {
-			panic(fmt.Sprintf("store: compaction cleanup: %v", err))
+		if err := os.Remove(d.segPath(id)); err != nil && stale == nil {
+			stale = fmt.Errorf("store: compaction cleanup: %w", err)
 		}
 	}
-	nf, err := os.OpenFile(d.segPath(snapID), os.O_RDWR, 0o644)
-	if err != nil {
-		panic(fmt.Sprintf("store: reopening snapshot: %v", err))
-	}
-	if _, err := nf.Seek(0, io.SeekEnd); err != nil {
-		panic(fmt.Sprintf("store: reopening snapshot: %v", err))
-	}
-	d.segs = map[uint32]*os.File{snapID: nf}
-	d.active = nf
+	d.segs = map[uint32]*wal.Log{snapID: snap}
+	d.active = snap
 	d.activeID = snapID
-	d.activeSize = cur
-	d.totalBytes = cur
-	d.w = bufio.NewWriter(nf)
+	d.totalBytes = snap.Size()
 	d.dirty = false // the snapshot was fsynced whole
 	for lid, offs := range newOffs {
 		dl := d.lists[lid]
@@ -169,5 +136,5 @@ func (d *Disk) compactLocked() error {
 		}
 	}
 	d.compactions++
-	return nil
+	return stale
 }

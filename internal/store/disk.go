@@ -1,11 +1,9 @@
 package store
 
 import (
-	"bufio"
 	"container/list"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -32,10 +30,14 @@ import (
 // function of the per-list operation history — matches Sharded element
 // for element.
 //
-// Opening a directory replays the segments in id order, truncating a
-// torn tail of the last segment at the last intact frame. Compaction
-// (see compact.go) rewrites the live index as a snapshot segment using
-// the temp+rename pattern, bounding log growth under churn.
+// Each segment file is a wal.Log, which owns replay, the torn-tail cut,
+// appending and the atomic rewrite; this engine owns segment naming and
+// discovery, rollover, the index and cache, and the multi-segment
+// policy: opening a directory replays the segments in id order, a
+// corrupt segment that is not the newest refuses to open, and only the
+// newest is truncated at its last intact frame. Compaction (see
+// compact.go) rewrites the live index as a snapshot segment with
+// wal.WriteAtomic, bounding log growth under churn.
 type Disk struct {
 	mu  sync.RWMutex
 	dir string
@@ -46,11 +48,9 @@ type Disk struct {
 	lists map[merging.ListID]*diskList
 	elems int
 
-	segs       map[uint32]*os.File
-	active     *os.File
+	segs       map[uint32]*wal.Log
+	active     *wal.Log // segs[activeID]
 	activeID   uint32
-	activeSize int64
-	w          *bufio.Writer
 	totalBytes int64
 
 	lru         *list.List // of merging.ListID, front = most recently admitted/written
@@ -279,20 +279,40 @@ func (d *Disk) segPath(id uint32) string { return filepath.Join(d.dir, segName(i
 func (d *Disk) load() error {
 	d.lists = make(map[merging.ListID]*diskList)
 	d.elems = 0
-	d.segs = make(map[uint32]*os.File)
+	d.segs = make(map[uint32]*wal.Log)
 	d.lru = list.New()
 	d.cachedBytes = 0
 	d.totalBytes = 0
 
+	ids, err := d.segmentIDs()
+	if err != nil {
+		return err
+	}
+	if len(ids) == 0 {
+		return d.startSegment(1)
+	}
+	for i, id := range ids {
+		if err := d.openSegment(id, i == len(ids)-1); err != nil {
+			d.closeFiles()
+			return err
+		}
+	}
+	d.activeID = ids[len(ids)-1]
+	d.active = d.segs[d.activeID]
+	return nil
+}
+
+// segmentIDs lists the directory's segments in id order, removing the
+// temp file of a compaction that crashed before its rename.
+func (d *Disk) segmentIDs() ([]uint32, error) {
 	dirEntries, err := os.ReadDir(d.dir)
 	if err != nil {
-		return fmt.Errorf("store: disk dir: %w", err)
+		return nil, fmt.Errorf("store: disk dir: %w", err)
 	}
 	var ids []uint32
 	for _, de := range dirEntries {
 		name := de.Name()
 		if strings.HasSuffix(name, ".tmp") {
-			// Leftover from a compaction that crashed before rename.
 			os.Remove(filepath.Join(d.dir, name))
 			continue
 		}
@@ -302,102 +322,48 @@ func (d *Disk) load() error {
 		}
 	}
 	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	if len(ids) == 0 {
-		ids = []uint32{1}
-		f, err := os.OpenFile(d.segPath(1), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-		if err != nil {
-			return fmt.Errorf("store: creating segment: %w", err)
+	return ids, nil
+}
+
+// openSegment opens (creating it if absent) and replays one segment
+// file into the index. A torn or corrupt tail is legal only in the last
+// segment, where it is truncated at the last intact frame — unless the
+// SkipTornTruncate bug shape is armed, which leaves the file full-length
+// so appends land beyond the garbage (and are lost on the next open:
+// exactly what the sim smoke test must catch).
+func (d *Disk) openSegment(id uint32, last bool) error {
+	l, valid, err := wal.Open(d.segPath(id), func(payload []byte, off int64) error {
+		// A CRC-valid frame holding garbage records is corruption all the
+		// same: reject the frame, keep the prefix before it.
+		recs, err := parseSegFrame(payload)
+		if err == nil {
+			d.applyRecs(id, off, recs)
 		}
-		d.segs[1] = f
-		d.syncNewSegmentEntry()
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("store: segment %d: %w", id, err)
 	}
-	for i, id := range ids {
-		f := d.segs[id]
-		if f == nil {
-			f, err = os.OpenFile(d.segPath(id), os.O_RDWR, 0o644)
-			if err != nil {
-				d.closeFiles()
-				return fmt.Errorf("store: opening segment: %w", err)
+	d.segs[id] = l
+	if valid < l.Size() {
+		if !last {
+			return fmt.Errorf("store: segment %d corrupt at offset %d (not the newest segment; refusing to open)", id, valid)
+		}
+		if d.hooks == nil || !d.hooks.SkipTornTruncate {
+			if err := l.Truncate(valid); err != nil {
+				return fmt.Errorf("store: segment %d: %w", id, err)
 			}
-			d.segs[id] = f
-		}
-		used, err := d.replaySegment(f, id, i == len(ids)-1)
-		if err != nil {
-			d.closeFiles()
-			return err
-		}
-		d.totalBytes += used
-		if i == len(ids)-1 {
-			d.active = f
-			d.activeID = id
-			d.activeSize = used
 		}
 	}
-	if _, err := d.active.Seek(0, io.SeekEnd); err != nil {
-		d.closeFiles()
-		return fmt.Errorf("store: seeking segment end: %w", err)
-	}
-	d.w = bufio.NewWriter(d.active)
+	d.totalBytes += l.Size()
 	return nil
 }
 
-// replaySegment folds one segment file into the index and returns how
-// many bytes of it are in use. A torn or corrupt tail is legal only in
-// the last segment, where it is truncated at the last intact frame —
-// unless the SkipTornTruncate bug shape is armed, which leaves the file
-// full-length so appends land beyond the garbage (and are lost on the
-// next open: exactly what the sim smoke test must catch).
-func (d *Disk) replaySegment(f *os.File, id uint32, last bool) (used int64, err error) {
-	st, err := f.Stat()
-	if err != nil {
-		return 0, fmt.Errorf("store: segment stat: %w", err)
-	}
-	size := st.Size()
-	r := bufio.NewReader(io.NewSectionReader(f, 0, size))
-	var cur int64
-	corrupt := false
-	for {
-		payload, err := wal.ReadFrame(r)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			if errors.Is(err, wal.ErrTornFrame) || errors.Is(err, wal.ErrBadRecord) {
-				corrupt = true
-				break
-			}
-			return 0, fmt.Errorf("store: segment %d: %w", id, err)
-		}
-		recs, perr := parseSegFrame(payload)
-		if perr != nil {
-			// A CRC-valid frame holding garbage records is corruption all
-			// the same: reject the frame, keep the prefix before it.
-			corrupt = true
-			break
-		}
-		d.applyRecs(id, cur, recs)
-		cur += wal.FrameSize(payload)
-	}
-	if !corrupt {
-		return cur, nil
-	}
-	if !last {
-		return 0, fmt.Errorf("store: segment %d corrupt at offset %d (not the newest segment; refusing to open)", id, cur)
-	}
-	if d.hooks != nil && d.hooks.SkipTornTruncate {
-		return size, nil
-	}
-	if err := f.Truncate(cur); err != nil {
-		return 0, fmt.Errorf("store: truncating torn segment tail: %w", err)
-	}
-	return cur, nil
-}
-
-// applyRecs folds one parsed frame into the index. Replay is lenient
-// about records addressing absent elements (a fuzzer or a stale segment
-// can produce them); payloads are never materialized here — entries
-// point back into the file.
-func (d *Disk) applyRecs(seg uint32, frameStart int64, recs []segRec) {
+// applyRecs folds one parsed frame, whose payload starts at file offset
+// off, into the index. Replay is lenient about records addressing absent
+// elements (a fuzzer or a stale segment can produce them); payloads are
+// never materialized here — entries point back into the file.
+func (d *Disk) applyRecs(seg uint32, off int64, recs []segRec) {
 	for _, rec := range recs {
 		switch rec.op {
 		case segOpUpsert:
@@ -406,7 +372,7 @@ func (d *Disk) applyRecs(seg uint32, frameStart int64, recs []segRec) {
 				dl = &diskList{pos: make(map[posting.GlobalID]int)}
 				d.lists[rec.lid] = dl
 			}
-			e := diskEntry{gid: rec.gid, seg: seg, off: uint32(frameStart + 4 + int64(rec.relOff))}
+			e := diskEntry{gid: rec.gid, seg: seg, off: uint32(off + int64(rec.relOff))}
 			if dl.upsertEntry(e, posting.EncryptedShare{}) {
 				d.elems++
 			}
@@ -435,13 +401,14 @@ func (d *Disk) applyRecs(seg uint32, frameStart int64, recs []segRec) {
 	}
 }
 
+// closeFiles releases every segment handle. None holds a buffered frame:
+// appendFrame flushes each one.
 func (d *Disk) closeFiles() {
-	for _, f := range d.segs {
-		f.Close()
+	for _, l := range d.segs {
+		l.Close()
 	}
 	d.segs = nil
 	d.active = nil
-	d.w = nil
 }
 
 // Reopen models a kill + restart: the cache and index are discarded and
@@ -451,9 +418,6 @@ func (d *Disk) closeFiles() {
 func (d *Disk) Reopen() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.w != nil {
-		d.w.Flush()
-	}
 	d.closeFiles()
 	if d.hooks != nil && d.hooks.TearActiveTail {
 		if err := d.tearNewestSegment(); err != nil {
@@ -467,21 +431,11 @@ func (d *Disk) Reopen() error {
 // file on disk (which may be a compaction snapshot newer than the
 // in-memory active id, after a simulated stage-2 compaction crash).
 func (d *Disk) tearNewestSegment() error {
-	dirEntries, err := os.ReadDir(d.dir)
-	if err != nil {
-		return fmt.Errorf("store: disk dir: %w", err)
+	ids, err := d.segmentIDs()
+	if err != nil || len(ids) == 0 {
+		return err
 	}
-	var newest uint32
-	for _, de := range dirEntries {
-		var id uint32
-		if _, err := fmt.Sscanf(de.Name(), "seg-%08d.zseg", &id); err == nil && segName(id) == de.Name() && id > newest {
-			newest = id
-		}
-	}
-	if newest == 0 {
-		return nil
-	}
-	f, err := os.OpenFile(d.segPath(newest), os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(d.segPath(ids[len(ids)-1]), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: tearing segment: %w", err)
 	}
@@ -501,19 +455,12 @@ func (d *Disk) Close() error {
 		return nil
 	}
 	d.closed = true
-	var first error
-	if d.w != nil {
-		if err := d.w.Flush(); err != nil {
-			first = err
-		}
-	}
+	var err error
 	if d.active != nil {
-		if err := d.active.Sync(); err != nil && first == nil {
-			first = err
-		}
+		err = d.active.Sync()
 	}
 	d.closeFiles()
-	return first
+	return err
 }
 
 // DiskStats is a point-in-time snapshot of the engine's resource shape,
@@ -552,21 +499,22 @@ func (d *Disk) liveBytes() int64 { return int64(d.elems) * segUpsertSize }
 // interface has no error channel, and continuing past a lost write
 // would silently fork the index from its log.
 func (d *Disk) appendFrame(payload []byte) (seg uint32, payloadOff int64) {
-	if d.activeSize >= d.opt.SegmentBytes {
-		d.rollover()
+	var err error
+	if d.active.Size() >= d.opt.SegmentBytes {
+		err = d.rollover()
 	}
-	start := d.activeSize
-	if err := wal.AppendFrame(d.w, payload); err != nil {
+	if err == nil {
+		payloadOff, err = d.active.Append(payload)
+	}
+	if err == nil {
+		err = d.active.Flush()
+	}
+	if err != nil {
 		panic(fmt.Sprintf("store: disk append: %v", err))
 	}
-	if err := d.w.Flush(); err != nil {
-		panic(fmt.Sprintf("store: disk flush: %v", err))
-	}
 	d.dirty = true
-	sz := wal.FrameSize(payload)
-	d.activeSize += sz
-	d.totalBytes += sz
-	return d.activeID, start + 4
+	d.totalBytes += wal.FrameSize(payload)
+	return d.activeID, payloadOff
 }
 
 // Sync implements Store: the batch boundary. With DiskOptions.Sync it
@@ -589,41 +537,35 @@ func (d *Disk) syncLocked() error {
 		return nil
 	}
 	if err := d.active.Sync(); err != nil {
-		return fmt.Errorf("store: disk sync: %w", err)
+		return fmt.Errorf("store: %w", err)
 	}
 	d.dirty = false
 	d.syncs++
 	return nil
 }
 
-func (d *Disk) rollover() {
-	if err := d.w.Flush(); err != nil {
-		panic(fmt.Sprintf("store: disk flush: %v", err))
-	}
+// rollover fsyncs the active segment and starts the next one.
+func (d *Disk) rollover() error {
 	if err := d.active.Sync(); err != nil {
-		panic(fmt.Sprintf("store: disk sync: %v", err))
+		return err
 	}
 	d.dirty = false
-	id := d.activeID + 1
-	f, err := os.OpenFile(d.segPath(id), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		panic(fmt.Sprintf("store: disk rollover: %v", err))
-	}
-	d.syncNewSegmentEntry()
-	d.segs[id] = f
-	d.active = f
-	d.activeID = id
-	d.activeSize = 0
-	d.w = bufio.NewWriter(f)
+	return d.startSegment(d.activeID + 1)
 }
 
-// syncNewSegmentEntry makes a just-created segment file's directory
-// entry durable under DiskOptions.Sync: without it a power loss could
-// unlink the file that later acknowledged frames were fsynced into.
-func (d *Disk) syncNewSegmentEntry() {
+// startSegment creates segment id as the active one. Under
+// DiskOptions.Sync its directory entry is made durable: without that a
+// power loss could unlink the file that later acknowledged frames were
+// fsynced into.
+func (d *Disk) startSegment(id uint32) error {
+	if err := d.openSegment(id, true); err != nil {
+		return err
+	}
 	if d.opt.Sync {
 		wal.SyncDir(d.dir)
 	}
+	d.active, d.activeID = d.segs[id], id
+	return nil
 }
 
 func (d *Disk) getList(lid merging.ListID) *diskList {
@@ -720,11 +662,6 @@ func (d *Disk) Upsert(lid merging.ListID, shares []posting.EncryptedShare) int {
 	d.evict()
 	d.maybeCompact()
 	return added
-}
-
-// IngestList implements Store.
-func (d *Disk) IngestList(lid merging.ListID, shares []posting.EncryptedShare) {
-	d.Upsert(lid, shares)
 }
 
 // DeleteIf implements Store.

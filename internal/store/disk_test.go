@@ -1,6 +1,8 @@
 package store_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -367,6 +369,55 @@ func TestDiskSyncBoundary(t *testing.T) {
 	off.Upsert(1, []posting.EncryptedShare{tagged(1, 3, 1)})
 	if err := off.Sync(); err != nil || off.Syncs() != 0 {
 		t.Fatalf("Sync-off boundary: err %v, %d fsyncs, want none", err, off.Syncs())
+	}
+}
+
+// segmentsDigest is the SHA-256 over the names and bytes of every
+// segment file in dir, in name order.
+func segmentsDigest(t *testing.T, dir string) string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(segs)
+	h := sha256.New()
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s %d\n", filepath.Base(seg), len(data))
+		h.Write(data)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestSegmentFormatPinned pins the segment files' bytes: a fixed history
+// (rollover, replacements, deletes, a drop, a resharing round), the
+// compaction snapshot of it, and an append to that snapshot must hash to
+// what the engine wrote before the log primitive moved into package wal.
+func TestSegmentFormatPinned(t *testing.T) {
+	d := newTestDisk(t)
+	seedDisk(t, d)
+	for _, step := range []struct {
+		name, want string
+		run        func() error
+	}{
+		{"history", "abcdfd39b376466fa2137bbe2ad99269e8f3c42a3530eab15dde9a46c668bda5", func() error { return nil }},
+		{"compacted", "d0b3f2f2da751e421f68e042281de0aed6299cd0f39fd3ef62cf983d3f15c42b", d.Compact},
+		{"appended", "0ff546c6faada5c397260c873c4d429150c9811229a854e93410b4a0169312fc", func() error {
+			d.Upsert(9, []posting.EncryptedShare{tagged(42, 5, 1), tagged(43, 0, 2)})
+			d.DeleteIf(1, d.Keys()[1][3], nil)
+			return nil
+		}},
+	} {
+		if err := step.run(); err != nil {
+			t.Fatal(err)
+		}
+		if got := segmentsDigest(t, d.Dir()); got != step.want {
+			t.Errorf("%s: segment files hash to %s, want %s", step.name, got, step.want)
+		}
 	}
 }
 

@@ -133,11 +133,6 @@ func (s *Sharded) ScanRange(lid merging.ListID, from, n int, keep func(posting.E
 	return sh.tab.scanRange(lid, from, n, keep)
 }
 
-// IngestList implements Store.
-func (s *Sharded) IngestList(lid merging.ListID, shares []posting.EncryptedShare) {
-	s.Upsert(lid, shares)
-}
-
 // DropList implements Store.
 func (s *Sharded) DropList(lid merging.ListID) int {
 	sh := s.shardOf(lid)

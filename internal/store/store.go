@@ -76,7 +76,8 @@ type Store interface {
 	// Upsert appends the shares to list lid in arrival order. A share
 	// whose GlobalID is already present replaces the stored share in
 	// place instead of appending. It returns how many shares were newly
-	// appended (replacements are not counted).
+	// appended (replacements are not counted). Node-to-node migration
+	// ingests a list through it too.
 	Upsert(lid merging.ListID, shares []posting.EncryptedShare) int
 
 	// DeleteIf atomically looks up the element keyed by (lid, gid) and,
@@ -109,11 +110,6 @@ type Store interface {
 	// client can bound the score of everything it has not fetched.
 	// shares is the caller's and sized like Scan's result.
 	ScanRange(lid merging.ListID, from, n int, keep func(posting.EncryptedShare) bool) (shares []posting.EncryptedShare, total int, next uint8)
-
-	// IngestList merges a whole list — the trusted node-to-node
-	// migration and log-replay path — with Upsert's replace-by-GlobalID
-	// semantics.
-	IngestList(lid merging.ListID, shares []posting.EncryptedShare)
 
 	// DropList removes a whole list after it has been migrated away,
 	// returning how many elements were dropped.

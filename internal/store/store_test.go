@@ -98,7 +98,7 @@ func TestIngestListReplacesExistingGlobalIDs(t *testing.T) {
 		st.Upsert(5, []posting.EncryptedShare{sh(1, 1, 10), sh(2, 1, 20)})
 		// A migrated list carrying an already-present global ID must
 		// replace the stored share, not duplicate the element.
-		st.IngestList(5, []posting.EncryptedShare{sh(2, 1, 21), sh(3, 1, 30)})
+		st.Upsert(5, []posting.EncryptedShare{sh(2, 1, 21), sh(3, 1, 30)})
 		got := st.List(5)
 		if len(got) != 3 {
 			t.Fatalf("list length = %d, want 3", len(got))
@@ -110,7 +110,7 @@ func TestIngestListReplacesExistingGlobalIDs(t *testing.T) {
 			t.Errorf("ListLen=%d TotalElements=%d, want 3/3", st.ListLen(5), st.TotalElements())
 		}
 		// Ingesting an empty list into nothing must not materialize one.
-		st.IngestList(77, nil)
+		st.Upsert(77, nil)
 		if _, present := st.ListLengths()[77]; present {
 			t.Error("empty ingest materialized a list")
 		}

@@ -1,10 +1,12 @@
-// Package wal is the CRC frame primitive under every append-only log in
-// the tree: the peer-side mutation journal (package journal), the disk
-// store's segment files (package store), and the binary wire protocol
-// (package transport) all carry their records as these frames, so a torn
-// or corrupt frame is detected identically on disk and on the wire. The
-// package knows nothing about what a payload means; each user brings its
-// own record schema, replay and truncation.
+// Package wal is the one log primitive in the tree. Its CRC frame
+// carries every record: the peer-side mutation journal (package
+// journal), the disk store's segment files (package store), and the
+// binary wire protocol (package transport), so a torn or corrupt frame is
+// detected identically on disk and on the wire. Its log file (log.go) is
+// the rest of both on-disk logs: one replay loop, one torn-tail
+// truncation, one append handle and one atomic whole-file rewrite. The
+// package knows nothing about what a payload means; a user brings only
+// its record schema and the fold that applies a record.
 //
 // Frame layout:
 //
@@ -34,7 +36,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 )
 
 // MaxFramePayload bounds one frame's payload. A length above it marks
@@ -169,17 +170,4 @@ func ReadFrameInto(r io.Reader, buf func(size int) []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: frame checksum mismatch", ErrBadRecord)
 	}
 	return body[:n], nil
-}
-
-// SyncDir fsyncs a directory so the entry of a file just created in it
-// or renamed into it is durable — without it a power loss after a
-// temp+rename commit can bring the old file back. Best effort: some
-// filesystems reject directory fsync.
-func SyncDir(dir string) {
-	df, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	df.Sync()
-	df.Close()
 }

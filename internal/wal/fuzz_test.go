@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -31,6 +34,53 @@ func recycled(size int) []byte {
 	return recycledBuf[:size]
 }
 
+// checkLog holds the log half of the primitive to the frame reader on
+// data, as FuzzReadFrame documents.
+func checkLog(t *testing.T, data []byte) {
+	var want [][]byte
+	var prefix int64
+	for r := bytes.NewReader(data); ; {
+		payload, err := ReadFrame(r)
+		if err != nil {
+			break
+		}
+		want = append(want, payload)
+		prefix += FrameSize(payload)
+	}
+	var got [][]byte
+	if valid, err := Replay(bytes.NewReader(data), collect(t, &got)); err != nil || valid != prefix || !reflect.DeepEqual(got, want) {
+		t.Fatalf("replay: valid %d, %d payloads, err %v; the ReadFrame walk accepts %d bytes, %d payloads",
+			valid, len(got), err, prefix, len(want))
+	}
+
+	path := filepath.Join(t.TempDir(), "log")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got = nil
+	l, valid, err := Open(path, collect(t, &got))
+	if err != nil || valid != prefix || l.Size() != int64(len(data)) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("open: valid %d, %d payloads, err %v; want %d, %d", valid, len(got), err, prefix, len(want))
+	}
+	if err := l.Truncate(valid); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := os.Stat(path); err != nil {
+		t.Fatal(err)
+	} else if st.Size() != prefix {
+		t.Fatalf("truncated to %d bytes, want the %d-byte prefix", st.Size(), prefix)
+	}
+	got = nil
+	l, valid, err = Open(path, collect(t, &got))
+	if err != nil || valid != prefix || l.Size() != prefix || !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopen: valid %d of %d bytes, %d payloads, err %v; want %d, %d", valid, l.Size(), len(got), err, prefix, len(want))
+	}
+	l.Close()
+}
+
 // FuzzReadFrame throws arbitrary bytes at the frame reader every log
 // and the binary wire share. It must never panic; a header claiming
 // more than MaxFramePayload must be rejected before a single body byte
@@ -42,16 +92,24 @@ func recycled(size int) []byte {
 // for, with one too short, and with none, it accepts exactly what
 // ReadFrame accepts, returns the same payload having read the same
 // number of bytes, asks for a buffer at most once and never for a frame
-// over the limit. Run with `go test -fuzz=FuzzReadFrame ./internal/wal`.
+// over the limit. The same bytes as a log file (checkLog): replay's
+// valid prefix is exactly the frames a ReadFrame walk accepts, Open
+// reports that prefix, Truncate cuts the file to it, and reopening the
+// cut file is clean and replays the same payloads. Run with
+// `go test -fuzz=FuzzReadFrame ./internal/wal`.
 func FuzzReadFrame(f *testing.F) {
 	var intact bytes.Buffer
-	if err := AppendFrame(&intact, []byte("seed payload")); err != nil {
-		f.Fatal(err)
+	for _, p := range []string{"seed payload", "", "second"} {
+		if err := AppendFrame(&intact, []byte(p)); err != nil {
+			f.Fatal(err)
+		}
 	}
 	f.Add(intact.Bytes())
+	f.Add(append(intact.Bytes(), TornFrame(64)...))
 	f.Add(TornFrame(64))
 	f.Add(binary.LittleEndian.AppendUint32(nil, MaxFramePayload+1))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkLog(t, data)
 		r := &countingReader{r: bytes.NewReader(data)}
 		payload, err := ReadFrame(r)
 		for name, supply := range map[string]func(size int) []byte{

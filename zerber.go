@@ -35,19 +35,12 @@
 // posting-list request out to the index servers in parallel and
 // completes as soon as the first k respond (Algorithm 2 needs any k of
 // the n shares); stragglers are cancelled through context.Context, which
-// the transport layer threads down to every server call. Two Options
-// knobs tune the engine:
+// the transport layer threads down to every server call.
 //
-//   - FanoutWidth caps the number of concurrently in-flight server
-//     requests (0 = all n at once; 1 = the sequential baseline);
-//
-//   - HedgeDelay, with a narrow fan-out, launches one extra server each
-//     time the delay elapses without k responses, hedging tail latency.
-//
-// What happens once k responses are in has no knob: the shares are
-// joined by element ID, reconstructed, filtered and ranked inline on the
-// calling goroutine, at a few nanoseconds per element, with results and
-// Stats that do not depend on which servers answered.
+// Once k responses are in, the shares are joined by element ID,
+// reconstructed, filtered and ranked inline on the calling goroutine, at
+// a few nanoseconds per element, with results and Stats that do not
+// depend on which servers answered.
 //
 // # Top-k retrieval
 //
@@ -98,7 +91,7 @@
 // group checks, stats) over the store.Store interface, which captures
 // the keyed share operations of the paper's recovery design (§5.4.1):
 // batch append/replace, swap-delete by (list, global ID), authorized
-// scan, full-list ingest/drop for DHT migration, delta application and
+// scan, full-list drop for DHT migration, delta application and
 // keyed inventory for proactive resharing, and a Sync batch boundary
 // the server marks at the end of every mutation.
 //
@@ -122,14 +115,18 @@
 // StoreDir and only a compact per-list index — plus a bounded LRU cache
 // of hot lists — stays in memory. The engine is the server's only log:
 // a server restarted on the same directory replays it, and there is no
-// separate write-ahead log to configure. Every store call is one framed
-// record group, so a crash either persists a whole Upsert/ApplyDeltas
-// batch or none of it; a torn tail from a kill mid-append is detected by CRC and truncated
-// at the next open; and background compaction rewrites live data to a
-// fresh segment with a temp-file-plus-rename commit, so a crash at any
-// point inside compaction recovers to exactly the pre- or
-// post-compaction state, never a mix. The engine passes the same
-// randomized cross-engine equivalence and simulation tiers as the
+// separate write-ahead log to configure. Each segment is a log of
+// package wal, the one log primitive, which the peers' mutation journals
+// (JournalDir) use too: one replay, one torn-tail truncation, one append
+// handle, one atomic rewrite; the engine adds only its record schema and
+// multi-segment policy. Every store call is one framed record group, so
+// a crash either persists a whole Upsert/ApplyDeltas batch or none of
+// it; a torn tail from a kill mid-append is detected by CRC and
+// truncated at the next open; and background compaction writes live
+// data to a fresh segment with wal's atomic rewrite (temp file, fsync,
+// rename), so a crash at any point inside compaction recovers to exactly
+// the pre- or post-compaction state, never a mix. The engine passes the
+// same randomized cross-engine equivalence and simulation tiers as the
 // in-memory store — retrieval output and Stats are bit-identical;
 // only residency and latency change. What an acknowledged mutation has
 // survived — a process kill always, a power loss only with
@@ -396,13 +393,6 @@ type Options struct {
 	// see only HMAC-derived pseudonyms, never real user identities, so a
 	// compromised server cannot tell who issued a query or update.
 	OpaqueUserIDs bool
-	// FanoutWidth caps concurrently in-flight server requests per query.
-	// 0 queries all servers at once; 1 reproduces the sequential client.
-	FanoutWidth int
-	// HedgeDelay, when positive and FanoutWidth leaves servers unstarted,
-	// launches one additional server each time the delay elapses without
-	// k responses (tail-latency hedging).
-	HedgeDelay time.Duration
 	// TopKMode switches searches to top-k retrieval (see above): ranked by
 	// summed term frequency, from score-ordered block rounds that stop
 	// once the top k are provably final where that is cheaper, from whole
@@ -797,18 +787,13 @@ type Searcher struct {
 }
 
 // Searcher creates a query client over the cluster's servers, tuned by
-// the cluster's FanoutWidth, HedgeDelay, TopKMode, and BlockSize
-// options.
+// the cluster's TopKMode and BlockSize options.
 func (c *Cluster) Searcher() (*Searcher, error) {
 	cl, err := client.New(c.apis, c.opts.K, c.table, c.voc)
 	if err != nil {
 		return nil, err
 	}
-	cl.SetTuning(client.Tuning{
-		Fanout:     c.opts.FanoutWidth,
-		HedgeDelay: c.opts.HedgeDelay,
-		BlockSize:  c.opts.BlockSize,
-	})
+	cl.SetTuning(client.Tuning{BlockSize: c.opts.BlockSize})
 	return &Searcher{c: cl, cluster: c, topK: c.opts.TopKMode}, nil
 }
 
