@@ -50,7 +50,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=$(FUZZTIME) ./internal/wal
 	$(GO) test -run='^$$' -fuzz='^FuzzJournalDecode$$' -fuzztime=$(FUZZTIME) ./internal/journal
 	$(GO) test -run='^$$' -fuzz='^FuzzSegmentDecode$$' -fuzztime=$(FUZZTIME) ./internal/store
-	$(GO) test -run='^$$' -fuzz='^FuzzApplyRequest$$' -fuzztime=$(FUZZTIME) ./internal/transport
+	$(GO) test -run='^$$' -fuzz='^FuzzBinaryApplyRequest$$' -fuzztime=$(FUZZTIME) ./internal/transport
 	$(GO) test -run='^$$' -fuzz='^FuzzBinaryFrameDecode$$' -fuzztime=$(FUZZTIME) ./internal/transport
 	$(GO) test -run='^$$' -fuzz='^FuzzTokenize$$' -fuzztime=$(FUZZTIME) ./internal/textproc
 	$(GO) test -run='^$$' -fuzz='^FuzzSnippet$$' -fuzztime=$(FUZZTIME) ./internal/textproc
@@ -94,7 +94,7 @@ benchstore:
 # would truncate it before the parser even runs.
 benchjson:
 	$(GO) test -run='^$$' \
-		-bench='^(BenchmarkSplitBatch|BenchmarkSplitSequential|BenchmarkEncryptBatch|BenchmarkEncryptSequential|BenchmarkIndexDocument5k|BenchmarkUpdateDocument|BenchmarkUpdateDocumentPopulated|BenchmarkTermCounts|BenchmarkTableUpsertDelete|BenchmarkJournaledFlush|BenchmarkUnjournaledFlush|BenchmarkFillRandDRBG|BenchmarkFillRandCryptoDirect|BenchmarkInvChain|BenchmarkInvGenericPow|BenchmarkEncodeGetPostingLists|BenchmarkBinaryVsJSONRoundTrip|BenchmarkBinaryLookupRoundTrip|BenchmarkScanFiltered|BenchmarkMigrationThroughput|BenchmarkSearchTopK|BenchmarkTopKPlan|BenchmarkStreamObserve|BenchmarkRetrieveJoinRank|BenchmarkServerMixed)$$' \
+		-bench='^(BenchmarkSplitBatch|BenchmarkSplitSequential|BenchmarkEncryptBatch|BenchmarkEncryptSequential|BenchmarkIndexDocument5k|BenchmarkUpdateDocument|BenchmarkUpdateDocumentPopulated|BenchmarkTermCounts|BenchmarkTableUpsertDelete|BenchmarkJournaledFlush|BenchmarkUnjournaledFlush|BenchmarkFillRandDRBG|BenchmarkFillRandCryptoDirect|BenchmarkInvChain|BenchmarkInvGenericPow|BenchmarkEncodeGetPostingLists|BenchmarkApplyRequestRoundTrip|BenchmarkBinaryLookupRoundTrip|BenchmarkScanFiltered|BenchmarkMigrationThroughput|BenchmarkSearchTopK|BenchmarkTopKPlan|BenchmarkStreamObserve|BenchmarkRetrieveJoinRank|BenchmarkServerMixed)$$' \
 		-benchmem -benchtime=$(BENCHTIME) -count=1 \
 		./internal/field/ ./internal/shamir/ ./internal/posting/ ./internal/peer/ ./internal/textproc/ \
 		./internal/transport/ ./internal/dht/ ./internal/server/ ./internal/store/ ./internal/client/ \
@@ -106,16 +106,16 @@ benchjson:
 	@rm -f bench_index.out.tmp
 	@cat BENCH_index.json
 
-# Soak (cmd/zerber-loadgen): a real multi-server cluster over loopback
-# TCP with searchers on both retrieval paths, journaled peers mutating,
-# group churn, node join/leave with live migration and proactive
-# resharing all running at once, no fault injected. It exits nonzero on
-# any error, any idle operation kind, or servers that do not end up
-# holding exactly the peers' committed elements. It measures nothing:
-# speed is `go run ./benchmark` (benchmark/README.md).
+# Soak (cmd/zerber-loadgen): a real multi-server cluster over the
+# binary wire on loopback TCP with searchers on both retrieval paths,
+# journaled peers mutating, group churn, node join/leave with live
+# migration and proactive resharing all running at once, no fault
+# injected, once per storage engine. It exits nonzero on any error, any
+# idle operation kind, or servers that do not end up holding exactly
+# the peers' committed elements. It measures nothing: speed is
+# `go run ./benchmark` (benchmark/README.md).
 soak:
-	$(GO) run ./cmd/zerber-loadgen -scale smoke -transport http
-	$(GO) run ./cmd/zerber-loadgen -scale smoke -transport binary
+	$(GO) run ./cmd/zerber-loadgen -scale smoke -store-engine sharded
 	$(GO) run ./cmd/zerber-loadgen -scale smoke -store-engine disk
 
 soak-full:

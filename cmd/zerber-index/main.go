@@ -12,6 +12,9 @@
 //	             -k 2 -key <hex> -user alice -group 1 \
 //	             -table table.json -vocab vocab.json -docs ./shared
 //
+// -servers lists the index servers as host:port (or binary://host:port):
+// they speak only the binary framed protocol.
+//
 // Documents are flushed in one shuffled batch (paper §5.4.1) so an
 // adversary watching updates cannot correlate elements by document.
 // A docmap.json mapping document IDs to file names is written next to
@@ -41,7 +44,7 @@ import (
 
 func main() {
 	var (
-		servers    = flag.String("servers", "", "comma-separated index server addresses (host:port or binary:// for the binary codec, http:// for JSON/HTTP)")
+		servers    = flag.String("servers", "", "comma-separated index server addresses (host:port or binary://host:port; index servers speak only the binary protocol)")
 		k          = flag.Int("k", 2, "secret-sharing threshold")
 		keyHex     = flag.String("key", "", "enterprise auth key (hex)")
 		user       = flag.String("user", "", "authenticated user")
@@ -77,7 +80,7 @@ func main() {
 
 	var apis []transport.API
 	for _, u := range strings.Split(*servers, ",") {
-		c, err := transport.Dial(strings.TrimSpace(u), 10*time.Second)
+		c, err := transport.DialBinary(strings.TrimSpace(u), 10*time.Second)
 		if err != nil {
 			log.Fatalf("zerber-index: %v", err)
 		}

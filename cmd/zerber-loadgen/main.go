@@ -1,9 +1,9 @@
 // Command zerber-loadgen soaks a real multi-server Zerber cluster: every
-// kind of traffic at once, over loopback TCP, with no fault injected.
+// kind of traffic at once, over the binary wire on loopback TCP, with no
+// fault injected.
 //
-//	zerber-loadgen [-scale smoke|full] [-transport http|binary]
-//	               [-store-engine sharded|disk] [-dht-nodes N]
-//	               [-seed N] [-duration D] [-q]
+//	zerber-loadgen [-scale smoke|full] [-store-engine sharded|disk]
+//	               [-dht-nodes N] [-seed N] [-duration D] [-q]
 //
 // One run (internal/load) has concurrent users issuing Zipfian searches
 // on both retrieval paths while journaled peers index, update and
@@ -28,13 +28,12 @@ import (
 
 func main() {
 	var (
-		scale     = flag.String("scale", "smoke", "scale tier: smoke (CI) or full (nightly)")
-		seed      = flag.Int64("seed", 0, "workload seed override (0 = tier default)")
-		duration  = flag.Duration("duration", 0, "mixed-traffic duration override (0 = tier default)")
-		transport = flag.String("transport", "http", "wire codec the cluster serves and dials: http or binary")
-		engine    = flag.String("store-engine", "sharded", "storage engine the servers run on: sharded (in memory) or disk")
-		dhtNodes  = flag.Int("dht-nodes", -1, "physical nodes per share slot (-1 = tier default; 0 or 1 = monolithic, disables node churn)")
-		quiet     = flag.Bool("q", false, "suppress progress logging")
+		scale    = flag.String("scale", "smoke", "scale tier: smoke (CI) or full (nightly)")
+		seed     = flag.Int64("seed", 0, "workload seed override (0 = tier default)")
+		duration = flag.Duration("duration", 0, "mixed-traffic duration override (0 = tier default)")
+		engine   = flag.String("store-engine", "sharded", "storage engine the servers run on: sharded (in memory) or disk")
+		dhtNodes = flag.Int("dht-nodes", -1, "physical nodes per share slot (-1 = tier default; 0 or 1 = monolithic, disables node churn)")
+		quiet    = flag.Bool("q", false, "suppress progress logging")
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -52,7 +51,6 @@ func main() {
 	if *duration != 0 {
 		cfg.Duration = *duration
 	}
-	cfg.Transport = *transport
 	cfg.StoreEngine = *engine
 	if *dhtNodes >= 0 {
 		cfg.DHTNodes = *dhtNodes
@@ -75,8 +73,8 @@ func main() {
 	if err := res.Check(); err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "zerber-loadgen: %s soak over %s on %s clean in %v\n",
-		*scale, *transport, *engine, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "zerber-loadgen: %s soak on %s clean in %v\n",
+		*scale, *engine, time.Since(start).Round(time.Millisecond))
 }
 
 func fatal(err error) {

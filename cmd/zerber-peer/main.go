@@ -15,6 +15,10 @@
 // -groups replicates the user-group table locally so the peer can check
 // snippet access itself (each site trusts its own group view, like each
 // index server does).
+//
+// The index servers in -servers are reached over the binary framed
+// protocol, the only one they speak (host:port or binary://host:port);
+// HTTP here is only the peer's own snippet and document service.
 package main
 
 import (
@@ -41,7 +45,7 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", ":8301", "snippet service listen address")
-		servers   = flag.String("servers", "", "comma-separated index server addresses (host:port or binary:// for the binary codec, http:// for JSON/HTTP)")
+		servers   = flag.String("servers", "", "comma-separated index server addresses (host:port or binary://host:port; index servers speak only the binary protocol)")
 		k         = flag.Int("k", 2, "secret-sharing threshold")
 		keyHex    = flag.String("key", "", "enterprise auth key (hex)")
 		user      = flag.String("user", "", "owner user ID")
@@ -69,7 +73,7 @@ func main() {
 
 	var apis []transport.API
 	for _, u := range strings.Split(*servers, ",") {
-		c, err := transport.Dial(strings.TrimSpace(u), 10*time.Second)
+		c, err := transport.DialBinary(strings.TrimSpace(u), 10*time.Second)
 		if err != nil {
 			log.Fatalf("zerber-peer: %v", err)
 		}

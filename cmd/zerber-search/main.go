@@ -8,6 +8,9 @@
 //	              -table table.json -vocab vocab.json \
 //	              martha imclone
 //
+// -servers lists the index servers as host:port (or binary://host:port):
+// they speak only the binary framed protocol.
+//
 // The client fans the request to k servers, joins and decrypts the
 // shares, filters false positives from merged lists, ranks with TF-IDF
 // over the user's personalized statistics, and prints the top results.
@@ -35,7 +38,7 @@ import (
 
 func main() {
 	var (
-		servers   = flag.String("servers", "", "comma-separated index server addresses (host:port or binary:// for the binary codec, http:// for JSON/HTTP)")
+		servers   = flag.String("servers", "", "comma-separated index server addresses (host:port or binary://host:port; index servers speak only the binary protocol)")
 		k         = flag.Int("k", 2, "secret-sharing threshold")
 		keyHex    = flag.String("key", "", "enterprise auth key (hex)")
 		user      = flag.String("user", "", "authenticated user")
@@ -66,7 +69,7 @@ func main() {
 
 	var apis []transport.API
 	for _, u := range strings.Split(*servers, ",") {
-		c, err := transport.Dial(strings.TrimSpace(u), 10*time.Second)
+		c, err := transport.DialBinary(strings.TrimSpace(u), 10*time.Second)
 		if err != nil {
 			log.Fatalf("zerber-search: %v", err)
 		}

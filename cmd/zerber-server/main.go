@@ -10,10 +10,9 @@
 //	zerber-server -addr :8291 -x 1 -key 000102...1f \
 //	              -groups alice:1,alice:2,bob:2
 //
-// -transport selects the wire codec the listener serves: binary (the
-// default framed protocol; clients dial it with a bare host:port or
-// binary:// address) or http (the JSON debug transport; clients dial
-// http://). See the "Wire protocol" section of the zerber package docs.
+// The listener speaks the binary framed protocol, the one wire an index
+// server serves; clients dial it with a bare host:port or a binary://
+// address. See the "Wire protocol" section of the zerber package docs.
 //
 // -store-engine picks where the shares live. sharded (the default)
 // keeps them in RAM: the index dies with the process. disk is
@@ -33,7 +32,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"strconv"
 	"strings"
 	"time"
@@ -55,7 +53,6 @@ func main() {
 		ttl    = flag.Duration("token-ttl", time.Hour, "token lifetime")
 		engine = flag.String("store-engine", "sharded", "storage engine: sharded (in memory) or disk; disk is crash-recoverable and fsyncs every acknowledged mutation")
 		stdir  = flag.String("store-dir", "", "segment directory for -store-engine disk (default <name>.store)")
-		wire   = flag.String("transport", "binary", "wire codec served on -addr: binary or http")
 	)
 	flag.Parse()
 
@@ -113,18 +110,12 @@ func main() {
 		Groups: gt,
 		Store:  st,
 	})
-	if *wire != "binary" && *wire != "http" {
-		log.Fatalf("zerber-server: unknown -transport %q (want binary or http)", *wire)
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatalf("zerber-server: %v", err)
 	}
-	log.Printf("zerber-server %s: listening on %s (%s transport, x=%d, %d group memberships)",
-		*name, *addr, *wire, xe, memberships)
-	if *wire == "binary" {
-		ln, err := net.Listen("tcp", *addr)
-		if err != nil {
-			log.Fatalf("zerber-server: %v", err)
-		}
-		transport.ServeBinary(ln, api)
-		select {} // serve until killed
-	}
-	log.Fatal(http.ListenAndServe(*addr, transport.NewHTTPHandler(api)))
+	log.Printf("zerber-server %s: listening on %s (binary transport, x=%d, %d group memberships)",
+		*name, *addr, xe, memberships)
+	transport.ServeBinary(ln, api)
+	select {} // serve until killed
 }

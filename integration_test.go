@@ -3,7 +3,7 @@ package zerber_test
 import (
 	"fmt"
 	"math/rand"
-	"net/http/httptest"
+	"net"
 	"testing"
 	"time"
 
@@ -19,13 +19,43 @@ import (
 	"zerber/internal/vocab"
 )
 
-// TestHTTPClusterEndToEnd exercises the full multi-process deployment
-// shape over real HTTP: index servers behind transport.NewHTTPHandler,
-// a peer and a client connected via transport.DialHTTP, shared auth key,
-// group churn, update, and delete. The server count is tiered: 3 under
-// -short, 5 by default, 9 in the nightly full tier — k stays 2, so the
-// wider clusters exercise share fan-out and first-k retrieval at size.
-func TestHTTPClusterEndToEnd(t *testing.T) {
+// serveWire serves api on a loopback binary listener at addr ("" picks
+// a free port), as cmd/zerber-server does; t.Cleanup closes it, and
+// tolerates an earlier Close.
+func serveWire(t *testing.T, api transport.API, addr string) *transport.BinaryServer {
+	t.Helper()
+	if addr == "" {
+		addr = "127.0.0.1:0"
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := transport.ServeBinary(ln, api)
+	t.Cleanup(func() { bs.Close() })
+	return bs
+}
+
+// dialWire dials a binary listener as the CLIs do; t.Cleanup closes the
+// client.
+func dialWire(t *testing.T, bs *transport.BinaryServer) *transport.BinaryClient {
+	t.Helper()
+	c, err := transport.DialBinary(bs.Addr().String(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// TestWireClusterEndToEnd exercises the full multi-process deployment
+// shape over real TCP: index servers behind transport.ServeBinary, a
+// peer and a client connected via transport.DialBinary, shared auth
+// key, group-scoped search, update, and delete. The server count is
+// tiered: 3 under -short, 5 by default, 9 in the nightly full tier — k
+// stays 2, so the wider clusters exercise share fan-out and first-k
+// retrieval at size.
+func TestWireClusterEndToEnd(t *testing.T) {
 	numServers := tierCount(3, 5, 9)
 	svc, err := auth.NewService(time.Minute)
 	if err != nil {
@@ -48,25 +78,19 @@ func TestHTTPClusterEndToEnd(t *testing.T) {
 	}
 	voc := vocab.NewFromTerms(table.ListedTerms())
 
-	// Real HTTP servers (sharing the verification key, each with its
-	// own x-coordinate), as in the cmd/zerber-server deployment.
+	// Real servers (sharing the verification key, each with its own
+	// x-coordinate), as in the cmd/zerber-server deployment.
 	var apis []transport.API
 	for i := 0; i < numServers; i++ {
 		srv := server.New(server.Config{
-			Name: fmt.Sprintf("http-ix%d", i), X: field.Element(i + 1),
+			Name: fmt.Sprintf("ix%d", i), X: field.Element(i + 1),
 			Auth: auth.NewServiceWithKey(svc.Key(), time.Minute), Groups: groups,
 		})
-		ts := httptest.NewServer(transport.NewHTTPHandler(srv))
-		defer ts.Close()
-		c, err := transport.DialHTTP(ts.URL, 5*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		apis = append(apis, c)
+		apis = append(apis, dialWire(t, serveWire(t, srv, "")))
 	}
 
 	p, err := peer.New(peer.Config{
-		Name: "http-site", Servers: apis, K: 2, Table: table, Vocab: voc,
+		Name: "site", Servers: apis, K: 2, Table: table, Vocab: voc,
 		Rand: rand.New(rand.NewSource(4)),
 	})
 	if err != nil {
@@ -92,13 +116,13 @@ func TestHTTPClusterEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res) != 1 || res[0].DocID != 1 {
-		t.Fatalf("alice over HTTP sees %v", res)
+		t.Fatalf("alice sees %v", res)
 	}
 	if stats.ServersQueried != 2 {
 		t.Errorf("ServersQueried = %d", stats.ServersQueried)
 	}
 
-	// Update over HTTP: change one term.
+	// Update over the wire: change one term.
 	if err := p.UpdateDocument(alice, peer.Document{ID: 1, Content: "martha imclone budget", Group: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -107,17 +131,17 @@ func TestHTTPClusterEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res) != 0 {
-		t.Error("stale term visible after HTTP update")
+		t.Error("stale term visible after update")
 	}
 	res, _, err = cl.Search(alice, []string{"budget"}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != 1 {
-		t.Error("new term missing after HTTP update")
+		t.Error("new term missing after update")
 	}
 
-	// Delete over HTTP.
+	// Delete over the wire.
 	if err := p.DeleteDocument(bob, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -126,16 +150,18 @@ func TestHTTPClusterEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res) != 0 {
-		t.Error("deleted document visible over HTTP")
+		t.Error("deleted document visible")
 	}
 }
 
-// TestHTTPDurableCluster runs the HTTP handler over crash-recoverable
+// TestWireDurableCluster runs the binary wire over crash-recoverable
 // servers and restarts them mid-test — the complete production shape:
-// HTTP transport + disk-engine durability (Sync on, as zerber-server
-// -store-engine disk runs it) + Shamir sharing + merging + ACLs.
-// Server count tiered like TestHTTPClusterEndToEnd.
-func TestHTTPDurableCluster(t *testing.T) {
+// binary transport + disk-engine durability (Sync on, as zerber-server
+// -store-engine disk runs it) + Shamir sharing + merging + ACLs. Every
+// server comes back on its old address, so the clients dialed before
+// the crash carry on through their lazy redial, as they would across a
+// real restart. Server count tiered like TestWireClusterEndToEnd.
+func TestWireDurableCluster(t *testing.T) {
 	numServers := tierCount(3, 3, 7)
 	svc, err := auth.NewService(time.Minute)
 	if err != nil {
@@ -155,30 +181,27 @@ func TestHTTPDurableCluster(t *testing.T) {
 	voc := vocab.NewFromTerms(table.ListedTerms())
 	dir := t.TempDir()
 
-	open := func(i int) (*store.Disk, *httptest.Server) {
+	open := func(i int, addr string) (*store.Disk, *transport.BinaryServer) {
 		ds, err := store.OpenDisk(fmt.Sprintf("%s/ix%d.store", dir, i), store.DiskOptions{Sync: true})
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { ds.Close() })
 		srv := server.New(server.Config{
 			Name: fmt.Sprintf("dur-ix%d", i), X: field.Element(i + 1),
 			Auth: auth.NewServiceWithKey(svc.Key(), time.Minute), Groups: groups, Store: ds,
 		})
-		return ds, httptest.NewServer(transport.NewHTTPHandler(srv))
+		return ds, serveWire(t, srv, addr)
 	}
 
 	var apis []transport.API
 	var handles []*store.Disk
-	var servers []*httptest.Server
+	var servers []*transport.BinaryServer
 	for i := 0; i < numServers; i++ {
-		ds, ts := open(i)
+		ds, bs := open(i, "")
 		handles = append(handles, ds)
-		servers = append(servers, ts)
-		c, err := transport.DialHTTP(ts.URL, 5*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		apis = append(apis, c)
+		servers = append(servers, bs)
+		apis = append(apis, dialWire(t, bs))
 	}
 
 	alice := svc.Issue("alice")
@@ -193,26 +216,18 @@ func TestHTTPDurableCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Crash every server and restart from its store directory.
-	for i := range servers {
-		servers[i].Close()
+	// Crash every server and restart it from its store directory, on
+	// the address it had.
+	for i, bs := range servers {
+		addr := bs.Addr().String()
+		bs.Close()
 		if err := handles[i].Close(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	apis = apis[:0]
-	for i := 0; i < numServers; i++ {
-		ds, ts := open(i)
-		defer ts.Close()
-		defer ds.Close()
+		ds, _ := open(i, addr)
 		if ds.TotalElements() == 0 {
 			t.Fatalf("server %d recovered nothing", i)
 		}
-		c, err := transport.DialHTTP(ts.URL, 5*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		apis = append(apis, c)
 	}
 	cl, err := client.New(apis, 2, table, voc)
 	if err != nil {
@@ -223,6 +238,6 @@ func TestHTTPDurableCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res) != 1 || res[0].DocID != 1 {
-		t.Fatalf("post-crash HTTP search = %v", res)
+		t.Fatalf("post-crash search = %v", res)
 	}
 }

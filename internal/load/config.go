@@ -66,11 +66,6 @@ type Config struct {
 	// temporary directory — the production write path, fsyncs included.
 	Journal bool
 
-	// Transport selects the wire codec the loopback cluster serves and
-	// dials: "http" (the JSON debug transport, the default) or "binary"
-	// (the framed protocol over persistent pipelined TCP).
-	Transport string
-
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 }
@@ -157,18 +152,8 @@ func (c *Config) validate() error {
 		return fmt.Errorf("load: DHTNodes and NodeChurnEvery must be non-negative")
 	case c.NodeChurnEvery > 0 && c.DHTNodes < 2:
 		return fmt.Errorf("load: node churn needs DHTNodes > 1, got %d", c.DHTNodes)
-	case c.Transport != "" && c.Transport != "http" && c.Transport != "binary":
-		return fmt.Errorf("load: unknown transport %q (want http or binary)", c.Transport)
 	case c.StoreEngine != "" && c.StoreEngine != "sharded" && c.StoreEngine != "disk":
 		return fmt.Errorf("load: unknown store engine %q (want sharded or disk)", c.StoreEngine)
 	}
 	return nil
-}
-
-// transportName returns the effective wire codec ("http" when unset).
-func (c *Config) transportName() string {
-	if c.Transport == "" {
-		return "http"
-	}
-	return c.Transport
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	mrand "math/rand"
 	"net"
-	"net/http"
 	"os"
 	"sort"
 	"strings"
@@ -119,8 +118,8 @@ func Run(cfg Config) (Result, error) {
 	const churnUsers = 4
 
 	// The cluster's index servers listen on loopback; every peer and
-	// searcher operation below crosses the configured wire codec.
-	apis, shutdown, err := serveWire(cluster, cfg.transportName())
+	// searcher operation below crosses the binary wire.
+	apis, shutdown, err := serveBinary(cluster)
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +167,7 @@ func Run(cfg Config) (Result, error) {
 		}
 	}
 
-	logf("load: preloading %d documents across %d peers over %s", cfg.LiveDocs, cfg.Peers, cfg.transportName())
+	logf("load: preloading %d documents across %d peers", cfg.LiveDocs, cfg.Peers)
 	preStart := time.Now()
 	for i, m := range mutators {
 		if err := m.preload(); err != nil {
@@ -409,19 +408,10 @@ func rebalanceQuiet(cluster *zerber.Cluster) error {
 	return fmt.Errorf("load: %d migrations still pending after 50 rebalance rounds", pending)
 }
 
-// serveWire puts every index server behind a loopback listener speaking
-// the named wire codec ("binary" or "http") and dials it back through
-// the matching client, so all traffic pays real encoding and TCP round
-// trips.
-func serveWire(cluster *zerber.Cluster, codec string) ([]transport.API, func(), error) {
-	if codec == "binary" {
-		return serveBinary(cluster)
-	}
-	return serveHTTP(cluster)
-}
-
-// serveBinary is serveWire's binary arm: one framed listener and one
-// persistent pipelined client per server.
+// serveBinary puts every index server behind a loopback listener
+// speaking the binary framed protocol and dials it back through one
+// persistent pipelined client per server, so all traffic pays real
+// encoding and TCP round trips.
 func serveBinary(cluster *zerber.Cluster) ([]transport.API, func(), error) {
 	var servers []*transport.BinaryServer
 	var clients []*transport.BinaryClient
@@ -447,34 +437,6 @@ func serveBinary(cluster *zerber.Cluster) ([]transport.API, func(), error) {
 			return nil, nil, fmt.Errorf("load: dialing server %d: %w", i, err)
 		}
 		clients = append(clients, api)
-		apis = append(apis, api)
-	}
-	return apis, shutdown, nil
-}
-
-// serveHTTP is serveWire's JSON/HTTP debug arm.
-func serveHTTP(cluster *zerber.Cluster) ([]transport.API, func(), error) {
-	var servers []*http.Server
-	shutdown := func() {
-		for _, hs := range servers {
-			hs.Close()
-		}
-	}
-	var apis []transport.API
-	for i, s := range cluster.WireTargets() {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			shutdown()
-			return nil, nil, fmt.Errorf("load: listening for server %d: %w", i, err)
-		}
-		hs := &http.Server{Handler: transport.NewHTTPHandler(s)}
-		servers = append(servers, hs)
-		go hs.Serve(ln)
-		api, err := transport.DialHTTP("http://"+ln.Addr().String(), 30*time.Second)
-		if err != nil {
-			shutdown()
-			return nil, nil, fmt.Errorf("load: dialing server %d: %w", i, err)
-		}
 		apis = append(apis, api)
 	}
 	return apis, shutdown, nil

@@ -15,20 +15,15 @@ import (
 // TestRunSmokeTiny drives the whole soak — real TCP cluster behind DHT
 // slots, concurrent searchers on both retrieval paths, journaled
 // mutating peers, group churn, node churn with live migration,
-// proactive reshare — at a tiny scale over both codecs and both storage
-// engines. Run itself fails on the end-of-run element check; Check
+// proactive reshare — at a tiny scale over the binary wire on both
+// storage engines. Run itself fails on the end-of-run element check; Check
 // fails on any error or any idle kind.
 func TestRunSmokeTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end soak; skipped in -short mode")
 	}
-	for _, row := range []struct{ transport, engine string }{
-		{"http", "sharded"},
-		{"http", "disk"},
-		{"binary", "sharded"},
-		{"binary", "disk"},
-	} {
-		t.Run(row.transport+"/"+row.engine, func(t *testing.T) {
+	for _, engine := range []string{"sharded", "disk"} {
+		t.Run("binary/"+engine, func(t *testing.T) {
 			cfg := SmokeConfig()
 			cfg.Duration = 800 * time.Millisecond
 			cfg.Searchers = 2
@@ -39,8 +34,7 @@ func TestRunSmokeTiny(t *testing.T) {
 			cfg.ChurnInterval = 50 * time.Millisecond
 			cfg.ReshareInterval = 300 * time.Millisecond
 			cfg.NodeChurnEvery = 200 * time.Millisecond
-			cfg.Transport = row.transport
-			cfg.StoreEngine = row.engine
+			cfg.StoreEngine = engine
 			cfg.Logf = t.Logf
 
 			res, err := Run(cfg)

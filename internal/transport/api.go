@@ -3,11 +3,10 @@
 // as one mutation verb (Apply: a batch of inserts and deletes) and two
 // lookups, together with its implementations and decorators:
 //
-//   - BinaryClient / ServeBinary: the production wire, length-prefixed
-//     CRC frames over one pipelined TCP connection per server, built
-//     and read in place in recycled buffers (framebuf.go states who
-//     owns one when);
-//   - HTTPClient / NewHTTPHandler: the JSON-over-HTTP debug wire;
+//   - BinaryClient / ServeBinary: the one wire, length-prefixed CRC
+//     frames over one pipelined TCP connection per server, built and
+//     read in place in recycled buffers (framebuf.go states who owns
+//     one when);
 //   - Local: in-process calls with byte accounting, used by the
 //     simulation experiments (§7.3 network bandwidth) and the tests;
 //   - Latency: a fixed simulated round-trip time per call;
@@ -29,16 +28,16 @@ import (
 
 // InsertOp adds one encrypted share to a merged posting list.
 type InsertOp struct {
-	List  merging.ListID         `json:"list"`
-	Share posting.EncryptedShare `json:"share"`
+	List  merging.ListID
+	Share posting.EncryptedShare
 }
 
 // DeleteOp removes one element (by global ID) from a merged posting list.
 // Document IDs are encrypted, so owners delete element-by-element (§7.3:
 // "To delete a document, its owner must delete each element separately").
 type DeleteOp struct {
-	List merging.ListID   `json:"list"`
-	ID   posting.GlobalID `json:"id"`
+	List merging.ListID
+	ID   posting.GlobalID
 }
 
 // OpID identifies one stage of one journaled peer mutation. A peer
@@ -50,8 +49,8 @@ type DeleteOp struct {
 // crash — exactly-once in effect. The zero OpID disables deduplication:
 // the call is applied unconditionally, every time it is delivered.
 type OpID struct {
-	ID    uint64 `json:"id"`
-	Stage uint8  `json:"stage"`
+	ID    uint64
+	Stage uint8
 }
 
 // Mutation stages carried in an OpID.
@@ -112,12 +111,12 @@ type API interface {
 type BlockPage struct {
 	// Shares holds the group-filtered shares at positions [from, from+n)
 	// of the list, highest impact first.
-	Shares []posting.EncryptedShare `json:"shares"`
+	Shares []posting.EncryptedShare
 	// Total is the unfiltered length of the whole list.
-	Total int `json:"total"`
+	Total int
 	// Next is the impact bucket of the element at position from+n, or 0
 	// when the window reaches the end of the list.
-	Next uint8 `json:"next"`
+	Next uint8
 }
 
 // Wire-size constants for the byte accounting (§7.3). A posting list

@@ -11,7 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"zerber/internal/auth"
 	"zerber/internal/merging"
+	"zerber/internal/posting"
+	"zerber/internal/server"
 	"zerber/internal/transport"
 	"zerber/internal/transport/transporttest"
 	"zerber/internal/wal"
@@ -239,61 +242,168 @@ func xcoordFrame(t *testing.T, id uint64) []byte {
 	return frameBytes(t, payload)
 }
 
+// applyBody encodes the body of an apply request by hand: op header,
+// then the insert and delete records.
+func applyBody(op transport.OpID, inserts []transport.InsertOp, deletes []transport.DeleteOp) []byte {
+	p := binary.LittleEndian.AppendUint64(nil, op.ID)
+	p = append(p, op.Stage)
+	p = binary.LittleEndian.AppendUint32(p, uint32(len(inserts)))
+	for _, ins := range inserts {
+		p = binary.LittleEndian.AppendUint32(p, uint32(ins.List))
+		p = binary.LittleEndian.AppendUint64(p, uint64(ins.Share.GlobalID))
+		p = binary.LittleEndian.AppendUint32(p, ins.Share.Group)
+		p = binary.LittleEndian.AppendUint64(p, ins.Share.Y.Uint64())
+	}
+	p = binary.LittleEndian.AppendUint32(p, uint32(len(deletes)))
+	for _, del := range deletes {
+		p = binary.LittleEndian.AppendUint32(p, uint32(del.List))
+		p = binary.LittleEndian.AppendUint64(p, uint64(del.ID))
+	}
+	return p
+}
+
+// rejectedRequest is one well-framed request the binary server must
+// refuse with an addressed status.
+type rejectedRequest struct {
+	name    string
+	id      uint64
+	kind    byte
+	payload []byte
+	status  uint16
+}
+
+// reqHeader encodes a request header: ID, kind, length-prefixed token.
+func reqHeader(id uint64, kind byte, tok auth.Token) []byte {
+	p := binary.LittleEndian.AppendUint64(nil, id)
+	p = append(p, kind)
+	p = binary.LittleEndian.AppendUint16(p, uint16(len(tok)))
+	return append(p, tok...)
+}
+
+// expectRejected serves srv over a binary listener and sends every row
+// down one raw connection. Each must be answered with its ID, kind and
+// status; after each the connection keeps serving and the server is
+// untouched. One legitimate element is stored first, so "untouched"
+// means a non-empty store.
+func expectRejected(t *testing.T, srv *server.Server, tok auth.Token, rows []rejectedRequest) {
+	t.Helper()
+	if err := transporttest.Insert(context.Background(), srv, tok,
+		[]transport.InsertOp{{List: 1, Share: sampleShare(7, 70)}}); err != nil {
+		t.Fatal(err)
+	}
+	before := serverFingerprint(srv)
+	bs := startBinary(t, srv, "")
+	conn := dialRaw(t, bs.Addr().String())
+
+	for _, bad := range rows {
+		t.Run(bad.name, func(t *testing.T) {
+			raw := &rawConn{t: t, nc: conn.nc, br: conn.br}
+			raw.send(frameBytes(t, bad.payload))
+			id, kind, status, _ := raw.recv()
+			if id != bad.id || kind != bad.kind || status != bad.status {
+				t.Errorf("answered (id=%d kind=%d status=%d), want (%d, %d, %d)",
+					id, kind, status, bad.id, bad.kind, bad.status)
+			}
+
+			// The connection must still serve valid requests.
+			raw.send(xcoordFrame(t, bad.id+100))
+			id, _, status, body := raw.recv()
+			if id != bad.id+100 || status != 0 {
+				t.Fatalf("connection unusable afterwards: id=%d status=%d", id, status)
+			}
+			if x := binary.LittleEndian.Uint64(body); x != 42 {
+				t.Errorf("XCoord = %d, want 42", x)
+			}
+			if got := serverFingerprint(srv); got != before {
+				t.Errorf("rejected request mutated the server: %s -> %s", before, got)
+			}
+		})
+	}
+}
+
 // TestBinaryServerMalformedRequest sends well-framed requests with an
 // unknown message kind: the server must answer each with an addressed
-// 400 and keep the connection alive — mirroring HTTP's clean-4xx
-// contract. The retired standalone insert (2) and delete (3) kinds are
-// unknown kinds like any other, even framed exactly as an old client
-// would, with a valid token and a valid body.
+// 400 and keep the connection alive. The retired standalone insert (2)
+// and delete (3) kinds are unknown kinds like any other, even framed
+// exactly as an old client would, with a valid token and a valid body.
 func TestBinaryServerMalformedRequest(t *testing.T) {
 	srv, tok := newServer(t)
-	bs := startBinary(t, srv, "")
-	raw := dialRaw(t, bs.Addr().String())
-
-	header := func(id uint64, kind byte) []byte {
-		p := binary.LittleEndian.AppendUint64(nil, id)
-		p = append(p, kind)
-		p = binary.LittleEndian.AppendUint16(p, uint16(len(tok)))
-		return append(p, tok...)
-	}
-	retiredInsert := binary.LittleEndian.AppendUint32(header(80, 2), 1)
+	retiredInsert := binary.LittleEndian.AppendUint32(reqHeader(80, 2, tok), 1)
 	retiredInsert = binary.LittleEndian.AppendUint32(retiredInsert, 1)  // list
 	retiredInsert = binary.LittleEndian.AppendUint64(retiredInsert, 1)  // global ID
 	retiredInsert = binary.LittleEndian.AppendUint32(retiredInsert, 1)  // group
 	retiredInsert = binary.LittleEndian.AppendUint64(retiredInsert, 10) // share value
-	retiredDelete := binary.LittleEndian.AppendUint32(header(81, 3), 1)
+	retiredDelete := binary.LittleEndian.AppendUint32(reqHeader(81, 3, tok), 1)
 	retiredDelete = binary.LittleEndian.AppendUint32(retiredDelete, 1) // list
 	retiredDelete = binary.LittleEndian.AppendUint64(retiredDelete, 1) // global ID
 
-	for _, bad := range []struct {
-		id      uint64
-		kind    byte
-		payload []byte
-	}{
-		{77, 99, header(77, 99)},
-		{80, 2, retiredInsert},
-		{81, 3, retiredDelete},
-	} {
-		raw.send(frameBytes(t, bad.payload))
-		id, kind, status, _ := raw.recv()
-		if id != bad.id || kind != bad.kind || status != 400 {
-			t.Errorf("malformed request answered (id=%d kind=%d status=%d), want (%d, %d, 400)",
-				id, kind, status, bad.id, bad.kind)
-		}
+	expectRejected(t, srv, tok, []rejectedRequest{
+		{"unknown kind", 77, 99, reqHeader(77, 99, tok), 400},
+		{"retired insert kind", 80, 2, retiredInsert, 400},
+		{"retired delete kind", 81, 3, retiredDelete, 400},
+	})
+}
 
-		// The connection must still serve valid requests.
-		raw.send(xcoordFrame(t, bad.id+100))
-		id, _, status, body := raw.recv()
-		if id != bad.id+100 || status != 0 {
-			t.Fatalf("connection unusable after malformed request: id=%d status=%d", id, status)
-		}
-		if x := binary.LittleEndian.Uint64(body); x != 42 {
-			t.Errorf("XCoord = %d, want 42", x)
-		}
-		if srv.TotalElements() != 0 {
-			t.Error("malformed request mutated the server")
-		}
+// TestApplyHandlerErrorPaths drives the apply (and paged lookup)
+// requests through every malformed shape the binary wire can carry:
+// 400 for a body that is truncated or runs past its records, or an
+// unknown mutation stage, 401 for an invalid token, 403 for an insert
+// into a group the caller is not in. Each must be rejected cleanly and
+// leave the server untouched: the request path is the cluster's only
+// unauthenticated-input surface, so "reject without side effects" is a
+// correctness bar, not a nicety.
+func TestApplyHandlerErrorPaths(t *testing.T) {
+	srv, tok := newServer(t)
+	apply := func(id uint64, tok auth.Token, stage uint8, group uint32) []byte {
+		ins := []transport.InsertOp{{List: 2, Share: sampleShare(8, 80)}}
+		ins[0].Share.Group = group
+		return append(reqHeader(id, 4, tok), applyBody(transport.OpID{ID: 99, Stage: stage}, ins, nil)...)
 	}
+	truncated := apply(82, tok, transport.StageInsert, 1)
+	truncated = truncated[:len(truncated)-3]
+	trailing := append(apply(87, tok, transport.StageInsert, 1), 0)
+	lookupBlocks := binary.LittleEndian.AppendUint32(reqHeader(85, 6, "garbage"), 1) // list
+	lookupBlocks = binary.LittleEndian.AppendUint64(lookupBlocks, 4<<32)             // from 0, n 4
+
+	expectRejected(t, srv, tok, []rejectedRequest{
+		{"truncated body", 82, 4, truncated, 400},
+		{"trailing bytes after body", 87, 4, trailing, 400},
+		{"unknown mutation stage", 83, 4, apply(83, tok, 7, 1), 400},
+		{"invalid token", 84, 4, apply(84, "garbage", transport.StageInsert, 1), 401},
+		{"invalid token on lookupblocks", 85, 6, lookupBlocks, 401},
+		{"wrong-group insert", 86, 4, apply(86, tok, transport.StageInsert, 99), 403},
+	})
+}
+
+// FuzzBinaryApplyRequest sends arbitrary apply bodies through the binary
+// server's own request path (decode, then dispatch) to a real
+// server.Server: none may panic and, since no fuzz input carries a
+// validly signed token, none may be accepted or change the server. Run
+// with `go test -fuzz=FuzzBinaryApplyRequest ./internal/transport`.
+func FuzzBinaryApplyRequest(f *testing.F) {
+	srv, _ := newServer(f)
+	if added := srv.Store().Upsert(1, []posting.EncryptedShare{sampleShare(3, 30)}); added != 1 {
+		f.Fatalf("seeding the store appended %d shares, want 1", added)
+	}
+	baseline := serverFingerprint(srv)
+
+	f.Add(applyBody(transport.OpID{ID: 1, Stage: transport.StageInsert},
+		[]transport.InsertOp{{List: 2, Share: sampleShare(8, 80)}}, nil))
+	f.Add(applyBody(transport.OpID{ID: 1, Stage: transport.StageDelete},
+		nil, []transport.DeleteOp{{List: 1, ID: 3}}))
+	f.Add(applyBody(transport.OpID{}, nil, nil))
+	f.Add([]byte{1})
+	f.Add([]byte{})
+	f.Add(binary.LittleEndian.AppendUint32(applyBody(transport.OpID{ID: 1, Stage: 1}, nil, nil)[:9], 1<<32-1))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if status := transport.ServeApplyBody(srv, "fuzzed-token", body); status == 0 {
+			t.Fatalf("unauthenticated apply accepted: body %x", body)
+		}
+		if got := serverFingerprint(srv); got != baseline {
+			t.Fatalf("rejected apply mutated the server: %s -> %s (body %x)", baseline, got, body)
+		}
+	})
 }
 
 // TestBinaryServerCorruptFrame flips a byte inside a frame so the CRC
@@ -378,20 +488,24 @@ func TestBinaryClientRejectsCorruptResponse(t *testing.T) {
 	}
 }
 
-// TestBinaryDialScheme exercises transport.Dial's scheme dispatch.
+// TestBinaryDialScheme: the binary:// prefix dials like a bare
+// host:port, and any other scheme (a stale http:// address) is refused
+// by name before anything is dialed.
 func TestBinaryDialScheme(t *testing.T) {
 	srv, tok := newServer(t)
 	bs := startBinary(t, srv, "")
-	c, err := transport.Dial("binary://"+bs.Addr().String(), 2*time.Second)
+	c, err := transport.DialBinary("binary://"+bs.Addr().String(), 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bc, ok := c.(*transport.BinaryClient)
-	if !ok {
-		t.Fatalf("Dial(binary://...) returned %T, want *BinaryClient", c)
-	}
-	defer bc.Close()
-	if err := transporttest.Insert(context.Background(), bc, tok, []transport.InsertOp{{List: 1, Share: sampleShare(1, 1)}}); err != nil {
+	defer c.Close()
+	if err := transporttest.Insert(context.Background(), c, tok, []transport.InsertOp{{List: 1, Share: sampleShare(1, 1)}}); err != nil {
 		t.Fatal(err)
+	}
+	for _, scheme := range []string{"http", "https"} {
+		_, err := transport.DialBinary(scheme+"://"+bs.Addr().String(), 2*time.Second)
+		if err == nil || !strings.Contains(err.Error(), `scheme "`+scheme+`"`) {
+			t.Errorf("DialBinary(%s://...) = %v, want an error naming the scheme", scheme, err)
+		}
 	}
 }

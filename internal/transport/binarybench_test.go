@@ -2,8 +2,6 @@ package transport
 
 import (
 	"context"
-	"encoding/json"
-	"strconv"
 	"testing"
 
 	"zerber/internal/merging"
@@ -38,82 +36,39 @@ func benchInsertOps(n int) []InsertOp {
 	return ops
 }
 
-// jsonLookup mirrors the HTTP handler's response encoding: list IDs as
-// decimal string keys.
-func jsonLookup(out map[merging.ListID][]posting.EncryptedShare) map[string][]posting.EncryptedShare {
-	enc := make(map[string][]posting.EncryptedShare, len(out))
-	for lid, shares := range out {
-		enc[strconv.FormatUint(uint64(lid), 10)] = shares
-	}
-	return enc
-}
-
 // BenchmarkEncodeGetPostingLists measures encoding one 512-share lookup
-// response — the dominant payload on the search path — through each
-// codec. wire-B/op is the encoded size on the wire; B/op and allocs/op
-// (from -benchmem) are the encoding cost.
+// response, the dominant payload on the search path. wire-B/op is the
+// encoded size on the wire; B/op and allocs/op (from -benchmem) are the
+// encoding cost.
 func BenchmarkEncodeGetPostingLists(b *testing.B) {
 	out := benchLookupResult()
-	b.Run("binary", func(b *testing.B) {
-		var n int
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			dst := make([]byte, 0, 11+binLookupBodySize(out))
-			payload := appendBinOK(dst, 1, binMsgLookup, func(dst []byte) []byte {
-				return appendLookupBody(dst, out)
-			})
-			n = len(payload)
-		}
-		b.ReportMetric(float64(n), "wire-B/op")
-	})
-	b.Run("json", func(b *testing.B) {
-		var n int
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			body, err := json.Marshal(jsonLookup(out))
-			if err != nil {
-				b.Fatal(err)
-			}
-			n = len(body)
-		}
-		b.ReportMetric(float64(n), "wire-B/op")
-	})
+	var n int
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		dst := make([]byte, 0, 11+binLookupBodySize(out))
+		payload := appendBinOK(dst, 1, binMsgLookup, func(dst []byte) []byte {
+			return appendLookupBody(dst, out)
+		})
+		n = len(payload)
+	}
+	b.ReportMetric(float64(n), "wire-B/op")
 }
 
-// BenchmarkBinaryVsJSONRoundTrip measures a full encode+decode round
-// trip of a 64-op insert request — the dominant payload on the mutation
-// path — through each codec's exact wire form.
-func BenchmarkBinaryVsJSONRoundTrip(b *testing.B) {
-	ops := benchInsertOps(64)
-	b.Run("binary", func(b *testing.B) {
-		req := binRequest{id: 1, kind: binMsgApply, tok: "bench-token", inserts: ops}
-		var n int
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			payload := appendBinRequest(make([]byte, 0, binRequestSize(&req)), &req)
-			n = len(payload)
-			if _, err := decodeBinRequest(payload); err != nil {
-				b.Fatal(err)
-			}
+// BenchmarkApplyRequestRoundTrip measures a full encode+decode round
+// trip of a 64-op insert request, the dominant payload on the mutation
+// path, in its exact wire form.
+func BenchmarkApplyRequestRoundTrip(b *testing.B) {
+	req := binRequest{id: 1, kind: binMsgApply, tok: "bench-token", inserts: benchInsertOps(64)}
+	var n int
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		payload := appendBinRequest(make([]byte, 0, binRequestSize(&req)), &req)
+		n = len(payload)
+		if _, err := decodeBinRequest(payload); err != nil {
+			b.Fatal(err)
 		}
-		b.ReportMetric(float64(n), "wire-B/op")
-	})
-	b.Run("json", func(b *testing.B) {
-		var n int
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			body, err := json.Marshal(ops)
-			if err != nil {
-				b.Fatal(err)
-			}
-			n = len(body)
-			var decoded []InsertOp
-			if err := json.Unmarshal(body, &decoded); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(n), "wire-B/op")
-	})
+	}
+	b.ReportMetric(float64(n), "wire-B/op")
 }
 
 // BenchmarkBinaryLookupRoundTrip measures one 3,500-share lookup (a

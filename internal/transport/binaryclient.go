@@ -70,14 +70,18 @@ type BinaryClient struct {
 }
 
 // DialBinary connects to an index server at addr ("host:port", with an
-// optional "binary://" prefix) and fetches its public x-coordinate.
-// timeout bounds the dial and each subsequent call (like the HTTP
-// client's overall request timeout); non-positive means 10s.
+// optional "binary://" prefix) and fetches its public x-coordinate. An
+// address with any other scheme is refused by name: the binary protocol
+// is the only one an index server speaks. timeout bounds the dial and
+// each subsequent call; non-positive means 10s.
 func DialBinary(addr string, timeout time.Duration) (*BinaryClient, error) {
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
 	addr = strings.TrimPrefix(addr, "binary://")
+	if scheme, _, ok := strings.Cut(addr, "://"); ok {
+		return nil, fmt.Errorf("transport: dialing %s: scheme %q is not served; index servers speak only the binary protocol (host:port or binary://host:port)", addr, scheme)
+	}
 	c := &BinaryClient{addr: addr, timeout: timeout}
 	resp, err := c.call(context.Background(), binRequest{kind: binMsgXCoord})
 	if err != nil {
@@ -215,8 +219,8 @@ func (c *BinaryClient) finish(conn *binConn, name string, kind byte, res binResu
 		return binResponse{}, fmt.Errorf("transport: %s %s: %w", name, c.addr, err)
 	}
 	if resp.status != 0 {
-		// Mirror the HTTP client's error shape so status-sensitive
-		// callers (and the conformance tests) see identical text.
+		// Status-sensitive callers (and the conformance tests) match
+		// on "status NNN".
 		return binResponse{}, fmt.Errorf("transport: %s: status %d: %s",
 			name, resp.status, resp.msg)
 	}

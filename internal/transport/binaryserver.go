@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 )
 
@@ -85,8 +86,8 @@ func (s *BinaryServer) acceptLoop() {
 // serveConn runs one connection: frames in, responses out. A corrupt or
 // torn frame poisons stream synchronization, so it drops the
 // connection; a well-framed but malformed request gets an addressed 400
-// response and the connection lives on — mirroring the HTTP handler's
-// clean-4xx-without-side-effects contract.
+// response and the connection lives on: a rejected request is a clean
+// 4xx without side effects.
 func (s *BinaryServer) serveConn(nc net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -97,7 +98,7 @@ func (s *BinaryServer) serveConn(nc net.Conn) {
 	}()
 
 	// Requests inherit a per-connection context: a vanished client
-	// cancels its outstanding work, like r.Context() under HTTP.
+	// cancels its outstanding work.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -118,14 +119,13 @@ func (s *BinaryServer) serveConn(nc net.Conn) {
 		if err != nil {
 			break // EOF, torn, or corrupt: stream sync is gone
 		}
-		req, derr := decodeBinRequest(in.b)
-		id, kind, addressed := binPeekID(in.b)
+		req, reject, addressed := decodeRequest(in.b)
 		in.release()
-		if derr != nil {
-			if !addressed {
-				break
-			}
-			writeCh <- errorFrame(id, kind, 400, derr.Error())
+		if !addressed {
+			break
+		}
+		if reject != nil {
+			writeCh <- reject
 			continue
 		}
 		sem <- struct{}{}
@@ -160,6 +160,22 @@ func (s *BinaryServer) connWriter(nc net.Conn, writeCh chan *frameBuf) {
 		}
 		frame.release()
 	}
+}
+
+// decodeRequest decodes one request payload. A well-framed but
+// malformed request comes back as the addressed 400 frame to send in
+// its place (the caller's); addressed is false when the payload is too
+// short to name its request, and the connection must drop.
+func decodeRequest(payload []byte) (req binRequest, reject *frameBuf, addressed bool) {
+	req, err := decodeBinRequest(payload)
+	if err == nil {
+		return req, nil, true
+	}
+	id, kind, addressed := binPeekID(payload)
+	if !addressed {
+		return req, nil, false
+	}
+	return req, errorFrame(id, kind, 400, err.Error()), true
 }
 
 // errorFrame builds an addressed error response. The message is capped
@@ -211,4 +227,20 @@ func (s *BinaryServer) respond(ctx context.Context, req binRequest) *frameBuf {
 	}
 	// Unreachable while decodeBinRequest rejects every other kind.
 	return failed(errBinMalformed)
+}
+
+// statusCodeOf maps an API error to the status an error response
+// carries, in HTTP's numbering: authentication and authorization
+// failures are 401 and 403, anything else a 400 so the caller sees the
+// message.
+func statusCodeOf(err error) uint16 {
+	msg := err.Error()
+	switch {
+	case strings.Contains(msg, "invalid token") || strings.Contains(msg, "expired token"):
+		return 401
+	case strings.Contains(msg, "not in the required group"):
+		return 403
+	default:
+		return 400
+	}
 }

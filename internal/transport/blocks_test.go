@@ -16,7 +16,7 @@ func taggedShare(seq uint64, b uint8, y uint64) posting.EncryptedShare {
 	return posting.EncryptedShare{GlobalID: posting.TagImpact(posting.GlobalID(seq), b), Group: 1, Y: field.New(y)}
 }
 
-// TestWireBlockPages runs the paged lookup over both codecs: pages come
+// TestWireBlockPages runs the paged lookup over the wire: pages come
 // back highest-impact-first, window by window, with the fixed-width
 // header (total, next bucket) intact — the conformance contract the
 // top-k client depends on.

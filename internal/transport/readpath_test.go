@@ -22,7 +22,7 @@ import (
 )
 
 // TestDuplicateListScannedOnce: a list named several times in one lookup
-// is scanned, returned and counted once, over both codecs.
+// is scanned, returned and counted once, over the wire.
 func TestDuplicateListScannedOnce(t *testing.T) {
 	for _, codec := range codecs {
 		t.Run(codec.name, func(t *testing.T) {

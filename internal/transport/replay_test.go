@@ -3,6 +3,7 @@ package transport_test
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -201,5 +202,27 @@ func TestApplySemantics(t *testing.T) {
 				t.Errorf("list 4 holds %d elements, want 1", got)
 			}
 		})
+	}
+}
+
+// TestApplyStageValidationDirect pins the server-side stage check below
+// the wire: an OpID carrying an unknown stage is rejected before any
+// mutation, on the direct API as well.
+func TestApplyStageValidationDirect(t *testing.T) {
+	srv, tok := newServer(t)
+	before := serverFingerprint(srv)
+	err := srv.Apply(context.Background(), tok,
+		transport.OpID{ID: 5, Stage: 9},
+		[]transport.InsertOp{{List: 1, Share: sampleShare(1, 10)}}, nil)
+	if err == nil || !strings.Contains(err.Error(), "unknown mutation stage") {
+		t.Fatalf("Apply with stage 9: err = %v, want unknown-stage error", err)
+	}
+	if got := serverFingerprint(srv); got != before {
+		t.Errorf("rejected stage mutated the server: %s -> %s", before, got)
+	}
+	// The zero OpID (stage 0) stays valid: it means "no deduplication".
+	if err := srv.Apply(context.Background(), tok, transport.OpID{},
+		[]transport.InsertOp{{List: 1, Share: sampleShare(1, 10)}}, nil); err != nil {
+		t.Fatalf("zero OpID rejected: %v", err)
 	}
 }

@@ -3,8 +3,8 @@ package transport_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -34,28 +34,21 @@ func sampleShare(gid posting.GlobalID, y uint64) posting.EncryptedShare {
 	return posting.EncryptedShare{GlobalID: gid, Group: 1, Y: field.New(y)}
 }
 
+// serverFingerprint captures everything a rejected request must not
+// change: stored elements and activity stats.
+func serverFingerprint(s *server.Server) string {
+	return fmt.Sprintf("%d/%v/%+v", s.TotalElements(), s.ListLengths(), s.StatsSnapshot())
+}
+
 // codecs is the wire matrix the conformance suite runs over: every test
 // that exercises client/server behavior through a real socket runs once
-// per codec, so the binary transport inherits the whole HTTP contract.
+// per codec, under the codec's name. The binary framed codec is the only
+// one.
 var codecs = []struct {
 	name string
 	dial func(t testing.TB, api transport.API) transport.API
 }{
-	{"http", dialHTTPCodec},
 	{"binary", dialBinaryCodec},
-}
-
-// dialHTTPCodec serves api over a loopback HTTP server and dials back
-// through the JSON client. Cleanup tears the server down.
-func dialHTTPCodec(t testing.TB, api transport.API) transport.API {
-	t.Helper()
-	ts := httptest.NewServer(transport.NewHTTPHandler(api))
-	t.Cleanup(ts.Close)
-	c, err := transport.DialHTTP(ts.URL, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
 }
 
 // dialBinaryCodec serves api over a loopback binary listener and dials
@@ -225,11 +218,8 @@ func TestWireForbidden(t *testing.T) {
 }
 
 func TestDialBadAddress(t *testing.T) {
-	if _, err := transport.DialHTTP("http://127.0.0.1:1", 200*time.Millisecond); err == nil {
-		t.Error("dialing a dead HTTP address must fail")
-	}
 	if _, err := transport.DialBinary("127.0.0.1:1", 200*time.Millisecond); err == nil {
-		t.Error("dialing a dead binary address must fail")
+		t.Error("dialing a dead address must fail")
 	}
 }
 

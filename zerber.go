@@ -273,49 +273,40 @@
 //
 // # Wire protocol
 //
-// Share traffic between peers, searchers, and index servers crosses
-// one of two interchangeable codecs behind the same transport.API
-// interface, selected per listener by the -transport flag of
-// zerber-server and per address by the clients (bare host:port dials
-// binary, http:// dials JSON):
-//
-//   - "binary" (the default) is a length-prefixed binary framing:
-//     every message is a 4-byte little-endian length, the payload, and
-//     a CRC32 — the same frame format (package wal) the peer journal
-//     and the disk engine's segments use on disk, so torn and corrupted
-//     frames are detected identically in both places. Payloads are
-//     fixed-width field encodings (a share is exactly 20 bytes on the
-//     wire), and decoding validates lengths before reading. A frame is
-//     written once: both ends build it in place, header to checksum, in
-//     the buffer it is sent from, and read it into a buffer of the same
-//     kind; those buffers are recycled once written or decoded, never
-//     shared between two messages at a time, and only a frame's own
-//     bytes are ever sent from one. What a lookup allocates per call is
-//     the shares it returns. Each client holds one persistent TCP connection per
-//     server and pipelines concurrent requests over it, tagging every
-//     frame with a request ID so responses can return in any order;
-//     a dead connection is redialed lazily with exponential backoff,
-//     which is safe because mutations are exactly-once by operation-ID
-//     dedup regardless of transport retries.
-//   - "http" is a JSON/HTTP debug transport with the identical error
-//     contract (401 authentication, 403 authorization, 400 malformed).
-//     Prefer it when wire traffic should be readable in a proxy or
-//     curl-able; it costs roughly an order of magnitude more CPU and
-//     several times more allocations per payload than the binary codec
-//     (see BENCH_index.json).
-//
-// Each listener serves exactly one codec (transport.ServeBinary or the
-// HTTP handler), and the conformance test suite, the fault-injecting
-// simulator, and the soak all run over both codecs, so the two stay
-// behaviorally identical.
+// Share traffic between peers, searchers, and index servers crosses one
+// wire, the binary framed protocol behind transport.API: zerber-server
+// serves it (transport.ServeBinary) and the clients dial it with a bare
+// host:port or a binary:// address (transport.DialBinary), which refuses
+// any other scheme by name. Every message is a 4-byte little-endian
+// length, the payload, and a CRC32 — the same frame format (package
+// wal) the peer journal and the disk engine's segments use on disk, so
+// torn and corrupted frames are detected identically in both places.
+// Payloads are fixed-width field encodings (a share is exactly 20 bytes
+// on the wire), and decoding validates lengths before reading. A frame
+// is written once: both ends build it in place, header to checksum, in
+// the buffer it is sent from, and read it into a buffer of the same
+// kind; those buffers are recycled once written or decoded, never
+// shared between two messages at a time, and only a frame's own bytes
+// are ever sent from one. What a lookup allocates per call is the
+// shares it returns. Each client holds one persistent TCP connection
+// per server and pipelines concurrent requests over it, tagging every
+// frame with a request ID so responses can return in any order; a dead
+// connection is redialed lazily with exponential backoff, which is safe
+// because mutations are exactly-once by operation-ID dedup regardless
+// of transport retries. A rejected request gets an addressed error
+// status in HTTP's numbering (401 authentication, 403 authorization,
+// 400 malformed) and leaves the connection serving; only a torn or
+// corrupt frame drops it. The conformance suite, a tier of the
+// fault-injecting simulator (sim.Config.BinaryWire), and the soak all
+// run over it.
 //
 // # Soak
 //
 // The simulator proves correctness under injected faults, one operation
 // at a time; cmd/zerber-loadgen (logic in internal/load) is the
 // fault-free complement that runs everything at once over real TCP:
-// each server on its own loopback listener serving the binary or HTTP
-// codec, concurrent searchers replaying the Zipfian query-frequency
+// each server on its own loopback listener serving the binary wire,
+// concurrent searchers replaying the Zipfian query-frequency
 // model on both retrieval paths, journaled peers holding a live
 // document set near a target size, group-membership churn, node
 // join/leave with live migration, and periodic proactive resharing.
