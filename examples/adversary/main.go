@@ -64,7 +64,7 @@ func main() {
 	// Attack 1 (§4): learn per-term document frequencies. She sees only
 	// merged list lengths.
 	fmt.Println("\n[attack 1] posting list lengths visible to Alice:")
-	lengths := compromised.ListLengths()
+	lengths := compromised.Store().ListLengths()
 	var lids []int
 	for lid := range lengths {
 		lids = append(lids, int(lid))
@@ -81,8 +81,8 @@ func main() {
 	table := cluster.Table()
 	lid := table.ListOf("hesselhofer")
 	fmt.Printf("\n[attack 2] 'hesselhofer' maps to list %d; Alice inspects its %d shares:\n",
-		lid, len(compromised.Store().List(lid)))
-	for i, sh := range compromised.Store().List(lid) {
+		lid, len(compromised.Store().Scan(lid, nil)))
+	for i, sh := range compromised.Store().Scan(lid, nil) {
 		if i == 3 {
 			fmt.Println("  ...")
 			break
@@ -110,7 +110,7 @@ func main() {
 	// Attack 3 (§5.1): reconstruct a posting element from one server's
 	// share alone — information-theoretically impossible: every candidate
 	// secret is consistent with the share.
-	sh := compromised.Store().List(lid)[0]
+	sh := compromised.Store().Scan(lid, nil)[0]
 	x := compromised.XCoord()
 	fmt.Println("\n[attack 3] single-share reconstruction:")
 	for _, guess := range []uint64{0, 424242, 1 << 59} {

@@ -99,7 +99,7 @@ func main() {
 	servers = []*server.Server{open(0), open(1), open(2)}
 	apis = []transport.API{servers[0], servers[1], servers[2]}
 	fmt.Printf("after crash: recovered %d/%d/%d elements per server\n",
-		servers[0].TotalElements(), servers[1].TotalElements(), servers[2].TotalElements())
+		servers[0].Store().TotalElements(), servers[1].Store().TotalElements(), servers[2].Store().TotalElements())
 
 	cl, err := client.New(apis, 2, table, voc)
 	if err != nil {
@@ -137,7 +137,7 @@ func main() {
 	err = p2.UpdateDocument(tok, peer.Document{ID: 10, Content: "merger layoff", Group: 1})
 	fmt.Printf("update interrupted between stages: %v\n", err)
 	fmt.Printf("elements per server mid-crash: %d/%d/%d (old+new generations coexist; nothing lost)\n",
-		servers[0].TotalElements(), servers[1].TotalElements(), servers[2].TotalElements())
+		servers[0].Store().TotalElements(), servers[1].Store().TotalElements(), servers[2].Store().TotalElements())
 	p2.Close() // power cut on the owner's machine
 
 	p2 = newSite2()
@@ -148,7 +148,7 @@ func main() {
 	}
 	fmt.Printf("Recover() completed %d op(s); elements per server: %d/%d/%d (superseded generation gone)\n",
 		done,
-		servers[0].TotalElements(), servers[1].TotalElements(), servers[2].TotalElements())
+		servers[0].Store().TotalElements(), servers[1].Store().TotalElements(), servers[2].Store().TotalElements())
 	res, _, err = cl.Search(tok, []string{"layoff"}, 10)
 	if err != nil {
 		log.Fatal(err)
@@ -164,17 +164,17 @@ func main() {
 
 	// --- 3. Proactive resharing --------------------------------------
 	var lid merging.ListID
-	for l := range servers[0].ListLengths() {
+	for l := range servers[0].Store().ListLengths() {
 		lid = l
 		break
 	}
-	stolen := servers[0].Store().List(lid) // adversary snapshots server 0 today
+	stolen := servers[0].Store().Scan(lid, nil) // adversary snapshots server 0 today
 	// What the stolen share + a current server-1 share decode to, before
 	// and after the refresh.
 	xs := []field.Element{servers[0].XCoord(), servers[1].XCoord()}
 	decodeMix := func() posting.Element {
 		freshByID := map[posting.GlobalID]posting.EncryptedShare{}
-		for _, sh := range servers[1].Store().List(lid) {
+		for _, sh := range servers[1].Store().Scan(lid, nil) {
 			freshByID[sh.GlobalID] = sh
 		}
 		elem, err := posting.Decrypt(

@@ -132,10 +132,13 @@ func newPlanBench(tb testing.TB, lens [3]int) planBench {
 // 4,096 it cost top-k 5% of its throughput, and no workload there has one
 // list long beside short ones. So the planner counts terms, and streaming
 // a several-term query waits for a workload that shows it winning.
+//
+// The table above is the record of every cell. The benchmark runs only
+// the four that carry the rule, 1 and 3 terms at 8,000 and 32,000.
 func BenchmarkTopKPlan(b *testing.B) {
-	for _, listLen := range []int{500, 2000, 8000, 32000} {
+	for _, listLen := range []int{8000, 32000} {
 		pb := newPlanBench(b, [3]int{listLen, 500, 500})
-		for nTerms := 1; nTerms <= 3; nTerms++ {
+		for _, nTerms := range []int{1, 3} {
 			query := planTerms[:nTerms]
 			for _, plan := range []struct {
 				name   string

@@ -80,8 +80,8 @@ func BenchmarkMigrationThroughput(b *testing.B) {
 			b.Fatalf("join %s: %v", name, err)
 		}
 		srv, _ := slot.Node(name)
-		moved += len(srv.ListLengths())
-		held := len(srv.ListLengths())
+		moved += len(srv.Store().ListLengths())
+		held := len(srv.Store().ListLengths())
 		if err := slot.RemoveNode(name); err != nil {
 			b.Fatalf("leave %s: %v", name, err)
 		}

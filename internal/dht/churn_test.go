@@ -73,7 +73,7 @@ func checkSlotSettled(t *testing.T, slot *dht.Slot, want map[posting.GlobalID]bo
 		if err := store.CheckInvariants(srv.Store()); err != nil {
 			t.Fatalf("node %s: %v", name, err)
 		}
-		for lid := range srv.ListLengths() {
+		for lid := range srv.Store().ListLengths() {
 			ringOwner, err := slot.RingOwnerOfList(lid)
 			if err != nil {
 				t.Fatal(err)
@@ -81,7 +81,7 @@ func checkSlotSettled(t *testing.T, slot *dht.Slot, want map[posting.GlobalID]bo
 			if ringOwner != name {
 				t.Errorf("list %d on node %s, ring owner %s (settled slot must match the ring)", lid, name, ringOwner)
 			}
-			for _, sh := range srv.Store().List(lid) {
+			for _, sh := range srv.Store().Scan(lid, nil) {
 				if prev, dup := seen[sh.GlobalID]; dup {
 					t.Fatalf("element %d stored on both %s and %s", sh.GlobalID, prev, name)
 				}
@@ -257,16 +257,16 @@ func TestCrashMidCopy(t *testing.T) {
 
 	// Target holds no half-ingested list: every aborted move cleaned up.
 	n1, _ := slot.Node("n1")
-	if got := n1.TotalElements(); got != 0 {
+	if got := n1.Store().TotalElements(); got != 0 {
 		// Fully cut-over lists are allowed on n1; partially copied ones
 		// are not. Verify every list on n1 is complete and ring-owned.
-		for lid := range n1.ListLengths() {
+		for lid := range n1.Store().ListLengths() {
 			owner, _ := slot.RingOwnerOfList(lid)
 			if owner != "n1" {
 				t.Fatalf("n1 holds list %d it does not own", lid)
 			}
-			if len(n1.Store().List(lid)) != 10 {
-				t.Fatalf("n1 holds %d of 10 shares of list %d — half-ingested list survived the abort", len(n1.Store().List(lid)), lid)
+			if len(n1.Store().Scan(lid, nil)) != 10 {
+				t.Fatalf("n1 holds %d of 10 shares of list %d — half-ingested list survived the abort", len(n1.Store().Scan(lid, nil)), lid)
 			}
 		}
 	}
@@ -291,7 +291,7 @@ func TestCrashMidCopy(t *testing.T) {
 	// Heal the wire; Rebalance converges and n1 gets its lists.
 	slot.SetTransferSink(nil)
 	checkSlotSettled(t, slot, want)
-	if n1.TotalElements() == 0 {
+	if n1.Store().TotalElements() == 0 {
 		t.Fatal("after rebalance the new node should own some lists")
 	}
 }

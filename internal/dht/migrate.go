@@ -335,7 +335,7 @@ func (s *Slot) runMove(lid merging.ListID, src, dst string, ep Epoch) error {
 	mv := &listMove{src: src, dst: dst, epoch: ep}
 	s.moves[lid] = mv
 	delete(s.stale, lid) // the move record overrides routing; restored on abort
-	snapshot := srcSrv.Store().List(lid)
+	snapshot := srcSrv.Store().Scan(lid, nil)
 	s.mu.Unlock()
 
 	// Copy phase: stream the snapshot in chunks. The source keeps
@@ -407,7 +407,7 @@ func (s *Slot) drainRound(mv *listMove, srcSrv *server.Server, lid merging.ListI
 		return nil
 	}
 	current := make(map[posting.GlobalID]posting.EncryptedShare)
-	for _, sh := range srcSrv.Store().List(lid) {
+	for _, sh := range srcSrv.Store().Scan(lid, nil) {
 		current[sh.GlobalID] = sh
 	}
 	var upserts []posting.EncryptedShare
@@ -495,7 +495,7 @@ func (s *Slot) rebalanceLocked(ep Epoch) error {
 			delete(s.stale, lid)
 			continue
 		}
-		if _, has := srv.ListLengths()[lid]; !has {
+		if _, n, _ := srv.Store().ScanRange(lid, 0, 0, nil); n == 0 {
 			delete(s.stale, lid)
 		}
 	}
@@ -532,7 +532,7 @@ func (s *Slot) rebalanceLocked(ep Epoch) error {
 	var plans []movePlan
 	s.mu.RLock()
 	for name, srv := range s.nodes {
-		for lid := range srv.ListLengths() {
+		for lid := range srv.Store().ListLengths() {
 			owner, err := s.ownerOfLocked(lid)
 			if err != nil || owner != name {
 				continue // not this node's authoritative data (cleanup leftover)
@@ -561,7 +561,7 @@ func (s *Slot) rebalanceLocked(ep Epoch) error {
 	// Fully drained leaving nodes are gone for good.
 	s.mu.Lock()
 	for name := range s.draining {
-		if len(s.nodes[name].ListLengths()) == 0 {
+		if s.nodes[name].Store().TotalElements() == 0 {
 			delete(s.nodes, name)
 			delete(s.draining, name)
 		}

@@ -135,7 +135,7 @@ func (s *Slot) AddNode(name string, srv *server.Server) error {
 func (s *Slot) heldAuthorityLocked() map[merging.ListID]string {
 	out := make(map[merging.ListID]string)
 	for name, srv := range s.nodes {
-		for lid := range srv.ListLengths() {
+		for lid := range srv.Store().ListLengths() {
 			if owner, err := s.ownerOfLocked(lid); err == nil && owner == name {
 				out[lid] = name
 			}
@@ -418,7 +418,7 @@ func (s *Slot) ListDistribution() map[string]int {
 	defer s.mu.RUnlock()
 	out := make(map[string]int, len(s.nodes))
 	for name, srv := range s.nodes {
-		out[name] = len(srv.ListLengths())
+		out[name] = len(srv.Store().ListLengths())
 	}
 	return out
 }

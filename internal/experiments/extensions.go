@@ -185,8 +185,8 @@ func (e *Env) BatchingAblation() (*Report, error) {
 		// shares trivially decodable; the adversary metric only needs the
 		// doc <- element mapping, not a real attack).
 		var arrivals []uint32
-		for lid := range srv.ListLengths() {
-			for _, sh := range srv.Store().List(lid) {
+		for lid := range srv.Store().ListLengths() {
+			for _, sh := range srv.Store().Scan(lid, nil) {
 				elem, err := posting.Decrypt(
 					[]posting.EncryptedShare{sh}, []field.Element{srv.XCoord()}, 1)
 				if err != nil {

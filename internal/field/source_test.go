@@ -2,7 +2,6 @@ package field
 
 import (
 	"bytes"
-	crand "crypto/rand"
 	"testing"
 )
 
@@ -187,15 +186,6 @@ func BenchmarkInvChain(b *testing.B) {
 	_ = x
 }
 
-func BenchmarkInvGenericPow(b *testing.B) {
-	x := New(1234567891234567)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		x = Pow(x, P-2)
-	}
-	_ = x
-}
-
 // BenchmarkFillRandDRBG measures the buffered bulk path: one document's
 // worth of coefficients per op.
 func BenchmarkFillRandDRBG(b *testing.B) {
@@ -206,25 +196,6 @@ func BenchmarkFillRandDRBG(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := src.FillRand(dst); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFillRandCryptoDirect is the pre-pipeline baseline: the same
-// 5000 elements drawn through one 8-byte crypto/rand read per attempt,
-// exactly what Rand(nil) did before the buffered source existed.
-func BenchmarkFillRandCryptoDirect(b *testing.B) {
-	src := NewShareSource(crand.Reader) // pass-through: 8 bytes per draw
-	dst := make([]Element, 5000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range dst {
-			e, err := src.Element()
-			if err != nil {
-				b.Fatal(err)
-			}
-			dst[j] = e
 		}
 	}
 }

@@ -377,7 +377,7 @@ func checkState(cluster *zerber.Cluster, mutators []*mutator) error {
 	}
 	stored := make(map[field.Element]int) // slot x-coordinate -> elements
 	for _, s := range cluster.Servers() {
-		stored[s.XCoord()] += s.TotalElements()
+		stored[s.XCoord()] += s.Store().TotalElements()
 	}
 	if len(stored) != cluster.N() {
 		return fmt.Errorf("load: after the run: %d share slots hold servers, want %d", len(stored), cluster.N())

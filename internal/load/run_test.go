@@ -128,7 +128,7 @@ func TestCheckStateIsNotVacuous(t *testing.T) {
 		t.Errorf("orphan element: checkState = %v", err)
 	}
 	st.DeleteIf(lid, orphan.GlobalID, nil)
-	st.DeleteIf(lid, st.List(lid)[0].GlobalID, nil)
+	st.DeleteIf(lid, st.Scan(lid, nil)[0].GlobalID, nil)
 	if err := checkState(cluster, peers); err == nil || !strings.Contains(err.Error(), "slot x=1 stores 2 elements, peers committed 3") {
 		t.Errorf("lost element: checkState = %v", err)
 	}

@@ -307,7 +307,7 @@ func TestEncryptWorkersParallelPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, s := range tc.servers {
-		if got := s.TotalElements(); got != terms {
+		if got := s.Store().TotalElements(); got != terms {
 			t.Fatalf("server %d holds %d elements, want %d", i, got, terms)
 		}
 	}
@@ -316,10 +316,10 @@ func TestEncryptWorkersParallelPipeline(t *testing.T) {
 	decrypted := 0
 	for _, lid := range tc.table.ListsOf(names) {
 		byID := make(map[posting.GlobalID]posting.EncryptedShare)
-		for _, sh := range tc.servers[0].Store().List(lid) {
+		for _, sh := range tc.servers[0].Store().Scan(lid, nil) {
 			byID[sh.GlobalID] = sh
 		}
-		for _, sh := range tc.servers[1].Store().List(lid) {
+		for _, sh := range tc.servers[1].Store().Scan(lid, nil) {
 			first, ok := byID[sh.GlobalID]
 			if !ok {
 				t.Fatalf("element %d missing on server 0", sh.GlobalID)
@@ -448,10 +448,10 @@ func TestBatchFlushRetryResendsIdenticalShares(t *testing.T) {
 		perDoc := make(map[uint32]int)
 		for _, lid := range tc.table.ListsOf(terms) {
 			byID := make(map[posting.GlobalID]posting.EncryptedShare)
-			for _, sh := range a.Store().List(lid) {
+			for _, sh := range a.Store().Scan(lid, nil) {
 				byID[sh.GlobalID] = sh
 			}
-			for _, sh := range c.Store().List(lid) {
+			for _, sh := range c.Store().Scan(lid, nil) {
 				first, ok := byID[sh.GlobalID]
 				if !ok {
 					t.Fatalf("servers %v: element %d missing", pair, sh.GlobalID)
@@ -494,7 +494,7 @@ func TestIndexEmptyDocument(t *testing.T) {
 	if p.NumDocs() != 1 {
 		t.Fatalf("NumDocs = %d, want 1", p.NumDocs())
 	}
-	if got := tc.servers[0].TotalElements(); got != 0 {
+	if got := tc.servers[0].Store().TotalElements(); got != 0 {
 		t.Fatalf("server holds %d elements for an empty document", got)
 	}
 }

@@ -42,7 +42,7 @@ func TestMutateAllocationBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if got := tc.servers[0].TotalElements(); got != 50 {
+	if got := tc.servers[0].Store().TotalElements(); got != 50 {
 		t.Fatalf("server holds %d elements after the updates, want the document's 50", got)
 	}
 	t.Logf("%.0f allocations per 3-term update of a 50-term document", allocs)

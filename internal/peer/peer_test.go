@@ -91,7 +91,7 @@ func TestIndexDocumentReachesAllServers(t *testing.T) {
 	}
 	// Two distinct terms -> 2 elements on each of the 3 servers.
 	for i, s := range tc.servers {
-		if got := s.TotalElements(); got != 2 {
+		if got := s.Store().TotalElements(); got != 2 {
 			t.Errorf("server %d has %d elements, want 2", i, got)
 		}
 	}
@@ -126,7 +126,7 @@ func TestDeleteDocumentRemovesAllElements(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, s := range tc.servers {
-		if got := s.TotalElements(); got != 0 {
+		if got := s.Store().TotalElements(); got != 0 {
 			t.Errorf("server %d still has %d elements", i, got)
 		}
 	}
@@ -160,7 +160,7 @@ func TestUpdateDocumentSendsOnlyDiff(t *testing.T) {
 	if deletes := after.Deletes - before.Deletes; deletes != 1 {
 		t.Errorf("update deleted %d elements, want 1 (only the removed term)", deletes)
 	}
-	if got := tc.servers[0].TotalElements(); got != 2 {
+	if got := tc.servers[0].Store().TotalElements(); got != 2 {
 		t.Errorf("server holds %d elements after update, want 2", got)
 	}
 }
@@ -195,14 +195,14 @@ func TestBatchFlushAtomicity(t *testing.T) {
 		t.Fatalf("batch holds %d docs / %d elements", b.Len(), b.Elements())
 	}
 	// Nothing sent before flush.
-	if tc.servers[0].TotalElements() != 0 {
+	if tc.servers[0].Store().TotalElements() != 0 {
 		t.Fatal("batch leaked elements before Flush")
 	}
 	if err := b.Flush(tok); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range tc.servers {
-		if got := s.TotalElements(); got != 5 {
+		if got := s.Store().TotalElements(); got != 5 {
 			t.Errorf("server %d has %d elements, want 5", i, got)
 		}
 	}
@@ -253,7 +253,7 @@ func TestBatchShufflesAcrossDocuments(t *testing.T) {
 	p.mu.RUnlock()
 	var order []bool // true = doc1 element, in arrival order per list
 	for _, lid := range tc.table.ListsOf(corpusTerms) {
-		for _, sh := range tc.servers[0].Store().List(lid) {
+		for _, sh := range tc.servers[0].Store().Scan(lid, nil) {
 			order = append(order, doc1[uint64(sh.GlobalID)])
 		}
 	}
@@ -309,7 +309,7 @@ func TestInsertUnauthorizedGroupFails(t *testing.T) {
 	if err == nil {
 		t.Fatal("indexing into a foreign group must fail")
 	}
-	if tc.servers[0].TotalElements() != 0 {
+	if tc.servers[0].Store().TotalElements() != 0 {
 		t.Error("unauthorized insert left elements behind")
 	}
 }

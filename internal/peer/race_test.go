@@ -125,8 +125,8 @@ func TestRecoverRacesFreshMutations(t *testing.T) {
 			}
 			for i, s := range tc.servers {
 				seen := make(map[uint64]bool)
-				for lid := range s.ListLengths() {
-					for _, sh := range s.Store().List(lid) {
+				for lid := range s.Store().ListLengths() {
+					for _, sh := range s.Store().Scan(lid, nil) {
 						if _, want := expected[sh.GlobalID]; !want {
 							t.Errorf("server %d: orphaned element %d", i, sh.GlobalID)
 						}

@@ -122,8 +122,8 @@ func assertExactlyExpected(t *testing.T, tc *testCluster, expected map[posting.G
 	t.Helper()
 	for i, s := range tc.servers {
 		seen := make(map[posting.GlobalID]bool)
-		for lid := range s.ListLengths() {
-			for _, sh := range s.Store().List(lid) {
+		for lid := range s.Store().ListLengths() {
+			for _, sh := range s.Store().Scan(lid, nil) {
 				if _, want := expected[sh.GlobalID]; !want {
 					t.Errorf("server %d: orphaned element %d in list %d", i, sh.GlobalID, lid)
 				}
@@ -183,8 +183,8 @@ func TestUpdateRecoveryAfterCrash(t *testing.T) {
 			}
 			for i, s := range tc.servers {
 				fresh := 0
-				for lid := range s.ListLengths() {
-					for _, sh := range s.Store().List(lid) {
+				for lid := range s.Store().ListLengths() {
+					for _, sh := range s.Store().Scan(lid, nil) {
 						if _, was := old[sh.GlobalID]; !was {
 							fresh++
 						}
@@ -194,7 +194,7 @@ func TestUpdateRecoveryAfterCrash(t *testing.T) {
 					t.Fatalf("server %d holds %d fresh elements, want the one inserted", i, fresh)
 				}
 			}
-			if got := tc.servers[1].TotalElements(); got != 3 {
+			if got := tc.servers[1].Store().TotalElements(); got != 3 {
 				t.Fatalf("the failed server should still hold both generations, has %d elements", got)
 			}
 			if err := p1.Close(); err != nil { // crash: drop the peer
@@ -311,12 +311,12 @@ func TestCrashMidInsertStage(t *testing.T) {
 			for _, pair := range [][2]int{{0, 2}, {1, 2}} {
 				a, b := tc.servers[pair[0]], tc.servers[pair[1]]
 				xs := []field.Element{a.XCoord(), b.XCoord()}
-				for lid := range a.ListLengths() {
+				for lid := range a.Store().ListLengths() {
 					byID := make(map[posting.GlobalID]posting.EncryptedShare)
-					for _, sh := range b.Store().List(lid) {
+					for _, sh := range b.Store().Scan(lid, nil) {
 						byID[sh.GlobalID] = sh
 					}
-					for _, sh := range a.Store().List(lid) {
+					for _, sh := range a.Store().Scan(lid, nil) {
 						other, ok := byID[sh.GlobalID]
 						if !ok {
 							t.Fatalf("servers %v: element %d missing", pair, sh.GlobalID)

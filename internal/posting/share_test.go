@@ -195,28 +195,6 @@ func BenchmarkEncryptBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkEncryptSequential is the per-element baseline the pipeline
-// replaced: one Encrypt call (validate, allocate polynomial, allocate
-// shares) per element, then the per-server regroup copy.
-func BenchmarkEncryptSequential(b *testing.B) {
-	elems, gids, xs := bench5kDoc(b)
-	src := field.NewShareSource(nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		perServer := make([][]EncryptedShare, len(xs))
-		for e, el := range elems {
-			shares, err := Encrypt(el, gids[e], 1, 2, xs, src)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for j, sh := range shares {
-				perServer[j] = append(perServer[j], sh)
-			}
-		}
-	}
-}
-
 // TestEncryptBatchIntoBoundsChecked: an undersized destination row must
 // surface as an error, not a panic inside a worker goroutine.
 func TestEncryptBatchIntoBoundsChecked(t *testing.T) {

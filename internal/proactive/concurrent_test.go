@@ -57,8 +57,8 @@ func snapshotShares(servers []*server.Server) []map[merging.ListID][]posting.Enc
 	out := make([]map[merging.ListID][]posting.EncryptedShare, len(servers))
 	for i, s := range servers {
 		m := make(map[merging.ListID][]posting.EncryptedShare)
-		for lid := range s.Store().Keys() {
-			m[lid] = s.Store().List(lid)
+		for lid := range s.Store().ListLengths() {
+			m[lid] = s.Store().Scan(lid, nil)
 		}
 		out[i] = m
 	}

@@ -21,6 +21,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 
 	"zerber/internal/field"
 	"zerber/internal/merging"
@@ -64,9 +66,9 @@ func Reshare(servers []*server.Server, k int, rng io.Reader) (int, error) {
 	// Agree on the element inventory, read from the storage engines
 	// directly: resharing is a trusted server-to-server protocol below
 	// the client API.
-	base := servers[0].Store().Keys()
+	base := inventory(servers[0].Store())
 	for _, s := range servers[1:] {
-		if !sameInventory(base, s.Store().Keys()) {
+		if !sameInventory(base, inventory(s.Store())) {
 			return 0, fmt.Errorf("%w: %s differs from %s",
 				ErrInconsistent, s.Name(), servers[0].Name())
 		}
@@ -131,7 +133,7 @@ func Reshare(servers []*server.Server, k int, rng io.Reader) (int, error) {
 	// earlier servers already refreshed, and an element whose stage
 	// landed on only some servers would be refreshed asymmetrically.
 	for _, s := range servers {
-		if !sameInventory(base, s.Store().Keys()) {
+		if !sameInventory(base, inventory(s.Store())) {
 			return 0, fmt.Errorf("%w: inventory on %s changed during delta generation",
 				ErrConcurrentMutation, s.Name())
 		}
@@ -182,20 +184,31 @@ func rollback(servers []*server.Server, deltas []map[merging.ListID]map[posting.
 	return errors.Join(errs...)
 }
 
-func sameInventory(a, b map[merging.ListID][]posting.GlobalID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for lid, ids := range a {
-		other, ok := b[lid]
-		if !ok || len(other) != len(ids) {
+// inventory is one server's stored element set as list -> ascending
+// global IDs: its list lengths, then each list's IDs through a ranged
+// read. A ranged read does not admit a cold list to a disk engine's
+// cache, so a round leaves the cache as it found it. A list that
+// vanished between the two calls is skipped.
+func inventory(st store.Store) map[merging.ListID][]posting.GlobalID {
+	lengths := st.ListLengths()
+	out := make(map[merging.ListID][]posting.GlobalID, len(lengths))
+	for lid, n := range lengths {
+		ids := make([]posting.GlobalID, 0, n)
+		// The filter collects each ID and keeps no share, so the read
+		// copies no shares out.
+		st.ScanRange(lid, 0, n, func(sh posting.EncryptedShare) bool {
+			ids = append(ids, sh.GlobalID)
 			return false
+		})
+		if len(ids) == 0 {
+			continue
 		}
-		for i := range ids {
-			if ids[i] != other[i] {
-				return false
-			}
-		}
+		slices.Sort(ids)
+		out[lid] = ids
 	}
-	return true
+	return out
+}
+
+func sameInventory(a, b map[merging.ListID][]posting.GlobalID) bool {
+	return maps.EqualFunc(a, b, slices.Equal[[]posting.GlobalID])
 }

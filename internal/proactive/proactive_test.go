@@ -81,12 +81,12 @@ func decryptAll(t *testing.T, f *fixture, a, b int) map[posting.GlobalID]posting
 	t.Helper()
 	out := make(map[posting.GlobalID]posting.Element)
 	xs := []field.Element{f.servers[a].XCoord(), f.servers[b].XCoord()}
-	for lid := range f.servers[a].ListLengths() {
+	for lid := range f.servers[a].Store().ListLengths() {
 		byID := make(map[posting.GlobalID]posting.EncryptedShare)
-		for _, sh := range f.servers[a].Store().List(lid) {
+		for _, sh := range f.servers[a].Store().Scan(lid, nil) {
 			byID[sh.GlobalID] = sh
 		}
-		for _, sh := range f.servers[b].Store().List(lid) {
+		for _, sh := range f.servers[b].Store().Scan(lid, nil) {
 			first, ok := byID[sh.GlobalID]
 			if !ok {
 				t.Fatalf("element %d missing on server %d", sh.GlobalID, a)
@@ -132,15 +132,15 @@ func TestReshareKeepsSecrets(t *testing.T) {
 func TestReshareChangesShares(t *testing.T) {
 	f := build(t)
 	var lid merging.ListID
-	for l := range f.servers[0].ListLengths() {
+	for l := range f.servers[0].Store().ListLengths() {
 		lid = l
 		break
 	}
-	before := f.servers[0].Store().List(lid)
+	before := f.servers[0].Store().Scan(lid, nil)
 	if _, err := proactive.Reshare(f.servers, 2, rand.New(rand.NewSource(3))); err != nil {
 		t.Fatal(err)
 	}
-	after := f.servers[0].Store().List(lid)
+	after := f.servers[0].Store().Scan(lid, nil)
 	changed := false
 	for i := range before {
 		if before[i].Y != after[i].Y {
@@ -156,11 +156,11 @@ func TestReshareNeutralizesStolenShares(t *testing.T) {
 	f := build(t)
 	// Adversary snapshots server 0 before the refresh.
 	var lid merging.ListID
-	for l := range f.servers[0].ListLengths() {
+	for l := range f.servers[0].Store().ListLengths() {
 		lid = l
 		break
 	}
-	stolen := f.servers[0].Store().List(lid)
+	stolen := f.servers[0].Store().Scan(lid, nil)
 	before := decryptAll(t, f, 0, 1)
 
 	if _, err := proactive.Reshare(f.servers, 2, rand.New(rand.NewSource(4))); err != nil {
@@ -170,7 +170,7 @@ func TestReshareNeutralizesStolenShares(t *testing.T) {
 	// Stolen (pre-refresh) share + fresh share from server 1 must NOT
 	// reconstruct the real element.
 	freshByID := make(map[posting.GlobalID]posting.EncryptedShare)
-	for _, sh := range f.servers[1].Store().List(lid) {
+	for _, sh := range f.servers[1].Store().Scan(lid, nil) {
 		freshByID[sh.GlobalID] = sh
 	}
 	xs := []field.Element{f.servers[0].XCoord(), f.servers[1].XCoord()}

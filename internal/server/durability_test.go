@@ -115,7 +115,7 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	if err := p.DeleteDocument(tok, 2); err != nil {
 		t.Fatal(err)
 	}
-	wantElements := servers[0].TotalElements()
+	wantElements := servers[0].Store().TotalElements()
 	if wantElements == 0 {
 		t.Fatal("nothing indexed")
 	}
@@ -124,7 +124,7 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	apis = apis[:0]
 	for i := 0; i < 3; i++ {
 		srv, _ := e.open(t, i)
-		if got := srv.TotalElements(); got != wantElements {
+		if got := srv.Store().TotalElements(); got != wantElements {
 			t.Fatalf("server %d has %d elements after recovery, want %d", i, got, wantElements)
 		}
 		apis = append(apis, srv)
@@ -177,8 +177,8 @@ func TestTornWriteRecovery(t *testing.T) {
 	f.Close()
 
 	revived, _ := e.open(t, 0)
-	if revived.TotalElements() != 2 {
-		t.Fatalf("recovered %d elements, want 2", revived.TotalElements())
+	if revived.Store().TotalElements() != 2 {
+		t.Fatalf("recovered %d elements, want 2", revived.Store().TotalElements())
 	}
 	// The server accepts new writes after torn-tail truncation, and they
 	// survive the next restart.
@@ -186,8 +186,8 @@ func TestTornWriteRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	again, _ := e.open(t, 0)
-	if again.TotalElements() != 3 {
-		t.Fatalf("after torn recovery + append: recovered %d elements, want 3", again.TotalElements())
+	if again.Store().TotalElements() != 3 {
+		t.Fatalf("after torn recovery + append: recovered %d elements, want 3", again.Store().TotalElements())
 	}
 }
 
@@ -212,8 +212,8 @@ func TestUnauthorizedWritesNeverLogged(t *testing.T) {
 		t.Fatalf("rejected writes reached the log: %d bytes, %d when empty", got, empty)
 	}
 	revived, _ := e.open(t, 0)
-	if revived.TotalElements() != 0 {
-		t.Fatalf("rejected writes leaked into the store: %d elements after reopen", revived.TotalElements())
+	if revived.Store().TotalElements() != 0 {
+		t.Fatalf("rejected writes leaked into the store: %d elements after reopen", revived.Store().TotalElements())
 	}
 }
 

@@ -84,13 +84,10 @@ func TestShardedServerMatchesBaseline(t *testing.T) {
 	if a, b := base.StatsSnapshot(), shrd.StatsSnapshot(); a != b {
 		t.Errorf("Stats diverged: %+v vs %+v", a, b)
 	}
-	if a, b := base.TotalElements(), shrd.TotalElements(); a != b {
+	if a, b := base.Store().TotalElements(), shrd.Store().TotalElements(); a != b {
 		t.Errorf("TotalElements diverged: %d vs %d", a, b)
 	}
-	if a, b := base.StorageBytes(), shrd.StorageBytes(); a != b {
-		t.Errorf("StorageBytes diverged: %d vs %d", a, b)
-	}
-	la, lb := base.ListLengths(), shrd.ListLengths()
+	la, lb := base.Store().ListLengths(), shrd.Store().ListLengths()
 	if len(la) != len(lb) {
 		t.Fatalf("ListLengths size diverged: %d vs %d", len(la), len(lb))
 	}
@@ -131,7 +128,7 @@ func TestDeleteUnauthorizedCountsAppliedStats(t *testing.T) {
 			if !errors.Is(err, ErrUnauthorized) {
 				t.Fatalf("err = %v, want ErrUnauthorized", err)
 			}
-			if got := srv.TotalElements(); got != 2 {
+			if got := srv.Store().TotalElements(); got != 2 {
 				t.Errorf("TotalElements = %d, want 2", got)
 			}
 			if st := srv.StatsSnapshot(); st.Deletes != 1 {
@@ -190,7 +187,7 @@ func TestShuffledInsertsEnterTheStoreOncePerList(t *testing.T) {
 		t.Errorf("Stats.Inserts = %d, want 1000", got)
 	}
 	for lid := merging.ListID(0); lid < 10; lid++ {
-		got, want := counted.List(lid), oneByOne.List(lid)
+		got, want := counted.Scan(lid, nil), oneByOne.Scan(lid, nil)
 		if len(got) != len(want) {
 			t.Fatalf("list %d holds %d shares, one by one %d", lid, len(got), len(want))
 		}

@@ -10,11 +10,12 @@
 //
 // Share storage lives behind the store.Store interface (package store):
 // the server is a policy layer — authentication, group checks, activity
-// stats — over a pluggable storage engine. Trusted node-to-node paths
-// (DHT migration, proactive resharing, the security tests' adversary
-// view) bypass the policy layer and operate on Store() directly; they
-// never see plaintext either, because the engine only ever holds
-// encrypted shares.
+// stats — over a pluggable storage engine. The server re-exports none of
+// the engine's views. Trusted paths — DHT migration, proactive
+// resharing, state checks, and the adversary view of a compromised box
+// (Store().ListLengths() and Store().Scan(lid, nil), §5.2) — use Store()
+// directly; they never see plaintext either, because the engine only
+// ever holds encrypted shares.
 //
 // # Durability
 //
@@ -323,23 +324,6 @@ func (s *Server) GetPostingBlocks(ctx context.Context, tok auth.Token, list merg
 	s.lookups.Add(1)
 	s.served.Add(int64(len(shares)))
 	return transport.BlockPage{Shares: shares, Total: total, Next: next}, nil
-}
-
-// ListLength returns the combined length of a merged posting list — the
-// quantity a compromised server administrator can observe (§5.2).
-func (s *Server) ListLength(lid merging.ListID) int { return s.st.ListLen(lid) }
-
-// ListLengths returns all list lengths: the adversary's complete
-// statistical view of the index contents.
-func (s *Server) ListLengths() map[merging.ListID]int { return s.st.ListLengths() }
-
-// TotalElements returns the number of stored shares.
-func (s *Server) TotalElements() int { return s.st.TotalElements() }
-
-// StorageBytes returns this server's index size under the wire encoding,
-// for the §7.2 storage-overhead experiment.
-func (s *Server) StorageBytes() int {
-	return s.st.TotalElements() * posting.WireBytes
 }
 
 // StatsSnapshot returns a copy of the activity counters.

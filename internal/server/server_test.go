@@ -67,8 +67,8 @@ func TestInsertAndLookup(t *testing.T) {
 	if len(got[99]) != 0 {
 		t.Error("unknown list must come back empty")
 	}
-	if f.srv.TotalElements() != 3 {
-		t.Errorf("TotalElements = %d, want 3", f.srv.TotalElements())
+	if f.srv.Store().TotalElements() != 3 {
+		t.Errorf("TotalElements = %d, want 3", f.srv.Store().TotalElements())
 	}
 }
 
@@ -119,7 +119,7 @@ func TestInsertRequiresGroupMembership(t *testing.T) {
 	if !errors.Is(err, ErrUnauthorized) {
 		t.Fatalf("mixed batch: %v", err)
 	}
-	if f.srv.TotalElements() != 0 {
+	if f.srv.Store().TotalElements() != 0 {
 		t.Error("rejected batch must not leave partial state")
 	}
 }
@@ -151,8 +151,8 @@ func TestDelete(t *testing.T) {
 	if err := transporttest.Delete(context.Background(), f.srv, f.alice, []transport.DeleteOp{{List: 7, ID: 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if f.srv.ListLength(7) != 2 {
-		t.Fatalf("list length = %d, want 2", f.srv.ListLength(7))
+	if len(f.srv.Store().Scan(7, nil)) != 2 {
+		t.Fatalf("list length = %d, want 2", len(f.srv.Store().Scan(7, nil)))
 	}
 	got, err := f.srv.GetPostingLists(context.Background(), f.alice, []merging.ListID{7})
 	if err != nil {
@@ -168,8 +168,8 @@ func TestDelete(t *testing.T) {
 	if err := transporttest.Delete(context.Background(), f.srv, f.alice, []transport.DeleteOp{{List: 7, ID: 99}}); err != nil {
 		t.Errorf("missing delete: %v", err)
 	}
-	if f.srv.ListLength(7) != 2 || f.srv.StatsSnapshot().Deletes != 1 {
-		t.Errorf("missing delete changed state: len=%d stats=%+v", f.srv.ListLength(7), f.srv.StatsSnapshot())
+	if len(f.srv.Store().Scan(7, nil)) != 2 || f.srv.StatsSnapshot().Deletes != 1 {
+		t.Errorf("missing delete changed state: len=%d stats=%+v", len(f.srv.Store().Scan(7, nil)), f.srv.StatsSnapshot())
 	}
 	// Deleting another group's element is unauthorized.
 	if err := transporttest.Insert(context.Background(), f.srv, f.bob, []transport.InsertOp{{List: 8, Share: share(5, 2, 50)}}); err != nil {
@@ -188,10 +188,10 @@ func TestDeleteEmptiesList(t *testing.T) {
 	if err := transporttest.Delete(context.Background(), f.srv, f.alice, []transport.DeleteOp{{List: 3, ID: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if f.srv.ListLength(3) != 0 || f.srv.TotalElements() != 0 {
+	if len(f.srv.Store().Scan(3, nil)) != 0 || f.srv.Store().TotalElements() != 0 {
 		t.Error("list not emptied")
 	}
-	if _, present := f.srv.ListLengths()[3]; present {
+	if _, present := f.srv.Store().ListLengths()[3]; present {
 		t.Error("empty list must disappear from the adversary view")
 	}
 }
@@ -204,8 +204,8 @@ func TestIdempotentReinsertReplacesShare(t *testing.T) {
 	if err := transporttest.Insert(context.Background(), f.srv, f.alice, []transport.InsertOp{{List: 4, Share: share(9, 1, 200)}}); err != nil {
 		t.Fatal(err)
 	}
-	if f.srv.ListLength(4) != 1 {
-		t.Fatalf("duplicate global ID produced %d entries", f.srv.ListLength(4))
+	if len(f.srv.Store().Scan(4, nil)) != 1 {
+		t.Fatalf("duplicate global ID produced %d entries", len(f.srv.Store().Scan(4, nil)))
 	}
 	got, err := f.srv.GetPostingLists(context.Background(), f.alice, []merging.ListID{4})
 	if err != nil {
@@ -252,16 +252,13 @@ func TestAdversaryViewOnlyLengths(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	raw := f.srv.Store().List(2)
+	raw := f.srv.Store().Scan(2, nil)
 	if len(raw) != 2 {
 		t.Fatalf("raw list = %d entries", len(raw))
 	}
-	lengths := f.srv.ListLengths()
+	lengths := f.srv.Store().ListLengths()
 	if lengths[2] != 2 {
 		t.Errorf("ListLengths[2] = %d", lengths[2])
-	}
-	if f.srv.StorageBytes() != 2*posting.WireBytes {
-		t.Errorf("StorageBytes = %d", f.srv.StorageBytes())
 	}
 }
 
@@ -322,7 +319,7 @@ func TestConcurrentMixedOps(t *testing.T) {
 	}
 	wg.Wait()
 	// 8 goroutines * 100 inserts, half deleted.
-	if got := f.srv.TotalElements(); got != 400 {
+	if got := f.srv.Store().TotalElements(); got != 400 {
 		t.Errorf("TotalElements = %d, want 400", got)
 	}
 }

@@ -235,20 +235,3 @@ func BenchmarkSplitBatch(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkSplitSequential is the per-element baseline: the same 5,000
-// secrets through one Split call each.
-func BenchmarkSplitSequential(b *testing.B) {
-	secrets := benchSecrets()
-	xs := xsUpTo(5)
-	src := field.NewShareSource(nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, secret := range secrets {
-			if _, err := Split(secret, 3, xs, src); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}

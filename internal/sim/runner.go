@@ -947,9 +947,9 @@ func (r *runner) quickInvariants() error {
 				continue
 			}
 			stats := ns.srv.StatsSnapshot()
-			if live := stats.Inserts - stats.Deletes; live != int64(ns.srv.TotalElements()) {
+			if live := stats.Inserts - stats.Deletes; live != int64(ns.srv.Store().TotalElements()) {
 				return fmt.Errorf("server %d: stats inserts-deletes = %d but %d elements stored (redelivery counted twice?)",
-					i, live, ns.srv.TotalElements())
+					i, live, ns.srv.Store().TotalElements())
 			}
 		}
 	}
@@ -1019,8 +1019,8 @@ func (r *runner) fullCheck() error {
 	for i := 0; i < r.cfg.N; i++ {
 		seen := make(map[posting.GlobalID]bool, len(expected))
 		for _, ns := range r.slotServers(i) {
-			for lid := range ns.srv.ListLengths() {
-				for _, sh := range ns.srv.Store().List(lid) {
+			for lid := range ns.srv.Store().ListLengths() {
+				for _, sh := range ns.srv.Store().Scan(lid, nil) {
 					if _, want := expected[sh.GlobalID]; !want {
 						return fmt.Errorf("server %d node %q: orphaned element %d in list %d",
 							i, ns.name, sh.GlobalID, lid)

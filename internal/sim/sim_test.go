@@ -72,7 +72,7 @@ func TestRunLeavesTheSameTrace(t *testing.T) {
 		var sb strings.Builder
 		for i, srv := range r.plain {
 			fmt.Fprintf(&sb, "server %d %+v\n", i, srv.StatsSnapshot())
-			lengths := srv.ListLengths()
+			lengths := srv.Store().ListLengths()
 			lids := make([]int, 0, len(lengths))
 			for lid := range lengths {
 				lids = append(lids, int(lid))
@@ -80,7 +80,7 @@ func TestRunLeavesTheSameTrace(t *testing.T) {
 			sort.Ints(lids)
 			for _, lid := range lids {
 				fmt.Fprintf(&sb, " list %d", lid)
-				for _, sh := range srv.Store().List(merging.ListID(lid)) {
+				for _, sh := range srv.Store().Scan(merging.ListID(lid), nil) {
 					fmt.Fprintf(&sb, " %d/%d", sh.GlobalID, sh.Group)
 				}
 				sb.WriteByte('\n')

@@ -906,11 +906,6 @@ func (d *Disk) Scan(lid merging.ListID, keep func(posting.EncryptedShare) bool) 
 	return filterShares(shares, keep, !cached)
 }
 
-// List implements Store.
-func (d *Disk) List(lid merging.ListID) []posting.EncryptedShare {
-	return d.Scan(lid, nil)
-}
-
 // ScanRange implements Store. A window read on a non-resident list
 // fetches only the window's records — paged top-k reads never pull a
 // whole cold list into memory.
@@ -948,32 +943,6 @@ func (d *Disk) ScanRange(lid merging.ListID, from, n int, keep func(posting.Encr
 		next = posting.ImpactOf(dl.entries[end].gid)
 	}
 	return shares, total, next
-}
-
-// Keys implements Store.
-func (d *Disk) Keys() map[merging.ListID][]posting.GlobalID {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make(map[merging.ListID][]posting.GlobalID, len(d.lists))
-	for lid, dl := range d.lists {
-		ids := make([]posting.GlobalID, len(dl.entries))
-		for i, e := range dl.entries {
-			ids[i] = e.gid
-		}
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-		out[lid] = ids
-	}
-	return out
-}
-
-// ListLen implements Store.
-func (d *Disk) ListLen(lid merging.ListID) int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if dl := d.lists[lid]; dl != nil {
-		return len(dl.entries)
-	}
-	return 0
 }
 
 // ListLengths implements Store.

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -20,21 +21,31 @@ import (
 )
 
 // engineState renders every observable of a store as one string: totals,
-// lengths, the sorted inventory, and each list's exact stored order.
-// Two engines (or one engine before and after recovery) are equivalent
-// iff their states compare equal.
+// lengths, and each list's exact stored order. Two engines (or one
+// engine before and after recovery) are equivalent iff their states
+// compare equal.
 func engineState(st store.Store) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "total=%d lengths=%v keys=%v", st.TotalElements(), st.ListLengths(), st.Keys())
+	fmt.Fprintf(&b, "total=%d lengths=%v", st.TotalElements(), st.ListLengths())
 	lids := make([]merging.ListID, 0)
 	for lid := range st.ListLengths() {
 		lids = append(lids, lid)
 	}
 	sort.Slice(lids, func(a, b int) bool { return lids[a] < lids[b] })
 	for _, lid := range lids {
-		fmt.Fprintf(&b, "\n%d: %v", lid, st.List(lid))
+		fmt.Fprintf(&b, "\n%d: %v", lid, st.Scan(lid, nil))
 	}
 	return b.String()
+}
+
+// sortedIDs lists one list's global IDs in ascending order.
+func sortedIDs(st store.Store, lid merging.ListID) []posting.GlobalID {
+	var ids []posting.GlobalID
+	for _, s := range st.Scan(lid, nil) {
+		ids = append(ids, s.GlobalID)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // seedDisk applies a representative mixed history: multi-bucket upserts
@@ -52,11 +63,11 @@ func seedDisk(t *testing.T, st store.Store) {
 	}
 	st.Upsert(2, []posting.EncryptedShare{tagged(2005, 3, 9)}) // replace
 	for j := 0; j < 10; j++ {
-		gid := st.Keys()[3][j]
+		gid := sortedIDs(st, 3)[j]
 		st.DeleteIf(3, gid, nil)
 	}
 	st.DropList(6)
-	gid := st.Keys()[1][0]
+	gid := sortedIDs(st, 1)[0]
 	if err := st.ApplyDeltas(map[merging.ListID]map[posting.GlobalID]field.Element{
 		1: {gid: field.New(12345)},
 	}); err != nil {
@@ -275,7 +286,7 @@ func TestDiskCacheBudget(t *testing.T) {
 			batch = append(batch, tagged(uint64(int(lid)*100+j), uint8(j%posting.ImpactBuckets), 1))
 		}
 		d.Upsert(lid, batch)
-		want[lid] = d.List(lid)
+		want[lid] = d.Scan(lid, nil)
 	}
 	st := d.Stats()
 	if st.CachedBytes > budget {
@@ -287,7 +298,7 @@ func TestDiskCacheBudget(t *testing.T) {
 	// Every list must read back identically whether resident or not, and
 	// reading everything (sequential misses) must never blow the budget.
 	for lid, w := range want {
-		got := d.List(lid)
+		got := d.Scan(lid, nil)
 		if fmt.Sprint(got) != fmt.Sprint(w) {
 			t.Fatalf("list %d read back wrong", lid)
 		}
@@ -339,7 +350,7 @@ func TestDiskSyncBoundary(t *testing.T) {
 		}
 		d.Upsert(lid, batch)
 	}
-	d.DeleteIf(1, d.Keys()[1][0], nil)
+	d.DeleteIf(1, sortedIDs(d, 1)[0], nil)
 	d.DropList(4)
 	if st := d.Stats(); st.Segments < 2 {
 		t.Fatalf("history stayed in %d segment(s), want a rollover inside the batch", st.Segments)
@@ -354,7 +365,7 @@ func TestDiskSyncBoundary(t *testing.T) {
 	}
 	expect("idle boundary", 1)
 	if err := d.ApplyDeltas(map[merging.ListID]map[posting.GlobalID]field.Element{
-		2: {d.Keys()[2][0]: field.New(5)},
+		2: {sortedIDs(d, 2)[0]: field.New(5)},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +419,7 @@ func TestSegmentFormatPinned(t *testing.T) {
 		{"compacted", "d0b3f2f2da751e421f68e042281de0aed6299cd0f39fd3ef62cf983d3f15c42b", d.Compact},
 		{"appended", "0ff546c6faada5c397260c873c4d429150c9811229a854e93410b4a0169312fc", func() error {
 			d.Upsert(9, []posting.EncryptedShare{tagged(42, 5, 1), tagged(43, 0, 2)})
-			d.DeleteIf(1, d.Keys()[1][3], nil)
+			d.DeleteIf(1, sortedIDs(d, 1)[3], nil)
 			return nil
 		}},
 	} {

@@ -23,7 +23,7 @@ func segmentBytes(t testing.TB) []byte {
 	d.Upsert(1, []posting.EncryptedShare{tagged(1, 9, 1), tagged(2, 3, 2), tagged(3, 9, 1)})
 	d.Upsert(2, []posting.EncryptedShare{tagged(4, 0, 1)})
 	d.Upsert(1, []posting.EncryptedShare{tagged(2, 3, 7)}) // replace
-	d.DeleteIf(1, d.Keys()[1][0], nil)
+	d.DeleteIf(1, sortedIDs(d, 1)[0], nil)
 	d.DropList(2)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"sort"
 
 	"zerber/internal/posting"
 )
@@ -12,13 +11,11 @@ import (
 // for the server's policy layer and the r-confidentiality leak budget to
 // stay sound:
 //
+//   - no phantom lists: every listed list is non-empty (an emptied list
+//     must disappear from the adversary view entirely);
 //   - counter consistency: TotalElements equals the sum of ListLengths,
-//     and each ListLen matches both ListLengths and the actual List;
+//     and Scan and ScanRange both report each listed length;
 //   - keyed addressing: no global ID appears twice within a list;
-//   - no phantom lists: every reported list is non-empty (an emptied
-//     list must disappear from the adversary view entirely);
-//   - inventory consistency: Keys reports exactly the stored
-//     (list, global ID) pairs, per-list in ascending ID order;
 //   - score order: within every list, impact buckets are non-increasing
 //     (the Zerber+R layout ScanRange depends on), and ScanRange over the
 //     whole list agrees with Scan element-for-element.
@@ -40,17 +37,10 @@ func CheckInvariants(s Store) error {
 		return fmt.Errorf("store: TotalElements = %d, sum of list lengths = %d", got, total)
 	}
 
-	keys := s.Keys()
-	if len(keys) != len(lengths) {
-		return fmt.Errorf("store: Keys reports %d lists, ListLengths %d", len(keys), len(lengths))
-	}
 	for lid, n := range lengths {
-		if got := s.ListLen(lid); got != n {
-			return fmt.Errorf("store: list %d: ListLen = %d, ListLengths = %d", lid, got, n)
-		}
-		shares := s.List(lid)
+		shares := s.Scan(lid, nil)
 		if len(shares) != n {
-			return fmt.Errorf("store: list %d: List returns %d shares, length reported %d", lid, len(shares), n)
+			return fmt.Errorf("store: list %d: Scan returns %d shares, length reported %d", lid, len(shares), n)
 		}
 		seen := make(map[posting.GlobalID]bool, len(shares))
 		for _, sh := range shares {
@@ -58,21 +48,6 @@ func CheckInvariants(s Store) error {
 				return fmt.Errorf("store: list %d: global ID %d stored twice", lid, sh.GlobalID)
 			}
 			seen[sh.GlobalID] = true
-		}
-		ids, ok := keys[lid]
-		if !ok {
-			return fmt.Errorf("store: list %d missing from Keys", lid)
-		}
-		if len(ids) != n {
-			return fmt.Errorf("store: list %d: Keys reports %d IDs, length %d", lid, len(ids), n)
-		}
-		if !sort.SliceIsSorted(ids, func(i, j int) bool { return ids[i] < ids[j] }) {
-			return fmt.Errorf("store: list %d: Keys IDs not in ascending order", lid)
-		}
-		for _, id := range ids {
-			if !seen[id] {
-				return fmt.Errorf("store: list %d: Keys reports ID %d not in List", lid, id)
-			}
 		}
 		for i := 1; i < len(shares); i++ {
 			if posting.ImpactOf(shares[i].GlobalID) > posting.ImpactOf(shares[i-1].GlobalID) {

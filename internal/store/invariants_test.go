@@ -1,6 +1,7 @@
 package store
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -42,59 +43,85 @@ func TestCheckInvariantsAccepts(t *testing.T) {
 	}
 }
 
-// corruptStore wraps a healthy store and misreports one observable, proving the
+// corruptStore wraps a healthy store holding one two-element list and
+// misreports one observable through the Store methods alone, proving the
 // checker actually distinguishes healthy from broken engines.
 type corruptStore struct {
 	Store
-	extraTotal int
-	dupInList  merging.ListID
+	fault string
 }
 
-func (c *corruptStore) TotalElements() int { return c.Store.TotalElements() + c.extraTotal }
-
-func (c *corruptStore) List(lid merging.ListID) []posting.EncryptedShare {
-	out := c.Store.List(lid)
-	if lid == c.dupInList && len(out) > 0 {
-		out = append(out, out[0])
+func (c *corruptStore) ListLengths() map[merging.ListID]int {
+	out := c.Store.ListLengths()
+	switch c.fault {
+	case "duplicate global ID":
+		out[1]++
+	case "empty list":
+		out[99] = 0
 	}
 	return out
 }
 
-func (c *corruptStore) ListLen(lid merging.ListID) int {
-	n := c.Store.ListLen(lid)
-	if lid == c.dupInList && n > 0 {
+func (c *corruptStore) TotalElements() int {
+	n := c.Store.TotalElements()
+	switch c.fault {
+	case "counter drift":
+		n += 3
+	case "duplicate global ID":
 		n++
 	}
 	return n
 }
 
-func (c *corruptStore) ListLengths() map[merging.ListID]int {
-	out := c.Store.ListLengths()
-	if n, ok := out[c.dupInList]; ok {
-		out[c.dupInList] = n + 1
+func (c *corruptStore) Scan(lid merging.ListID, keep func(posting.EncryptedShare) bool) []posting.EncryptedShare {
+	out := c.Store.Scan(lid, keep)
+	switch c.fault {
+	case "duplicate global ID":
+		out = append(out, out[0])
+	case "short scan":
+		out = out[:len(out)-1]
+	case "impact order":
+		slices.Reverse(out)
 	}
 	return out
 }
 
-func TestCheckInvariantsRejects(t *testing.T) {
-	base := func() Store {
-		s := NewSharded(1)
-		s.Upsert(1, []posting.EncryptedShare{
-			{GlobalID: 10, Group: 1, Y: field.New(5)},
-			{GlobalID: 11, Group: 1, Y: field.New(6)},
-		})
-		return s
+func (c *corruptStore) ScanRange(lid merging.ListID, from, n int, keep func(posting.EncryptedShare) bool) ([]posting.EncryptedShare, int, uint8) {
+	out, total, next := c.Store.ScanRange(lid, from, n, keep)
+	switch c.fault {
+	case "range total":
+		total++
+	case "range short":
+		out = out[:len(out)-1]
+	case "range order":
+		slices.Reverse(out)
 	}
-	t.Run("counter drift", func(t *testing.T) {
-		err := CheckInvariants(&corruptStore{Store: base(), extraTotal: 3})
-		if err == nil || !strings.Contains(err.Error(), "TotalElements") {
-			t.Fatalf("drifted counter not caught: %v", err)
-		}
-	})
-	t.Run("duplicate global ID", func(t *testing.T) {
-		err := CheckInvariants(&corruptStore{Store: base(), dupInList: 1, extraTotal: 1})
-		if err == nil || !strings.Contains(err.Error(), "twice") {
-			t.Fatalf("duplicated ID not caught: %v", err)
-		}
-	})
+	return out, total, next
+}
+
+// TestCheckInvariantsRejects has one row per check, each asserting that
+// check's own error text.
+func TestCheckInvariantsRejects(t *testing.T) {
+	for _, row := range []struct{ fault, want string }{
+		{"counter drift", "TotalElements = 5, sum of list lengths = 2"},
+		{"duplicate global ID", "stored twice"},
+		{"empty list", "empty lists must vanish"},
+		{"short scan", "Scan returns 1 shares, length reported 2"},
+		{"impact order", "impact order violated"},
+		{"range total", "ScanRange(0, 2) reports total=3"},
+		{"range short", "ScanRange returns 1 shares, Scan 2"},
+		{"range order", "ScanRange/Scan disagree at position 0"},
+	} {
+		t.Run(row.fault, func(t *testing.T) {
+			s := NewSharded(1)
+			s.Upsert(1, []posting.EncryptedShare{
+				{GlobalID: posting.TagImpact(10, 2), Group: 1, Y: field.New(5)},
+				{GlobalID: posting.TagImpact(11, 0), Group: 1, Y: field.New(6)},
+			})
+			err := CheckInvariants(&corruptStore{Store: s, fault: row.fault})
+			if err == nil || !strings.Contains(err.Error(), row.want) {
+				t.Fatalf("want an error containing %q, got %v", row.want, err)
+			}
+		})
+	}
 }

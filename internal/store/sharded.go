@@ -182,31 +182,6 @@ func (s *Sharded) ApplyDeltas(deltas map[merging.ListID]map[posting.GlobalID]fie
 	return nil
 }
 
-// Keys implements Store.
-func (s *Sharded) Keys() map[merging.ListID][]posting.GlobalID {
-	out := make(map[merging.ListID][]posting.GlobalID)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		sh.tab.keys(out)
-		sh.mu.RUnlock()
-	}
-	return out
-}
-
-// List implements Store.
-func (s *Sharded) List(lid merging.ListID) []posting.EncryptedShare {
-	return s.Scan(lid, nil)
-}
-
-// ListLen implements Store.
-func (s *Sharded) ListLen(lid merging.ListID) int {
-	sh := s.shardOf(lid)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return len(sh.tab.sharesOf(lid))
-}
-
 // ListLengths implements Store.
 func (s *Sharded) ListLengths() map[merging.ListID]int {
 	out := make(map[merging.ListID]int)

@@ -35,14 +35,15 @@
 //     upper bound a top-k client needs for early termination.
 //   - Per-list linearizability. Operations touching a single list are
 //     atomic with respect to each other. Operations spanning lists
-//     (ApplyDeltas, Keys, ListLengths, TotalElements) need not present
-//     one globally consistent snapshot — but ApplyDeltas must still be
+//     (ApplyDeltas, ListLengths, TotalElements) need not present one
+//     globally consistent snapshot — but ApplyDeltas must still be
 //     all-or-nothing, since a partially refreshed element would become
 //     undecryptable (see Store.ApplyDeltas).
 //   - Leak budget. The adversary view an implementation may expose is
-//     list lengths and stored shares — exactly what a compromised
-//     server box already sees (§5.2) — plus the impact bucket each
-//     GlobalID publicly carries: a coarse log2 quantization of the
+//     list lengths and stored shares, ListLengths plus Scan(lid, nil) —
+//     exactly what a compromised server box already sees (§5.2) — plus
+//     the impact bucket each GlobalID publicly carries: a coarse log2
+//     quantization of the
 //     element's TF assigned by the owner peer, which is the minimum
 //     order information any score-ordered confidential layout must
 //     reveal (§6; the bucket granularity is the padding). No auxiliary
@@ -72,6 +73,19 @@ var ErrMissing = errors.New("store: element not found")
 
 // Store is the keyed share container behind an index server. All
 // methods are safe for concurrent use.
+//
+// It has one read path (Scan, ScanRange), one inventory (ListLengths)
+// and one counter (TotalElements). Three methods stay although other
+// calls could stand in for them:
+//   - TotalElements is the sum of ListLengths, but the benchmark's layer
+//     metrics ask a Store for it, and on Sharded it takes no lock.
+//   - DropList and ApplyDeltas are the only all-at-once forms of what
+//     they do; on Disk each is one segment frame.
+//
+// The inventory is list lengths, not sorted global IDs: dht reads it
+// under its exclusive routing lock on every join and leave, where
+// O(lists) is the price and copying and sorting every ID would stall
+// every serving call. A caller that needs the IDs reads the lists.
 type Store interface {
 	// Upsert appends the shares to list lid in arrival order. A share
 	// whose GlobalID is already present replaces the stored share in
@@ -121,19 +135,10 @@ type Store interface {
 	// ErrMissing: a partially refreshed element would be destroyed.
 	ApplyDeltas(deltas map[merging.ListID]map[posting.GlobalID]field.Element) error
 
-	// Keys enumerates the stored elements as list -> ascending global
-	// IDs (the inventory proactive resharing agrees on).
-	Keys() map[merging.ListID][]posting.GlobalID
-
-	// List returns a copy of one list's shares in stored order — the
-	// raw view of an adversary who has taken over the server box.
-	List(lid merging.ListID) []posting.EncryptedShare
-
-	// ListLen returns the length of one merged posting list.
-	ListLen(lid merging.ListID) int
-
 	// ListLengths returns all list lengths: the adversary's complete
-	// statistical view of the index contents.
+	// statistical view of the index contents. An emptied or dropped list
+	// is absent. One list's length alone is the total of
+	// ScanRange(lid, 0, 0, nil), which copies nothing.
 	ListLengths() map[merging.ListID]int
 
 	// TotalElements returns the number of stored shares. Implementations

@@ -17,20 +17,21 @@ import (
 )
 
 // each runs a subtest against every Store implementation, so the
-// interface contract is enforced uniformly on the sharded engine
-// (including the degenerate 1- and 2-shard layouts; the "memory" row is
-// the one-lock reference again, under the subtest name tier 1 is held
-// to) and the
-// log-structured disk engine — the latter with segment, cache, and
-// compaction thresholds shrunk so rollover, cache misses, and
-// auto-compaction all fire inside these small tests.
+// interface contract is enforced uniformly on the sharded engine and the
+// log-structured disk engine. The sharded rows span its layouts: the
+// one-lock reference, 2 stripes, the default, and ("memory") the widest
+// layout NewSharded allows, 512 stripes, where almost every stripe is
+// empty, so ApplyDeltas' lock ordering and the per-stripe counters walk
+// sparse stripes. The disk rows shrink segment, cache, and compaction
+// thresholds so rollover, cache misses, and auto-compaction all fire
+// inside these small tests.
 func each(t *testing.T, run func(t *testing.T, st store.Store)) {
 	t.Helper()
 	for _, impl := range []struct {
 		name string
 		mk   func(t *testing.T) store.Store
 	}{
-		{"memory", func(t *testing.T) store.Store { return store.NewSharded(1) }},
+		{"memory", func(t *testing.T) store.Store { return store.NewSharded(512) }},
 		{"sharded-1", func(t *testing.T) store.Store { return store.NewSharded(1) }},
 		{"sharded-2", func(t *testing.T) store.Store { return store.NewSharded(2) }},
 		{"sharded-default", func(t *testing.T) store.Store { return store.NewSharded(0) }},
@@ -67,6 +68,12 @@ func sh(gid posting.GlobalID, group uint32, y uint64) posting.EncryptedShare {
 	return posting.EncryptedShare{GlobalID: gid, Group: group, Y: field.New(y)}
 }
 
+// listLen is one list's length: the total of a zero-width window.
+func listLen(st store.Store, lid merging.ListID) int {
+	_, n, _ := st.ScanRange(lid, 0, 0, nil)
+	return n
+}
+
 func TestUpsertAppendsAndReplaces(t *testing.T) {
 	each(t, func(t *testing.T, st store.Store) {
 		if added := st.Upsert(1, []posting.EncryptedShare{sh(10, 1, 100), sh(11, 1, 110)}); added != 2 {
@@ -77,7 +84,7 @@ func TestUpsertAppendsAndReplaces(t *testing.T) {
 		if added := st.Upsert(1, []posting.EncryptedShare{sh(10, 1, 999), sh(12, 1, 120)}); added != 1 {
 			t.Fatalf("added = %d, want 1", added)
 		}
-		got := st.List(1)
+		got := st.Scan(1, nil)
 		if len(got) != 3 {
 			t.Fatalf("list length = %d, want 3", len(got))
 		}
@@ -99,15 +106,15 @@ func TestIngestListReplacesExistingGlobalIDs(t *testing.T) {
 		// A migrated list carrying an already-present global ID must
 		// replace the stored share, not duplicate the element.
 		st.Upsert(5, []posting.EncryptedShare{sh(2, 1, 21), sh(3, 1, 30)})
-		got := st.List(5)
+		got := st.Scan(5, nil)
 		if len(got) != 3 {
 			t.Fatalf("list length = %d, want 3", len(got))
 		}
 		if got[1] != sh(2, 1, 21) {
 			t.Errorf("element 2 = %+v, want replaced share y=21 in place", got[1])
 		}
-		if st.ListLen(5) != 3 || st.TotalElements() != 3 {
-			t.Errorf("ListLen=%d TotalElements=%d, want 3/3", st.ListLen(5), st.TotalElements())
+		if listLen(st, 5) != 3 || st.TotalElements() != 3 {
+			t.Errorf("length=%d TotalElements=%d, want 3/3", listLen(st, 5), st.TotalElements())
 		}
 		// Ingesting an empty list into nothing must not materialize one.
 		st.Upsert(77, nil)
@@ -125,22 +132,19 @@ func TestDeleteLastElementCleansUpList(t *testing.T) {
 			t.Fatalf("DeleteIf = (%v, %v), want (true, true)", found, deleted)
 		}
 		// Both the list and its position index must be gone: an emptied
-		// list disappears from the adversary view and from the resharing
-		// inventory.
+		// list disappears from the adversary view and so from the
+		// resharing inventory.
 		if _, present := st.ListLengths()[3]; present {
 			t.Error("emptied list still in ListLengths")
 		}
-		if _, present := st.Keys()[3]; present {
-			t.Error("emptied list still in Keys")
-		}
-		if st.ListLen(3) != 0 || st.TotalElements() != 0 {
-			t.Errorf("ListLen=%d TotalElements=%d, want 0/0", st.ListLen(3), st.TotalElements())
+		if listLen(st, 3) != 0 || st.TotalElements() != 0 {
+			t.Errorf("length=%d TotalElements=%d, want 0/0", listLen(st, 3), st.TotalElements())
 		}
 		// The key must be reusable: a fresh insert starts a fresh list.
 		if added := st.Upsert(3, []posting.EncryptedShare{sh(1, 1, 2)}); added != 1 {
 			t.Fatalf("re-insert after cleanup added %d, want 1", added)
 		}
-		if got := st.List(3); len(got) != 1 || got[0] != sh(1, 1, 2) {
+		if got := st.Scan(3, nil); len(got) != 1 || got[0] != sh(1, 1, 2) {
 			t.Errorf("re-inserted list = %+v", got)
 		}
 	})
@@ -153,7 +157,7 @@ func TestDeleteIfSwapKeepsPositionsConsistent(t *testing.T) {
 		if _, deleted := st.DeleteIf(9, 2, nil); !deleted {
 			t.Fatal("delete of present element failed")
 		}
-		got := st.List(9)
+		got := st.Scan(9, nil)
 		if len(got) != 2 || got[0] != sh(1, 1, 1) || got[1] != sh(3, 1, 3) {
 			t.Fatalf("after swap-delete: %+v", got)
 		}
@@ -161,7 +165,7 @@ func TestDeleteIfSwapKeepsPositionsConsistent(t *testing.T) {
 		if _, deleted := st.DeleteIf(9, 3, nil); !deleted {
 			t.Fatal("moved element no longer addressable")
 		}
-		if got := st.List(9); len(got) != 1 || got[0] != sh(1, 1, 1) {
+		if got := st.Scan(9, nil); len(got) != 1 || got[0] != sh(1, 1, 1) {
 			t.Fatalf("after second delete: %+v", got)
 		}
 	})
@@ -181,7 +185,7 @@ func TestDeleteIfVeto(t *testing.T) {
 		if seen != sh(7, 2, 70) {
 			t.Errorf("allow saw %+v, want the stored share", seen)
 		}
-		if st.ListLen(4) != 1 {
+		if listLen(st, 4) != 1 {
 			t.Error("vetoed delete removed the element")
 		}
 		found, _ = st.DeleteIf(4, 99, func(posting.EncryptedShare) bool {
@@ -357,7 +361,7 @@ func TestApplyDeltasAllOrNothing(t *testing.T) {
 		}
 		before := make(map[merging.ListID][]posting.EncryptedShare)
 		for lid := merging.ListID(1); lid <= 4; lid++ {
-			before[lid] = st.List(lid)
+			before[lid] = st.Scan(lid, nil)
 		}
 		// One addressed element (4 in list 4) is missing: nothing may move.
 		deltas := map[merging.ListID]map[posting.GlobalID]field.Element{
@@ -370,7 +374,7 @@ func TestApplyDeltasAllOrNothing(t *testing.T) {
 			t.Fatalf("ApplyDeltas error = %v, want ErrMissing", err)
 		}
 		for lid := merging.ListID(1); lid <= 4; lid++ {
-			got := st.List(lid)
+			got := st.Scan(lid, nil)
 			for i := range got {
 				if got[i] != before[lid][i] {
 					t.Errorf("list %d element %d changed by failed delta round: %+v -> %+v",
@@ -384,28 +388,32 @@ func TestApplyDeltasAllOrNothing(t *testing.T) {
 		if err := st.ApplyDeltas(deltas); err != nil {
 			t.Fatal(err)
 		}
-		if got := st.List(1)[0].Y; got != field.Add(field.New(10), field.New(5)) {
+		if got := st.Scan(1, nil)[0].Y; got != field.Add(field.New(10), field.New(5)) {
 			t.Errorf("list 1 share = %d after delta", got.Uint64())
 		}
-		if got := st.List(3)[0].Y; got != field.Add(field.New(30), field.New(7)) {
+		if got := st.Scan(3, nil)[0].Y; got != field.Add(field.New(30), field.New(7)) {
 			t.Errorf("list 3 share = %d after delta", got.Uint64())
 		}
 	})
 }
 
+// TestKeysSortedInventory checks what the one inventory promises:
+// ListLengths covers exactly the stored lists, with their lengths, and
+// an emptied or dropped list vanishes from it.
 func TestKeysSortedInventory(t *testing.T) {
 	each(t, func(t *testing.T, st store.Store) {
 		st.Upsert(1, []posting.EncryptedShare{sh(5, 1, 1), sh(2, 1, 2), sh(9, 1, 3)})
 		st.Upsert(2, []posting.EncryptedShare{sh(7, 1, 4)})
-		keys := st.Keys()
-		if len(keys) != 2 {
-			t.Fatalf("Keys covers %d lists, want 2", len(keys))
+		st.Upsert(3, []posting.EncryptedShare{sh(8, 1, 5), sh(6, 1, 6)})
+		// fmt prints maps in sorted key order.
+		if got := fmt.Sprint(st.ListLengths()); got != "map[1:3 2:1 3:2]" {
+			t.Fatalf("ListLengths = %s, want map[1:3 2:1 3:2]", got)
 		}
-		want := []posting.GlobalID{2, 5, 9}
-		for i, gid := range keys[1] {
-			if gid != want[i] {
-				t.Fatalf("keys[1] = %v, want ascending %v", keys[1], want)
-			}
+		st.DeleteIf(2, 7, nil)
+		st.DeleteIf(1, 5, nil)
+		st.DropList(3)
+		if got := fmt.Sprint(st.ListLengths()); got != "map[1:2]" {
+			t.Fatalf("after emptying list 2 and dropping list 3: ListLengths = %s, want map[1:2]", got)
 		}
 	})
 }
@@ -424,7 +432,7 @@ func TestConcurrentMixedStoreOps(t *testing.T) {
 					gid := posting.GlobalID(w*100000 + i)
 					st.Upsert(lid, []posting.EncryptedShare{sh(gid, 1, uint64(i))})
 					st.Scan(lid, func(posting.EncryptedShare) bool { return true })
-					st.ListLen(lid)
+					st.ListLengths()
 					st.TotalElements()
 					if i%2 == 0 {
 						if _, deleted := st.DeleteIf(lid, gid, nil); !deleted {
@@ -609,11 +617,8 @@ func TestEnginesMatch(t *testing.T) {
 		if fmt.Sprint(ml) != fmt.Sprint(el) {
 			t.Fatalf("ListLengths diverged: memory %v vs %s %v", ml, e.name, el)
 		}
-		if fmt.Sprint(mem.Keys()) != fmt.Sprint(e.st.Keys()) {
-			t.Fatalf("Keys inventory diverged between memory and %s", e.name)
-		}
 		for lid := range ml {
-			a, b := mem.List(lid), e.st.List(lid)
+			a, b := mem.Scan(lid, nil), e.st.Scan(lid, nil)
 			if len(a) != len(b) {
 				t.Fatalf("list %d: memory %d vs %s %d elements", lid, len(a), e.name, len(b))
 			}

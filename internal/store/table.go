@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"zerber/internal/field"
@@ -250,19 +249,6 @@ func (t *table) applyDeltas(deltas map[merging.ListID]map[posting.GlobalID]field
 			sh := &l.shares[l.pos[gid]]
 			sh.Y = field.Add(sh.Y, delta)
 		}
-	}
-}
-
-// keys appends this table's inventory (list -> ascending global IDs)
-// into out.
-func (t *table) keys(out map[merging.ListID][]posting.GlobalID) {
-	for lid, l := range t.lists {
-		ids := make([]posting.GlobalID, len(l.shares))
-		for i, sh := range l.shares {
-			ids[i] = sh.GlobalID
-		}
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-		out[lid] = ids
 	}
 }
 

@@ -116,7 +116,7 @@ func TestBinaryReconnect(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := srv.ListLength(1); got != 2 {
+	if got := len(srv.Store().Scan(1, nil)); got != 2 {
 		t.Errorf("list holds %d elements after reconnect, want 2", got)
 	}
 }
@@ -422,7 +422,7 @@ func TestBinaryServerCorruptFrame(t *testing.T) {
 	if _, err := wal.ReadFrame(raw.br); err == nil {
 		t.Fatal("server answered a corrupt frame instead of dropping the connection")
 	}
-	if srv.TotalElements() != 0 {
+	if srv.Store().TotalElements() != 0 {
 		t.Error("corrupt frame mutated the server")
 	}
 }
@@ -441,7 +441,7 @@ func TestBinaryServerTruncatedFrame(t *testing.T) {
 	// Nothing to assert on the wire (the connection is gone); the
 	// server must simply survive and stay clean.
 	time.Sleep(20 * time.Millisecond)
-	if srv.TotalElements() != 0 {
+	if srv.Store().TotalElements() != 0 {
 		t.Error("torn frame mutated the server")
 	}
 }

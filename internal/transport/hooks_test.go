@@ -43,8 +43,8 @@ func TestHooksInterception(t *testing.T) {
 	// Dropped before delivery: the server never sees it.
 	dropUnconditional = true
 	err := transporttest.Insert(ctx, h, tok, []transport.InsertOp{{List: 1, Share: sampleShare(1, 10)}})
-	if err == nil || srv.TotalElements() != 0 {
-		t.Fatalf("Before hook did not drop the call: err=%v, elements=%d", err, srv.TotalElements())
+	if err == nil || srv.Store().TotalElements() != 0 {
+		t.Fatalf("Before hook did not drop the call: err=%v, elements=%d", err, srv.Store().TotalElements())
 	}
 	dropUnconditional = false
 
@@ -56,8 +56,8 @@ func TestHooksInterception(t *testing.T) {
 	if err == nil || err.Error() != "response lost" {
 		t.Fatalf("After hook did not replace the result: %v", err)
 	}
-	if srv.TotalElements() != 1 {
-		t.Fatalf("lost-response apply must still reach the server, elements=%d", srv.TotalElements())
+	if srv.Store().TotalElements() != 1 {
+		t.Fatalf("lost-response apply must still reach the server, elements=%d", srv.Store().TotalElements())
 	}
 	loseApplies = false
 

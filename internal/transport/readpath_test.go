@@ -215,7 +215,7 @@ func TestBinaryCancelStress(t *testing.T) {
 	}
 	held := make([][]posting.EncryptedShare, lists)
 	for lid := range held {
-		held[lid] = srv.Store().List(merging.ListID(lid))
+		held[lid] = srv.Store().Scan(merging.ListID(lid), nil)
 	}
 	bs := startBinary(t, jitterAPI{srv}, "")
 	c, err := transport.DialBinary(bs.Addr().String(), 5*time.Second)

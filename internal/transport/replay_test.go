@@ -45,8 +45,8 @@ func newStoreServer(t *testing.T, shards int) (*server.Server, auth.Token) {
 // full store contents and the activity stats.
 func snapshot(srv *server.Server) (map[merging.ListID][]posting.EncryptedShare, server.Stats) {
 	lists := make(map[merging.ListID][]posting.EncryptedShare)
-	for lid := range srv.ListLengths() {
-		lists[lid] = srv.Store().List(lid)
+	for lid := range srv.Store().ListLengths() {
+		lists[lid] = srv.Store().Scan(lid, nil)
 	}
 	return lists, srv.StatsSnapshot()
 }
@@ -109,8 +109,8 @@ func TestWireApplyDuplicateDelivery(t *testing.T) {
 				if gotStats != wantStats {
 					t.Errorf("stats changed under duplicate delete delivery: %+v -> %+v", wantStats, gotStats)
 				}
-				if srv.TotalElements() != 1 {
-					t.Errorf("TotalElements = %d, want 1", srv.TotalElements())
+				if srv.Store().TotalElements() != 1 {
+					t.Errorf("TotalElements = %d, want 1", srv.Store().TotalElements())
 				}
 			})
 		}
@@ -146,8 +146,8 @@ func TestApplySemantics(t *testing.T) {
 			// Upsert-by-GID means the element is still stored once, but
 			// both deliveries went through to the store (stats count new
 			// appends only; the second is a replacement).
-			if srv.TotalElements() != 1 {
-				t.Fatalf("TotalElements = %d, want 1", srv.TotalElements())
+			if srv.Store().TotalElements() != 1 {
+				t.Fatalf("TotalElements = %d, want 1", srv.Store().TotalElements())
 			}
 
 			// A permuted redelivery is the same payload: peers draw a
@@ -181,7 +181,7 @@ func TestApplySemantics(t *testing.T) {
 			if err := srv.Apply(ctx, tok, op2, []transport.InsertOp{{List: 3, Share: sampleShare(31, 2)}}, nil); err != nil {
 				t.Fatal(err)
 			}
-			if got := srv.ListLength(3); got != 2 {
+			if got := len(srv.Store().Scan(3, nil)); got != 2 {
 				t.Errorf("payload-changed redelivery applied %d elements, want 2", got)
 			}
 
@@ -198,7 +198,7 @@ func TestApplySemantics(t *testing.T) {
 			if err := srv.Apply(ctx, tok, op3, ok, nil); err != nil {
 				t.Fatalf("op ID reuse after failure: %v", err)
 			}
-			if got := srv.ListLength(4); got != 1 {
+			if got := len(srv.Store().Scan(4, nil)); got != 1 {
 				t.Errorf("list 4 holds %d elements, want 1", got)
 			}
 		})

@@ -37,7 +37,7 @@ func sampleShare(gid posting.GlobalID, y uint64) posting.EncryptedShare {
 // serverFingerprint captures everything a rejected request must not
 // change: stored elements and activity stats.
 func serverFingerprint(s *server.Server) string {
-	return fmt.Sprintf("%d/%v/%+v", s.TotalElements(), s.ListLengths(), s.StatsSnapshot())
+	return fmt.Sprintf("%d/%v/%+v", s.Store().TotalElements(), s.Store().ListLengths(), s.StatsSnapshot())
 }
 
 // codecs is the wire matrix the conformance suite runs over: every test
@@ -88,7 +88,7 @@ func TestLocalPassThrough(t *testing.T) {
 	if err := transporttest.Delete(context.Background(), l, tok, []transport.DeleteOp{{List: 1, ID: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if srv.TotalElements() != 0 {
+	if srv.Store().TotalElements() != 0 {
 		t.Error("delete did not pass through")
 	}
 }
@@ -156,7 +156,7 @@ func TestWireRoundTrip(t *testing.T) {
 			if err := transporttest.Delete(context.Background(), c, tok, []transport.DeleteOp{{List: 5, ID: 10}}); err != nil {
 				t.Fatal(err)
 			}
-			if srv.TotalElements() != 1 {
+			if srv.Store().TotalElements() != 1 {
 				t.Errorf("%s delete did not reach the server", codec.name)
 			}
 		})

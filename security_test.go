@@ -96,7 +96,7 @@ func splitWords(s string) []string {
 func TestCompromisedServerSeesOnlyMergedLengths(t *testing.T) {
 	c, _, dfs := buildAttackCluster(t)
 	srv := c.Servers()[0] // Alice's box
-	lengths := srv.ListLengths()
+	lengths := srv.Store().ListLengths()
 
 	// The adversary observes merged list lengths. Verify no individual
 	// term's document frequency is observable: every merged list's
@@ -125,8 +125,8 @@ func TestSingleServerSharesLookRandom(t *testing.T) {
 	c, _, _ := buildAttackCluster(t)
 	srv := c.Servers()[0]
 	small, total := 0, 0
-	for lid := range srv.ListLengths() {
-		for _, sh := range srv.Store().List(lid) {
+	for lid := range srv.Store().ListLengths() {
+		for _, sh := range srv.Store().Scan(lid, nil) {
 			total++
 			if sh.Y.Uint64() < 1<<61/1024 {
 				small++
@@ -152,11 +152,11 @@ func TestKMinusOneServersCannotDecrypt(t *testing.T) {
 	c, _, _ := buildAttackCluster(t)
 	srv := c.Servers()[0]
 	var lid merging.ListID
-	for l := range srv.ListLengths() {
+	for l := range srv.Store().ListLengths() {
 		lid = l
 		break
 	}
-	shares := srv.Store().List(lid)
+	shares := srv.Store().Scan(lid, nil)
 	if len(shares) == 0 {
 		t.Fatal("no shares")
 	}

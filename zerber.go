@@ -89,11 +89,14 @@
 // Server-side concurrency is governed by the storage engine behind each
 // index server. Every server is a thin policy layer (authentication,
 // group checks, stats) over the store.Store interface, which captures
-// the keyed share operations of the paper's recovery design (§5.4.1):
-// batch append/replace, swap-delete by (list, global ID), authorized
-// scan, full-list drop for DHT migration, delta application and
-// keyed inventory for proactive resharing, and a Sync batch boundary
-// the server marks at the end of every mutation.
+// the keyed share operations of the paper's recovery design (§5.4.1) in
+// nine methods: batch append/replace, swap-delete by (list, global ID),
+// authorized scan of a whole list or a window of it, full-list drop for
+// DHT migration, delta application for proactive resharing, the list
+// lengths and element count — the §5.2 view of a compromised server,
+// and the only inventory — and a Sync batch boundary the server marks
+// at the end of every mutation. The server re-exports none of these
+// views; trusted callers read them through Server.Store.
 //
 // The default engine (store.Sharded) stripes the merged posting lists
 // over independently locked shards keyed by hash(ListID), a

@@ -208,7 +208,7 @@ func TestDocumentLifecycle(t *testing.T) {
 		t.Error("deleted document still findable")
 	}
 	for _, srv := range c.Servers() {
-		if srv.TotalElements() != 0 {
+		if srv.Store().TotalElements() != 0 {
 			t.Error("servers retain elements after document deletion")
 		}
 	}
