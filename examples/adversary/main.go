@@ -131,13 +131,15 @@ func main() {
 		log.Fatal(err)
 	}
 	stolen := shares[0]
-	deltas, err := shamir.Refresh(2, xs, nil)
+	// The servers add a fresh sharing of zero to their shares: the secret
+	// stays, every share changes.
+	deltas, err := shamir.Split(0, 2, xs, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fresh, err := shamir.ApplyRefresh(shares, deltas)
-	if err != nil {
-		log.Fatal(err)
+	fresh := make([]shamir.Share, len(shares))
+	for i, s := range shares {
+		fresh[i] = shamir.Share{X: s.X, Y: field.Add(s.Y, deltas[i].Y)}
 	}
 	wrong, err := shamir.Reconstruct([]shamir.Share{stolen, fresh[1]}, 2)
 	if err != nil {

@@ -133,20 +133,19 @@ func (c *Client) Search(tok auth.Token, query []string, topK int) ([]ranking.Sco
 // SearchContext is Search bounded by ctx: cancelling it aborts the
 // server fan-out and the decrypt stage.
 func (c *Client) SearchContext(ctx context.Context, tok auth.Token, query []string, topK int) ([]ranking.ScoredDoc, Stats, error) {
-	terms := dedup(query)
-	lists, stats, err := c.retrieve(ctx, tok, terms)
+	lists, stats, err := c.retrieve(ctx, tok, dedup(query))
 	if err != nil {
 		return nil, stats, err
 	}
 	// Personalized collection statistics: ranking takes the collection
 	// size and the document frequencies from the decrypted lists — the
-	// documents this user can access — when the input names neither.
-	return ranking.TopK(ranking.Input{Query: terms, Lists: byTerm(terms, lists)}, topK), stats, nil
+	// documents this user can access.
+	return ranking.TopK(lists, topK), stats, nil
 }
 
 // Retrieve performs the fetch-join-decrypt-filter pipeline and returns
-// the decrypted postings grouped by query term. Search builds on it; the
-// experiment harness calls it directly.
+// the decrypted postings grouped by query term: the lists Search ranks,
+// each sorted, for the tests and benchmarks that check them.
 func (c *Client) Retrieve(tok auth.Token, query []string) (map[string][]ranking.Posting, Stats, error) {
 	return c.RetrieveContext(context.Background(), tok, query)
 }
@@ -163,27 +162,20 @@ func (c *Client) RetrieveContext(ctx context.Context, tok auth.Token, query []st
 	if err != nil {
 		return nil, stats, err
 	}
+	out := make(map[string][]ranking.Posting, len(terms))
 	for ti, ps := range lists {
+		if len(ps) == 0 {
+			continue
+		}
 		// retrieve sizes a term's slice for every row of its merged list;
 		// the caller keeps only what the term's own postings need.
 		ps = slices.Clone(ps)
-		lists[ti] = ps
 		slices.SortFunc(ps, func(a, b ranking.Posting) int {
 			return cmp.Compare(uint64(a.DocID)<<16|uint64(a.TF), uint64(b.DocID)<<16|uint64(b.TF))
 		})
+		out[terms[ti]] = ps
 	}
-	return byTerm(terms, lists), stats, nil
-}
-
-// byTerm keys the non-empty per-term posting slices by their term.
-func byTerm(terms []string, lists [][]ranking.Posting) map[string][]ranking.Posting {
-	out := make(map[string][]ranking.Posting, len(terms))
-	for ti, ps := range lists {
-		if len(ps) > 0 {
-			out[terms[ti]] = ps
-		}
-	}
-	return out
+	return out, stats, nil
 }
 
 // retrieve is wholeLists materialised for Retrieve and Search: the

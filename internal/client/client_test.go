@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -15,6 +16,7 @@ import (
 	"zerber/internal/merging"
 	"zerber/internal/peer"
 	"zerber/internal/posting"
+	"zerber/internal/ranking"
 	"zerber/internal/server"
 	"zerber/internal/transport"
 	"zerber/internal/vocab"
@@ -65,7 +67,7 @@ func newEnv(t testing.TB, m int) *env {
 			Auth: svc, Groups: groups,
 		})
 		e.servers = append(e.servers, s)
-		e.apis = append(e.apis, transport.NewLocal(s))
+		e.apis = append(e.apis, s)
 	}
 	p, err := peer.New(peer.Config{
 		Name: "site1", Servers: e.apis, K: 2, Table: table, Vocab: voc,
@@ -213,6 +215,47 @@ func TestSearchIdenticalToPlainIndexPlusACL(t *testing.T) {
 		for d := range want {
 			if !got[d] {
 				t.Fatalf("query %v: missing doc %d", q, d)
+			}
+		}
+	}
+}
+
+// TestSearchScoresMatchScoreAll holds exact-mode scores end to end, where
+// the tests above compare result sets: on a seeded two-group corpus over
+// merged lists, Search returns ScoreAll's first k over the user's
+// accessible plaintext postings — the same documents, bit-equal scores
+// and the same tie order — for queries of 1 to 4 terms and k of 1, 10
+// and all.
+func TestSearchScoresMatchScoreAll(t *testing.T) {
+	groupOf := map[string]auth.GroupID{"alice": 1, "bob": 2}
+	for _, m := range []int{1, 3, 8} {
+		e, toks := plansEnv(t, m, int64(40+m))
+		c := e.client(t)
+		rng := rand.New(rand.NewSource(int64(m)))
+		for trial := 0; trial < 20; trial++ {
+			query := make([]string, 1+rng.Intn(4))
+			for i, ti := range rng.Perm(len(terms))[:len(query)] {
+				query[i] = terms[ti]
+			}
+			for _, who := range []string{"alice", "bob"} {
+				lists := make([][]ranking.Posting, len(query))
+				for ti, term := range query {
+					for _, p := range e.peer.Local().Lookup(term) {
+						if doc, _ := e.peer.Document(p.DocID); doc.Group == groupOf[who] {
+							lists[ti] = append(lists[ti], ranking.Posting{DocID: p.DocID, TF: p.TF})
+						}
+					}
+				}
+				full := ranking.ScoreAll(lists)
+				for _, k := range []int{1, 10, len(full) + 1} {
+					got, _, err := c.Search(toks[who], query, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := full[:min(k, len(full))]; !slices.Equal(got, want) {
+						t.Fatalf("M=%d %s %v k=%d:\nSearch   %v\nScoreAll %v", m, who, query, k, got, want)
+					}
+				}
 			}
 		}
 	}

@@ -6,8 +6,9 @@
 // collection statistics only a full fetch can know; exact mode keeps it.)
 // Each query takes one of two exact plans, by its term count.
 //
-// A one-term query streams: it pulls score-ordered blocks of its list
-// from k servers, joins and decrypts them incrementally (join.go), and
+// A one-term query streams: round by round it pulls the next
+// score-ordered block of its one list from each of k servers, one call
+// per server, joins and decrypts the blocks incrementally (join.go), and
 // stops once the NRA threshold (ranking.Stream) proves the top k final, so
 // a hot term costs what the depth of its k-th result costs. The proof
 // wants every top-k score exact, each candidate seen in or ruled out of
@@ -16,7 +17,7 @@
 // longest to the end, in rounds that cost a call each, to save at most
 // that one's tail. Such a query takes the whole-list plan instead: exact
 // retrieval's one call per server (wholeLists) feeding the same stream.
-// BenchmarkTopKPlan (plan_test.go) has both plans at every size.
+// BenchmarkTopKPlan (plan_test.go) records both plans at every size.
 //
 // Block windows are positions, and once concurrent peers have written an
 // element sits at different positions on different servers. So a streamed
@@ -29,11 +30,8 @@ package client
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
-	"sync"
 
 	"zerber/internal/auth"
 	"zerber/internal/merging"
@@ -62,7 +60,7 @@ func (c *Client) SearchTopKContext(ctx context.Context, tok auth.Token, query []
 		return nil, Stats{}, nil
 	}
 	if len(terms) == 1 {
-		return c.searchTopKStream(ctx, tok, terms, k)
+		return c.searchTopKStream(ctx, tok, terms[0], k)
 	}
 	return c.searchTopKWhole(ctx, tok, terms, c.table.ListsOf(terms), k)
 }
@@ -91,33 +89,15 @@ func (c *Client) searchTopKWhole(ctx context.Context, tok auth.Token, terms []st
 	return stream.Results(), stats, nil
 }
 
-// listState tracks the retrieval progress of one merged posting list.
-type listState struct {
-	lid       merging.ListID
-	termIdxs  []int // indices into terms served by this list
-	fetched   int   // next position to request
-	exhausted bool
-	total     int // longest unfiltered length any server reported
-	// join is the list's share join. Between rounds its rows are the
-	// pending elements: seen in some server's window but on fewer than
-	// k servers so far.
-	join joinTable
-}
-
-// blockReq is one list's window in a block round; st indexes the states.
-type blockReq struct {
-	st      int
-	lid     merging.ListID
-	from, n int
-}
-
-// searchTopKStream is the streamed plan: the no-random-access TA loop of
-// block rounds through the fan-out engine, incremental decryption, and a
-// convergence check against the impact-bucket bounds. Stats' work
+// searchTopKStream is the streamed plan, for one term: the
+// no-random-access TA loop of block rounds through the fan-out engine, one
+// GetPostingBlocks call per responder per round, incremental decryption,
+// and a convergence check against the impact-bucket bounds. Stats' work
 // counters cover every attempt; TA.Depth and TA.TotalPostings the last.
-func (c *Client) searchTopKStream(ctx context.Context, tok auth.Token, terms []string, k int) ([]ranking.ScoredDoc, Stats, error) {
-	var stats Stats
-	p := c.newPipeline(terms, &stats)
+func (c *Client) searchTopKStream(ctx context.Context, tok auth.Token, term string, k int) ([]ranking.ScoredDoc, Stats, error) {
+	stats := Stats{ListsRequested: 1}
+	p := c.newPipeline([]string{term}, &stats)
+	lid := c.table.ListOf(term)
 	// The first round is an ordinary fan-out. Its responders are pinned
 	// for the rounds after it: order lists them first.
 	n := len(c.servers)
@@ -126,39 +106,21 @@ func (c *Client) searchTopKStream(ctx context.Context, tok auth.Token, terms []s
 
 attempts:
 	for attempt := 0; attempt <= n-c.k; attempt++ {
-		// Group query terms by merged list: terms sharing a list share its
-		// pages and its score bound.
-		var states []*listState
-		for ti, term := range terms {
-			lid := c.table.ListOf(term)
-			i := slices.IndexFunc(states, func(st *listState) bool { return st.lid == lid })
-			if i < 0 {
-				i = len(states)
-				states = append(states, &listState{lid: lid, join: c.newJoin()})
-			}
-			states[i].termIdxs = append(states[i].termIdxs, ti)
-		}
-		stats.ListsRequested = len(states)
-		stream := ranking.NewStream(len(terms), k)
-		observe := func(term int, post ranking.Posting) { stream.Observe(term, post.DocID, float64(post.TF)) }
+		stream := ranking.NewStream(1, k)
+		observe := func(_ int, post ranking.Posting) { stream.Observe(0, post.DocID, float64(post.TF)) }
+		// Between rounds the join's rows are the pending elements: seen in
+		// some server's window but on fewer than k servers so far.
+		join := c.newJoin()
+		fetched, total := 0, 0 // next position to request; longest unfiltered length any server reported
 		window := c.tuning.blockSize()
 
 		for round := 0; ; round++ {
-			// This round's requests, made afresh because a straggler of the
-			// last round may still be reading that round's. Every open list
-			// advances by the window.
-			reqs := make([]blockReq, 0, len(states))
-			for i, st := range states {
-				if !st.exhausted {
-					reqs = append(reqs, blockReq{st: i, lid: st.lid, from: st.fetched, n: window})
-				}
-			}
-			if len(reqs) == 0 {
-				break // every list exhausted; all terms are closed below
-			}
-
-			results, err := fanOutCall(ctx, c, c.k, order, func(ctx context.Context, i int) ([]transport.BlockPage, error) {
-				return fetchBlockRound(ctx, c.servers[i], tok, reqs)
+			// The call reads this round's window from its own copy: a
+			// straggler of the round may still be reading it after the
+			// next round has moved on.
+			from, size := fetched, window
+			results, err := fanOutCall(ctx, c, c.k, order, func(ctx context.Context, i int) (transport.BlockPage, error) {
+				return c.servers[i].GetPostingBlocks(ctx, tok, lid, from, size)
 			})
 			if err != nil {
 				return nil, stats, err
@@ -190,55 +152,52 @@ attempts:
 				return nil, stats, err
 			}
 			stats.TA.Depth = round + 1
-			stats.TA.BlocksFetched += len(reqs) * len(results)
+			stats.TA.BlocksFetched += len(results)
 
-			// Fold every server's pages into the per-list join. An element
-			// missing from a server's window arrives in a later one
-			// (replication skew shifts positions), so its row waits in the
-			// join until k servers have delivered it.
-			for qi, rq := range reqs {
-				st := states[rq.st]
-				st.fetched, st.exhausted = rq.from+rq.n, true
-				bound, shares := 0.0, 0 // bound: the most an unobserved posting of the list can weigh
-				for _, r := range results {
-					page := r.val[qi]
-					shares += len(page.Shares)
-					stats.TA.WireBytes += transport.BlockHeaderBytes + len(page.Shares)*transport.ShareBytes
-					stats.TA.SortedAccesses += len(page.Shares)
-					st.total = max(st.total, page.Total)
-					if st.fetched < page.Total {
-						// Positions beyond the window: an unseen element is
-						// bounded by the next bucket of whichever server has it.
-						st.exhausted = false
-						bound = max(bound, float64(posting.BucketMaxTF(page.Next)))
-					}
-				}
-
-				st.join.reset(len(st.join.gids), shares)
-				for _, r := range results {
-					// A share for a cell already filled is a redelivery from
-					// an overlapping window; the join drops it.
-					st.join.add(r.idx, r.val[qi].Shares)
-				}
-				// Rows with k shares are decryptable now and leave the join.
-				if err := p.open(&st.join, st.lid, roundBasis, nil, observe); err != nil {
-					return nil, stats, err
-				}
-				if st.exhausted {
-					// No further windows will arrive: under-replicated
-					// leftovers are skipped, as the whole-list plan skips them.
-					st.join.reset(0, 0)
-				}
-				// A pending element (seen, not yet decryptable) bounds the
-				// list's terms too, by the impact bucket in its global ID.
-				for _, gid := range st.join.gids {
-					bound = max(bound, float64(posting.BucketMaxTF(posting.ImpactOf(gid))))
-				}
-				for _, ti := range st.termIdxs {
-					stream.SetBound(ti, bound, !st.exhausted)
+			// Fold every server's page into the join. An element missing
+			// from a server's window arrives in a later one (replication
+			// skew shifts positions), so its row waits in the join until k
+			// servers have delivered it.
+			fetched = from + size
+			exhausted := true
+			bound, shares := 0.0, 0 // bound: the most an unobserved posting can weigh
+			for _, r := range results {
+				page := r.val
+				shares += len(page.Shares)
+				stats.TA.WireBytes += transport.BlockHeaderBytes + len(page.Shares)*transport.ShareBytes
+				stats.TA.SortedAccesses += len(page.Shares)
+				total = max(total, page.Total)
+				if fetched < page.Total {
+					// Positions beyond the window: an unseen element is
+					// bounded by the next bucket of whichever server has it.
+					exhausted = false
+					bound = max(bound, float64(posting.BucketMaxTF(page.Next)))
 				}
 			}
 
+			join.reset(len(join.gids), shares)
+			for _, r := range results {
+				// A share for a cell already filled is a redelivery from
+				// an overlapping window; the join drops it.
+				join.add(r.idx, r.val.Shares)
+			}
+			// Rows with k shares are decryptable now and leave the join.
+			if err := p.open(&join, lid, roundBasis, nil, observe); err != nil {
+				return nil, stats, err
+			}
+			if exhausted {
+				// No further windows will arrive: under-replicated
+				// leftovers are skipped, as the whole-list plan skips them.
+				join.reset(0, 0)
+			}
+			// A pending element (seen, not yet decryptable) bounds the
+			// term too, by the impact bucket in its global ID.
+			for _, gid := range join.gids {
+				bound = max(bound, float64(posting.BucketMaxTF(posting.ImpactOf(gid))))
+			}
+			// Once the list is exhausted the term is closed, and the
+			// stream converges.
+			stream.SetBound(0, bound, !exhausted)
 			if stream.Converged() {
 				break
 			}
@@ -252,33 +211,8 @@ attempts:
 		stats.ServersQueried = bits.OnesCount64(serversSeen)
 		stats.TA.Streamed = true
 		stats.TA.ElementsDecrypted = stats.ElementsFetched
-		for _, st := range states {
-			stats.TA.TotalPostings += st.total
-		}
+		stats.TA.TotalPostings = total
 		return stream.Results(), stats, nil
 	}
 	return nil, stats, fmt.Errorf("%w: the responders of a streamed top-k query changed in each of %d attempts", ErrNotEnough, n-c.k+1)
-}
-
-// fetchBlockRound issues one round's page requests to one server, lists
-// in parallel, and returns the pages indexed like reqs. A server that
-// fails any list fails the round (the fan-out engine then asks the next).
-func fetchBlockRound(ctx context.Context, srv transport.API, tok auth.Token, reqs []blockReq) ([]transport.BlockPage, error) {
-	pages, errs := make([]transport.BlockPage, len(reqs)), make([]error, len(reqs))
-	fetch := func(i int) {
-		pages[i], errs[i] = srv.GetPostingBlocks(ctx, tok, reqs[i].lid, reqs[i].from, reqs[i].n)
-	}
-	// Each call fills its own elements, so they share nothing. The last
-	// runs on this goroutine: in a one-list round, the only one.
-	var wg sync.WaitGroup
-	for i := range reqs[1:] {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fetch(i)
-		}()
-	}
-	fetch(len(reqs) - 1)
-	wg.Wait()
-	return pages, errors.Join(errs...)
 }

@@ -225,8 +225,7 @@ func (ix *Index) TotalPostings() int {
 	return ix.postings
 }
 
-// DocLen returns the total term count of a document (0 if unknown), used
-// for tf normalization in ranking.
+// DocLen returns the total term count of a document (0 if unknown).
 func (ix *Index) DocLen(docID uint32) int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()

@@ -528,7 +528,7 @@ func newClusterTerms(t *testing.T, n int, terms []string, dfs map[string]int) *t
 			Groups: groups,
 		})
 		tc.servers = append(tc.servers, s)
-		tc.apis = append(tc.apis, transport.NewLocal(s))
+		tc.apis = append(tc.apis, s)
 	}
 	return tc
 }

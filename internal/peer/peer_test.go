@@ -56,7 +56,7 @@ func newCluster(t *testing.T, n int, terms []string) *testCluster {
 			Groups: groups,
 		})
 		tc.servers = append(tc.servers, s)
-		tc.apis = append(tc.apis, transport.NewLocal(s))
+		tc.apis = append(tc.apis, s)
 	}
 	return tc
 }

@@ -68,7 +68,7 @@ func newStoreCluster(t *testing.T, n int, terms []string, mk func(server int) st
 			Store:  mk(i),
 		})
 		tc.servers = append(tc.servers, s)
-		tc.apis = append(tc.apis, transport.NewLocal(s))
+		tc.apis = append(tc.apis, s)
 	}
 	return tc
 }

@@ -58,7 +58,7 @@ func build(t *testing.T) *fixture {
 			Name: fmt.Sprintf("ix%d", i), X: field.Element(i + 1), Auth: svc, Groups: groups,
 		})
 		f.servers = append(f.servers, s)
-		f.apis = append(f.apis, transport.NewLocal(s))
+		f.apis = append(f.apis, s)
 	}
 	p, err := peer.New(peer.Config{
 		Name: "site", Servers: f.apis, K: 2, Table: table, Vocab: voc,

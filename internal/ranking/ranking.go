@@ -1,7 +1,14 @@
 // Package ranking implements Zerber's client-side result ranking
 // (paper §5.4.2): TF-IDF relevance scoring over *personalized* collection
-// statistics (only the documents the user can access), and a top-K cut
-// via a modification of Fagin's Threshold Algorithm [14/15].
+// statistics, and the no-random-access Threshold Algorithm (Fagin [14/15])
+// behind networked top-k retrieval (Stream).
+//
+// The statistics come from the decrypted lists themselves, which hold
+// only the documents the user can access: the collection size N is the
+// number of distinct documents in the query's lists and a term's document
+// frequency the length of its list. tf is the raw count; the paper divides
+// it by the document's length, but document lengths never reach the
+// client.
 //
 // Ranking happens entirely at the client because the index servers must
 // not see term frequencies in the clear — an adversary who takes over a
@@ -11,7 +18,6 @@ package ranking
 import (
 	"math"
 	"slices"
-	"sort"
 )
 
 // Posting is one decrypted (document, term frequency) pair for one query
@@ -21,151 +27,76 @@ type Posting struct {
 	TF    uint16
 }
 
-// Input bundles everything the ranking step needs.
-type Input struct {
-	// Query lists the query terms; duplicates are ignored.
-	Query []string
-	// Lists holds, per query term, the decrypted postings.
-	Lists map[string][]Posting
-	// NumDocs is the number of documents accessible to the user — the
-	// personalized collection size. Zero makes ScoreAll and TopK count
-	// the distinct documents in Lists instead.
-	NumDocs int
-	// DocFreq gives, per query term, its document frequency among the
-	// user's accessible documents. Zero values fall back to the list
-	// length.
-	DocFreq map[string]int
-	// DocLen optionally maps documents to their total term counts for
-	// length normalization (the paper's tf is "count divided by the
-	// document's length"). Missing entries default to 1 (raw counts).
-	DocLen map[uint32]int
-}
-
 // ScoredDoc is one ranked result.
 type ScoredDoc struct {
 	DocID uint32
 	Score float64
 }
 
-// collectionSize is the N of the idf: NumDocs, or when that is zero
-// distinct, the number of distinct documents in the query's lists.
-func (in *Input) collectionSize(distinct int) int {
-	if in.NumDocs != 0 {
-		return in.NumDocs
-	}
-	return distinct
-}
-
-// idf returns term's inverse document frequency log(1 + N/df) in a
-// collection of numDocs documents, with df from DocFreq or else the
-// length of the term's list.
-func (in *Input) idf(term string, numDocs int) float64 {
-	df := in.DocFreq[term]
-	if df == 0 {
-		df = len(in.Lists[term])
-	}
+// idf returns the inverse document frequency log(1 + N/df) of a term
+// whose list holds df postings, in a collection of numDocs documents.
+func idf(df, numDocs int) float64 {
 	if df <= 0 || numDocs <= 0 {
 		return 0
 	}
 	return math.Log(1 + float64(numDocs)/float64(df))
 }
 
-// contribution is one posting's share of its document's score: tf,
-// divided by the document's length when that is known, times idf.
-func contribution(tf uint16, docLen, idf float64) float64 {
-	tfNorm := float64(tf)
-	if docLen > 0 {
-		tfNorm /= docLen
-	}
-	return tfNorm * idf
-}
-
-// dedupQuery returns the distinct query terms preserving order.
-func (in *Input) dedupQuery() []string {
-	seen := make(map[string]struct{}, len(in.Query))
-	out := make([]string, 0, len(in.Query))
-	for _, t := range in.Query {
-		if _, dup := seen[t]; !dup {
-			seen[t] = struct{}{}
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // accumulate is the one scoring pass ScoreAll and TopK share: it returns
-// every matching document with its full TF-IDF score, in first-seen
-// order. The first sweep gives each document a slot (one table probe per
-// posting, the only ones) and settles the collection size; the second
-// adds tf·idf contributions slot by slot, with each term's idf and each
-// document's length looked up once instead of once per posting.
-func accumulate(in *Input) []ScoredDoc {
-	terms := in.dedupQuery()
+// every document in lists, one list per query term, with its full TF-IDF
+// score, in first-seen order. The first sweep gives each document a slot
+// (one table probe per posting, the only ones) and settles the collection
+// size; the second adds tf·idf contributions slot by slot, with each
+// term's idf computed once instead of once per posting.
+func accumulate(lists [][]Posting) []ScoredDoc {
 	longest, total := 0, 0
-	for _, term := range terms {
-		n := len(in.Lists[term])
-		longest, total = max(longest, n), total+n
+	for _, ps := range lists {
+		longest, total = max(longest, len(ps)), total+len(ps)
 	}
 	var table docTable
 	slots := make([]int32, 0, total) // posting → its document's slot
 	docs := make([]ScoredDoc, 0, longest)
 	table.reserve(docs, longest)
-	for _, term := range terms {
-		for _, p := range in.Lists[term] {
+	for _, ps := range lists {
+		for _, p := range ps {
 			slots = append(slots, int32(table.slotOf(&docs, p.DocID)))
 		}
 	}
-	var lens []float64 // slot → document length, when any are known
-	if len(in.DocLen) > 0 {
-		lens = make([]float64, len(docs))
-		for slot, d := range docs {
-			lens[slot] = float64(in.DocLen[d.DocID])
-		}
-	}
-	numDocs := in.collectionSize(len(docs))
-	for _, term := range terms {
-		ps, idf := in.Lists[term], in.idf(term, numDocs)
+	for _, ps := range lists {
+		w := idf(len(ps), len(docs))
 		for i, p := range ps {
-			slot := slots[i]
-			docLen := 0.0
-			if lens != nil {
-				docLen = lens[slot]
-			}
-			docs[slot].Score += contribution(p.TF, docLen, idf)
+			docs[slots[i]].Score += float64(p.TF) * w
 		}
 		slots = slots[len(ps):]
 	}
 	return docs
 }
 
-// ScoreAll computes the full TF-IDF score of every matching document and
-// returns all results sorted by descending score (ties by ascending doc
-// ID). It is the exhaustive reference implementation; TopK must agree
-// with its first K entries.
-func ScoreAll(in Input) []ScoredDoc {
-	out := accumulate(&in)
+// ScoreAll computes the full TF-IDF score of every document in lists, the
+// decrypted postings of each distinct query term, and returns all of them
+// sorted by descending score (ties by ascending doc ID). It is the
+// exhaustive reference implementation; TopK must agree with its first K
+// entries.
+func ScoreAll(lists [][]Posting) []ScoredDoc {
+	out := accumulate(lists)
 	sortScored(out)
 	return out
 }
 
-// TAStats instruments one TopK run, exposing how much of the posting
-// lists the Threshold Algorithm actually touched. The paper quotes a
-// sub-linear bound O(PLLength^((QT-1)/QT) * K^(1/QT)) for its modified
-// TA (§5.4.2); the Depth/total ratio makes that early exit observable.
+// TAStats instruments one top-k search (client.SearchTopK) on either of
+// its plans: how much of the posting lists the Threshold Algorithm
+// touched and what that moved over the wire. The paper quotes a
+// sub-linear bound O(PLLength^((QT-1)/QT) * K^(1/QT)) for its modified TA
+// (§5.4.2); TotalPostings against ElementsDecrypted makes the early exit
+// observable.
 type TAStats struct {
-	// Depth is the number of lockstep rounds (sorted-access positions)
-	// consumed before the threshold condition stopped the scan.
+	// Depth is the number of block rounds consumed before the threshold
+	// condition stopped the scan; 1 on the whole-list plan.
 	Depth int
 	// SortedAccesses counts entries seen via sorted access.
 	SortedAccesses int
-	// RandomAccesses counts score completions via random access.
-	RandomAccesses int
 	// TotalPostings is the summed length of the query's posting lists.
 	TotalPostings int
-
-	// The remaining fields instrument networked top-k retrieval
-	// (client.SearchTopK); the in-memory TopKStats leaves them zero.
-
 	// Streamed reports which of the client's two plans answered: rounds
 	// of score-ordered blocks (true), or whole lists in one call, where
 	// Depth is 1 and TotalPostings counts accessible elements only.
@@ -185,11 +116,11 @@ type TAStats struct {
 // sort over the lists or over the documents. Once the lists are
 // decrypted and in memory an early exit has nothing left to save; the
 // early exit that matters happens on the wire (Stream).
-func TopK(in Input, k int) []ScoredDoc {
+func TopK(lists [][]Posting, k int) []ScoredDoc {
 	if k <= 0 {
 		return nil
 	}
-	docs := accumulate(&in)
+	docs := accumulate(lists)
 	if len(docs) == 0 {
 		return nil
 	}
@@ -198,111 +129,6 @@ func TopK(in Input, k int) []ScoredDoc {
 		best.offer(d)
 	}
 	return best.ranked()
-}
-
-// TopKStats is the instrumented in-memory emulation of the paper's
-// modified Threshold Algorithm (§5.4.2): per-term lists are sorted by
-// descending contribution, scanned in lockstep with random access to
-// complete each candidate's score, and the scan stops as soon as the
-// K-th best score reaches the threshold (the sum of the current per-list
-// contributions). It exists to make that early exit observable, not to
-// be fast. Given at most one posting per term and document its scores
-// equal TopK's position by position; the documents can differ only where
-// equal scores straddle the cut.
-func TopKStats(in Input, k int) ([]ScoredDoc, TAStats) {
-	var st TAStats
-	if k <= 0 {
-		return nil, st
-	}
-	terms := in.dedupQuery()
-	if len(terms) == 0 {
-		return nil, st
-	}
-
-	// Per-term contribution lists, sorted descending.
-	type entry struct {
-		doc uint32
-		w   float64
-	}
-	lists := make([][]entry, 0, len(terms))
-	// Random-access structure: term index -> doc -> weight.
-	access := make([]map[uint32]float64, 0, len(terms))
-	numDocs := in.collectionSize(len(accumulate(&in))) // one entry per distinct document
-	for _, term := range terms {
-		ps, idf := in.Lists[term], in.idf(term, numDocs)
-		st.TotalPostings += len(ps)
-		es := make([]entry, 0, len(ps))
-		am := make(map[uint32]float64, len(ps))
-		for _, p := range ps {
-			w := contribution(p.TF, float64(in.DocLen[p.DocID]), idf)
-			es = append(es, entry{doc: p.DocID, w: w})
-			am[p.DocID] = w
-		}
-		sort.Slice(es, func(i, j int) bool {
-			if es[i].w != es[j].w {
-				return es[i].w > es[j].w
-			}
-			return es[i].doc < es[j].doc
-		})
-		lists = append(lists, es)
-		access = append(access, am)
-	}
-
-	seen := make(map[uint32]struct{})
-	var top []ScoredDoc // kept sorted ascending by score for cheap kth lookup
-	push := func(d ScoredDoc) {
-		top = append(top, d)
-		sort.Slice(top, func(i, j int) bool {
-			if top[i].Score != top[j].Score {
-				return top[i].Score < top[j].Score
-			}
-			return top[i].DocID > top[j].DocID
-		})
-		if len(top) > k {
-			top = top[1:]
-		}
-	}
-
-	for pos := 0; ; pos++ {
-		threshold := 0.0
-		exhausted := true
-		for _, es := range lists {
-			if pos >= len(es) {
-				continue
-			}
-			exhausted = false
-			st.SortedAccesses++
-			threshold += es[pos].w
-			doc := es[pos].doc
-			if _, dup := seen[doc]; dup {
-				continue
-			}
-			seen[doc] = struct{}{}
-			// Random access: total score across all query terms.
-			score := 0.0
-			for ai := range access {
-				score += access[ai][doc]
-			}
-			st.RandomAccesses += len(access)
-			push(ScoredDoc{DocID: doc, Score: score})
-		}
-		if !exhausted {
-			st.Depth = pos + 1
-		}
-		if exhausted {
-			break
-		}
-		if len(top) >= k && top[0].Score >= threshold {
-			break
-		}
-	}
-
-	// Convert to descending order.
-	out := make([]ScoredDoc, len(top))
-	for i := range top {
-		out[len(top)-1-i] = top[i]
-	}
-	return out, st
 }
 
 // outranks is the result order: higher score first, ties by ascending

@@ -67,7 +67,7 @@ func (t *docTable) slotOf(docs *[]ScoredDoc, doc uint32) int {
 // are provably final, including under score ties, so the result always
 // equals what exhaustive retrieval would have ranked.
 //
-// Unlike the in-memory TopKStats, the stream never takes a random
+// Unlike the paper's TA (§5.4.2), the stream never takes a random
 // access: a document's remaining terms are only resolved by deeper
 // blocks, which is exactly the NRA variant's trade — no extra round
 // trips, slightly deeper scans.

@@ -210,6 +210,10 @@ func TestExtend(t *testing.T) {
 	}
 }
 
+// TestProactiveRefresh is proactive secret sharing (Herzberg et al. [21],
+// paper §5.1) at the level of one secret: adding a sharing of zero to
+// every share leaves the secret unchanged and makes the old shares
+// useless beside the new ones.
 func TestProactiveRefresh(t *testing.T) {
 	rng := detRand(9)
 	secret := field.New(rng.Uint64())
@@ -219,13 +223,13 @@ func TestProactiveRefresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deltas, err := Refresh(k, xs, rng)
+	deltas, err := Split(0, k, xs, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refreshed, err := ApplyRefresh(shares, deltas)
-	if err != nil {
-		t.Fatal(err)
+	refreshed := make([]Share, n)
+	for i, s := range shares {
+		refreshed[i] = Share{X: s.X, Y: field.Add(s.Y, deltas[i].Y)}
 	}
 	// Secret unchanged.
 	got, err := Reconstruct(refreshed, k)
@@ -254,16 +258,6 @@ func TestProactiveRefresh(t *testing.T) {
 	}
 	if got == secret {
 		t.Fatal("stale share still combines to the secret after refresh")
-	}
-}
-
-func TestRefreshValidation(t *testing.T) {
-	rng := detRand(10)
-	if _, err := Refresh(0, xsUpTo(3), rng); !errors.Is(err, ErrBadParams) {
-		t.Errorf("k=0: got %v", err)
-	}
-	if _, err := ApplyRefresh(make([]Share, 2), make([]field.Element, 3)); err == nil {
-		t.Error("mismatched lengths must fail")
 	}
 }
 

@@ -7,8 +7,6 @@
 //     frames over one pipelined TCP connection per server, built and
 //     read in place in recycled buffers (framebuf.go states who owns
 //     one when);
-//   - Local: in-process calls with byte accounting, used by the
-//     simulation experiments (§7.3 network bandwidth) and the tests;
 //   - Latency: a fixed simulated round-trip time per call;
 //   - Hooked: before/after interception for fault injection.
 //
@@ -121,8 +119,7 @@ type BlockPage struct {
 
 // Wire-size constants for the byte accounting (§7.3). A posting list
 // request carries 4 bytes per list ID; a response carries WireBytes per
-// share plus 4 bytes per list header. Tokens ride in headers and are
-// charged at their string length.
+// share plus 4 bytes per list header.
 const (
 	ListIDBytes     = 4
 	ShareBytes      = posting.WireBytes

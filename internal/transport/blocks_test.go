@@ -83,26 +83,3 @@ func TestWireBlockPages(t *testing.T) {
 		})
 	}
 }
-
-func TestLocalBlockByteAccounting(t *testing.T) {
-	srv, tok := newServer(t)
-	l := transport.NewLocal(srv)
-	if err := transporttest.Insert(context.Background(), l, tok, []transport.InsertOp{
-		{List: 1, Share: taggedShare(1, 2, 1)},
-		{List: 1, Share: taggedShare(2, 5, 2)},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	l.ResetCounters()
-	if _, err := l.GetPostingBlocks(context.Background(), tok, 1, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	wantSent := int64(len(tok)) + transport.BlockReqBytes
-	if got := l.BytesSent(); got != wantSent {
-		t.Errorf("BytesSent = %d, want %d", got, wantSent)
-	}
-	wantRecv := int64(transport.BlockHeaderBytes + transport.ShareBytes)
-	if got := l.BytesReceived(); got != wantRecv {
-		t.Errorf("BytesReceived = %d, want %d", got, wantRecv)
-	}
-}

@@ -69,56 +69,6 @@ func dialBinaryCodec(t testing.TB, api transport.API) transport.API {
 	return c
 }
 
-func TestLocalPassThrough(t *testing.T) {
-	srv, tok := newServer(t)
-	l := transport.NewLocal(srv)
-	if l.XCoord() != field.New(42) {
-		t.Error("XCoord passthrough broken")
-	}
-	if err := transporttest.Insert(context.Background(), l, tok, []transport.InsertOp{{List: 1, Share: sampleShare(1, 100)}}); err != nil {
-		t.Fatal(err)
-	}
-	out, err := l.GetPostingLists(context.Background(), tok, []merging.ListID{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out[1]) != 1 || out[1][0].Y != field.New(100) {
-		t.Fatalf("lookup via local transport: %v", out)
-	}
-	if err := transporttest.Delete(context.Background(), l, tok, []transport.DeleteOp{{List: 1, ID: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if srv.Store().TotalElements() != 0 {
-		t.Error("delete did not pass through")
-	}
-}
-
-func TestLocalByteAccounting(t *testing.T) {
-	srv, tok := newServer(t)
-	l := transport.NewLocal(srv)
-	if err := transporttest.Insert(context.Background(), l, tok, []transport.InsertOp{
-		{List: 1, Share: sampleShare(1, 1)},
-		{List: 1, Share: sampleShare(2, 2)},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	wantSent := int64(len(tok)) + transport.OpIDBytes + 2*(transport.ListIDBytes+transport.ShareBytes)
-	if got := l.BytesSent(); got != wantSent {
-		t.Errorf("BytesSent after insert = %d, want %d", got, wantSent)
-	}
-	if _, err := l.GetPostingLists(context.Background(), tok, []merging.ListID{1}); err != nil {
-		t.Fatal(err)
-	}
-	wantRecv := int64(transport.ListHeaderBytes + 2*transport.ShareBytes)
-	if got := l.BytesReceived(); got != wantRecv {
-		t.Errorf("BytesReceived = %d, want %d", got, wantRecv)
-	}
-	l.ResetCounters()
-	if l.BytesSent() != 0 || l.BytesReceived() != 0 {
-		t.Error("ResetCounters did not zero")
-	}
-}
-
 func TestWireRoundTrip(t *testing.T) {
 	for _, codec := range codecs {
 		t.Run(codec.name, func(t *testing.T) {

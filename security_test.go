@@ -212,13 +212,14 @@ func TestProactiveRefreshNeutralizesOldShares(t *testing.T) {
 	}
 	stolen := shares[0] // adversary snapshot before refresh
 
-	deltas, err := shamir.Refresh(2, xs, nil)
+	// The refresh adds a fresh sharing of zero to every share.
+	deltas, err := shamir.Split(0, 2, xs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := shamir.ApplyRefresh(shares, deltas)
-	if err != nil {
-		t.Fatal(err)
+	fresh := make([]shamir.Share, len(shares))
+	for i, s := range shares {
+		fresh[i] = shamir.Share{X: s.X, Y: field.Add(s.Y, deltas[i].Y)}
 	}
 	// Stolen share + one fresh share: wrong secret.
 	got, err := shamir.Reconstruct([]shamir.Share{stolen, fresh[1]}, 2)

@@ -580,7 +580,7 @@ func NewCluster(docFreqs map[string]int, opts Options) (*Cluster, error) {
 				}
 			}
 			c.slots = append(c.slots, slot)
-			c.apis = append(c.apis, transport.NewLocal(slot))
+			c.apis = append(c.apis, slot)
 		}
 		return c, nil
 	}
@@ -598,7 +598,7 @@ func NewCluster(docFreqs map[string]int, opts Options) (*Cluster, error) {
 			Store:  st,
 		})
 		c.servers = append(c.servers, s)
-		c.apis = append(c.apis, transport.NewLocal(s))
+		c.apis = append(c.apis, s)
 	}
 	return c, nil
 }
@@ -970,17 +970,5 @@ func (c *Cluster) APIs() []transport.API {
 // listeners, one per share slot: the index servers themselves in the
 // monolithic layout, or each slot's router under DHTNodes — wire
 // clients keep addressing n logical servers while physical nodes join
-// and leave behind each slot.
-func (c *Cluster) WireTargets() []transport.API {
-	out := make([]transport.API, 0, len(c.apis))
-	if c.slots != nil {
-		for _, sl := range c.slots {
-			out = append(out, sl)
-		}
-		return out
-	}
-	for _, s := range c.servers {
-		out = append(out, s)
-	}
-	return out
-}
+// and leave behind each slot. They are the handles APIs returns.
+func (c *Cluster) WireTargets() []transport.API { return c.APIs() }
