@@ -11,9 +11,11 @@ import (
 	"zerber/internal/confidential"
 	"zerber/internal/dht"
 	"zerber/internal/field"
+	"zerber/internal/invindex"
 	"zerber/internal/merging"
 	"zerber/internal/peer"
 	"zerber/internal/server"
+	"zerber/internal/textproc"
 	"zerber/internal/transport"
 	"zerber/internal/vocab"
 )
@@ -193,14 +195,14 @@ func TestDHTEndToEndSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// term00 appears in docs where d%7 == 0 position chain: d%7==0 -> i starts 0.
-	want := 0
-	for _, post := range p.Local().Lookup("term00") {
-		_ = post
-		want++
+	// The oracle: a plain inverted index over the peer's documents.
+	plain := invindex.New()
+	for _, id := range p.DocIDs() {
+		doc, _ := p.Document(id)
+		plain.Add(id, textproc.TermCounts(doc.Content))
 	}
-	if len(res) != want {
-		t.Fatalf("DHT search found %d docs, local index says %d", len(res), want)
+	if want := len(plain.Lookup("term00")); len(res) != want {
+		t.Fatalf("DHT search found %d docs, plain index says %d", len(res), want)
 	}
 	if stats.ServersQueried != 2 {
 		t.Errorf("queried %d slots, want 2", stats.ServersQueried)

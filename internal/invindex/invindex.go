@@ -6,8 +6,9 @@
 //
 //  1. the baseline system the paper compares Zerber against throughout §7
 //     (storage, bandwidth, and workload-cost ratios);
-//  2. the local index every document owner keeps over its own shared
-//     documents to support efficient updates (§7.2);
+//  2. the plaintext oracle of the correctness tests: the trusted
+//     centralized index with an ACL check that Zerber's answers must
+//     equal (§2, package sim's Oracle);
 //  3. the source of the document-frequency statistics that drive the
 //     merging heuristics (§6).
 //

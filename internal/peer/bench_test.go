@@ -170,10 +170,11 @@ func BenchmarkUpdateDocument(b *testing.B) {
 // BenchmarkUpdateDocumentPopulated: one op = an update that replaces 3
 // of a document's ~50 terms, on a peer that hosts 4,000 such documents
 // over a 5,000-term Zipfian vocabulary (the repository benchmark's
-// write-journal shape, one peer's share). BenchmarkUpdateDocument's peer
-// hosts one document, so every list of its local index has length 1 and
-// whatever an update does per list element costs nothing there; here the
-// head terms' lists hold thousands.
+// write-journal shape, one peer's share). Where BenchmarkUpdateDocument
+// rewrites a tenth of one 1,000-term document on an otherwise empty peer,
+// this is the common update: a few terms of a typical document, with the
+// peer's per-document state (documents and refs) thousands of entries
+// deep.
 func BenchmarkUpdateDocumentPopulated(b *testing.B) {
 	const docs, perDoc, vocabSize = 4000, 50, 5000
 	p, names := benchMutationPeer(b, vocabSize, "")

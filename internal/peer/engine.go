@@ -13,7 +13,6 @@ import (
 	"zerber/internal/journal"
 	"zerber/internal/merging"
 	"zerber/internal/posting"
-	"zerber/internal/textproc"
 	"zerber/internal/transport"
 )
 
@@ -68,13 +67,12 @@ type mutOp struct {
 	// Only the simulation hooks read it.
 	restored bool
 	// Live-commit cache, nil for ops replayed from the journal: the
-	// documents this op installs with their refs and term counts,
-	// parallel slices. applyLocal prefers these over re-deriving the
-	// same state from op.Docs — a large document is thousands of terms,
-	// and the mutation just counted and referenced all of them.
-	commitDocs   []Document
-	commitRefs   []map[string]elemRef
-	commitCounts []map[string]int
+	// documents this op installs with their refs, parallel slices.
+	// applyLocal prefers these over re-deriving the same refs from
+	// op.Docs — a large document is thousands of terms, and the
+	// mutation just referenced all of them.
+	commitDocs []Document
+	commitRefs []map[string]elemRef
 }
 
 // newOpID draws a non-zero operation ID from the peer's randomness
@@ -330,10 +328,10 @@ func (p *Peer) runStage(m *mutOp, name string, stage uint8, acks *uint64, send f
 }
 
 // applyLocal installs an op's local post-state: touched documents with
-// their refs and term counts, then removals. Replaying completed ops in
-// journal order reproduces exactly this sequence of installs. Live ops
-// commit from their cached state; replayed ops re-derive it from the
-// journaled document content.
+// their refs, then removals. Replaying completed ops in journal order
+// reproduces exactly this sequence of installs. Live ops commit from
+// their cached state; replayed ops decode it from the journaled
+// document states.
 func (p *Peer) applyLocal(m *mutOp) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -341,7 +339,6 @@ func (p *Peer) applyLocal(m *mutOp) {
 		for i, doc := range m.commitDocs {
 			p.docs[doc.ID] = doc
 			p.refs[doc.ID] = m.commitRefs[i]
-			p.local.Add(doc.ID, m.commitCounts[i])
 		}
 	} else {
 		for _, ds := range m.op.Docs {
@@ -357,13 +354,11 @@ func (p *Peer) applyLocal(m *mutOp) {
 				ID: ds.ID, Name: ds.Name, Content: ds.Content, Group: auth.GroupID(ds.Group),
 			}
 			p.refs[ds.ID] = refs
-			p.local.Add(ds.ID, textproc.TermCounts(ds.Content))
 		}
 	}
 	for _, id := range m.op.Removed {
 		delete(p.docs, id)
 		delete(p.refs, id)
-		p.local.Remove(id)
 	}
 }
 

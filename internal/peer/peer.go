@@ -1,6 +1,7 @@
 // Package peer implements a Zerber document owner's machine: the trusted
-// desktop or local web server that hosts the shared documents, keeps a
-// local inverted index over them (§7.2), pushes encrypted posting
+// desktop or local web server that hosts the shared documents, keeps
+// their local index (§7.2: per document, each term's list, global ID and
+// tf, which every update diffs against), pushes encrypted posting
 // elements to the n index servers — immediately or in correlation-hiding
 // batches (§5.4.1) — and serves result snippets to authorized searchers
 // (§5.4.2).
@@ -17,7 +18,6 @@ import (
 
 	"zerber/internal/auth"
 	"zerber/internal/field"
-	"zerber/internal/invindex"
 	"zerber/internal/journal"
 	"zerber/internal/merging"
 	"zerber/internal/posting"
@@ -106,10 +106,9 @@ type Peer struct {
 	crypto   bool             // cfg.Rand was nil: crypto randomness
 	rngPool  sync.Pool        // *field.ShareSource per concurrent caller
 
-	mu    sync.RWMutex
-	docs  map[uint32]Document
-	refs  map[uint32]map[string]elemRef // docID -> term -> central element
-	local *invindex.Index
+	mu   sync.RWMutex
+	docs map[uint32]Document
+	refs map[uint32]map[string]elemRef // docID -> term -> central element
 
 	// The mutation engine (engine.go): pmu serializes mutations, pending
 	// holds operations whose dispatch has not completed, jn is the
@@ -137,7 +136,6 @@ func New(cfg Config) (*Peer, error) {
 		crypto:   cfg.Rand == nil,
 		docs:     make(map[uint32]Document),
 		refs:     make(map[uint32]map[string]elemRef),
-		local:    invindex.New(),
 	}
 	p.rngPool.New = func() any { return field.NewShareSource(nil) }
 	if cfg.JournalPath != "" {
@@ -184,10 +182,6 @@ func (p *Peer) acquireRand() (io.Reader, func()) {
 	src := p.rngPool.Get().(*field.ShareSource)
 	return src, func() { p.rngPool.Put(src) }
 }
-
-// Local exposes the peer's local inverted index (useful for local search
-// and for harvesting document-frequency statistics).
-func (p *Peer) Local() *invindex.Index { return p.local }
 
 // Document returns a hosted document.
 func (p *Peer) Document(id uint32) (Document, bool) {
@@ -360,9 +354,8 @@ func (p *Peer) mutateDoc(tok auth.Token, doc Document) error {
 			Elems:   buildElems(&st, shares),
 			Dels:    dels,
 		},
-		commitDocs:   []Document{doc},
-		commitRefs:   []map[string]elemRef{keep},
-		commitCounts: []map[string]int{newCounts},
+		commitDocs: []Document{doc},
+		commitRefs: []map[string]elemRef{keep},
 	}
 	if p.jn != nil {
 		// The journaled post-state (with its deterministic sorted-ref
@@ -492,11 +485,10 @@ func (p *Peer) encryptStaged(st *staged, rng io.Reader) ([][]posting.EncryptedSh
 // journaled operation. A batch is not safe for concurrent use; the peer
 // it flushes into is.
 type Batch struct {
-	peer   *Peer
-	st     staged
-	docs   []Document
-	counts []map[string]int
-	refs   []map[string]elemRef
+	peer *Peer
+	st   staged
+	docs []Document
+	refs []map[string]elemRef
 	// m is the journaled operation of a failed Flush; opElems/opDocs
 	// count how much of the staged state its payload already covers. A
 	// retried Flush must resend byte-identical shares: re-encrypting
@@ -532,7 +524,6 @@ func (b *Batch) Add(doc Document) error {
 		return err
 	}
 	b.docs = append(b.docs, doc)
-	b.counts = append(b.counts, counts)
 	b.refs = append(b.refs, refs)
 	return nil
 }
@@ -569,13 +560,12 @@ func (b *Batch) Flush(tok auth.Token) error {
 		// checker (internal/sim), pinned by TestBatchRetryAfterDocMutated.
 		b.m = nil
 		if b.opDocs == len(b.docs) && b.opElems == len(b.st.elems) {
-			b.docs, b.counts, b.refs = nil, nil, nil
+			b.docs, b.refs = nil, nil
 			b.opElems, b.opDocs = 0, 0
 			b.st.reset()
 			return nil
 		}
 		b.docs = b.docs[b.opDocs:]
-		b.counts = b.counts[b.opDocs:]
 		b.refs = b.refs[b.opDocs:]
 		b.st.drop(b.opElems)
 		b.opElems, b.opDocs = 0, 0
@@ -596,7 +586,7 @@ func (b *Batch) Flush(tok auth.Token) error {
 	if err := p.drainPending(tok); err != nil {
 		return err
 	}
-	b.docs, b.counts, b.refs, b.m = nil, nil, nil, nil
+	b.docs, b.refs, b.m = nil, nil, nil
 	b.opElems, b.opDocs = 0, 0
 	b.st.reset()
 	return nil
@@ -654,7 +644,7 @@ func (b *Batch) syncOp() error {
 		}
 	}
 	b.opDocs = len(b.docs)
-	b.m.commitDocs, b.m.commitRefs, b.m.commitCounts = b.docs, b.refs, b.counts
+	b.m.commitDocs, b.m.commitRefs = b.docs, b.refs
 	if created {
 		return p.beginOp(b.m)
 	}

@@ -98,9 +98,23 @@ func TestIndexDocumentReachesAllServers(t *testing.T) {
 	if p.NumDocs() != 1 {
 		t.Errorf("NumDocs = %d", p.NumDocs())
 	}
-	if p.Local().DocFreq("martha") != 1 {
-		t.Error("local index not updated")
+	if refDocs(p, "martha") != 1 {
+		t.Error("refs do not name martha")
 	}
+}
+
+// refDocs counts the documents whose committed refs name term: the
+// owner's local index (§7.2) that later mutations diff against.
+func refDocs(p *Peer, term string) int {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	n := 0
+	for _, refs := range p.refs {
+		if _, ok := refs[term]; ok {
+			n++
+		}
+	}
+	return n
 }
 
 func TestDocIDRangeValidation(t *testing.T) {
@@ -130,7 +144,10 @@ func TestDeleteDocumentRemovesAllElements(t *testing.T) {
 			t.Errorf("server %d still has %d elements", i, got)
 		}
 	}
-	if p.NumDocs() != 0 || p.Local().NumDocs() != 0 {
+	p.mu.RLock()
+	refs := len(p.refs)
+	p.mu.RUnlock()
+	if p.NumDocs() != 0 || refs != 0 {
 		t.Error("local state not cleaned up")
 	}
 	if err := p.DeleteDocument(tok, 1); !errors.Is(err, ErrUnknownDoc) {

@@ -553,8 +553,8 @@ func TestBatchRetryAfterDocMutated(t *testing.T) {
 }
 
 // TestJournalRestoresLocalState exercises the journal as the peer's
-// local persistence: documents, refs, and the local inverted index
-// survive a restart, including deletions and compaction.
+// local persistence: documents and their refs (the local index) survive
+// a restart, including deletions and compaction.
 func TestJournalRestoresLocalState(t *testing.T) {
 	tc := newCluster(t, 3, corpusTerms)
 	tc.groups.Add("alice", 1)
@@ -613,8 +613,8 @@ func TestJournalRestoresLocalState(t *testing.T) {
 				}
 			}
 		}
-		if p.Local().DocFreq("layoff") != 1 || p.Local().DocFreq("budget") != 0 {
-			t.Error("local inverted index not restored")
+		if refDocs(p, "layoff") != 1 || refDocs(p, "budget") != 0 {
+			t.Error("refs not restored")
 		}
 		if p.PendingOps() != 0 {
 			t.Errorf("PendingOps = %d after clean history", p.PendingOps())

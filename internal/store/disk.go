@@ -25,10 +25,9 @@ import (
 // Every mutation batch is one wal frame appended to the active segment
 // (see segment.go for the record codec); the frame's CRC makes the batch
 // atomic across a crash, which is how ApplyDeltas stays all-or-nothing.
-// The in-memory index applies exactly the bucket-major bubble moves of
-// the shared table core (table.go), so the stored order — a pure
-// function of the per-list operation history — matches Sharded element
-// for element.
+// Each list's index is ordered by the same layout code as Sharded's
+// lists (layout.go), so the stored order — a pure function of the
+// per-list operation history — matches Sharded element for element.
 //
 // Each segment file is a wal.Log, which owns replay, the torn-tail cut,
 // appending and the atomic rewrite; this engine owns segment naming and
@@ -144,91 +143,45 @@ type diskEntry struct {
 	off uint32
 }
 
-// diskList is one list's index: entries in the bucket-major stored
-// order, a position map, per-bucket counts, and — when resident — the
-// decoded payloads aligned index-for-index with entries.
+// diskList is one list's index: entries in the order its layout keeps
+// and — when resident — the decoded payloads aligned index-for-index
+// with entries.
 type diskList struct {
 	entries []diskEntry
-	pos     map[posting.GlobalID]int
-	cnt     [posting.ImpactBuckets]int
 	shares  []posting.EncryptedShare // nil when not resident
 	lruElem *list.Element
+	layout
 }
+
+func newDiskList() *diskList { return &diskList{layout: newLayout(0)} }
 
 func (dl *diskList) resident() bool { return dl.shares != nil }
 
-// upsertEntry inserts or replaces one element, mirroring table.upsert's
-// bubble move exactly; sh is applied to the resident copy when present.
-func (dl *diskList) upsertEntry(e diskEntry, sh posting.EncryptedShare) (added bool) {
-	if i, ok := dl.pos[e.gid]; ok {
-		dl.entries[i] = e
+// put inserts or replaces one element; sh is applied to the resident
+// copy when present.
+func (dl *diskList) put(e diskEntry, sh posting.EncryptedShare) (added bool) {
+	i, ok := dl.pos[e.gid]
+	if !ok {
+		dl.entries = append(dl.entries, diskEntry{})
 		if dl.shares != nil {
-			dl.shares[i] = sh
+			dl.shares = append(dl.shares, posting.EncryptedShare{})
 		}
-		return false
+		i = dl.insert(dl.shares, dl.entries, e.gid)
 	}
-	b := posting.ImpactOf(e.gid)
-	dl.entries = append(dl.entries, diskEntry{})
+	dl.entries[i] = e
 	if dl.shares != nil {
-		dl.shares = append(dl.shares, posting.EncryptedShare{})
+		dl.shares[i] = sh
 	}
-	hole := len(dl.entries) - 1
-	for j := 0; j < int(b); j++ {
-		if dl.cnt[j] == 0 {
-			continue
-		}
-		s := hole - dl.cnt[j]
-		dl.entries[hole] = dl.entries[s]
-		if dl.shares != nil {
-			dl.shares[hole] = dl.shares[s]
-		}
-		dl.pos[dl.entries[hole].gid] = hole
-		hole = s
-	}
-	dl.entries[hole] = e
-	if dl.shares != nil {
-		dl.shares[hole] = sh
-	}
-	dl.pos[e.gid] = hole
-	dl.cnt[b]++
-	return true
+	return !ok
 }
 
-// deleteEntry removes gid (which must be present), mirroring
-// table.deleteIf's layout-preserving moves.
-func (dl *diskList) deleteEntry(gid posting.GlobalID) {
-	idx := dl.pos[gid]
-	b := posting.ImpactOf(gid)
-	end := 0
-	for j := int(b); j < posting.ImpactBuckets; j++ {
-		end += dl.cnt[j]
-	}
-	hole := end - 1
-	if idx != hole {
-		dl.entries[idx] = dl.entries[hole]
-		if dl.shares != nil {
-			dl.shares[idx] = dl.shares[hole]
-		}
-		dl.pos[dl.entries[idx].gid] = idx
-	}
-	for j := int(b) - 1; j >= 0; j-- {
-		if dl.cnt[j] == 0 {
-			continue
-		}
-		src := hole + dl.cnt[j]
-		dl.entries[hole] = dl.entries[src]
-		if dl.shares != nil {
-			dl.shares[hole] = dl.shares[src]
-		}
-		dl.pos[dl.entries[hole].gid] = hole
-		hole = src
-	}
+// take removes gid, stored at position idx.
+func (dl *diskList) take(gid posting.GlobalID, idx int) {
+	dl.remove(dl.shares, dl.entries, gid, idx)
 	dl.entries = dl.entries[:len(dl.entries)-1]
 	if dl.shares != nil {
 		dl.shares = dl.shares[:len(dl.shares)-1]
 	}
-	dl.cnt[b]--
-	delete(dl.pos, gid)
 }
 
 func (o DiskOptions) withDefaults() DiskOptions {
@@ -369,11 +322,11 @@ func (d *Disk) applyRecs(seg uint32, off int64, recs []segRec) {
 		case segOpUpsert:
 			dl := d.lists[rec.lid]
 			if dl == nil {
-				dl = &diskList{pos: make(map[posting.GlobalID]int)}
+				dl = newDiskList()
 				d.lists[rec.lid] = dl
 			}
 			e := diskEntry{gid: rec.gid, seg: seg, off: uint32(off + int64(rec.relOff))}
-			if dl.upsertEntry(e, posting.EncryptedShare{}) {
+			if dl.put(e, posting.EncryptedShare{}) {
 				d.elems++
 			}
 		case segOpDelete:
@@ -381,10 +334,11 @@ func (d *Disk) applyRecs(seg uint32, off int64, recs []segRec) {
 			if dl == nil {
 				continue
 			}
-			if _, ok := dl.pos[rec.gid]; !ok {
+			idx, ok := dl.pos[rec.gid]
+			if !ok {
 				continue
 			}
-			dl.deleteEntry(rec.gid)
+			dl.take(rec.gid, idx)
 			d.elems--
 			if len(dl.entries) == 0 {
 				delete(d.lists, rec.lid)
@@ -571,7 +525,7 @@ func (d *Disk) startSegment(id uint32) error {
 func (d *Disk) getList(lid merging.ListID) *diskList {
 	dl := d.lists[lid]
 	if dl == nil {
-		dl = &diskList{pos: make(map[posting.GlobalID]int)}
+		dl = newDiskList()
 		d.lists[lid] = dl
 		// A brand-new list is admitted resident for free: its payloads
 		// arrive through the write path, no read-back needed.
@@ -581,6 +535,14 @@ func (d *Disk) getList(lid merging.ListID) *diskList {
 		}
 	}
 	return dl
+}
+
+// positions returns a list's position map, nil when there is none.
+func (d *Disk) positions(lid merging.ListID) map[posting.GlobalID]int {
+	if dl := d.lists[lid]; dl != nil {
+		return dl.pos
+	}
+	return nil
 }
 
 // dropResident removes dl's payload copy from the cache.
@@ -649,7 +611,7 @@ func (d *Disk) Upsert(lid merging.ListID, shares []posting.EncryptedShare) int {
 		before := len(dl.entries)
 		for i, sh := range batch {
 			e := diskEntry{gid: sh.GlobalID, seg: seg, off: uint32(base + int64(i)*segUpsertSize)}
-			if dl.upsertEntry(e, sh) {
+			if dl.put(e, sh) {
 				added++
 			}
 		}
@@ -686,7 +648,7 @@ func (d *Disk) DeleteIf(lid merging.ListID, gid posting.GlobalID, allow func(pos
 		}
 	}
 	d.appendFrame(appendDeleteRec(nil, lid, gid))
-	dl.deleteEntry(gid)
+	dl.take(gid, idx)
 	d.elems--
 	if dl.resident() {
 		d.cachedBytes -= shareBytes
@@ -720,18 +682,9 @@ func (d *Disk) DropList(lid merging.ListID) int {
 func (d *Disk) ApplyDeltas(deltas map[merging.ListID]map[posting.GlobalID]field.Element) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	n := 0
-	for lid, byID := range deltas {
-		dl := d.lists[lid]
-		for gid := range byID {
-			if dl == nil {
-				return fmt.Errorf("reshare delta for element %d in list %d: %w", gid, lid, ErrMissing)
-			}
-			if _, ok := dl.pos[gid]; !ok {
-				return fmt.Errorf("reshare delta for element %d in list %d: %w", gid, lid, ErrMissing)
-			}
-			n++
-		}
+	n, err := checkDeltas(deltas, d.positions)
+	if err != nil {
+		return err
 	}
 	if n == 0 {
 		return nil
@@ -917,19 +870,7 @@ func (d *Disk) ScanRange(lid merging.ListID, from, n int, keep func(posting.Encr
 		return nil, 0, 0
 	}
 	total = len(dl.entries)
-	if from < 0 {
-		from = 0
-	}
-	if n < 0 {
-		n = 0
-	}
-	end := from + n
-	if end > total || end < from { // overflow-safe clamp
-		end = total
-	}
-	if from > total {
-		from = total
-	}
+	from, end := window(from, n, total)
 	if dl.shares != nil {
 		shares = filterShares(dl.shares[from:end], keep, false)
 	} else if from < end {

@@ -24,9 +24,13 @@
 //     GlobalID, the Zerber+R §6 relevance layout): every element of
 //     bucket b precedes every element of bucket b-1, so a ranged read
 //     fetches the highest-scoring elements first. Within a bucket the
-//     order is arrival (append) order, except that a delete moves the
-//     last element of the same bucket segment into the vacated slot
-//     and shifts one element per lower bucket. Order across lists
+//     order is what two moves leave. An insert into bucket b appends
+//     to b's run and moves the first element of each lower, non-empty
+//     bucket to that bucket's tail: inserting x into
+//     [a | b1 b2 b3 | c1 c2] gives [a x | b2 b3 b1 | c2 c1]. A delete
+//     from bucket b moves b's last element into the vacated slot and
+//     the last element of each lower, non-empty bucket to that
+//     bucket's head. A replacement keeps its slot. Order across lists
 //     carries no meaning. The layout is a pure function of the per-list
 //     operation history, so retrieval output is independent of how the
 //     store is sharded: a list lives in exactly one shard.
@@ -87,17 +91,18 @@ var ErrMissing = errors.New("store: element not found")
 // O(lists) is the price and copying and sorting every ID would stall
 // every serving call. A caller that needs the IDs reads the lists.
 type Store interface {
-	// Upsert appends the shares to list lid in arrival order. A share
-	// whose GlobalID is already present replaces the stored share in
-	// place instead of appending. It returns how many shares were newly
-	// appended (replacements are not counted). Node-to-node migration
-	// ingests a list through it too.
+	// Upsert inserts the shares into list lid one after another, each
+	// where the package doc's layout rule puts it. A share whose
+	// GlobalID is already present replaces the stored share in place
+	// instead. It returns how many shares were newly inserted
+	// (replacements are not counted). Node-to-node migration ingests a
+	// list through it too.
 	Upsert(lid merging.ListID, shares []posting.EncryptedShare) int
 
 	// DeleteIf atomically looks up the element keyed by (lid, gid) and,
 	// if allow approves the stored share (nil allows unconditionally),
-	// swap-removes it: the list's last element moves into the vacated
-	// slot. found reports presence; deleted reports removal. A list
+	// removes it, moving elements as the package doc's layout rule says.
+	// found reports presence; deleted reports removal. A list
 	// emptied by the removal disappears entirely (empty lists are not
 	// part of the adversary view).
 	//

@@ -100,7 +100,10 @@ func TestUpsertAppendsAndReplaces(t *testing.T) {
 	})
 }
 
-func TestIngestListReplacesExistingGlobalIDs(t *testing.T) {
+// TestUpsertBatchReplacesExistingGlobalIDs: a batch that mixes present
+// and new IDs, as a migrated list does, replaces the one and inserts the
+// other.
+func TestUpsertBatchReplacesExistingGlobalIDs(t *testing.T) {
 	each(t, func(t *testing.T, st store.Store) {
 		st.Upsert(5, []posting.EncryptedShare{sh(1, 1, 10), sh(2, 1, 20)})
 		// A migrated list carrying an already-present global ID must
@@ -116,10 +119,10 @@ func TestIngestListReplacesExistingGlobalIDs(t *testing.T) {
 		if listLen(st, 5) != 3 || st.TotalElements() != 3 {
 			t.Errorf("length=%d TotalElements=%d, want 3/3", listLen(st, 5), st.TotalElements())
 		}
-		// Ingesting an empty list into nothing must not materialize one.
+		// An empty batch into nothing must not materialize a list.
 		st.Upsert(77, nil)
 		if _, present := st.ListLengths()[77]; present {
-			t.Error("empty ingest materialized a list")
+			t.Error("empty Upsert materialized a list")
 		}
 	})
 }
@@ -397,10 +400,10 @@ func TestApplyDeltasAllOrNothing(t *testing.T) {
 	})
 }
 
-// TestKeysSortedInventory checks what the one inventory promises:
+// TestListLengthsInventory checks what the one inventory promises:
 // ListLengths covers exactly the stored lists, with their lengths, and
 // an emptied or dropped list vanishes from it.
-func TestKeysSortedInventory(t *testing.T) {
+func TestListLengthsInventory(t *testing.T) {
 	each(t, func(t *testing.T, st store.Store) {
 		st.Upsert(1, []posting.EncryptedShare{sh(5, 1, 1), sh(2, 1, 2), sh(9, 1, 3)})
 		st.Upsert(2, []posting.EncryptedShare{sh(7, 1, 4)})

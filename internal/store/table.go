@@ -1,7 +1,6 @@
 package store
 
 import (
-	"fmt"
 	"sync"
 
 	"zerber/internal/field"
@@ -10,27 +9,18 @@ import (
 )
 
 // table is the unsynchronized core of each Sharded lock stripe: merged
-// posting lists, each with a position index for O(1) keyed access.
-// Callers hold the appropriate lock. All of a list sits in one struct, so
-// a call looks its list up once, however many shares it carries.
-//
-// Each list is kept bucket-major in descending impact order (the Zerber+R
-// score-ordered layout): all elements whose GlobalID carries impact bucket
-// b precede all elements with bucket b-1. cnt tracks the per-bucket
-// segment sizes, so inserts and deletes restore the order by shifting at
-// most one element per lower bucket — O(ImpactBuckets) moves, never a
-// full-list shift.
+// posting lists, each ordered by its layout. Callers hold the
+// appropriate lock. All of a list sits in one struct, so a call looks its
+// list up once, however many shares it carries.
 type table struct {
 	lists map[merging.ListID]*memList
 }
 
-// memList is one merged posting list, never empty while in the table.
+// memList is one merged posting list, never empty while in the table:
+// its shares in the order its layout keeps.
 type memList struct {
 	shares []posting.EncryptedShare
-	// pos locates an element inside shares for O(1) replace/delete.
-	pos map[posting.GlobalID]int
-	// cnt is the count of elements in each impact bucket.
-	cnt [posting.ImpactBuckets]int
+	layout
 }
 
 func newTable() table {
@@ -45,16 +35,23 @@ func (t *table) sharesOf(lid merging.ListID) []posting.EncryptedShare {
 	return nil
 }
 
-// upsert appends or replaces shares; returns the number newly appended.
-// New elements land at the tail of their impact-bucket segment; replaced
-// elements keep their slot (same GlobalID means same bucket).
+// positions returns a list's position map, nil when there is none.
+func (t *table) positions(lid merging.ListID) map[posting.GlobalID]int {
+	if l := t.lists[lid]; l != nil {
+		return l.pos
+	}
+	return nil
+}
+
+// upsert inserts or replaces shares; returns the number newly inserted.
+// A replaced element keeps its slot (same GlobalID means same bucket).
 func (t *table) upsert(lid merging.ListID, shares []posting.EncryptedShare) int {
 	if len(shares) == 0 {
 		return 0
 	}
 	l := t.lists[lid]
 	if l == nil {
-		l = &memList{pos: make(map[posting.GlobalID]int, len(shares))}
+		l = &memList{layout: newLayout(len(shares))}
 		t.lists[lid] = l
 	}
 	added := 0
@@ -63,33 +60,14 @@ func (t *table) upsert(lid merging.ListID, shares []posting.EncryptedShare) int 
 			l.shares[i] = sh
 			continue
 		}
-		b := posting.ImpactOf(sh.GlobalID)
-		list := append(l.shares, posting.EncryptedShare{})
-		// Bubble the hole from the tail up to the end of bucket b's
-		// segment, displacing the first element of each lower bucket to
-		// the (new) tail of its own segment.
-		hole := len(list) - 1
-		for j := 0; j < int(b); j++ {
-			if l.cnt[j] == 0 {
-				continue
-			}
-			s := hole - l.cnt[j]
-			list[hole] = list[s]
-			l.pos[list[hole].GlobalID] = hole
-			hole = s
-		}
-		list[hole] = sh
-		l.pos[sh.GlobalID] = hole
-		l.shares = list
-		l.cnt[b]++
+		l.shares = append(l.shares, posting.EncryptedShare{})
+		l.shares[l.insert(l.shares, nil, sh.GlobalID)] = sh
 		added++
 	}
 	return added
 }
 
-// deleteIf removes the element if allow approves it, preserving the
-// impact-bucket layout: swap-delete within the element's own bucket
-// segment, then shift one element per lower bucket into the hole.
+// deleteIf removes the element if allow approves it.
 func (t *table) deleteIf(lid merging.ListID, gid posting.GlobalID, allow func(posting.EncryptedShare) bool) (found, deleted bool) {
 	l := t.lists[lid]
 	if l == nil {
@@ -99,37 +77,15 @@ func (t *table) deleteIf(lid merging.ListID, gid posting.GlobalID, allow func(po
 	if !ok {
 		return false, false
 	}
-	list := l.shares
-	if allow != nil && !allow(list[idx]) {
+	if allow != nil && !allow(l.shares[idx]) {
 		return true, false
 	}
-	if len(list) == 1 {
+	if len(l.shares) == 1 {
 		delete(t.lists, lid)
 		return true, true
 	}
-	b := posting.ImpactOf(gid)
-	// End of bucket b's segment: everything in buckets >= b.
-	end := 0
-	for j := int(b); j < posting.ImpactBuckets; j++ {
-		end += l.cnt[j]
-	}
-	hole := end - 1
-	if idx != hole {
-		list[idx] = list[hole]
-		l.pos[list[idx].GlobalID] = idx
-	}
-	for j := int(b) - 1; j >= 0; j-- {
-		if l.cnt[j] == 0 {
-			continue
-		}
-		src := hole + l.cnt[j]
-		list[hole] = list[src]
-		l.pos[list[hole].GlobalID] = hole
-		hole = src
-	}
-	l.shares = list[:len(list)-1]
-	l.cnt[b]--
-	delete(l.pos, gid)
+	l.remove(l.shares, nil, gid, idx)
+	l.shares = l.shares[:len(l.shares)-1]
 	return true, true
 }
 
@@ -199,19 +155,7 @@ func (t *table) scan(lid merging.ListID, keep func(posting.EncryptedShare) bool)
 func (t *table) scanRange(lid merging.ListID, from, n int, keep func(posting.EncryptedShare) bool) (shares []posting.EncryptedShare, total int, next uint8) {
 	src := t.sharesOf(lid)
 	total = len(src)
-	if from < 0 {
-		from = 0
-	}
-	if n < 0 {
-		n = 0
-	}
-	end := from + n
-	if end > total || end < from { // overflow-safe clamp
-		end = total
-	}
-	if from > total {
-		from = total
-	}
+	from, end := window(from, n, total)
 	if end < total {
 		next = posting.ImpactOf(src[end].GlobalID)
 	}
@@ -222,22 +166,6 @@ func (t *table) dropList(lid merging.ListID) int {
 	n := len(t.sharesOf(lid))
 	delete(t.lists, lid)
 	return n
-}
-
-// checkDeltas verifies every addressed element exists in this table.
-func (t *table) checkDeltas(deltas map[merging.ListID]map[posting.GlobalID]field.Element) error {
-	for lid, byID := range deltas {
-		var pos map[posting.GlobalID]int
-		if l := t.lists[lid]; l != nil {
-			pos = l.pos
-		}
-		for gid := range byID {
-			if _, ok := pos[gid]; !ok {
-				return fmt.Errorf("reshare delta for element %d in list %d: %w", gid, lid, ErrMissing)
-			}
-		}
-	}
-	return nil
 }
 
 // applyDeltas adds the deltas; every addressed element must exist

@@ -90,7 +90,7 @@
 // index server. Every server is a thin policy layer (authentication,
 // group checks, stats) over the store.Store interface, which captures
 // the keyed share operations of the paper's recovery design (§5.4.1) in
-// nine methods: batch append/replace, swap-delete by (list, global ID),
+// nine methods: batch insert/replace, delete by (list, global ID),
 // authorized scan of a whole list or a window of it, full-list drop for
 // DHT migration, delta application for proactive resharing, the list
 // lengths and element count — the §5.2 view of a compromised server,
@@ -176,8 +176,10 @@
 // sent to concurrently, so a stage costs one round trip; the barrier is
 // between the stages: every insert acknowledgement is awaited before the
 // first delete leaves. Each attempt's wire order is a fresh shuffle from
-// the shares' generator (§5.4.1); the owner's local index (§7.2) is
-// updated by diff, touching only the changed terms.
+// the shares' generator (§5.4.1). The owner's local index (§7.2) is the
+// peer's per-document record of each term's list, global ID and tf; an
+// update diffs the new content against it and sends only the changed
+// terms.
 //
 // With the JournalDir option set, each peer persists its operations to
 // a journal (fsynced before the first send) along with one record per
