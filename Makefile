@@ -35,16 +35,19 @@ test-full:
 # peer's concurrent per-stage fan-out (the barrier between the stages;
 # recovery from every subset of acknowledgements), and the top-k client's
 # block rounds losing a responder or waiting for a slow one, with
-# searches of both plans sharing the client. The last line repeats the
+# searches of both plans sharing the client. The next line repeats the
 # inventory readers: resharing and the DHT slot read a store's list
 # lengths and then each list in a second call, and a list can vanish
-# between the two.
+# between the two. The last repeats a cluster whose every server
+# restarts on its old address, so the first search after the restart
+# meets cached connections the servers closed and must redial.
 race:
 	$(GO) test -race -short -shuffle=on ./...
 	$(GO) test -race -short -count=20 -run='^TestBinaryCancelStress$$' ./internal/transport
 	$(GO) test -race -short -count=20 -run='^(TestDeleteStageWaitsForEveryInsertAck|TestRecoverFromAnyAckSubset)$$' ./internal/peer
 	$(GO) test -race -short -count=20 -run='^(TestTopKSurvivesResponderChange|TestTopKKeepsSlowPinnedResponder|TestConcurrentTopK)$$' ./internal/client
 	$(GO) test -race -short -count=10 -run='^(TestReshareDetectsMidGenerationMutation|TestReshareRollsBackMidApplyFailure|TestSlotChurnRace)$$' ./internal/proactive ./internal/dht
+	$(GO) test -race -short -count=20 -run='^TestWireDurableCluster$$' .
 
 # Fuzz smoke: every fuzz target for FUZZTIME (default 10s) each. Go
 # allows one -fuzz pattern per package invocation, hence one line per
@@ -88,7 +91,8 @@ benchstore:
 # batched split/encrypt, the end-to-end
 # 5,000-term document index (paper §5.1), and the steady-state mutation
 # by layer (a 3-term update on a populated peer, the term count, the
-# store's keyed upsert and delete on a resident index), and the read
+# store's keyed upsert and delete on a resident index and on one hot
+# list), and the read
 # path's (the two top-k plans over loopback, which the planner's rule is
 # read from; the stream's candidate table per posting).
 # Both steps write to temp files (gitignored) so a benchmark failure or
@@ -98,7 +102,7 @@ benchstore:
 # would truncate it before the parser even runs.
 benchjson:
 	$(GO) test -run='^$$' \
-		-bench='^(BenchmarkSplitBatch|BenchmarkEncryptBatch|BenchmarkIndexDocument5k|BenchmarkUpdateDocument|BenchmarkUpdateDocumentPopulated|BenchmarkTermCounts|BenchmarkTableUpsertDelete|BenchmarkJournaledFlush|BenchmarkUnjournaledFlush|BenchmarkFillRandDRBG|BenchmarkInvChain|BenchmarkEncodeGetPostingLists|BenchmarkApplyRequestRoundTrip|BenchmarkBinaryLookupRoundTrip|BenchmarkScanFiltered|BenchmarkMigrationThroughput|BenchmarkSearchTopK|BenchmarkTopKPlan|BenchmarkStreamObserve|BenchmarkRetrieveJoinRank|BenchmarkServerMixed)$$' \
+		-bench='^(BenchmarkSplitBatch|BenchmarkEncryptBatch|BenchmarkIndexDocument5k|BenchmarkUpdateDocument|BenchmarkUpdateDocumentPopulated|BenchmarkTermCounts|BenchmarkTableUpsertDelete|BenchmarkTableUpsertDeleteHotList|BenchmarkJournaledFlush|BenchmarkUnjournaledFlush|BenchmarkFillRandDRBG|BenchmarkInvChain|BenchmarkEncodeGetPostingLists|BenchmarkApplyRequestRoundTrip|BenchmarkBinaryLookupRoundTrip|BenchmarkScanFiltered|BenchmarkMigrationThroughput|BenchmarkSearchTopK|BenchmarkTopKPlan|BenchmarkStreamObserve|BenchmarkRetrieveJoinRank|BenchmarkServerMixed)$$' \
 		-benchmem -benchtime=$(BENCHTIME) -count=1 \
 		./internal/field/ ./internal/shamir/ ./internal/posting/ ./internal/peer/ ./internal/textproc/ \
 		./internal/transport/ ./internal/dht/ ./internal/server/ ./internal/store/ ./internal/client/ \

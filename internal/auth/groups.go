@@ -26,11 +26,11 @@ type GroupSet struct {
 // of bisecting: users are in a handful of groups (§2).
 const groupSetLinear = 16
 
-// Has reports whether g is in the set: the per-element test of every
-// posting-list scan (§5.4.2). The short case ORs the comparisons
-// together in arithmetic with no exit at the first match: an element's
-// group is as good as random, and the mispredicted early exit made a
-// filtered scan of unseen lists twice as slow per element.
+// Has reports whether g is in the set: the test of every posting-list
+// scan (§5.4.2), asked once per run of one group's elements. The short
+// case ORs the comparisons together in arithmetic with no exit at the
+// first match: the group of the next run is as good as random, and a
+// mispredicted early exit costs more than the few comparisons it skips.
 func (s GroupSet) Has(g GroupID) bool {
 	if len(s.ids) > groupSetLinear {
 		_, found := slices.BinarySearch(s.ids, g)

@@ -19,13 +19,21 @@
 // retrieval's one call per server (wholeLists) feeding the same stream.
 // BenchmarkTopKPlan (plan_test.go) records both plans at every size.
 //
-// Block windows are positions, and once concurrent peers have written an
-// element sits at different positions on different servers. So a streamed
-// query keeps to one set of k responders, the first round's: each
-// delivers every element in some round, and an element waits in the join
-// for its other shares. When another server has to answer a later round
-// (a pinned one failed) the windows read so far mean nothing on it, and
-// the query starts over on the new set, at most n-k+1 times.
+// Block windows are positions. Every server keeps a list in one
+// canonical order, a function of the elements it holds (see package
+// store), so a window names the same elements on every server that holds
+// the same set. Servers do not always hold the same set, because a
+// mutation's Apply reaches them one at a time. Say a list's first 100
+// elements are in buckets 6 and up, and a peer's insert of a bucket-5
+// element has reached server A but not yet server B: the new element is
+// A's element 100, every element after it sits one position later on A
+// than on B, and window [256, 512) on A starts with B's element 255. So
+// a streamed query keeps to one set of k responders, the first round's:
+// each delivers every element in some round, and an element waits in
+// the join for its other shares. When another server has to answer a
+// later round (a pinned one failed) the windows read so far may not line
+// up on it, and the query starts over on the new set, at most n-k+1
+// times.
 package client
 
 import (

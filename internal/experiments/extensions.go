@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -144,7 +145,7 @@ func (e *Env) BatchingAblation() (*Report, error) {
 		}
 		groups := auth.NewGroupTable()
 		groups.Add("owner", 1)
-		srv := server.New(server.Config{Name: "ix", X: 1, Auth: svc, Groups: groups})
+		srv := &arrivals{API: server.New(server.Config{Name: "ix", X: 1, Auth: svc, Groups: groups})}
 		tab, err := e.buildDFM(64)
 		if err != nil {
 			return 0, err
@@ -162,7 +163,6 @@ func (e *Env) BatchingAblation() (*Report, error) {
 			return 0, err
 		}
 		tok := svc.Issue("owner")
-		docOf := make(map[posting.GlobalID]uint32)
 
 		if batched {
 			b := p.NewBatch()
@@ -184,22 +184,19 @@ func (e *Env) BatchingAblation() (*Report, error) {
 		// Reconstruct ground truth from decrypted elements (k=1 makes the
 		// shares trivially decodable; the adversary metric only needs the
 		// doc <- element mapping, not a real attack).
-		var arrivals []uint32
-		for lid := range srv.Store().ListLengths() {
-			for _, sh := range srv.Store().Scan(lid, nil) {
-				elem, err := posting.Decrypt(
-					[]posting.EncryptedShare{sh}, []field.Element{srv.XCoord()}, 1)
-				if err != nil {
-					return 0, err
-				}
-				docOf[sh.GlobalID] = elem.DocID
-				arrivals = append(arrivals, elem.DocID)
+		var docs []uint32
+		for _, sh := range srv.seen {
+			elem, err := posting.Decrypt(
+				[]posting.EncryptedShare{sh}, []field.Element{srv.XCoord()}, 1)
+			if err != nil {
+				return 0, err
 			}
+			docs = append(docs, elem.DocID)
 		}
 		same, pairs := 0, 0
-		for i := 1; i < len(arrivals); i++ {
+		for i := 1; i < len(docs); i++ {
 			pairs++
-			if arrivals[i] == arrivals[i-1] {
+			if docs[i] == docs[i-1] {
 				same++
 			}
 		}
@@ -230,6 +227,22 @@ func (e *Env) BatchingAblation() (*Report, error) {
 		r.Notes = append(r.Notes, "WARNING: batching did not reduce adjacency at this scale")
 	}
 	return r, nil
+}
+
+// arrivals is the compromised server of BatchingAblation: it records
+// the shares of every insert in the order they arrive. The store keeps
+// each list in a canonical order that carries no arrival history, so the
+// stream is where arrival adjacency shows.
+type arrivals struct {
+	transport.API
+	seen []posting.EncryptedShare
+}
+
+func (a *arrivals) Apply(ctx context.Context, tok auth.Token, op transport.OpID, inserts []transport.InsertOp, deletes []transport.DeleteOp) error {
+	for _, in := range inserts {
+		a.seen = append(a.seen, in.Share)
+	}
+	return a.API.Apply(ctx, tok, op, inserts, deletes)
 }
 
 // toDocument materializes a synthetic corpus doc as text the peer can

@@ -193,15 +193,13 @@ func inventory(st store.Store) map[merging.ListID][]posting.GlobalID {
 	lengths := st.ListLengths()
 	out := make(map[merging.ListID][]posting.GlobalID, len(lengths))
 	for lid, n := range lengths {
-		ids := make([]posting.GlobalID, 0, n)
-		// The filter collects each ID and keeps no share, so the read
-		// copies no shares out.
-		st.ScanRange(lid, 0, n, func(sh posting.EncryptedShare) bool {
-			ids = append(ids, sh.GlobalID)
-			return false
-		})
-		if len(ids) == 0 {
+		shares, _, _ := st.ScanRange(lid, 0, n, nil)
+		if len(shares) == 0 {
 			continue
+		}
+		ids := make([]posting.GlobalID, len(shares))
+		for i, sh := range shares {
+			ids[i] = sh.GlobalID
 		}
 		slices.Sort(ids)
 		out[lid] = ids

@@ -155,7 +155,8 @@ func (s *Server) authorizeInserts(memberOf auth.GroupSet, ops []transport.Insert
 // it once per touched list rather than once per element. The peer
 // shuffles a whole payload (§5.4.1), so a list's shares arrive scattered:
 // the batch is sorted by list, stably, which keeps each list's shares in
-// arrival order and every list laid out as one-by-one application would.
+// arrival order, so a global ID named twice ends with its later share,
+// as one-by-one application would leave it.
 // It returns how many shares were newly appended: idempotent re-inserts
 // (an owner retrying after a partial failure) replace and are not counted.
 func (s *Server) upsertAll(ops []transport.InsertOp) int {

@@ -99,3 +99,46 @@ func BenchmarkTableUpsertDelete(b *testing.B) {
 		b.Fatalf("store holds %d elements after the run, want %d", got, lists*perList)
 	}
 }
+
+// BenchmarkTableUpsertDeleteHotList is BenchmarkTableUpsertDelete's op
+// on one list of 10,000 elements, the size of the repository
+// benchmark's hottest: every op lands on the same list, so this is the
+// worst case of an insert or delete that keeps a list in order.
+func BenchmarkTableUpsertDeleteHotList(b *testing.B) {
+	const n = 10_000
+	rng := rand.New(rand.NewSource(1))
+	fresh := func() posting.EncryptedShare {
+		tf := uint16(min(1/(1-rng.Float64()), 1023))
+		gid := posting.TagImpact(posting.GlobalID(rng.Uint64()), posting.ImpactBucket(tf))
+		return sh(gid, uint32(rng.Intn(8)), rng.Uint64()>>4)
+	}
+	st := store.NewSharded(1)
+	shares := make([]posting.EncryptedShare, n)
+	resident := make([]posting.GlobalID, n) // a ring whose oldest is at i%n
+	for i := range shares {
+		shares[i] = fresh()
+		resident[i] = shares[i].GlobalID
+	}
+	st.Upsert(0, shares)
+	incoming := make([]posting.EncryptedShare, 1<<16)
+	for i := range incoming {
+		incoming[i] = fresh()
+	}
+	allow := func(posting.EncryptedShare) bool { return true }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		in := incoming[i%len(incoming)]
+		in.GlobalID += posting.GlobalID(i / len(incoming)) // never the same ID twice
+		st.Upsert(0, []posting.EncryptedShare{in})
+		oldest := &resident[i%n]
+		if _, deleted := st.DeleteIf(0, *oldest, allow); !deleted {
+			b.Fatalf("op %d: lost element %d", i, *oldest)
+		}
+		*oldest = in.GlobalID
+	}
+	b.StopTimer()
+	if got := st.TotalElements(); got != n {
+		b.Fatalf("store holds %d elements after the run, want %d", got, n)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"zerber/internal/merging"
+	"zerber/internal/posting"
 	"zerber/internal/wal"
 )
 
@@ -14,10 +15,11 @@ import (
 // replay must read but the index no longer references. Compaction
 // rewrites the live index as one snapshot segment:
 //
-//  1. wal.WriteAtomic writes a reset frame followed by every live list
-//     (in its exact stored order, so replay reproduces the bucket-major
-//     layout element for element) to seg-<N+1>.zseg, where N is the
-//     current active segment id, through a temp file, fsync and rename.
+//  1. wal.WriteAtomic writes a reset frame followed by every live list,
+//     each in its stored order (the canonical one, so each list's
+//     records lie in the order a read returns them), to seg-<N+1>.zseg,
+//     where N is the current active segment id, through a temp file,
+//     fsync and rename.
 //  2. Delete the stale segments; the handle WriteAtomic returns is the
 //     new active segment.
 //
@@ -73,10 +75,12 @@ func (d *Disk) compactLocked() error {
 		}
 		for _, lid := range lids {
 			dl := d.lists[lid]
-			shares := dl.shares
-			if shares == nil {
+			var shares []posting.EncryptedShare
+			if dl.shares {
+				shares = dl.read(0, dl.len(), nil)
+			} else {
 				var err error
-				if shares, err = d.readEntries(dl, lid, 0, len(dl.entries)); err != nil {
+				if shares, err = d.readEntries(lid, dl.entriesOf(0, dl.len(), nil)); err != nil {
 					return err
 				}
 			}
@@ -129,10 +133,11 @@ func (d *Disk) compactLocked() error {
 	d.totalBytes = snap.Size()
 	d.dirty = false // the snapshot was fsynced whole
 	for lid, offs := range newOffs {
-		dl := d.lists[lid]
-		for i := range dl.entries {
-			dl.entries[i].seg = snapID
-			dl.entries[i].off = offs[i]
+		for _, r := range d.lists[lid].runs {
+			for i := range r.entries {
+				r.entries[i].seg, r.entries[i].off = snapID, offs[i]
+			}
+			offs = offs[len(r.entries):]
 		}
 	}
 	d.compactions++

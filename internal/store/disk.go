@@ -1,11 +1,13 @@
 package store
 
 import (
+	"cmp"
 	"container/list"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -18,16 +20,20 @@ import (
 
 // Disk is the log-structured engine: share payloads live in CRC-framed
 // append-only segment files, and resident memory holds only a compact
-// index of list -> (segment, offset, bucket) entries plus a bounded
+// index of list -> (global ID, segment, offset) entries plus a bounded
 // payload cache — O(index), not O(shares), so the stored volume can
 // exceed RAM.
 //
 // Every mutation batch is one wal frame appended to the active segment
 // (see segment.go for the record codec); the frame's CRC makes the batch
 // atomic across a crash, which is how ApplyDeltas stays all-or-nothing.
-// Each list's index is ordered by the same layout code as Sharded's
-// lists (layout.go), so the stored order — a pure function of the
-// per-list operation history — matches Sharded element for element.
+// Each list's index is a layout (layout.go), the code that orders
+// Sharded's lists, with the entries in its runs and, while the list is
+// resident, the payloads beside them. The stored order is the contract's
+// canonical one, a function of the list's contents, so replay, eviction
+// and compaction leave it as it was and it matches Sharded element for
+// element. A filtered read of a list that is not resident reads from the
+// segments only the records of the runs its filter accepts.
 //
 // Each segment file is a wal.Log, which owns replay, the torn-tail cut,
 // appending and the atomic rewrite; this engine owns segment naming and
@@ -143,46 +149,15 @@ type diskEntry struct {
 	off uint32
 }
 
-// diskList is one list's index: entries in the order its layout keeps
-// and — when resident — the decoded payloads aligned index-for-index
-// with entries.
+// diskList is one list's index: a layout whose runs carry the entries
+// and, while the list is resident (shares set), the decoded payloads
+// beside them.
 type diskList struct {
-	entries []diskEntry
-	shares  []posting.EncryptedShare // nil when not resident
+	*layout
 	lruElem *list.Element
-	layout
 }
 
-func newDiskList() *diskList { return &diskList{layout: newLayout(0)} }
-
-func (dl *diskList) resident() bool { return dl.shares != nil }
-
-// put inserts or replaces one element; sh is applied to the resident
-// copy when present.
-func (dl *diskList) put(e diskEntry, sh posting.EncryptedShare) (added bool) {
-	i, ok := dl.pos[e.gid]
-	if !ok {
-		dl.entries = append(dl.entries, diskEntry{})
-		if dl.shares != nil {
-			dl.shares = append(dl.shares, posting.EncryptedShare{})
-		}
-		i = dl.insert(dl.shares, dl.entries, e.gid)
-	}
-	dl.entries[i] = e
-	if dl.shares != nil {
-		dl.shares[i] = sh
-	}
-	return !ok
-}
-
-// take removes gid, stored at position idx.
-func (dl *diskList) take(gid posting.GlobalID, idx int) {
-	dl.remove(dl.shares, dl.entries, gid, idx)
-	dl.entries = dl.entries[:len(dl.entries)-1]
-	if dl.shares != nil {
-		dl.shares = dl.shares[:len(dl.shares)-1]
-	}
-}
+func newDiskList() *diskList { return &diskList{layout: newLayout(true, false)} }
 
 func (o DiskOptions) withDefaults() DiskOptions {
 	if o.SegmentBytes <= 0 {
@@ -326,7 +301,7 @@ func (d *Disk) applyRecs(seg uint32, off int64, recs []segRec) {
 				d.lists[rec.lid] = dl
 			}
 			e := diskEntry{gid: rec.gid, seg: seg, off: uint32(off + int64(rec.relOff))}
-			if dl.put(e, posting.EncryptedShare{}) {
+			if dl.put(posting.EncryptedShare{GlobalID: rec.gid, Group: rec.group}, e) {
 				d.elems++
 			}
 		case segOpDelete:
@@ -334,18 +309,18 @@ func (d *Disk) applyRecs(seg uint32, off int64, recs []segRec) {
 			if dl == nil {
 				continue
 			}
-			idx, ok := dl.pos[rec.gid]
+			ri, i, ok := dl.find(rec.gid)
 			if !ok {
 				continue
 			}
-			dl.take(rec.gid, idx)
+			dl.removeAt(ri, i)
 			d.elems--
-			if len(dl.entries) == 0 {
+			if dl.len() == 0 {
 				delete(d.lists, rec.lid)
 			}
 		case segOpDrop:
 			if dl := d.lists[rec.lid]; dl != nil {
-				d.elems -= len(dl.entries)
+				d.elems -= dl.len()
 				delete(d.lists, rec.lid)
 			}
 		case segOpReset:
@@ -401,7 +376,9 @@ func (d *Disk) tearNewestSegment() error {
 }
 
 // Close flushes and fsyncs the active segment and releases all file
-// handles. The store must not be used afterwards.
+// handles. The store must not be mutated afterwards; a read that
+// straggles in after Close (a fan-out call nobody waits for) finds no
+// lists.
 func (d *Disk) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -414,6 +391,7 @@ func (d *Disk) Close() error {
 		err = d.active.Sync()
 	}
 	d.closeFiles()
+	d.lists = nil
 	return err
 }
 
@@ -530,17 +508,17 @@ func (d *Disk) getList(lid merging.ListID) *diskList {
 		// A brand-new list is admitted resident for free: its payloads
 		// arrive through the write path, no read-back needed.
 		if d.opt.CacheBytes > 0 {
-			dl.shares = []posting.EncryptedShare{}
+			dl.shares = true
 			dl.lruElem = d.lru.PushFront(lid)
 		}
 	}
 	return dl
 }
 
-// positions returns a list's position map, nil when there is none.
-func (d *Disk) positions(lid merging.ListID) map[posting.GlobalID]int {
+// groupsOf returns a list's groups, nil when there is no list.
+func (d *Disk) groupsOf(lid merging.ListID) map[posting.GlobalID]uint32 {
 	if dl := d.lists[lid]; dl != nil {
-		return dl.pos
+		return dl.groups
 	}
 	return nil
 }
@@ -551,8 +529,8 @@ func (d *Disk) dropResident(dl *diskList) {
 		d.lru.Remove(dl.lruElem)
 		dl.lruElem = nil
 	}
-	d.cachedBytes -= len(dl.shares) * shareBytes
-	dl.shares = nil
+	d.cachedBytes -= dl.len() * shareBytes
+	dl.dropShares()
 }
 
 // evict trims least-recently-touched lists until the cache fits its
@@ -581,7 +559,7 @@ func (d *Disk) touch(dl *diskList) {
 }
 
 func (d *Disk) removeList(lid merging.ListID, dl *diskList) {
-	if dl.shares != nil {
+	if dl.shares {
 		d.dropResident(dl)
 	}
 	delete(d.lists, lid)
@@ -607,17 +585,16 @@ func (d *Disk) Upsert(lid merging.ListID, shares []posting.EncryptedShare) int {
 		}
 		seg, base := d.appendFrame(payload)
 		dl := d.getList(lid)
-		wasResident := dl.resident()
-		before := len(dl.entries)
+		n := 0
 		for i, sh := range batch {
-			e := diskEntry{gid: sh.GlobalID, seg: seg, off: uint32(base + int64(i)*segUpsertSize)}
-			if dl.put(e, sh) {
-				added++
+			if dl.put(sh, diskEntry{gid: sh.GlobalID, seg: seg, off: uint32(base + int64(i)*segUpsertSize)}) {
+				n++
 			}
 		}
-		d.elems += len(dl.entries) - before
-		if wasResident {
-			d.cachedBytes += (len(dl.entries) - before) * shareBytes
+		added += n
+		d.elems += n
+		if dl.shares {
+			d.cachedBytes += n * shareBytes
 			d.touch(dl)
 		}
 	}
@@ -634,12 +611,12 @@ func (d *Disk) DeleteIf(lid merging.ListID, gid posting.GlobalID, allow func(pos
 	if dl == nil {
 		return false, false
 	}
-	idx, ok := dl.pos[gid]
+	ri, i, ok := dl.find(gid)
 	if !ok {
 		return false, false
 	}
 	if allow != nil {
-		sh, err := d.shareAt(dl, idx, lid)
+		sh, err := d.shareAt(dl, lid, ri, i)
 		if err != nil {
 			panic(fmt.Sprintf("store: disk read: %v", err))
 		}
@@ -648,12 +625,12 @@ func (d *Disk) DeleteIf(lid merging.ListID, gid posting.GlobalID, allow func(pos
 		}
 	}
 	d.appendFrame(appendDeleteRec(nil, lid, gid))
-	dl.take(gid, idx)
+	dl.removeAt(ri, i)
 	d.elems--
-	if dl.resident() {
+	if dl.shares {
 		d.cachedBytes -= shareBytes
 	}
-	if len(dl.entries) == 0 {
+	if dl.len() == 0 {
 		d.removeList(lid, dl)
 	}
 	d.maybeCompact()
@@ -668,7 +645,7 @@ func (d *Disk) DropList(lid merging.ListID) int {
 	if dl == nil {
 		return 0
 	}
-	n := len(dl.entries)
+	n := dl.len()
 	d.appendFrame(appendDropRec(nil, lid))
 	d.elems -= n
 	d.removeList(lid, dl)
@@ -682,7 +659,7 @@ func (d *Disk) DropList(lid merging.ListID) int {
 func (d *Disk) ApplyDeltas(deltas map[merging.ListID]map[posting.GlobalID]field.Element) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	n, err := checkDeltas(deltas, d.positions)
+	n, err := checkDeltas(deltas, d.groupsOf)
 	if err != nil {
 		return err
 	}
@@ -714,7 +691,8 @@ func (d *Disk) ApplyDeltas(deltas map[merging.ListID]map[posting.GlobalID]field.
 		}
 		sort.Slice(gids, func(a, b int) bool { return gids[a] < gids[b] })
 		for _, gid := range gids {
-			sh, err := d.shareAt(dl, dl.pos[gid], lid)
+			ri, i, _ := dl.find(gid)
+			sh, err := d.shareAt(dl, lid, ri, i)
 			if err != nil {
 				panic(fmt.Sprintf("store: disk read: %v", err))
 			}
@@ -725,13 +703,7 @@ func (d *Disk) ApplyDeltas(deltas map[merging.ListID]map[posting.GlobalID]field.
 	}
 	seg, base := d.appendFrame(payload)
 	for i, u := range updates {
-		dl := d.lists[u.lid]
-		idx := dl.pos[u.sh.GlobalID]
-		dl.entries[idx].seg = seg
-		dl.entries[idx].off = uint32(base + int64(i)*segUpsertSize)
-		if dl.shares != nil {
-			dl.shares[idx] = u.sh
-		}
+		d.lists[u.lid].put(u.sh, diskEntry{gid: u.sh.GlobalID, seg: seg, off: uint32(base + int64(i)*segUpsertSize)})
 	}
 	d.maybeCompact()
 	return d.syncLocked()
@@ -739,14 +711,15 @@ func (d *Disk) ApplyDeltas(deltas map[merging.ListID]map[posting.GlobalID]field.
 
 // ---- read path ----
 
-// shareAt returns the share at index idx of dl, from the resident copy
-// or a single record read. Lock held (read or write — ReadAt is a
-// positioned read, safe either way).
-func (d *Disk) shareAt(dl *diskList, idx int, lid merging.ListID) (posting.EncryptedShare, error) {
-	if dl.shares != nil {
-		return dl.shares[idx], nil
+// shareAt returns the share at position i of run ri of dl, from the
+// resident copy or a single record read. Lock held (read or write —
+// ReadAt is a positioned read, safe either way).
+func (d *Disk) shareAt(dl *diskList, lid merging.ListID, ri, i int) (posting.EncryptedShare, error) {
+	r := &dl.runs[ri]
+	if dl.shares {
+		return r.shares[i], nil
 	}
-	e := dl.entries[idx]
+	e := r.entries[i]
 	var buf [segUpsertSize]byte
 	if _, err := d.segs[e.seg].ReadAt(buf[:], int64(e.off)); err != nil {
 		return posting.EncryptedShare{}, fmt.Errorf("store: segment %d read at %d: %w", e.seg, e.off, err)
@@ -754,32 +727,33 @@ func (d *Disk) shareAt(dl *diskList, idx int, lid merging.ListID) (posting.Encry
 	return decodeUpsertAt(buf[:], lid, e.gid)
 }
 
-// readEntries reads back the payloads for entries[from:end) of dl with
+// readEntries reads back the payloads of entries, in their order, with
 // reads coalesced per segment: entries sorted by file position are
 // merged into spans when the gap between adjacent records is small, so
 // a list written contiguously (ingest, post-compaction) costs O(1)
 // syscalls while a scattered one degrades gracefully.
-func (d *Disk) readEntries(dl *diskList, lid merging.ListID, from, end int) ([]posting.EncryptedShare, error) {
-	out := make([]posting.EncryptedShare, end-from)
-	order := make([]int, end-from)
-	for i := range order {
-		order[i] = from + i
+func (d *Disk) readEntries(lid merging.ListID, entries []diskEntry) ([]posting.EncryptedShare, error) {
+	out := make([]posting.EncryptedShare, len(entries))
+	// Each entry's file position as one integer, sorted: a list's order
+	// is by global ID, which says nothing of where its records were
+	// written.
+	type at struct {
+		pos uint64 // seg<<32 | off
+		i   int
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ea, eb := dl.entries[order[a]], dl.entries[order[b]]
-		if ea.seg != eb.seg {
-			return ea.seg < eb.seg
-		}
-		return ea.off < eb.off
-	})
+	order := make([]at, len(entries))
+	for i, e := range entries {
+		order[i] = at{uint64(e.seg)<<32 | uint64(e.off), i}
+	}
+	slices.SortFunc(order, func(a, b at) int { return cmp.Compare(a.pos, b.pos) })
 	var buf []byte
 	for i := 0; i < len(order); {
-		first := dl.entries[order[i]]
+		first := entries[order[i].i]
 		spanStart := int64(first.off)
 		spanEnd := spanStart + segUpsertSize
 		j := i + 1
 		for j < len(order) {
-			e := dl.entries[order[j]]
+			e := entries[order[j].i]
 			if e.seg != first.seg {
 				break
 			}
@@ -801,34 +775,46 @@ func (d *Disk) readEntries(dl *diskList, lid merging.ListID, from, end int) ([]p
 			return nil, fmt.Errorf("store: segment %d read at %d: %w", first.seg, spanStart, err)
 		}
 		for ; i < j; i++ {
-			e := dl.entries[order[i]]
+			e := entries[order[i].i]
 			rec := buf[int64(e.off)-spanStart:]
 			sh, err := decodeUpsertAt(rec, lid, e.gid)
 			if err != nil {
 				return nil, err
 			}
-			out[order[i]-from] = sh
+			out[order[i].i] = sh
 		}
 	}
 	return out, nil
 }
 
-// loadList materializes a whole list under the write lock, admitting it
-// to the cache when it fits the budget. Returns the shares in stored
-// order; the slice is the cached copy when admitted (callers copy out).
-func (d *Disk) loadList(dl *diskList, lid merging.ListID) ([]posting.EncryptedShare, bool) {
-	shares, err := d.readEntries(dl, lid, 0, len(dl.entries))
+// readWindow reads from the segments the shares at positions [from, end)
+// of a list that is not resident and that keep accepts: only the
+// accepted runs' records.
+func (d *Disk) readWindow(dl *diskList, lid merging.ListID, from, end int, keep func(posting.EncryptedShare) bool) []posting.EncryptedShare {
+	entries := dl.entriesOf(from, end, keep)
+	if entries == nil {
+		return nil
+	}
+	shares, err := d.readEntries(lid, entries)
 	if err != nil {
 		panic(fmt.Sprintf("store: disk read: %v", err))
 	}
-	if n := len(shares) * shareBytes; d.opt.CacheBytes > 0 && n <= d.opt.CacheBytes {
-		dl.shares = shares
-		dl.lruElem = d.lru.PushFront(lid)
-		d.cachedBytes += n
-		d.evict()
-		return shares, true
+	return shares
+}
+
+// admit makes a list resident under the write lock, reading it whole,
+// if it fits the cache budget, and reports whether it did.
+func (d *Disk) admit(dl *diskList, lid merging.ListID) bool {
+	n := dl.len() * shareBytes
+	if d.opt.CacheBytes <= 0 || n > d.opt.CacheBytes {
+		return false
 	}
-	return shares, false
+	shares := d.readWindow(dl, lid, 0, dl.len(), nil)
+	dl.setShares(shares)
+	dl.lruElem = d.lru.PushFront(lid)
+	d.cachedBytes += n
+	d.evict()
+	return true
 }
 
 // Scan implements Store.
@@ -839,8 +825,8 @@ func (d *Disk) Scan(lid merging.ListID, keep func(posting.EncryptedShare) bool) 
 		d.mu.RUnlock()
 		return nil
 	}
-	if dl.shares != nil {
-		out := filterShares(dl.shares, keep, false)
+	if dl.shares {
+		out := dl.read(0, dl.len(), keep)
 		d.mu.RUnlock()
 		return out
 	}
@@ -852,16 +838,15 @@ func (d *Disk) Scan(lid merging.ListID, keep func(posting.EncryptedShare) bool) 
 	if dl == nil {
 		return nil
 	}
-	if dl.shares != nil {
-		return filterShares(dl.shares, keep, false)
+	if !dl.shares && !d.admit(dl, lid) {
+		return d.readWindow(dl, lid, 0, dl.len(), keep)
 	}
-	shares, cached := d.loadList(dl, lid)
-	return filterShares(shares, keep, !cached)
+	return dl.read(0, dl.len(), keep)
 }
 
 // ScanRange implements Store. A window read on a non-resident list
-// fetches only the window's records — paged top-k reads never pull a
-// whole cold list into memory.
+// fetches only the window's records that keep accepts — paged top-k
+// reads never pull a whole cold list into memory.
 func (d *Disk) ScanRange(lid merging.ListID, from, n int, keep func(posting.EncryptedShare) bool) (shares []posting.EncryptedShare, total int, next uint8) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -869,21 +854,14 @@ func (d *Disk) ScanRange(lid merging.ListID, from, n int, keep func(posting.Encr
 	if dl == nil {
 		return nil, 0, 0
 	}
-	total = len(dl.entries)
+	total = dl.len()
 	from, end := window(from, n, total)
-	if dl.shares != nil {
-		shares = filterShares(dl.shares[from:end], keep, false)
-	} else if from < end {
-		window, err := d.readEntries(dl, lid, from, end)
-		if err != nil {
-			panic(fmt.Sprintf("store: disk read: %v", err))
-		}
-		shares = filterShares(window, keep, true)
+	if dl.shares {
+		shares = dl.read(from, end, keep)
+	} else {
+		shares = d.readWindow(dl, lid, from, end, keep)
 	}
-	if end < total {
-		next = posting.ImpactOf(dl.entries[end].gid)
-	}
-	return shares, total, next
+	return shares, total, dl.bucketAt(end)
 }
 
 // ListLengths implements Store.
@@ -892,7 +870,7 @@ func (d *Disk) ListLengths() map[merging.ListID]int {
 	defer d.mu.RUnlock()
 	out := make(map[merging.ListID]int, len(d.lists))
 	for lid, dl := range d.lists {
-		out[lid] = len(dl.entries)
+		out[lid] = dl.len()
 	}
 	return out
 }

@@ -16,9 +16,10 @@ import (
 //   - counter consistency: TotalElements equals the sum of ListLengths,
 //     and Scan and ScanRange both report each listed length;
 //   - keyed addressing: no global ID appears twice within a list;
-//   - score order: within every list, impact buckets are non-increasing
-//     (the Zerber+R layout ScanRange depends on), and ScanRange over the
-//     whole list agrees with Scan element-for-element.
+//   - canonical order: within every list, impact buckets are
+//     non-increasing (the Zerber+R layout ScanRange depends on); within a
+//     bucket, groups ascend, and within a group, global IDs ascend; and
+//     ScanRange over the whole list agrees with Scan element-for-element.
 //
 // The model checker (internal/sim) runs this after every simulation
 // step; it is only meaningful while no writer is concurrently mutating
@@ -50,9 +51,15 @@ func CheckInvariants(s Store) error {
 			seen[sh.GlobalID] = true
 		}
 		for i := 1; i < len(shares); i++ {
-			if posting.ImpactOf(shares[i].GlobalID) > posting.ImpactOf(shares[i-1].GlobalID) {
-				return fmt.Errorf("store: list %d: impact order violated at position %d (bucket %d after %d)",
-					lid, i, posting.ImpactOf(shares[i].GlobalID), posting.ImpactOf(shares[i-1].GlobalID))
+			a, b := shares[i-1], shares[i]
+			ba, bb := posting.ImpactOf(a.GlobalID), posting.ImpactOf(b.GlobalID)
+			switch {
+			case bb > ba:
+				return fmt.Errorf("store: list %d: impact order violated at position %d (bucket %d after %d)", lid, i, bb, ba)
+			case bb == ba && b.Group < a.Group:
+				return fmt.Errorf("store: list %d: group order violated at position %d (group %d after %d in bucket %d)", lid, i, b.Group, a.Group, bb)
+			case bb == ba && b.Group == a.Group && b.GlobalID < a.GlobalID:
+				return fmt.Errorf("store: list %d: global ID order violated at position %d (%d after %d)", lid, i, b.GlobalID, a.GlobalID)
 			}
 		}
 		ranged, totalLen, next := s.ScanRange(lid, 0, n, nil)

@@ -43,7 +43,7 @@ func TestCheckInvariantsAccepts(t *testing.T) {
 	}
 }
 
-// corruptStore wraps a healthy store holding one two-element list and
+// corruptStore wraps a healthy store holding one list and
 // misreports one observable through the Store methods alone, proving the
 // checker actually distinguishes healthy from broken engines.
 type corruptStore struct {
@@ -82,6 +82,10 @@ func (c *corruptStore) Scan(lid merging.ListID, keep func(posting.EncryptedShare
 		out = out[:len(out)-1]
 	case "impact order":
 		slices.Reverse(out)
+	case "group order":
+		out[1], out[2] = out[2], out[1]
+	case "run order":
+		out[2], out[3] = out[3], out[2]
 	}
 	return out
 }
@@ -108,6 +112,9 @@ func TestCheckInvariantsRejects(t *testing.T) {
 		{"empty list", "empty lists must vanish"},
 		{"short scan", "Scan returns 1 shares, length reported 2"},
 		{"impact order", "impact order violated"},
+		// The two below corrupt the four-element list.
+		{"group order", "group order violated at position 2 (group 1 after 2"},
+		{"run order", "global ID order violated at position 3"},
 		{"range total", "ScanRange(0, 2) reports total=3"},
 		{"range short", "ScanRange returns 1 shares, Scan 2"},
 		{"range order", "ScanRange/Scan disagree at position 0"},
@@ -118,6 +125,14 @@ func TestCheckInvariantsRejects(t *testing.T) {
 				{GlobalID: posting.TagImpact(10, 2), Group: 1, Y: field.New(5)},
 				{GlobalID: posting.TagImpact(11, 0), Group: 1, Y: field.New(6)},
 			})
+			if row.fault == "group order" || row.fault == "run order" {
+				// Stored as [10 | 11 (group 1) | 12 13 (group 2)]: bucket 2,
+				// then bucket 0's two runs, the second of two elements.
+				s.Upsert(1, []posting.EncryptedShare{
+					{GlobalID: posting.TagImpact(13, 0), Group: 2, Y: field.New(8)},
+					{GlobalID: posting.TagImpact(12, 0), Group: 2, Y: field.New(7)},
+				})
+			}
 			err := CheckInvariants(&corruptStore{Store: s, fault: row.fault})
 			if err == nil || !strings.Contains(err.Error(), row.want) {
 				t.Fatalf("want an error containing %q, got %v", row.want, err)

@@ -2,91 +2,261 @@ package store
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"zerber/internal/field"
 	"zerber/internal/merging"
 	"zerber/internal/posting"
 )
 
-// layout is one list's order under the Store contract (bucket-major,
-// highest impact bucket first; see the package doc), shared by both
-// engines: a position map for O(1) keyed access and each bucket's element
-// count, so an insert or a remove restores the order with at most one
-// move per lower bucket, never a full-list shift.
+// layout is one list in the Store contract's canonical order (impact
+// bucket descending, then group ascending, then global ID ascending; see
+// the package doc), shared by both engines. The elements sit in runs, one
+// per (bucket, group) the list holds, the runs in contract order and each
+// run's elements by ascending global ID. An element is found by its run,
+// named by the bucket its global ID carries and the group groups records,
+// and a binary search within the run; a read asks its filter once per run
+// and copies each accepted run whole.
 //
-// It orders rows it does not hold, passed as the two per-element slices
-// an engine may keep in stored order: shares (Sharded's rows; Disk's
-// resident payloads) and entries (Disk's segment locations). A nil slice
-// is one the engine does not keep: Sharded has no entries, and a Disk
-// list whose payloads are not resident has no shares.
+// The runs carry the rows an engine keeps: shares (Sharded; Disk while
+// the list is resident) and entries (Disk's segment locations), aligned
+// element for element when both are kept.
 type layout struct {
-	pos map[posting.GlobalID]int
-	cnt [posting.ImpactBuckets]int
+	runs []run
+	// keys holds each run's key, aligned with runs: a dense array, so
+	// finding a run touches a few cache lines.
+	keys   []runKey
+	groups map[posting.GlobalID]uint32
+	// entries and shares say which rows the runs carry.
+	entries, shares bool
 }
 
-func newLayout(n int) layout {
-	return layout{pos: make(map[posting.GlobalID]int, n)}
+// run is the elements of one (bucket, group) of a list, never empty.
+type run struct {
+	key     runKey
+	shares  []posting.EncryptedShare
+	entries []diskEntry
 }
 
-// move copies row src over row dst and records the moved element's new
-// position.
-func (l *layout) move(shares []posting.EncryptedShare, entries []diskEntry, dst, src int) {
-	var gid posting.GlobalID
-	if entries != nil {
-		entries[dst] = entries[src]
-		gid = entries[dst].gid
+// runKey orders runs as the contract does: bucket descending, then group
+// ascending.
+type runKey uint64
+
+func keyOf(gid posting.GlobalID, group uint32) runKey {
+	return runKey(posting.ImpactBuckets-1-int(posting.ImpactOf(gid)))<<32 | runKey(group)
+}
+
+func (k runKey) bucket() uint8 { return uint8(posting.ImpactBuckets - 1 - int(k>>32)) }
+
+func (k runKey) group() uint32 { return uint32(k) }
+
+func newLayout(entries, shares bool) *layout {
+	return &layout{groups: make(map[posting.GlobalID]uint32), entries: entries, shares: shares}
+}
+
+// len is the list's element count.
+func (l *layout) len() int { return len(l.groups) }
+
+func (r *run) len() int {
+	if r.entries != nil {
+		return len(r.entries)
 	}
-	if shares != nil {
-		shares[dst] = shares[src]
-		gid = shares[dst].GlobalID
-	}
-	l.pos[gid] = dst
+	return len(r.shares)
 }
 
-// insert places gid, which must be absent, at the tail of its bucket.
-// The caller has appended one unset row to each slice; insert bubbles
-// that hole up to the end of the bucket, moving the first element of
-// each non-empty lower bucket to its own bucket's tail, and returns the
-// position where the caller writes the new element's row.
-func (l *layout) insert(shares []posting.EncryptedShare, entries []diskEntry, gid posting.GlobalID) int {
-	b := posting.ImpactOf(gid)
-	hole := len(l.pos)
-	for j := 0; j < int(b); j++ {
-		if l.cnt[j] == 0 {
+func (r *run) gidAt(i int) posting.GlobalID {
+	if r.entries != nil {
+		return r.entries[i].gid
+	}
+	return r.shares[i].GlobalID
+}
+
+// index is the position of gid in the run, or where it would go.
+func (r *run) index(gid posting.GlobalID) int {
+	lo, hi := 0, r.len()
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); r.gidAt(m) < gid {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// runIndex is the position of the run keyed k, or where it would go.
+func (l *layout) runIndex(k runKey) (int, bool) {
+	return slices.BinarySearch(l.keys, k)
+}
+
+// find returns the run and in-run position of gid.
+func (l *layout) find(gid posting.GlobalID) (ri, i int, ok bool) {
+	g, ok := l.groups[gid]
+	if !ok {
+		return 0, 0, false
+	}
+	ri, _ = l.runIndex(keyOf(gid, g))
+	return ri, l.runs[ri].index(gid), true
+}
+
+// put stores one element, sh.GlobalID in group sh.Group: sh when the
+// runs carry shares, e when they carry entries. A present element is
+// replaced in place, or moved to its new run if its group changed. It
+// reports whether the element is new.
+func (l *layout) put(sh posting.EncryptedShare, e diskEntry) bool {
+	gid := sh.GlobalID
+	ri, i, present := l.find(gid)
+	if present && l.runs[ri].key.group() == sh.Group {
+		r := &l.runs[ri]
+		if l.shares {
+			r.shares[i] = sh
+		}
+		if l.entries {
+			r.entries[i] = e
+		}
+		return false
+	}
+	if present {
+		l.removeAt(ri, i)
+	}
+	k := keyOf(gid, sh.Group)
+	ri, ok := l.runIndex(k)
+	if !ok {
+		l.runs = slices.Insert(l.runs, ri, run{key: k})
+		l.keys = slices.Insert(l.keys, ri, k)
+	}
+	r := &l.runs[ri]
+	i = r.index(gid)
+	if l.shares {
+		r.shares = slices.Insert(r.shares, i, sh)
+	}
+	if l.entries {
+		r.entries = slices.Insert(r.entries, i, e)
+	}
+	l.groups[gid] = sh.Group
+	return !present
+}
+
+// removeAt removes the element at position i of run ri, and the run
+// with it if that empties it.
+func (l *layout) removeAt(ri, i int) {
+	r := &l.runs[ri]
+	delete(l.groups, r.gidAt(i))
+	if l.entries {
+		r.entries = slices.Delete(r.entries, i, i+1)
+	}
+	if l.shares {
+		r.shares = slices.Delete(r.shares, i, i+1)
+	}
+	if r.len() == 0 {
+		l.runs = slices.Delete(l.runs, ri, ri+1)
+		l.keys = slices.Delete(l.keys, ri, ri+1)
+	}
+}
+
+// setShares makes the runs carry shares, which holds them in stored
+// order. Each run gets its own part with no spare capacity, so a later
+// insert into one run cannot overwrite the next.
+func (l *layout) setShares(shares []posting.EncryptedShare) {
+	l.shares = true
+	for ri := range l.runs {
+		r := &l.runs[ri]
+		n := r.len()
+		r.shares, shares = shares[:n:n], shares[n:]
+	}
+}
+
+// dropShares stops the runs carrying shares.
+func (l *layout) dropShares() {
+	l.shares = false
+	for ri := range l.runs {
+		l.runs[ri].shares = nil
+	}
+}
+
+// span is the part [lo, hi) of run r that a read returns.
+type span struct{ r, lo, hi int32 }
+
+// spans appends to dst the parts of the runs that positions [from, end)
+// cover and keep accepts (nil keeps all), in stored order, and returns
+// them with their element count. keep is asked once per run, with a
+// share that carries the run's group and nothing else: it decides by
+// group, so a rejected run's elements are never touched.
+func (l *layout) spans(dst []span, from, end int, keep func(posting.EncryptedShare) bool) ([]span, int) {
+	n, pos := 0, 0
+	for ri := range l.runs {
+		if pos >= end {
+			break
+		}
+		r := &l.runs[ri]
+		rn := r.len()
+		lo, hi := max(from-pos, 0), min(end-pos, rn)
+		pos += rn
+		if lo >= hi {
 			continue
 		}
-		s := hole - l.cnt[j]
-		l.move(shares, entries, hole, s)
-		hole = s
-	}
-	l.pos[gid] = hole
-	l.cnt[b]++
-	return hole
-}
-
-// remove takes gid, stored at position idx, out of the order: the last
-// element of gid's bucket moves into its slot, and the last element of
-// each non-empty lower bucket moves to its own bucket's head. The row
-// left unused is the last of each slice, which the caller truncates.
-func (l *layout) remove(shares []posting.EncryptedShare, entries []diskEntry, gid posting.GlobalID, idx int) {
-	b := posting.ImpactOf(gid)
-	hole := -1 // the last position of bucket b
-	for j := int(b); j < posting.ImpactBuckets; j++ {
-		hole += l.cnt[j]
-	}
-	if idx != hole {
-		l.move(shares, entries, idx, hole)
-	}
-	for j := int(b) - 1; j >= 0; j-- {
-		if l.cnt[j] == 0 {
+		if keep != nil && !keep(posting.EncryptedShare{Group: r.key.group()}) {
 			continue
 		}
-		src := hole + l.cnt[j]
-		l.move(shares, entries, hole, src)
-		hole = src
+		dst = append(dst, span{int32(ri), int32(lo), int32(hi)})
+		n += hi - lo
 	}
-	l.cnt[b]--
-	delete(l.pos, gid)
+	return dst, n
+}
+
+// readScratch recycles the buffers read gathers runs into. One is
+// private to a call from Get to Put; what a read returns is a copy.
+var readScratch = sync.Pool{New: func() any { return new([]posting.EncryptedShare) }}
+
+// read returns a fresh, exact-size copy of the shares at positions
+// [from, end) that keep accepts, nil when there are none. The runs must
+// carry shares. It gathers the accepted runs into a recycled buffer and
+// copies that out with one append to nil, which sizes the result
+// without zeroing it: a result is usually tens of kilobytes, and a
+// make'd one would be cleared only to be overwritten.
+func (l *layout) read(from, end int, keep func(posting.EncryptedShare) bool) []posting.EncryptedShare {
+	var buf [64]span
+	spans, n := l.spans(buf[:0], from, end, keep)
+	if n == 0 {
+		return nil
+	}
+	scratch := readScratch.Get().(*[]posting.EncryptedShare)
+	gathered := (*scratch)[:0]
+	for _, s := range spans {
+		gathered = append(gathered, l.runs[s.r].shares[s.lo:s.hi]...)
+	}
+	out := append([]posting.EncryptedShare(nil), gathered...)
+	*scratch = gathered
+	readScratch.Put(scratch)
+	return out
+}
+
+// entriesOf is read for entries: the runs must carry them.
+func (l *layout) entriesOf(from, end int, keep func(posting.EncryptedShare) bool) []diskEntry {
+	var buf [64]span
+	spans, n := l.spans(buf[:0], from, end, keep)
+	if n == 0 {
+		return nil
+	}
+	out := make([]diskEntry, 0, n)
+	for _, s := range spans {
+		out = append(out, l.runs[s.r].entries[s.lo:s.hi]...)
+	}
+	return out
+}
+
+// bucketAt is the impact bucket of the element at position pos, 0 past
+// the end: the next bound ScanRange reports.
+func (l *layout) bucketAt(pos int) uint8 {
+	for ri := range l.runs {
+		n := l.runs[ri].len()
+		if pos < n {
+			return l.runs[ri].key.bucket()
+		}
+		pos -= n
+	}
+	return 0
 }
 
 // window clamps the position window [from, from+n) of ScanRange to a
@@ -102,13 +272,14 @@ func window(from, n, total int) (int, int) {
 
 // checkDeltas is the presence check of ApplyDeltas: it returns how many
 // elements deltas addresses, or an error wrapping ErrMissing for one that
-// positions (a list's position map, nil for an absent list) lacks.
-func checkDeltas(deltas map[merging.ListID]map[posting.GlobalID]field.Element, positions func(merging.ListID) map[posting.GlobalID]int) (int, error) {
+// is not in its list (groupsOf returns a list's groups, nil for an absent
+// list).
+func checkDeltas(deltas map[merging.ListID]map[posting.GlobalID]field.Element, groupsOf func(merging.ListID) map[posting.GlobalID]uint32) (int, error) {
 	n := 0
 	for lid, byID := range deltas {
-		pos := positions(lid)
+		groups := groupsOf(lid)
 		for gid := range byID {
-			if _, ok := pos[gid]; !ok {
+			if _, ok := groups[gid]; !ok {
 				return 0, fmt.Errorf("reshare delta for element %d in list %d: %w", gid, lid, ErrMissing)
 			}
 			n++

@@ -172,7 +172,7 @@ func (s *Sharded) ApplyDeltas(deltas map[merging.ListID]map[posting.GlobalID]fie
 		}
 	}()
 	for _, i := range idxs {
-		if _, err := checkDeltas(buckets[i], s.shards[i].tab.positions); err != nil {
+		if _, err := checkDeltas(buckets[i], s.shards[i].tab.groupsOf); err != nil {
 			return err
 		}
 	}

@@ -18,22 +18,20 @@
 //     plaintext posting elements never exist at this layer.
 //   - Keyed addressing only. All mutation is addressed by
 //     (ListID, GlobalID). Upserting an existing key replaces the stored
-//     share in place; it never duplicates the element.
-//   - Score-ordered within-list layout. List reads observe shares in
-//     descending impact-bucket order (posting.ImpactOf of the public
-//     GlobalID, the Zerber+R §6 relevance layout): every element of
-//     bucket b precedes every element of bucket b-1, so a ranged read
-//     fetches the highest-scoring elements first. Within a bucket the
-//     order is what two moves leave. An insert into bucket b appends
-//     to b's run and moves the first element of each lower, non-empty
-//     bucket to that bucket's tail: inserting x into
-//     [a | b1 b2 b3 | c1 c2] gives [a x | b2 b3 b1 | c2 c1]. A delete
-//     from bucket b moves b's last element into the vacated slot and
-//     the last element of each lower, non-empty bucket to that
-//     bucket's head. A replacement keeps its slot. Order across lists
-//     carries no meaning. The layout is a pure function of the per-list
-//     operation history, so retrieval output is independent of how the
-//     store is sharded: a list lives in exactly one shard.
+//     share; it never duplicates the element.
+//   - Canonical within-list order. List reads observe shares sorted by
+//     impact bucket descending (posting.ImpactOf of the public GlobalID,
+//     the Zerber+R §6 relevance layout), then by group ascending, then
+//     by global ID ascending. Every element of bucket b precedes every
+//     element of bucket b-1, so a ranged read fetches the
+//     highest-scoring elements first; within a bucket each group's
+//     elements form one run, so a read filtered to the caller's groups
+//     (§5.4.2) copies whole runs. The order is a function of a list's
+//     contents alone, not of the operations that produced them: two
+//     stores holding the same elements hold them in the same order,
+//     whatever the engine, sharding, arrival order, restarts or
+//     compactions, so a position window names the same elements on
+//     each. Order across lists carries no meaning.
 //   - Ranged reads. ScanRange exposes a position window of the ordered
 //     list plus the impact bucket of the first unfetched element — the
 //     upper bound a top-k client needs for early termination.
@@ -52,7 +50,19 @@
 //     order information any score-ordered confidential layout must
 //     reveal (§6; the bucket granularity is the padding). No auxiliary
 //     index may reveal more (e.g. insertion timestamps or per-term
-//     structure).
+//     structure). The canonical order stays inside this budget: it is
+//     computed from the bucket, the group tag and the global ID alone,
+//     and the view already holds all three — the bucket as above, the
+//     group stored in the clear beside each share, and the global ID,
+//     which the owner draws at random. Sorting by them reveals nothing
+//     the view does not, and strictly less than an arrival order would:
+//     that is a function of insertion history, which the budget
+//     forbids.
+//   - Filters decide by group. The keep filter of Scan and ScanRange
+//     must decide by the share's Group alone (the server's group check
+//     does): an engine asks it once per run of one bucket and group,
+//     with a share that carries only the run's group, and copies or
+//     skips the run whole.
 //
 // Two implementations ship: Sharded, which stripes lists across
 // independently locked shards for parallel mixed workloads (see
@@ -92,16 +102,17 @@ var ErrMissing = errors.New("store: element not found")
 // every serving call. A caller that needs the IDs reads the lists.
 type Store interface {
 	// Upsert inserts the shares into list lid one after another, each
-	// where the package doc's layout rule puts it. A share whose
-	// GlobalID is already present replaces the stored share in place
-	// instead. It returns how many shares were newly inserted
+	// where the package doc's canonical order puts it. A share whose
+	// GlobalID is already present replaces the stored share instead (in
+	// place, unless its group changed, which moves it to its group's
+	// run); a batch naming one GlobalID twice keeps the later share. It returns how many shares were newly inserted
 	// (replacements are not counted). Node-to-node migration ingests a
 	// list through it too.
 	Upsert(lid merging.ListID, shares []posting.EncryptedShare) int
 
 	// DeleteIf atomically looks up the element keyed by (lid, gid) and,
 	// if allow approves the stored share (nil allows unconditionally),
-	// removes it, moving elements as the package doc's layout rule says.
+	// removes it; the elements after it move up one position.
 	// found reports presence; deleted reports removal. A list
 	// emptied by the removal disappears entirely (empty lists are not
 	// part of the adversary view).
@@ -111,18 +122,19 @@ type Store interface {
 	DeleteIf(lid merging.ListID, gid posting.GlobalID, allow func(posting.EncryptedShare) bool) (found, deleted bool)
 
 	// Scan returns the shares of lid accepted by keep (nil keeps all)
-	// in stored order, or nil if none match. The same locking rules as
-	// DeleteIf's allow apply to keep.
+	// in stored order, or nil if none match. keep decides by group (see
+	// the package doc), and the same locking rules as DeleteIf's allow
+	// apply to it.
 	//
 	// The result is the caller's to keep or overwrite: a fresh slice per
 	// call that never aliases engine state or a buffer the engine
-	// reuses. It is sized to what it holds (a scan that keeps half a list
-	// does not allocate the other half), except that a list Disk had to
-	// read for this call is that read's buffer, filtered in place.
+	// reuses. It is sized to what it holds: a scan that keeps half a list
+	// does not allocate, or on Disk read, the other half.
 	Scan(lid merging.ListID, keep func(posting.EncryptedShare) bool) []posting.EncryptedShare
 
 	// ScanRange returns the shares at positions [from, from+n) of lid's
-	// score-ordered list that keep accepts (nil keeps all), the
+	// ordered list that keep accepts (nil keeps all, and it decides by
+	// group as Scan's does), the
 	// unfiltered list length, and the impact bucket of the element at
 	// position from+n (0 when the window reaches the end). total and
 	// next describe the whole list, before keep filtering, so a top-k

@@ -5,9 +5,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"io"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -507,5 +509,151 @@ func TestBinaryDialScheme(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), `scheme "`+scheme+`"`) {
 			t.Errorf("DialBinary(%s://...) = %v, want an error naming the scheme", scheme, err)
 		}
+	}
+}
+
+// closingProxy relays TCP connections to a server. Once armed, it takes
+// the next request bytes on the first connection (on every connection,
+// with all), forwards them or not, and then closes that connection
+// without relaying a response: with a FIN (EOF at the client) or, with
+// reset, an RST. Every other connection is relayed whole.
+type closingProxy struct {
+	ln                  net.Listener
+	armed               chan struct{}
+	forward, reset, all bool
+	accepted            atomic.Int32
+}
+
+func startClosingProxy(t *testing.T, upstream string, p *closingProxy) *closingProxy {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.ln, p.armed = ln, make(chan struct{})
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			down, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			up, err := net.Dial("tcp", upstream)
+			if err != nil {
+				down.Close()
+				return
+			}
+			t.Cleanup(func() { down.Close(); up.Close() })
+			go io.Copy(down, up)
+			go p.relay(down, up, p.accepted.Add(1) == 1 || p.all)
+		}
+	}()
+	return p
+}
+
+func (p *closingProxy) relay(down, up net.Conn, closing bool) {
+	buf := make([]byte, 64<<10)
+	for {
+		n, err := down.Read(buf)
+		if err != nil {
+			return
+		}
+		select {
+		case <-p.armed:
+			if !closing {
+				break
+			}
+			if p.forward {
+				up.Write(buf[:n])
+			}
+			if p.reset {
+				down.(*net.TCPConn).SetLinger(0)
+			}
+			down.Close()
+			return
+		default:
+		}
+		if _, err := up.Write(buf[:n]); err != nil {
+			return
+		}
+	}
+}
+
+// TestBinaryRedialsAfterServerClose closes the server side of the
+// client's cached connection between two calls, before the client has
+// seen it die: the second call is written into the dead connection,
+// meets EOF or a reset, and is sent once more on a fresh connection. A
+// lookup and an Apply both succeed, and the Apply lands once, whether
+// the lost request reached the server (the op window skips the resend)
+// or not.
+func TestBinaryRedialsAfterServerClose(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		forward, reset bool
+		apply          bool
+	}{
+		{"lookup/eof", false, false, false},
+		{"lookup/reset", false, true, false},
+		{"apply/eof/lost", false, false, true},
+		{"apply/reset/delivered", true, true, true},
+		{"apply/eof/delivered", true, false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, tok := newServer(t)
+			bs := startBinary(t, srv, "")
+			p := startClosingProxy(t, bs.Addr().String(), &closingProxy{forward: tc.forward, reset: tc.reset})
+			c, err := transport.DialBinary(p.ln.Addr().String(), 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			ctx := context.Background()
+			op := transport.OpID{ID: 7, Stage: transport.StageInsert}
+			ins := []transport.InsertOp{{List: 1, Share: sampleShare(1, 1)}}
+			if !tc.apply {
+				if err := c.Apply(ctx, tok, op, ins, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			close(p.armed)
+			if tc.apply {
+				err = c.Apply(ctx, tok, op, ins, nil)
+			} else {
+				var out map[merging.ListID][]posting.EncryptedShare
+				out, err = c.GetPostingLists(ctx, tok, []merging.ListID{1})
+				if err == nil && len(out[1]) != 1 {
+					t.Fatalf("lookup after the redial returned %v", out)
+				}
+			}
+			if err != nil {
+				t.Fatalf("call on the closed connection was not redialed: %v", err)
+			}
+			if got := p.accepted.Load(); got != 2 {
+				t.Fatalf("client opened %d connections, want the dial's and one redial", got)
+			}
+			if got := srv.Store().TotalElements(); got != 1 {
+				t.Fatalf("server holds %d elements, want 1", got)
+			}
+		})
+	}
+}
+
+// TestBinaryRedialsOnce: when the fresh connection is closed too, the
+// call fails after its one redial instead of dialing in a loop.
+func TestBinaryRedialsOnce(t *testing.T) {
+	srv, tok := newServer(t)
+	bs := startBinary(t, srv, "")
+	p := startClosingProxy(t, bs.Addr().String(), &closingProxy{all: true})
+	c, err := transport.DialBinary(p.ln.Addr().String(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	close(p.armed)
+	if _, err := c.GetPostingLists(context.Background(), tok, []merging.ListID{1}); err == nil {
+		t.Fatal("a call whose every connection closes under it succeeded")
+	}
+	if got := p.accepted.Load(); got != 2 {
+		t.Fatalf("client opened %d connections, want the dial's and one redial", got)
 	}
 }

@@ -5,9 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"zerber/internal/auth"
@@ -51,10 +53,12 @@ var errClientClosed = errors.New("transport: binary client closed")
 // up: that is never read and goes to the garbage collector.
 //
 // A broken connection fails every in-flight call and is re-dialed
-// lazily with exponential backoff on the next call. That retry surface
-// is safe because the mutation path is exactly-once end to end: Apply
-// stages are deduplicated server-side by (caller, op ID, stage), so a
-// caller re-sending after a connection error cannot double-apply.
+// lazily with exponential backoff on the next call; a call it failed
+// before its response arrived is sent once more (see redialable). That
+// is safe for every kind: lookups are idempotent, a server process
+// dedups an Apply stage by (caller, op ID, stage), and a restarted one,
+// its op window empty, converges on re-apply (inserts upsert, deletes
+// skip absent elements), as on the peer's own resend of a stage.
 type BinaryClient struct {
 	addr    string
 	timeout time.Duration
@@ -150,14 +154,33 @@ func (c *BinaryClient) Close() error {
 	return nil
 }
 
-// call runs one request/response exchange over the shared connection.
+// call runs one request/response exchange over the shared connection,
+// and once more on a fresh one if the first was closed under it.
 func (c *BinaryClient) call(ctx context.Context, req binRequest) (binResponse, error) {
-	name := binKindName(req.kind)
 	if c.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.timeout)
 		defer cancel()
 	}
+	resp, err := c.attempt(ctx, req)
+	if redialable(err) {
+		resp, err = c.attempt(ctx, req)
+	}
+	return resp, err
+}
+
+// redialable reports whether a call failed because its connection was
+// closed (EOF at a frame boundary) or reset by the server before the
+// call's response arrived: what a call meets on the cached connection of
+// a server that restarted, and which one fresh connection cures. A torn
+// response, a failed dial, a status or a cancelled context is not.
+func redialable(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE)
+}
+
+// attempt is one exchange of call on the current connection.
+func (c *BinaryClient) attempt(ctx context.Context, req binRequest) (binResponse, error) {
+	name := binKindName(req.kind)
 	conn, id, call, err := c.register()
 	if err != nil {
 		return binResponse{}, fmt.Errorf("transport: %s %s: %w", name, c.addr, err)
