@@ -4,10 +4,11 @@
 //
 //	go run ./examples/dht
 //
-// Layout: k=2 secret sharing means two share slots; each slot is a
-// consistent-hashing ring of physical nodes. Clients and peers talk to
-// the slots exactly as they would to monolithic index servers; the
-// routing, node joins, and data migration are invisible to them.
+// Layout: k=2 secret sharing means two share slots; each slot is one
+// index server whose storage engine is a consistent-hashing ring of
+// physical node stores. Clients and peers talk to the slot servers
+// exactly as to any index servers; the routing, node joins, and data
+// migration are invisible to them.
 package main
 
 import (
@@ -25,6 +26,7 @@ import (
 	"zerber/internal/merging"
 	"zerber/internal/peer"
 	"zerber/internal/server"
+	"zerber/internal/store"
 	"zerber/internal/transport"
 	"zerber/internal/vocab"
 )
@@ -52,27 +54,21 @@ func main() {
 	}
 	voc := vocab.NewFromTerms(table.ListedTerms())
 
-	// Two share slots (k=2), three physical nodes each.
-	newNode := func(slot, n int, x field.Element) *server.Server {
-		return server.New(server.Config{
-			Name: fmt.Sprintf("slot%d-node%d", slot, n), X: x, Auth: svc, Groups: groups,
-		})
-	}
+	// Two share slots (k=2), three physical nodes each, one index
+	// server per slot.
 	var slots []*dht.Slot
 	var apis []transport.API
 	for s := 0; s < 2; s++ {
-		x := field.Element(s + 1)
-		slot, err := dht.NewSlot(x, 32)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for n := 0; n < 3; n++ {
-			if err := slot.AddNode(fmt.Sprintf("node%d", n), newNode(s, n, x)); err != nil {
+		slot := dht.NewSlot(32, "node0", store.NewSharded(0))
+		for n := 1; n < 3; n++ {
+			if err := slot.AddNode(fmt.Sprintf("node%d", n), store.NewSharded(0)); err != nil {
 				log.Fatal(err)
 			}
 		}
 		slots = append(slots, slot)
-		apis = append(apis, slot)
+		apis = append(apis, server.New(server.Config{
+			Name: fmt.Sprintf("slot%d", s), X: field.Element(s + 1), Auth: svc, Groups: groups, Store: slot,
+		}))
 	}
 
 	// Index documents through the DHT (the peer cannot tell).
@@ -107,7 +103,7 @@ func main() {
 				names = append(names, n)
 			}
 			sort.Strings(names)
-			fmt.Printf("  slot %d (x=%d): ", si, slot.XCoord())
+			fmt.Printf("  slot %d (x=%d): ", si, si+1)
 			for _, n := range names {
 				fmt.Printf("%s=%d lists  ", n, distb[n])
 			}
@@ -127,7 +123,7 @@ func main() {
 	fmt.Printf("\nsearch over the DHT: %d documents match term000\n\n", len(res))
 
 	// A node joins slot 0: lists it now owns migrate automatically.
-	if err := slots[0].AddNode("node3", newNode(0, 3, slots[0].XCoord())); err != nil {
+	if err := slots[0].AddNode("node3", store.NewSharded(0)); err != nil {
 		log.Fatal(err)
 	}
 	show("--- after node3 joins slot 0 (lists migrated) ---")

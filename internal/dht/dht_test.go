@@ -14,7 +14,9 @@ import (
 	"zerber/internal/invindex"
 	"zerber/internal/merging"
 	"zerber/internal/peer"
+	"zerber/internal/posting"
 	"zerber/internal/server"
+	"zerber/internal/store"
 	"zerber/internal/textproc"
 	"zerber/internal/transport"
 	"zerber/internal/vocab"
@@ -101,15 +103,15 @@ func TestRingMinimalDisruption(t *testing.T) {
 	}
 }
 
-// dhtEnv builds a 2-slot (k=2) DHT deployment with several physical
-// nodes per slot, plus the usual table/vocab/auth plumbing.
+// dhtEnv builds a 2-slot (k=2) DHT deployment: one index server per
+// slot over a Slot of several physical node stores, plus the usual
+// table/vocab/auth plumbing.
 type dhtEnv struct {
-	slots  []*dht.Slot
-	apis   []transport.API
-	svc    *auth.Service
-	groups *auth.GroupTable
-	table  *merging.Table
-	voc    *vocab.Vocabulary
+	slots []*dht.Slot
+	apis  []transport.API
+	svc   *auth.Service
+	table *merging.Table
+	voc   *vocab.Vocabulary
 }
 
 func newDHTEnv(t *testing.T, nodesPerSlot int) *dhtEnv {
@@ -135,23 +137,18 @@ func newDHTEnv(t *testing.T, nodesPerSlot int) *dhtEnv {
 	}
 	voc := vocab.NewFromTerms(table.ListedTerms())
 
-	e := &dhtEnv{svc: svc, groups: groups, table: table, voc: voc}
+	e := &dhtEnv{svc: svc, table: table, voc: voc}
 	for slot := 0; slot < 2; slot++ {
-		x := field.Element(slot + 1)
-		s, err := dht.NewSlot(x, 32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for n := 0; n < nodesPerSlot; n++ {
-			srv := server.New(server.Config{
-				Name: fmt.Sprintf("slot%d-node%d", slot, n), X: x, Auth: svc, Groups: groups,
-			})
-			if err := s.AddNode(fmt.Sprintf("node%d", n), srv); err != nil {
+		s := dht.NewSlot(32, "node0", store.NewSharded(0))
+		for n := 1; n < nodesPerSlot; n++ {
+			if err := s.AddNode(fmt.Sprintf("node%d", n), store.NewSharded(0)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		e.slots = append(e.slots, s)
-		e.apis = append(e.apis, s)
+		e.apis = append(e.apis, server.New(server.Config{
+			Name: fmt.Sprintf("slot%d", slot), X: field.Element(slot + 1), Auth: svc, Groups: groups, Store: s,
+		}))
 	}
 	return e
 }
@@ -236,9 +233,7 @@ func TestDHTNodeJoinMigratesAndKeepsSearching(t *testing.T) {
 	}
 
 	// A new node joins slot 0; lists it now owns migrate to it.
-	x := e.slots[0].XCoord()
-	newNode := server.New(server.Config{Name: "slot0-new", X: x, Auth: e.svc, Groups: e.groups})
-	if err := e.slots[0].AddNode("newnode", newNode); err != nil {
+	if err := e.slots[0].AddNode("newnode", store.NewSharded(0)); err != nil {
 		t.Fatal(err)
 	}
 	after, _, err := cl.Search(tok, []string{"term01"}, 100)
@@ -284,20 +279,22 @@ func TestDHTCannotRemoveLastNode(t *testing.T) {
 	}
 }
 
+// TestDHTSlotValidation: the slot's x-coordinate lives on the one server
+// above it, so no node can disagree about it; what AddNode must refuse
+// is a duplicate name and a store that already holds lists, which would
+// be neither authoritative nor ever cleaned up.
 func TestDHTSlotValidation(t *testing.T) {
-	if _, err := dht.NewSlot(0, 8); err == nil {
-		t.Error("x=0 slot must be rejected")
-	}
 	e := newDHTEnv(t, 1)
-	wrongX := server.New(server.Config{
-		Name: "bad", X: 99, Auth: e.svc, Groups: e.groups,
-	})
-	if err := e.slots[0].AddNode("bad", wrongX); err == nil {
-		t.Error("node with mismatched x-coordinate must be rejected")
-	}
-	existing, _ := e.slots[0].Node("node0")
-	if err := e.slots[0].AddNode("node0", existing); err == nil {
+	if err := e.slots[0].AddNode("node0", store.NewSharded(0)); err == nil {
 		t.Error("duplicate node name must be rejected")
+	}
+	full := store.NewSharded(0)
+	full.Upsert(1, []posting.EncryptedShare{{GlobalID: 1, Group: 1, Y: 7}})
+	if err := e.slots[0].AddNode("full", full); err == nil {
+		t.Error("a node store that already holds lists must be rejected")
+	}
+	if _, ok := e.slots[0].Node("full"); ok || e.slots[0].NumNodes() != 1 {
+		t.Error("a rejected node joined the slot")
 	}
 	if err := e.slots[0].RemoveNode("ghost"); err == nil {
 		t.Error("removing an unknown node must fail")

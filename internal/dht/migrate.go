@@ -10,7 +10,7 @@ import (
 
 	"zerber/internal/merging"
 	"zerber/internal/posting"
-	"zerber/internal/server"
+	"zerber/internal/store"
 )
 
 // This file is the slot's online migration engine: an epoch-stamped
@@ -226,8 +226,8 @@ func (s *Slot) DeliverIngest(target string, ep Epoch, seq uint64, lid merging.Li
 	if mv == nil || mv.dst != target || mv.epoch != ep {
 		return fmt.Errorf("ingest of list %d on %s (epoch %d): %w", lid, target, ep, ErrStaleTransfer)
 	}
-	srv := s.nodes[target]
-	if srv == nil {
+	node := s.nodes[target]
+	if node == nil {
 		return fmt.Errorf("dht: migration target %s vanished", target)
 	}
 	mv.jmu.Lock()
@@ -239,7 +239,7 @@ func (s *Slot) DeliverIngest(target string, ep Epoch, seq uint64, lid merging.Li
 		return fmt.Errorf("ingest of list %d on %s: got seq %d, want %d: %w",
 			lid, target, seq, mv.lastSeq+1, ErrStaleTransfer)
 	}
-	srv.Store().Upsert(lid, shares)
+	node.Upsert(lid, shares)
 	mv.lastSeq = seq
 	return nil
 }
@@ -252,8 +252,8 @@ func (s *Slot) DeliverRemove(target string, ep Epoch, seq uint64, lid merging.Li
 	if mv == nil || mv.dst != target || mv.epoch != ep {
 		return fmt.Errorf("remove on list %d on %s (epoch %d): %w", lid, target, ep, ErrStaleTransfer)
 	}
-	srv := s.nodes[target]
-	if srv == nil {
+	node := s.nodes[target]
+	if node == nil {
 		return fmt.Errorf("dht: migration target %s vanished", target)
 	}
 	mv.jmu.Lock()
@@ -266,7 +266,7 @@ func (s *Slot) DeliverRemove(target string, ep Epoch, seq uint64, lid merging.Li
 			lid, target, seq, mv.lastSeq+1, ErrStaleTransfer)
 	}
 	for _, gid := range gids {
-		srv.Store().DeleteIf(lid, gid, nil)
+		node.DeleteIf(lid, gid, nil)
 	}
 	mv.lastSeq = seq
 	return nil
@@ -286,11 +286,11 @@ func (s *Slot) DeliverAbort(target string, ep Epoch, lid merging.ListID) error {
 	if owner, err := s.ownerOfLocked(lid); err == nil && owner == target {
 		return fmt.Errorf("abort of list %d: %s owns the list: %w", lid, target, ErrStaleTransfer)
 	}
-	srv := s.nodes[target]
-	if srv == nil {
+	node := s.nodes[target]
+	if node == nil {
 		return nil // target gone: nothing left to clean
 	}
-	srv.Store().DropList(lid)
+	node.DropList(lid)
 	return nil
 }
 
@@ -327,15 +327,15 @@ func (s *Slot) transfer(desc string, f func(ctx context.Context) error) error {
 // cannot change underneath it.
 func (s *Slot) runMove(lid merging.ListID, src, dst string, ep Epoch) error {
 	s.mu.Lock()
-	srcSrv, dstSrv := s.nodes[src], s.nodes[dst]
-	if srcSrv == nil || dstSrv == nil {
+	srcNode := s.nodes[src]
+	if srcNode == nil || s.nodes[dst] == nil {
 		s.mu.Unlock()
 		return fmt.Errorf("dht: move of list %d %s -> %s: node missing", lid, src, dst)
 	}
 	mv := &listMove{src: src, dst: dst, epoch: ep}
 	s.moves[lid] = mv
 	delete(s.stale, lid) // the move record overrides routing; restored on abort
-	snapshot := srcSrv.Store().Scan(lid, nil)
+	snapshot := srcNode.Scan(lid, nil)
 	s.mu.Unlock()
 
 	// Copy phase: stream the snapshot in chunks. The source keeps
@@ -363,7 +363,7 @@ func (s *Slot) runMove(lid merging.ListID, src, dst string, ep Epoch) error {
 		if round > 64 {
 			return s.abortMove(lid, mv, errors.New("dirty set never drained under sustained writes"))
 		}
-		if err := s.drainRound(mv, srcSrv, lid); err != nil {
+		if err := s.drainRound(mv, srcNode, lid); err != nil {
 			return s.abortMove(lid, mv, err)
 		}
 		s.mu.Lock()
@@ -385,29 +385,30 @@ func (s *Slot) runMove(lid merging.ListID, src, dst string, ep Epoch) error {
 			delete(s.moves, lid)
 			s.stale[lid] = src
 			s.mu.Unlock()
-			srcSrv.Store().DropList(lid)
+			srcNode.DropList(lid)
 			return nil
 		}
 		delete(s.moves, lid)
 		delete(s.stale, lid)
 		s.mu.Unlock()
 		// The flip is done: reads and writes now route to dst. Dropping
-		// the source's copy after the flip is safe — it is no longer
-		// addressed by anything.
-		srcSrv.Store().DropList(lid)
+		// the source's copy after the flip is safe — every store call
+		// holds the routing lock across its node call, so none still
+		// addresses it.
+		srcNode.DropList(lid)
 		return nil
 	}
 }
 
 // drainRound reconciles the target with the source's current state of
 // every ID mutated since the last round.
-func (s *Slot) drainRound(mv *listMove, srcSrv *server.Server, lid merging.ListID) error {
+func (s *Slot) drainRound(mv *listMove, src store.Store, lid merging.ListID) error {
 	dirty := mv.takeDirty()
 	if len(dirty) == 0 {
 		return nil
 	}
 	current := make(map[posting.GlobalID]posting.EncryptedShare)
-	for _, sh := range srcSrv.Store().Scan(lid, nil) {
+	for _, sh := range src.Scan(lid, nil) {
 		current[sh.GlobalID] = sh
 	}
 	var upserts []posting.EncryptedShare
@@ -490,12 +491,12 @@ func (s *Slot) rebalanceLocked(ep Epoch) error {
 		if _, pend := s.aborts[lid]; pend {
 			continue
 		}
-		srv := s.nodes[holder]
-		if srv == nil {
+		node := s.nodes[holder]
+		if node == nil {
 			delete(s.stale, lid)
 			continue
 		}
-		if _, n, _ := srv.Store().ScanRange(lid, 0, 0, nil); n == 0 {
+		if _, n, _ := node.ScanRange(lid, 0, 0, nil); n == 0 {
 			delete(s.stale, lid)
 		}
 	}
@@ -531,25 +532,19 @@ func (s *Slot) rebalanceLocked(ep Epoch) error {
 	}
 	var plans []movePlan
 	s.mu.RLock()
-	for name, srv := range s.nodes {
-		for lid := range srv.Store().ListLengths() {
-			owner, err := s.ownerOfLocked(lid)
-			if err != nil || owner != name {
-				continue // not this node's authoritative data (cleanup leftover)
-			}
-			if _, dirty := s.aborts[lid]; dirty {
-				continue
-			}
-			want, err := s.ring.OwnerOfList(lid)
-			if err != nil {
-				errs = append(errs, err)
-				continue
-			}
-			if want != name {
-				plans = append(plans, movePlan{lid: lid, src: name, dst: want})
-			}
+	s.authoritativeLocked(func(name string, lid merging.ListID, _ int) {
+		if _, dirty := s.aborts[lid]; dirty {
+			return
 		}
-	}
+		want, err := s.ring.OwnerOfList(lid)
+		if err != nil {
+			errs = append(errs, err)
+			return
+		}
+		if want != name {
+			plans = append(plans, movePlan{lid: lid, src: name, dst: want})
+		}
+	})
 	s.mu.RUnlock()
 	sort.Slice(plans, func(i, j int) bool { return plans[i].lid < plans[j].lid })
 	for _, p := range plans {
@@ -558,10 +553,16 @@ func (s *Slot) rebalanceLocked(ep Epoch) error {
 		}
 	}
 
-	// Fully drained leaving nodes are gone for good.
+	// Fully drained leaving nodes are gone for good. A node an override
+	// still names stays until the first step prunes the override on a
+	// later Rebalance: routing must never name a node that is gone.
 	s.mu.Lock()
+	pinned := make(map[string]bool)
+	for _, holder := range s.stale {
+		pinned[holder] = true
+	}
 	for name := range s.draining {
-		if s.nodes[name].Store().TotalElements() == 0 {
+		if !pinned[name] && s.nodes[name].TotalElements() == 0 {
 			delete(s.nodes, name)
 			delete(s.draining, name)
 		}

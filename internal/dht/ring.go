@@ -10,9 +10,11 @@
 // physical nodes. Within slot i, merged posting lists are partitioned
 // across the slot's nodes by hashing the list ID; each physical node
 // stores only a fraction of the index (the defining property of a DHT,
-// §3) yet the client-visible contract is unchanged: a Router per slot
-// implements the same narrow API as a monolithic index server, so peers
-// and clients work unmodified.
+// §3). A node is a storage engine (store.Store), and so is the Slot: it
+// routes every keyed store call to the node authoritative for the list.
+// One index server runs over each slot, exactly as over a single
+// engine, so authentication, group checks, op dedup and stats stay in
+// one place and peers and clients work unmodified.
 //
 // Confidentiality is preserved: a compromised physical node sees (a) a
 // subset of merged posting lists — lengths of merged lists leak no more
@@ -26,6 +28,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 	"sync"
 
 	"zerber/internal/merging"
@@ -52,9 +55,15 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// listKey is the ring key of a merged posting list.
+// listKey is the ring key of a merged posting list: ringHash of
+// "list:<lid>", built in a stack buffer. Every store call on a Slot
+// hashes one, and the store contract holds a Scan to one allocation
+// (TestScanAllocatesOnce), which fmt.Sprintf would break.
 func listKey(lid merging.ListID) uint64 {
-	return ringHash(fmt.Sprintf("list:%d", lid))
+	var buf [32]byte
+	h := fnv.New64a()
+	h.Write(strconv.AppendUint(append(buf[:0], "list:"...), uint64(lid), 10)) // never fails
+	return mix64(h.Sum64())
 }
 
 // Ring is a consistent-hashing ring with virtual nodes. It is safe for

@@ -1,25 +1,22 @@
 package dht
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
 	"sync"
 
-	"zerber/internal/auth"
 	"zerber/internal/field"
 	"zerber/internal/merging"
 	"zerber/internal/posting"
-	"zerber/internal/server"
-	"zerber/internal/transport"
+	"zerber/internal/store"
 )
 
 // Slot is one share slot: the set of physical nodes that jointly store
 // the shares evaluated at one public x-coordinate, partitioned by a
-// consistent-hashing ring. Slot implements transport.API, so a Zerber
-// peer or client can use a Slot wherever it would use a monolithic
-// index server.
+// consistent-hashing ring. Slot implements store.Store over the node
+// stores, so one index server over a Slot serves the slot exactly as it
+// would serve a single storage engine.
 //
 // Membership is an online operation: AddNode and RemoveNode migrate
 // lists through the two-phase handoff in migrate.go while the slot
@@ -29,8 +26,6 @@ import (
 // target degrades the slot to "some lists not yet rebalanced"
 // (Pending > 0, retried by Rebalance) instead of wedging it.
 type Slot struct {
-	x field.Element
-
 	// ring holds the *desired* placement. Actual routing consults the
 	// overrides below first: authority follows data, not the ring,
 	// until each list's cutover.
@@ -43,47 +38,39 @@ type Slot struct {
 	sink  TransferSink
 	hooks *SimHooks
 
-	// mu guards the routing state. Every serving call holds the read
-	// lock across its routing decision and node dispatch, so the
-	// migration engine's state transitions (move start, cutover,
-	// abort) fence all in-flight calls: a mutation is either in the
-	// copy snapshot or in the move's dirty set, never lost.
+	// mu guards the routing state. Every store call holds the read lock
+	// across its routing decision and node call, so the migration
+	// engine's state transitions (move start, cutover, abort) fence all
+	// in-flight calls: a mutation is either in the copy snapshot or in
+	// the move's dirty set, never lost, and a read never reaches a node
+	// after its copy was dropped.
 	mu       sync.RWMutex
-	nodes    map[string]*server.Server
+	nodes    map[string]store.Store
 	draining map[string]bool // still serving & in nodes, but off the ring
 	epoch    Epoch
 	moves    map[merging.ListID]*listMove // in-flight copy: source is authoritative
 	stale    map[merging.ListID]string    // aborted/unfinished move: authority stays here
 	aborts   map[merging.ListID]abortRec  // undelivered target cleanups
-
-	// ops dedups mutation stages above the per-node windows, which are
-	// route-dependent and stop working across topology changes (see
-	// Apply). Callers are keyed by token, like the node windows are
-	// keyed by verified user: op IDs are unique per caller, not globally.
-	// One FIFO across all tokens, so minting tokens cannot grow it.
-	ops *transport.OpWindow[auth.Token]
 }
 
-var _ transport.API = (*Slot)(nil)
+var _ store.Store = (*Slot)(nil)
 
-// NewSlot creates an empty slot for the given x-coordinate.
-func NewSlot(x field.Element, vnodesPerNode int) (*Slot, error) {
-	if x == 0 {
-		return nil, errors.New("dht: x-coordinate 0 is reserved for the secret")
-	}
+// NewSlot creates a slot served by one node, named name, so routing
+// never meets an empty ring. vnodesPerNode places each node on the ring
+// that many times (0 means 32).
+func NewSlot(vnodesPerNode int, name string, node store.Store) *Slot {
 	s := &Slot{
-		x:        x,
 		ring:     NewRing(vnodesPerNode),
 		pol:      DefaultMigrationPolicy(),
-		nodes:    make(map[string]*server.Server),
+		nodes:    map[string]store.Store{name: node},
 		draining: make(map[string]bool),
 		moves:    make(map[merging.ListID]*listMove),
 		stale:    make(map[merging.ListID]string),
 		aborts:   make(map[merging.ListID]abortRec),
-		ops:      transport.NewSharedOpWindow[auth.Token](),
 	}
+	s.ring.AddNode(name)
 	s.sink = localSink{s}
-	return s, nil
+	return s
 }
 
 // ownerOfLocked resolves which node is authoritative for a list right
@@ -99,17 +86,29 @@ func (s *Slot) ownerOfLocked(lid merging.ListID) (string, error) {
 	return s.ring.OwnerOfList(lid)
 }
 
+// nodeOfLocked returns the node store authoritative for a list. The
+// ring is never empty, and an owner leaves nodes only once it holds
+// nothing, so a failure here is a broken slot. Caller holds mu.
+func (s *Slot) nodeOfLocked(lid merging.ListID) store.Store {
+	owner, err := s.ownerOfLocked(lid)
+	if err != nil {
+		panic(err)
+	}
+	node := s.nodes[owner]
+	if node == nil {
+		panic(fmt.Sprintf("dht: owner %s of list %d vanished", owner, lid))
+	}
+	return node
+}
+
 // AddNode joins a physical node to the slot and migrates the lists it
 // now owns from their previous holders, online. The node serves its
 // lists as each cutover lands. A per-list migration failure leaves
 // that list on its previous owner (retried by Rebalance); the
 // aggregated errors are returned but the node is a member regardless.
-// The node's server must be configured with the slot's x-coordinate
-// (shares are bound to x, not to boxes).
-func (s *Slot) AddNode(name string, srv *server.Server) error {
-	if srv.XCoord() != s.x {
-		return fmt.Errorf("dht: node %s has x=%d, slot requires x=%d", name, srv.XCoord(), s.x)
-	}
+// The node's store must be empty: a list already on it would be
+// neither authoritative nor cleaned up.
+func (s *Slot) AddNode(name string, node store.Store) error {
 	s.migMu.Lock()
 	defer s.migMu.Unlock()
 	s.mu.Lock()
@@ -120,7 +119,11 @@ func (s *Slot) AddNode(name string, srv *server.Server) error {
 		}
 		return fmt.Errorf("dht: node %s already in slot", name)
 	}
-	s.nodes[name] = srv
+	if n := node.TotalElements(); n > 0 {
+		s.mu.Unlock()
+		return fmt.Errorf("dht: node %s already holds %d elements", name, n)
+	}
+	s.nodes[name] = node
 	held := s.heldAuthorityLocked()
 	s.ring.AddNode(name)
 	s.pinAuthorityLocked(held)
@@ -130,17 +133,23 @@ func (s *Slot) AddNode(name string, srv *server.Server) error {
 	return s.rebalanceLocked(ep)
 }
 
+// authoritativeLocked calls f for every list a node holds and is
+// authoritative for. Caller holds mu.
+func (s *Slot) authoritativeLocked(f func(name string, lid merging.ListID, n int)) {
+	for name, node := range s.nodes {
+		for lid, n := range node.ListLengths() {
+			if owner, err := s.ownerOfLocked(lid); err == nil && owner == name {
+				f(name, lid, n)
+			}
+		}
+	}
+}
+
 // heldAuthorityLocked maps every stored list to the node currently
 // authoritative for it. Caller holds mu.
 func (s *Slot) heldAuthorityLocked() map[merging.ListID]string {
 	out := make(map[merging.ListID]string)
-	for name, srv := range s.nodes {
-		for lid := range srv.Store().ListLengths() {
-			if owner, err := s.ownerOfLocked(lid); err == nil && owner == name {
-				out[lid] = name
-			}
-		}
-	}
+	s.authoritativeLocked(func(name string, lid merging.ListID, _ int) { out[lid] = name })
 	return out
 }
 
@@ -195,178 +204,159 @@ func (s *Slot) RemoveNode(name string) error {
 	return s.rebalanceLocked(ep)
 }
 
-// XCoord returns the slot's public x-coordinate.
-func (s *Slot) XCoord() field.Element { return s.x }
-
-// opParts is one dispatch group of a routed mutation.
-type opParts struct {
-	ins  []transport.InsertOp
-	dels []transport.DeleteOp
-}
-
-// routeLocked splits a mutation by authoritative destination: settled
-// lists group per node, lists under an active copy group per move (the
-// source applies them and the move's dirty set records the touched
-// IDs). Caller holds mu.RLock.
-func (s *Slot) routeLocked(inserts []transport.InsertOp, deletes []transport.DeleteOp) (map[string]*opParts, map[merging.ListID]*opParts, error) {
-	normal := make(map[string]*opParts)
-	moving := make(map[merging.ListID]*opParts)
-	route := func(lid merging.ListID) (*opParts, error) {
-		if _, ok := s.moves[lid]; ok {
-			p := moving[lid]
-			if p == nil {
-				p = &opParts{}
-				moving[lid] = p
-			}
-			return p, nil
-		}
-		owner, err := s.ownerOfLocked(lid)
-		if err != nil {
-			return nil, err
-		}
-		p := normal[owner]
-		if p == nil {
-			p = &opParts{}
-			normal[owner] = p
-		}
-		return p, nil
-	}
-	for _, op := range inserts {
-		p, err := route(op.List)
-		if err != nil {
-			return nil, nil, err
-		}
-		p.ins = append(p.ins, op)
-	}
-	for _, op := range deletes {
-		p, err := route(op.List)
-		if err != nil {
-			return nil, nil, err
-		}
-		p.dels = append(p.dels, op)
-	}
-	return normal, moving, nil
-}
-
-// applyMoving dispatches one migrating list's part to the move's
-// source and records the touched IDs in the dirty set, atomically per
-// list (jmu), so drain rounds replay a consistent order.
-func (s *Slot) applyMoving(ctx context.Context, tok auth.Token, op transport.OpID, lid merging.ListID, p *opParts) error {
+// routeLocked returns the node authoritative for lid and, if the list
+// is under an active copy, its move with the journal lock held: the
+// caller records the global IDs its mutation changes in the dirty set
+// and unlocks, so drain rounds replay a consistent order. Caller holds
+// mu.RLock.
+func (s *Slot) routeLocked(lid merging.ListID) (store.Store, *listMove) {
+	node := s.nodeOfLocked(lid)
 	mv := s.moves[lid]
-	srv := s.nodes[mv.src]
-	if srv == nil {
-		return fmt.Errorf("dht: owner %s vanished", mv.src)
+	if mv != nil {
+		mv.jmu.Lock()
 	}
-	mv.jmu.Lock()
-	defer mv.jmu.Unlock()
-	if err := srv.Apply(ctx, tok, op, p.ins, p.dels); err != nil {
-		return err
+	return node, mv
+}
+
+// Upsert writes the shares to the node authoritative for lid.
+func (s *Slot) Upsert(lid merging.ListID, shares []posting.EncryptedShare) int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	node, mv := s.routeLocked(lid)
+	if mv != nil {
+		defer mv.jmu.Unlock()
+		for _, sh := range shares {
+			mv.markDirty(sh.GlobalID)
+		}
 	}
-	for _, op := range p.ins {
-		mv.markDirty(op.Share.GlobalID)
+	return node.Upsert(lid, shares)
+}
+
+// DeleteIf deletes on the node authoritative for lid.
+func (s *Slot) DeleteIf(lid merging.ListID, gid posting.GlobalID, allow func(posting.EncryptedShare) bool) (found, deleted bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	node, mv := s.routeLocked(lid)
+	found, deleted = node.DeleteIf(lid, gid, allow)
+	if mv != nil {
+		if deleted {
+			mv.markDirty(gid)
+		}
+		mv.jmu.Unlock()
 	}
-	for _, op := range p.dels {
-		mv.markDirty(op.ID)
+	return found, deleted
+}
+
+// DropList drops lid from its authoritative node. Under an active copy
+// every dropped ID is marked dirty, so the drain removes the target's
+// copy too.
+func (s *Slot) DropList(lid merging.ListID) int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	node, mv := s.routeLocked(lid)
+	if mv != nil {
+		defer mv.jmu.Unlock()
+		for _, sh := range node.Scan(lid, nil) {
+			mv.markDirty(sh.GlobalID)
+		}
+	}
+	return node.DropList(lid)
+}
+
+// Scan reads lid from its authoritative node. The read lock is held
+// across the node call, so a cutover cannot drop the copy under it.
+func (s *Slot) Scan(lid merging.ListID, keep func(posting.EncryptedShare) bool) []posting.EncryptedShare {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.nodeOfLocked(lid).Scan(lid, keep)
+}
+
+// ScanRange reads a window of lid from its authoritative node, under
+// the same fence as Scan: a paged reader sees the list's full length on
+// every page, whichever node serves it.
+func (s *Slot) ScanRange(lid merging.ListID, from, n int, keep func(posting.EncryptedShare) bool) ([]posting.EncryptedShare, int, uint8) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.nodeOfLocked(lid).ScanRange(lid, from, n, keep)
+}
+
+// ApplyDeltas refreshes shares on their authoritative nodes, all or
+// nothing across nodes: it holds the routing lock exclusively, so no
+// write reaches any node meanwhile, and if one node refuses its part
+// the parts already applied are negated again. Deltas to a list under
+// an active copy mark its IDs dirty, so the drain sends the target the
+// refreshed shares, not the ones copied before the round.
+func (s *Slot) ApplyDeltas(deltas map[merging.ListID]map[posting.GlobalID]field.Element) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	parts := make(map[store.Store]map[merging.ListID]map[posting.GlobalID]field.Element)
+	for lid, m := range deltas {
+		node := s.nodeOfLocked(lid)
+		if parts[node] == nil {
+			parts[node] = make(map[merging.ListID]map[posting.GlobalID]field.Element)
+		}
+		parts[node][lid] = m
+	}
+	var done []store.Store
+	for node, part := range parts {
+		if err := node.ApplyDeltas(part); err != nil {
+			errs := []error{err}
+			for _, prev := range done {
+				errs = append(errs, prev.ApplyDeltas(store.NegateDeltas(parts[prev])))
+			}
+			return errors.Join(errs...)
+		}
+		done = append(done, node)
+	}
+	for lid, m := range deltas {
+		if mv := s.moves[lid]; mv != nil {
+			mv.jmu.Lock()
+			for gid := range m {
+				mv.markDirty(gid)
+			}
+			mv.jmu.Unlock()
+		}
 	}
 	return nil
 }
 
-// Apply routes one mutation stage to the nodes authoritative for its
-// posting lists. The slot deduplicates redelivered stages itself,
-// before routing: node-level dedup remembers sub-batches, which change
-// whenever membership re-partitions the lists, so an arbitrarily
-// delayed redelivery after a topology change would reach nodes that
-// never saw the stage and re-apply it — resurrecting elements deleted
-// in between. The slot's window keys on the full, partition-independent
-// payload, so a redelivery is recognized under any topology. The op ID
-// is still forwarded: the node windows absorb redeliveries that race a
-// single node's retries within one routing generation.
-func (s *Slot) Apply(ctx context.Context, tok auth.Token, op transport.OpID, inserts []transport.InsertOp, deletes []transport.DeleteOp) error {
-	var sum uint32
-	if !op.IsZero() {
-		sum = transport.PayloadSum(inserts, deletes)
-		if s.ops.Seen(tok, op, sum) {
-			return nil
-		}
-	}
+// ListLengths returns the lengths of the authoritative copies: a
+// target's partial copy and a leftover awaiting cleanup are not part of
+// the slot's contents.
+func (s *Slot) ListLengths() map[merging.ListID]int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	normal, moving, err := s.routeLocked(inserts, deletes)
-	if err != nil {
-		return err
-	}
-	for name, p := range normal {
-		srv := s.nodes[name]
-		if srv == nil {
-			return fmt.Errorf("dht: owner %s vanished", name)
-		}
-		if err := srv.Apply(ctx, tok, op, p.ins, p.dels); err != nil {
-			return err
-		}
-	}
-	for lid, p := range moving {
-		if err := s.applyMoving(ctx, tok, op, lid, p); err != nil {
-			return err
-		}
-	}
-	// Recorded only on full success: a partial failure must re-apply on
-	// retry, which converges (upserts + conditional deletes).
-	if !op.IsZero() {
-		s.ops.Record(tok, op, sum)
-	}
-	return nil
+	out := make(map[merging.ListID]int)
+	s.authoritativeLocked(func(_ string, lid merging.ListID, n int) { out[lid] = n })
+	return out
 }
 
-// GetPostingLists fans the request to the authoritative holders of the
-// requested lists and merges the responses. Reads route like writes:
-// to the source during a copy, to the recorded holder after an aborted
-// move — a half-ingested target copy is never read.
-func (s *Slot) GetPostingLists(ctx context.Context, tok auth.Token, lists []merging.ListID) (map[merging.ListID][]posting.EncryptedShare, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	grouped := make(map[string][]merging.ListID)
-	for _, lid := range lists {
-		owner, err := s.ownerOfLocked(lid)
-		if err != nil {
-			return nil, err
-		}
-		grouped[owner] = append(grouped[owner], lid)
+// TotalElements counts the authoritative copies' elements. It asks every
+// node for its list lengths, so unlike a single engine's it costs
+// O(lists).
+func (s *Slot) TotalElements() int {
+	total := 0
+	for _, n := range s.ListLengths() {
+		total += n
 	}
-	out := make(map[merging.ListID][]posting.EncryptedShare, len(lists))
-	for name, nodeLists := range grouped {
-		srv := s.nodes[name]
-		if srv == nil {
-			return nil, fmt.Errorf("dht: owner %s vanished", name)
-		}
-		part, err := srv.GetPostingLists(ctx, tok, nodeLists)
-		if err != nil {
-			return nil, err
-		}
-		for lid, shares := range part {
-			out[lid] = shares
-		}
-	}
-	return out, nil
+	return total
 }
 
-// GetPostingBlocks routes a paged lookup to the single authoritative
-// holder of the list, under the same mid-migration routing rules as
-// GetPostingLists: the source serves during a copy, the recorded holder
-// after an aborted move, so a page never comes from a half-ingested
-// target copy.
-func (s *Slot) GetPostingBlocks(ctx context.Context, tok auth.Token, list merging.ListID, from, n int) (transport.BlockPage, error) {
+// Sync marks a batch boundary on every node. The nodes are synced
+// outside the routing lock, so a cutover never waits behind an fsync; a
+// node retired meanwhile holds nothing, and its Sync is a no-op.
+func (s *Slot) Sync() error {
 	s.mu.RLock()
-	owner, err := s.ownerOfLocked(list)
-	if err != nil {
-		s.mu.RUnlock()
-		return transport.BlockPage{}, err
+	nodes := make([]store.Store, 0, len(s.nodes))
+	for _, node := range s.nodes {
+		nodes = append(nodes, node)
 	}
-	srv := s.nodes[owner]
 	s.mu.RUnlock()
-	if srv == nil {
-		return transport.BlockPage{}, fmt.Errorf("dht: owner %s vanished", owner)
+	var errs []error
+	for _, node := range nodes {
+		errs = append(errs, node.Sync())
 	}
-	return srv.GetPostingBlocks(ctx, tok, list, from, n)
+	return errors.Join(errs...)
 }
 
 // NumNodes returns the number of physical nodes serving the slot
@@ -377,12 +367,12 @@ func (s *Slot) NumNodes() int {
 	return len(s.nodes)
 }
 
-// Node returns a physical node by name (for instrumentation).
-func (s *Slot) Node(name string) (*server.Server, bool) {
+// Node returns a physical node's store by name (for instrumentation).
+func (s *Slot) Node(name string) (store.Store, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	srv, ok := s.nodes[name]
-	return srv, ok
+	node, ok := s.nodes[name]
+	return node, ok
 }
 
 // NodeNames returns the sorted names of every node serving the slot,
@@ -417,8 +407,8 @@ func (s *Slot) ListDistribution() map[string]int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make(map[string]int, len(s.nodes))
-	for name, srv := range s.nodes {
-		out[name] = len(srv.Store().ListLengths())
+	for name, node := range s.nodes {
+		out[name] = len(node.ListLengths())
 	}
 	return out
 }

@@ -28,9 +28,10 @@ type Config struct {
 	// in a temporary directory).
 	StoreEngine string
 
-	// DHTNodes, when above 1, fronts each share slot with that many
-	// physical nodes behind a consistent-hashing router (zerber's
-	// "Membership & rebalancing"), so traffic pays real routing costs.
+	// DHTNodes, when above 1, backs each share slot's server with that
+	// many physical node stores behind a consistent-hashing dht.Slot
+	// (zerber's "Membership & rebalancing"), so traffic pays real
+	// routing costs.
 	DHTNodes int
 
 	// NodeChurnEvery, when positive, paces node join/leave churn: a

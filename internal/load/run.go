@@ -15,7 +15,7 @@ import (
 	"zerber"
 	"zerber/internal/client"
 	"zerber/internal/corpus"
-	"zerber/internal/field"
+	"zerber/internal/dht"
 	"zerber/internal/peer"
 	"zerber/internal/transport"
 	"zerber/internal/workload"
@@ -277,9 +277,9 @@ func Run(cfg Config) (Result, error) {
 
 	// Node churn: joins a fresh node to every share slot, lets the
 	// migration land under live traffic, then drains it back out. It
-	// holds the maintenance lock's read side like the mutators, so
-	// resharing — which refuses to run with migrations pending — never
-	// races a topology change.
+	// takes no maintenance lock: resharing runs across a move (each slot
+	// refreshes the authoritative copy and marks a moving list's IDs
+	// dirty), so rounds and topology changes race freely.
 	if cfg.NodeChurnEvery > 0 {
 		wg.Add(1)
 		go func() {
@@ -292,7 +292,6 @@ func Run(cfg Config) (Result, error) {
 				case <-ctx.Done():
 					return
 				case <-ticker.C:
-					maint.RLock()
 					var err error
 					if joined == "" {
 						joined = fmt.Sprintf("x%d", seq)
@@ -305,7 +304,6 @@ func Run(cfg Config) (Result, error) {
 					if err == nil {
 						_, err = cluster.Rebalance()
 					}
-					maint.RUnlock()
 					recs["nodechurn"].done(err)
 					if err != nil {
 						logf("load: node churn step failed: %v", err)
@@ -316,9 +314,7 @@ func Run(cfg Config) (Result, error) {
 	}
 
 	// Proactive resharing: periodic rounds under the maintenance lock
-	// (see the function comment). Under DHT the round first drives any
-	// unfinished migration work to quiescence — resharing refuses to
-	// touch a list that is mid-handoff.
+	// (see the function comment), whatever migration is in flight.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -330,11 +326,7 @@ func Run(cfg Config) (Result, error) {
 				return
 			case <-ticker.C:
 				maint.Lock()
-				err := rebalanceQuiet(cluster)
-				var n int
-				if err == nil {
-					n, err = cluster.ProactiveReshare()
-				}
+				n, err := cluster.ProactiveReshare()
 				maint.Unlock()
 				recs["reshare"].done(err)
 				if err != nil {
@@ -361,9 +353,10 @@ func Run(cfg Config) (Result, error) {
 // checkState is the soak's end-of-run invariant, the model checker's
 // zero-orphans rule applied after real concurrency: with every worker
 // stopped and migrations driven to quiescence, no peer has a pending
-// operation and every share slot stores — summed over the slot's nodes
-// — exactly as many elements as the peers committed. Churn, migration
-// and resharing may neither lose an element nor leave one behind.
+// operation and every share slot's server stores exactly as many
+// elements as the peers committed — under DHTNodes, so do the slot's
+// node stores together. Churn, migration and resharing may neither lose
+// an element nor leave one behind.
 func checkState(cluster *zerber.Cluster, mutators []*mutator) error {
 	if err := rebalanceQuiet(cluster); err != nil {
 		return fmt.Errorf("load: after the run: %w", err)
@@ -375,23 +368,29 @@ func checkState(cluster *zerber.Cluster, mutators []*mutator) error {
 		}
 		want += len(m.p.ElementGIDs())
 	}
-	stored := make(map[field.Element]int) // slot x-coordinate -> elements
 	for _, s := range cluster.Servers() {
-		stored[s.XCoord()] += s.Store().TotalElements()
-	}
-	if len(stored) != cluster.N() {
-		return fmt.Errorf("load: after the run: %d share slots hold servers, want %d", len(stored), cluster.N())
-	}
-	for x, got := range stored {
-		if got != want {
-			return fmt.Errorf("load: after the run: slot x=%d stores %d elements, peers committed %d", x, got, want)
+		if got := s.Store().TotalElements(); got != want {
+			return fmt.Errorf("load: after the run: slot x=%d stores %d elements, peers committed %d", s.XCoord(), got, want)
+		}
+		// A slot counts authoritative copies only; its node stores
+		// together must hold no more, or a source copy outlived its
+		// cutover or a target's cleanup was lost.
+		if sl, ok := s.Store().(*dht.Slot); ok {
+			held := 0
+			for _, name := range sl.NodeNames() {
+				node, _ := sl.Node(name)
+				held += node.TotalElements()
+			}
+			if held != want {
+				return fmt.Errorf("load: after the run: slot x=%d's nodes hold %d elements, peers committed %d", s.XCoord(), held, want)
+			}
 		}
 	}
 	return nil
 }
 
 // rebalanceQuiet retries pending migration work until every list sits
-// on its ring owner. Called with the maintenance lock held, so no new
+// on its ring owner. Called once every worker has stopped, so no new
 // churn can start mid-loop; the bound only guards against a wedged
 // engine, which would be a bug.
 func rebalanceQuiet(cluster *zerber.Cluster) error {

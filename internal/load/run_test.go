@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"zerber"
+	"zerber/internal/dht"
 	"zerber/internal/field"
 	"zerber/internal/merging"
 	"zerber/internal/peer"
@@ -131,5 +132,47 @@ func TestCheckStateIsNotVacuous(t *testing.T) {
 	st.DeleteIf(lid, st.Scan(lid, nil)[0].GlobalID, nil)
 	if err := checkState(cluster, peers); err == nil || !strings.Contains(err.Error(), "slot x=1 stores 2 elements, peers committed 3") {
 		t.Errorf("lost element: checkState = %v", err)
+	}
+}
+
+// TestCheckStateCatchesNodeLeftovers shows the end-of-run check failing
+// on a DHT cluster whose slot serves the right elements but one of whose
+// nodes still holds a copy of a list another node is authoritative for:
+// a source not dropped after cutover, or a lost target cleanup.
+func TestCheckStateCatchesNodeLeftovers(t *testing.T) {
+	cluster, err := zerber.NewCluster(map[string]int{"alpha": 3, "beta": 2, "gamma": 1}, zerber.Options{Seed: 1, DHTNodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster.AddUser("w", 1)
+	p, err := cluster.NewPeer("site", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.IndexDocument(cluster.IssueToken("w"), peer.Document{ID: 1, Content: "alpha beta gamma", Group: 1}); err != nil {
+		t.Fatal(err)
+	}
+	peers := []*mutator{{p: p}}
+	if err := checkState(cluster, peers); err != nil {
+		t.Fatalf("healthy cluster: %v", err)
+	}
+
+	sl := cluster.Servers()[0].Store().(*dht.Slot)
+	var lid merging.ListID
+	for l := range sl.ListLengths() {
+		lid = l
+	}
+	owner, err := sl.RingOwnerOfList(lid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := "n0"
+	if owner == other {
+		other = "n1"
+	}
+	node, _ := sl.Node(other)
+	node.Upsert(lid, sl.Scan(lid, nil))
+	if err := checkState(cluster, peers); err == nil || !strings.Contains(err.Error(), "slot x=1's nodes hold") {
+		t.Errorf("leftover copy on %s: checkState = %v", other, err)
 	}
 }

@@ -169,15 +169,7 @@ func Reshare(servers []*server.Server, k int, rng io.Reader) (int, error) {
 func rollback(servers []*server.Server, deltas []map[merging.ListID]map[posting.GlobalID]field.Element) error {
 	var errs []error
 	for i, s := range servers {
-		neg := make(map[merging.ListID]map[posting.GlobalID]field.Element, len(deltas[i]))
-		for lid, m := range deltas[i] {
-			nm := make(map[posting.GlobalID]field.Element, len(m))
-			for gid, d := range m {
-				nm[gid] = field.Neg(d)
-			}
-			neg[lid] = nm
-		}
-		if err := s.Store().ApplyDeltas(neg); err != nil {
+		if err := s.Store().ApplyDeltas(store.NegateDeltas(deltas[i])); err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", s.Name(), err))
 		}
 	}

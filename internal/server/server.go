@@ -11,11 +11,11 @@
 // Share storage lives behind the store.Store interface (package store):
 // the server is a policy layer — authentication, group checks, activity
 // stats — over a pluggable storage engine. The server re-exports none of
-// the engine's views. Trusted paths — DHT migration, proactive
-// resharing, state checks, and the adversary view of a compromised box
-// (Store().ListLengths() and Store().Scan(lid, nil), §5.2) — use Store()
-// directly; they never see plaintext either, because the engine only
-// ever holds encrypted shares.
+// the engine's views. Trusted paths — proactive resharing, state checks,
+// and the adversary view of a compromised box (Store().ListLengths() and
+// Store().Scan(lid, nil), §5.2) — use Store() directly; they never see
+// plaintext either, because the engine only ever holds encrypted shares.
+// DHT migration runs below the server, inside a dht.Slot engine.
 //
 // # Durability
 //
@@ -133,11 +133,10 @@ func (s *Server) XCoord() field.Element { return s.cfg.X }
 func (s *Server) Groups() *auth.GroupTable { return s.cfg.Groups }
 
 // Store exposes the storage engine for the trusted paths that operate
-// below the client API: DHT list migration (package dht), proactive
-// resharing (package proactive), and adversary simulation (an attacker
-// who owns the box reads the engine directly). Clients never touch it;
-// every client-facing operation goes through the authenticated methods
-// below.
+// below the client API: proactive resharing (package proactive) and
+// adversary simulation (an attacker who owns the box reads the engine
+// directly). Clients never touch it; every client-facing operation goes
+// through the authenticated methods below.
 func (s *Server) Store() store.Store { return s.st }
 
 // authorizeInserts checks group membership for every share before any

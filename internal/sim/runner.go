@@ -69,15 +69,15 @@ type runner struct {
 	table  *merging.Table
 	voc    *vocab.Vocabulary
 
-	// plain[i] is logical server i when the cluster runs without DHT
-	// routing; slots[i] is its dht.Slot otherwise (nil when plain). A
-	// slot's physical node set changes under churn, so node enumeration
-	// is always dynamic (slotServers).
-	plain  []*server.Server
-	slots  []*dht.Slot
-	joined int // monotonically counts joined nodes for fresh names
-	core   *faultCore
-	apis   []transport.API
+	// servers[i] is logical server i; slots[i] is its storage engine
+	// when the cluster runs with DHT routing (nil otherwise). A slot's
+	// physical node set changes under churn, so node enumeration is
+	// always dynamic (nodeStores).
+	servers []*server.Server
+	slots   []*dht.Slot
+	joined  int // monotonically counts joined nodes for fresh names
+	core    *faultCore
+	apis    []transport.API
 
 	// Binary-wire plumbing (cfg.BinaryWire): one loopback listener and
 	// one persistent client per logical server, torn down in close.
@@ -184,62 +184,25 @@ func newRunner(cfg Config) (*runner, error) {
 
 	r.core = newFaultCore(cfg.Seed, cfg.Faults, cfg.N)
 	for i := 0; i < cfg.N; i++ {
-		x := field.Element(i + 1)
-		var api transport.API
+		var st store.Store
 		if cfg.DHTNodes > 1 {
-			slot, err := dht.NewSlot(x, 0)
-			if err != nil {
-				r.close()
-				return nil, err
-			}
-			// Small chunks so a list takes several deliveries (faults can
-			// land mid-copy), immediate retries so runs stay fast, two
-			// attempts so injected drops actually abort some moves.
-			slot.SetMigrationPolicy(dht.MigrationPolicy{
-				ChunkSize: 4, Attempts: 2, Timeout: 5 * time.Second,
-			})
-			slot.SetTransferSink(&migSink{core: r.core, slot: slot})
-			if cfg.LoseCutover {
-				slot.SetSimHooks(&dht.SimHooks{LoseCutover: true})
-			}
-			for j := 0; j < cfg.DHTNodes; j++ {
-				st, err := r.newStore(fmt.Sprintf("ix%d-n%d", i, j))
-				if err != nil {
-					r.close()
-					return nil, err
-				}
-				s := server.New(server.Config{
-					Name:   fmt.Sprintf("sim-ix%d-n%d", i, j),
-					X:      x,
-					Auth:   r.svc,
-					Groups: r.groups,
-					Store:  st,
-				})
-				// Node names must match across slots so every slot's
-				// ring partitions the lists identically.
-				if err := slot.AddNode(fmt.Sprintf("n%d", j), s); err != nil {
-					r.close()
-					return nil, err
-				}
-			}
-			r.slots = append(r.slots, slot)
-			api = slot
+			st, err = r.newSlot(i)
 		} else {
-			st, err := r.newStore(fmt.Sprintf("ix%d", i))
-			if err != nil {
-				r.close()
-				return nil, err
-			}
-			s := server.New(server.Config{
-				Name:   fmt.Sprintf("sim-ix%d", i),
-				X:      x,
-				Auth:   r.svc,
-				Groups: r.groups,
-				Store:  st,
-			})
-			r.plain = append(r.plain, s)
-			api = s
+			st, err = r.newStore(fmt.Sprintf("ix%d", i))
 		}
+		if err != nil {
+			r.close()
+			return nil, err
+		}
+		s := server.New(server.Config{
+			Name:   fmt.Sprintf("sim-ix%d", i),
+			X:      field.Element(i + 1),
+			Auth:   r.svc,
+			Groups: r.groups,
+			Store:  st,
+		})
+		r.servers = append(r.servers, s)
+		var api transport.API = s
 		if cfg.BinaryWire {
 			api, err = r.serveBinary(api)
 			if err != nil {
@@ -369,6 +332,38 @@ func (r *runner) newStore(name string) (store.Store, error) {
 	d.SetSimHooks(r.diskHooks())
 	r.disks = append(r.disks, d)
 	return d, nil
+}
+
+// newSlot builds logical server i's DHT engine over cfg.DHTNodes node
+// stores. Node names match across slots, so every slot's ring
+// partitions the lists identically.
+func (r *runner) newSlot(i int) (*dht.Slot, error) {
+	first, err := r.newStore(fmt.Sprintf("ix%d-n0", i))
+	if err != nil {
+		return nil, err
+	}
+	slot := dht.NewSlot(0, "n0", first)
+	// Small chunks so a list takes several deliveries (faults can land
+	// mid-copy), immediate retries so runs stay fast, two attempts so
+	// injected drops actually abort some moves.
+	slot.SetMigrationPolicy(dht.MigrationPolicy{
+		ChunkSize: 4, Attempts: 2, Timeout: 5 * time.Second,
+	})
+	slot.SetTransferSink(&migSink{core: r.core, slot: slot})
+	if r.cfg.LoseCutover {
+		slot.SetSimHooks(&dht.SimHooks{LoseCutover: true})
+	}
+	for j := 1; j < r.cfg.DHTNodes; j++ {
+		st, err := r.newStore(fmt.Sprintf("ix%d-n%d", i, j))
+		if err != nil {
+			return nil, err
+		}
+		if err := slot.AddNode(fmt.Sprintf("n%d", j), st); err != nil {
+			return nil, err
+		}
+	}
+	r.slots = append(r.slots, slot)
+	return slot, nil
 }
 
 func (r *runner) close() {
@@ -732,14 +727,7 @@ func (r *runner) execJoinNode() error {
 		if err != nil {
 			return err
 		}
-		s := server.New(server.Config{
-			Name:   fmt.Sprintf("sim-ix%d-%s", i, name),
-			X:      field.Element(i + 1),
-			Auth:   r.svc,
-			Groups: r.groups,
-			Store:  st,
-		})
-		_ = sl.AddNode(name, s)
+		_ = sl.AddNode(name, st)
 	}
 	return nil
 }
@@ -806,55 +794,12 @@ func (r *runner) compareSets(user auth.UserID, query []string, gotSet map[uint32
 
 func (r *runner) execReshare() error {
 	rng := rand.New(rand.NewSource(r.cfg.Seed ^ 0x4e5a4e + int64(r.step)))
-	quiet := r.quiescent()
-	if r.slots == nil {
-		if _, err := proactive.Reshare(r.plain, r.cfg.K, rng); err != nil {
-			if quiet {
-				return fmt.Errorf("reshare refused on a quiescent cluster: %v", err)
-			}
-			return nil // inventories legitimately diverge mid-mutation
-		}
-		return nil
+	// On DHT tiers the round runs whatever membership work is pending:
+	// each slot routes deltas to the authoritative copies.
+	if _, err := proactive.Reshare(r.servers, r.cfg.K, rng); err != nil && r.quiescent() {
+		return fmt.Errorf("reshare refused on a quiescent cluster: %v", err)
 	}
-	// With DHT slots, resharing runs per aligned node group: when every
-	// slot's ring partitions lists identically, the like-named node of
-	// each slot holds the same element inventory. Churn breaks the
-	// alignment until heal (pending moves, slots draining at different
-	// speeds), and resharing is scheduled around in-flight moves, so it
-	// refuses — without error — while any membership work is pending.
-	for _, sl := range r.slots {
-		if sl.Pending() > 0 {
-			return nil
-		}
-	}
-	names := r.slots[0].NodeNames()
-	for _, sl := range r.slots[1:] {
-		other := sl.NodeNames()
-		if len(other) != len(names) {
-			return nil
-		}
-		for i := range names {
-			if other[i] != names[i] {
-				return nil
-			}
-		}
-	}
-	for _, name := range names {
-		group := make([]*server.Server, len(r.slots))
-		for i, sl := range r.slots {
-			srv, ok := sl.Node(name)
-			if !ok {
-				return nil
-			}
-			group[i] = srv
-		}
-		if _, err := proactive.Reshare(group, r.cfg.K, rng); err != nil {
-			if quiet {
-				return fmt.Errorf("reshare refused on a quiescent cluster: %v", err)
-			}
-			return nil
-		}
-	}
+	// Mid-mutation the inventories legitimately diverge.
 	return nil
 }
 
@@ -906,51 +851,52 @@ func (r *runner) execHeal() error {
 	return r.fullCheck()
 }
 
-// namedServer is one physical server of a logical server, with its
-// slot node name ("" for a plain server).
-type namedServer struct {
+// namedStore is one physical store of a logical server, with its slot
+// node name ("" for a server's own engine).
+type namedStore struct {
 	name string
-	srv  *server.Server
+	st   store.Store
 }
 
-// slotServers returns logical server i's current physical servers in
-// deterministic name order. Under churn the set changes op to op, so
-// every checker enumerates it fresh.
-func (r *runner) slotServers(i int) []namedServer {
+// nodeStores returns logical server i's physical stores in
+// deterministic name order: its engine, or its slot's node stores.
+// Under churn the set changes op to op, so every checker enumerates it
+// fresh.
+func (r *runner) nodeStores(i int) []namedStore {
 	if r.slots == nil {
-		return []namedServer{{srv: r.plain[i]}}
+		return []namedStore{{st: r.servers[i].Store()}}
 	}
-	var out []namedServer
+	var out []namedStore
 	for _, name := range r.slots[i].NodeNames() {
-		if s, ok := r.slots[i].Node(name); ok {
-			out = append(out, namedServer{name: name, srv: s})
+		if st, ok := r.slots[i].Node(name); ok {
+			out = append(out, namedStore{name: name, st: st})
 		}
 	}
 	return out
 }
 
 // quickInvariants are the checks that hold at every step, even with a
-// mutation in flight: the storage-engine contract, per-node stats
-// consistency, and the runner's own queue discipline.
+// mutation in flight: the storage-engine contract on every server's
+// engine and every slot node, per-server stats consistency, and the
+// runner's own queue discipline.
 func (r *runner) quickInvariants() error {
-	for i := 0; i < r.cfg.N; i++ {
-		for _, ns := range r.slotServers(i) {
-			if err := store.CheckInvariants(ns.srv.Store()); err != nil {
-				return fmt.Errorf("server %d node %q: %v", i, ns.name, err)
+	for i, srv := range r.servers {
+		if err := store.CheckInvariants(srv.Store()); err != nil {
+			return fmt.Errorf("server %d: %v", i, err)
+		}
+		if r.slots != nil {
+			for _, ns := range r.nodeStores(i) {
+				if err := store.CheckInvariants(ns.st); err != nil {
+					return fmt.Errorf("server %d node %q: %v", i, ns.name, err)
+				}
 			}
-			if r.slots != nil {
-				// Migration's direct store Upsert/DropList calls and
-				// node retirement move elements without touching server
-				// stats, so the per-node stats identity only holds for
-				// static plain servers; fullCheck's exact element-set
-				// equality covers slot nodes instead.
-				continue
-			}
-			stats := ns.srv.StatsSnapshot()
-			if live := stats.Inserts - stats.Deletes; live != int64(ns.srv.Store().TotalElements()) {
-				return fmt.Errorf("server %d: stats inserts-deletes = %d but %d elements stored (redelivery counted twice?)",
-					i, live, ns.srv.Store().TotalElements())
-			}
+		}
+		// A slot counts its authoritative copies only, so migration
+		// leaves this identity alone on DHT tiers too.
+		stats := srv.StatsSnapshot()
+		if live := stats.Inserts - stats.Deletes; live != int64(srv.Store().TotalElements()) {
+			return fmt.Errorf("server %d: stats inserts-deletes = %d but %d elements stored (redelivery counted twice, or an element lost?)",
+				i, live, srv.Store().TotalElements())
 		}
 	}
 	if (len(r.queued) == 0) != (r.peer.PendingOps() == 0) {
@@ -1018,9 +964,9 @@ func (r *runner) fullCheck() error {
 	expected := r.peer.ElementGIDs()
 	for i := 0; i < r.cfg.N; i++ {
 		seen := make(map[posting.GlobalID]bool, len(expected))
-		for _, ns := range r.slotServers(i) {
-			for lid := range ns.srv.Store().ListLengths() {
-				for _, sh := range ns.srv.Store().Scan(lid, nil) {
+		for _, ns := range r.nodeStores(i) {
+			for lid := range ns.st.ListLengths() {
+				for _, sh := range ns.st.Scan(lid, nil) {
 					if _, want := expected[sh.GlobalID]; !want {
 						return fmt.Errorf("server %d node %q: orphaned element %d in list %d",
 							i, ns.name, sh.GlobalID, lid)

@@ -2,7 +2,7 @@
 // checker. It drives the full production stack — the peer mutation
 // engine with its crash journal, the batched indexing pipeline, the
 // query client, index servers over any storage engine, and optionally
-// DHT-routed server slots — through randomized operation programs while
+// over DHT slot engines — through randomized operation programs while
 // a fault-injecting transport (Transport, the adversarial sibling of
 // transport.Latency) schedules outages, dropped and duplicated
 // deliveries, arbitrarily delayed out-of-order redeliveries, lost
@@ -47,9 +47,9 @@ type Config struct {
 	// KindStoreReopen / KindCrashCompact to generated programs. Empty
 	// keeps the StoreShards selection.
 	StoreEngine string
-	// DHTNodes, when > 1, fronts every logical server with a dht.Slot
-	// of that many ring-partitioned physical nodes, so mutation stages
-	// and lookups route per posting list.
+	// DHTNodes, when > 1, gives every logical server a dht.Slot engine
+	// of that many ring-partitioned physical node stores, so every store
+	// call routes per posting list.
 	DHTNodes int
 	// Users is the number of searcher users u0..u{Users-1} (default 2).
 	// The document owner is separate and belongs to every group.

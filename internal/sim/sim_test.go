@@ -70,7 +70,7 @@ func TestRunLeavesTheSameTrace(t *testing.T) {
 			}
 		}
 		var sb strings.Builder
-		for i, srv := range r.plain {
+		for i, srv := range r.servers {
 			fmt.Fprintf(&sb, "server %d %+v\n", i, srv.StatsSnapshot())
 			lengths := srv.Store().ListLengths()
 			lids := make([]int, 0, len(lengths))

@@ -64,12 +64,15 @@
 //     with a share that carries only the run's group, and copies or
 //     skips the run whole.
 //
-// Two implementations ship: Sharded, which stripes lists across
-// independently locked shards for parallel mixed workloads (see
-// BenchmarkServerMixed in package server; NewSharded(1) is the one-lock
-// reference the tests compare against); and Disk, the log-structured
-// engine whose resident memory is O(index) rather than O(shares), for
-// indexes that outgrow RAM (see disk.go).
+// Two engines ship: Sharded, which stripes lists across independently
+// locked shards for parallel mixed workloads (see BenchmarkServerMixed
+// in package server; NewSharded(1) is the one-lock reference the tests
+// compare against); and Disk, the log-structured engine whose resident
+// memory is O(index) rather than O(shares), for indexes that outgrow
+// RAM (see disk.go). A third implementation composes them: dht.Slot
+// partitions lists over several engines by consistent hashing and
+// routes each call to the one authoritative for its list; the contract
+// tests run it beside the engines.
 package store
 
 import (
@@ -158,8 +161,9 @@ type Store interface {
 	// ScanRange(lid, 0, 0, nil), which copies nothing.
 	ListLengths() map[merging.ListID]int
 
-	// TotalElements returns the number of stored shares. Implementations
-	// maintain this incrementally; it never scans the index.
+	// TotalElements returns the number of stored shares. It never scans
+	// shares: the engines maintain it incrementally, and dht.Slot sums
+	// its authoritative lists' lengths.
 	TotalElements() int
 
 	// Sync marks a batch boundary: when it returns nil, every mutation
@@ -168,6 +172,21 @@ type Store interface {
 	// acknowledges only on nil. The in-memory engine has nothing to make
 	// durable; for Disk see DiskOptions.Sync.
 	Sync() error
+}
+
+// NegateDeltas returns deltas with every element negated: applying it
+// undoes an ApplyDeltas of deltas, which is how a resharing round rolls
+// back a store that already took its part.
+func NegateDeltas(deltas map[merging.ListID]map[posting.GlobalID]field.Element) map[merging.ListID]map[posting.GlobalID]field.Element {
+	out := make(map[merging.ListID]map[posting.GlobalID]field.Element, len(deltas))
+	for lid, m := range deltas {
+		nm := make(map[posting.GlobalID]field.Element, len(m))
+		for gid, d := range m {
+			nm[gid] = field.Neg(d)
+		}
+		out[lid] = nm
+	}
+	return out
 }
 
 // NewEngine returns the store selected by name: "" or "sharded" (the

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"zerber/internal/dht"
 	"zerber/internal/field"
 	"zerber/internal/merging"
 	"zerber/internal/posting"
@@ -25,7 +26,8 @@ import (
 // empty, so ApplyDeltas' lock ordering and the per-stripe counters walk
 // sparse stripes. The disk rows shrink segment, cache, and compaction
 // thresholds so rollover, cache misses, and auto-compaction all fire
-// inside these small tests.
+// inside these small tests. The dht row is a Slot routing over three
+// one-lock node stores: the contract holds for the composition too.
 func each(t *testing.T, run func(t *testing.T, st store.Store)) {
 	t.Helper()
 	for _, impl := range []struct {
@@ -44,6 +46,15 @@ func each(t *testing.T, run func(t *testing.T, st store.Store)) {
 			}
 			t.Cleanup(func() { d.Close() })
 			return d
+		}},
+		{"dht", func(t *testing.T) store.Store {
+			slot := dht.NewSlot(0, "n0", store.NewSharded(1))
+			for _, name := range []string{"n1", "n2"} {
+				if err := slot.AddNode(name, store.NewSharded(1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return slot
 		}},
 	} {
 		t.Run(impl.name, func(t *testing.T) { run(t, impl.mk(t)) })
@@ -483,15 +494,18 @@ func TestNewSelectsEngine(t *testing.T) {
 // just bucket 0), deletes, drops, valid and deliberately failing
 // ApplyDeltas rounds (a failed round must leave every engine unchanged),
 // and periodic disk Reopens so the comparison also proves the replayed
-// layout equals the live one.
+// layout equals the live one. A dht.Slot over one-lock node stores runs
+// beside the engines while a node joins or leaves it every 250
+// operations, so its lists migrate mid-history.
 func TestEnginesMatch(t *testing.T) {
 	mem := store.NewSharded(1)
 	shd := store.NewSharded(0)
 	dsk := newTestDisk(t)
+	slot := dht.NewSlot(0, "n0", store.NewSharded(1))
 	engines := []struct {
 		name string
 		st   store.Store
-	}{{"memory", mem}, {"sharded", shd}, {"disk", dsk}}
+	}{{"memory", mem}, {"sharded", shd}, {"disk", dsk}, {"dht", slot}}
 
 	r := rand.New(rand.NewSource(7))
 	randGID := func() posting.GlobalID {
@@ -514,6 +528,16 @@ func TestEnginesMatch(t *testing.T) {
 		}
 	}
 	for i := 0; i < 3000; i++ {
+		switch {
+		case i%500 == 250:
+			if err := slot.AddNode(fmt.Sprintf("j%d", i), store.NewSharded(1)); err != nil {
+				t.Fatalf("op %d: join: %v", i, err)
+			}
+		case i%500 == 0 && i > 0:
+			if err := slot.RemoveNode(slot.RingNodes()[0]); err != nil {
+				t.Fatalf("op %d: leave: %v", i, err)
+			}
+		}
 		lid := merging.ListID(r.Intn(32))
 		gid := randGID()
 		switch r.Intn(8) {
@@ -607,6 +631,15 @@ func TestEnginesMatch(t *testing.T) {
 	for _, e := range engines {
 		if err := store.CheckInvariants(e.st); err != nil {
 			t.Fatalf("%s: %v", e.name, err)
+		}
+	}
+	if nodes := slot.NodeNames(); len(nodes) < 2 || slot.Pending() != 0 {
+		t.Fatalf("dht: nodes %v, %d pending; want a settled slot of several nodes", nodes, slot.Pending())
+	}
+	for _, name := range slot.NodeNames() {
+		node, _ := slot.Node(name)
+		if err := store.CheckInvariants(node); err != nil {
+			t.Fatalf("dht node %s: %v", name, err)
 		}
 	}
 	if err := dsk.Reopen(); err != nil {

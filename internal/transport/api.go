@@ -11,8 +11,7 @@
 //   - Hooked: before/after interception for fault injection.
 //
 // OpWindow and PayloadSum, the exactly-once memory behind Apply, live
-// here too because every layer that deduplicates (the index server, the
-// dht slot) shares them.
+// here too: they define what a redelivered Apply means on the wire.
 package transport
 
 import (

@@ -563,13 +563,15 @@ func (p *closingProxy) relay(down, up net.Conn, closing bool) {
 			if !closing {
 				break
 			}
-			if p.forward {
-				up.Write(buf[:n])
-			}
+			// Close before forwarding: the response to a forwarded
+			// request must not reach the client first.
 			if p.reset {
 				down.(*net.TCPConn).SetLinger(0)
 			}
 			down.Close()
+			if p.forward {
+				up.Write(buf[:n])
+			}
 			return
 		default:
 		}

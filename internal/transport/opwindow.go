@@ -18,24 +18,19 @@ const opWindowCap = 1024
 // skip-vs-reapply semantics). The key type is whatever identifies a
 // caller at the layer holding the window — op IDs are unique per
 // caller, not globally. An index server keys by the verified user and
-// keeps one FIFO per caller (NewOpWindow): callers are enterprise users,
-// bounded by the group table, and one caller's traffic never evicts
-// another's entries. A dht slot sits above token verification and keys
-// by the token itself; tokens are minted without bound, so it keeps one
-// FIFO across all callers (NewSharedOpWindow) and its memory stays
-// opWindowCap entries whatever the number of distinct tokens.
+// keeps one FIFO per caller: callers are enterprise users, bounded by
+// the group table, and one caller's traffic never evicts another's
+// entries.
 type OpWindow[K comparable] struct {
-	mu     sync.Mutex
-	shared bool
-	sums   map[opKey[K]]uint32
-	fifos  map[K]*opFIFO[K] // shared: the one FIFO, under the zero K
+	mu    sync.Mutex
+	sums  map[opKey[K]]uint32
+	fifos map[K]*opFIFO[K]
 }
 
 // opKey identifies one mutation stage of one caller. The stored checksum
 // guards against the one hazard of ID-based dedup: the same (ID, stage)
-// redelivered with a different payload — e.g. a routing layer
-// re-partitioning a stage across nodes between attempt and retry — must
-// be re-applied, not skipped, or elements silently go missing.
+// redelivered with a different payload must be re-applied, not skipped,
+// or elements silently go missing.
 type opKey[K comparable] struct {
 	caller K
 	id     uint64
@@ -52,14 +47,6 @@ type opFIFO[K comparable] struct {
 // caller.
 func NewOpWindow[K comparable]() *OpWindow[K] {
 	return &OpWindow[K]{sums: make(map[opKey[K]]uint32), fifos: make(map[K]*opFIFO[K])}
-}
-
-// NewSharedOpWindow returns an empty window holding opWindowCap stages
-// in all, oldest evicted first whichever caller recorded it.
-func NewSharedOpWindow[K comparable]() *OpWindow[K] {
-	w := NewOpWindow[K]()
-	w.shared = true
-	return w
 }
 
 // Seen reports whether the caller already applied this stage with an
@@ -80,10 +67,6 @@ func (w *OpWindow[K]) Record(caller K, op OpID, sum uint32) {
 	if _, ok := w.sums[key]; ok {
 		w.sums[key] = sum // payload changed: update in place
 		return
-	}
-	if w.shared {
-		var all K
-		caller = all
 	}
 	f := w.fifos[caller]
 	if f == nil {

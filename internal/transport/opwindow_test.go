@@ -2,11 +2,9 @@ package transport
 
 import "testing"
 
-// TestOpWindow pins the dedup memory both the index server (keyed by
-// user) and the dht slot (keyed by token) share: skip on an identical
-// payload, re-apply on a changed one, and a FIFO bound that is per
-// caller for the server — one caller's traffic never evicts another's
-// entries — and global for the slot, whose callers are unbounded.
+// TestOpWindow pins the index server's dedup memory: skip on an
+// identical payload, re-apply on a changed one, and a FIFO bound per
+// caller — one caller's traffic never evicts another's entries.
 func TestOpWindow(t *testing.T) {
 	w := NewOpWindow[string]()
 	op := func(id uint64) OpID { return OpID{ID: id, Stage: StageInsert} }
@@ -50,32 +48,5 @@ func TestOpWindow(t *testing.T) {
 	}
 	if !w.Seen("bob", op(1), 11) {
 		t.Error("one caller's traffic evicted another caller's op")
-	}
-
-	// The shared window is one FIFO over every caller's stages: many
-	// single-use tokens leave it at its capacity, oldest evicted first.
-	sw := NewSharedOpWindow[int]()
-	sw.Record(0, op(1), 11)
-	if !sw.Seen(0, op(1), 11) || sw.Seen(1, op(1), 11) || sw.Seen(0, op(1), 12) {
-		t.Error("shared window lost the per-caller, per-payload key")
-	}
-	for tok := 1; tok < opWindowCap; tok++ {
-		sw.Record(tok, op(1), 11)
-	}
-	if !sw.Seen(0, op(1), 11) {
-		t.Error("shared window evicted before reaching its capacity")
-	}
-	for tok := opWindowCap; tok < 3*opWindowCap; tok++ {
-		sw.Record(tok, op(1), 11)
-	}
-	if sw.Seen(0, op(1), 11) || sw.Seen(2*opWindowCap-1, op(1), 11) {
-		t.Error("shared window kept a stage past its capacity")
-	}
-	if !sw.Seen(2*opWindowCap, op(1), 11) || !sw.Seen(3*opWindowCap-1, op(1), 11) {
-		t.Error("shared window evicted one of its newest stages")
-	}
-	if len(sw.sums) != opWindowCap || len(sw.fifos) != 1 {
-		t.Errorf("shared window holds %d stages in %d FIFOs after %d callers, want %d in 1",
-			len(sw.sums), len(sw.fifos), 3*opWindowCap, opWindowCap)
 	}
 }

@@ -132,7 +132,8 @@ func TestClusterChurnGuards(t *testing.T) {
 
 func TestClusterReshareUnderChurn(t *testing.T) {
 	c, tok := newChurnCluster(t)
-	// Quiescent cluster: the per-node-name round refreshes every element.
+	// Quiescent cluster: the round over the slot servers refreshes every
+	// element.
 	n, err := c.ProactiveReshare()
 	if err != nil {
 		t.Fatalf("ProactiveReshare: %v", err)
@@ -157,13 +158,42 @@ func TestClusterReshareUnderChurn(t *testing.T) {
 
 func TestClusterWireTargets(t *testing.T) {
 	c, _ := newChurnCluster(t)
-	if len(c.WireTargets()) != 3 || len(c.Servers()) != 6 {
-		t.Fatalf("WireTargets=%d Servers=%d, want 3 slots over 6 nodes",
+	if len(c.WireTargets()) != 3 || len(c.Servers()) != 3 {
+		t.Fatalf("WireTargets=%d Servers=%d, want one server per slot, 3/3",
 			len(c.WireTargets()), len(c.Servers()))
 	}
 	mono := newDemoCluster(t, zerber.Options{Seed: 3})
 	if len(mono.WireTargets()) != 3 || len(mono.Servers()) != 3 {
 		t.Fatalf("monolithic WireTargets=%d Servers=%d, want 3/3",
 			len(mono.WireTargets()), len(mono.Servers()))
+	}
+}
+
+// TestClusterDHTRefusesWrittenStoreDir pins what a restart of a DHT
+// cluster on its disk StoreDir does: slot membership is not persisted,
+// so the cluster cannot tell a node's lists from leftovers, and
+// NewCluster refuses a node store that already holds elements instead
+// of adopting it.
+func TestClusterDHTRefusesWrittenStoreDir(t *testing.T) {
+	opts := zerber.Options{Seed: 11, DHTNodes: 2, StoreEngine: "disk", StoreDir: t.TempDir()}
+	c := newDemoCluster(t, opts)
+	c.AddUser("alice", 1)
+	tok := c.IssueToken("alice")
+	p, err := c.NewPeer("site1", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, text := range []string{
+		"Martha sold ImClone before the layoff announcement.",
+		"The project budget meeting covered the merger.",
+		"The chemical process uses a new compound.",
+	} {
+		if err := p.IndexDocument(tok, peer.Document{ID: uint32(i + 1), Name: "d", Content: text, Group: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err = zerber.NewCluster(demoDocFreqs(), opts)
+	if err == nil || !strings.Contains(err.Error(), "already holds") {
+		t.Fatalf("reopening a written DHT StoreDir: err = %v, want a refusal", err)
 	}
 }

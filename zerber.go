@@ -117,8 +117,9 @@
 // share payloads live in CRC-framed append-only segment files under
 // StoreDir and only a compact per-list index — plus a bounded LRU cache
 // of hot lists — stays in memory. The engine is the server's only log:
-// a server restarted on the same directory replays it, and there is no
-// separate write-ahead log to configure. Each segment is a log of
+// a server restarted on the same directory replays it (not under
+// DHTNodes, see StoreDir), and there is no separate write-ahead log to
+// configure. Each segment is a log of
 // package wal, the one log primitive, which the peers' mutation journals
 // (JournalDir) use too: one replay, one torn-tail truncation, one append
 // handle, one atomic rewrite; the engine adds only its record schema and
@@ -209,14 +210,16 @@
 //
 // # Membership & rebalancing
 //
-// With the DHTNodes option above 1, each of the n share slots is served
-// not by one index server but by a set of physical nodes behind a
-// dht.Slot: merged posting lists are partitioned over the nodes by a
-// consistent-hashing ring, and the slot — which implements the same
-// transport API as a monolithic server — routes every operation to the
-// node authoritative for its lists. Shares stay bound to the slot's
-// public x-coordinate, so the confidentiality analysis is unchanged:
-// the ring only decides which box inside a slot stores a list.
+// With the DHTNodes option above 1, each of the n share slots still has
+// one index server, but its storage engine is a dht.Slot over a set of
+// physical storage nodes: merged posting lists are partitioned over the
+// nodes by a consistent-hashing ring, and the slot — itself a
+// store.Store — routes every keyed store call to the node authoritative
+// for its list. Authentication, group checks, the op-dedup window and
+// the stats stay in the one server above the slot. Shares stay bound to
+// the slot's public x-coordinate, so the confidentiality analysis is
+// unchanged: the ring only decides which box inside a slot stores a
+// list.
 //
 // Membership is an online operation: JoinNode and LeaveNode add or
 // drain a named node across every slot while the cluster keeps
@@ -239,10 +242,11 @@
 //     Rebalance retries the remaining work (a node that cannot finish
 //     draining stays in a serving, off-ring state until it can).
 //
-// Proactive resharing coordinates with migration instead of racing it:
-// under DHT the round runs one share group per node name and refuses
-// to start while any migration is pending, so refresh deltas are never
-// applied to a list that is mid-handoff.
+// Proactive resharing needs no quiescent topology: the round runs over
+// the n slot servers, each slot applies a list's deltas on the node
+// authoritative for it, and a list mid-handoff has its refreshed IDs
+// marked dirty, so the target's copy is brought up to date before
+// cutover.
 //
 // # Simulation & invariants
 //
@@ -399,22 +403,27 @@ type Options struct {
 	// round (0 picks the default). Smaller blocks terminate earlier on
 	// easy queries; larger blocks save round trips on deep ones.
 	BlockSize int
-	// DHTNodes, when greater than 1, fronts each of the N share slots
+	// DHTNodes, when greater than 1, backs each of the N slot servers
 	// with that many physical storage nodes behind a consistent-hashing
-	// router (see "Membership & rebalancing" above); JoinNode and
-	// LeaveNode then change the node set online. 0 or 1 keeps the
-	// monolithic one-server-per-slot layout.
+	// dht.Slot engine (see "Membership & rebalancing" above); JoinNode
+	// and LeaveNode then change the node set online. 0 or 1 gives each
+	// server one engine.
 	DHTNodes int
-	// StoreEngine names each index server's storage engine: "" or
+	// StoreEngine names each index server's storage engine (under
+	// DHTNodes, each storage node's): "" or
 	// "sharded" (the lock-striped in-memory default — see "Storage
 	// engine" above) or "disk" (the log-structured on-disk engine — see
 	// "Disk engine"). Results and Stats are identical under both.
 	StoreEngine string
 	// StoreDir is where the "disk" engine keeps its segment files; each
-	// server gets its own subdirectory <StoreDir>/<server name>. Empty
+	// server gets its own subdirectory <StoreDir>/<server name> (under
+	// DHTNodes, each node <StoreDir>/<server name>-<node name>). Empty
 	// with StoreEngine "disk" picks a fresh temporary directory (the
 	// index is durable for the directory's lifetime but effectively
-	// process-scoped). Ignored by the in-memory engine.
+	// process-scoped). Ignored by the in-memory engine. Slot membership
+	// is not persisted, so a DHTNodes cluster cannot restart on a
+	// StoreDir its nodes wrote: a slot refuses to add a node whose store
+	// already holds elements, and NewCluster fails.
 	StoreDir string
 	// JournalDir, when non-empty, gives every peer a crash-safe
 	// mutation journal at <JournalDir>/<peer name>.journal: mutations
@@ -430,9 +439,8 @@ type Options struct {
 // the registry of document-owner peers.
 type Cluster struct {
 	opts    Options
-	servers []*server.Server // monolithic layout only; nil under DHTNodes
-	slots   []*dht.Slot      // DHT layout only; nil otherwise
-	apis    []transport.API
+	servers []*server.Server // one per share slot
+	slots   []*dht.Slot      // the servers' engines under DHTNodes; nil otherwise
 	authSvc *auth.Service
 	groups  *auth.GroupTable
 	table   *merging.Table
@@ -565,30 +573,9 @@ func NewCluster(docFreqs map[string]int, opts Options) (*Cluster, error) {
 			return nil, fmt.Errorf("zerber: creating pseudonymizer: %w", err)
 		}
 	}
-	if opts.DHTNodes > 1 {
-		for i := 0; i < opts.N; i++ {
-			slot, err := dht.NewSlot(field.Element(i+1), 0)
-			if err != nil {
-				return nil, fmt.Errorf("zerber: creating slot %d: %w", i+1, err)
-			}
-			for j := 0; j < opts.DHTNodes; j++ {
-				name := fmt.Sprintf("n%d", j)
-				node, err := c.newNodeServer(i, name)
-				if err != nil {
-					return nil, fmt.Errorf("zerber: slot %d: node %s: %w", i+1, name, err)
-				}
-				if err := slot.AddNode(name, node); err != nil {
-					return nil, fmt.Errorf("zerber: slot %d: adding node %s: %w", i+1, name, err)
-				}
-			}
-			c.slots = append(c.slots, slot)
-			c.apis = append(c.apis, slot)
-		}
-		return c, nil
-	}
 	for i := 0; i < opts.N; i++ {
 		name := fmt.Sprintf("zerber-ix%d", i+1)
-		st, err := c.newStore(name)
+		st, err := c.newStore(name, opts.DHTNodes)
 		if err != nil {
 			return nil, err
 		}
@@ -600,38 +587,40 @@ func NewCluster(docFreqs map[string]int, opts Options) (*Cluster, error) {
 			Store:  st,
 		})
 		c.servers = append(c.servers, s)
-		c.apis = append(c.apis, s)
 	}
 	return c, nil
 }
 
-// newStore builds one server's storage engine from the cluster options.
-// The disk engine roots each server's segment files in its own
-// subdirectory of StoreDir, so servers never share a log.
-func (c *Cluster) newStore(name string) (store.Store, error) {
-	st, err := store.NewEngine(c.opts.StoreEngine, filepath.Join(c.opts.StoreDir, name))
-	if err != nil {
-		return nil, fmt.Errorf("zerber: store for %s: %w", name, err)
+// newStore builds the storage engine of the server named name: one
+// engine from the cluster options, or with nodes above 1 a dht.Slot over
+// that many, named n0, n1, ..., recorded in c.slots. The disk engine
+// roots each engine's segment files in its own subdirectory of
+// StoreDir, so engines never share a log.
+func (c *Cluster) newStore(name string, nodes int) (store.Store, error) {
+	if nodes <= 1 {
+		st, err := store.NewEngine(c.opts.StoreEngine, filepath.Join(c.opts.StoreDir, name))
+		if err != nil {
+			return nil, fmt.Errorf("zerber: store for %s: %w", name, err)
+		}
+		return st, nil
 	}
-	return st, nil
-}
-
-// newNodeServer builds the physical storage node named name for share
-// slot i (x-coordinate i+1). Shares are bound to x, not to boxes, so
-// every node of a slot carries the slot's x.
-func (c *Cluster) newNodeServer(i int, name string) (*server.Server, error) {
-	serverName := fmt.Sprintf("zerber-ix%d-%s", i+1, name)
-	st, err := c.newStore(serverName)
+	first, err := c.newStore(name+"-n0", 1)
 	if err != nil {
 		return nil, err
 	}
-	return server.New(server.Config{
-		Name:   serverName,
-		X:      field.Element(i + 1),
-		Auth:   c.authSvc,
-		Groups: c.groups,
-		Store:  st,
-	}), nil
+	slot := dht.NewSlot(0, "n0", first)
+	for j := 1; j < nodes; j++ {
+		node := fmt.Sprintf("n%d", j)
+		st, err := c.newStore(name+"-"+node, 1)
+		if err != nil {
+			return nil, err
+		}
+		if err := slot.AddNode(node, st); err != nil {
+			return nil, fmt.Errorf("zerber: %s: adding node %s: %w", name, node, err)
+		}
+	}
+	c.slots = append(c.slots, slot)
+	return slot, nil
 }
 
 // JoinNode adds a physical node named name to every share slot and
@@ -651,7 +640,7 @@ func (c *Cluster) JoinNode(name string) error {
 			errs = append(errs, fmt.Errorf("zerber: slot %d: node %s already in slot", i+1, name))
 			continue
 		}
-		node, err := c.newNodeServer(i, name)
+		node, err := c.newStore(fmt.Sprintf("zerber-ix%d-%s", i+1, name), 1)
 		if err != nil {
 			errs = append(errs, fmt.Errorf("zerber: slot %d: %w", i+1, err))
 			continue
@@ -738,7 +727,7 @@ func (c *Cluster) IssueToken(user UserID) Token { return c.authSvc.Issue(c.ident
 func (c *Cluster) NewPeer(name string, seed int64) (*peer.Peer, error) {
 	cfg := peer.Config{
 		Name:    name,
-		Servers: c.apis,
+		Servers: c.APIs(),
 		K:       c.opts.K,
 		Table:   c.table,
 		Vocab:   c.voc,
@@ -785,7 +774,7 @@ type Searcher struct {
 // Searcher creates a query client over the cluster's servers, tuned by
 // the cluster's TopKMode and BlockSize options.
 func (c *Cluster) Searcher() (*Searcher, error) {
-	cl, err := client.New(c.apis, c.opts.K, c.table, c.voc)
+	cl, err := client.New(c.APIs(), c.opts.K, c.table, c.voc)
 	if err != nil {
 		return nil, err
 	}
@@ -872,63 +861,21 @@ func (c *Cluster) resolveSnippets(tok Token, query []string, ranked []ranking.Sc
 // the shared secrets are unchanged. It returns the number of posting
 // elements refreshed.
 //
-// Under DHTNodes the round runs one share group per node name: the
-// nodes named name across the n slots hold the same posting lists at
-// x = 1..n, so together they form a complete k-of-n share set. The
-// round refuses to start while any migration work is pending — a list
-// mid-handoff exists on two nodes of one slot, and refreshing only one
-// copy would destroy the element — so rebalance to quiescence first.
-// A mutation racing the round is detected and rolled back cleanly
-// (proactive.ErrConcurrentMutation); retry once the cluster is quiet.
+// Under DHTNodes the round runs over the slot servers like any other:
+// each slot's engine routes a list's deltas to the node authoritative
+// for it and marks them dirty on a list mid-handoff, so the target's
+// copy is refreshed before cutover. A mutation racing the round is
+// detected and rolled back cleanly (proactive.ErrConcurrentMutation);
+// retry once the cluster is quiet.
 func (c *Cluster) ProactiveReshare() (int, error) {
-	if c.slots == nil {
-		return proactive.Reshare(c.servers, c.opts.K, nil)
-	}
-	names := c.slots[0].NodeNames()
-	for i, sl := range c.slots {
-		if p := sl.Pending(); p > 0 {
-			return 0, fmt.Errorf("zerber: slot %d has %d pending migrations; rebalance before resharing", i+1, p)
-		}
-		if !equalNames(names, sl.NodeNames()) {
-			return 0, fmt.Errorf("zerber: slot %d serves a different node set; rebalance before resharing", i+1)
-		}
-	}
-	total := 0
-	for _, name := range names {
-		group := make([]*server.Server, len(c.slots))
-		for i, sl := range c.slots {
-			s, ok := sl.Node(name)
-			if !ok {
-				return total, fmt.Errorf("zerber: node %s vanished from slot %d mid-round", name, i+1)
-			}
-			group[i] = s
-		}
-		n, err := proactive.Reshare(group, c.opts.K, nil)
-		total += n
-		if err != nil {
-			return total, fmt.Errorf("zerber: resharing node %s: %w", name, err)
-		}
-	}
-	return total, nil
-}
-
-func equalNames(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return proactive.Reshare(c.servers, c.opts.K, nil)
 }
 
 // K returns the secret-sharing threshold.
 func (c *Cluster) K() int { return c.opts.K }
 
 // N returns the number of share slots (logical index servers).
-func (c *Cluster) N() int { return len(c.apis) }
+func (c *Cluster) N() int { return len(c.servers) }
 
 // RValue returns the resulting confidentiality parameter of the mapping
 // table (formula (7)).
@@ -940,22 +887,11 @@ func (c *Cluster) Table() *merging.Table { return c.table }
 // Vocab exposes the public vocabulary.
 func (c *Cluster) Vocab() *vocab.Vocabulary { return c.voc }
 
-// Servers exposes the underlying index servers for instrumentation and
-// adversary simulation; applications use Searcher and peers instead.
-// Under DHTNodes it returns every physical node, slot-major, reflecting
-// the node set at the time of the call.
+// Servers exposes the n index servers, one per share slot, for
+// instrumentation and adversary simulation; applications use Searcher
+// and peers instead. Under DHTNodes each server's Store is its slot's
+// dht.Slot; a physical node is one of the slot's node stores.
 func (c *Cluster) Servers() []*server.Server {
-	if c.slots != nil {
-		var out []*server.Server
-		for _, sl := range c.slots {
-			for _, name := range sl.NodeNames() {
-				if s, ok := sl.Node(name); ok {
-					out = append(out, s)
-				}
-			}
-		}
-		return out
-	}
 	out := make([]*server.Server, len(c.servers))
 	copy(out, c.servers)
 	return out
@@ -963,14 +899,16 @@ func (c *Cluster) Servers() []*server.Server {
 
 // APIs exposes the transport handles (e.g. to build a custom client).
 func (c *Cluster) APIs() []transport.API {
-	out := make([]transport.API, len(c.apis))
-	copy(out, c.apis)
+	out := make([]transport.API, len(c.servers))
+	for i, s := range c.servers {
+		out[i] = s
+	}
 	return out
 }
 
 // WireTargets returns the endpoints a deployment puts behind its wire
-// listeners, one per share slot: the index servers themselves in the
-// monolithic layout, or each slot's router under DHTNodes — wire
-// clients keep addressing n logical servers while physical nodes join
-// and leave behind each slot. They are the handles APIs returns.
+// listeners: the n index servers, one per share slot, in every layout —
+// under DHTNodes wire clients keep addressing n servers while physical
+// nodes join and leave behind each slot's engine. They are the handles
+// APIs returns.
 func (c *Cluster) WireTargets() []transport.API { return c.APIs() }
