@@ -38,15 +38,17 @@ test-full:
 # searches of both plans sharing the client. The next line repeats the
 # inventory readers: resharing and the DHT slot read a store's list
 # lengths and then each list in a second call, and a list can vanish
-# between the two. The last repeats a cluster whose every server
-# restarts on its old address, so the first search after the restart
-# meets cached connections the servers closed and must redial.
+# between the two; with them, a slot's moves racing writers in every
+# list, which only the cutover's drain under its exclusive hold keeps
+# whole. The last repeats a cluster whose every server restarts on its
+# old address, so the first search after the restart meets cached
+# connections the servers closed and must redial.
 race:
 	$(GO) test -race -short -shuffle=on ./...
 	$(GO) test -race -short -count=20 -run='^TestBinaryCancelStress$$' ./internal/transport
 	$(GO) test -race -short -count=20 -run='^(TestDeleteStageWaitsForEveryInsertAck|TestRecoverFromAnyAckSubset)$$' ./internal/peer
 	$(GO) test -race -short -count=20 -run='^(TestTopKSurvivesResponderChange|TestTopKKeepsSlowPinnedResponder|TestConcurrentTopK)$$' ./internal/client
-	$(GO) test -race -short -count=10 -run='^(TestReshareDetectsMidGenerationMutation|TestReshareRollsBackMidApplyFailure|TestSlotChurnRace)$$' ./internal/proactive ./internal/dht
+	$(GO) test -race -short -count=10 -run='^(TestReshareDetectsMidGenerationMutation|TestReshareRollsBackMidApplyFailure|TestSlotChurnRace|TestMoveCompletesUnderSustainedWrites)$$' ./internal/proactive ./internal/dht
 	$(GO) test -race -short -count=20 -run='^TestWireDurableCluster$$' .
 
 # Fuzz smoke: every fuzz target for FUZZTIME (default 10s) each. Go

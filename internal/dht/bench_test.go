@@ -65,8 +65,13 @@ func BenchmarkMigrationThroughput(b *testing.B) {
 			b.Fatalf("leave %s: %v", name, err)
 		}
 		moved += held
-		if p := slot.Pending(); p != 0 {
-			b.Fatalf("iteration %d left %d migrations pending", i, p)
+		for _, name := range slot.NodeNames() {
+			held, _ := slot.Node(name)
+			for lid := range held.ListLengths() {
+				if owner, _ := slot.RingOwnerOfList(lid); owner != name {
+					b.Fatalf("iteration %d left list %d on %s, ring owner %s", i, lid, name, owner)
+				}
+			}
 		}
 	}
 	b.StopTimer()

@@ -2,7 +2,6 @@ package dht_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -62,17 +61,12 @@ func churnSlot(t *testing.T, nNodes int) (*dht.Slot, *server.Server, auth.Token)
 	return slot, srv, tok
 }
 
-// checkSlotSettled drives the slot to Pending()==0 and verifies every
-// list resides exactly on its ring owner with no element duplicated or
-// lost relative to want (gid -> share value present).
+// checkSlotSettled verifies that every list resides exactly on its
+// ring owner, with no element duplicated or lost relative to want (gid
+// -> share value present). Membership calls return once their moves
+// have landed, so it holds whenever none is running.
 func checkSlotSettled(t *testing.T, slot *dht.Slot, want map[posting.GlobalID]bool) {
 	t.Helper()
-	for attempt := 0; slot.Pending() > 0; attempt++ {
-		if attempt > 50 {
-			t.Fatalf("slot never settled: %d pending after %d rebalances", slot.Pending(), attempt)
-		}
-		_ = slot.Rebalance()
-	}
 	if err := store.CheckInvariants(slot); err != nil {
 		t.Fatalf("slot: %v", err)
 	}
@@ -91,7 +85,7 @@ func checkSlotSettled(t *testing.T, slot *dht.Slot, want map[posting.GlobalID]bo
 				t.Fatal(err)
 			}
 			if ringOwner != name {
-				t.Errorf("list %d on node %s, ring owner %s (settled slot must match the ring)", lid, name, ringOwner)
+				t.Errorf("list %d on node %s, ring owner %s", lid, name, ringOwner)
 			}
 			for _, sh := range node.Scan(lid, nil) {
 				if prev, dup := seen[sh.GlobalID]; dup {
@@ -247,32 +241,124 @@ func TestSlotChurnRace(t *testing.T) {
 	checkSlotSettled(t, slot, want)
 }
 
-// flakySink fails migration traffic on demand: Ingest deliveries after
-// the fuse, and optionally Abort cleanups too.
-type flakySink struct {
-	slot       *dht.Slot
-	ingestFuse int32 // fail Ingest once this many deliveries happened
-	failAbort  bool
-}
-
-var errSinkDead = errors.New("sink: migration target unreachable")
-
-func (f *flakySink) Ingest(_ context.Context, target string, ep dht.Epoch, seq uint64, lid merging.ListID, shares []posting.EncryptedShare) error {
-	if atomic.AddInt32(&f.ingestFuse, -1) < 0 {
-		return errSinkDead
+// TestMoveCompletesUnderSustainedWrites runs joins and leaves back to
+// back while writers keep upserting, rewriting and deleting in every
+// list. Each membership call must return nil: a move finishes however
+// hot its list is, because the cutover's exclusive hold covers one last
+// drain. Afterwards the slot must read back exactly what the writers
+// wrote, every list must sit on its ring owner, and the node stores
+// together must hold exactly the slot's elements.
+func TestMoveCompletesUnderSustainedWrites(t *testing.T) {
+	rounds, writers := 16, 4
+	if testing.Short() {
+		rounds = 6
 	}
-	return f.slot.DeliverIngest(target, ep, seq, lid, shares)
-}
+	const lists = 16
+	slot := dht.NewSlot(32, "n0", store.NewSharded(0))
 
-func (f *flakySink) Remove(_ context.Context, target string, ep dht.Epoch, seq uint64, lid merging.ListID, gids []posting.GlobalID) error {
-	return f.slot.DeliverRemove(target, ep, seq, lid, gids)
-}
-
-func (f *flakySink) Abort(_ context.Context, target string, ep dht.Epoch, lid merging.ListID) error {
-	if f.failAbort {
-		return errSinkDead
+	var stop atomic.Bool
+	var ready, wg sync.WaitGroup
+	models := make([]map[posting.GlobalID]posting.EncryptedShare, writers)
+	for w := range models {
+		models[w] = make(map[posting.GlobalID]posting.EncryptedShare)
+		ready.Add(1)
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w) + 31))
+			model := models[w]
+			var gids []posting.GlobalID // this writer's live IDs
+			insert := func(next uint64) {
+				// The list ID doubles as the share's group, so the model
+				// knows where each element lives.
+				sh := posting.EncryptedShare{
+					GlobalID: posting.GlobalID(uint64(w)<<40 | next),
+					Group:    uint32(rng.Intn(lists)),
+					Y:        field.New(rng.Uint64()),
+				}
+				slot.Upsert(merging.ListID(sh.Group), []posting.EncryptedShare{sh})
+				model[sh.GlobalID] = sh
+				gids = append(gids, sh.GlobalID)
+			}
+			// Give every list something to copy before the first move.
+			next := uint64(1)
+			for ; next <= 16*lists; next++ {
+				insert(next)
+			}
+			ready.Done()
+			for ; !stop.Load(); next++ {
+				switch rng.Intn(4) {
+				case 0:
+					i := rng.Intn(len(gids))
+					gid := gids[i]
+					if found, _ := slot.DeleteIf(merging.ListID(model[gid].Group), gid, nil); !found {
+						t.Errorf("writer %d: element %d not found", w, gid)
+						return
+					}
+					delete(model, gid)
+					gids[i] = gids[len(gids)-1]
+					gids = gids[:len(gids)-1]
+				case 1:
+					// Rewrite a live element in place: the target must
+					// end up with the last value, not the copied one.
+					sh := model[gids[rng.Intn(len(gids))]]
+					sh.Y = field.New(rng.Uint64())
+					slot.Upsert(merging.ListID(sh.Group), []posting.EncryptedShare{sh})
+					model[sh.GlobalID] = sh
+				default:
+					insert(next)
+				}
+			}
+		}(w)
 	}
-	return f.slot.DeliverAbort(target, ep, lid)
+
+	ready.Wait()
+	for r := 0; r < rounds; r++ {
+		name := fmt.Sprintf("x%d", r)
+		if err := slot.AddNode(name, store.NewSharded(0)); err != nil {
+			t.Errorf("join %s: %v", name, err)
+			break
+		}
+		if r%2 == 1 {
+			if err := slot.RemoveNode(fmt.Sprintf("x%d", r-1)); err != nil {
+				t.Errorf("leave x%d: %v", r-1, err)
+				break
+			}
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	got := make(map[posting.GlobalID]posting.EncryptedShare)
+	for l := 0; l < lists; l++ {
+		for _, sh := range slot.Scan(merging.ListID(l), nil) {
+			got[sh.GlobalID] = sh
+		}
+	}
+	want := make(map[posting.GlobalID]bool)
+	for _, model := range models {
+		for gid, sh := range model {
+			want[gid] = true
+			if got[gid] != sh {
+				t.Fatalf("element %d reads back as %v, written %v", gid, got[gid], sh)
+			}
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("slot reads back %d elements, writers left %d", len(got), len(want))
+	}
+	checkSlotSettled(t, slot, want)
+	held := 0
+	for _, name := range slot.NodeNames() {
+		node, _ := slot.Node(name)
+		held += node.TotalElements()
+	}
+	if total := slot.TotalElements(); held != total || total != len(want) {
+		t.Fatalf("node stores hold %d elements, slot counts %d, writers left %d", held, total, len(want))
+	}
 }
 
 // preload stuffs lists 0..lists-1 with count shares each through the
@@ -290,105 +376,6 @@ func preload(slot *dht.Slot, lists, count int) map[posting.GlobalID]bool {
 		slot.Upsert(merging.ListID(l), shares)
 	}
 	return want
-}
-
-// TestCrashMidCopy kills the migration target partway through a copy:
-// the move must abort with the source still authoritative, the target
-// holding no half-ingested list, and the slot still serving every
-// element. A later Rebalance through a healed sink converges.
-func TestCrashMidCopy(t *testing.T) {
-	slot, srv, tok := churnSlot(t, 1)
-	want := preload(slot, 12, 10)
-	slot.SetMigrationPolicy(dht.MigrationPolicy{ChunkSize: 4, Attempts: 2, Timeout: time.Second})
-
-	sink := &flakySink{slot: slot, ingestFuse: 4}
-	slot.SetTransferSink(sink)
-	err := slot.AddNode("n1", newNode())
-	if err == nil {
-		t.Fatal("join with a dying target must report aborted moves")
-	}
-	if slot.Pending() == 0 {
-		t.Fatal("aborted moves must leave pending work")
-	}
-
-	// Target holds no half-ingested list: every aborted move cleaned up.
-	n1, _ := slot.Node("n1")
-	if got := n1.TotalElements(); got != 0 {
-		// Fully cut-over lists are allowed on n1; partially copied ones
-		// are not. Verify every list on n1 is complete and ring-owned.
-		for lid := range n1.ListLengths() {
-			owner, _ := slot.RingOwnerOfList(lid)
-			if owner != "n1" {
-				t.Fatalf("n1 holds list %d it does not own", lid)
-			}
-			if len(n1.Scan(lid, nil)) != 10 {
-				t.Fatalf("n1 holds %d of 10 shares of list %d — half-ingested list survived the abort", len(n1.Scan(lid, nil)), lid)
-			}
-		}
-	}
-
-	// The slot still serves everything, routed to wherever authority is.
-	lists := make([]merging.ListID, 12)
-	for i := range lists {
-		lists[i] = merging.ListID(i)
-	}
-	got, err := srv.GetPostingLists(context.Background(), tok, lists)
-	if err != nil {
-		t.Fatal(err)
-	}
-	served := 0
-	for _, shares := range got {
-		served += len(shares)
-	}
-	if served != len(want) {
-		t.Fatalf("slot serves %d elements mid-degradation, want %d", served, len(want))
-	}
-
-	// Heal the wire; Rebalance converges and n1 gets its lists.
-	slot.SetTransferSink(nil)
-	checkSlotSettled(t, slot, want)
-	if n1.TotalElements() == 0 {
-		t.Fatal("after rebalance the new node should own some lists")
-	}
-}
-
-// TestAbortCleanupPending covers the double-failure path: the target
-// dies mid-copy and the cleanup cannot be delivered either. The
-// partial copy is remembered and cleaned by the next Rebalance; until
-// then reads never see the half-ingested data.
-func TestAbortCleanupPending(t *testing.T) {
-	slot, srv, tok := churnSlot(t, 1)
-	want := preload(slot, 8, 6)
-	slot.SetMigrationPolicy(dht.MigrationPolicy{ChunkSize: 2, Attempts: 1, Timeout: time.Second})
-
-	sink := &flakySink{slot: slot, ingestFuse: 1, failAbort: true}
-	slot.SetTransferSink(sink)
-	if err := slot.AddNode("n1", newNode()); err == nil {
-		t.Fatal("join must report the stranded cleanup")
-	}
-	if slot.Pending() == 0 {
-		t.Fatal("stranded cleanup must count as pending")
-	}
-
-	// Reads must not see the stranded partial copy twice.
-	lists := make([]merging.ListID, 8)
-	for i := range lists {
-		lists[i] = merging.ListID(i)
-	}
-	got, err := srv.GetPostingLists(context.Background(), tok, lists)
-	if err != nil {
-		t.Fatal(err)
-	}
-	served := 0
-	for _, shares := range got {
-		served += len(shares)
-	}
-	if served != len(want) {
-		t.Fatalf("slot serves %d elements with a stranded copy, want %d", served, len(want))
-	}
-
-	slot.SetTransferSink(nil)
-	checkSlotSettled(t, slot, want)
 }
 
 // TestLoseCutoverHook proves the two-phase handoff is load-bearing:
@@ -418,33 +405,28 @@ func TestLoseCutoverHook(t *testing.T) {
 	}
 }
 
-// parkingSink delivers in-process but parks the second Ingest of the
-// first move until release is closed: the target then holds one chunk
-// of the list, copied before whatever runs while the move is parked.
-type parkingSink struct {
-	slot            *dht.Slot
-	ingests         atomic.Int32
+// parkingNode is a node store that parks after its first Upsert until
+// release is closed: a joining node wrapped in it then holds the first
+// copy chunk of its first move, made before whatever runs while the
+// move is parked.
+type parkingNode struct {
+	store.Store
+	upserts         atomic.Int32
 	parked, release chan struct{}
 }
 
-func (p *parkingSink) Ingest(_ context.Context, target string, ep dht.Epoch, seq uint64, lid merging.ListID, shares []posting.EncryptedShare) error {
-	if p.ingests.Add(1) == 2 {
+func (p *parkingNode) Upsert(lid merging.ListID, shares []posting.EncryptedShare) int {
+	n := p.Store.Upsert(lid, shares)
+	if p.upserts.Add(1) == 1 {
 		close(p.parked)
 		<-p.release
 	}
-	return p.slot.DeliverIngest(target, ep, seq, lid, shares)
-}
-
-func (p *parkingSink) Remove(_ context.Context, target string, ep dht.Epoch, seq uint64, lid merging.ListID, gids []posting.GlobalID) error {
-	return p.slot.DeliverRemove(target, ep, seq, lid, gids)
-}
-
-func (p *parkingSink) Abort(_ context.Context, target string, ep dht.Epoch, lid merging.ListID) error {
-	return p.slot.DeliverAbort(target, ep, lid)
+	return n
 }
 
 // TestReshareDuringMove runs a proactive resharing round over three
-// slot servers while slot 0 has a list half copied to a joining node.
+// slot servers while slot 0 has a list copied to a joining node but not
+// yet cut over.
 // The round must not wait for the move, and after cutover every element
 // must reconstruct to its original secret from every 2-subset of the
 // slots: the refreshed share of a moving list reaches the target
@@ -484,18 +466,16 @@ func TestReshareDuringMove(t *testing.T) {
 		}
 	}
 
-	sink := &parkingSink{slot: slots[0], parked: make(chan struct{}), release: make(chan struct{})}
-	slots[0].SetTransferSink(sink)
-	slots[0].SetMigrationPolicy(dht.MigrationPolicy{ChunkSize: perList / 3})
+	target := &parkingNode{Store: store.NewSharded(0), parked: make(chan struct{}), release: make(chan struct{})}
 	joined := make(chan error, 1)
-	go func() { joined <- slots[0].AddNode("n1", store.NewSharded(0)) }()
+	go func() { joined <- slots[0].AddNode("n1", target) }()
 	select {
-	case <-sink.parked:
+	case <-target.parked:
 	case err := <-joined:
-		t.Fatalf("join finished without a multi-chunk move to park (err %v)", err)
+		t.Fatalf("join finished without a move to park (err %v)", err)
 	}
 	refreshed, err := proactive.Reshare(servers, k, nil)
-	close(sink.release)
+	close(target.release)
 	if err != nil {
 		t.Fatalf("reshare during a move: %v", err)
 	}
@@ -505,9 +485,11 @@ func TestReshareDuringMove(t *testing.T) {
 	if err := <-joined; err != nil {
 		t.Fatalf("join: %v", err)
 	}
-	if p := slots[0].Pending(); p != 0 {
-		t.Fatalf("%d migrations pending after the join", p)
+	want := make(map[posting.GlobalID]bool, len(secrets))
+	for gid := range secrets {
+		want[gid] = true
 	}
+	checkSlotSettled(t, slots[0], want)
 	if dist := slots[0].ListDistribution(); dist["n1"] == 0 {
 		t.Fatalf("no list cut over to the new node: %v", dist)
 	}

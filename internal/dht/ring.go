@@ -16,6 +16,12 @@
 // engine, so authentication, group checks, op dedup and stats stay in
 // one place and peers and clients work unmodified.
 //
+// Membership is online. A node joins or leaves while the slot serves,
+// and each list whose ring owner changes moves with plain store calls:
+// copy the list to its new node, replay the writes that landed
+// meanwhile, flip routing under the routing lock (migrate.go). A move
+// always completes before AddNode or RemoveNode returns.
+//
 // Confidentiality is preserved: a compromised physical node sees (a) a
 // subset of merged posting lists — lengths of merged lists leak no more
 // than before, and (b) shares from a single slot — fewer than k slots

@@ -18,39 +18,33 @@ import (
 // stores, so one index server over a Slot serves the slot exactly as it
 // would serve a single storage engine.
 //
-// Membership is an online operation: AddNode and RemoveNode migrate
-// lists through the two-phase handoff in migrate.go while the slot
-// keeps serving. Authority over a list moves only at cutover — until
-// then (and after an aborted move) routing overrides keep reads and
-// writes on the node that actually holds the data, so a dead migration
-// target degrades the slot to "some lists not yet rebalanced"
-// (Pending > 0, retried by Rebalance) instead of wedging it.
+// Membership is an online operation: AddNode and RemoveNode move lists
+// through the two-phase handoff in migrate.go while the slot keeps
+// serving, and return once every move has landed. Authority over a list
+// moves only at its cutover; until then a routing pin keeps reads and
+// writes on the node that holds the data.
 type Slot struct {
 	// ring holds the *desired* placement. Actual routing consults the
-	// overrides below first: authority follows data, not the ring,
-	// until each list's cutover.
+	// pins below first: authority follows data, not the ring, until
+	// each list's cutover.
 	ring *Ring
 
-	// migMu serializes membership operations (AddNode, RemoveNode,
-	// Rebalance): at most one migration engine runs per slot.
+	// migMu serializes membership operations (AddNode, RemoveNode): at
+	// most one migration engine runs per slot.
 	migMu sync.Mutex
-	pol   MigrationPolicy
-	sink  TransferSink
 	hooks *SimHooks
 
 	// mu guards the routing state. Every store call holds the read lock
 	// across its routing decision and node call, so the migration
-	// engine's state transitions (move start, cutover, abort) fence all
+	// engine's state transitions (move start, cutover) fence all
 	// in-flight calls: a mutation is either in the copy snapshot or in
 	// the move's dirty set, never lost, and a read never reaches a node
 	// after its copy was dropped.
 	mu       sync.RWMutex
 	nodes    map[string]store.Store
-	draining map[string]bool // still serving & in nodes, but off the ring
-	epoch    Epoch
-	moves    map[merging.ListID]*listMove // in-flight copy: source is authoritative
-	stale    map[merging.ListID]string    // aborted/unfinished move: authority stays here
-	aborts   map[merging.ListID]abortRec  // undelivered target cleanups
+	draining map[string]bool           // still in nodes, but off the ring
+	stale    map[merging.ListID]string // list not yet cut over: authority stays here
+	move     *listMove                 // the in-flight copy, nil between moves
 }
 
 var _ store.Store = (*Slot)(nil)
@@ -61,39 +55,39 @@ var _ store.Store = (*Slot)(nil)
 func NewSlot(vnodesPerNode int, name string, node store.Store) *Slot {
 	s := &Slot{
 		ring:     NewRing(vnodesPerNode),
-		pol:      DefaultMigrationPolicy(),
 		nodes:    map[string]store.Store{name: node},
 		draining: make(map[string]bool),
-		moves:    make(map[merging.ListID]*listMove),
 		stale:    make(map[merging.ListID]string),
-		aborts:   make(map[merging.ListID]abortRec),
 	}
 	s.ring.AddNode(name)
-	s.sink = localSink{s}
 	return s
 }
 
-// ownerOfLocked resolves which node is authoritative for a list right
-// now: the source of an in-flight move, the recorded holder after an
-// aborted move, or the ring owner. Caller holds mu (read or write).
-func (s *Slot) ownerOfLocked(lid merging.ListID) (string, error) {
-	if mv, ok := s.moves[lid]; ok {
-		return mv.src, nil
-	}
-	if name, ok := s.stale[lid]; ok {
-		return name, nil
-	}
-	return s.ring.OwnerOfList(lid)
-}
-
-// nodeOfLocked returns the node store authoritative for a list. The
-// ring is never empty, and an owner leaves nodes only once it holds
-// nothing, so a failure here is a broken slot. Caller holds mu.
-func (s *Slot) nodeOfLocked(lid merging.ListID) store.Store {
-	owner, err := s.ownerOfLocked(lid)
+// ringOwnerLocked returns the ring's owner of a list. The ring is never
+// empty, so a failure here is a broken slot. Caller holds mu.
+func (s *Slot) ringOwnerLocked(lid merging.ListID) string {
+	owner, err := s.ring.OwnerOfList(lid)
 	if err != nil {
 		panic(err)
 	}
+	return owner
+}
+
+// ownerOfLocked resolves which node is authoritative for a list right
+// now: its pinned holder until its cutover, else its ring owner. Caller
+// holds mu (read or write).
+func (s *Slot) ownerOfLocked(lid merging.ListID) string {
+	if name, ok := s.stale[lid]; ok {
+		return name
+	}
+	return s.ringOwnerLocked(lid)
+}
+
+// nodeOfLocked returns the node store authoritative for a list. An
+// owner leaves nodes only once it holds nothing and no pin names it, so
+// a failure here is a broken slot. Caller holds mu.
+func (s *Slot) nodeOfLocked(lid merging.ListID) store.Store {
+	owner := s.ownerOfLocked(lid)
 	node := s.nodes[owner]
 	if node == nil {
 		panic(fmt.Sprintf("dht: owner %s of list %d vanished", owner, lid))
@@ -101,13 +95,11 @@ func (s *Slot) nodeOfLocked(lid merging.ListID) store.Store {
 	return node
 }
 
-// AddNode joins a physical node to the slot and migrates the lists it
-// now owns from their previous holders, online. The node serves its
-// lists as each cutover lands. A per-list migration failure leaves
-// that list on its previous owner (retried by Rebalance); the
-// aggregated errors are returned but the node is a member regardless.
-// The node's store must be empty: a list already on it would be
-// neither authoritative nor cleaned up.
+// AddNode joins a physical node to the slot and moves the lists it now
+// owns from their previous holders, online. The node serves each list
+// as its cutover lands, and every move has landed when AddNode returns.
+// The node's store must be empty: a list already on it would be neither
+// authoritative nor cleaned up.
 func (s *Slot) AddNode(name string, node store.Store) error {
 	s.migMu.Lock()
 	defer s.migMu.Unlock()
@@ -124,13 +116,10 @@ func (s *Slot) AddNode(name string, node store.Store) error {
 		return fmt.Errorf("dht: node %s already holds %d elements", name, n)
 	}
 	s.nodes[name] = node
-	held := s.heldAuthorityLocked()
-	s.ring.AddNode(name)
-	s.pinAuthorityLocked(held)
-	s.epoch++
-	ep := s.epoch
+	s.repinLocked(func() { s.ring.AddNode(name) })
 	s.mu.Unlock()
-	return s.rebalanceLocked(ep)
+	s.migrateLocked()
+	return nil
 }
 
 // authoritativeLocked calls f for every list a node holds and is
@@ -138,83 +127,64 @@ func (s *Slot) AddNode(name string, node store.Store) error {
 func (s *Slot) authoritativeLocked(f func(name string, lid merging.ListID, n int)) {
 	for name, node := range s.nodes {
 		for lid, n := range node.ListLengths() {
-			if owner, err := s.ownerOfLocked(lid); err == nil && owner == name {
+			if s.ownerOfLocked(lid) == name {
 				f(name, lid, n)
 			}
 		}
 	}
 }
 
-// heldAuthorityLocked maps every stored list to the node currently
-// authoritative for it. Caller holds mu.
-func (s *Slot) heldAuthorityLocked() map[merging.ListID]string {
-	out := make(map[merging.ListID]string)
-	s.authoritativeLocked(func(name string, lid merging.ListID, _ int) { out[lid] = name })
-	return out
-}
-
-// pinAuthorityLocked records routing overrides after a ring change so
-// that authority stays with the data: a list whose desired owner moved
-// keeps routing to its current holder until its cutover, and overrides
-// that became redundant are dropped. Caller holds mu.
-func (s *Slot) pinAuthorityLocked(held map[merging.ListID]string) {
+// repinLocked applies a ring change so that authority stays with the
+// data: afterwards every list whose ring owner is not its current
+// holder is pinned to that holder until its cutover, and no other list
+// is pinned. Caller holds mu exclusively and migMu.
+func (s *Slot) repinLocked(changeRing func()) {
+	held := make(map[merging.ListID]string)
+	s.authoritativeLocked(func(name string, lid merging.ListID, _ int) { held[lid] = name })
+	changeRing()
+	s.stale = make(map[merging.ListID]string)
 	for lid, holder := range held {
-		want, err := s.ring.OwnerOfList(lid)
-		if err != nil {
-			continue
-		}
-		if want != holder {
+		if s.ringOwnerLocked(lid) != holder {
 			s.stale[lid] = holder
-		} else {
-			delete(s.stale, lid)
 		}
 	}
 }
 
 // RemoveNode takes a node off the ring and drains its lists to the
-// remaining owners, online. The node keeps serving each list until
-// that list's cutover. If any move fails, the node stays in the slot
-// in a draining state — still authoritative for what it holds — and a
-// later Rebalance (or RemoveNode again) finishes the job; the
-// aggregated errors are returned. Removing the last ring node fails:
-// its data would have nowhere to go.
+// remaining owners, online. The node keeps serving each list until that
+// list's cutover and has left the slot when RemoveNode returns.
+// Removing the last ring node fails: its data would have nowhere to go.
 func (s *Slot) RemoveNode(name string) error {
 	s.migMu.Lock()
 	defer s.migMu.Unlock()
 	s.mu.Lock()
-	if _, ok := s.nodes[name]; !ok {
+	if _, ok := s.nodes[name]; !ok || s.draining[name] {
 		s.mu.Unlock()
 		return fmt.Errorf("dht: node %s not in slot", name)
 	}
-	if !s.draining[name] {
-		if s.ring.NumNodes() <= 1 {
-			s.mu.Unlock()
-			return errors.New("dht: cannot remove the last node of a slot")
-		}
-		// Pin authority before the ring forgets the node: each list the
-		// node holds stays routed to it until its individual cutover.
-		held := s.heldAuthorityLocked()
-		s.ring.RemoveNode(name)
-		s.draining[name] = true
-		s.pinAuthorityLocked(held)
-		s.epoch++
+	if s.ring.NumNodes() <= 1 {
+		s.mu.Unlock()
+		return errors.New("dht: cannot remove the last node of a slot")
 	}
-	ep := s.epoch
+	s.draining[name] = true
+	s.repinLocked(func() { s.ring.RemoveNode(name) })
 	s.mu.Unlock()
-	return s.rebalanceLocked(ep)
+	s.migrateLocked()
+	return nil
 }
 
 // routeLocked returns the node authoritative for lid and, if the list
-// is under an active copy, its move with the journal lock held: the
+// is under the active copy, its move with the journal lock held: the
 // caller records the global IDs its mutation changes in the dirty set
 // and unlocks, so drain rounds replay a consistent order. Caller holds
 // mu.RLock.
 func (s *Slot) routeLocked(lid merging.ListID) (store.Store, *listMove) {
 	node := s.nodeOfLocked(lid)
-	mv := s.moves[lid]
-	if mv != nil {
-		mv.jmu.Lock()
+	mv := s.move
+	if mv == nil || mv.lid != lid {
+		return node, nil
 	}
+	mv.jmu.Lock()
 	return node, mv
 }
 
@@ -308,21 +278,18 @@ func (s *Slot) ApplyDeltas(deltas map[merging.ListID]map[posting.GlobalID]field.
 		}
 		done = append(done, node)
 	}
-	for lid, m := range deltas {
-		if mv := s.moves[lid]; mv != nil {
-			mv.jmu.Lock()
-			for gid := range m {
-				mv.markDirty(gid)
-			}
-			mv.jmu.Unlock()
+	if mv := s.move; mv != nil {
+		mv.jmu.Lock()
+		for gid := range deltas[mv.lid] {
+			mv.markDirty(gid)
 		}
+		mv.jmu.Unlock()
 	}
 	return nil
 }
 
 // ListLengths returns the lengths of the authoritative copies: a
-// target's partial copy and a leftover awaiting cleanup are not part of
-// the slot's contents.
+// target's partial copy is not part of the slot's contents.
 func (s *Slot) ListLengths() map[merging.ListID]int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -388,14 +355,14 @@ func (s *Slot) NodeNames() []string {
 	return out
 }
 
-// RingOwnerOfList returns the ring's desired owner of a list — where
-// the list will live once all pending migration work has converged.
+// RingOwnerOfList returns the ring's owner of a list — where the list
+// lives whenever no membership operation is in progress.
 func (s *Slot) RingOwnerOfList(lid merging.ListID) (string, error) {
 	return s.ring.OwnerOfList(lid)
 }
 
 // RingNodes returns the sorted names of the ring members — the nodes
-// new lists hash to. Draining nodes are excluded.
+// lists hash to. A node draining out is excluded.
 func (s *Slot) RingNodes() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

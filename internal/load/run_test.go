@@ -138,7 +138,7 @@ func TestCheckStateIsNotVacuous(t *testing.T) {
 // TestCheckStateCatchesNodeLeftovers shows the end-of-run check failing
 // on a DHT cluster whose slot serves the right elements but one of whose
 // nodes still holds a copy of a list another node is authoritative for:
-// a source not dropped after cutover, or a lost target cleanup.
+// a source not dropped after cutover.
 func TestCheckStateCatchesNodeLeftovers(t *testing.T) {
 	cluster, err := zerber.NewCluster(map[string]int{"alpha": 3, "beta": 2, "gamma": 1}, zerber.Options{Seed: 1, DHTNodes: 2})
 	if err != nil {

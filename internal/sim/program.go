@@ -51,18 +51,13 @@ const (
 	// runner appends one final KindHeal to every program.
 	KindHeal
 	// KindJoinNode adds a fresh empty node to every slot's ring and
-	// rebalances online under live traffic; migration failures leave the
-	// affected lists with their previous owners for heal to retry. A
-	// no-op on non-DHT clusters or once the slot reaches its node cap.
+	// moves the lists it now owns to it, online. A no-op on non-DHT
+	// clusters or once the slot reaches its node cap.
 	KindJoinNode
 	// KindLeaveNode drains the ring node selected by Server out of every
 	// slot, online; the node keeps serving each list until its cutover
 	// lands. A no-op when it would remove the last ring node.
 	KindLeaveNode
-	// KindKillMigration arms a fuse on the migration wire: the next
-	// in-flight transfer's target dies after Server%4+1 deliveries and
-	// stays dead — stranding moves mid-copy — until heal revives it.
-	KindKillMigration
 	// KindStoreReopen kills and recovers every disk store in place: the
 	// in-memory index and cache are discarded and rebuilt by replaying
 	// the segment files (with a torn tail injected first when the config
@@ -83,9 +78,7 @@ var kindNames = map[Kind]string{
 	KindServerUp: "KindServerUp", KindReshare: "KindReshare",
 	KindCompact: "KindCompact", KindCrash: "KindCrash", KindHeal: "KindHeal",
 	KindJoinNode: "KindJoinNode", KindLeaveNode: "KindLeaveNode",
-	KindKillMigration: "KindKillMigration",
-	KindStoreReopen:   "KindStoreReopen",
-	KindCrashCompact:  "KindCrashCompact",
+	KindStoreReopen: "KindStoreReopen", KindCrashCompact: "KindCrashCompact",
 }
 
 // String returns the kind's Go constant name.
@@ -106,7 +99,7 @@ type Op struct {
 	Content string   // KindIndex, KindBatchAdd
 	Group   uint32   // KindIndex, KindBatchAdd, KindGroupAdd, KindGroupRemove
 	User    int      // KindSearch, KindGroupAdd, KindGroupRemove (searcher index)
-	Server  int      // KindServerDown, KindServerUp, KindLeaveNode, KindKillMigration
+	Server  int      // KindServerDown, KindServerUp, KindLeaveNode
 	Query   []string // KindSearch
 }
 
@@ -236,10 +229,8 @@ func Generate(cfg Config) Program {
 				op = Op{Kind: KindCrash}
 			case roll < 88:
 				op = Op{Kind: KindJoinNode}
-			case roll < 93:
-				op = Op{Kind: KindLeaveNode, Server: rng.Intn(8)}
 			case roll < 96:
-				op = Op{Kind: KindKillMigration, Server: rng.Intn(8)}
+				op = Op{Kind: KindLeaveNode, Server: rng.Intn(8)}
 			default:
 				op = Op{Kind: KindHeal}
 			}

@@ -343,13 +343,6 @@ func (r *runner) newSlot(i int) (*dht.Slot, error) {
 		return nil, err
 	}
 	slot := dht.NewSlot(0, "n0", first)
-	// Small chunks so a list takes several deliveries (faults can land
-	// mid-copy), immediate retries so runs stay fast, two attempts so
-	// injected drops actually abort some moves.
-	slot.SetMigrationPolicy(dht.MigrationPolicy{
-		ChunkSize: 4, Attempts: 2, Timeout: 5 * time.Second,
-	})
-	slot.SetTransferSink(&migSink{core: r.core, slot: slot})
 	if r.cfg.LoseCutover {
 		slot.SetSimHooks(&dht.SimHooks{LoseCutover: true})
 	}
@@ -651,12 +644,6 @@ func (r *runner) exec(op Op) error {
 	case KindLeaveNode:
 		return r.execLeaveNode(op)
 
-	case KindKillMigration:
-		if r.slots != nil {
-			r.core.armMigKill(1 + op.Server%4)
-		}
-		return nil
-
 	case KindStoreReopen:
 		return r.execStoreReopen()
 
@@ -710,9 +697,8 @@ func (r *runner) execCrashCompact(op Op) error {
 const maxChurnNodes = 6
 
 // execJoinNode joins one fresh empty node (same name in every slot, so
-// the rings keep partitioning identically) and rebalances online.
-// Migration failures are tolerated: the affected lists stay with their
-// previous owners, Pending tracks them, and heal re-converges.
+// the rings keep partitioning identically); its lists move to it
+// online, under the join.
 func (r *runner) execJoinNode() error {
 	if r.slots == nil {
 		return nil
@@ -727,14 +713,15 @@ func (r *runner) execJoinNode() error {
 		if err != nil {
 			return err
 		}
-		_ = sl.AddNode(name, st)
+		if err := sl.AddNode(name, st); err != nil {
+			return fmt.Errorf("join %s: %v", name, err)
+		}
 	}
 	return nil
 }
 
 // execLeaveNode drains one ring node out of every slot. The node keeps
-// serving until each of its lists cuts over; failed moves leave it
-// draining for heal to finish.
+// serving until each of its lists cuts over.
 func (r *runner) execLeaveNode(op Op) error {
 	if r.slots == nil {
 		return nil
@@ -745,7 +732,9 @@ func (r *runner) execLeaveNode(op Op) error {
 	}
 	name := names[op.Server%len(names)]
 	for _, sl := range r.slots {
-		_ = sl.RemoveNode(name)
+		if err := sl.RemoveNode(name); err != nil {
+			return fmt.Errorf("leave %s: %v", name, err)
+		}
 	}
 	return nil
 }
@@ -794,8 +783,7 @@ func (r *runner) compareSets(user auth.UserID, query []string, gotSet map[uint32
 
 func (r *runner) execReshare() error {
 	rng := rand.New(rand.NewSource(r.cfg.Seed ^ 0x4e5a4e + int64(r.step)))
-	// On DHT tiers the round runs whatever membership work is pending:
-	// each slot routes deltas to the authoritative copies.
+	// On DHT tiers each slot routes deltas to the authoritative copies.
 	if _, err := proactive.Reshare(r.servers, r.cfg.K, rng); err != nil && r.quiescent() {
 		return fmt.Errorf("reshare refused on a quiescent cluster: %v", err)
 	}
@@ -820,29 +808,6 @@ func (r *runner) execHeal() error {
 		}
 		if err == nil {
 			break
-		}
-	}
-	// Drive every slot's membership state to convergence: pending
-	// aborts, stale routing overrides, and draining nodes all retry
-	// under the (still fault-injecting) migration wire until nothing is
-	// left. clearDown above revived any killed migration target.
-	if r.slots != nil {
-		for attempt := 0; ; attempt++ {
-			if attempt > healAttempts {
-				pending := 0
-				for _, sl := range r.slots {
-					pending += sl.Pending()
-				}
-				return fmt.Errorf("slots failed to converge after %d rebalance attempts (%d lists still pending)", attempt, pending)
-			}
-			pending := 0
-			for _, sl := range r.slots {
-				_ = sl.Rebalance() // per-list failures stay pending and retry
-				pending += sl.Pending()
-			}
-			if pending == 0 {
-				break
-			}
 		}
 	}
 	if err := r.settle(); err != nil {
@@ -877,8 +842,9 @@ func (r *runner) nodeStores(i int) []namedStore {
 
 // quickInvariants are the checks that hold at every step, even with a
 // mutation in flight: the storage-engine contract on every server's
-// engine and every slot node, per-server stats consistency, and the
-// runner's own queue discipline.
+// engine and every slot node, every list a slot node holds on its ring
+// owner (a move lands inside the op that started it), per-server stats
+// consistency, and the runner's own queue discipline.
 func (r *runner) quickInvariants() error {
 	for i, srv := range r.servers {
 		if err := store.CheckInvariants(srv.Store()); err != nil {
@@ -888,6 +854,11 @@ func (r *runner) quickInvariants() error {
 			for _, ns := range r.nodeStores(i) {
 				if err := store.CheckInvariants(ns.st); err != nil {
 					return fmt.Errorf("server %d node %q: %v", i, ns.name, err)
+				}
+				for lid := range ns.st.ListLengths() {
+					if owner, err := r.slots[i].RingOwnerOfList(lid); err != nil || owner != ns.name {
+						return fmt.Errorf("server %d node %q holds list %d, ring owner %q (%v)", i, ns.name, lid, owner, err)
+					}
 				}
 			}
 		}

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"zerber/internal/auth"
-	"zerber/internal/dht"
 	"zerber/internal/field"
 	"zerber/internal/merging"
 	"zerber/internal/posting"
@@ -49,22 +48,17 @@ type Faults struct {
 	// applies, chosen at random); the runner restarts it from the
 	// journal.
 	KillPeer float64
-	// Migrate faults one migration-transfer delivery: dropped before it
-	// reaches the target, delivered twice back-to-back, or preceded by
-	// the redelivery of a random earlier transfer of the same slot. Only
-	// drawn while a DHT slot is streaming a list between nodes.
-	Migrate float64
 }
 
 // DefaultFaults is the short tier's fault mix: every fault class on at
 // low enough rates that programs still make progress.
 func DefaultFaults() Faults {
-	return Faults{Fail: 0.08, LostResponse: 0.05, Duplicate: 0.08, Redeliver: 0.06, KillPeer: 0.04, Migrate: 0.10}
+	return Faults{Fail: 0.08, LostResponse: 0.05, Duplicate: 0.08, Redeliver: 0.06, KillPeer: 0.04}
 }
 
 // enabled reports whether any fault has a non-zero probability.
 func (f Faults) enabled() bool {
-	return f.Fail > 0 || f.LostResponse > 0 || f.Duplicate > 0 || f.Redeliver > 0 || f.KillPeer > 0 || f.Migrate > 0
+	return f.Fail > 0 || f.LostResponse > 0 || f.Duplicate > 0 || f.Redeliver > 0 || f.KillPeer > 0
 }
 
 // faultCore is the state shared by all of one simulation's Transports:
@@ -76,20 +70,13 @@ type faultCore struct {
 	plan   Faults
 	down   []bool
 	killed bool
-
-	// migFuse counts migration deliveries until the in-flight transfer's
-	// target "dies" (-1 disarmed); migDead is the resulting sticky death,
-	// failing every further delivery until a heal revives the wire.
-	migFuse int
-	migDead bool
 }
 
 func newFaultCore(seed int64, plan Faults, servers int) *faultCore {
 	return &faultCore{
-		rng:     rand.New(rand.NewSource(seed ^ 0x51a7f00d)),
-		plan:    plan,
-		down:    make([]bool, servers),
-		migFuse: -1,
+		rng:  rand.New(rand.NewSource(seed ^ 0x51a7f00d)),
+		plan: plan,
+		down: make([]bool, servers),
 	}
 }
 
@@ -122,35 +109,7 @@ func (c *faultCore) clearDown() {
 	for i := range c.down {
 		c.down[i] = false
 	}
-	c.migFuse = -1
-	c.migDead = false
 	c.mu.Unlock()
-}
-
-// armMigKill schedules the next migration transfer's target to die
-// after n more deliveries (sticky until clearDown).
-func (c *faultCore) armMigKill(n int) {
-	c.mu.Lock()
-	c.migFuse = n
-	c.mu.Unlock()
-}
-
-// migDelivery burns one migration delivery on the armed fuse and
-// reports whether the target is dead.
-func (c *faultCore) migDelivery() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.migDead {
-		return true
-	}
-	if c.migFuse >= 0 {
-		c.migFuse--
-		if c.migFuse < 0 {
-			c.migDead = true
-			return true
-		}
-	}
-	return false
 }
 
 // takeKilled reports and clears the peer-killed latch.
@@ -297,114 +256,4 @@ func (t *Transport) GetPostingBlocks(ctx context.Context, tok auth.Token, list m
 		return transport.BlockPage{}, fmt.Errorf("server %d: %w", t.idx, ErrServerDown)
 	}
 	return t.api.GetPostingBlocks(ctx, tok, list, from, n)
-}
-
-// migDecision is one migration delivery's fault schedule, drawn
-// atomically from the shared stream.
-type migDecision struct {
-	drop   bool
-	dup    bool
-	replay int // index into the sink's history, -1 for none
-}
-
-func (c *faultCore) decideMig(historyLen int) migDecision {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	d := migDecision{replay: -1}
-	if c.plan.Migrate <= 0 || c.rng.Float64() >= c.plan.Migrate {
-		return d
-	}
-	switch c.rng.Intn(3) {
-	case 0:
-		d.drop = true
-	case 1:
-		d.dup = true
-	default:
-		if historyLen > 0 {
-			d.replay = c.rng.Intn(historyLen)
-		} else {
-			d.dup = true
-		}
-	}
-	return d
-}
-
-// migRec is one delivered migration transfer, kept for out-of-order
-// redelivery against the slot's (epoch, seq) fencing.
-type migRec struct {
-	ingest bool
-	target string
-	ep     dht.Epoch
-	seq    uint64
-	lid    merging.ListID
-	shares []posting.EncryptedShare
-	gids   []posting.GlobalID
-}
-
-// migSink is the fault-injecting migration wire of the model checker:
-// a dht.TransferSink that fronts one slot's in-process deliveries with
-// the shared fault stream. Deliveries are dropped, duplicated
-// back-to-back, or preceded by an arbitrarily delayed redelivery of an
-// earlier transfer — the slot's (epoch, seq) fencing must absorb all of
-// it — and an armed kill fuse (KindKillMigration) makes the target die
-// mid-copy, sticky until heal.
-type migSink struct {
-	core    *faultCore
-	slot    *dht.Slot
-	history []migRec
-}
-
-var _ dht.TransferSink = (*migSink)(nil)
-
-func (m *migSink) Ingest(_ context.Context, target string, ep dht.Epoch, seq uint64, lid merging.ListID, shares []posting.EncryptedShare) error {
-	return m.deliver(migRec{ingest: true, target: target, ep: ep, seq: seq, lid: lid, shares: shares})
-}
-
-func (m *migSink) Remove(_ context.Context, target string, ep dht.Epoch, seq uint64, lid merging.ListID, gids []posting.GlobalID) error {
-	return m.deliver(migRec{target: target, ep: ep, seq: seq, lid: lid, gids: gids})
-}
-
-func (m *migSink) Abort(_ context.Context, target string, ep dht.Epoch, lid merging.ListID) error {
-	if m.core.migDelivery() {
-		return fmt.Errorf("sim: migration target %s dead: %w", target, errTransient)
-	}
-	if d := m.core.decideMig(0); d.drop {
-		return fmt.Errorf("sim: migration abort to %s dropped: %w", target, errTransient)
-	}
-	return m.slot.DeliverAbort(target, ep, lid)
-}
-
-func (m *migSink) deliver(rec migRec) error {
-	if m.core.migDelivery() {
-		return fmt.Errorf("sim: migration target %s dead: %w", rec.target, errTransient)
-	}
-	d := m.core.decideMig(len(m.history))
-	if d.drop {
-		return fmt.Errorf("sim: migration transfer to %s dropped: %w", rec.target, errTransient)
-	}
-	if d.replay >= 0 {
-		// A delayed duplicate of an old transfer arrives first; its
-		// outcome is invisible to the sender and the epoch/seq fencing
-		// must reject or absorb it.
-		_ = m.apply(m.history[d.replay])
-	}
-	if err := m.apply(rec); err != nil {
-		return err
-	}
-	if len(m.history) < historyCap {
-		m.history = append(m.history, rec)
-	}
-	if d.dup {
-		if err := m.apply(rec); err != nil {
-			return fmt.Errorf("sim: duplicated migration delivery rejected: %w", err)
-		}
-	}
-	return nil
-}
-
-func (m *migSink) apply(rec migRec) error {
-	if rec.ingest {
-		return m.slot.DeliverIngest(rec.target, rec.ep, rec.seq, rec.lid, rec.shares)
-	}
-	return m.slot.DeliverRemove(rec.target, rec.ep, rec.seq, rec.lid, rec.gids)
 }

@@ -75,16 +75,10 @@ func TestClusterJoinLeaveServesThroughout(t *testing.T) {
 	if err := c.JoinNode("n9"); err != nil {
 		t.Fatalf("JoinNode: %v", err)
 	}
-	if pending, err := c.Rebalance(); err != nil || pending != 0 {
-		t.Fatalf("Rebalance after join: pending=%d err=%v", pending, err)
-	}
 	expectDocs(t, c, tok, want)
 
 	if err := c.LeaveNode("n0"); err != nil {
 		t.Fatalf("LeaveNode: %v", err)
-	}
-	if pending, err := c.Rebalance(); err != nil || pending != 0 {
-		t.Fatalf("Rebalance after leave: pending=%d err=%v", pending, err)
 	}
 	got := c.Nodes()
 	if len(got) != 2 || got[0] != "n1" || got[1] != "n9" {
@@ -125,9 +119,6 @@ func TestClusterChurnGuards(t *testing.T) {
 	if mono.Nodes() != nil {
 		t.Errorf("monolithic Nodes() = %v, want nil", mono.Nodes())
 	}
-	if pending, err := mono.Rebalance(); pending != 0 || err != nil {
-		t.Errorf("monolithic Rebalance = %d, %v", pending, err)
-	}
 }
 
 func TestClusterReshareUnderChurn(t *testing.T) {
@@ -146,9 +137,6 @@ func TestClusterReshareUnderChurn(t *testing.T) {
 	// Post-churn quiescence reshares fine too.
 	if err := c.JoinNode("n9"); err != nil {
 		t.Fatalf("JoinNode: %v", err)
-	}
-	if pending, err := c.Rebalance(); err != nil || pending != 0 {
-		t.Fatalf("Rebalance: pending=%d err=%v", pending, err)
 	}
 	if _, err := c.ProactiveReshare(); err != nil {
 		t.Fatalf("ProactiveReshare after churn: %v", err)

@@ -112,18 +112,16 @@ var churnEngines = []struct {
 }
 
 // TestSimChurn is the elastic-membership acceptance program: a node
-// joins mid-run, the migration target is killed mid-copy, another node
-// leaves, and documents keep being indexed, deleted, and searched
-// throughout — oracle equality and zero orphaned gids must hold on
-// every engine and over the binary wire. The fixed trace pins the
-// scenario; the randomized tier explores beyond it.
+// joins mid-run, another node leaves, and documents keep being indexed,
+// deleted, and searched throughout — oracle equality and zero orphaned
+// gids must hold on every engine and over the binary wire. The fixed
+// trace pins the scenario; the randomized tier explores beyond it.
 func TestSimChurn(t *testing.T) {
 	prog := sim.Program{
 		{Kind: sim.KindIndex, Doc: 1, Content: "martha imclone layoff", Group: 1},
 		{Kind: sim.KindIndex, Doc: 2, Content: "merger budget meeting", Group: 2},
 		{Kind: sim.KindBatchAdd, Doc: 3, Content: "status review draft", Group: 1},
 		{Kind: sim.KindBatchFlush},
-		{Kind: sim.KindKillMigration, Server: 1},
 		{Kind: sim.KindJoinNode},
 		{Kind: sim.KindSearch, User: 0, Query: []string{"martha"}},
 		{Kind: sim.KindIndex, Doc: 1, Content: "suitor draft", Group: 1},
@@ -159,10 +157,8 @@ func TestSimChurn(t *testing.T) {
 }
 
 // TestSimChurnRandomized is the churn fault class's randomized tier:
-// on DHT configurations Generate folds KindJoinNode / KindLeaveNode /
-// KindKillMigration into the op mix and Faults.Migrate drops,
-// duplicates, and reorders migration transfers, so topology changes
-// race every other fault class.
+// on DHT configurations Generate folds KindJoinNode / KindLeaveNode
+// into the op mix, so topology changes race every other fault class.
 func TestSimChurnRandomized(t *testing.T) {
 	perEngine := tierCount(4, 15, 800)
 	for ei, eng := range churnEngines {

@@ -231,16 +231,11 @@
 //     recorded in a dirty set and reconciled before the switch), then
 //     a per-list atomic cutover that flips routing to the target.
 //     Reads never see a half-ingested copy.
-//   - Retry safety: every transfer delivery carries the ring epoch and
-//     a per-list sequence number; targets apply deliveries in order,
-//     acknowledge replays idempotently, and reject gaps and stale
-//     epochs, so per-transfer timeouts, bounded-backoff retries, and
-//     duplicated or reordered migration traffic cannot corrupt a list.
-//   - Graceful degradation: a dead or failing migration target aborts
-//     only that list's move — the source retains authority, the slot
-//     keeps serving with Pending > 0 rather than wedging, and
-//     Rebalance retries the remaining work (a node that cannot finish
-//     draining stays in a serving, off-ring state until it can).
+//   - Completion: a move is plain store calls on the two node stores,
+//     which return no error, so it always lands. The cutover's exclusive
+//     hold of the routing lock covers one final drain of the dirty set,
+//     so however hot the list, routing flips to an equal copy. JoinNode
+//     and LeaveNode return once every move has landed.
 //
 // Proactive resharing needs no quiescent topology: the round runs over
 // the n slot servers, each slot applies a list's deltas on the node
@@ -626,10 +621,9 @@ func (c *Cluster) newStore(name string, nodes int) (store.Store, error) {
 // JoinNode adds a physical node named name to every share slot and
 // migrates the lists it now owns from their previous holders, online —
 // the cluster keeps serving throughout, with each list cutting over as
-// its copy completes. Per-slot migration failures are aggregated in the
-// returned error, but the node is a member regardless: Rebalance
-// retries the unfinished moves, and until each one lands the previous
-// holder stays authoritative for that list. Requires Options.DHTNodes.
+// its copy completes. Every move has landed when JoinNode returns; it
+// fails only on a name already in use or a store that cannot be
+// opened. Requires Options.DHTNodes.
 func (c *Cluster) JoinNode(name string) error {
 	if c.slots == nil {
 		return errors.New("zerber: JoinNode requires Options.DHTNodes > 1")
@@ -654,10 +648,9 @@ func (c *Cluster) JoinNode(name string) error {
 
 // LeaveNode takes the named node off every slot's ring and drains its
 // lists to the remaining nodes, online. The node keeps serving each of
-// its lists until that list's cutover; if some moves fail it stays in
-// a draining state — still authoritative for what it holds — and
-// Rebalance (or LeaveNode again) finishes the job. Removing a slot's
-// last node fails: its shares would have nowhere to go.
+// its lists until that list's cutover and has left every slot when
+// LeaveNode returns. Removing an unknown node or a slot's last node
+// fails: the last node's shares would have nowhere to go.
 func (c *Cluster) LeaveNode(name string) error {
 	if c.slots == nil {
 		return errors.New("zerber: LeaveNode requires Options.DHTNodes > 1")
@@ -669,23 +662,6 @@ func (c *Cluster) LeaveNode(name string) error {
 		}
 	}
 	return errors.Join(errs...)
-}
-
-// Rebalance retries every slot's unfinished migration work — moves
-// parked by earlier failures and nodes still draining out — and
-// returns how many per-list items remain pending afterwards. Zero
-// means every list sits on its ring owner and all departed nodes are
-// gone. Safe to call repeatedly; a no-op without DHTNodes.
-func (c *Cluster) Rebalance() (int, error) {
-	var errs []error
-	pending := 0
-	for i, sl := range c.slots {
-		if err := sl.Rebalance(); err != nil {
-			errs = append(errs, fmt.Errorf("zerber: slot %d: %w", i+1, err))
-		}
-		pending += sl.Pending()
-	}
-	return pending, errors.Join(errs...)
 }
 
 // Nodes returns the sorted physical node names serving each slot
