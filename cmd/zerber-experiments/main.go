@@ -8,8 +8,8 @@
 //	zerber-experiments -docs 50000 -vocab 200000 -queries 500000
 //	zerber-experiments -full           # paper-sized corpora (slow, much RAM)
 //
-// Each run prints paper-style rows; EXPERIMENTS.md records the mapping
-// to the paper's numbers.
+// Each run prints paper-style rows. Their mapping to the paper's
+// numbers is not yet recorded (ROADMAP item 8).
 package main
 
 import (

@@ -18,9 +18,9 @@ import (
 )
 
 // cannedAPI is a server that answers every lookup with the same
-// prepared lists, so a test or benchmark drives the client's join →
-// decrypt → filter → rank pipeline with no store, codec or network
-// behind it.
+// prepared lists, whole or one window at a time, so a test or
+// benchmark drives the client's join → decrypt → filter → rank pipeline
+// with no store, codec or network behind it.
 type cannedAPI struct {
 	x     field.Element
 	lists map[merging.ListID][]posting.EncryptedShare
@@ -33,8 +33,15 @@ func (a cannedAPI) Apply(context.Context, auth.Token, transport.OpID, []transpor
 func (a cannedAPI) GetPostingLists(context.Context, auth.Token, []merging.ListID) (map[merging.ListID][]posting.EncryptedShare, error) {
 	return a.lists, nil
 }
-func (a cannedAPI) GetPostingBlocks(context.Context, auth.Token, merging.ListID, int, int) (transport.BlockPage, error) {
-	return transport.BlockPage{}, errors.New("whole lists only")
+func (a cannedAPI) GetPostingBlocks(_ context.Context, _ auth.Token, lid merging.ListID, from, n int) (transport.BlockPage, error) {
+	list := a.lists[lid]
+	from = min(from, len(list))
+	end := min(from+n, len(list))
+	page := transport.BlockPage{Shares: list[from:end], Total: len(list)}
+	if end < len(list) {
+		page.Next = posting.ImpactOf(list[end].GlobalID)
+	}
+	return page, nil
 }
 
 // syntheticQuery is three of the test vocabulary's terms that the M=4
@@ -152,9 +159,9 @@ func BenchmarkRetrieveJoinRank(b *testing.B) {
 
 // TestTopKWholeListAllocationBudget is TestSearchAllocationBudget for
 // the whole-list plan of top-k, which the three-term query over lists
-// the client has never seen takes: join, decrypt, filter and the stream's
-// flat candidate table over 3,500 elements stay within 45 allocations
-// (34 measured, 41 under the race detector, whose tier runs this too),
+// the client has never seen takes: join, decrypt, filter and the
+// summed-TF ranking over 3,500 elements stay within 45 allocations
+// (29 measured, 32 under the race detector, whose tier runs this too),
 // and ten times the elements add fewer than one per 256.
 // One processor, so the count is not at the mercy of which of the
 // fan-out's goroutines the scheduler runs first.

@@ -133,7 +133,8 @@ func (c *Client) Search(tok auth.Token, query []string, topK int) ([]ranking.Sco
 // SearchContext is Search bounded by ctx: cancelling it aborts the
 // server fan-out and the decrypt stage.
 func (c *Client) SearchContext(ctx context.Context, tok auth.Token, query []string, topK int) ([]ranking.ScoredDoc, Stats, error) {
-	lists, stats, err := c.retrieve(ctx, tok, dedup(query))
+	var stats Stats
+	lists, _, _, err := c.wholeLists(ctx, tok, dedup(query), &stats, false)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -158,7 +159,8 @@ func (c *Client) Retrieve(tok auth.Token, query []string) (map[string][]ranking.
 // which servers answered or how they lay a list out.
 func (c *Client) RetrieveContext(ctx context.Context, tok auth.Token, query []string) (map[string][]ranking.Posting, Stats, error) {
 	terms := dedup(query)
-	lists, stats, err := c.retrieve(ctx, tok, terms)
+	var stats Stats
+	lists, _, _, err := c.wholeLists(ctx, tok, terms, &stats, false)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -167,7 +169,7 @@ func (c *Client) RetrieveContext(ctx context.Context, tok auth.Token, query []st
 		if len(ps) == 0 {
 			continue
 		}
-		// retrieve sizes a term's slice for every row of its merged list;
+		// wholeLists sizes a term's slice for every row of its merged list;
 		// the caller keeps only what the term's own postings need.
 		ps = slices.Clone(ps)
 		slices.SortFunc(ps, func(a, b ranking.Posting) int {
@@ -178,51 +180,29 @@ func (c *Client) RetrieveContext(ctx context.Context, tok auth.Token, query []st
 	return out, stats, nil
 }
 
-// retrieve is wholeLists materialised for Retrieve and Search: the
-// surviving postings per term, indexed like terms, in join order.
-func (c *Client) retrieve(ctx context.Context, tok auth.Token, terms []string) ([][]ranking.Posting, Stats, error) {
-	var stats Stats
-	out := make([][]ranking.Posting, len(terms))
-	_, err := c.wholeLists(ctx, tok, terms, c.table.ListsOf(terms), &stats, false,
-		func(lid merging.ListID, rows int) {
-			// One allocation per term, sized by its list's rows: a term's
-			// postings all live in the one list it maps to.
-			for ti, term := range terms {
-				if c.table.ListOf(term) == lid {
-					out[ti] = make([]ranking.Posting, 0, rows)
-				}
-			}
-		},
-		func(term int, post ranking.Posting) { out[term] = append(out[term], post) })
-	if err != nil {
-		return nil, stats, err
-	}
-	return out, stats, nil
-}
-
 // wholeLists is the whole-list pipeline behind exact retrieval and the
-// whole-list plan of top-k: fetch lids, the lists of terms, from k servers
-// (k+1 under verification), one call each, then join, decrypt and filter
-// list by list: begin gets a list's joined row count, then emit each of
-// its surviving postings. A global ID one server delivers twice fails
-// the query, unless dropRedelivered (top-k's rule on both plans) keeps
-// the first copy. It returns the number of shares received.
-func (c *Client) wholeLists(ctx context.Context, tok auth.Token, terms []string, lids []merging.ListID, stats *Stats, dropRedelivered bool,
-	begin func(lid merging.ListID, rows int), emit func(term int, post ranking.Posting)) (shares int, err error) {
+// whole-list plan of top-k: fetch the lists of terms from k servers (k+1
+// under verification), one call each, then join, decrypt and filter list
+// by list. It returns the surviving postings per term, indexed like
+// terms, in join order, with the number of shares received and of rows
+// joined. A global ID one server delivers twice fails the query, unless
+// dropRedelivered (top-k's rule on both plans) keeps the first copy.
+func (c *Client) wholeLists(ctx context.Context, tok auth.Token, terms []string, stats *Stats, dropRedelivered bool) (lists [][]ranking.Posting, shares, rows int, err error) {
 	if len(terms) == 0 {
-		return 0, nil
+		return nil, 0, 0, nil
 	}
 	need := c.k
 	if c.verify {
 		need++
 	}
+	lids := c.table.ListsOf(terms)
 	stats.ListsRequested = len(lids)
 
 	responses, err := fanOutCall(ctx, c, need, nil, func(ctx context.Context, i int) (map[merging.ListID][]posting.EncryptedShare, error) {
 		return c.servers[i].GetPostingLists(ctx, tok, lids)
 	})
 	if err != nil {
-		return 0, err
+		return nil, 0, 0, err
 	}
 	stats.ServersQueried = len(responses)
 
@@ -238,19 +218,20 @@ func (c *Client) wholeLists(ctx context.Context, tok auth.Token, terms []string,
 	}
 	a, err := p.basisFor(responders)
 	if err != nil {
-		return 0, err
+		return nil, 0, 0, err
 	}
 	var check *basis
 	if c.verify {
 		if check, err = p.basisFor(responders &^ (responders & -responders)); err != nil {
-			return 0, err
+			return nil, 0, 0, err
 		}
 	}
 
+	lists = make([][]ranking.Posting, len(terms))
 	t := c.newJoin()
 	for _, lid := range lids {
 		if err := ctx.Err(); err != nil {
-			return shares, err
+			return nil, shares, rows, err
 		}
 		listShares := 0
 		for _, r := range responses {
@@ -260,15 +241,22 @@ func (c *Client) wholeLists(ctx context.Context, tok auth.Token, terms []string,
 		t.reset(0, listShares)
 		for _, r := range responses {
 			if i := t.add(r.idx, r.val[lid]); i >= 0 && !dropRedelivered {
-				return shares, errRedelivered(r.val[lid][i].GlobalID, lid, r.idx, c.xs[r.idx])
+				return nil, shares, rows, errRedelivered(r.val[lid][i].GlobalID, lid, r.idx, c.xs[r.idx])
 			}
 		}
-		begin(lid, len(t.gids))
-		if err := p.open(&t, lid, a, check, emit); err != nil {
-			return shares, err
+		rows += len(t.gids)
+		// One allocation per term, sized by its list's rows: a term's
+		// postings all live in the one list it maps to.
+		for ti, term := range terms {
+			if c.table.ListOf(term) == lid {
+				lists[ti] = make([]ranking.Posting, 0, len(t.gids))
+			}
+		}
+		if err := p.open(&t, lid, a, check, lists); err != nil {
+			return nil, shares, rows, err
 		}
 	}
-	return shares, nil
+	return lists, shares, rows, nil
 }
 
 // K returns the reconstruction threshold.

@@ -16,6 +16,5 @@ func (c *Client) SearchTopKStreamed(tok auth.Token, term string, k int) ([]ranki
 }
 
 func (c *Client) SearchTopKWhole(tok auth.Token, query []string, k int) ([]ranking.ScoredDoc, Stats, error) {
-	terms := dedup(query)
-	return c.searchTopKWhole(context.Background(), tok, terms, c.table.ListsOf(terms), k)
+	return c.searchTopKWhole(context.Background(), tok, dedup(query), k)
 }

@@ -168,8 +168,8 @@ func (p *pipeline) basisFor(held uint64) (*basis, error) {
 	return b, nil
 }
 
-// open decrypts list lid's joined rows and hands every posting of a
-// queried term to emit, in row order. Rows holding all of basis a's
+// open decrypts list lid's joined rows and appends every posting of a
+// queried term to that term's slice of out, in row order. Rows holding all of basis a's
 // columns are reconstructed in one batch; when check is non-nil
 // (verified retrieval) rows that also hold all of its columns are
 // reconstructed a second time and the two secrets must agree. A row that
@@ -178,7 +178,7 @@ func (p *pipeline) basisFor(held uint64) (*basis, error) {
 // those — are left in t, moved to its front, for the caller to keep or
 // drop. False positives (elements of merged-in terms nobody queried,
 // §5.4.2) are counted and discarded here.
-func (p *pipeline) open(t *joinTable, lid merging.ListID, a, check *basis, emit func(term int, post ranking.Posting)) error {
+func (p *pipeline) open(t *joinTable, lid merging.ListID, a, check *basis, out [][]ranking.Posting) error {
 	rows, w, k := len(t.gids), t.w, p.c.k
 	batches := 1
 	if check != nil {
@@ -230,7 +230,7 @@ func (p *pipeline) open(t *joinTable, lid merging.ListID, a, check *basis, emit 
 		p.stats.ElementsFetched++
 		e := posting.Decode(secret)
 		if term := slices.Index(p.wanted, e.TermID); term >= 0 {
-			emit(term, ranking.Posting{DocID: e.DocID, TF: e.TF})
+			out[term] = append(out[term], ranking.Posting{DocID: e.DocID, TF: e.TF})
 		} else {
 			p.stats.FalsePositives++
 		}

@@ -9,14 +9,16 @@
 // A one-term query streams: round by round it pulls the next
 // score-ordered block of its one list from each of k servers, one call
 // per server, joins and decrypts the blocks incrementally (join.go), and
-// stops once the NRA threshold (ranking.Stream) proves the top k final, so
-// a hot term costs what the depth of its k-th result costs. The proof
-// wants every top-k score exact, each candidate seen in or ruled out of
-// every term's list, and only a list's end rules a document out. So a
-// streamed query of several terms would read all of its lists but the
-// longest to the end, in rounds that cost a call each, to save at most
-// that one's tail. Such a query takes the whole-list plan instead: exact
-// retrieval's one call per server (wholeLists) feeding the same stream.
+// ranks what it has decrypted so far (ranking.TopKByTF). It stops once
+// the k-th score is above the impact-bucket bound on every posting not
+// yet decrypted, so a hot term costs what the depth of its k-th result
+// costs. With several terms no such bound suffices: a document's score
+// is exact only once it has been seen in, or ruled out of, every term's
+// list, and only a list's end rules a document out. A streamed query of
+// several terms would read all of its lists but the longest to the end,
+// in rounds that cost a call each, to save at most that one's tail. Such
+// a query takes the whole-list plan instead: exact retrieval's one call
+// per server (wholeLists), ranked by the same rule.
 // BenchmarkTopKPlan (plan_test.go) records both plans at every size.
 //
 // Block windows are positions. Every server keeps a list in one
@@ -42,7 +44,6 @@ import (
 	"math/bits"
 
 	"zerber/internal/auth"
-	"zerber/internal/merging"
 	"zerber/internal/posting"
 	"zerber/internal/ranking"
 	"zerber/internal/transport"
@@ -70,21 +71,15 @@ func (c *Client) SearchTopKContext(ctx context.Context, tok auth.Token, query []
 	if len(terms) == 1 {
 		return c.searchTopKStream(ctx, tok, terms[0], k)
 	}
-	return c.searchTopKWhole(ctx, tok, terms, c.table.ListsOf(terms), k)
+	return c.searchTopKWhole(ctx, tok, terms, k)
 }
 
 // searchTopKWhole is the whole-list plan. Stats.TA reads as one round:
 // Depth 1, a block per list per responder, and TotalPostings the rows
 // joined: the lists' accessible length, their full one is not on this wire.
-func (c *Client) searchTopKWhole(ctx context.Context, tok auth.Token, terms []string, lids []merging.ListID, k int) ([]ranking.ScoredDoc, Stats, error) {
+func (c *Client) searchTopKWhole(ctx context.Context, tok auth.Token, terms []string, k int) ([]ranking.ScoredDoc, Stats, error) {
 	var stats Stats
-	stream := ranking.NewStream(len(terms), k)
-	shares, err := c.wholeLists(ctx, tok, terms, lids, &stats, true,
-		func(_ merging.ListID, rows int) {
-			stats.TA.TotalPostings += rows
-			stream.Reserve(rows)
-		},
-		func(term int, post ranking.Posting) { stream.Observe(term, post.DocID, float64(post.TF)) })
+	lists, shares, rows, err := c.wholeLists(ctx, tok, terms, &stats, true)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -92,16 +87,18 @@ func (c *Client) searchTopKWhole(ctx context.Context, tok auth.Token, terms []st
 	stats.TA.Depth = 1
 	stats.TA.BlocksFetched = blocks
 	stats.TA.SortedAccesses = shares
+	stats.TA.TotalPostings = rows
 	stats.TA.WireBytes = blocks*transport.ListHeaderBytes + shares*transport.ShareBytes
 	stats.TA.ElementsDecrypted = stats.ElementsFetched
-	return stream.Results(), stats, nil
+	return ranking.TopKByTF(lists, k), stats, nil
 }
 
-// searchTopKStream is the streamed plan, for one term: the
-// no-random-access TA loop of block rounds through the fan-out engine, one
-// GetPostingBlocks call per responder per round, incremental decryption,
-// and a convergence check against the impact-bucket bounds. Stats' work
-// counters cover every attempt; TA.Depth and TA.TotalPostings the last.
+// searchTopKStream is the streamed plan, for one term: block rounds
+// through the fan-out engine, one GetPostingBlocks call per responder per
+// round, incremental decryption, and after each round the top k of
+// everything decrypted so far, checked against the impact-bucket bound
+// on what is not. Stats' work counters cover every attempt; TA.Depth and
+// TA.TotalPostings the last.
 func (c *Client) searchTopKStream(ctx context.Context, tok auth.Token, term string, k int) ([]ranking.ScoredDoc, Stats, error) {
 	stats := Stats{ListsRequested: 1}
 	p := c.newPipeline([]string{term}, &stats)
@@ -114,8 +111,8 @@ func (c *Client) searchTopKStream(ctx context.Context, tok auth.Token, term stri
 
 attempts:
 	for attempt := 0; attempt <= n-c.k; attempt++ {
-		stream := ranking.NewStream(1, k)
-		observe := func(_ int, post ranking.Posting) { stream.Observe(0, post.DocID, float64(post.TF)) }
+		var posts [1][]ranking.Posting // the term's decrypted postings, in delivery order
+		var top []ranking.ScoredDoc
 		// Between rounds the join's rows are the pending elements: seen in
 		// some server's window but on fewer than k servers so far.
 		join := c.newJoin()
@@ -168,7 +165,7 @@ attempts:
 			// servers have delivered it.
 			fetched = from + size
 			exhausted := true
-			bound, shares := 0.0, 0 // bound: the most an unobserved posting can weigh
+			bound, shares := 0.0, 0 // bound: the most an undecrypted posting can weigh
 			for _, r := range results {
 				page := r.val
 				shares += len(page.Shares)
@@ -190,7 +187,7 @@ attempts:
 				join.add(r.idx, r.val.Shares)
 			}
 			// Rows with k shares are decryptable now and leave the join.
-			if err := p.open(&join, lid, roundBasis, nil, observe); err != nil {
+			if err := p.open(&join, lid, roundBasis, nil, posts[:]); err != nil {
 				return nil, stats, err
 			}
 			if exhausted {
@@ -203,10 +200,11 @@ attempts:
 			for _, gid := range join.gids {
 				bound = max(bound, float64(posting.BucketMaxTF(posting.ImpactOf(gid))))
 			}
-			// Once the list is exhausted the term is closed, and the
-			// stream converges.
-			stream.SetBound(0, bound, !exhausted)
-			if stream.Converged() {
+			// The top k are final once the list is exhausted, or once
+			// nothing unread can reach the k-th score: strictly, because
+			// an unread document that ties it may have the smaller ID.
+			top = ranking.TopKByTF(posts[:], k)
+			if exhausted || (len(top) == k && bound < top[k-1].Score) {
 				break
 			}
 			// Deeper rounds widen the window: doubling keeps the round count
@@ -220,7 +218,7 @@ attempts:
 		stats.TA.Streamed = true
 		stats.TA.ElementsDecrypted = stats.ElementsFetched
 		stats.TA.TotalPostings = total
-		return stream.Results(), stats, nil
+		return top, stats, nil
 	}
 	return nil, stats, fmt.Errorf("%w: the responders of a streamed top-k query changed in each of %d attempts", ErrNotEnough, n-c.k+1)
 }

@@ -197,9 +197,8 @@ func TestSearchTopKEdgeCases(t *testing.T) {
 	}
 }
 
-// TestSearchTopKWideQueryFallback drives a query wider than one 64-term
-// word of the stream's masks (once a special case with its own ranking
-// path) and checks the ranking order is identical.
+// TestSearchTopKWideQueryFallback drives a query of more terms than a
+// 64-bit word has bits through top-k and checks the ranking order.
 func TestSearchTopKWideQueryFallback(t *testing.T) {
 	e := newEnv(t, 1)
 	alice := e.svc.Issue("alice")
@@ -209,7 +208,7 @@ func TestSearchTopKWideQueryFallback(t *testing.T) {
 	)
 	c := e.client(t)
 	query := []string{"martha", "imclone"}
-	for i := 0; i < 64+5; i++ { // wider than one word of the stream's term masks
+	for i := 0; i < 64+5; i++ {
 		query = append(query, fmt.Sprintf("filler-%d", i))
 	}
 	got, _, err := c.SearchTopK(alice, query, 2)

@@ -399,7 +399,7 @@ func serveBinary(cluster *zerber.Cluster) ([]transport.API, func(), error) {
 		}
 	}
 	var apis []transport.API
-	for i, s := range cluster.WireTargets() {
+	for i, s := range cluster.APIs() {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			shutdown()

@@ -1,7 +1,8 @@
-// Package ranking implements Zerber's client-side result ranking
-// (paper §5.4.2): TF-IDF relevance scoring over *personalized* collection
-// statistics, and the no-random-access Threshold Algorithm (Fagin [14/15])
-// behind networked top-k retrieval (Stream).
+// Package ranking implements Zerber's client-side result ranking: TF-IDF
+// relevance scoring over *personalized* collection statistics for exact
+// search (paper §5.4.2, TopK), and the summed term frequency that top-k
+// retrieval ranks by (Zerber+R §6, TopKByTF). Both find a document's
+// slot through one table and keep the best k in one heap.
 //
 // The statistics come from the decrypted lists themselves, which hold
 // only the documents the user can access: the collection size N is the
@@ -17,6 +18,8 @@ package ranking
 
 import (
 	"math"
+	"math/bits"
+	"math/rand/v2"
 	"slices"
 )
 
@@ -42,26 +45,34 @@ func idf(df, numDocs int) float64 {
 	return math.Log(1 + float64(numDocs)/float64(df))
 }
 
-// accumulate is the one scoring pass ScoreAll and TopK share: it returns
-// every document in lists, one list per query term, with its full TF-IDF
-// score, in first-seen order. The first sweep gives each document a slot
-// (one table probe per posting, the only ones) and settles the collection
-// size; the second adds tf·idf contributions slot by slot, with each
-// term's idf computed once instead of once per posting.
-func accumulate(lists [][]Posting) []ScoredDoc {
+// slotsOf gives every document in lists a slot in docs, in first-seen
+// order with zero scores, and returns the slot of each posting, list
+// after list: one table probe per posting, the only ones either scoring
+// rule makes.
+func slotsOf(lists [][]Posting) (docs []ScoredDoc, slots []int32) {
 	longest, total := 0, 0
 	for _, ps := range lists {
 		longest, total = max(longest, len(ps)), total+len(ps)
 	}
 	var table docTable
-	slots := make([]int32, 0, total) // posting → its document's slot
-	docs := make([]ScoredDoc, 0, longest)
+	slots = make([]int32, 0, total)
+	docs = make([]ScoredDoc, 0, longest)
 	table.reserve(docs, longest)
 	for _, ps := range lists {
 		for _, p := range ps {
 			slots = append(slots, int32(table.slotOf(&docs, p.DocID)))
 		}
 	}
+	return docs, slots
+}
+
+// accumulate is the one scoring pass ScoreAll and TopK share: it returns
+// every document in lists, one list per query term, with its full TF-IDF
+// score, in first-seen order. Once slotsOf has settled the collection
+// size, it adds tf·idf contributions slot by slot, with each term's idf
+// computed once instead of once per posting.
+func accumulate(lists [][]Posting) []ScoredDoc {
+	docs, slots := slotsOf(lists)
 	for _, ps := range lists {
 		w := idf(len(ps), len(docs))
 		for i, p := range ps {
@@ -115,20 +126,50 @@ type TAStats struct {
 // keeping the best K in a bounded heap: O(postings + docs·log K), with no
 // sort over the lists or over the documents. Once the lists are
 // decrypted and in memory an early exit has nothing left to save; the
-// early exit that matters happens on the wire (Stream).
+// early exit that matters happens on the wire, in top-k retrieval's
+// streamed plan.
 func TopK(lists [][]Posting, k int) []ScoredDoc {
 	if k <= 0 {
 		return nil
 	}
-	docs := accumulate(lists)
+	return best(accumulate(lists), k)
+}
+
+// TopKByTF returns the k best documents of lists, one list per query
+// term, by summed term frequency, ties by ascending document ID: top-k
+// retrieval's score, which needs no collection statistics, so it ranks a
+// streamed list's prefix as well as whole lists. A document counts once
+// per term, by the first of its postings in that term's list: neither a
+// redelivered element nor a list holding one posting twice can
+// double-count.
+func TopKByTF(lists [][]Posting, k int) []ScoredDoc {
+	if k <= 0 {
+		return nil
+	}
+	docs, slots := slotsOf(lists)
+	counted := make([]int32, len(docs)) // slot → 1 + the last term that added to it
+	for term, ps := range lists {
+		for i, p := range ps {
+			if s := slots[i]; counted[s] != int32(term+1) {
+				counted[s] = int32(term + 1)
+				docs[s].Score += float64(p.TF)
+			}
+		}
+		slots = slots[len(ps):]
+	}
+	return best(docs, k)
+}
+
+// best returns the k best of docs, best first, through the bounded heap.
+func best(docs []ScoredDoc, k int) []ScoredDoc {
 	if len(docs) == 0 {
 		return nil
 	}
-	best := topHeap{k: k, docs: make([]ScoredDoc, 0, min(k, len(docs)))}
+	h := topHeap{k: k, docs: make([]ScoredDoc, 0, min(k, len(docs)))}
 	for _, d := range docs {
-		best.offer(d)
+		h.offer(d)
 	}
-	return best.ranked()
+	return h.ranked()
 }
 
 // outranks is the result order: higher score first, ties by ascending
@@ -197,4 +238,54 @@ func (h *topHeap) offer(d ScoredDoc) {
 func (h *topHeap) ranked() []ScoredDoc {
 	sortScored(h.docs)
 	return h.docs
+}
+
+// docTable finds a document's slot in a []ScoredDoc holding each document
+// once: a pointer-free open-addressing table of indices into that slice
+// (the shape of the client's share join), grown by rehashing from it.
+type docTable struct {
+	shift uint     // 64 - log2(len(slots))
+	slots []uint32 // doc hash → slot+1, 0 = empty; len is a power of two
+}
+
+// docHashMul keys the multiply-shift hash, per process like a Go map's
+// seed: document owners choose IDs, and must not be able to pile them up.
+var docHashMul = rand.Uint64() | 1
+
+// reserve sizes the table for n documents at load factor at most 1/2.
+func (t *docTable) reserve(docs []ScoredDoc, n int) {
+	size := 16
+	for size < 2*n {
+		size *= 2
+	}
+	if size <= len(t.slots) {
+		return
+	}
+	t.shift, t.slots = uint(64-bits.TrailingZeros(uint(size))), make([]uint32, size)
+	for slot, d := range docs {
+		t.slots[t.probe(docs, d.DocID)] = uint32(slot + 1)
+	}
+}
+
+// probe returns the index in slots of doc's entry, or of the free entry
+// where it belongs.
+func (t *docTable) probe(docs []ScoredDoc, doc uint32) int {
+	i := int(uint64(doc) * docHashMul >> t.shift)
+	for t.slots[i] != 0 && docs[t.slots[i]-1].DocID != doc {
+		i = (i + 1) & (len(t.slots) - 1)
+	}
+	return i
+}
+
+// slotOf returns doc's slot in *docs, appending an entry for a new one.
+func (t *docTable) slotOf(docs *[]ScoredDoc, doc uint32) int {
+	if 2*len(*docs) >= len(t.slots) {
+		t.reserve(*docs, len(*docs)+1)
+	}
+	i := t.probe(*docs, doc)
+	if t.slots[i] == 0 {
+		*docs = append(*docs, ScoredDoc{DocID: doc})
+		t.slots[i] = uint32(len(*docs))
+	}
+	return int(t.slots[i]) - 1
 }

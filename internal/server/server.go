@@ -88,7 +88,7 @@ type Server struct {
 	// ops remembers recently applied mutation stages per caller so a
 	// redelivered Apply (client retry after a lost response, journal
 	// replay after a peer crash) is exactly-once in effect.
-	ops *transport.OpWindow[auth.UserID]
+	ops *transport.OpWindow
 
 	// Activity counters are atomic and updated once per batch, not once
 	// per element, so hot-path inserts don't serialize on a stats mutex.
@@ -117,7 +117,7 @@ func New(cfg Config) *Server {
 	if st == nil {
 		st = store.NewSharded(0)
 	}
-	return &Server{cfg: cfg, st: st, ops: transport.NewOpWindow[auth.UserID]()}
+	return &Server{cfg: cfg, st: st, ops: transport.NewOpWindow()}
 }
 
 var _ transport.API = (*Server)(nil)

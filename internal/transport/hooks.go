@@ -50,8 +50,9 @@ type Call struct {
 // (a dropped request). After runs once the wrapped server returned: it
 // receives the server's error and its return value replaces it, so a
 // hook can fabricate a lost response (deliver, then return an error) or
-// observe outcomes. The simulator's fault-injecting transport
-// (internal/sim) and the fault-injection tests build on this wrapper.
+// observe outcomes. Fault-injection tests (the peer's recovery tests
+// among them) build on this wrapper; the simulator's fault-injecting
+// sim.Transport wraps an API directly.
 type Hooks struct {
 	Before func(Call) error
 	After  func(Call, error) error

@@ -1,6 +1,10 @@
 package transport
 
-import "sync"
+import (
+	"sync"
+
+	"zerber/internal/auth"
+)
 
 // opWindowCap is how many recently applied mutation stages one FIFO of
 // an OpWindow remembers. A peer retries a stage until it is acknowledged
@@ -15,62 +19,60 @@ const opWindowCap = 1024
 
 // OpWindow is the dedup memory behind Apply: a bounded FIFO of applied
 // stages with their payload checksums (see PayloadSum for the
-// skip-vs-reapply semantics). The key type is whatever identifies a
-// caller at the layer holding the window — op IDs are unique per
-// caller, not globally. An index server keys by the verified user and
-// keeps one FIFO per caller: callers are enterprise users, bounded by
-// the group table, and one caller's traffic never evicts another's
-// entries.
-type OpWindow[K comparable] struct {
+// skip-vs-reapply semantics). Op IDs are unique per caller, not
+// globally, so the window is keyed by the verified user and keeps one
+// FIFO per user: callers are enterprise users, bounded by the group
+// table, and one caller's traffic never evicts another's entries.
+type OpWindow struct {
 	mu    sync.Mutex
-	sums  map[opKey[K]]uint32
-	fifos map[K]*opFIFO[K]
+	sums  map[opKey]uint32
+	fifos map[auth.UserID]*opFIFO
 }
 
 // opKey identifies one mutation stage of one caller. The stored checksum
 // guards against the one hazard of ID-based dedup: the same (ID, stage)
 // redelivered with a different payload must be re-applied, not skipped,
 // or elements silently go missing.
-type opKey[K comparable] struct {
-	caller K
+type opKey struct {
+	caller auth.UserID
 	id     uint64
 	stage  uint8
 }
 
 // opFIFO is the eviction order of up to opWindowCap recorded keys.
-type opFIFO[K comparable] struct {
-	keys []opKey[K]
+type opFIFO struct {
+	keys []opKey
 	next int
 }
 
 // NewOpWindow returns an empty window holding opWindowCap stages per
 // caller.
-func NewOpWindow[K comparable]() *OpWindow[K] {
-	return &OpWindow[K]{sums: make(map[opKey[K]]uint32), fifos: make(map[K]*opFIFO[K])}
+func NewOpWindow() *OpWindow {
+	return &OpWindow{sums: make(map[opKey]uint32), fifos: make(map[auth.UserID]*opFIFO)}
 }
 
 // Seen reports whether the caller already applied this stage with an
 // identical payload.
-func (w *OpWindow[K]) Seen(caller K, op OpID, sum uint32) bool {
+func (w *OpWindow) Seen(caller auth.UserID, op OpID, sum uint32) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	prev, ok := w.sums[opKey[K]{caller, op.ID, op.Stage}]
+	prev, ok := w.sums[opKey{caller, op.ID, op.Stage}]
 	return ok && prev == sum
 }
 
 // Record remembers a fully applied stage, evicting the oldest entry of
 // its FIFO once that is full.
-func (w *OpWindow[K]) Record(caller K, op OpID, sum uint32) {
+func (w *OpWindow) Record(caller auth.UserID, op OpID, sum uint32) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	key := opKey[K]{caller, op.ID, op.Stage}
+	key := opKey{caller, op.ID, op.Stage}
 	if _, ok := w.sums[key]; ok {
 		w.sums[key] = sum // payload changed: update in place
 		return
 	}
 	f := w.fifos[caller]
 	if f == nil {
-		f = &opFIFO[K]{}
+		f = &opFIFO{}
 		w.fifos[caller] = f
 	}
 	if len(f.keys) < opWindowCap {

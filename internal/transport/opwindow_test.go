@@ -6,7 +6,7 @@ import "testing"
 // identical payload, re-apply on a changed one, and a FIFO bound per
 // caller — one caller's traffic never evicts another's entries.
 func TestOpWindow(t *testing.T) {
-	w := NewOpWindow[string]()
+	w := NewOpWindow()
 	op := func(id uint64) OpID { return OpID{ID: id, Stage: StageInsert} }
 
 	if w.Seen("alice", op(1), 11) {

@@ -144,16 +144,18 @@ func TestClusterReshareUnderChurn(t *testing.T) {
 	expectDocs(t, c, tok, map[string][]uint32{"the": {1, 2, 3}})
 }
 
+// TestClusterWireTargets pins the endpoints a deployment serves on its
+// wire: APIs, one server per share slot whatever the layout.
 func TestClusterWireTargets(t *testing.T) {
 	c, _ := newChurnCluster(t)
-	if len(c.WireTargets()) != 3 || len(c.Servers()) != 3 {
-		t.Fatalf("WireTargets=%d Servers=%d, want one server per slot, 3/3",
-			len(c.WireTargets()), len(c.Servers()))
+	if len(c.APIs()) != 3 || len(c.Servers()) != 3 {
+		t.Fatalf("APIs=%d Servers=%d, want one server per slot, 3/3",
+			len(c.APIs()), len(c.Servers()))
 	}
 	mono := newDemoCluster(t, zerber.Options{Seed: 3})
-	if len(mono.WireTargets()) != 3 || len(mono.Servers()) != 3 {
-		t.Fatalf("monolithic WireTargets=%d Servers=%d, want 3/3",
-			len(mono.WireTargets()), len(mono.Servers()))
+	if len(mono.APIs()) != 3 || len(mono.Servers()) != 3 {
+		t.Fatalf("monolithic APIs=%d Servers=%d, want 3/3",
+			len(mono.APIs()), len(mono.Servers()))
 	}
 }
 

@@ -53,10 +53,10 @@
 // global ID, and every index server keeps each merged list ordered by
 // descending bucket. A top-k query can then stream score-ordered blocks
 // — GetPostingBlocks(list, from, n) — from k servers round by round,
-// decrypt each round's elements as they arrive, and stop as soon as a
-// no-random-access threshold argument (ranking.Stream) proves that no
+// decrypt each round's elements as they arrive, and stop as soon as no
 // unfetched element can alter the top k: the bucket of the first
-// unfetched position bounds everything behind it.
+// unfetched position bounds everything behind it, so the scan ends once
+// the k-th score is strictly above that bucket's largest frequency.
 //
 // When that pays is decided per query. A one-term query streams: its
 // latency scales with the depth of the k-th result, not with the list
@@ -873,7 +873,11 @@ func (c *Cluster) Servers() []*server.Server {
 	return out
 }
 
-// APIs exposes the transport handles (e.g. to build a custom client).
+// APIs exposes the transport handles (e.g. to build a custom client):
+// the n index servers, one per share slot, in every layout. They are
+// also the endpoints a deployment puts behind its wire listeners: under
+// DHTNodes wire clients keep addressing n servers while physical nodes
+// join and leave behind each slot's engine.
 func (c *Cluster) APIs() []transport.API {
 	out := make([]transport.API, len(c.servers))
 	for i, s := range c.servers {
@@ -881,10 +885,3 @@ func (c *Cluster) APIs() []transport.API {
 	}
 	return out
 }
-
-// WireTargets returns the endpoints a deployment puts behind its wire
-// listeners: the n index servers, one per share slot, in every layout —
-// under DHTNodes wire clients keep addressing n servers while physical
-// nodes join and leave behind each slot's engine. They are the handles
-// APIs returns.
-func (c *Cluster) WireTargets() []transport.API { return c.APIs() }
