@@ -121,55 +121,9 @@ func main() {
 		fmt.Printf("%s: recovered %d in-flight mutation(s) from the journal\n", *name, done)
 	}
 
-	// Index the directory in one shuffled batch. Documents the journal
-	// already knows go through the diff-update path instead: re-batching
-	// them would insert a second generation of elements under fresh
-	// global IDs, while the update sends only what changed (nothing, for
-	// an unchanged file). Document IDs are positional (sorted filename
-	// order), so renaming or inserting files reassigns IDs and the
-	// restart rewrites the shifted documents — correct, just not
-	// traffic-free; a shrunken directory is reconciled below by deleting
-	// the journal-known IDs past the end.
-	batch := p.NewBatch()
-	names := readDir(*docsDir)
-	updated := 0
-	for i, file := range names {
-		data, err := os.ReadFile(filepath.Join(*docsDir, file))
-		if err != nil {
-			log.Fatalf("zerber-peer: %v", err)
-		}
-		doc := peer.Document{
-			ID: uint32(i + 1), Name: file, Content: string(data), Group: auth.GroupID(*group),
-		}
-		if _, known := p.Document(doc.ID); known {
-			if err := p.UpdateDocument(tok, doc); err != nil {
-				log.Fatalf("zerber-peer: %s: %v", file, err)
-			}
-			updated++
-			continue
-		}
-		if err := batch.Add(doc); err != nil {
-			log.Fatalf("zerber-peer: %s: %v", file, err)
-		}
-	}
-	elements := batch.Elements()
-	if err := batch.Flush(tok); err != nil {
-		log.Fatalf("zerber-peer: indexing: %v", err)
-	}
-	if updated > 0 {
-		fmt.Printf("%s: diff-updated %d journal-known document(s)\n", *name, updated)
-	}
-	// Files removed since the last run: their journal-known documents
-	// (IDs past the current directory's end) would otherwise stay
-	// indexed — and searchable — forever.
-	removed := 0
-	for _, id := range p.DocIDs() {
-		if int(id) > len(names) {
-			if err := p.DeleteDocument(tok, id); err != nil {
-				log.Fatalf("zerber-peer: removing vanished doc %d: %v", id, err)
-			}
-			removed++
-		}
+	names, elements, removed, err := reconcile(p, tok, *docsDir, auth.GroupID(*group))
+	if err != nil {
+		log.Fatalf("zerber-peer: %v", err)
 	}
 	if removed > 0 {
 		fmt.Printf("%s: deleted %d document(s) whose files vanished\n", *name, removed)
@@ -186,16 +140,58 @@ func main() {
 			log.Printf("zerber-peer: writing %s: %v", mapPath, err)
 		}
 	}
-	fmt.Printf("%s: indexed %d documents (%d elements) to %d servers; serving snippets on %s\n",
+	fmt.Printf("%s: indexed %d documents (at most %d elements sent) to %d servers; serving snippets on %s\n",
 		*name, len(names), elements, len(apis), *addr)
 
 	log.Fatal(http.ListenAndServe(*addr, peer.NewHTTPHandler(p, svc, groupTable)))
 }
 
-func readDir(dir string) []string {
+// reconcile brings the index in line with a document directory. Every
+// file goes into one batch, so a restart re-indexes under the same
+// shuffle as the first run, and the flush sends only what changed
+// against the peer's local index (nothing, for an unchanged file).
+// Document IDs are positional (sorted filename order): renaming or
+// inserting files reassigns IDs and the flush rewrites the shifted
+// documents — correct, just not traffic-free. Hosted documents past the
+// directory's end belong to files removed since the last run and are
+// deleted; they would otherwise stay searchable forever. It returns the
+// file names (names[i] is document i+1), the elements the batch queued
+// (an upper bound of those sent) and the number of documents deleted.
+func reconcile(p *peer.Peer, tok auth.Token, dir string, group auth.GroupID) (names []string, elements, removed int, err error) {
+	names, err = readDir(dir)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	batch := p.NewBatch()
+	for i, file := range names {
+		data, err := os.ReadFile(filepath.Join(dir, file))
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		doc := peer.Document{ID: uint32(i + 1), Name: file, Content: string(data), Group: group}
+		if err := batch.Add(doc); err != nil {
+			return nil, 0, 0, fmt.Errorf("%s: %w", file, err)
+		}
+	}
+	elements = batch.Elements()
+	if err := batch.Flush(tok); err != nil {
+		return nil, 0, 0, fmt.Errorf("indexing: %w", err)
+	}
+	for _, id := range p.DocIDs() {
+		if int(id) > len(names) {
+			if err := p.DeleteDocument(tok, id); err != nil {
+				return nil, 0, 0, fmt.Errorf("removing vanished doc %d: %w", id, err)
+			}
+			removed++
+		}
+	}
+	return names, elements, removed, nil
+}
+
+func readDir(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		log.Fatalf("zerber-peer: %v", err)
+		return nil, err
 	}
 	var names []string
 	for _, e := range entries {
@@ -209,9 +205,9 @@ func readDir(dir string) []string {
 	}
 	sort.Strings(names)
 	if len(names) == 0 {
-		log.Fatalf("zerber-peer: no .txt/.md documents under %s", dir)
+		return nil, fmt.Errorf("no .txt/.md documents under %s", dir)
 	}
-	return names
+	return names, nil
 }
 
 func readJSON(path string, v any) {

@@ -428,8 +428,9 @@ func TestBatchFlushRetryResendsIdenticalShares(t *testing.T) {
 		t.Fatal("first flush must surface the simulated failure")
 	}
 	// A document added between the failure and the retry must not be
-	// dropped: its elements are encrypted as a fresh tranche appended to
-	// the cached (byte-identical) ops of the failed attempt.
+	// dropped: the retry first completes the failed operation with its
+	// journaled (byte-identical) shares, then writes the new document in
+	// an operation of its own.
 	if err := b.Add(Document{ID: 6, Content: "martha budget", Group: 1}); err != nil {
 		t.Fatal(err)
 	}

@@ -20,11 +20,12 @@ import (
 // central index — IndexDocument, UpdateDocument, DeleteDocument,
 // Batch.Flush — runs as one journaled operation:
 //
-//  1. Build. The complete encrypted payload (fresh elements with their
-//     per-server share values, the superseded elements to delete, and
-//     the post-state of the touched documents) is assembled before a
-//     single byte goes to a server, so a payload-construction failure
-//     leaves the index untouched.
+//  1. Build (Peer.build, the only place a mutation is made). The
+//     complete encrypted payload (fresh elements with their per-server
+//     share values, the superseded elements to delete, and the
+//     post-state of the touched documents) is assembled before a single
+//     byte goes to a server, so a payload-construction failure leaves
+//     the index untouched.
 //  2. Begin. With a journal configured, the operation record is
 //     persisted and fsynced before the first send; a crash can now
 //     never leave servers holding shares the owner cannot re-derive.
@@ -58,9 +59,9 @@ type mutOp struct {
 	deleteAcks uint64
 	// journaled reports that the op's current payload has been
 	// persisted via Begin (vacuously true without a journal). A failed
-	// or outdated Begin leaves it false; dispatch re-Begins before the
-	// first send, so the durability invariant — payload on disk before
-	// any byte reaches a server — survives transient journal failures.
+	// Begin leaves it false; dispatch re-Begins before the first send,
+	// so the durability invariant — payload on disk before any byte
+	// reaches a server — survives transient journal failures.
 	journaled bool
 	// restored marks an op loaded from the journal by peer.New — the
 	// recovery path, as opposed to a live mutation retried in-process.
@@ -140,9 +141,7 @@ func docState(doc Document, refs map[string]elemRef) journal.DocState {
 // shuffle permutation. The share values are exactly the journaled ones —
 // every retry resends byte-identical bytes, which k-of-n reconstruction
 // across servers reached by different attempts depends on — while the
-// order is fresh per attempt, so a payload extended between retries is
-// still mixed in with the earlier elements (a contiguous tail would be
-// exactly the co-occurrence signal batching hides). Share values are
+// order is the attempt's own whole-payload shuffle. Share values are
 // re-checked against the field because the payload may come from a
 // replayed journal.
 func insertOpsForServer(op *journal.Op, i int, perm []int) ([]transport.InsertOp, error) {
@@ -360,16 +359,6 @@ func (p *Peer) applyLocal(m *mutOp) {
 		delete(p.docs, id)
 		delete(p.refs, id)
 	}
-}
-
-// isPending reports whether m still awaits dispatch. Callers hold pmu.
-func (p *Peer) isPending(m *mutOp) bool {
-	for _, q := range p.pending {
-		if q == m {
-			return true
-		}
-	}
-	return false
 }
 
 // drainPending drives every pending mutation to completion in order.

@@ -1,10 +1,12 @@
 // Package peer implements a Zerber document owner's machine: the trusted
 // desktop or local web server that hosts the shared documents, keeps
 // their local index (§7.2: per document, each term's list, global ID and
-// tf, which every update diffs against), pushes encrypted posting
-// elements to the n index servers — immediately or in correlation-hiding
-// batches (§5.4.1) — and serves result snippets to authorized searchers
-// (§5.4.2).
+// tf), pushes encrypted posting elements to the n index servers —
+// immediately or in correlation-hiding batches (§5.4.1) — and serves
+// result snippets to authorized searchers (§5.4.2). Every write, single
+// or batched, goes through one builder that diffs the documents against
+// the local index and their groups, so only the necessary updates are
+// sent (§5.4.1).
 package peer
 
 import (
@@ -231,51 +233,18 @@ func (p *Peer) Snippet(docID uint32, query []string, width int, groupsOf auth.Gr
 // IndexDocument indexes (or re-indexes) a document immediately as one
 // journaled mutation pushed to all servers. For the correlation-
 // resistant path, use a Batch instead. Re-indexing a known document is
-// an update: stale central elements are removed after the fresh ones
-// are in place.
+// an update (see UpdateDocument).
 func (p *Peer) IndexDocument(tok auth.Token, doc Document) error {
-	p.pmu.Lock()
-	defer p.pmu.Unlock()
-	if err := p.drainPending(tok); err != nil {
-		return err
-	}
-	return p.mutateDoc(tok, doc)
+	_, err := p.mutate(tok, []Document{doc}, []map[string]int{textproc.TermCounts(doc.Content)}, nil)
+	return err
 }
 
 // DeleteDocument removes a document: every central element is deleted
 // individually (document IDs are encrypted, §7.3) in one journaled
 // delete-stage mutation, then the local state.
 func (p *Peer) DeleteDocument(tok auth.Token, docID uint32) error {
-	p.pmu.Lock()
-	defer p.pmu.Unlock()
-	if err := p.drainPending(tok); err != nil {
-		return err
-	}
-	p.mu.RLock()
-	refs, ok := p.refs[docID]
-	dels := make([]journal.Del, 0, len(refs))
-	for _, ref := range refs {
-		dels = append(dels, journal.Del{List: uint32(ref.list), GID: uint64(ref.gid)})
-	}
-	p.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownDoc, docID)
-	}
-	opID, err := p.newOpID()
-	if err != nil {
-		return err
-	}
-	m := &mutOp{op: journal.Op{
-		ID:      opID,
-		Kind:    journal.KindDelete,
-		Servers: len(p.cfg.Servers),
-		Removed: []uint32{docID},
-		Dels:    dels,
-	}}
-	if err := p.beginOp(m); err != nil {
-		return err
-	}
-	return p.drainPending(tok)
+	_, err := p.mutate(tok, nil, nil, []uint32{docID})
+	return err
 }
 
 // UpdateDocument re-indexes a changed document, sending "only the
@@ -283,89 +252,125 @@ func (p *Peer) DeleteDocument(tok auth.Token, docID uint32) error {
 // alone; new or changed terms are inserted on every server first, and
 // only then are the superseded elements deleted, so an interrupted
 // update never loses the old postings — at worst both generations are
-// present until the operation (journaled, retryable) completes. The
-// document's group must be unchanged — unchanged elements keep their
-// stored group tag; to move a document between groups, delete and
-// re-index it.
+// present until the operation (journaled, retryable) completes. Every
+// stored element carries its document's group tag, so a document moved
+// to another group has all of its elements resent under the new group
+// and the old ones deleted.
 func (p *Peer) UpdateDocument(tok auth.Token, doc Document) error {
 	return p.IndexDocument(tok, doc)
 }
 
-// mutateDoc builds and runs the journaled operation for indexing or
-// updating one document. The complete encrypted payload is constructed
-// before anything is sent: a payload-construction failure (ID out of
-// range, entropy failure) returns with the index untouched. Callers
-// hold pmu with no pending operations.
-func (p *Peer) mutateDoc(tok auth.Token, doc Document) error {
-	newCounts := textproc.TermCounts(doc.Content)
-
-	// Diff against the committed refs. An unknown document is the empty
-	// diff base: everything is new, nothing is deleted.
-	p.mu.RLock()
-	oldRefs := p.refs[doc.ID]
-	keep := make(map[string]elemRef, len(newCounts))
-	var dels []journal.Del
-	for term, ref := range oldRefs {
-		if c, still := newCounts[term]; still && posting.ClampTF(c) == ref.tf {
-			keep[term] = ref // identical element; no network traffic
-			continue
-		}
-		dels = append(dels, journal.Del{List: uint32(ref.list), GID: uint64(ref.gid)})
+// mutate is the peer's one write path: every IndexDocument,
+// UpdateDocument, DeleteDocument and Batch.Flush is one operation built
+// here. It first drains older pending operations (they may address the
+// same documents), then builds the operation, begins it and drains it.
+// queued reports that the operation was begun: from then on it is
+// pending like any other, and a failed send is resent byte-identical by
+// the next drain. With nothing to write, mutate only drains.
+func (p *Peer) mutate(tok auth.Token, docs []Document, counts []map[string]int, removed []uint32) (queued bool, err error) {
+	p.pmu.Lock()
+	defer p.pmu.Unlock()
+	if err := p.drainPending(tok); err != nil || len(docs)+len(removed) == 0 {
+		return false, err
 	}
-	p.mu.RUnlock()
-
-	var toInsert []string
-	for term := range newCounts {
-		if _, kept := keep[term]; !kept {
-			toInsert = append(toInsert, term)
-		}
-	}
-	sort.Strings(toInsert)
-
-	rng, release := p.acquireRand()
-	var st staged
-	refs, err := st.addDoc(p, doc, newCounts, toInsert, rng)
+	m, err := p.build(docs, counts, removed)
 	if err != nil {
-		release()
-		return err
+		return false, err
+	}
+	if err := p.beginOp(m); err != nil {
+		return true, err
+	}
+	return true, p.drainPending(tok)
+}
+
+// build assembles the complete encrypted operation that writes docs
+// (counts[i] is docs[i]'s term counts, one entry per document ID) and
+// removes the removed documents. Each written document is diffed
+// against its committed refs: an element is kept, with no network
+// traffic, only while its term is still present with the same clamped
+// tf and the document's group is unchanged; every other term is staged
+// under a fresh global ID, and the superseded elements, with every ref
+// of a removed document, become the delete stage. Nothing is sent: a
+// build failure (ID out of range, entropy) leaves the index untouched.
+// Callers hold pmu, which excludes applyLocal, the only writer of docs
+// and refs.
+func (p *Peer) build(docs []Document, counts []map[string]int, removed []uint32) (*mutOp, error) {
+	m := &mutOp{
+		op:         journal.Op{Servers: len(p.cfg.Servers), Removed: removed},
+		commitDocs: docs,
+		commitRefs: make([]map[string]elemRef, len(docs)),
+	}
+	for _, id := range removed {
+		refs, ok := p.refs[id]
+		if !ok {
+			return nil, fmt.Errorf("%w: %d", ErrUnknownDoc, id)
+		}
+		for _, ref := range refs {
+			m.op.Dels = append(m.op.Dels, journal.Del{List: uint32(ref.list), GID: uint64(ref.gid)})
+		}
+	}
+	rng, release := p.acquireRand()
+	defer release()
+	var st staged
+	for i, doc := range docs {
+		if err := checkDocID(doc.ID); err != nil {
+			return nil, err
+		}
+		sameGroup := p.docs[doc.ID].Group == doc.Group
+		keep := make(map[string]elemRef, len(counts[i]))
+		for term, ref := range p.refs[doc.ID] {
+			if c, still := counts[i][term]; still && sameGroup && posting.ClampTF(c) == ref.tf {
+				keep[term] = ref // identical element; no network traffic
+				continue
+			}
+			m.op.Dels = append(m.op.Dels, journal.Del{List: uint32(ref.list), GID: uint64(ref.gid)})
+		}
+		fresh := make([]string, 0, len(counts[i])-len(keep))
+		for term := range counts[i] {
+			if _, kept := keep[term]; !kept {
+				fresh = append(fresh, term)
+			}
+		}
+		sort.Strings(fresh)
+		if err := st.add(p, doc, counts[i], fresh, rng, keep); err != nil {
+			return nil, err
+		}
+		m.commitRefs[i] = keep
 	}
 	shares, err := p.encryptStaged(&st, rng)
-	release()
 	if err != nil {
-		return fmt.Errorf("peer: encrypting doc %d: %w", doc.ID, err)
+		return nil, fmt.Errorf("peer %s: encrypting: %w", p.cfg.Name, err)
 	}
-	for term, ref := range refs {
-		keep[term] = ref
+	m.op.Elems = buildElems(&st, shares)
+	if m.op.ID, err = p.newOpID(); err != nil {
+		return nil, err
 	}
-
-	opID, err := p.newOpID()
-	if err != nil {
-		return err
-	}
-	kind := journal.KindIndex
-	if len(dels) > 0 {
-		kind = journal.KindUpdate
-	}
-	m := &mutOp{
-		op: journal.Op{
-			ID:      opID,
-			Kind:    kind,
-			Servers: len(p.cfg.Servers),
-			Elems:   buildElems(&st, shares),
-			Dels:    dels,
-		},
-		commitDocs: []Document{doc},
-		commitRefs: []map[string]elemRef{keep},
+	switch {
+	case len(docs) == 0:
+		m.op.Kind = journal.KindDelete
+	case len(m.op.Dels) > 0:
+		m.op.Kind = journal.KindUpdate
+	default:
+		m.op.Kind = journal.KindIndex
 	}
 	if p.jn != nil {
 		// The journaled post-state (with its deterministic sorted-ref
 		// encoding) is only built when there is a journal to hold it.
-		m.op.Docs = []journal.DocState{docState(doc, keep)}
+		m.op.Docs = make([]journal.DocState, len(docs))
+		for i, doc := range docs {
+			m.op.Docs[i] = docState(doc, m.commitRefs[i])
+		}
 	}
-	if err := p.beginOp(m); err != nil {
-		return err
+	return m, nil
+}
+
+// checkDocID rejects a document ID wider than an element's packed
+// document field.
+func checkDocID(id uint32) error {
+	if id > posting.MaxDocID {
+		return fmt.Errorf("%w: %d", ErrDocIDRange, id)
 	}
-	return p.drainPending(tok)
+	return nil
 }
 
 // staged is the cleartext half of the indexing pipeline: parallel
@@ -380,14 +385,9 @@ type staged struct {
 	groups []uint32
 }
 
-// addDoc stages every listed term of doc and returns the element
-// references to remember. On error the staged state is unchanged.
-func (st *staged) addDoc(p *Peer, doc Document, counts map[string]int, terms []string, rng io.Reader) (map[string]elemRef, error) {
-	if doc.ID > posting.MaxDocID {
-		return nil, fmt.Errorf("%w: %d", ErrDocIDRange, doc.ID)
-	}
-	base := len(st.elems)
-	refs := make(map[string]elemRef, len(terms))
+// add stages the listed terms of doc under fresh global IDs and records
+// their element references in refs.
+func (st *staged) add(p *Peer, doc Document, counts map[string]int, terms []string, rng io.Reader, refs map[string]elemRef) error {
 	for _, term := range terms {
 		elem := posting.Element{
 			DocID:  doc.ID,
@@ -396,8 +396,7 @@ func (st *staged) addDoc(p *Peer, doc Document, counts map[string]int, terms []s
 		}
 		gid, err := randomGlobalID(rng)
 		if err != nil {
-			st.truncate(base)
-			return nil, fmt.Errorf("peer: generating element ID: %w", err)
+			return fmt.Errorf("peer: generating element ID: %w", err)
 		}
 		// Carry the element's impact bucket in the public ID so servers
 		// can keep the list score-ordered without seeing the TF (§6).
@@ -409,24 +408,7 @@ func (st *staged) addDoc(p *Peer, doc Document, counts map[string]int, terms []s
 		st.groups = append(st.groups, uint32(doc.Group))
 		refs[term] = elemRef{list: lid, gid: gid, tf: elem.TF}
 	}
-	return refs, nil
-}
-
-func (st *staged) truncate(n int) {
-	st.elems = st.elems[:n]
-	st.gids = st.gids[:n]
-	st.lids = st.lids[:n]
-	st.groups = st.groups[:n]
-}
-
-func (st *staged) reset() { st.truncate(0) }
-
-// drop discards the first n staged elements (a committed prefix).
-func (st *staged) drop(n int) {
-	st.elems = st.elems[n:]
-	st.gids = st.gids[n:]
-	st.lids = st.lids[n:]
-	st.groups = st.groups[n:]
+	return nil
 }
 
 // encryptChunk caps the element count of one EncryptBatchInto call, so
@@ -475,32 +457,20 @@ func (p *Peer) encryptStaged(st *staged, rng io.Reader) ([][]posting.EncryptedSh
 	return dst, nil
 }
 
-// Batch accumulates the elements of several documents and flushes them in
-// one shuffled insert per server, hiding which elements co-occur in one
-// document from an adversary watching updates (§5.4.1).
+// Batch queues documents and writes them in one shuffled insert per
+// server, hiding which elements co-occur in one document from an
+// adversary watching updates (§5.4.1).
 //
-// Add only stages cleartext elements (term IDs, counts, fresh global
-// IDs); all share generation is deferred to Flush, where one batched
-// pass splits every staged element of every queued document into one
-// journaled operation. A batch is not safe for concurrent use; the peer
-// it flushes into is.
+// Add only counts terms; Flush writes every queued document as one
+// journaled operation, diffed like UpdateDocument: a document the peer
+// already hosts sends only its changed terms (all of them if its group
+// changed), and adding one ID twice queues the last version. A batch is
+// not safe for concurrent use; the peer it flushes into is.
 type Batch struct {
-	peer *Peer
-	st   staged
-	docs []Document
-	refs []map[string]elemRef
-	// m is the journaled operation of a failed Flush; opElems/opDocs
-	// count how much of the staged state its payload already covers. A
-	// retried Flush must resend byte-identical shares: re-encrypting
-	// with fresh randomness could leave servers that persisted the
-	// first attempt holding shares of a different polynomial than
-	// servers reached only by the retry, which k-of-n reconstruction
-	// would silently combine into garbage. Elements staged after the
-	// failure (Add between retries) are encrypted separately and
-	// appended to the operation's payload.
-	m       *mutOp
-	opElems int
-	opDocs  int
+	peer   *Peer
+	docs   []Document
+	counts []map[string]int
+	at     map[uint32]int // index in docs of each queued document ID
 }
 
 // NewBatch starts an empty batch.
@@ -508,160 +478,59 @@ func (p *Peer) NewBatch() *Batch {
 	return &Batch{peer: p}
 }
 
-// Add stages a document's elements into the batch. Nothing is encrypted
-// or sent until Flush.
+// Add queues a document, replacing an earlier Add of the same ID.
+// Nothing is encrypted or sent until Flush.
 func (b *Batch) Add(doc Document) error {
-	counts := textproc.TermCounts(doc.Content)
-	terms := make([]string, 0, len(counts))
-	for term := range counts {
-		terms = append(terms, term)
-	}
-	sort.Strings(terms)
-	rng, release := b.peer.acquireRand()
-	defer release()
-	refs, err := b.st.addDoc(b.peer, doc, counts, terms, rng)
-	if err != nil {
+	if err := checkDocID(doc.ID); err != nil {
 		return err
 	}
+	counts := textproc.TermCounts(doc.Content)
+	if i, ok := b.at[doc.ID]; ok {
+		b.docs[i], b.counts[i] = doc, counts
+		return nil
+	}
+	if b.at == nil {
+		b.at = make(map[uint32]int)
+	}
+	b.at[doc.ID] = len(b.docs)
 	b.docs = append(b.docs, doc)
-	b.refs = append(b.refs, refs)
+	b.counts = append(b.counts, counts)
 	return nil
 }
 
 // Len returns the number of documents queued in the batch.
 func (b *Batch) Len() int { return len(b.docs) }
 
-// Elements returns the number of posting elements queued per server.
-func (b *Batch) Elements() int { return len(b.st.elems) }
-
-// Flush runs the batch as one journaled operation: the staged elements
-// are encrypted into the operation's payload, persisted (with a journal
-// configured) before the first send, dispatched to every server under a
-// fresh whole-payload shuffle, and committed locally once all servers
-// acknowledge. A Flush that fails part-way may be retried: the
-// encrypted shares are kept in the operation and resent byte-identical
-// (under a fresh shuffle, so a tranche added between attempts is still
-// mixed in), servers that already acknowledged are skipped, and the
-// operation ID lets servers deduplicate redeliveries, so retries are
-// exactly-once in effect.
-func (b *Batch) Flush(tok auth.Token) error {
-	p := b.peer
-	p.pmu.Lock()
-	defer p.pmu.Unlock()
-	if b.m != nil && !p.isPending(b.m) {
-		// A later mutation's drain already completed the batch's
-		// operation; only elements staged since (if any) still need an
-		// operation of their own. The committed prefix is dropped
-		// entirely: the completed operation already installed those
-		// documents, and they may have been mutated again since (the
-		// drain that completed the operation ran inside a newer
-		// mutation) — re-committing their batch-era state from here
-		// would resurrect stale content and refs. Found by the model
-		// checker (internal/sim), pinned by TestBatchRetryAfterDocMutated.
-		b.m = nil
-		if b.opDocs == len(b.docs) && b.opElems == len(b.st.elems) {
-			b.docs, b.refs = nil, nil
-			b.opElems, b.opDocs = 0, 0
-			b.st.reset()
-			return nil
-		}
-		b.docs = b.docs[b.opDocs:]
-		b.refs = b.refs[b.opDocs:]
-		b.st.drop(b.opElems)
-		b.opElems, b.opDocs = 0, 0
+// Elements returns the number of posting elements the queued documents
+// hold per server. For documents the peer does not host this is what
+// Flush inserts; for hosted ones it is an upper bound, since Flush sends
+// only what changed.
+func (b *Batch) Elements() int {
+	n := 0
+	for _, c := range b.counts {
+		n += len(c)
 	}
-	if b.m == nil {
-		if len(b.docs) == 0 {
-			return nil
-		}
-		// Older failed mutations must converge before a new operation
-		// starts (they may address the same documents).
-		if err := p.drainPending(tok); err != nil {
-			return err
-		}
-	}
-	if err := b.syncOp(); err != nil {
-		return err
-	}
-	if err := p.drainPending(tok); err != nil {
-		return err
-	}
-	b.docs, b.refs, b.m = nil, nil, nil
-	b.opElems, b.opDocs = 0, 0
-	b.st.reset()
-	return nil
+	return n
 }
 
-// syncOp creates the batch's journaled operation on first Flush and
-// extends its payload with any elements and documents staged since —
-// all of them on a first Flush, only the fresh tranche on a retry.
-// Already encrypted elements are never regenerated, preserving
-// byte-identical resends; an extension clears the insert
-// acknowledgements, because servers that acknowledged the smaller
-// payload have not seen the new tranche (their re-send converges by
-// upsert). Callers hold pmu.
-func (b *Batch) syncOp() error {
-	p := b.peer
-	created := false
-	if b.m == nil {
-		opID, err := p.newOpID()
-		if err != nil {
-			return err
-		}
-		b.m = &mutOp{op: journal.Op{
-			ID:      opID,
-			Kind:    journal.KindIndex,
-			Servers: len(p.cfg.Servers),
-		}}
-		created = true
+// Flush writes the queued documents as one journaled operation: their
+// fresh elements are encrypted into the operation's payload, persisted
+// (with a journal configured) before the first send, dispatched to
+// every server under one whole-payload shuffle, and committed locally
+// once all servers acknowledge. Once the operation is built the batch
+// is empty. If sending fails, the operation stays pending like any
+// other: the next Flush or mutation resends the same shares to the
+// servers that did not acknowledge, and the operation ID lets servers
+// deduplicate redeliveries, so retries are exactly-once in effect.
+// Documents added after a failed Flush go in an operation of their own
+// once the failed one completes; with nothing queued, Flush only drives
+// the pending operations.
+func (b *Batch) Flush(tok auth.Token) error {
+	queued, err := b.peer.mutate(tok, b.docs, b.counts, nil)
+	if queued {
+		*b = Batch{peer: b.peer}
 	}
-	// Any payload growth counts as an extension — including documents
-	// that stage no elements (empty or out-of-vocabulary content),
-	// whose journaled DocStates must still reach the op record.
-	extended := !created && (len(b.st.elems) > b.opElems || len(b.docs) > b.opDocs)
-	if len(b.st.elems) > b.opElems {
-		sub := staged{
-			elems:  b.st.elems[b.opElems:],
-			gids:   b.st.gids[b.opElems:],
-			lids:   b.st.lids[b.opElems:],
-			groups: b.st.groups[b.opElems:],
-		}
-		rng, release := p.acquireRand()
-		shares, err := p.encryptStaged(&sub, rng)
-		release()
-		if err != nil {
-			if created {
-				b.m = nil
-			}
-			return fmt.Errorf("peer %s: batch encrypt: %w", p.cfg.Name, err)
-		}
-		b.m.op.Elems = append(b.m.op.Elems, buildElems(&sub, shares)...)
-		b.opElems = len(b.st.elems)
-	}
-	if p.jn != nil {
-		for i := b.opDocs; i < len(b.docs); i++ {
-			b.m.op.Docs = append(b.m.op.Docs, docState(b.docs[i], b.refs[i]))
-		}
-	}
-	b.opDocs = len(b.docs)
-	b.m.commitDocs, b.m.commitRefs = b.docs, b.refs
-	if created {
-		return p.beginOp(b.m)
-	}
-	if extended {
-		// Earlier insert acks cover a smaller payload and no longer
-		// count, and the journaled op record is stale. Marking the op
-		// un-journaled (rather than calling Begin here) makes the
-		// re-Begin — which replaces the payload and clears the
-		// journaled acks to match, see journal.Open — happen in
-		// dispatch, where it is retried on every drain until it
-		// sticks; a transient Begin failure here would otherwise never
-		// be retried, leaving the journal with the smaller payload
-		// forever.
-		b.m.insertAcks = 0
-		b.m.journaled = false
-	}
-	return nil
+	return err
 }
 
 func serverXs(servers []transport.API) []field.Element {

@@ -443,12 +443,11 @@ func (g *gatedReader) Read(p []byte) (int, error) {
 	return g.inner.Read(p)
 }
 
-// TestBatchDocOnlyExtensionIsJournaled pins a re-Begin corner: a batch
-// retried after a failure with only an element-free document added
-// (empty content stages nothing) must still persist that document's
-// post-state, or it vanishes on the next restart despite Flush
-// reporting success.
-func TestBatchDocOnlyExtensionIsJournaled(t *testing.T) {
+// TestBatchElementFreeDocIsJournaled: a batch flushed again after a
+// failure with only an element-free document added (empty content
+// stages nothing) must still persist that document's post-state, or it
+// vanishes on the next restart despite Flush reporting success.
+func TestBatchElementFreeDocIsJournaled(t *testing.T) {
 	tc := newCluster(t, 3, corpusTerms)
 	tc.groups.Add("alice", 1)
 	tok := tc.svc.Issue("alice")
@@ -488,7 +487,7 @@ func TestBatchDocOnlyExtensionIsJournaled(t *testing.T) {
 	}
 	defer p2.Close()
 	if doc, ok := p2.Document(2); !ok || doc.Name != "empty" {
-		t.Fatalf("doc-only batch extension lost across restart: %+v, %v", doc, ok)
+		t.Fatalf("element-free batch document lost across restart: %+v, %v", doc, ok)
 	}
 	if _, ok := p2.Document(1); !ok {
 		t.Fatal("first batch document lost across restart")
@@ -545,11 +544,74 @@ func TestBatchRetryAfterDocMutated(t *testing.T) {
 	}
 	// Local refs and server state must agree exactly: the stale commit
 	// also used to leave refs pointing at deleted elements.
-	expected := make(map[posting.GlobalID]string)
+	assertExactlyExpected(t, tc, committedGIDs(p))
+}
+
+// committedGIDs is every element the peer tracks, labelled by document.
+func committedGIDs(p *Peer) map[posting.GlobalID]string {
+	out := make(map[posting.GlobalID]string)
 	for gid, doc := range p.ElementGIDs() {
-		expected[gid] = fmt.Sprintf("doc%d", doc)
+		out[gid] = fmt.Sprintf("doc%d", doc)
 	}
-	assertExactlyExpected(t, tc, expected)
+	return out
+}
+
+// TestBatchRewritesDocumentOnce: a batch diffs its documents against
+// the committed refs like UpdateDocument, and the last Add of an ID
+// wins. Re-adding a hosted document, or adding one ID twice, used to
+// stage every version under fresh IDs and forget the old elements: the
+// servers held 5 elements for the peer's 2, and 3 survived the delete,
+// still decrypting to the document.
+func TestBatchRewritesDocumentOnce(t *testing.T) {
+	first := Document{ID: 1, Content: "martha imclone layoff", Group: 1}
+	cases := []struct {
+		name  string
+		stage func(p *Peer, b *Batch, tok auth.Token) error
+	}{
+		{"hosted", func(p *Peer, _ *Batch, tok auth.Token) error { return p.IndexDocument(tok, first) }},
+		{"added twice", func(_ *Peer, b *Batch, _ auth.Token) error { return b.Add(first) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tc := newCluster(t, 3, corpusTerms)
+			tc.groups.Add("alice", 1)
+			tok := tc.svc.Issue("alice")
+			p, err := New(Config{
+				Name: "site", Servers: tc.apis, K: 2, Table: tc.table, Vocab: tc.voc,
+				Rand: rand.New(rand.NewSource(71)),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := p.NewBatch()
+			if err := c.stage(p, b, tok); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Add(Document{ID: 1, Content: "merger budget", Group: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Flush(tok); err != nil {
+				t.Fatal(err)
+			}
+			if doc, _ := p.Document(1); doc.Content != "merger budget" {
+				t.Fatalf("doc 1 content %q, want the batch's version", doc.Content)
+			}
+			expected := committedGIDs(p)
+			if len(expected) != 2 {
+				t.Fatalf("peer tracks %d elements, want 2", len(expected))
+			}
+			assertExactlyExpected(t, tc, expected)
+
+			if err := p.DeleteDocument(tok, 1); err != nil {
+				t.Fatal(err)
+			}
+			for i, s := range tc.servers {
+				if got := s.Store().TotalElements(); got != 0 {
+					t.Errorf("server %d holds %d elements after the delete, want 0", i, got)
+				}
+			}
+		})
+	}
 }
 
 // TestJournalRestoresLocalState exercises the journal as the peer's

@@ -16,15 +16,17 @@ type Kind uint8
 // property delta-debugging shrinking depends on.
 const (
 	// KindIndex indexes (or, if Doc is live, updates) a document with
-	// the given content. Updates keep the document's existing group, as
-	// the peer's update contract requires.
+	// the given content and group; an update may move the document to
+	// another group.
 	KindIndex Kind = iota + 1
 	// KindDelete removes Doc if it is live.
 	KindDelete
-	// KindBatchAdd stages a fresh document into the peer's batch; a
-	// no-op if Doc is already live, staged, or in flight.
+	// KindBatchAdd stages a document into the peer's batch, whether Doc
+	// is fresh, live, in flight or already staged (the last Add of an
+	// ID wins).
 	KindBatchAdd
-	// KindBatchFlush flushes the batch as one journaled operation.
+	// KindBatchFlush drains the peer's pending operation, then flushes
+	// the batch (if anything is staged) as one journaled operation.
 	KindBatchFlush
 	// KindSearch runs User's keyword Query; the answer set is compared
 	// against the oracle whenever the cluster is quiescent.

@@ -107,14 +107,12 @@ type runner struct {
 
 	// queued are the oracle effects of the single begun-but-incomplete
 	// peer operation (the engine never has more than one in flight);
-	// queuedID is its operation ID, queuedIsBatch whether it belongs to
-	// the peer's batch. batchStaged are effects staged in the batch but
-	// not yet part of any journaled operation — lost if the peer
-	// crashes before a flush attempt.
-	queued        []oracleMut
-	queuedID      uint64
-	queuedIsBatch bool
-	batchStaged   []oracleMut
+	// queuedID is its operation ID. batchStaged are effects staged in
+	// the batch but not yet part of any journaled operation — lost if
+	// the peer crashes before a flush builds one.
+	queued      []oracleMut
+	queuedID    uint64
+	batchStaged []oracleMut
 
 	restarts int
 	step     int
@@ -277,6 +275,7 @@ func (r *runner) openPeer() error {
 		return fmt.Errorf("sim: reopening peer: %w", err)
 	}
 	r.peer = p
+	r.batch = p.NewBatch()
 	return nil
 }
 
@@ -380,7 +379,6 @@ func (r *runner) close() {
 // survives and the reopened peer resumes from it.
 func (r *runner) crashRestart() error {
 	r.peer.Close()
-	r.batch = nil
 	r.batchStaged = nil
 	if err := r.openPeer(); err != nil {
 		return err
@@ -424,13 +422,12 @@ func (r *runner) flushQueued() {
 	}
 	r.queued = nil
 	r.queuedID = 0
-	r.queuedIsBatch = false
 }
 
 // reconcile aligns the oracle queue with the peer's pending state after
-// a mutation call. newMuts are the call's own oracle effects;
-// fromBatch marks a Batch.Flush (whose op keeps its ID across retries
-// and absorbs everything staged since).
+// a mutation call. newMuts are the call's own oracle effects; fromBatch
+// marks a Batch.Flush, which empties the batch once it begins its
+// operation.
 func (r *runner) reconcile(callErr error, newMuts []oracleMut, fromBatch bool) error {
 	ids := r.peer.PendingOpIDs()
 	if len(ids) > 1 {
@@ -461,23 +458,16 @@ func (r *runner) reconcile(callErr error, newMuts []oracleMut, fromBatch bool) e
 		// document unknown, or a payload rejected before dispatch).
 		r.flushQueued()
 	case len(r.queued) > 0 && ids[0] == r.queuedID:
-		if fromBatch && r.queuedIsBatch {
-			// A retried flush extended the same journaled operation
-			// with everything staged since the last attempt.
-			r.queued = append(r.queued, newMuts...)
-			r.batchStaged = nil
-		}
-		// Otherwise the old operation is still pending and the new one
-		// was never begun: its effects are dropped (for a flush they
-		// stay in batchStaged — the documents remain staged in the
-		// batch and a later flush will carry them).
+		// The old operation is still pending and the new one was never
+		// begun: its effects are dropped (for a flush they stay in
+		// batchStaged — the documents remain staged in the batch and a
+		// later flush will carry them).
 	default:
 		// The old operation (if any) completed; the pending one is the
 		// operation this call begat.
 		r.flushQueued()
 		r.queued = append([]oracleMut(nil), newMuts...)
 		r.queuedID = ids[0]
-		r.queuedIsBatch = fromBatch
 		if fromBatch {
 			r.batchStaged = nil
 		}
@@ -486,8 +476,7 @@ func (r *runner) reconcile(callErr error, newMuts []oracleMut, fromBatch bool) e
 }
 
 // docInFlight reports whether doc has queued oracle effects (a begun
-// but incomplete operation touches it); batch-staged effects are
-// tracked separately by docStaged.
+// but incomplete operation touches it).
 func (r *runner) docInFlight(doc uint32) bool {
 	for _, m := range r.queued {
 		if m.doc == doc {
@@ -497,43 +486,12 @@ func (r *runner) docInFlight(doc uint32) bool {
 	return false
 }
 
-func (r *runner) docStaged(doc uint32) bool {
-	for _, m := range r.batchStaged {
-		if m.doc == doc {
-			return true
-		}
-	}
-	return false
-}
-
-// effectiveGroup pins a document mutation to the group the document
-// already has — the peer's update contract keeps unchanged elements'
-// stored group tags, so an update must not move groups.
-func (r *runner) effectiveGroup(doc uint32, proposed auth.GroupID) auth.GroupID {
-	for i := len(r.queued) - 1; i >= 0; i-- {
-		if r.queued[i].doc == doc && !r.queued[i].remove {
-			return r.queued[i].group
-		}
-		if r.queued[i].doc == doc && r.queued[i].remove {
-			return proposed
-		}
-	}
-	if g, ok := r.oracle.GroupOf(doc); ok {
-		return g
-	}
-	return proposed
-}
-
 // exec runs one program operation.
 func (r *runner) exec(op Op) error {
 	switch op.Kind {
 	case KindIndex:
-		if r.docStaged(op.Doc) {
-			return nil // the batch owns this document until it flushes
-		}
-		group := r.effectiveGroup(op.Doc, auth.GroupID(op.Group))
-		doc := peer.Document{ID: op.Doc, Content: op.Content, Group: group}
-		err := r.peer.IndexDocument(r.ownerTok, doc)
+		group := auth.GroupID(op.Group)
+		err := r.peer.IndexDocument(r.ownerTok, peer.Document{ID: op.Doc, Content: op.Content, Group: group})
 		killed := r.core.takeKilled()
 		if rerr := r.reconcile(err, []oracleMut{{doc: op.Doc, content: op.Content, group: group}}, false); rerr != nil {
 			return rerr
@@ -544,9 +502,6 @@ func (r *runner) exec(op Op) error {
 		return nil
 
 	case KindDelete:
-		if r.docStaged(op.Doc) {
-			return nil
-		}
 		if !r.oracle.Live(op.Doc) && !r.docInFlight(op.Doc) {
 			return nil // deleting a never-indexed document is a no-op
 		}
@@ -564,12 +519,6 @@ func (r *runner) exec(op Op) error {
 		return nil
 
 	case KindBatchAdd:
-		if r.oracle.Live(op.Doc) || r.docInFlight(op.Doc) || r.docStaged(op.Doc) {
-			return nil // batches must stage only fresh documents
-		}
-		if r.batch == nil {
-			r.batch = r.peer.NewBatch()
-		}
 		doc := peer.Document{ID: op.Doc, Content: op.Content, Group: auth.GroupID(op.Group)}
 		if err := r.batch.Add(doc); err != nil {
 			return fmt.Errorf("batch add: %v", err)
@@ -578,15 +527,6 @@ func (r *runner) exec(op Op) error {
 		return nil
 
 	case KindBatchFlush:
-		if r.batch == nil {
-			return nil
-		}
-		if len(r.batchStaged) == 0 && !(r.queuedIsBatch && len(r.queued) > 0) {
-			// Nothing staged and no in-flight batch operation of our
-			// own: Flush short-circuits to nil without draining other
-			// pending work, so it is a no-op to the checker too.
-			return nil
-		}
 		muts := append([]oracleMut(nil), r.batchStaged...)
 		err := r.batch.Flush(r.ownerTok)
 		killed := r.core.takeKilled()

@@ -154,8 +154,8 @@
 // (and periodically re-keyed) from crypto/rand, so entropy syscalls are
 // amortized across a whole document rather than paid per coefficient.
 //
-// Batch flushes defer splitting entirely to Flush, so one batched pass
-// covers every queued document before the correlation-hiding shuffle
+// A batch's Add only counts terms; Flush stages and splits every queued
+// document in one batched pass before the correlation-hiding shuffle
 // (§5.4.1). The pass runs inline over same-group windows of staged
 // elements: share generation is a few percent of an indexing operation
 // (BENCH_index.json: BenchmarkEncryptBatch against
@@ -178,9 +178,16 @@
 // between the stages: every insert acknowledgement is awaited before the
 // first delete leaves. Each attempt's wire order is a fresh shuffle from
 // the shares' generator (§5.4.1). The owner's local index (§7.2) is the
-// peer's per-document record of each term's list, global ID and tf; an
-// update diffs the new content against it and sends only the changed
-// terms.
+// peer's per-document record of each term's list, global ID and tf.
+// One builder makes every operation, and it diffs each written document
+// against that record, a batch flush's documents included: an element
+// is kept only while its term keeps the same tf and the document keeps
+// its group (every stored share carries the group that filters it,
+// §5.4.2); all other terms are inserted fresh and the superseded
+// elements deleted. So an update sends only the changed terms, a
+// document moved to another group is resent whole, and re-adding a
+// hosted document to a batch replaces it rather than leaving the old
+// version searchable.
 //
 // With the JournalDir option set, each peer persists its operations to
 // a journal (fsynced before the first send) along with one record per

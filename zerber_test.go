@@ -121,6 +121,59 @@ func TestMultiGroupIsolation(t *testing.T) {
 	if len(res) != 1 || res[0].DocID != 2 {
 		t.Fatalf("bob results = %+v", res)
 	}
+
+	// Move doc 1 to group 2 with unchanged content: every element
+	// carries the group that filters it, so all of them must be resent
+	// under group 2 and the group-1 ones deleted.
+	c.AddUser("owner", 1)
+	c.AddUser("owner", 2)
+	if err := p.UpdateDocument(c.IssueToken("owner"), peer.Document{ID: 1, Content: "martha imclone", Group: 2}); err != nil {
+		t.Fatal(err)
+	}
+	for _, term := range []string{"martha", "imclone"} {
+		res, err := s.Search(bobTok, []string{term}, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hasDoc(res, 1) {
+			t.Errorf("bob (group 2) cannot find the moved doc by %q: %+v", term, res)
+		}
+		res, err = s.Search(aliceTok, []string{term}, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hasDoc(res, 1) {
+			t.Errorf("alice (group 1 only) still finds the moved doc by %q", term)
+		}
+	}
+	gids := p.ElementGIDs()
+	for i, srv := range c.Servers() {
+		moved := 0
+		for lid := range srv.Store().ListLengths() {
+			for _, sh := range srv.Store().Scan(lid, nil) {
+				if gids[sh.GlobalID] != 1 {
+					continue
+				}
+				moved++
+				if sh.Group != 2 {
+					t.Errorf("server %d: moved doc's element %d carries group %d", i, sh.GlobalID, sh.Group)
+				}
+			}
+		}
+		if moved != 2 || srv.Store().TotalElements() != 4 {
+			t.Errorf("server %d holds %d of the moved doc's elements and %d in all, want 2 and 4",
+				i, moved, srv.Store().TotalElements())
+		}
+	}
+}
+
+func hasDoc(res []zerber.Result, id uint32) bool {
+	for _, r := range res {
+		if r.DocID == id {
+			return true
+		}
+	}
+	return false
 }
 
 func TestMembershipChurn(t *testing.T) {
