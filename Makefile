@@ -40,15 +40,19 @@ test-full:
 # lengths and then each list in a second call, and a list can vanish
 # between the two; with them, a slot's moves racing writers in every
 # list, which only the cutover's drain under its exclusive hold keeps
-# whole. The last repeats a cluster whose every server restarts on its
-# old address, so the first search after the restart meets cached
-# connections the servers closed and must redial.
+# whole. The next repeats the disk engine's cold reads, which decode
+# straight from segment mappings, racing writers whose churn rolls
+# segments over and compacts the log, ending in Close. The last repeats
+# a cluster whose every server restarts on its old address, so the
+# first search after the restart meets cached connections the servers
+# closed and must redial.
 race:
 	$(GO) test -race -short -shuffle=on ./...
 	$(GO) test -race -short -count=20 -run='^TestBinaryCancelStress$$' ./internal/transport
 	$(GO) test -race -short -count=20 -run='^(TestDeleteStageWaitsForEveryInsertAck|TestRecoverFromAnyAckSubset)$$' ./internal/peer
 	$(GO) test -race -short -count=20 -run='^(TestTopKSurvivesResponderChange|TestTopKKeepsSlowPinnedResponder|TestConcurrentTopK)$$' ./internal/client
 	$(GO) test -race -short -count=10 -run='^(TestReshareDetectsMidGenerationMutation|TestReshareRollsBackMidApplyFailure|TestSlotChurnRace|TestMoveCompletesUnderSustainedWrites)$$' ./internal/proactive ./internal/dht
+	$(GO) test -race -short -count=10 -run='^TestDiskColdReadsRaceRolloverAndCompaction$$' ./internal/store
 	$(GO) test -race -short -count=20 -run='^TestWireDurableCluster$$' .
 
 # Fuzz smoke: every fuzz target for FUZZTIME (default 10s) each. Go
@@ -96,7 +100,9 @@ benchstore:
 # store's keyed upsert and delete on a resident index and on one hot
 # list), and the read
 # path's (the two top-k plans over loopback, which the planner's rule is
-# read from; the summed-TF ranker per posting).
+# read from; the summed-TF ranker per posting; the disk engine's read of
+# a list that is not resident, on a scattered and on a compacted log,
+# against the same read from its cache).
 # Both steps write to temp files (gitignored) so a benchmark failure or
 # parser failure aborts the recipe without touching the committed
 # BENCH_index.json: a pipe would take only the last command's exit
@@ -104,7 +110,7 @@ benchstore:
 # would truncate it before the parser even runs.
 benchjson:
 	$(GO) test -run='^$$' \
-		-bench='^(BenchmarkSplitBatch|BenchmarkEncryptBatch|BenchmarkIndexDocument5k|BenchmarkUpdateDocument|BenchmarkUpdateDocumentPopulated|BenchmarkTermCounts|BenchmarkTableUpsertDelete|BenchmarkTableUpsertDeleteHotList|BenchmarkJournaledFlush|BenchmarkUnjournaledFlush|BenchmarkFillRandDRBG|BenchmarkInvChain|BenchmarkEncodeGetPostingLists|BenchmarkApplyRequestRoundTrip|BenchmarkBinaryLookupRoundTrip|BenchmarkScanFiltered|BenchmarkMigrationThroughput|BenchmarkSearchTopK|BenchmarkTopKPlan|BenchmarkTopKByTF|BenchmarkRetrieveJoinRank|BenchmarkServerMixed)$$' \
+		-bench='^(BenchmarkSplitBatch|BenchmarkEncryptBatch|BenchmarkIndexDocument5k|BenchmarkUpdateDocument|BenchmarkUpdateDocumentPopulated|BenchmarkTermCounts|BenchmarkTableUpsertDelete|BenchmarkTableUpsertDeleteHotList|BenchmarkJournaledFlush|BenchmarkUnjournaledFlush|BenchmarkFillRandDRBG|BenchmarkInvChain|BenchmarkEncodeGetPostingLists|BenchmarkApplyRequestRoundTrip|BenchmarkBinaryLookupRoundTrip|BenchmarkScanFiltered|BenchmarkMigrationThroughput|BenchmarkSearchTopK|BenchmarkTopKPlan|BenchmarkTopKByTF|BenchmarkRetrieveJoinRank|BenchmarkServerMixed|BenchmarkDiskScanCold)$$' \
 		-benchmem -benchtime=$(BENCHTIME) -count=1 \
 		./internal/field/ ./internal/shamir/ ./internal/posting/ ./internal/peer/ ./internal/textproc/ \
 		./internal/transport/ ./internal/dht/ ./internal/server/ ./internal/store/ ./internal/client/ \

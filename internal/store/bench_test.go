@@ -142,3 +142,74 @@ func BenchmarkTableUpsertDeleteHotList(b *testing.B) {
 		b.Fatalf("store holds %d elements after the run, want %d", got, n)
 	}
 }
+
+// BenchmarkDiskScanCold is the disk engine's read of a list that is not
+// resident: one whole-list Scan of 2,000 elements under CacheBytes -1,
+// rotating over 128 lists. The log is built the way the repository
+// benchmark's bulk load builds it, from shuffled batches of the
+// documents, each batch one Upsert per list it touches, so a list's
+// records lie scattered over 2 MiB segments in arrival order
+// (scattered). The same log after Compact holds each list contiguous in
+// stored order (compacted). resident is the same Scan with a cache that
+// holds every list, read after one warming pass: the decoded-share cache
+// against reading the segments.
+func BenchmarkDiskScanCold(b *testing.B) {
+	const lists, perList, batch = 128, 2_000, 8_000
+	rng := rand.New(rand.NewSource(1))
+	type elem struct {
+		lid merging.ListID
+		sh  posting.EncryptedShare
+	}
+	all := make([]elem, 0, lists*perList)
+	for lid := merging.ListID(0); lid < lists; lid++ {
+		for i := 0; i < perList; i++ {
+			tf := uint16(min(1/(1-rng.Float64()), 1023))
+			gid := posting.TagImpact(posting.GlobalID(rng.Uint64()), posting.ImpactBucket(tf))
+			all = append(all, elem{lid, sh(gid, uint32(rng.Intn(8)), rng.Uint64()>>4)})
+		}
+	}
+	rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+	open := func(b *testing.B, cacheBytes int) *store.Disk {
+		d, err := store.OpenDisk(b.TempDir(), store.DiskOptions{SegmentBytes: 2 << 20, CacheBytes: cacheBytes})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { d.Close() })
+		for start := 0; start < len(all); start += batch {
+			byList := make(map[merging.ListID][]posting.EncryptedShare)
+			for _, e := range all[start:min(start+batch, len(all))] {
+				byList[e.lid] = append(byList[e.lid], e.sh)
+			}
+			for lid := merging.ListID(0); lid < lists; lid++ {
+				if shares := byList[lid]; len(shares) > 0 {
+					d.Upsert(lid, shares)
+				}
+			}
+		}
+		return d
+	}
+	scan := func(b *testing.B, d *store.Disk) {
+		for lid := merging.ListID(0); lid < lists; lid++ {
+			d.Scan(lid, nil) // warms the cache, where there is one
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		read := 0
+		for i := 0; i < b.N; i++ {
+			read += len(d.Scan(merging.ListID(i%lists), nil))
+		}
+		if read != b.N*perList {
+			b.Fatalf("read %d elements in %d scans, want %d each", read, b.N, perList)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(read), "ns/element")
+	}
+	b.Run("scattered", func(b *testing.B) { scan(b, open(b, -1)) })
+	b.Run("compacted", func(b *testing.B) {
+		d := open(b, -1)
+		if err := d.Compact(); err != nil {
+			b.Fatal(err)
+		}
+		scan(b, d)
+	})
+	b.Run("resident", func(b *testing.B) { scan(b, open(b, 64<<20)) })
+}

@@ -104,7 +104,8 @@ func (d *Disk) compactLocked() error {
 		if d.hooks != nil && d.hooks.CrashCompaction == 1 {
 			return fmt.Errorf("compaction stopped before rename: %w", ErrSimulatedCrash)
 		}
-		return nil
+		// Mapped before the rename, so an unreadable snapshot never commits.
+		return d.mapSegment(l)
 	})
 	if err != nil {
 		return fmt.Errorf("store: compaction: %w", err)

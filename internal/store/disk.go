@@ -1,13 +1,12 @@
 package store
 
 import (
-	"cmp"
 	"container/list"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -19,10 +18,12 @@ import (
 )
 
 // Disk is the log-structured engine: share payloads live in CRC-framed
-// append-only segment files, and resident memory holds only a compact
-// index of list -> (global ID, segment, offset) entries plus a bounded
-// payload cache — O(index), not O(shares), so the stored volume can
-// exceed RAM.
+// append-only segment files, each mapped read-only (wal.Log.Map; unix
+// only), and the heap holds only a compact index of list -> (global ID,
+// segment, offset) entries plus a bounded payload cache — O(index), not
+// O(shares), so the stored volume can exceed RAM. Mapped pages are the
+// kernel's reclaimable page cache, but those a read touched count in
+// the process's RSS (as RssFile, not RssAnon).
 //
 // Every mutation batch is one wal frame appended to the active segment
 // (see segment.go for the record codec); the frame's CRC makes the batch
@@ -32,8 +33,8 @@ import (
 // resident, the payloads beside them. The stored order is the contract's
 // canonical one, a function of the list's contents, so replay, eviction
 // and compaction leave it as it was and it matches Sharded element for
-// element. A filtered read of a list that is not resident reads from the
-// segments only the records of the runs its filter accepts.
+// element. A filtered read of a list that is not resident decodes only
+// the records of the runs its filter accepts.
 //
 // Each segment file is a wal.Log, which owns replay, the torn-tail cut,
 // appending and the atomic rewrite; this engine owns segment naming and
@@ -78,9 +79,11 @@ type DiskOptions struct {
 	// reaches it, the next mutation starts a new segment file. 0 picks
 	// 64 MiB; values are capped at 1 GiB so record offsets fit uint32.
 	SegmentBytes int64
-	// CacheBytes bounds the resident payload cache (accounted at
-	// shareBytes per element). 0 picks 32 MiB; negative disables
-	// caching entirely.
+	// CacheBytes bounds the resident payload cache, the decoded shares
+	// of recently read or written lists (accounted at shareBytes per
+	// element); a list outside it is decoded from the segment mappings
+	// on every read. 0 picks 32 MiB; negative disables caching
+	// entirely.
 	CacheBytes int
 	// CompactMinBytes is the log size below which auto-compaction never
 	// triggers. 0 picks 1 MiB.
@@ -105,10 +108,6 @@ const (
 	maxSegmentBytes        = 1 << 30
 	defaultCacheBytes      = 32 << 20
 	defaultCompactMinBytes = 1 << 20
-	// segReadGap merges adjacent record reads whose file gap is at most
-	// this many bytes into one ReadAt span; segReadSpan caps a span.
-	segReadGap  = 512
-	segReadSpan = 1 << 20
 	// maxRecsPerFrame chunks huge Upsert batches so one frame stays far
 	// under wal.MaxFramePayload. ApplyDeltas is never chunked (the whole
 	// round must be one atomic frame) and errors out above the limit.
@@ -176,7 +175,8 @@ func (o DiskOptions) withDefaults() DiskOptions {
 }
 
 // OpenDisk opens (creating if needed) a log-structured store rooted at
-// dir, replaying its segment files into the in-memory index.
+// dir, replaying its segment files into the in-memory index and mapping
+// each for reads.
 func OpenDisk(dir string, opt DiskOptions) (*Disk, error) {
 	d := &Disk{dir: dir, opt: opt.withDefaults()}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -283,8 +283,18 @@ func (d *Disk) openSegment(id uint32, last bool) error {
 			}
 		}
 	}
+	if err := d.mapSegment(l); err != nil {
+		return fmt.Errorf("store: segment %d: %w", id, err)
+	}
 	d.totalBytes += l.Size()
 	return nil
+}
+
+// mapSegment maps a segment for reads, sized so that it never outgrows
+// the mapping: appendFrame appends only while the segment is shorter
+// than SegmentBytes, one frame at a time.
+func (d *Disk) mapSegment(l *wal.Log) error {
+	return l.Map(max(l.Size(), d.opt.SegmentBytes))
 }
 
 // applyRecs folds one parsed frame, whose payload starts at file offset
@@ -330,8 +340,8 @@ func (d *Disk) applyRecs(seg uint32, off int64, recs []segRec) {
 	}
 }
 
-// closeFiles releases every segment handle. None holds a buffered frame:
-// appendFrame flushes each one.
+// closeFiles releases every segment handle and mapping. None holds a
+// buffered frame: appendFrame flushes each one.
 func (d *Disk) closeFiles() {
 	for _, l := range d.segs {
 		l.Close()
@@ -376,9 +386,9 @@ func (d *Disk) tearNewestSegment() error {
 }
 
 // Close flushes and fsyncs the active segment and releases all file
-// handles. The store must not be mutated afterwards; a read that
-// straggles in after Close (a fan-out call nobody waits for) finds no
-// lists.
+// handles and mappings. The store must not be mutated afterwards; a
+// read that straggles in after Close (a fan-out call nobody waits for)
+// finds no lists.
 func (d *Disk) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -712,76 +722,41 @@ func (d *Disk) ApplyDeltas(deltas map[merging.ListID]map[posting.GlobalID]field.
 // ---- read path ----
 
 // shareAt returns the share at position i of run ri of dl, from the
-// resident copy or a single record read. Lock held (read or write —
-// ReadAt is a positioned read, safe either way).
+// resident copy or its record in the segment mappings. Lock held (read
+// or write).
 func (d *Disk) shareAt(dl *diskList, lid merging.ListID, ri, i int) (posting.EncryptedShare, error) {
 	r := &dl.runs[ri]
 	if dl.shares {
 		return r.shares[i], nil
 	}
-	e := r.entries[i]
-	var buf [segUpsertSize]byte
-	if _, err := d.segs[e.seg].ReadAt(buf[:], int64(e.off)); err != nil {
-		return posting.EncryptedShare{}, fmt.Errorf("store: segment %d read at %d: %w", e.seg, e.off, err)
+	shares, err := d.readEntries(lid, r.entries[i:i+1])
+	if err != nil {
+		return posting.EncryptedShare{}, err
 	}
-	return decodeUpsertAt(buf[:], lid, e.gid)
+	return shares[0], nil
 }
 
-// readEntries reads back the payloads of entries, in their order, with
-// reads coalesced per segment: entries sorted by file position are
-// merged into spans when the gap between adjacent records is small, so
-// a list written contiguously (ingest, post-compaction) costs O(1)
-// syscalls while a scattered one degrades gracefully.
-func (d *Disk) readEntries(lid merging.ListID, entries []diskEntry) ([]posting.EncryptedShare, error) {
-	out := make([]posting.EncryptedShare, len(entries))
-	// Each entry's file position as one integer, sorted: a list's order
-	// is by global ID, which says nothing of where its records were
-	// written.
-	type at struct {
-		pos uint64 // seg<<32 | off
-		i   int
-	}
-	order := make([]at, len(entries))
+// readEntries decodes the payloads of entries, in their order, straight
+// from the segment mappings: no sort by file position and no system
+// call, however scattered the records lie. A fault on a mapping (its
+// file cut short behind the engine, or a page the kernel cannot read
+// in) comes back as the error, under one guard for the whole read.
+func (d *Disk) readEntries(lid merging.ListID, entries []diskEntry) (out []posting.EncryptedShare, err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			out, err = nil, fmt.Errorf("store: segment read: %v", r)
+		}
+	}()
+	out = make([]posting.EncryptedShare, len(entries))
+	var seg uint32
+	var mem []byte
 	for i, e := range entries {
-		order[i] = at{uint64(e.seg)<<32 | uint64(e.off), i}
-	}
-	slices.SortFunc(order, func(a, b at) int { return cmp.Compare(a.pos, b.pos) })
-	var buf []byte
-	for i := 0; i < len(order); {
-		first := entries[order[i].i]
-		spanStart := int64(first.off)
-		spanEnd := spanStart + segUpsertSize
-		j := i + 1
-		for j < len(order) {
-			e := entries[order[j].i]
-			if e.seg != first.seg {
-				break
-			}
-			recEnd := int64(e.off) + segUpsertSize
-			if int64(e.off) > spanEnd+segReadGap || recEnd-spanStart > segReadSpan {
-				break
-			}
-			if recEnd > spanEnd {
-				spanEnd = recEnd
-			}
-			j++
+		if mem == nil || e.seg != seg {
+			seg, mem = e.seg, d.segs[e.seg].Mapped()
 		}
-		if n := spanEnd - spanStart; int64(cap(buf)) < n {
-			buf = make([]byte, n)
-		} else {
-			buf = buf[:n]
-		}
-		if _, err := d.segs[first.seg].ReadAt(buf, spanStart); err != nil {
-			return nil, fmt.Errorf("store: segment %d read at %d: %w", first.seg, spanStart, err)
-		}
-		for ; i < j; i++ {
-			e := entries[order[i].i]
-			rec := buf[int64(e.off)-spanStart:]
-			sh, err := decodeUpsertAt(rec, lid, e.gid)
-			if err != nil {
-				return nil, err
-			}
-			out[order[i].i] = sh
+		if out[i], err = decodeUpsertAt(mem[e.off:], lid, e.gid); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil

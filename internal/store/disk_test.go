@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"zerber/internal/field"
@@ -310,6 +311,152 @@ func TestDiskCacheBudget(t *testing.T) {
 	if st := d.Stats(); st.CachedBytes > budget {
 		t.Fatalf("cache charge %d exceeds budget %d after read sweep", st.CachedBytes, budget)
 	}
+}
+
+// TestDiskReadFaultIsAnError cuts the segment files to nothing behind an
+// open engine, so a read of a list that is not resident touches mapped
+// pages past the end of its file. Every read path must report that as it
+// reports any failed read, with the engine's recoverable "store: disk
+// read" panic, instead of the process dying of SIGBUS. After Close a
+// read finds no lists and touches no mapping.
+func TestDiskReadFaultIsAnError(t *testing.T) {
+	dir := t.TempDir()
+	d, err := store.OpenDisk(dir, store.DiskOptions{CacheBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch []posting.EncryptedShare
+	for j := 0; j < 500; j++ {
+		batch = append(batch, tagged(uint64(j), uint8(j%posting.ImpactBuckets), uint32(j%3)))
+	}
+	d.Upsert(1, batch)
+	segs, err := filepath.Glob(filepath.Join(dir, "*.zseg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("segments = %v, %v", segs, err)
+	}
+	for _, p := range segs {
+		if err := os.Truncate(p, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	panicOf := func(read func()) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		read()
+		return
+	}
+	for name, read := range map[string]func(){
+		"Scan":      func() { d.Scan(1, nil) },
+		"ScanRange": func() { d.ScanRange(1, 100, 50, nil) },
+		"DeleteIf":  func() { d.DeleteIf(1, batch[7].GlobalID, func(posting.EncryptedShare) bool { return true }) },
+	} {
+		if msg := panicOf(read); !strings.HasPrefix(msg, "store: disk read: ") {
+			t.Errorf("%s of a cut segment: panic %q, want a store: disk read error", name, msg)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Scan(1, nil); got != nil {
+		t.Fatalf("Scan after Close = %d shares, want none", len(got))
+	}
+	if got, total, _ := d.ScanRange(1, 0, 10, nil); got != nil || total != 0 {
+		t.Fatalf("ScanRange after Close = %d shares of %d, want none", len(got), total)
+	}
+}
+
+// TestDiskColdReadsRaceRolloverAndCompaction runs Scan and ScanRange of
+// lists that are mostly not resident against writers whose churn rolls
+// segments over and auto-compacts the log, so reads decode from mappings
+// that appends extend and compaction replaces; the run ends with Close
+// under the readers. Each writer owns its lists and feeds a Sharded the
+// same writes, so the contents must end up equal. Every share a reader
+// gets must be one a writer stored under its global ID.
+func TestDiskColdReadsRaceRolloverAndCompaction(t *testing.T) {
+	const writers, listsPer = 2, 4
+	ops := 3000
+	if testing.Short() {
+		ops = 1000
+	}
+	d, err := store.OpenDisk(t.TempDir(), store.DiskOptions{
+		SegmentBytes:    4 << 10,
+		CacheBytes:      1 << 10,
+		CompactMinBytes: 8 << 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ref := store.NewSharded(1)
+	// y carries the global ID it was stored under, and a version.
+	y := func(gid posting.GlobalID, version int) uint64 { return uint64(gid)%1_000_003<<8 | uint64(version&0xff) }
+	check := func(shares []posting.EncryptedShare) {
+		for _, s := range shares {
+			if s.Y.Uint64()>>8 != uint64(s.GlobalID)%1_000_003 {
+				t.Errorf("read share %d with value %d, stored under another element", s.GlobalID, s.Y.Uint64())
+				return
+			}
+		}
+	}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(int64(100 + r)))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				lid := merging.ListID(rng.Intn(writers * listsPer))
+				check(d.Scan(lid, func(s posting.EncryptedShare) bool { return s.Group != 2 }))
+				shares, _, _ := d.ScanRange(lid, rng.Intn(64), 1+rng.Intn(32), nil)
+				check(shares)
+			}
+		}(r)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < ops; i++ {
+				lid := merging.ListID(w*listsPer + rng.Intn(listsPer))
+				switch seq := uint64(rng.Intn(96)); {
+				case rng.Intn(4) > 0:
+					var batch []posting.EncryptedShare
+					for j := uint64(0); j < 1+seq%4; j++ {
+						gid := posting.TagImpact(posting.GlobalID(seq+j), uint8((seq+j)%posting.ImpactBuckets))
+						batch = append(batch, sh(gid, uint32(seq%4), y(gid, i)))
+					}
+					d.Upsert(lid, batch)
+					ref.Upsert(lid, batch)
+				case i%200 == 199:
+					d.DropList(lid)
+					ref.DropList(lid)
+				default:
+					gid := posting.TagImpact(posting.GlobalID(seq), uint8(seq%posting.ImpactBuckets))
+					d.DeleteIf(lid, gid, nil)
+					ref.DeleteIf(lid, gid, nil)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if st := d.Stats(); st.Compactions == 0 {
+		t.Errorf("churn never compacted the log: %+v", st)
+	}
+	if got, want := engineState(d), engineState(ref); got != want {
+		t.Errorf("disk diverged from the reference:\n got: %s\nwant: %s", got, want)
+	}
+	if err := d.Close(); err != nil {
+		t.Error(err)
+	}
+	close(stop)
+	readers.Wait()
 }
 
 func TestDiskSegmentRollover(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"syscall"
 )
 
 // tempSuffix names the file WriteAtomic builds a log in.
@@ -44,7 +45,8 @@ func Replay(r io.Reader, fold Fold) (valid int64, err error) {
 type Log struct {
 	f    *os.File
 	w    *bufio.Writer
-	size int64 // bytes in the file, buffered ones included
+	size int64  // bytes in the file, buffered ones included
+	mem  []byte // read-only shared mapping of the file, once Map made it
 }
 
 // Open opens the log at path, creating it if absent and removing the
@@ -131,9 +133,14 @@ func (l *Log) Sync() error {
 	return nil
 }
 
-// Close flushes and closes the file, without an fsync.
+// Close flushes and closes the file, without an fsync, and releases the
+// mapping.
 func (l *Log) Close() error {
 	ferr := l.Flush()
+	if l.mem != nil {
+		syscall.Munmap(l.mem) // fails only for a range that is not a mapping
+		l.mem = nil
+	}
 	if err := l.f.Close(); err != nil && ferr == nil {
 		return fmt.Errorf("wal: close: %w", err)
 	}
@@ -143,9 +150,23 @@ func (l *Log) Close() error {
 // Size is the log's length in bytes, buffered frames included.
 func (l *Log) Size() int64 { return l.size }
 
-// ReadAt reads flushed bytes of the log at off. Unlike the rest of Log,
-// it is safe to call concurrently with other ReadAt calls.
-func (l *Log) ReadAt(p []byte, off int64) (int, error) { return l.f.ReadAt(p, off) }
+// Map maps the file read-only and shared, n bytes plus the largest frame
+// one Append writes, so a log that appends only while shorter than n
+// never outgrows it; flushed bytes show through at once, and Close
+// releases it. Call it once. A read past the end of the file, or of a
+// page the kernel cannot read in, faults (see debug.SetPanicOnFault).
+func (l *Log) Map(n int64) error {
+	mem, err := syscall.Mmap(int(l.f.Fd()), 0, int(n+MaxFramePayload+frameOverhead), syscall.PROT_READ, syscall.MAP_SHARED)
+	if err != nil {
+		return fmt.Errorf("wal: mmap: %w", err)
+	}
+	l.mem = mem
+	return nil
+}
+
+// Mapped is Map's mapping, nil before Map. Reads of its flushed bytes
+// may run concurrently with each other and with Append, not with Close.
+func (l *Log) Mapped() []byte { return l.mem }
 
 // Truncate is the torn-tail cut: it shortens the file to n bytes, the
 // valid prefix Open reported, so appends continue from a consistent

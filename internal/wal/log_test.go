@@ -118,3 +118,35 @@ func TestWriteAtomicCrashWindows(t *testing.T) {
 		t.Fatalf("appends after the rename: the log replays %q", got)
 	}
 }
+
+// TestMapShowsAppendsPastTheFileEnd maps a log shorter than the mapping
+// and appends past the length it had: every flushed payload reads back
+// through the mapping at the offset Append returned, and Close releases
+// the mapping.
+func TestMapShowsAppendsPastTheFileEnd(t *testing.T) {
+	l, _, err := Open(filepath.Join(t.TempDir(), "log"), func([]byte, int64) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Map(64); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"first", "second", string(bytes.Repeat([]byte{'x'}, 5000))} {
+		off, err := l.Append([]byte(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got := string(l.Mapped()[off : off+int64(len(p))]); got != p {
+			t.Fatalf("mapping at %d holds %.20q, want %.20q", off, got, p)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if l.Mapped() != nil {
+		t.Fatal("mapping kept after Close")
+	}
+}
