@@ -8,8 +8,8 @@ BENCHTIME ?= 0.5s
 FUZZTIME ?= 10s
 COMMIT ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 
-.PHONY: build test test-full race fuzz cover bench benchstore benchjson \
-	soak soak-full lint fmt ci
+.PHONY: build test test-full race fuzz cover examples bench benchstore \
+	benchjson soak soak-full lint fmt ci
 
 build:
 	$(GO) build ./...
@@ -77,6 +77,14 @@ fuzz:
 cover:
 	$(GO) test -count=1 -shuffle=on -coverprofile=cover.out ./...
 	$(GO) run ./cmd/zerber-cover -profile cover.out -baseline COVERAGE.txt
+
+# Examples: run every main package under examples/ (tier 1 only
+# compiles them); any one that exits nonzero fails the target. Their
+# output goes to /dev/null, their errors to the log.
+examples:
+	@set -e; for d in examples/*/; do \
+		echo "go run ./$$d"; $(GO) run ./$$d > /dev/null; \
+	done
 
 # One iteration per benchmark: a smoke run proving the benchmarks still
 # compile and execute, not a measurement.
@@ -150,4 +158,4 @@ lint:
 fmt:
 	gofmt -w .
 
-ci: build lint cover race fuzz bench benchstore soak
+ci: build lint cover examples race fuzz bench benchstore soak

@@ -498,8 +498,7 @@ func (pe *parallelBenchEnv) tunedClient(b *testing.B, tuning client.Tuning) *cli
 // 5-server, k=3 cluster with a simulated 2 ms server RTT: the
 // pre-concurrency sequential walk (one request at a time) pays k serial
 // RTTs; the parallel fan-out pays roughly one,
-// bounded by the slowest of the first k responders; hedged keeps only k
-// requests in flight and backfills stragglers after a hedge delay.
+// bounded by the slowest of the first k responders.
 func BenchmarkRetrieveParallel(b *testing.B) {
 	pe := parallelEnv(b)
 	for _, tc := range []struct {
@@ -508,7 +507,6 @@ func BenchmarkRetrieveParallel(b *testing.B) {
 	}{
 		{"sequential", client.Tuning{Fanout: 1}},
 		{"fanout", client.Tuning{}},
-		{"fanout-hedged", client.Tuning{Fanout: 3, HedgeDelay: benchRTT / 2}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			cl := pe.tunedClient(b, tc.tuning)

@@ -9,7 +9,7 @@
 //	zerber-experiments -full           # paper-sized corpora (slow, much RAM)
 //
 // Each run prints paper-style rows. Their mapping to the paper's
-// numbers is not yet recorded (ROADMAP item 8).
+// numbers is not yet recorded (ROADMAP item 10).
 package main
 
 import (

@@ -19,6 +19,14 @@
 // adversary watching updates cannot correlate elements by document.
 // A docmap.json mapping document IDs to file names is written next to
 // the table for zerber-search to label results.
+//
+// zerber-index keeps no journal, so a run cannot be repeated: a second
+// run over the same directory indexes every document again under fresh
+// global IDs, and the first run's elements stay on the servers, where no
+// peer can delete them (a delete names the global IDs, which only the
+// first run knew). zerber-peer -journal is the path that can be re-run:
+// its journal restores the documents it indexed, and a rerun sends only
+// what changed.
 package main
 
 import (

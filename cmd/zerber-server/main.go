@@ -23,7 +23,8 @@
 // of package server for the exact contract.
 //
 // The key is the 32-byte hex HMAC key of the enterprise authentication
-// service (see cmd/zerber-search -issue for minting matching tokens).
+// service. zerber-index, zerber-search and zerber-peer take the same key
+// with their -key flag and mint their user's token from it.
 package main
 
 import (

@@ -9,8 +9,8 @@ import (
 )
 
 // ExampleCluster shows the complete Zerber lifecycle: build a cluster
-// from corpus statistics, manage group membership, index documents, and
-// run a ranked search with snippets.
+// from corpus statistics, manage group membership, index a batch of
+// documents, and run a ranked search with snippets.
 func ExampleCluster() {
 	docFreqs := map[string]int{
 		"the": 50, "budget": 20, "meeting": 15, "martha": 8, "imclone": 4,
@@ -26,11 +26,18 @@ func ExampleCluster() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	err = site.IndexDocument(tok, peer.Document{
-		ID: 1, Name: "memo.eml", Group: 1,
-		Content: "Martha sold ImClone before the budget meeting.",
-	})
-	if err != nil {
+	// One batch flush indexes several documents with their elements
+	// shuffled together, hiding which elements belong to one document.
+	batch := site.NewBatch()
+	for _, d := range []peer.Document{
+		{ID: 1, Name: "memo.eml", Group: 1, Content: "Martha sold ImClone before the budget meeting."},
+		{ID: 2, Name: "q3.doc", Group: 1, Content: "The budget meeting moved to Thursday."},
+	} {
+		if err := batch.Add(d); err != nil {
+			log.Fatal(err)
+		}
+	}
+	if err := batch.Flush(tok); err != nil {
 		log.Fatal(err)
 	}
 
@@ -43,7 +50,10 @@ func ExampleCluster() {
 		log.Fatal(err)
 	}
 	fmt.Printf("%d result(s); doc %d hosted by %s\n", len(results), results[0].DocID, results[0].Peer)
-	// Output: 1 result(s); doc 1 hosted by laptop
+	fmt.Println(results[0].Snippet)
+	// Output:
+	// 1 result(s); doc 1 hosted by laptop
+	// Martha sold ImClone before the budget meeting.
 }
 
 // ExampleCluster_revocation shows the no-key-management revocation

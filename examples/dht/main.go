@@ -59,7 +59,7 @@ func main() {
 	var slots []*dht.Slot
 	var apis []transport.API
 	for s := 0; s < 2; s++ {
-		slot := dht.NewSlot(32, "node0", store.NewSharded(0))
+		slot := dht.NewSlot("node0", store.NewSharded(0))
 		for n := 1; n < 3; n++ {
 			if err := slot.AddNode(fmt.Sprintf("node%d", n), store.NewSharded(0)); err != nil {
 				log.Fatal(err)

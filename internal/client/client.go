@@ -8,7 +8,7 @@
 // The network half is concurrent: requests fan out to up to
 // Tuning.Fanout servers in parallel, the query completes as soon as the
 // first k respond (stragglers are cancelled through the context), and
-// slow servers can be hedged after Tuning.HedgeDelay. The compute half
+// a failed request is replaced by the next server. The compute half
 // is one flat, single-goroutine pipeline that exact, verified and top-k
 // retrieval share (join.go): each list's responses are joined through a
 // pointer-free gid → row table into share columns, whole columns are
@@ -119,9 +119,9 @@ func New(servers []transport.API, k int, table *merging.Table, voc *vocab.Vocabu
 	return &Client{servers: servers, k: k, table: table, voc: voc, xs: xs, joinMul: rand.Uint64() | 1}, nil
 }
 
-// SetTuning replaces the query-engine tuning (fan-out width, hedge
-// delay, top-k block size). Call it before issuing queries; it is not
-// synchronized with concurrent Retrieve calls.
+// SetTuning replaces the query-engine tuning (fan-out width, top-k
+// block size). Call it before issuing queries; it is not synchronized
+// with concurrent Retrieve calls.
 func (c *Client) SetTuning(t Tuning) { c.tuning = t }
 
 // Search runs a keyword query and returns the top-K accessible documents

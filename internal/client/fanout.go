@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"time"
 )
 
 // fanResult is one server's answer in a fan-out round, tagged with the
@@ -18,19 +17,17 @@ type fanResult[T any] struct {
 // "the client queries the available Zerber servers and needs k
 // responses") for any per-server call: it launches call against up to
 // Tuning.Fanout servers at once, replaces each failed request with the
-// next untried server, optionally hedges stragglers after
-// Tuning.HedgeDelay, and returns as soon as need servers have answered.
-// Outstanding requests are cancelled through the per-call context. The
-// results come back sorted by server index so downstream Lagrange bases
-// are deterministic. Whole-list fetches and top-k block rounds share this
-// one engine.
+// next untried server, and returns as soon as need servers have
+// answered. Outstanding requests are cancelled through the per-call
+// context. The results come back sorted by server index so downstream
+// Lagrange bases are deterministic. Whole-list fetches and top-k block
+// rounds share this one engine.
 //
 // pinned is nil for all of that. A streamed top-k query's rounds after
 // its first pass the servers in the order to try them, the first round's
-// responders first: at most need are asked at once and none is hedged (a
-// responder slower than the hedge delay is still the only one whose
-// windows line up with the rounds before); the rest only replace a
-// failure.
+// responders first: at most need are asked at once (a slow responder is
+// still the only one whose windows line up with the rounds before); the
+// rest only replace a failure.
 func fanOutCall[T any](ctx context.Context, c *Client, need int, pinned []int, call func(ctx context.Context, server int) (T, error)) ([]fanResult[T], error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -67,16 +64,6 @@ func fanOutCall[T any](ctx context.Context, c *Client, need int, pinned []int, c
 		launch()
 	}
 
-	// Hedging: each time the delay elapses without need responses, put
-	// one more server in flight.
-	var hedge <-chan time.Time
-	var hedgeTimer *time.Timer
-	if c.tuning.HedgeDelay > 0 && next < n && pinned == nil {
-		hedgeTimer = time.NewTimer(c.tuning.HedgeDelay)
-		defer hedgeTimer.Stop()
-		hedge = hedgeTimer.C
-	}
-
 	responses := make([]fanResult[T], 0, need)
 	var lastErr error
 	finished := 0
@@ -98,12 +85,6 @@ func fanOutCall[T any](ctx context.Context, c *Client, need int, pinned []int, c
 				continue
 			}
 			responses = append(responses, fanResult[T]{idx: r.idx, val: r.val})
-		case <-hedge:
-			if launch() && next < n {
-				hedgeTimer.Reset(c.tuning.HedgeDelay)
-			} else {
-				hedge = nil
-			}
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}

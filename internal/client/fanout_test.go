@@ -138,30 +138,6 @@ func TestRetrieveContextCancellation(t *testing.T) {
 	}
 }
 
-func TestHedgeLaunchesBackupServers(t *testing.T) {
-	// Fanout=1 with a hung first server: without hedging the query
-	// would block forever; the hedge timer must put the remaining
-	// servers in flight and complete the query.
-	e := newEnv(t, 2)
-	alice := e.svc.Issue("alice")
-	e.index(t, alice, peer.Document{ID: 1, Content: "martha", Group: 1})
-
-	slow := &blockingAPI{x: 77, done: make(chan struct{})}
-	apis := []transport.API{slow, e.apis[0], e.apis[1]}
-	c, err := client.New(apis, 2, e.table, e.voc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SetTuning(client.Tuning{Fanout: 1, HedgeDelay: 5 * time.Millisecond})
-	res, stats, err := c.Search(alice, []string{"martha"}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 1 || stats.ServersQueried != 2 {
-		t.Fatalf("hedged search: res=%v stats=%+v", res, stats)
-	}
-}
-
 func TestSequentialTuningMatchesParallel(t *testing.T) {
 	// Fanout=1 is the pre-concurrency client; its results and stats
 	// must be identical to the parallel defaults.

@@ -11,10 +11,10 @@ import (
 // recCacheCap bounds the reconstructor cache. A Lagrange basis is keyed
 // by the set of servers whose shares it consumes; a steady cluster
 // produces a handful of distinct sets (the k fastest responders), while
-// failures and hedging add a few more. 64 entries hold every subset a
-// realistic fan-out cycles through, at ~3 cache lines per entry, and the
-// FIFO eviction below keeps pathological subsets (one-off stragglers)
-// from growing the map without bound.
+// failures add a few more. 64 entries hold every subset a realistic
+// fan-out cycles through, at ~3 cache lines per entry, and the FIFO
+// eviction below keeps pathological subsets (one-off stragglers) from
+// growing the map without bound.
 const recCacheCap = 64
 
 // basis is the Lagrange basis for one k-subset of the client's servers,

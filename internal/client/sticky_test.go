@@ -204,12 +204,13 @@ func (s *slowBlocks) GetPostingBlocks(ctx context.Context, tok auth.Token, lid m
 	return s.API.GetPostingBlocks(ctx, tok, lid, from, n)
 }
 
-// TestTopKKeepsSlowPinnedResponder: on a healthy cluster a responder
-// slower than the hedge delay is waited for in the rounds it is pinned
-// to. Were those rounds hedged, server 2 would win round 2 from the slow
-// server 1 and restart the query on {0, 2}, server 1 would win that
-// attempt's round 2 from the now slow server 2, and n-k+1 = 2 attempts
-// are all a query gets.
+// TestTopKKeepsSlowPinnedResponder: the rounds after a streamed query's
+// first ask only the responders pinned by it, and wait for a slow one.
+// The first round asks all three servers. Were a later round to ask the
+// unpinned server too, it could win that round from a slow pinned one
+// and restart the query on a new pair; servers 1 and 2 are slow on
+// different rounds, so the new pair can lose a round the same way, and
+// n-k+1 = 2 attempts are all a query gets.
 func TestTopKKeepsSlowPinnedResponder(t *testing.T) {
 	e, alice := skewedEnv(t, 40)
 	const delay = 50 * time.Millisecond
@@ -222,7 +223,7 @@ func TestTopKKeepsSlowPinnedResponder(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := bruteTopK(t, c, alice, []string{"imclone"}, 20)
-	c.SetTuning(client.Tuning{Fanout: 2, HedgeDelay: time.Millisecond, BlockSize: 4})
+	c.SetTuning(client.Tuning{BlockSize: 4}) // the first round asks all three servers
 	got, stats, err := c.SearchTopK(alice, []string{"imclone"}, 20)
 	if err != nil {
 		t.Fatal(err)

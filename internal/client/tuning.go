@@ -1,28 +1,20 @@
 package client
 
-import "time"
-
 // Tuning configures the query engine's network half: how wide a query
-// fans out, when it hedges, and where a streamed top-k query starts. The
-// zero value selects the aggressive defaults: fan out to every known
-// server at once. Fanout=1, HedgeDelay=0 walks the servers one request
-// at a time — useful as a benchmark baseline, but strictly dominated in
-// latency. Join, decrypt and ranking have no knobs: they run inline on
-// the calling goroutine at a few nanoseconds per element, with the same
-// results and Stats under every tuning.
+// fans out and where a streamed top-k query starts. The zero value
+// selects the aggressive defaults: fan out to every known server at
+// once. Fanout=1 walks the servers one request at a time — useful as a
+// benchmark baseline, but strictly dominated in latency. Join, decrypt
+// and ranking have no knobs: they run inline on the calling goroutine
+// at a few nanoseconds per element, with the same results and Stats
+// under every tuning.
 type Tuning struct {
 	// Fanout caps the number of concurrently in-flight GetPostingLists
 	// requests. 0 (or >= n) queries all servers at once; 1 walks the
 	// server list one request at a time like the original sequential
-	// client. Lower widths trade latency for reduced server load.
+	// client. Lower widths trade latency for reduced server load. A
+	// server is added only to replace one that failed.
 	Fanout int
-	// HedgeDelay, when positive and Fanout leaves servers unstarted,
-	// launches one additional server each time this delay elapses
-	// without the query having gathered enough responses. This hedges
-	// against stragglers without the full cost of querying everyone. A
-	// streamed top-k query hedges its first round only: the later ones
-	// wait for the servers that answered it (see topk.go).
-	HedgeDelay time.Duration
 	// BlockSize is the first window of a streamed query: the number of
 	// score-ordered posting elements SearchTopK fetches per list in the
 	// first round of its streamed plan; later windows double. 0 selects

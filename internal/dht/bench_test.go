@@ -23,7 +23,7 @@ import (
 func BenchmarkMigrationThroughput(b *testing.B) {
 	const lists, sharesPerList = 64, 32
 
-	slot := dht.NewSlot(32, "n0", store.NewSharded(0))
+	slot := dht.NewSlot("n0", store.NewSharded(0))
 	srv, tok := serve(b, slot)
 	all := make([]merging.ListID, lists)
 	gid := posting.GlobalID(0)

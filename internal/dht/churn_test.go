@@ -51,7 +51,7 @@ func serve(t testing.TB, slot *dht.Slot) (*server.Server, auth.Token) {
 // and the index server over it.
 func churnSlot(t *testing.T, nNodes int) (*dht.Slot, *server.Server, auth.Token) {
 	t.Helper()
-	slot := dht.NewSlot(32, "n0", newNode())
+	slot := dht.NewSlot("n0", newNode())
 	for n := 1; n < nNodes; n++ {
 		if err := slot.AddNode(fmt.Sprintf("n%d", n), newNode()); err != nil {
 			t.Fatal(err)
@@ -109,10 +109,12 @@ func checkSlotSettled(t *testing.T, slot *dht.Slot, want map[posting.GlobalID]bo
 // GetPostingBlocks: every page must report the list's full length, and
 // the pages must add up to the list, whichever node served them — a
 // page read from a source that a cutover has just emptied reports 0.
-// Runs under `make race`; correctness of the final state is checked
-// exactly.
+// Ring readers ask RingOwnerOfList meanwhile: the ring has no lock of
+// its own, so only the slot's routing lock orders them against the
+// joins and leaves that change it. Runs under `make race`; correctness
+// of the final state is checked exactly.
 func TestSlotChurnRace(t *testing.T) {
-	rounds, writers, readers := 12, 3, 4
+	rounds, writers, readers, ringReaders := 12, 3, 4, 2
 	if testing.Short() {
 		rounds = 5
 	}
@@ -215,6 +217,19 @@ func TestSlotChurnRace(t *testing.T) {
 		}(r)
 	}
 
+	for r := 0; r < ringReaders; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for lid := merging.ListID(r); !stop.Load(); lid++ {
+				if owner, err := slot.RingOwnerOfList(lid % 64); err != nil || owner == "" {
+					t.Errorf("ring owner of list %d: %q, %v", lid%64, owner, err)
+					return
+				}
+			}
+		}(r)
+	}
+
 	// Membership churn in the foreground: join extra nodes, remove
 	// them again, interleaved with the writers and readers above.
 	for r := 0; r < rounds; r++ {
@@ -254,7 +269,7 @@ func TestMoveCompletesUnderSustainedWrites(t *testing.T) {
 		rounds = 6
 	}
 	const lists = 16
-	slot := dht.NewSlot(32, "n0", store.NewSharded(0))
+	slot := dht.NewSlot("n0", store.NewSharded(0))
 
 	var stop atomic.Bool
 	var ready, wg sync.WaitGroup
@@ -443,7 +458,7 @@ func TestReshareDuringMove(t *testing.T) {
 	servers := make([]*server.Server, n)
 	for i := range slots {
 		xs[i] = field.Element(i + 1)
-		slots[i] = dht.NewSlot(32, "n0", store.NewSharded(0))
+		slots[i] = dht.NewSlot("n0", store.NewSharded(0))
 		servers[i] = server.New(server.Config{Name: fmt.Sprintf("slot%d", i), X: xs[i], Auth: svc, Groups: groups, Store: slots[i]})
 	}
 	rng := rand.New(rand.NewSource(5))

@@ -23,7 +23,7 @@ import (
 )
 
 func TestRingOwnershipStable(t *testing.T) {
-	r := dht.NewRing(16)
+	r := dht.NewRing()
 	r.AddNode("a")
 	r.AddNode("b")
 	r.AddNode("c")
@@ -41,7 +41,7 @@ func TestRingOwnershipStable(t *testing.T) {
 }
 
 func TestRingEmptyAndMembership(t *testing.T) {
-	r := dht.NewRing(8)
+	r := dht.NewRing()
 	if _, err := r.Owner(42); err == nil {
 		t.Error("empty ring must error")
 	}
@@ -56,7 +56,7 @@ func TestRingEmptyAndMembership(t *testing.T) {
 }
 
 func TestRingBalance(t *testing.T) {
-	r := dht.NewRing(64)
+	r := dht.NewRing()
 	for i := 0; i < 5; i++ {
 		r.AddNode(fmt.Sprintf("node%d", i))
 	}
@@ -77,7 +77,7 @@ func TestRingBalance(t *testing.T) {
 
 func TestRingMinimalDisruption(t *testing.T) {
 	// Consistent hashing: adding one node must not reassign most lists.
-	r := dht.NewRing(64)
+	r := dht.NewRing()
 	r.AddNode("a")
 	r.AddNode("b")
 	r.AddNode("c")
@@ -139,7 +139,7 @@ func newDHTEnv(t *testing.T, nodesPerSlot int) *dhtEnv {
 
 	e := &dhtEnv{svc: svc, table: table, voc: voc}
 	for slot := 0; slot < 2; slot++ {
-		s := dht.NewSlot(32, "node0", store.NewSharded(0))
+		s := dht.NewSlot("node0", store.NewSharded(0))
 		for n := 1; n < nodesPerSlot; n++ {
 			if err := s.AddNode(fmt.Sprintf("node%d", n), store.NewSharded(0)); err != nil {
 				t.Fatal(err)

@@ -35,7 +35,6 @@ import (
 	"hash/fnv"
 	"sort"
 	"strconv"
-	"sync"
 
 	"zerber/internal/merging"
 )
@@ -72,11 +71,15 @@ func listKey(lid merging.ListID) uint64 {
 	return mix64(h.Sum64())
 }
 
-// Ring is a consistent-hashing ring with virtual nodes. It is safe for
-// concurrent use.
+// vnodes is how many points each physical node takes on the ring: more
+// points even out the nodes' shares of the lists (TestRingBalance) and
+// lengthen every lookup's search.
+const vnodes = 32
+
+// Ring is a consistent-hashing ring with virtual nodes. It has no lock
+// of its own: a Slot reads and changes its ring only under the slot's
+// routing lock.
 type Ring struct {
-	mu      sync.RWMutex
-	vnodes  int
 	points  []point // sorted by position
 	nodeSet map[string]struct{}
 }
@@ -89,24 +92,18 @@ type point struct {
 // ErrEmptyRing reports lookups on a ring with no nodes.
 var ErrEmptyRing = errors.New("dht: ring has no nodes")
 
-// NewRing creates a ring with the given number of virtual nodes per
-// physical node (0 means 32).
-func NewRing(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = 32
-	}
-	return &Ring{vnodes: vnodes, nodeSet: make(map[string]struct{})}
+// NewRing creates an empty ring.
+func NewRing() *Ring {
+	return &Ring{nodeSet: make(map[string]struct{})}
 }
 
 // AddNode places a node on the ring (idempotent).
 func (r *Ring) AddNode(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if _, dup := r.nodeSet[name]; dup {
 		return
 	}
 	r.nodeSet[name] = struct{}{}
-	for v := 0; v < r.vnodes; v++ {
+	for v := 0; v < vnodes; v++ {
 		r.points = append(r.points, point{
 			pos:  ringHash(fmt.Sprintf("%s#%d", name, v)),
 			node: name,
@@ -117,8 +114,6 @@ func (r *Ring) AddNode(name string) {
 
 // RemoveNode takes a node off the ring; it reports whether it was present.
 func (r *Ring) RemoveNode(name string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if _, ok := r.nodeSet[name]; !ok {
 		return false
 	}
@@ -136,8 +131,6 @@ func (r *Ring) RemoveNode(name string) bool {
 // Owner returns the node responsible for a key: the first virtual node
 // clockwise from the key's position.
 func (r *Ring) Owner(key uint64) (string, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	if len(r.points) == 0 {
 		return "", ErrEmptyRing
 	}
@@ -155,8 +148,6 @@ func (r *Ring) OwnerOfList(lid merging.ListID) (string, error) {
 
 // Nodes returns the sorted physical node names.
 func (r *Ring) Nodes() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	out := make([]string, 0, len(r.nodeSet))
 	for n := range r.nodeSet {
 		out = append(out, n)
@@ -167,7 +158,5 @@ func (r *Ring) Nodes() []string {
 
 // NumNodes returns the number of physical nodes.
 func (r *Ring) NumNodes() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	return len(r.nodeSet)
 }

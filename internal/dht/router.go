@@ -26,7 +26,7 @@ import (
 type Slot struct {
 	// ring holds the *desired* placement. Actual routing consults the
 	// pins below first: authority follows data, not the ring, until
-	// each list's cutover.
+	// each list's cutover. Guarded by mu, like the routing state.
 	ring *Ring
 
 	// migMu serializes membership operations (AddNode, RemoveNode): at
@@ -50,11 +50,10 @@ type Slot struct {
 var _ store.Store = (*Slot)(nil)
 
 // NewSlot creates a slot served by one node, named name, so routing
-// never meets an empty ring. vnodesPerNode places each node on the ring
-// that many times (0 means 32).
-func NewSlot(vnodesPerNode int, name string, node store.Store) *Slot {
+// never meets an empty ring.
+func NewSlot(name string, node store.Store) *Slot {
 	s := &Slot{
-		ring:     NewRing(vnodesPerNode),
+		ring:     NewRing(),
 		nodes:    map[string]store.Store{name: node},
 		draining: make(map[string]bool),
 		stale:    make(map[merging.ListID]string),
@@ -358,6 +357,8 @@ func (s *Slot) NodeNames() []string {
 // RingOwnerOfList returns the ring's owner of a list — where the list
 // lives whenever no membership operation is in progress.
 func (s *Slot) RingOwnerOfList(lid merging.ListID) (string, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.ring.OwnerOfList(lid)
 }
 

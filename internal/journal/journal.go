@@ -192,9 +192,12 @@ func (rs *replayState) fold(payload []byte, _ int64) error {
 			return fmt.Errorf("journal: op record: %w", err)
 		}
 		if st, ok := rs.byID[op.ID]; ok {
-			// A re-Begin replaces the payload (a batch extended between
-			// retries) and restarts the insert stage: earlier acks cover
-			// a smaller payload, so they no longer count.
+			// A re-Begin is dispatch retrying a Begin that failed (its
+			// record may still have reached the file), with the same
+			// payload. No send follows a failed Begin, so no ack precedes
+			// the retry; the fold still takes the later payload and
+			// restarts the insert stage, so an ack never outlives the
+			// payload it acknowledged.
 			st.Op = op
 			st.InsertAcks, st.DeleteAcks = 0, 0
 			return nil

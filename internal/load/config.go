@@ -51,8 +51,6 @@ type Config struct {
 
 	// Queries sizes the synthetic query log the searchers sample from.
 	Queries int
-	// TopK is the ranked result count per search.
-	TopK int
 
 	// LiveDocs is the steady-state number of indexed documents across
 	// all peers: preload indexes this many, and mutators hold the count
@@ -62,10 +60,6 @@ type Config struct {
 	// ChurnInterval paces group-membership churn; ReshareInterval paces
 	// proactive resharing rounds.
 	ChurnInterval, ReshareInterval time.Duration
-
-	// Journal gives every peer a crash-safe mutation journal in a
-	// temporary directory — the production write path, fsyncs included.
-	Journal bool
 
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
@@ -87,13 +81,11 @@ func SmokeConfig() Config {
 		Groups:          8,
 		MeanDocLen:      30,
 		Queries:         2000,
-		TopK:            10,
 		LiveDocs:        120,
 		ChurnInterval:   200 * time.Millisecond,
 		ReshareInterval: 2 * time.Second,
 		DHTNodes:        2,
 		NodeChurnEvery:  1 * time.Second,
-		Journal:         true,
 	}
 }
 
@@ -112,13 +104,11 @@ func FullConfig() Config {
 		Groups:          16,
 		MeanDocLen:      50,
 		Queries:         20000,
-		TopK:            10,
 		LiveDocs:        600,
 		ChurnInterval:   100 * time.Millisecond,
 		ReshareInterval: 5 * time.Second,
 		DHTNodes:        3,
 		NodeChurnEvery:  2 * time.Second,
-		Journal:         true,
 	}
 }
 
@@ -145,8 +135,8 @@ func (c *Config) validate() error {
 	case c.CorpusDocs < c.LiveDocs || c.LiveDocs < c.Peers:
 		return fmt.Errorf("load: need Peers <= LiveDocs <= CorpusDocs, got Peers=%d LiveDocs=%d CorpusDocs=%d",
 			c.Peers, c.LiveDocs, c.CorpusDocs)
-	case c.Groups < 1 || c.Queries < 1 || c.TopK < 1:
-		return fmt.Errorf("load: Groups, Queries, and TopK must be positive")
+	case c.Groups < 1 || c.Queries < 1:
+		return fmt.Errorf("load: Groups and Queries must be positive")
 	case c.ChurnInterval <= 0 || c.ReshareInterval <= 0:
 		return fmt.Errorf("load: ChurnInterval and ReshareInterval must be positive")
 	case c.DHTNodes < 0 || c.NodeChurnEvery < 0:

@@ -21,6 +21,9 @@ import (
 	"zerber/internal/workload"
 )
 
+// resultsPerSearch is the ranked result count every soak search asks for.
+const resultsPerSearch = 10
+
 // Run executes one soak: it builds a synthetic corpus and query log,
 // wires a real multi-server cluster whose index servers listen on
 // loopback TCP, preloads the steady-state document set, and then drives
@@ -125,30 +128,26 @@ func Run(cfg Config) (Result, error) {
 	}
 	defer shutdown()
 
-	journalDir := ""
-	if cfg.Journal {
-		journalDir, err = os.MkdirTemp("", "zerber-load-*")
-		if err != nil {
-			return nil, fmt.Errorf("load: journal dir: %w", err)
-		}
-		defer os.RemoveAll(journalDir)
+	// Every peer journals its mutations — the production write path,
+	// fsyncs included.
+	journalDir, err := os.MkdirTemp("", "zerber-load-*")
+	if err != nil {
+		return nil, fmt.Errorf("load: journal dir: %w", err)
 	}
+	defer os.RemoveAll(journalDir)
 
 	// One mutator per peer, each owning a disjoint partition of the
 	// corpus (document IDs are cluster-unique, §5.4.2).
 	mutators := make([]*mutator, cfg.Peers)
 	for i := range mutators {
-		pcfg := peer.Config{
-			Name:    fmt.Sprintf("site%d", i),
-			Servers: apis,
-			K:       cfg.K,
-			Table:   cluster.Table(),
-			Vocab:   cluster.Vocab(),
-		}
-		if journalDir != "" {
-			pcfg.JournalPath = fmt.Sprintf("%s/site%d.journal", journalDir, i)
-		}
-		p, err := peer.New(pcfg)
+		p, err := peer.New(peer.Config{
+			Name:        fmt.Sprintf("site%d", i),
+			Servers:     apis,
+			K:           cfg.K,
+			Table:       cluster.Table(),
+			Vocab:       cluster.Vocab(),
+			JournalPath: fmt.Sprintf("%s/site%d.journal", journalDir, i),
+		})
 		if err != nil {
 			return nil, fmt.Errorf("load: creating peer %d: %w", i, err)
 		}
@@ -209,9 +208,9 @@ func Run(cfg Config) (Result, error) {
 				q := sampler.Next()
 				var err error
 				if topk {
-					_, _, err = cl.SearchTopKContext(ctx, tok, q, cfg.TopK)
+					_, _, err = cl.SearchTopKContext(ctx, tok, q, resultsPerSearch)
 				} else {
-					_, _, err = cl.SearchContext(ctx, tok, q, cfg.TopK)
+					_, _, err = cl.SearchContext(ctx, tok, q, resultsPerSearch)
 				}
 				if ctx.Err() != nil {
 					return // shutdown-aborted call: neither success nor error

@@ -341,7 +341,7 @@ func (r *runner) newSlot(i int) (*dht.Slot, error) {
 	if err != nil {
 		return nil, err
 	}
-	slot := dht.NewSlot(0, "n0", first)
+	slot := dht.NewSlot("n0", first)
 	if r.cfg.LoseCutover {
 		slot.SetSimHooks(&dht.SimHooks{LoseCutover: true})
 	}

@@ -48,7 +48,7 @@ func each(t *testing.T, run func(t *testing.T, st store.Store)) {
 			return d
 		}},
 		{"dht", func(t *testing.T) store.Store {
-			slot := dht.NewSlot(0, "n0", store.NewSharded(1))
+			slot := dht.NewSlot("n0", store.NewSharded(1))
 			for _, name := range []string{"n1", "n2"} {
 				if err := slot.AddNode(name, store.NewSharded(1)); err != nil {
 					t.Fatal(err)
@@ -501,7 +501,7 @@ func TestEnginesMatch(t *testing.T) {
 	mem := store.NewSharded(1)
 	shd := store.NewSharded(0)
 	dsk := newTestDisk(t)
-	slot := dht.NewSlot(0, "n0", store.NewSharded(1))
+	slot := dht.NewSlot("n0", store.NewSharded(1))
 	engines := []struct {
 		name string
 		st   store.Store

@@ -11,10 +11,9 @@ import (
 )
 
 // Latency wraps an API and delays every call by a fixed round-trip time,
-// honoring context cancellation during the wait. The simulation
-// experiments and benchmarks use it to model the §7.3 intranet RTTs, and
-// the client's fan-out tests use it to stand in for a slow or straggling
-// index server.
+// honoring context cancellation during the wait. The transport tests use
+// it to stand in for a slow index server, and the root package's
+// bench_test.go to model an intranet round trip (§7.3).
 type Latency struct {
 	api API
 	rtt time.Duration

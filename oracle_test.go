@@ -96,7 +96,7 @@ func TestDifferentialAgainstPlainIndex(t *testing.T) {
 				for i := range query {
 					query[i] = vocabulary[rng.Intn(len(vocabulary))]
 				}
-				got, _, err := searcher.SearchStats(tok, query, 1000)
+				got, err := searcher.Search(tok, query, 1000)
 				if err != nil {
 					t.Fatalf("trial %d %s: search: %v", trial, step, err)
 				}

@@ -6,13 +6,14 @@ import (
 	"testing"
 
 	"zerber"
+	"zerber/internal/client"
 	"zerber/internal/peer"
 	"zerber/internal/sim"
 )
 
 // TestTopKMatchesPlainIndex is the end-to-end property test of the
 // early-terminating retrieval protocol: on randomized corpora,
-// memberships, and mutation scripts, a TopKMode searcher must return
+// memberships, and mutation scripts, a top-k search must return
 // exactly the scored top k of the trusted plain-index oracle — same
 // documents, same frequency-sum scores, same tie order — for every
 // user, query shape, and cut, even with a tiny block size forcing the
@@ -38,8 +39,6 @@ func TestTopKMatchesPlainIndex(t *testing.T) {
 			Seed: int64(trial), M: 1 + trial%4,
 			Heuristic: []zerber.Heuristic{zerber.DFM, zerber.BFM, zerber.UDM}[trial%3],
 			R:         2,
-			TopKMode:  true,
-			BlockSize: 1 + trial%3,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -68,10 +67,11 @@ func TestTopKMatchesPlainIndex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		searcher, err := c.Searcher()
+		searcher, err := client.New(c.APIs(), c.K(), c.Table(), c.Vocab())
 		if err != nil {
 			t.Fatal(err)
 		}
+		searcher.SetTuning(client.Tuning{BlockSize: 1 + trial%3})
 
 		live := map[uint32]bool{}
 		randDoc := func(id uint32) peer.Document {
@@ -97,7 +97,7 @@ func TestTopKMatchesPlainIndex(t *testing.T) {
 					query[i] = vocabulary[rng.Intn(len(vocabulary))]
 				}
 				for _, k := range []int{1, 3, 1000} {
-					got, stats, err := searcher.SearchStats(tok, query, k)
+					got, stats, err := searcher.SearchTopK(tok, query, k)
 					if err != nil {
 						t.Fatalf("trial %d %s: top-k search: %v", trial, step, err)
 					}

@@ -44,19 +44,20 @@
 //
 // # Top-k retrieval
 //
-// By default a search fetches the full posting list of every query term
-// — exact retrieval, whose cost grows linearly with list length. The
-// TopKMode option switches searches to the early-terminating block
-// protocol of Zerber+R (§6): each peer tags every posting element, at
-// encryption time, with a coarse impact bucket (the rounded log2 of its
-// term frequency) carried in the top bits of the element's public
-// global ID, and every index server keeps each merged list ordered by
-// descending bucket. A top-k query can then stream score-ordered blocks
-// — GetPostingBlocks(list, from, n) — from k servers round by round,
-// decrypt each round's elements as they arrive, and stop as soon as no
-// unfetched element can alter the top k: the bucket of the first
-// unfetched position bounds everything behind it, so the scan ends once
-// the k-th score is strictly above that bucket's largest frequency.
+// Searcher.Search is exact retrieval: it fetches the full posting list
+// of every query term, at a cost that grows linearly with list length,
+// and ranks by TF-IDF. Searcher.SearchTopK runs the early-terminating
+// block protocol of Zerber+R (§6) instead: each peer tags every posting
+// element, at encryption time, with a coarse impact bucket (the rounded
+// log2 of its term frequency) carried in the top bits of the element's
+// public global ID, and every index server keeps each merged list
+// ordered by descending bucket. A top-k query can then stream
+// score-ordered blocks — GetPostingBlocks(list, from, n) — from k
+// servers round by round, decrypt each round's elements as they arrive,
+// and stop as soon as no unfetched element can alter the top k: the
+// bucket of the first unfetched position bounds everything behind it, so
+// the scan ends once the k-th score is strictly above that bucket's
+// largest frequency.
 //
 // When that pays is decided per query. A one-term query streams: its
 // latency scales with the depth of the k-th result, not with the list
@@ -66,23 +67,27 @@
 // it would read all of its lists but the longest to the end, a round trip
 // per window. It fetches its lists in one call per server instead, as
 // exact retrieval does, and ranks them by the same frequency sum: never
-// slower than exact search, and no faster. BlockSize sets a streamed
-// query's first window; later ones double.
+// slower than exact search, and no faster. A streamed query's first
+// window is 256 elements per list, later ones double (a client built
+// over Cluster.APIs sets another first window with client.Tuning).
 //
-// Ranking under TopKMode is by summed term frequency with ties broken
-// by ascending document ID — a collection-independent order that the
+// SearchTopK ranks by summed term frequency with ties broken by
+// ascending document ID — a collection-independent order that the
 // bucket layout sorts servers by and that exhaustive retrieval
 // reproduces exactly, so early termination is a pure optimization:
-// results are bit-identical to scanning everything. (Exact mode keeps
+// results are bit-identical to scanning everything. (Search keeps
 // TF-IDF ranking, which needs the full lists for personalized
 // collection statistics.)
 //
-// The bucket is a deliberate, bounded widening of the leak budget: a
-// compromised server already sees list lengths and access patterns;
-// under TopKMode it additionally sees each element's ~log2(tf) — 16
-// quantized levels, not the tf itself — which is exactly the §6 trade
-// the paper makes for sub-linear retrieval. Per-term document
-// frequencies stay hidden by list merging as before.
+// The bucket is a deliberate, bounded widening of the leak budget, and
+// it holds for every cluster, whichever search its users run: peers tag
+// every global ID with its bucket and every store keeps its lists in
+// bucket order (the leak budget in internal/store). A compromised server
+// already sees list lengths and access patterns; it additionally sees
+// each element's ~log2(tf) — 16 quantized levels, not the tf itself —
+// which is exactly the §6 trade the paper makes for sub-linear
+// retrieval. Per-term document frequencies stay hidden by list merging
+// as before.
 //
 // # Storage engine
 //
@@ -335,7 +340,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"zerber/internal/auth"
 	"zerber/internal/client"
@@ -389,22 +393,10 @@ type Options struct {
 	RareCutoff float64
 	// Seed makes table construction and BFM redistribution deterministic.
 	Seed int64
-	// TokenTTL is the authentication token lifetime (default 1h).
-	TokenTTL time.Duration
 	// OpaqueUserIDs enables the §7.1 extension: index servers store and
 	// see only HMAC-derived pseudonyms, never real user identities, so a
 	// compromised server cannot tell who issued a query or update.
 	OpaqueUserIDs bool
-	// TopKMode switches searches to top-k retrieval (see above): ranked by
-	// summed term frequency, from score-ordered block rounds that stop
-	// once the top k are provably final where that is cheaper, from whole
-	// lists where not. Off, searches fetch whole lists and rank by TF-IDF.
-	TopKMode bool
-	// BlockSize is the first window of a streamed query under TopKMode:
-	// the score-ordered posting elements fetched per list in its first
-	// round (0 picks the default). Smaller blocks terminate earlier on
-	// easy queries; larger blocks save round trips on deep ones.
-	BlockSize int
 	// DHTNodes, when greater than 1, backs each of the N slot servers
 	// with that many physical storage nodes behind a consistent-hashing
 	// dht.Slot engine (see "Membership & rebalancing" above); JoinNode
@@ -555,7 +547,7 @@ func NewCluster(docFreqs map[string]int, opts Options) (*Cluster, error) {
 	}
 	voc := vocab.NewFromTerms(table.ListedTerms())
 
-	svc, err := auth.NewService(opts.TokenTTL)
+	svc, err := auth.NewService(0) // tokens live auth's default hour
 	if err != nil {
 		return nil, fmt.Errorf("zerber: creating auth service: %w", err)
 	}
@@ -610,7 +602,7 @@ func (c *Cluster) newStore(name string, nodes int) (store.Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	slot := dht.NewSlot(0, "n0", first)
+	slot := dht.NewSlot("n0", first)
 	for j := 1; j < nodes; j++ {
 		node := fmt.Sprintf("n%d", j)
 		st, err := c.newStore(name+"-"+node, 1)
@@ -750,56 +742,49 @@ type Result struct {
 type Searcher struct {
 	c       *client.Client
 	cluster *Cluster
-	// topK selects the early-terminating block protocol (Options.TopKMode).
-	topK bool
 }
 
-// Searcher creates a query client over the cluster's servers, tuned by
-// the cluster's TopKMode and BlockSize options.
+// Searcher creates a query client over the cluster's servers.
 func (c *Cluster) Searcher() (*Searcher, error) {
 	cl, err := client.New(c.APIs(), c.opts.K, c.table, c.voc)
 	if err != nil {
 		return nil, err
 	}
-	cl.SetTuning(client.Tuning{BlockSize: c.opts.BlockSize})
-	return &Searcher{c: cl, cluster: c, topK: c.opts.TopKMode}, nil
+	return &Searcher{c: cl, cluster: c}, nil
 }
 
-// Search runs a ranked keyword query and resolves snippets for the top-K
-// results from the hosting peers.
+// Search runs an exact ranked keyword query — whole posting lists,
+// TF-IDF ranking — and resolves snippets for the top-K results from the
+// hosting peers.
 func (s *Searcher) Search(tok Token, query []string, topK int) ([]Result, error) {
 	return s.SearchContext(context.Background(), tok, query, topK)
 }
 
 // SearchContext is Search bounded by ctx: cancellation aborts the server
-// fan-out and the decrypt stage. Under TopKMode the query runs the
-// early-terminating block protocol where that beats whole lists.
+// fan-out and the decrypt stage.
 func (s *Searcher) SearchContext(ctx context.Context, tok Token, query []string, topK int) ([]Result, error) {
-	ranked, _, err := s.ranked(ctx, tok, query, topK)
+	ranked, _, err := s.c.SearchContext(ctx, tok, query, topK)
 	if err != nil {
 		return nil, err
 	}
 	return s.cluster.resolveSnippets(tok, query, ranked)
 }
 
-// SearchStats runs a query and additionally returns retrieval statistics
-// (elements fetched, false positives, and under TopKMode the TA
-// instrumentation) for the bandwidth/efficiency experiments.
-func (s *Searcher) SearchStats(tok Token, query []string, topK int) ([]Result, client.Stats, error) {
-	ranked, stats, err := s.ranked(context.Background(), tok, query, topK)
-	if err != nil {
-		return nil, stats, err
-	}
-	res, err := s.cluster.resolveSnippets(tok, query, ranked)
-	return res, stats, err
+// SearchTopK runs a top-k query (see "Top-k retrieval" above): ranked by
+// summed term frequency, from score-ordered block rounds that stop once
+// the top k are provably final where that is cheaper, from whole lists
+// where not. Snippets are resolved as for Search.
+func (s *Searcher) SearchTopK(tok Token, query []string, topK int) ([]Result, error) {
+	return s.SearchTopKContext(context.Background(), tok, query, topK)
 }
 
-// ranked dispatches to the configured retrieval protocol.
-func (s *Searcher) ranked(ctx context.Context, tok Token, query []string, topK int) ([]ranking.ScoredDoc, client.Stats, error) {
-	if s.topK {
-		return s.c.SearchTopKContext(ctx, tok, query, topK)
+// SearchTopKContext is SearchTopK bounded by ctx.
+func (s *Searcher) SearchTopKContext(ctx context.Context, tok Token, query []string, topK int) ([]Result, error) {
+	ranked, _, err := s.c.SearchTopKContext(ctx, tok, query, topK)
+	if err != nil {
+		return nil, err
 	}
-	return s.c.SearchContext(ctx, tok, query, topK)
+	return s.cluster.resolveSnippets(tok, query, ranked)
 }
 
 var errNoPeer = errors.New("zerber: no peer hosts the document")

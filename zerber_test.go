@@ -308,27 +308,46 @@ func TestDuplicatePeerName(t *testing.T) {
 	}
 }
 
-func TestSearchStatsExposed(t *testing.T) {
+// TestSearcherSearchTopK: a Searcher's top-k query ranks the user's
+// accessible documents by summed term frequency, ties by ascending
+// document ID, cuts at k, and resolves every hit's snippet and peer as
+// Search does.
+func TestSearcherSearchTopK(t *testing.T) {
 	c := newDemoCluster(t, zerber.Options{Seed: 5, M: 2, Heuristic: zerber.UDM})
 	c.AddUser("alice", 1)
-	tok := c.IssueToken("alice")
+	c.AddUser("owner", 1)
+	c.AddUser("owner", 2)
+	tok := c.IssueToken("owner")
 	p, err := c.NewPeer("site1", 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.IndexDocument(tok, peer.Document{ID: 1, Content: "martha imclone budget merger", Group: 1}); err != nil {
-		t.Fatal(err)
+	for _, d := range []peer.Document{
+		{ID: 1, Content: "martha imclone budget merger", Group: 1},
+		{ID: 2, Content: "martha martha martha layoff", Group: 1},
+		{ID: 3, Content: "martha martha martha martha martha", Group: 2}, // not alice's
+		{ID: 4, Content: "martha budget", Group: 1},
+	} {
+		if err := p.IndexDocument(tok, d); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s, err := c.Searcher()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := s.SearchStats(tok, []string{"martha"}, 10)
+	alice := c.IssueToken("alice")
+	res, err := s.SearchTopK(alice, []string{"martha"}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.ElementsFetched == 0 || stats.ServersQueried != 2 {
-		t.Errorf("stats = %+v", stats)
+	if len(res) != 2 || res[0].DocID != 2 || res[0].Score != 3 || res[1].DocID != 1 || res[1].Score != 1 {
+		t.Fatalf("SearchTopK(martha, 2) = %+v, want doc 2 (score 3), then doc 1 (score 1)", res)
+	}
+	for _, r := range res {
+		if r.Peer != "site1" || !strings.Contains(strings.ToLower(r.Snippet), "martha") {
+			t.Errorf("doc %d: peer %q, snippet %q", r.DocID, r.Peer, r.Snippet)
+		}
 	}
 }
 
