@@ -497,8 +497,8 @@ func (pe *parallelBenchEnv) tunedClient(b *testing.B, tuning client.Tuning) *cli
 // BenchmarkRetrieveParallel compares the query engine's tunings on a
 // 5-server, k=3 cluster with a simulated 2 ms server RTT: the
 // pre-concurrency sequential walk (one request at a time) pays k serial
-// RTTs; the parallel fan-out pays roughly one,
-// bounded by the slowest of the first k responders.
+// RTTs; the default fan-out asks k servers at once and pays roughly
+// one, bounded by the slowest of them until a hedge adds another.
 func BenchmarkRetrieveParallel(b *testing.B) {
 	pe := parallelEnv(b)
 	for _, tc := range []struct {

@@ -53,8 +53,9 @@ func dialWire(t *testing.T, bs *transport.BinaryServer) *transport.BinaryClient 
 // peer and a client connected via transport.DialBinary, shared auth
 // key, group-scoped search, update, and delete. The server count is
 // tiered: 3 under -short, 5 by default, 9 in the nightly full tier — k
-// stays 2, so the wider clusters exercise share fan-out and first-k
-// retrieval at size.
+// stays 2, so the wider clusters exercise share fan-out to every server
+// (the peer writes all n) and a k-wide search over the first k of
+// them.
 func TestWireClusterEndToEnd(t *testing.T) {
 	numServers := tierCount(3, 5, 9)
 	svc, err := auth.NewService(time.Minute)

@@ -5,12 +5,17 @@
 // reconstruction, filtering false positives (elements of merged-in terms
 // the user did not query), and ranking the survivors client-side.
 //
-// The network half is concurrent: requests fan out to up to
-// Tuning.Fanout servers in parallel, the query completes as soon as the
-// first k respond (stragglers are cancelled through the context), and
-// a failed request is replaced by the next server. The compute half
-// is one flat, single-goroutine pipeline that exact, verified and top-k
-// retrieval share (join.go): each list's responses are joined through a
+// The network half is concurrent: a query asks the k servers it needs
+// (k+1 under verification) in parallel, the first in preference order,
+// and a failed request is replaced by the next server. A straggler is
+// hedged: when the answers are not in after srtt + 4·rttvar (RFC 6298's
+// timer over this client's own fan-out latencies, one estimate per call
+// kind), one more server is asked, and the query completes as soon as k
+// have answered. A cancelled straggler's call returns at once, but its
+// server finishes it: the binary wire carries no cancellation, and the
+// response is dropped unread. The compute half is one flat,
+// single-goroutine pipeline that exact, verified and top-k retrieval
+// share (join.go): each list's responses are joined through a
 // pointer-free gid → row table into share columns, whole columns are
 // reconstructed by one batch kernel (shamir.Reconstructor's
 // ReconstructBatch), and decode, false-positive filtering and Stats
@@ -64,6 +69,10 @@ type Client struct {
 	// joinMul keys the share join's hash (see newJoin): random, odd,
 	// never shown to a server.
 	joinMul uint64
+	// wholeRTT and blockRTT time this client's whole-list fetches and
+	// the first block rounds of its streamed top-k queries, whose sizes
+	// differ by an order of magnitude: each sets its own hedge delay.
+	wholeRTT, blockRTT rtt
 }
 
 // Stats describes one search, for the bandwidth/efficiency experiments.
@@ -151,12 +160,12 @@ func (c *Client) Retrieve(tok auth.Token, query []string) (map[string][]ranking.
 	return c.RetrieveContext(context.Background(), tok, query)
 }
 
-// RetrieveContext is Retrieve bounded by ctx. The fan-out launches
-// requests to up to Tuning.Fanout servers concurrently and returns as
-// soon as the first k respond; ctx cancellation propagates to every
-// in-flight server call. Each term's postings come back in ascending
-// (document, frequency) order — a function of the set alone, not of
-// which servers answered or how they lay a list out.
+// RetrieveContext is Retrieve bounded by ctx. The fan-out asks k
+// servers concurrently (see Tuning), hedges a straggler, and returns as
+// soon as k have answered; ctx cancellation ends every in-flight server
+// call. Each term's postings come back in ascending (document,
+// frequency) order — a function of the set alone, not of which servers
+// answered or how they lay a list out.
 func (c *Client) RetrieveContext(ctx context.Context, tok auth.Token, query []string) (map[string][]ranking.Posting, Stats, error) {
 	terms := dedup(query)
 	var stats Stats
@@ -198,7 +207,12 @@ func (c *Client) wholeLists(ctx context.Context, tok auth.Token, terms []string,
 	lids := c.table.ListsOf(terms)
 	stats.ListsRequested = len(lids)
 
-	responses, err := fanOutCall(ctx, c, need, nil, func(ctx context.Context, i int) (map[merging.ListID][]posting.EncryptedShare, error) {
+	// Verified retrieval keeps the k+1 responders it launches: no hedge.
+	est := &c.wholeRTT
+	if c.verify {
+		est = nil
+	}
+	responses, err := fanOutCall(ctx, c, need, nil, est, func(ctx context.Context, i int) (map[merging.ListID][]posting.EncryptedShare, error) {
 		return c.servers[i].GetPostingLists(ctx, tok, lids)
 	})
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -88,33 +89,193 @@ func TestFanoutFewerThanKReachable(t *testing.T) {
 	}
 }
 
+// countLookups wraps each server so that the returned counters hold how
+// many whole-list lookups each one has received.
+func countLookups(apis []transport.API) ([]transport.API, []*atomic.Int32) {
+	wrapped := make([]transport.API, len(apis))
+	counts := make([]*atomic.Int32, len(apis))
+	for i, api := range apis {
+		n := new(atomic.Int32)
+		counts[i] = n
+		wrapped[i] = transport.WithHooks(api, transport.Hooks{Before: func(c transport.Call) error {
+			if c.Method == transport.MethodLookup {
+				n.Add(1)
+			}
+			return nil
+		}})
+	}
+	return wrapped, counts
+}
+
+func lookupCounts(counts []*atomic.Int32) []int32 {
+	out := make([]int32, len(counts))
+	for i, n := range counts {
+		out[i] = n.Load()
+	}
+	return out
+}
+
 func TestFanoutCancelsSlowServer(t *testing.T) {
-	// A hung server must be cancelled as soon as the first k fast
-	// servers answer, not held until some timeout.
+	// A hung server first in preference order: the default fan-out asks
+	// it and the next server, hedges with the third once the delay
+	// passes, answers from the two fast ones, and cancels the hung call
+	// at once, not at some timeout.
 	e := newEnv(t, 2)
 	alice := e.svc.Issue("alice")
 	e.index(t, alice, peer.Document{ID: 1, Content: "martha", Group: 1})
 
 	slow := &blockingAPI{x: 77, done: make(chan struct{})}
-	apis := []transport.API{slow, e.apis[0], e.apis[1]}
+	apis, calls := countLookups([]transport.API{slow, e.apis[0], e.apis[1]})
 	c, err := client.New(apis, 2, e.table, e.voc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, stats, err := c.Search(alice, []string{"martha"}, 10)
+	// The hedge fires after the initial delay, 10 ms; a second is far
+	// beyond it and far short of anything that waits for the hung call.
+	// Without a hedge the search would wait for the deadline.
+	const bound = time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), 10*bound)
+	defer cancel()
+	start := time.Now()
+	res, stats, err := c.SearchContext(ctx, alice, []string{"martha"}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 1 {
+	if took := time.Since(start); took > bound {
+		t.Errorf("search took %v behind a hung server, want under %v", took, bound)
+	}
+	if len(res) != 1 || res[0].DocID != 1 {
 		t.Fatalf("results = %v", res)
 	}
 	if stats.ServersQueried != 2 {
 		t.Errorf("ServersQueried = %d, want 2", stats.ServersQueried)
 	}
+	if got := lookupCounts(calls); fmt.Sprint(got) != "[1 1 1]" {
+		t.Errorf("lookups per server = %v, want [1 1 1]: two launched, one hedge", got)
+	}
 	select {
 	case <-slow.done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("slow server was never cancelled")
+	}
+}
+
+func TestDefaultFanoutAsksK(t *testing.T) {
+	// Three healthy servers and k=2: the default asks servers 0 and 1.
+	// Server 2 may be asked only by a hedge, which a fresh client arms
+	// for the initial delay, never at launch as an n-wide fan-out would.
+	e := newEnv(t, 2)
+	alice := e.svc.Issue("alice")
+	e.index(t, alice, peer.Document{ID: 1, Content: "martha", Group: 1})
+
+	var start time.Time
+	var third atomic.Int64 // when server 2 was asked, in ns after start; 0 if never
+	apis, calls := countLookups(e.apis)
+	apis[2] = transport.WithHooks(apis[2], transport.Hooks{Before: func(transport.Call) error {
+		third.CompareAndSwap(0, int64(time.Since(start)))
+		return nil
+	}})
+	c, err := client.New(apis, 2, e.table, e.voc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start = time.Now()
+	if _, _, err := c.Retrieve(alice, []string{"martha"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := lookupCounts(calls); got[0] != 1 || got[1] != 1 {
+		t.Errorf("lookups per server = %v, want servers 0 and 1 asked once", got)
+	}
+	if at := time.Duration(third.Load()); at != 0 && at < client.InitialHedgeDelay {
+		t.Errorf("server 2 asked %v after the start, before the %v hedge delay", at, client.InitialHedgeDelay)
+	}
+}
+
+func TestExplicitFanoutNeverHedges(t *testing.T) {
+	// The servers of TestFanoutCancelsSlowServer behind an explicit
+	// width of 2: the fixed width asks servers 0 and 1 and waits for the
+	// hung one, so only the caller's deadline ends the query, and the
+	// third server is never asked.
+	e := newEnv(t, 2)
+	alice := e.svc.Issue("alice")
+	e.index(t, alice, peer.Document{ID: 1, Content: "martha", Group: 1})
+
+	slow := &blockingAPI{x: 77, done: make(chan struct{})}
+	apis, calls := countLookups([]transport.API{slow, e.apis[0], e.apis[1]})
+	c, err := client.New(apis, 2, e.table, e.voc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetTuning(client.Tuning{Fanout: 2})
+	// Five times the default's initial hedge delay.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*client.InitialHedgeDelay)
+	defer cancel()
+	if _, _, err := c.RetrieveContext(ctx, alice, []string{"martha"}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("got %v, want context.DeadlineExceeded", err)
+	}
+	<-slow.done
+	if got := lookupCounts(calls); fmt.Sprint(got) != "[1 1 0]" {
+		t.Errorf("lookups per server = %v, want [1 1 0]: no hedge", got)
+	}
+}
+
+func TestHedgeDelayEstimator(t *testing.T) {
+	// RFC 6298's arithmetic, in microseconds: no sample leaves the
+	// initial delay; the first sets srtt and rttvar = srtt/2; each next
+	// moves srtt by 1/8 and rttvar by 1/4 of the deviation; the delay
+	// never drops below the floor.
+	var fast client.RTT
+	fast.Sample(100 * time.Microsecond) // srtt 100, rttvar 50: 300 µs
+	if d := fast.HedgeDelay(); d != client.MinHedgeDelay {
+		t.Fatalf("delay after a 100µs sample = %v, want the floor %v", d, client.MinHedgeDelay)
+	}
+	var est client.RTT
+	if d := est.HedgeDelay(); d != client.InitialHedgeDelay {
+		t.Fatalf("unsampled delay = %v, want the initial %v", d, client.InitialHedgeDelay)
+	}
+	for _, step := range []struct {
+		sample, want time.Duration
+	}{
+		{time.Millisecond, 3000 * time.Microsecond},        // srtt 1000, rttvar 500
+		{2 * time.Millisecond, 3625 * time.Microsecond},    // srtt (7000+2000)/8 = 1125, rttvar (1500+1000)/4 = 625
+		{1125 * time.Microsecond, 2997 * time.Microsecond}, // srtt 1125, rttvar 1875/4 = 468
+		{0, 3512 * time.Microsecond},                       // counts as 1 µs: srtt 7876/8 = 984, rttvar (1404+1124)/4 = 632
+	} {
+		est.Sample(step.sample)
+		if d := est.HedgeDelay(); d != step.want {
+			t.Fatalf("after a %v sample: delay %v, want %v", step.sample, d, step.want)
+		}
+	}
+
+	// Karn's rule on a client. A fan-out with server 0 hung can only
+	// finish through a hedge, and leaves the estimate unsampled.
+	e := newEnv(t, 2)
+	alice := e.svc.Issue("alice")
+	e.index(t, alice, peer.Document{ID: 1, Content: "martha", Group: 1})
+	slow := &blockingAPI{x: 77, done: make(chan struct{})}
+	c, err := client.New([]transport.API{slow, e.apis[0], e.apis[1]}, 2, e.table, e.voc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, _, err := c.RetrieveContext(ctx, alice, []string{"martha"}); err != nil {
+		t.Fatal(err)
+	}
+	if d := c.WholeListHedgeDelay(); d != client.InitialHedgeDelay {
+		t.Errorf("after a hedged fan-out: delay %v, want the initial %v (not sampled)", d, client.InitialHedgeDelay)
+	}
+	// With n = k nothing is left to hedge with, so every fan-out is
+	// sampled; a delay of 3 × sample cannot be the initial 10 ms.
+	c, err = client.New(e.apis[:2], 2, e.table, e.voc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Retrieve(alice, []string{"martha"}); err != nil {
+		t.Fatal(err)
+	}
+	if d := c.WholeListHedgeDelay(); d == client.InitialHedgeDelay {
+		t.Errorf("after an unhedged fan-out: delay still the initial %v", d)
 	}
 }
 
@@ -139,8 +300,9 @@ func TestRetrieveContextCancellation(t *testing.T) {
 }
 
 func TestSequentialTuningMatchesParallel(t *testing.T) {
-	// Fanout=1 is the pre-concurrency client; its results and stats
-	// must be identical to the parallel defaults.
+	// Fanout=1 is the pre-concurrency client, the default asks k servers
+	// and hedges, and Fanout=n races all of them: results and stats must
+	// be identical under all three.
 	e := newEnv(t, 2)
 	alice := e.svc.Issue("alice")
 	e.index(t, alice,
@@ -148,30 +310,35 @@ func TestSequentialTuningMatchesParallel(t *testing.T) {
 		peer.Document{ID: 2, Content: "martha layoff", Group: 1},
 		peer.Document{ID: 3, Content: "imclone chemical process", Group: 1},
 	)
-	par := e.client(t)
 	seq := e.client(t)
 	seq.SetTuning(client.Tuning{Fanout: 1})
+	def := e.client(t)
+	all := e.client(t)
+	all.SetTuning(client.Tuning{Fanout: len(e.apis)})
 
 	for _, q := range [][]string{{"martha"}, {"martha", "imclone"}, {"budget", "chemical"}} {
-		lp, sp, err := par.Retrieve(alice, q)
-		if err != nil {
-			t.Fatal(err)
-		}
 		ls, ss, err := seq.Retrieve(alice, q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Each client has its own basis cache, and which k of the n
-		// servers answer the parallel one first is a race: whether a
-		// lookup hits depends on it, how many lookups a query makes does
-		// not. Fold the split into the sum and compare everything.
-		sp.ReconstructorHits, sp.ReconstructorMisses = sp.ReconstructorHits+sp.ReconstructorMisses, 0
+		// servers answer a parallel one is a race (a hedge for the
+		// default, the first k to answer for Fanout=n): whether a lookup
+		// hits depends on it, how many lookups a query makes does not.
+		// Fold the split into the sum and compare everything.
 		ss.ReconstructorHits, ss.ReconstructorMisses = ss.ReconstructorHits+ss.ReconstructorMisses, 0
-		if sp != ss {
-			t.Errorf("query %v: stats diverge: parallel %+v, sequential %+v", q, sp, ss)
-		}
-		if fmt.Sprint(lp) != fmt.Sprint(ls) {
-			t.Errorf("query %v: postings diverge:\nparallel   %v\nsequential %v", q, lp, ls)
+		for name, c := range map[string]*client.Client{"default": def, "Fanout=n": all} {
+			lp, sp, err := c.Retrieve(alice, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp.ReconstructorHits, sp.ReconstructorMisses = sp.ReconstructorHits+sp.ReconstructorMisses, 0
+			if sp != ss {
+				t.Errorf("query %v: stats diverge: %s %+v, sequential %+v", q, name, sp, ss)
+			}
+			if fmt.Sprint(lp) != fmt.Sprint(ls) {
+				t.Errorf("query %v: postings diverge:\n%s %v\nsequential %v", q, name, lp, ls)
+			}
 		}
 	}
 }

@@ -206,29 +206,34 @@ func (s *slowBlocks) GetPostingBlocks(ctx context.Context, tok auth.Token, lid m
 
 // TestTopKKeepsSlowPinnedResponder: the rounds after a streamed query's
 // first ask only the responders pinned by it, and wait for a slow one.
-// The first round asks all three servers. Were a later round to ask the
-// unpinned server too, it could win that round from a slow pinned one
-// and restart the query on a new pair; servers 1 and 2 are slow on
-// different rounds, so the new pair can lose a round the same way, and
-// n-k+1 = 2 attempts are all a query gets.
+// At the default width the first round asks servers 0 and 1, the first
+// k in preference order, and may hedge with server 2; at Fanout: 3 it
+// asks all three and pins the first two to answer. Were a later round
+// to ask the unpinned server too, by a hedge or by the explicit width,
+// it could win that round from a slow pinned one and restart the query
+// on a new pair; servers 1 and 2 are slow on different rounds, so the
+// new pair can lose a round the same way, and n-k+1 = 2 attempts are
+// all a query gets.
 func TestTopKKeepsSlowPinnedResponder(t *testing.T) {
 	e, alice := skewedEnv(t, 40)
 	const delay = 50 * time.Millisecond
-	c, err := client.New([]transport.API{
-		e.apis[0],
-		&slowBlocks{API: e.apis[1], delay: delay, slowOn: 1},
-		&slowBlocks{API: e.apis[2], delay: delay, slowOn: 2},
-	}, 2, e.table, e.voc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := bruteTopK(t, c, alice, []string{"imclone"}, 20)
-	c.SetTuning(client.Tuning{BlockSize: 4}) // the first round asks all three servers
-	got, stats, err := c.SearchTopK(alice, []string{"imclone"}, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameScored(got, want) || stats.TA.Depth < 2 || stats.ServersQueried != 2 {
-		t.Fatalf("SearchTopK = %v in %d rounds on %d servers, want %v in several rounds on 2", got, stats.TA.Depth, stats.ServersQueried, want)
+	for _, fanout := range []int{0, 3} {
+		c, err := client.New([]transport.API{
+			e.apis[0],
+			&slowBlocks{API: e.apis[1], delay: delay, slowOn: 1},
+			&slowBlocks{API: e.apis[2], delay: delay, slowOn: 2},
+		}, 2, e.table, e.voc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := bruteTopK(t, c, alice, []string{"imclone"}, 20)
+		c.SetTuning(client.Tuning{Fanout: fanout, BlockSize: 4})
+		got, stats, err := c.SearchTopK(alice, []string{"imclone"}, 20)
+		if err != nil {
+			t.Fatalf("Fanout %d: %v", fanout, err)
+		}
+		if !sameScored(got, want) || stats.TA.Depth < 2 || stats.ServersQueried != 2 {
+			t.Fatalf("Fanout %d: SearchTopK = %v in %d rounds on %d servers, want %v in several rounds on 2", fanout, got, stats.TA.Depth, stats.ServersQueried, want)
+		}
 	}
 }

@@ -2,18 +2,22 @@ package client
 
 // Tuning configures the query engine's network half: how wide a query
 // fans out and where a streamed top-k query starts. The zero value
-// selects the aggressive defaults: fan out to every known server at
-// once. Fanout=1 walks the servers one request at a time — useful as a
-// benchmark baseline, but strictly dominated in latency. Join, decrypt
-// and ranking have no knobs: they run inline on the calling goroutine
-// at a few nanoseconds per element, with the same results and Stats
-// under every tuning.
+// selects the defaults: ask as many servers as the query needs (k, or
+// k+1 under verification) and hedge a straggler with one more server
+// after a delay derived from the latencies this client has observed
+// (see fanOutCall; verified retrieval and the rounds a streamed top-k
+// query pins to its first responders never hedge). Fanout=1 walks the
+// servers one request at a time, a baseline that is strictly dominated
+// in latency. Join, decrypt and ranking have no knobs: they run inline
+// on the calling goroutine at a few nanoseconds per element, with the
+// same results and Stats under every tuning.
 type Tuning struct {
-	// Fanout caps the number of concurrently in-flight GetPostingLists
-	// requests. 0 (or >= n) queries all servers at once; 1 walks the
-	// server list one request at a time like the original sequential
-	// client. Lower widths trade latency for reduced server load. A
-	// server is added only to replace one that failed.
+	// Fanout, when positive, fixes the number of requests a fan-out
+	// puts in flight at once: n or more asks every server and keeps the
+	// first to answer; 1 walks the server list one request at a time
+	// like the original sequential client. A server is added only to
+	// replace one that failed; an explicit width never hedges. 0 selects
+	// the default above.
 	Fanout int
 	// BlockSize is the first window of a streamed query: the number of
 	// score-ordered posting elements SearchTopK fetches per list in the
@@ -36,10 +40,10 @@ func (t Tuning) blockSize() int {
 }
 
 // fanoutWidth resolves the initial number of in-flight requests for a
-// cluster of n servers.
-func (t Tuning) fanoutWidth(n int) int {
-	if t.Fanout <= 0 || t.Fanout > n {
-		return n
+// fan-out that needs need answers from a cluster of n servers.
+func (t Tuning) fanoutWidth(n, need int) int {
+	if t.Fanout <= 0 {
+		return need
 	}
-	return t.Fanout
+	return min(t.Fanout, n)
 }

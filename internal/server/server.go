@@ -292,8 +292,10 @@ func (s *Server) GetPostingLists(ctx context.Context, tok auth.Token, lists []me
 		if _, done := out[lid]; done {
 			continue
 		}
-		// A cancelled fan-out straggler stops scanning mid-request; the
-		// client has already abandoned the response.
+		// An in-process caller that cancels stops the scan between
+		// lists. Over the binary wire ctx is the connection's, which a
+		// client's cancellation never reaches: the call runs to the end
+		// and the client drops the response unread.
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("%s: %w", s.cfg.Name, err)
 		}

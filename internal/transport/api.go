@@ -66,8 +66,9 @@ func (o OpID) IsZero() bool { return o == OpID{} }
 
 // API is the complete external interface of one index server. Every call
 // carries a context.Context: implementations must observe cancellation so
-// that a client fanning out to n servers can abandon stragglers once k
-// responses are in (the Algorithm 2 first-k-of-n retrieval).
+// that a client can abandon a straggler once k responses are in (the
+// Algorithm 2 first-k-of-n retrieval). The call returns at once; over
+// the binary wire the server still finishes it.
 type API interface {
 	// XCoord returns the server's public Shamir x-coordinate.
 	XCoord() field.Element

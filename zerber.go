@@ -31,11 +31,17 @@
 //
 // # Query concurrency
 //
-// The query hot path is concurrent end-to-end. A search fans its
-// posting-list request out to the index servers in parallel and
-// completes as soon as the first k respond (Algorithm 2 needs any k of
-// the n shares); stragglers are cancelled through context.Context, which
-// the transport layer threads down to every server call.
+// The query hot path is concurrent end-to-end. Algorithm 2 needs any k
+// of the n shares, so a search sends its posting-list request to k
+// servers in parallel, the first in preference order, and replaces a
+// failed one with the next. A straggler is hedged: when the k answers
+// are not in after a delay derived from the latencies the client has
+// observed (srtt + 4·rttvar, as in RFC 6298), one more server is asked,
+// and the search completes as soon as k have answered. Cancelling the
+// stragglers through context.Context frees the client at once, but not
+// the servers: the binary wire carries no cancellation, so a server
+// runs an abandoned call to completion and the client drops its
+// response unread.
 //
 // Once k responses are in, the shares are joined by element ID,
 // reconstructed, filtered and ranked inline on the calling goroutine, at
