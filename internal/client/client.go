@@ -207,12 +207,7 @@ func (c *Client) wholeLists(ctx context.Context, tok auth.Token, terms []string,
 	lids := c.table.ListsOf(terms)
 	stats.ListsRequested = len(lids)
 
-	// Verified retrieval keeps the k+1 responders it launches: no hedge.
-	est := &c.wholeRTT
-	if c.verify {
-		est = nil
-	}
-	responses, err := fanOutCall(ctx, c, need, nil, est, func(ctx context.Context, i int) (map[merging.ListID][]posting.EncryptedShare, error) {
+	responses, err := fanOutCall(ctx, c, need, nil, &c.wholeRTT, func(ctx context.Context, i int) (map[merging.ListID][]posting.EncryptedShare, error) {
 		return c.servers[i].GetPostingLists(ctx, tok, lids)
 	})
 	if err != nil {

@@ -21,12 +21,13 @@ type fanResult[T any] struct {
 // for any per-server call. At the default width it launches call against
 // need servers at once, the first in preference order, and returns as
 // soon as need have answered. A failed request is replaced at once by the
-// next untried server. A straggler is hedged: when est is non-nil and
-// need answers are not in after est's delay, one more untried server is
-// launched, and the timer re-arms while untried servers remain. Only a
-// fan-out that finished without a hedge feeds its latency back into est
-// (Karn's rule), so a hung server cannot stretch the delay. An explicit
-// Tuning.Fanout launches that many at once and never hedges.
+// next untried server. A straggler is hedged: when need answers are not
+// in after est's delay, one more untried server is launched, and the
+// timer re-arms while untried servers remain. Only a fan-out that
+// finished without a hedge or a replaced failure feeds its latency back
+// into est (Karn's rule): a hung server cannot stretch the delay, nor
+// can a server that fails slowly. An explicit Tuning.Fanout launches
+// that many at once and never hedges.
 //
 // Outstanding requests are cancelled through the per-call context. A
 // cancelled call returns at once, but on the binary wire its server
@@ -37,9 +38,9 @@ type fanResult[T any] struct {
 //
 // pinned is nil for all of that. A streamed top-k query's rounds after
 // its first pass the servers in the order to try them, the first round's
-// responders first, and a nil est: at most need are asked at once and
-// none is hedged (a slow responder is still the only one whose windows
-// line up with the rounds before); the rest only replace a failure.
+// responders first: at most need are asked at once and none is hedged
+// (a slow responder is still the only one whose windows line up with
+// the rounds before); the rest only replace a failure.
 func fanOutCall[T any](ctx context.Context, c *Client, need int, pinned []int, est *rtt, call func(ctx context.Context, server int) (T, error)) ([]fanResult[T], error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -72,8 +73,8 @@ func fanOutCall[T any](ctx context.Context, c *Client, need int, pinned []int, e
 	if pinned != nil {
 		width = min(width, need)
 	}
-	if c.tuning.Fanout > 0 {
-		est = nil
+	if pinned != nil || c.tuning.Fanout > 0 {
+		est = nil // a pinned round and a fixed width never hedge
 	}
 	start := time.Now()
 	for started := width; started > 0; started-- {
@@ -82,7 +83,9 @@ func fanOutCall[T any](ctx context.Context, c *Client, need int, pinned []int, e
 
 	var timer *time.Timer
 	var hedge <-chan time.Time
-	hedged := false
+	// ambiguous marks a fan-out whose latency is not one round trip of
+	// the servers first asked: a hedge or a replaced failure ran.
+	ambiguous := false
 	if est != nil && next < n {
 		timer = time.NewTimer(est.hedgeDelay())
 		defer timer.Stop()
@@ -106,6 +109,7 @@ func fanOutCall[T any](ctx context.Context, c *Client, need int, pinned []int, e
 			finished++
 			if r.err != nil {
 				lastErr = r.err
+				ambiguous = true
 				launch() // replace the failed request with the next server
 				continue
 			}
@@ -114,7 +118,7 @@ func fanOutCall[T any](ctx context.Context, c *Client, need int, pinned []int, e
 			// Failures may have used up the untried servers since the
 			// timer was armed.
 			if launch() {
-				hedged = true
+				ambiguous = true
 			}
 			if next < n {
 				timer.Reset(est.hedgeDelay())
@@ -125,7 +129,7 @@ func fanOutCall[T any](ctx context.Context, c *Client, need int, pinned []int, e
 			return nil, ctx.Err()
 		}
 	}
-	if est != nil && !hedged {
+	if est != nil && !ambiguous {
 		est.sample(time.Since(start))
 	}
 	slices.SortFunc(responses, func(a, b fanResult[T]) int { return a.idx - b.idx })

@@ -160,6 +160,52 @@ func TestFanoutCancelsSlowServer(t *testing.T) {
 	}
 }
 
+func TestVerifiedFanoutHedgesHungServer(t *testing.T) {
+	// Verified retrieval needs k+1 answers, not k+1 particular servers:
+	// with a hung server first among n=4 and k=2 it asks servers 0..2,
+	// hedges with server 3, and cross-checks the three fast answers.
+	e := newEnv(t, 2)
+	alice := e.svc.Issue("alice")
+	e.index(t, alice, peer.Document{ID: 1, Content: "martha", Group: 1})
+
+	slow := &blockingAPI{x: 77, done: make(chan struct{})}
+	apis, calls := countLookups([]transport.API{slow, e.apis[0], e.apis[1], e.apis[2]})
+	c, err := client.New(apis, 2, e.table, e.voc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.EnableVerification(); err != nil {
+		t.Fatal(err)
+	}
+	// As in TestFanoutCancelsSlowServer: far beyond the 10 ms hedge
+	// delay, far short of the deadline an unhedged query would wait for.
+	const bound = time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), 10*bound)
+	defer cancel()
+	start := time.Now()
+	res, stats, err := c.SearchContext(ctx, alice, []string{"martha"}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > bound {
+		t.Errorf("verified search took %v behind a hung server, want under %v", took, bound)
+	}
+	if len(res) != 1 || res[0].DocID != 1 {
+		t.Fatalf("results = %v", res)
+	}
+	if stats.ServersQueried != 3 || stats.ElementsVerified == 0 {
+		t.Errorf("ServersQueried = %d, ElementsVerified = %d; want 3 and > 0", stats.ServersQueried, stats.ElementsVerified)
+	}
+	if got := lookupCounts(calls); fmt.Sprint(got) != "[1 1 1 1]" {
+		t.Errorf("lookups per server = %v, want [1 1 1 1]: three launched, one hedge", got)
+	}
+	select {
+	case <-slow.done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("slow server was never cancelled")
+	}
+}
+
 func TestDefaultFanoutAsksK(t *testing.T) {
 	// Three healthy servers and k=2: the default asks servers 0 and 1.
 	// Server 2 may be asked only by a hedge, which a fresh client arms
@@ -264,6 +310,18 @@ func TestHedgeDelayEstimator(t *testing.T) {
 	}
 	if d := c.WholeListHedgeDelay(); d != client.InitialHedgeDelay {
 		t.Errorf("after a hedged fan-out: delay %v, want the initial %v (not sampled)", d, client.InitialHedgeDelay)
+	}
+	// A fan-out whose failed call was replaced is not sampled either:
+	// its latency holds the failure's as well as a round trip.
+	c, err = client.New([]transport.API{failingAPI{x: 7}, e.apis[0], e.apis[1]}, 2, e.table, e.voc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Retrieve(alice, []string{"martha"}); err != nil {
+		t.Fatal(err)
+	}
+	if d := c.WholeListHedgeDelay(); d != client.InitialHedgeDelay {
+		t.Errorf("after a replaced failure: delay %v, want the initial %v (not sampled)", d, client.InitialHedgeDelay)
 	}
 	// With n = k nothing is left to hedge with, so every fan-out is
 	// sampled; a delay of 3 × sample cannot be the initial 10 ms.

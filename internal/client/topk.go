@@ -124,12 +124,7 @@ attempts:
 			// straggler of the round may still be reading it after the
 			// next round has moved on.
 			from, size := fetched, window
-			// Only the first round, before anything is pinned, may hedge.
-			var est *rtt
-			if order == nil {
-				est = &c.blockRTT
-			}
-			results, err := fanOutCall(ctx, c, c.k, order, est, func(ctx context.Context, i int) (transport.BlockPage, error) {
+			results, err := fanOutCall(ctx, c, c.k, order, &c.blockRTT, func(ctx context.Context, i int) (transport.BlockPage, error) {
 				return c.servers[i].GetPostingBlocks(ctx, tok, lid, from, size)
 			})
 			if err != nil {

@@ -5,8 +5,8 @@ package client
 // selects the defaults: ask as many servers as the query needs (k, or
 // k+1 under verification) and hedge a straggler with one more server
 // after a delay derived from the latencies this client has observed
-// (see fanOutCall; verified retrieval and the rounds a streamed top-k
-// query pins to its first responders never hedge). Fanout=1 walks the
+// (see fanOutCall; the rounds a streamed top-k query pins to its first
+// responders never hedge). Fanout=1 walks the
 // servers one request at a time, a baseline that is strictly dominated
 // in latency. Join, decrypt and ranking have no knobs: they run inline
 // on the calling goroutine at a few nanoseconds per element, with the

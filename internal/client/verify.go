@@ -15,12 +15,9 @@ var ErrCorruptShare = errors.New("client: share sets disagree; a server returned
 // reconstructed from two distinct k-subsets, which must agree. This
 // detects (not just tolerates) a server that tampers with stored shares
 // — Shamir sharing alone hides information but does not authenticate it.
-// The price is one extra server response per query. The k+1 servers
-// asked are the first in preference order, a failed one replaced by the
-// next; none is hedged, so a server that hangs holds the query until
-// its context ends. An element that only k of the k+1 responders hold
-// is decrypted from those k without a cross-check
-// (Stats.ElementsVerified counts the checked ones).
+// The price is one extra server response per query. An element that
+// only k of the k+1 responders hold is decrypted from those k without a
+// cross-check (Stats.ElementsVerified counts the checked ones).
 //
 // Verification covers every whole-list fetch: Retrieve, Search and the
 // whole-list plan of SearchTopK. A streamed top-k query is not verified:
