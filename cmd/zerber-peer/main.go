@@ -1,16 +1,33 @@
-// Command zerber-peer runs a document owner's site daemon: it indexes a
-// directory of documents into the Zerber cluster (one shuffled batch)
-// and then serves result snippets and full documents to authorized
-// searchers over HTTP — the peer half of Algorithm 2.
+// Command zerber-peer is the document owner's command (paper §5.4): it
+// builds the public mapping table from its corpus statistics, indexes a
+// directory of documents into the Zerber cluster, and serves result
+// snippets and full documents to authorized searchers over HTTP — the
+// peer half of Algorithm 2.
 //
 // Usage:
 //
+//	# once: learn the corpus statistics and publish the mapping table
+//	zerber-peer -build-table -m 64 -r 16 -docs ./shared -table table.json
+//
+//	# index the directory, then serve snippets
 //	zerber-peer -addr :8301 \
 //	            -servers h1:8291,h2:8291,h3:8291 \
 //	            -k 2 -key <hex> -user alice -group 1 \
-//	            -table table.json -vocab vocab.json \
-//	            -groups alice:1,bob:1 \
-//	            -docs ./shared
+//	            -table table.json -groups alice:1,bob:1 \
+//	            -docs ./shared -journal ./jnl
+//
+// The public vocabulary is not a file: it is the table's frequent terms
+// in sorted order (§6.4), so every peer and searcher that loads the same
+// table numbers the terms alike.
+//
+// Every run reconciles the directory against the mutation journal under
+// -journal (default the working directory; it cannot be turned off):
+// the first run indexes every document in one shuffled batch (§5.4.1),
+// and a rerun on the same journal sends only what changed and deletes
+// the documents whose files vanished. An empty -addr (-addr="")
+// reconciles and exits instead of serving snippets. A docmap.json
+// mapping document IDs to file names is written next to the table for
+// zerber-search to label results.
 //
 // -groups replicates the user-group table locally so the peer can check
 // snippet access itself (each site trusts its own group view, like each
@@ -31,45 +48,65 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
 	"zerber/internal/auth"
+	"zerber/internal/confidential"
 	"zerber/internal/merging"
 	"zerber/internal/peer"
+	"zerber/internal/textproc"
 	"zerber/internal/transport"
 	"zerber/internal/vocab"
 )
 
 func main() {
 	var (
-		addr      = flag.String("addr", ":8301", "snippet service listen address")
-		servers   = flag.String("servers", "", "comma-separated index server addresses (host:port or binary://host:port; index servers speak only the binary protocol)")
-		k         = flag.Int("k", 2, "secret-sharing threshold")
-		keyHex    = flag.String("key", "", "enterprise auth key (hex)")
-		user      = flag.String("user", "", "owner user ID")
-		group     = flag.Uint("group", 1, "group to share the documents with")
-		tablePath = flag.String("table", "table.json", "mapping table file")
-		vocabPath = flag.String("vocab", "vocab.json", "vocabulary file")
-		docsDir   = flag.String("docs", ".", "directory of documents (*.txt, *.md)")
-		groupsArg = flag.String("groups", "", "user:group memberships for the local access check")
-		name      = flag.String("name", "zerber-peer", "peer/site name")
-		journal   = flag.String("journal", "", "mutation journal directory (crash-safe, exactly-once updates; empty = no journal)")
+		addr       = flag.String("addr", ":8301", "snippet service listen address (empty = reconcile the directory and exit)")
+		servers    = flag.String("servers", "", "comma-separated index server addresses (host:port or binary://host:port; index servers speak only the binary protocol)")
+		k          = flag.Int("k", 2, "secret-sharing threshold")
+		keyHex     = flag.String("key", "", "enterprise auth key (hex)")
+		user       = flag.String("user", "", "owner user ID")
+		group      = flag.Uint("group", 1, "group to share the documents with")
+		tablePath  = flag.String("table", "table.json", "mapping table file")
+		docsDir    = flag.String("docs", ".", "directory of documents (*.txt, *.md)")
+		groupsArg  = flag.String("groups", "", "user:group memberships for the local access check")
+		name       = flag.String("name", "zerber-peer", "peer/site name")
+		journal    = flag.String("journal", ".", "mutation journal directory (crash-safe, exactly-once updates; a rerun sends only what changed)")
+		buildTable = flag.Bool("build-table", false, "build the mapping table from the corpus statistics of -docs, write -table and exit")
+		m          = flag.Int("m", 64, "number of merged posting lists (build-table)")
+		r          = flag.Float64("r", 16, "target confidentiality parameter r (build-table)")
+		heuristic  = flag.String("heuristic", "DFM", "merging heuristic: DFM, BFM, UDM (build-table)")
 	)
 	flag.Parse()
+
+	if *buildTable {
+		h := merging.Heuristic(*heuristic)
+		table, err := writeTable(*docsDir, *tablePath, *m, *r, h)
+		if err != nil {
+			log.Fatalf("zerber-peer: %v", err)
+		}
+		fmt.Printf("built %s table: M=%d, resulting r=%.4g (1/r=%.4g), %d listed terms\n",
+			h, table.M(), table.RValue(), table.MinMass(), table.NumListed())
+		return
+	}
 	if *servers == "" || *keyHex == "" || *user == "" {
 		log.Fatal("zerber-peer: -servers, -key and -user are required")
+	}
+	if *journal == "" {
+		log.Fatal("zerber-peer: -journal must name a directory: without a journal a rerun would index every document again under fresh IDs")
 	}
 	key, err := hex.DecodeString(*keyHex)
 	if err != nil {
 		log.Fatalf("zerber-peer: bad -key: %v", err)
 	}
+	groupTable, _, err := auth.ParseGroups(*groupsArg)
+	if err != nil {
+		log.Fatalf("zerber-peer: -groups: %v", err)
+	}
 
 	var table merging.Table
 	readJSON(*tablePath, &table)
-	voc := vocab.New()
-	readJSON(*vocabPath, voc)
 
 	var apis []transport.API
 	for _, u := range strings.Split(*servers, ",") {
@@ -79,40 +116,23 @@ func main() {
 		}
 		apis = append(apis, c)
 	}
-	cfg := peer.Config{
-		Name: *name, Servers: apis, K: *k, Table: &table, Vocab: voc,
+	if err := os.MkdirAll(*journal, 0o755); err != nil {
+		log.Fatalf("zerber-peer: journal directory: %v", err)
 	}
-	if *journal != "" {
-		if err := os.MkdirAll(*journal, 0o755); err != nil {
-			log.Fatalf("zerber-peer: journal directory: %v", err)
-		}
-		cfg.JournalPath = filepath.Join(*journal, *name+".journal")
-	}
-	p, err := peer.New(cfg)
+	p, err := peer.New(peer.Config{
+		Name: *name, Servers: apis, K: *k, Table: &table,
+		Vocab:       vocab.NewFromTerms(table.ListedTerms()),
+		JournalPath: filepath.Join(*journal, *name+".journal"),
+	})
 	if err != nil {
 		log.Fatal(err)
-	}
-
-	groupTable := auth.NewGroupTable()
-	if *groupsArg != "" {
-		for _, pair := range strings.Split(*groupsArg, ",") {
-			parts := strings.SplitN(strings.TrimSpace(pair), ":", 2)
-			if len(parts) != 2 {
-				log.Fatalf("zerber-peer: bad -groups entry %q", pair)
-			}
-			gid, err := strconv.ParseUint(parts[1], 10, 32)
-			if err != nil {
-				log.Fatalf("zerber-peer: bad group in %q: %v", pair, err)
-			}
-			groupTable.Add(auth.UserID(parts[0]), auth.GroupID(gid))
-		}
 	}
 
 	svc := auth.NewServiceWithKey(key, time.Hour)
 	tok := svc.Issue(auth.UserID(*user))
 
-	// A journaled peer may have crashed mid-mutation: converge the
-	// in-flight operations before indexing anything new.
+	// The peer may have crashed mid-mutation: converge the in-flight
+	// operations before indexing anything new.
 	if n := p.PendingOps(); n > 0 {
 		done, err := p.Recover(tok)
 		if err != nil {
@@ -140,10 +160,49 @@ func main() {
 			log.Printf("zerber-peer: writing %s: %v", mapPath, err)
 		}
 	}
-	fmt.Printf("%s: indexed %d documents (at most %d elements sent) to %d servers; serving snippets on %s\n",
-		*name, len(names), elements, len(apis), *addr)
-
+	fmt.Printf("%s: indexed %d documents (at most %d elements sent) to %d servers\n",
+		*name, len(names), elements, len(apis))
+	if *addr == "" {
+		if err := p.Close(); err != nil {
+			log.Fatalf("zerber-peer: closing the journal: %v", err)
+		}
+		return
+	}
+	fmt.Printf("%s: serving snippets on %s\n", *name, *addr)
 	log.Fatal(http.ListenAndServe(*addr, peer.NewHTTPHandler(p, svc, groupTable)))
+}
+
+// writeTable builds the public mapping table from the corpus statistics
+// of the documents in dir — each term's document frequency — and writes
+// it to path.
+func writeTable(dir, path string, m int, r float64, h merging.Heuristic) (*merging.Table, error) {
+	names, err := readDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	dfs := make(map[string]int)
+	for _, file := range names {
+		data, err := os.ReadFile(filepath.Join(dir, file))
+		if err != nil {
+			return nil, err
+		}
+		for term := range textproc.TermCounts(string(data)) {
+			dfs[term]++
+		}
+	}
+	dist, err := confidential.NewDistribution(dfs)
+	if err != nil {
+		return nil, err
+	}
+	table, err := merging.Build(dist, merging.Options{Heuristic: h, M: m, R: r})
+	if err != nil {
+		return nil, fmt.Errorf("building table: %w", err)
+	}
+	data, err := json.MarshalIndent(table, "", "  ")
+	if err != nil {
+		return nil, fmt.Errorf("encoding %s: %w", path, err)
+	}
+	return table, os.WriteFile(path, data, 0o644)
 }
 
 // reconcile brings the index in line with a document directory. Every
@@ -213,7 +272,7 @@ func readDir(dir string) ([]string, error) {
 func readJSON(path string, v any) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		log.Fatalf("zerber-peer: %v (run zerber-index -build-table first?)", err)
+		log.Fatalf("zerber-peer: %v (run zerber-peer -build-table first?)", err)
 	}
 	if err := json.Unmarshal(data, v); err != nil {
 		log.Fatalf("zerber-peer: decoding %s: %v", path, err)

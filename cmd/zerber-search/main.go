@@ -5,11 +5,15 @@
 //
 //	zerber-search -servers h1:8291,h2:8291,h3:8291 \
 //	              -k 2 -key <hex> -user alice \
-//	              -table table.json -vocab vocab.json \
-//	              martha imclone
+//	              -table table.json martha imclone
 //
 // -servers lists the index servers as host:port (or binary://host:port):
 // they speak only the binary framed protocol.
+//
+// The query is tokenized as documents are (lower-cased, split at every
+// character that is not a letter or digit), so "IMClone's" finds the
+// documents indexed under imclone. The vocabulary is the table's
+// frequent terms in sorted order, as the peers derive it.
 //
 // The client fans the request to k servers, joins and decrypts the
 // shares, filters false positives from merged lists, ranks with TF-IDF
@@ -32,6 +36,7 @@ import (
 	"zerber/internal/merging"
 	"zerber/internal/peer"
 	"zerber/internal/ranking"
+	"zerber/internal/textproc"
 	"zerber/internal/transport"
 	"zerber/internal/vocab"
 )
@@ -43,16 +48,15 @@ func main() {
 		keyHex    = flag.String("key", "", "enterprise auth key (hex)")
 		user      = flag.String("user", "", "authenticated user")
 		tablePath = flag.String("table", "table.json", "mapping table file")
-		vocabPath = flag.String("vocab", "vocab.json", "vocabulary file")
 		topK      = flag.Int("top", 10, "number of results")
 		topkMode  = flag.Bool("topk", false, "early-terminating top-k retrieval (score-ordered blocks, frequency-sum ranking)")
 		peers     = flag.String("peers", "", "comma-separated peer snippet-service URLs (optional)")
 		verbose   = flag.Bool("v", false, "print retrieval statistics")
 	)
 	flag.Parse()
-	query := flag.Args()
+	query := queryTerms(flag.Args())
 	if len(query) == 0 {
-		log.Fatal("zerber-search: no query terms (pass them as arguments)")
+		log.Fatal("zerber-search: no query terms (pass words as arguments)")
 	}
 	if *servers == "" || *keyHex == "" || *user == "" {
 		log.Fatal("zerber-search: -servers, -key and -user are required")
@@ -64,8 +68,6 @@ func main() {
 
 	var table merging.Table
 	readJSON(*tablePath, &table)
-	voc := vocab.New()
-	readJSON(*vocabPath, voc)
 
 	var apis []transport.API
 	for _, u := range strings.Split(*servers, ",") {
@@ -75,7 +77,7 @@ func main() {
 		}
 		apis = append(apis, c)
 	}
-	cl, err := client.New(apis, *k, &table, voc)
+	cl, err := client.New(apis, *k, &table, vocab.NewFromTerms(table.ListedTerms()))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -89,9 +91,9 @@ func main() {
 		stats   client.Stats
 	)
 	if *topkMode {
-		results, stats, err = cl.SearchTopK(tok, lower(query), *topK)
+		results, stats, err = cl.SearchTopK(tok, query, *topK)
 	} else {
-		results, stats, err = cl.Search(tok, lower(query), *topK)
+		results, stats, err = cl.Search(tok, query, *topK)
 	}
 	if err != nil {
 		log.Fatalf("zerber-search: %v", err)
@@ -119,7 +121,7 @@ func main() {
 		}
 		fmt.Printf("%2d. %-40s score %.4f\n", i+1, name, r.Score)
 		for _, sc := range snippetClients {
-			resp, err := sc.Snippet(tok, r.DocID, lower(query), 0)
+			resp, err := sc.Snippet(tok, r.DocID, query, 0)
 			if err != nil {
 				continue // wrong peer or inaccessible; try the next
 			}
@@ -150,18 +152,16 @@ func splitNonEmpty(s string) []string {
 	return out
 }
 
-func lower(terms []string) []string {
-	out := make([]string, len(terms))
-	for i, t := range terms {
-		out[i] = strings.ToLower(t)
-	}
-	return out
+// queryTerms tokenizes the command-line words as textproc.TermCounts
+// tokenized the indexed documents.
+func queryTerms(args []string) []string {
+	return textproc.Tokenize(strings.Join(args, " "))
 }
 
 func readJSON(path string, v any) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		log.Fatalf("zerber-search: %v (run zerber-index -build-table first?)", err)
+		log.Fatalf("zerber-search: %v (run zerber-peer -build-table first?)", err)
 	}
 	if err := json.Unmarshal(data, v); err != nil {
 		log.Fatalf("zerber-search: decoding %s: %v", path, err)

@@ -23,8 +23,9 @@
 // of package server for the exact contract.
 //
 // The key is the 32-byte hex HMAC key of the enterprise authentication
-// service. zerber-index, zerber-search and zerber-peer take the same key
-// with their -key flag and mint their user's token from it.
+// service. zerber-peer and zerber-search take the same key with their
+// -key flag and mint their user's token from it; a server only verifies
+// tokens, each of which carries its own expiry.
 package main
 
 import (
@@ -33,9 +34,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"strconv"
-	"strings"
-	"time"
 
 	"zerber/internal/auth"
 	"zerber/internal/field"
@@ -51,7 +49,6 @@ func main() {
 		keyHex = flag.String("key", "", "32-byte hex HMAC key of the enterprise auth service")
 		groups = flag.String("groups", "", "comma-separated user:group memberships, e.g. alice:1,bob:2")
 		name   = flag.String("name", "", "server name for logs (default ix<x>)")
-		ttl    = flag.Duration("token-ttl", time.Hour, "token lifetime")
 		engine = flag.String("store-engine", "sharded", "storage engine: sharded (in memory) or disk; disk is crash-recoverable and fsyncs every acknowledged mutation")
 		stdir  = flag.String("store-dir", "", "segment directory for -store-engine disk (default <name>.store)")
 	)
@@ -72,23 +69,9 @@ func main() {
 		*name = fmt.Sprintf("ix%d", *x)
 	}
 
-	gt := auth.NewGroupTable()
-	memberships := 0
-	if *groups != "" {
-		for _, pair := range strings.Split(*groups, ",") {
-			parts := strings.SplitN(strings.TrimSpace(pair), ":", 2)
-			if len(parts) != 2 {
-				log.Fatalf("zerber-server: bad -groups entry %q (want user:group)", pair)
-			}
-			gid, err := strconv.ParseUint(parts[1], 10, 32)
-			if err != nil {
-				log.Fatalf("zerber-server: bad group ID in %q: %v", pair, err)
-			}
-			if !gt.IsMember(auth.UserID(parts[0]), auth.GroupID(gid)) {
-				gt.Add(auth.UserID(parts[0]), auth.GroupID(gid))
-				memberships++
-			}
-		}
+	gt, memberships, err := auth.ParseGroups(*groups)
+	if err != nil {
+		log.Fatalf("zerber-server: -groups: %v", err)
 	}
 
 	if *stdir == "" {
@@ -107,7 +90,7 @@ func main() {
 	api := server.New(server.Config{
 		Name:   *name,
 		X:      xe,
-		Auth:   auth.NewServiceWithKey(key, *ttl),
+		Auth:   auth.NewServiceWithKey(key, 0), // verify only: a token carries its own expiry
 		Groups: gt,
 		Store:  st,
 	})
@@ -116,7 +99,7 @@ func main() {
 		log.Fatalf("zerber-server: %v", err)
 	}
 	log.Printf("zerber-server %s: listening on %s (binary transport, x=%d, %d group memberships)",
-		*name, *addr, xe, memberships)
+		*name, ln.Addr(), xe, memberships)
 	transport.ServeBinary(ln, api)
 	select {} // serve until killed
 }

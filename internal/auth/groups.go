@@ -1,8 +1,11 @@
 package auth
 
 import (
+	"fmt"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -135,4 +138,33 @@ func (g *GroupTable) NumGroups() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return len(g.byGroup)
+}
+
+// ParseGroups builds a table from a comma-separated user:group list
+// (e.g. "alice:1,alice:2,bob:2"), the form in which every index server
+// and peer is handed its replica of the group table. It returns the table and the
+// number of distinct memberships: a repeated pair adds nothing. An
+// empty spec is an empty table; a malformed entry, an empty user or a
+// group ID that is not a 32-bit number is an error.
+func ParseGroups(spec string) (*GroupTable, int, error) {
+	gt := NewGroupTable()
+	if spec == "" {
+		return gt, 0, nil
+	}
+	memberships := 0
+	for _, pair := range strings.Split(spec, ",") {
+		user, group, ok := strings.Cut(strings.TrimSpace(pair), ":")
+		if !ok || user == "" {
+			return nil, 0, fmt.Errorf("bad membership %q (want user:group)", pair)
+		}
+		gid, err := strconv.ParseUint(group, 10, 32)
+		if err != nil {
+			return nil, 0, fmt.Errorf("bad group ID in %q: %w", pair, err)
+		}
+		if !gt.IsMember(UserID(user), GroupID(gid)) {
+			gt.Add(UserID(user), GroupID(gid))
+			memberships++
+		}
+	}
+	return gt, memberships, nil
 }

@@ -75,7 +75,8 @@ type Client struct {
 	wholeRTT, blockRTT rtt
 }
 
-// Stats describes one search, for the bandwidth/efficiency experiments.
+// Stats describes one search. Its readers are the benchmark's per-layer
+// counters, zerber-search -v and the tests.
 type Stats struct {
 	// ListsRequested is the number of distinct merged posting lists asked for.
 	ListsRequested int

@@ -95,7 +95,8 @@ type Server struct {
 	inserts, deletes, lookups, served atomic.Int64
 }
 
-// Stats counts server activity; used by the bandwidth experiments.
+// Stats counts server activity. Its readers are the sim's checks,
+// examples/enterprise and the tests.
 type Stats struct {
 	Inserts        int64
 	Deletes        int64
