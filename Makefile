@@ -35,11 +35,13 @@ test-full:
 # peer's concurrent per-stage fan-out (the barrier between the stages;
 # recovery from every subset of acknowledgements), the top-k client's
 # block rounds losing a responder or waiting for a slow one, with
-# searches of both plans sharing the client, and the search fan-out's
-# hedge: its timer racing the answers and the cancelled hung call, with
-# and without verification, an explicit width racing the caller's
-# deadline, and the latency estimate a hedged fan-out or a replaced
-# failure must leave unsampled. The next line repeats the
+# searches of both plans sharing the client, searches of every kind and
+# size sharing the client's pooled query memory, and the search
+# fan-out's hedge: its timer racing the answers and the cancelled hung
+# call, with and without verification, an explicit width racing the
+# caller's deadline, the latency estimate a hedged fan-out or a replaced
+# failure must leave unsampled, and the preference order a hedge
+# reorders under later searches. The next line repeats the
 # inventory readers: resharing and the DHT slot read a store's list
 # lengths and then each list in a second call, and a list can vanish
 # between the two; with them, a slot's moves racing writers in every
@@ -54,7 +56,7 @@ race:
 	$(GO) test -race -short -shuffle=on ./...
 	$(GO) test -race -short -count=20 -run='^TestBinaryCancelStress$$' ./internal/transport
 	$(GO) test -race -short -count=20 -run='^(TestDeleteStageWaitsForEveryInsertAck|TestRecoverFromAnyAckSubset)$$' ./internal/peer
-	$(GO) test -race -short -count=20 -run='^(TestTopKSurvivesResponderChange|TestTopKKeepsSlowPinnedResponder|TestConcurrentTopK|TestFanoutCancelsSlowServer|TestVerifiedFanoutHedgesHungServer|TestDefaultFanoutAsksK|TestExplicitFanoutNeverHedges|TestHedgeDelayEstimator)$$' ./internal/client
+	$(GO) test -race -short -count=20 -run='^(TestTopKSurvivesResponderChange|TestTopKKeepsSlowPinnedResponder|TestConcurrentTopK|TestPooledMemoryNeverAliases|TestFanoutCancelsSlowServer|TestVerifiedFanoutHedgesHungServer|TestHungFirstServerDemoted|TestDefaultFanoutAsksK|TestExplicitFanoutNeverHedges|TestHedgeDelayEstimator)$$' ./internal/client
 	$(GO) test -race -short -count=10 -run='^(TestReshareDetectsMidGenerationMutation|TestReshareRollsBackMidApplyFailure|TestSlotChurnRace|TestMoveCompletesUnderSustainedWrites)$$' ./internal/proactive ./internal/dht
 	$(GO) test -race -short -count=10 -run='^TestDiskColdReadsRaceRolloverAndCompaction$$' ./internal/store
 	$(GO) test -race -short -count=20 -run='^TestWireDurableCluster$$' .

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sort"
+	"sync"
 	"testing"
 
 	"zerber/internal/auth"
@@ -109,36 +111,96 @@ func syntheticCluster(tb testing.TB, elements int) *client.Client {
 	return c
 }
 
-// TestSearchAllocationBudget keeps the read path's allocation count a
-// function of the number of lists, not of the number of elements: a
-// whole search — fan-out, join, decrypt, filter, rank — over 3,500
-// elements in three lists stays within 64 allocations, and ten times the
-// elements may add fewer than one allocation per 256 of them (slices
-// that outgrow a size class, never per-element objects).
-func TestSearchAllocationBudget(t *testing.T) {
-	const small, large = 3500, 35000
-	allocs := func(elements int) float64 {
-		c := syntheticCluster(t, elements)
-		search := func() {
-			res, stats, err := c.Search("tok", syntheticQuery, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := elements / 3 * 3; stats.ElementsFetched != want || stats.FalsePositives != want/2 || len(res) != 10 {
-				t.Fatalf("%d elements: fetched %d, false positives %d, %d results", elements, stats.ElementsFetched, stats.FalsePositives, len(res))
-			}
+// warmCost is what one warm search costs the allocator: the mean
+// allocation count and bytes of 20 runs after a first that fills the
+// client's basis cache and its pools of query memory. Like
+// testing.AllocsPerRun it runs on one processor, so the counts are not at
+// the mercy of which of the fan-out's goroutines the scheduler runs
+// first; the collector is held off for the runs, because a collection
+// empties the pools and the next search refills them.
+func warmCost(search func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	search()
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		search()
+	}
+	runtime.ReadMemStats(&after)
+	return float64((after.Mallocs - before.Mallocs) / runs), float64(after.TotalAlloc-before.TotalAlloc) / runs
+}
+
+// poolsRecycle reports whether a sync.Pool hands back what was put in
+// it; under the race detector it drops a quarter at random.
+func poolsRecycle() bool {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		x := new(int)
+		p.Put(x)
+		if p.Get() != x {
+			return false
 		}
-		search() // fill the basis cache
-		return testing.AllocsPerRun(20, search)
 	}
-	atSmall, atLarge := allocs(small), allocs(large)
-	t.Logf("allocations per search: %.0f at %d elements, %.0f at %d", atSmall, small, atLarge, large)
-	if atSmall > 64 {
-		t.Errorf("%.0f allocations per search of %d elements, budget 64", atSmall, small)
+	return true
+}
+
+// allocationBudget runs one plan's budget on the synthetic cluster at
+// 3,500 and at 35,000 elements. A warm search may make at most
+// maxAllocs allocations of at most maxBytes in all at either size, and
+// the larger size may add fewer than one allocation per 256 more
+// elements: slices that outgrow a size class, never per-element objects.
+// The byte budget is what keeps the join, decrypt and rank memory
+// recycled: one search of 35,000 elements that allocated its join
+// columns afresh would take a megabyte. Under the race detector a pool
+// drops a quarter of what is put back, so there only the counts are
+// held, to a budget with room for those refills.
+func allocationBudget(t *testing.T, plan string, maxAllocs, maxAllocsRace, maxBytes float64, search func(c *client.Client, elements int)) {
+	const small, large = 3500, 35000
+	recycle := poolsRecycle()
+	var allocs, bytes [2]float64
+	for i, elements := range []int{small, large} {
+		c := syntheticCluster(t, elements)
+		allocs[i], bytes[i] = warmCost(func() { search(c, elements) })
 	}
-	if grown := atLarge - atSmall; grown >= (large-small)/256 {
-		t.Errorf("%.0f more allocations for %d more elements, budget under one per 256", grown, large-small)
+	t.Logf("%s: per warm search %.0f allocations, %.0f B at %d elements; %.0f, %.0f B at %d",
+		plan, allocs[0], bytes[0], small, allocs[1], bytes[1], large)
+	if !recycle {
+		maxAllocs = maxAllocsRace
 	}
+	if allocs[0] > maxAllocs {
+		t.Errorf("%s: %.0f allocations per search of %d elements, budget %.0f", plan, allocs[0], small, maxAllocs)
+	}
+	if grown := allocs[1] - allocs[0]; grown >= (large-small)/256 {
+		t.Errorf("%s: %.0f more allocations for %d more elements, budget under one per 256", plan, grown, large-small)
+	}
+	if !recycle {
+		return
+	}
+	for i, elements := range []int{small, large} {
+		if bytes[i] > maxBytes {
+			t.Errorf("%s: %.0f B allocated per search of %d elements, budget %.0f", plan, bytes[i], elements, maxBytes)
+		}
+	}
+}
+
+// TestSearchAllocationBudget keeps the exact search's allocations a
+// function of the number of lists, not of the number of elements: a
+// whole search — fan-out, join, decrypt, filter, rank — over three
+// lists takes 13 allocations and 944 B at either size (17–18
+// allocations under the race detector).
+func TestSearchAllocationBudget(t *testing.T) {
+	allocationBudget(t, "exact", 16, 26, 4096, func(c *client.Client, elements int) {
+		res, stats, err := c.Search("tok", syntheticQuery, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := elements / 3 * 3; stats.ElementsFetched != want || stats.FalsePositives != want/2 || len(res) != 10 {
+			t.Fatalf("%d elements: fetched %d, false positives %d, %d results", elements, stats.ElementsFetched, stats.FalsePositives, len(res))
+		}
+	})
 }
 
 // BenchmarkRetrieveJoinRank measures the client's whole compute path —
@@ -158,36 +220,34 @@ func BenchmarkRetrieveJoinRank(b *testing.B) {
 }
 
 // TestTopKWholeListAllocationBudget is TestSearchAllocationBudget for
-// the whole-list plan of top-k, which the three-term query over lists
-// the client has never seen takes: join, decrypt, filter and the
-// summed-TF ranking over 3,500 elements stay within 45 allocations
-// (29 measured, 32 under the race detector, whose tier runs this too),
-// and ten times the elements add fewer than one per 256.
-// One processor, so the count is not at the mercy of which of the
-// fan-out's goroutines the scheduler runs first.
+// the whole-list plan of top-k, which the three-term query takes: join,
+// decrypt, filter and the summed-TF ranking: 13 allocations and 944 B
+// (17–21 allocations under the race detector).
 func TestTopKWholeListAllocationBudget(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const small, large = 3500, 35000
-	allocs := func(elements int) float64 {
-		c := syntheticCluster(t, elements)
-		search := func() {
-			res, stats, err := c.SearchTopK("tok", syntheticQuery, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := elements / 3 * 3; stats.ElementsFetched != want || stats.FalsePositives != want/2 || stats.TA.Depth != 1 || len(res) != 10 {
-				t.Fatalf("%d elements: fetched %d, false positives %d, %d rounds, %d results", elements, stats.ElementsFetched, stats.FalsePositives, stats.TA.Depth, len(res))
-			}
+	allocationBudget(t, "whole-list top-k", 16, 26, 4096, func(c *client.Client, elements int) {
+		res, stats, err := c.SearchTopK("tok", syntheticQuery, 10)
+		if err != nil {
+			t.Fatal(err)
 		}
-		search() // fill the basis cache
-		return testing.AllocsPerRun(20, search)
-	}
-	atSmall, atLarge := allocs(small), allocs(large)
-	t.Logf("allocations per whole-list top-k search: %.0f at %d elements, %.0f at %d", atSmall, small, atLarge, large)
-	if atSmall > 45 {
-		t.Errorf("%.0f allocations per search of %d elements, budget 45", atSmall, small)
-	}
-	if grown := atLarge - atSmall; grown >= (large-small)/256 {
-		t.Errorf("%.0f more allocations for %d more elements, budget under one per 256", grown, large-small)
-	}
+		if want := elements / 3 * 3; stats.ElementsFetched != want || stats.FalsePositives != want/2 || stats.TA.Depth != 1 || len(res) != 10 {
+			t.Fatalf("%d elements: fetched %d, false positives %d, %d rounds, %d results", elements, stats.ElementsFetched, stats.FalsePositives, stats.TA.Depth, len(res))
+		}
+	})
+}
+
+// TestTopKStreamAllocationBudget is the same budget for the streamed
+// plan, which a one-term query takes: its rounds each cost a fan-out, and
+// their join, decrypt and ranking memory is recycled like the other
+// plans': 14 allocations and 1,048 B (23–25 allocations under the race
+// detector).
+func TestTopKStreamAllocationBudget(t *testing.T) {
+	allocationBudget(t, "streamed top-k", 18, 34, 4096, func(c *client.Client, elements int) {
+		res, stats, err := c.SearchTopK("tok", syntheticQuery[:1], 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !stats.TA.Streamed || stats.ElementsFetched == 0 || len(res) != 10 {
+			t.Fatalf("%d elements: streamed %v, fetched %d, %d results", elements, stats.TA.Streamed, stats.ElementsFetched, len(res))
+		}
+	})
 }

@@ -21,10 +21,17 @@
 // ReconstructBatch), and decode, false-positive filtering and Stats
 // counting happen in the same pass. At a few nanoseconds per element a
 // worker pool costs more than it spreads, and nothing in the pipeline
-// sorts shares or allocates per element. Stats and results are the same
-// whichever servers answer; Retrieve returns each term's postings in
-// ascending (document, frequency) order, and the search paths skip even
-// that, because ranking does not read the order.
+// sorts shares. Nor does a warm query allocate by the element: its join
+// columns and slots, its reconstruction scratch and the arena its
+// per-term posting lists are cut from come from the client's pool and go
+// back to it when the query returns (pipeline, in join.go), and the
+// ranker recycles its document table the same way. Those lists never
+// leave the client: the search paths return ranking's fresh top-k slice,
+// and Retrieve copies each term's postings into a slice the caller owns.
+// Stats and results are the same whichever servers answer; Retrieve
+// returns each term's postings in ascending (document, frequency) order,
+// and the search paths skip even that, because ranking does not read the
+// order.
 package client
 
 import (
@@ -34,6 +41,8 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"zerber/internal/auth"
 	"zerber/internal/field"
@@ -66,9 +75,15 @@ type Client struct {
 	// recs caches Lagrange bases across queries, keyed by the set of
 	// servers whose shares they consume (hot terms hit the same basis).
 	recs recCache
-	// joinMul keys the share join's hash (see newJoin): random, odd,
-	// never shown to a server.
+	// joinMul keys the share join's hash (see newPipeline): random,
+	// odd, never shown to a server.
 	joinMul uint64
+	// pipelines recycles the queries' join, decrypt and posting memory
+	// (see pipeline).
+	pipelines sync.Pool
+	// pref is the order fan-outs try the servers in: their indices, a
+	// server a hedge overtook moved to the end (see fanOutCall).
+	pref atomic.Pointer[[]int]
 	// wholeRTT and blockRTT time this client's whole-list fetches and
 	// the first block rounds of its streamed top-k queries, whose sizes
 	// differ by an order of magnitude: each sets its own hedge delay.
@@ -104,7 +119,8 @@ type Stats struct {
 }
 
 // New creates a client. servers are the index servers in preference
-// order; at least k must be reachable per query. table and voc are the
+// order (a server a hedge overtakes moves to its end; see fanOutCall);
+// at least k must be reachable per query. table and voc are the
 // public mapping table and vocabulary distributed with it. A client
 // addresses at most 64 servers (a join row records which of them hold
 // the element in one uint64); New rejects more.
@@ -126,7 +142,13 @@ func New(servers []transport.API, k int, table *merging.Table, voc *vocab.Vocabu
 		}
 		xs[i] = x
 	}
-	return &Client{servers: servers, k: k, table: table, voc: voc, xs: xs, joinMul: rand.Uint64() | 1}, nil
+	c := &Client{servers: servers, k: k, table: table, voc: voc, xs: xs, joinMul: rand.Uint64() | 1}
+	pref := make([]int, len(servers))
+	for i := range pref {
+		pref[i] = i
+	}
+	c.pref.Store(&pref)
+	return c, nil
 }
 
 // SetTuning replaces the query-engine tuning (fan-out width, top-k
@@ -143,8 +165,11 @@ func (c *Client) Search(tok auth.Token, query []string, topK int) ([]ranking.Sco
 // SearchContext is Search bounded by ctx: cancelling it aborts the
 // server fan-out and the decrypt stage.
 func (c *Client) SearchContext(ctx context.Context, tok auth.Token, query []string, topK int) ([]ranking.ScoredDoc, Stats, error) {
+	terms := dedup(query)
 	var stats Stats
-	lists, _, _, err := c.wholeLists(ctx, tok, dedup(query), &stats, false)
+	p := c.newPipeline(terms, &stats)
+	defer p.release()
+	lists, _, _, err := p.wholeLists(ctx, tok, terms, false)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -170,7 +195,9 @@ func (c *Client) Retrieve(tok auth.Token, query []string) (map[string][]ranking.
 func (c *Client) RetrieveContext(ctx context.Context, tok auth.Token, query []string) (map[string][]ranking.Posting, Stats, error) {
 	terms := dedup(query)
 	var stats Stats
-	lists, _, _, err := c.wholeLists(ctx, tok, terms, &stats, false)
+	p := c.newPipeline(terms, &stats)
+	defer p.release()
+	lists, _, _, err := p.wholeLists(ctx, tok, terms, false)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -179,8 +206,9 @@ func (c *Client) RetrieveContext(ctx context.Context, tok auth.Token, query []st
 		if len(ps) == 0 {
 			continue
 		}
-		// wholeLists sizes a term's slice for every row of its merged list;
-		// the caller keeps only what the term's own postings need.
+		// The list is cut from the pipeline's arena, sized for every row
+		// of its merged list; the caller keeps a copy of the term's own
+		// postings.
 		ps = slices.Clone(ps)
 		slices.SortFunc(ps, func(a, b ranking.Posting) int {
 			return cmp.Compare(uint64(a.DocID)<<16|uint64(a.TF), uint64(b.DocID)<<16|uint64(b.TF))
@@ -191,22 +219,24 @@ func (c *Client) RetrieveContext(ctx context.Context, tok auth.Token, query []st
 }
 
 // wholeLists is the whole-list pipeline behind exact retrieval and the
-// whole-list plan of top-k: fetch the lists of terms from k servers (k+1
-// under verification), one call each, then join, decrypt and filter list
-// by list. It returns the surviving postings per term, indexed like
-// terms, in join order, with the number of shares received and of rows
-// joined. A global ID one server delivers twice fails the query, unless
+// whole-list plan of top-k: fetch the lists of terms (the terms p was
+// made for) from k servers (k+1 under verification), one call each,
+// then join, decrypt and filter list by list. It returns the surviving
+// postings per term, indexed like terms, in join order and cut from p's
+// arena, with the number of shares received and of rows joined. A
+// global ID one server delivers twice fails the query, unless
 // dropRedelivered (top-k's rule on both plans) keeps the first copy.
-func (c *Client) wholeLists(ctx context.Context, tok auth.Token, terms []string, stats *Stats, dropRedelivered bool) (lists [][]ranking.Posting, shares, rows int, err error) {
+func (p *pipeline) wholeLists(ctx context.Context, tok auth.Token, terms []string, dropRedelivered bool) (lists [][]ranking.Posting, shares, rows int, err error) {
 	if len(terms) == 0 {
 		return nil, 0, 0, nil
 	}
+	c := p.c
 	need := c.k
 	if c.verify {
 		need++
 	}
 	lids := c.table.ListsOf(terms)
-	stats.ListsRequested = len(lids)
+	p.stats.ListsRequested = len(lids)
 
 	responses, err := fanOutCall(ctx, c, need, nil, &c.wholeRTT, func(ctx context.Context, i int) (map[merging.ListID][]posting.EncryptedShare, error) {
 		return c.servers[i].GetPostingLists(ctx, tok, lids)
@@ -214,14 +244,13 @@ func (c *Client) wholeLists(ctx context.Context, tok auth.Token, terms []string,
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	stats.ServersQueried = len(responses)
+	p.stats.ServersQueried = len(responses)
 
 	// Elements replicated on the k lowest responders share one Lagrange
 	// basis, fetched from the cross-query cache (the §7.6 "700
 	// elements/ms" fast path, amortized across repeated hot-term
 	// queries). Verification cross-checks it against the basis over the
 	// k highest responders: the two overlap in all but one server each.
-	p := c.newPipeline(terms, stats)
 	var responders uint64
 	for _, r := range responses {
 		responders |= 1 << uint(r.idx)
@@ -237,8 +266,8 @@ func (c *Client) wholeLists(ctx context.Context, tok auth.Token, terms []string,
 		}
 	}
 
-	lists = make([][]ranking.Posting, len(terms))
-	t := c.newJoin()
+	lists = p.lists
+	t := &p.join
 	for _, lid := range lids {
 		if err := ctx.Err(); err != nil {
 			return nil, shares, rows, err
@@ -255,14 +284,14 @@ func (c *Client) wholeLists(ctx context.Context, tok auth.Token, terms []string,
 			}
 		}
 		rows += len(t.gids)
-		// One allocation per term, sized by its list's rows: a term's
-		// postings all live in the one list it maps to.
+		// One cut per term, sized by its list's rows: a term's postings
+		// all live in the one list it maps to.
 		for ti, term := range terms {
 			if c.table.ListOf(term) == lid {
-				lists[ti] = make([]ranking.Posting, 0, len(t.gids))
+				lists[ti] = p.cut(len(t.gids))
 			}
 		}
-		if err := p.open(&t, lid, a, check, lists); err != nil {
+		if err := p.open(lid, a, check, lists); err != nil {
 			return nil, shares, rows, err
 		}
 	}

@@ -19,15 +19,19 @@ type fanResult[T any] struct {
 // fanOutCall runs the first-need-of-n retrieval (Algorithm 2: "the
 // client queries the available Zerber servers and needs k responses")
 // for any per-server call. At the default width it launches call against
-// need servers at once, the first in preference order, and returns as
-// soon as need have answered. A failed request is replaced at once by the
-// next untried server. A straggler is hedged: when need answers are not
-// in after est's delay, one more untried server is launched, and the
-// timer re-arms while untried servers remain. Only a fan-out that
-// finished without a hedge or a replaced failure feeds its latency back
-// into est (Karn's rule): a hung server cannot stretch the delay, nor
-// can a server that fails slowly. An explicit Tuning.Fanout launches
-// that many at once and never hedges.
+// need servers at once, the first in the client's preference order, and
+// returns as soon as need have answered. A failed request is replaced at
+// once by the next untried server. A straggler is hedged: when need
+// answers are not in after est's delay, one more untried server is
+// launched, and the timer re-arms while untried servers remain. Only a
+// fan-out that finished without a hedge or a replaced failure feeds its
+// latency back into est (Karn's rule): a hung server cannot stretch the
+// delay, nor can a server that fails slowly. Nor can a hung server tax
+// every query by the delay: when a hedged server's answer completes the
+// fan-out, the servers still outstanding that no hedge launched were
+// overtaken, and move to the end of the preference order, where later
+// fan-outs reach them only as a hedge or a replacement. An explicit
+// Tuning.Fanout launches that many at once and never hedges.
 //
 // Outstanding requests are cancelled through the per-call context. A
 // cancelled call returns at once, but on the binary wire its server
@@ -53,16 +57,21 @@ func fanOutCall[T any](ctx context.Context, c *Client, need int, pinned []int, e
 	}
 	// Buffered to n: cancelled stragglers can always deliver and exit.
 	results := make(chan result, n)
+	order := pinned
+	if order == nil {
+		order = *c.pref.Load()
+	}
 	next := 0
+	// outstanding holds the servers launched and not yet finished,
+	// hedged the ones a hedge launched: bit i is server i.
+	var outstanding, hedged uint64
 	launch := func() bool {
 		if next >= n {
 			return false
 		}
-		i := next
-		if pinned != nil {
-			i = pinned[next]
-		}
+		i := order[next]
 		next++
+		outstanding |= 1 << uint(i)
 		go func() {
 			out, err := call(ctx, i)
 			results <- result{idx: i, val: out, err: err}
@@ -107,6 +116,7 @@ func fanOutCall[T any](ctx context.Context, c *Client, need int, pinned []int, e
 		select {
 		case r := <-results:
 			finished++
+			outstanding &^= 1 << uint(r.idx)
 			if r.err != nil {
 				lastErr = r.err
 				ambiguous = true
@@ -119,6 +129,7 @@ func fanOutCall[T any](ctx context.Context, c *Client, need int, pinned []int, e
 			// timer was armed.
 			if launch() {
 				ambiguous = true
+				hedged |= 1 << uint(order[next-1])
 			}
 			if next < n {
 				timer.Reset(est.hedgeDelay())
@@ -132,8 +143,29 @@ func fanOutCall[T any](ctx context.Context, c *Client, need int, pinned []int, e
 	if est != nil && !ambiguous {
 		est.sample(time.Since(start))
 	}
+	if overtaken := outstanding &^ hedged; overtaken != 0 && slices.ContainsFunc(responses, func(r fanResult[T]) bool {
+		return hedged>>uint(r.idx)&1 != 0
+	}) {
+		c.demote(overtaken)
+	}
 	slices.SortFunc(responses, func(a, b fanResult[T]) int { return a.idx - b.idx })
 	return responses, nil
+}
+
+// demote moves the servers in set (bit i is server i) to the end of the
+// preference order, each part keeping its order. The order is replaced
+// whole, never written in place, so a fan-out reads it with one load.
+func (c *Client) demote(set uint64) {
+	for {
+		old := c.pref.Load()
+		order := slices.Clone(*old)
+		slices.SortStableFunc(order, func(a, b int) int {
+			return int(set>>uint(a)&1) - int(set>>uint(b)&1)
+		})
+		if c.pref.CompareAndSwap(old, &order) {
+			return
+		}
+	}
 }
 
 // initialHedgeDelay is the hedge delay before a call kind's first

@@ -37,14 +37,6 @@ type joinTable struct {
 	held  []uint64           // row → bit c set when column c holds a share
 }
 
-// newJoin returns an empty join over the client's servers. The global
-// IDs a join hashes are chosen by the servers, so the hash is keyed: a
-// server that knew the multiplier could send IDs that all probe from one
-// slot and turn the join quadratic.
-func (c *Client) newJoin() joinTable {
-	return joinTable{w: len(c.servers), mul: c.joinMul}
-}
-
 // reset prepares the table for up to more further rows. The first keep
 // rows survive (top-k's under-replicated elements wait here for a later
 // window); everything after them is dropped.
@@ -120,9 +112,14 @@ func (t *joinTable) add(col int, shares []posting.EncryptedShare) (redelivered i
 }
 
 // pipeline is the per-query state of join → decrypt → filter, shared by
-// exact, verified and top-k retrieval. Everything in it lives for one
-// query on one goroutine; concurrent queries share only the client's
-// basis cache.
+// exact, verified and top-k retrieval, and the query's reusable memory:
+// the join's columns and slots, the reconstruction scratch and the arena
+// the per-term posting lists are cut from. A query takes one from the
+// client's pool (newPipeline) and gives it back (release) once it has
+// ranked or copied its lists, so a search in steady state allocates none
+// of this; no list cut from the arena outlives its query. Everything in
+// it lives for one query on one goroutine; concurrent queries share only
+// the client's basis cache.
 type pipeline struct {
 	c     *Client
 	stats *Stats
@@ -134,15 +131,55 @@ type pipeline struct {
 	// query, so the cache is consulted once per responder set rather
 	// than once per element.
 	bases   []*basis
+	join    joinTable
 	secrets []field.Element // scratch: one reconstruction per row, per batch basis
+	lists   [][]ranking.Posting
+	// posts is the arena: its length is what this query has cut so far.
+	posts []ranking.Posting
 }
 
+// newPipeline takes a pipeline from the client's pool for a query of
+// terms, reporting into stats.
 func (c *Client) newPipeline(terms []string, stats *Stats) *pipeline {
-	p := &pipeline{c: c, stats: stats, wanted: make([]uint32, len(terms))}
-	for ti, term := range terms {
-		p.wanted[ti] = c.voc.Resolve(term)
+	p, _ := c.pipelines.Get().(*pipeline)
+	if p == nil {
+		// The global IDs a join hashes are chosen by the servers, so the
+		// hash is keyed: a server that knew the multiplier could send IDs
+		// that all probe from one slot and turn the join quadratic.
+		p = &pipeline{c: c, join: joinTable{w: len(c.servers), mul: c.joinMul}}
 	}
+	p.stats = stats
+	p.wanted = p.wanted[:0]
+	for _, term := range terms {
+		p.wanted = append(p.wanted, c.voc.Resolve(term))
+	}
+	p.lists = slices.Grow(p.lists[:0], len(terms))[:len(terms)]
+	clear(p.lists)
+	p.posts = p.posts[:0]
 	return p
+}
+
+// release returns p to the client's pool. Nothing p's query returned
+// may point into it.
+func (p *pipeline) release() {
+	p.stats = nil
+	clear(p.bases)
+	p.bases = p.bases[:0]
+	clear(p.lists) // they may hold an arena the query outgrew
+	p.c.pipelines.Put(p)
+}
+
+// cut returns an empty posting list of capacity n from the arena. When
+// the arena is used up it is replaced by a larger one: the lists already
+// cut keep the old one alive until the query ends, and the next query
+// starts on the new one.
+func (p *pipeline) cut(n int) []ranking.Posting {
+	used := len(p.posts)
+	if used+n > cap(p.posts) {
+		p.posts, used = make([]ranking.Posting, 0, 2*cap(p.posts)+n), 0
+	}
+	p.posts = p.posts[:used+n]
+	return p.posts[used : used : used+n]
 }
 
 // basisFor returns the basis over the k lowest-indexed servers in held.
@@ -175,10 +212,11 @@ func (p *pipeline) basisFor(held uint64) (*basis, error) {
 // reconstructed a second time and the two secrets must agree. A row that
 // k other servers hold takes the basis for its own holder mask, and a
 // row held by fewer than k is not decryptable: those rows — and only
-// those — are left in t, moved to its front, for the caller to keep or
+// those — are left in the join, moved to its front, for the caller to keep or
 // drop. False positives (elements of merged-in terms nobody queried,
 // §5.4.2) are counted and discarded here.
-func (p *pipeline) open(t *joinTable, lid merging.ListID, a, check *basis, out [][]ranking.Posting) error {
+func (p *pipeline) open(lid merging.ListID, a, check *basis, out [][]ranking.Posting) error {
+	t := &p.join
 	rows, w, k := len(t.gids), t.w, p.c.k
 	batches := 1
 	if check != nil {

@@ -72,12 +72,12 @@ func TestJoinHashIsKeyed(t *testing.T) {
 	if c2, _ := New(xOnlyServers(2), 2, nil, nil); c2.joinMul == c.joinMul {
 		t.Fatalf("two clients share the multiplier %#x", c.joinMul)
 	}
-	keyed := c.newJoin()
+	keyed := &c.newPipeline(nil, nil).join
 	keyed.reset(0, n)
 	if i := keyed.add(0, shares); i >= 0 || len(keyed.gids) != n {
 		t.Fatalf("keyed join: %d rows, redelivery at %d; want %d rows and none", len(keyed.gids), i, n)
 	}
-	if got := longestCluster(&keyed); got*8 > n {
+	if got := longestCluster(keyed); got*8 > n {
 		t.Errorf("crafted IDs still cluster %d long under the client's own multiplier (%d rows)", got, n)
 	}
 }

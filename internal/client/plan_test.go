@@ -331,3 +331,78 @@ func TestConcurrentTopK(t *testing.T) {
 		}
 	}
 }
+
+// TestPooledMemoryNeverAliases runs searches of every kind and of very
+// different sizes from many goroutines on one client: exact, whole-list
+// and streamed top-k, and Retrieve. Each query's join, decrypt and
+// posting memory comes from the client's pool, and the ranker's from its
+// own. Every answer must equal the one the same query got alone, and
+// must still equal it after the worker's next query, which a result
+// pointing into pooled memory would not survive.
+func TestPooledMemoryNeverAliases(t *testing.T) {
+	e, toks := plansEnv(t, 3, 11)
+	c := e.client(t)
+	c.SetTuning(client.Tuning{BlockSize: 3})
+	tok := toks["alice"]
+	type query struct {
+		kind  string
+		terms []string
+	}
+	var queries []query
+	for _, q := range [][]string{{"martha"}, {"process"}, {"chemical"}, {"martha", "imclone"}, {"layoff", "merger", "budget"}, terms} {
+		for _, kind := range []string{"exact", "topk", "retrieve"} {
+			queries = append(queries, query{kind, q})
+		}
+	}
+	run := func(q query) (got any, err error) {
+		switch q.kind {
+		case "exact":
+			got, _, err = c.Search(tok, q.terms, 10)
+		case "topk": // one term streams, more take whole lists
+			got, _, err = c.SearchTopK(tok, q.terms, 10)
+		case "retrieve":
+			got, _, err = c.Retrieve(tok, q.terms)
+		}
+		return got, err
+	}
+	wants := make([]string, len(queries))
+	for i, q := range queries {
+		got, err := run(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wants[i] = fmt.Sprint(got); wants[i] == "[]" || wants[i] == "map[]" {
+			t.Fatalf("%s %v: empty answer", q.kind, q.terms)
+		}
+	}
+
+	const workers = 8
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			var held any // the previous answer and its query
+			heldQ := -1
+			for i := 0; i < 40; i++ {
+				qi := (w*7 + i*5) % len(queries)
+				got, err := run(queries[qi])
+				if err == nil && heldQ >= 0 && fmt.Sprint(held) != wants[heldQ] {
+					err = fmt.Errorf("%s %v changed after the next query: %v, alone %s", queries[heldQ].kind, queries[heldQ].terms, held, wants[heldQ])
+				}
+				if err == nil && fmt.Sprint(got) != wants[qi] {
+					err = fmt.Errorf("%s %v under load = %v, alone %s", queries[qi].kind, queries[qi].terms, got, wants[qi])
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				held, heldQ = got, qi
+			}
+			errs <- nil
+		}()
+	}
+	for w := 0; w < workers; w++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}

@@ -79,7 +79,9 @@ func (c *Client) SearchTopKContext(ctx context.Context, tok auth.Token, query []
 // joined: the lists' accessible length, their full one is not on this wire.
 func (c *Client) searchTopKWhole(ctx context.Context, tok auth.Token, terms []string, k int) ([]ranking.ScoredDoc, Stats, error) {
 	var stats Stats
-	lists, shares, rows, err := c.wholeLists(ctx, tok, terms, &stats, true)
+	p := c.newPipeline(terms, &stats)
+	defer p.release()
+	lists, shares, rows, err := p.wholeLists(ctx, tok, terms, true)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -102,6 +104,7 @@ func (c *Client) searchTopKWhole(ctx context.Context, tok auth.Token, terms []st
 func (c *Client) searchTopKStream(ctx context.Context, tok auth.Token, term string, k int) ([]ranking.ScoredDoc, Stats, error) {
 	stats := Stats{ListsRequested: 1}
 	p := c.newPipeline([]string{term}, &stats)
+	defer p.release()
 	lid := c.table.ListOf(term)
 	// The first round is an ordinary fan-out. Its responders are pinned
 	// for the rounds after it: order lists them first.
@@ -111,11 +114,14 @@ func (c *Client) searchTopKStream(ctx context.Context, tok auth.Token, term stri
 
 attempts:
 	for attempt := 0; attempt <= n-c.k; attempt++ {
-		var posts [1][]ranking.Posting // the term's decrypted postings, in delivery order
+		// The term's decrypted postings, in delivery order: the whole
+		// arena is this one list, and follows it as it grows.
+		posts := [1][]ranking.Posting{p.posts[:0]}
 		var top []ranking.ScoredDoc
 		// Between rounds the join's rows are the pending elements: seen in
 		// some server's window but on fewer than k servers so far.
-		join := c.newJoin()
+		join := &p.join
+		join.reset(0, 0)
 		fetched, total := 0, 0 // next position to request; longest unfiltered length any server reported
 		window := c.tuning.blockSize()
 
@@ -140,7 +146,7 @@ attempts:
 				for _, r := range results {
 					order = append(order, r.idx)
 				}
-				for i := 0; i < n; i++ {
+				for _, i := range *c.pref.Load() {
 					if responders>>uint(i)&1 == 0 {
 						order = append(order, i)
 					}
@@ -187,9 +193,10 @@ attempts:
 				join.add(r.idx, r.val.Shares)
 			}
 			// Rows with k shares are decryptable now and leave the join.
-			if err := p.open(&join, lid, roundBasis, nil, posts[:]); err != nil {
+			if err := p.open(lid, roundBasis, nil, posts[:]); err != nil {
 				return nil, stats, err
 			}
+			p.posts = posts[0]
 			if exhausted {
 				// No further windows will arrive: under-replicated
 				// leftovers are skipped, as the whole-list plan skips them.

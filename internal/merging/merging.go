@@ -133,10 +133,13 @@ func Build(dist *confidential.Distribution, opts Options) (*Table, error) {
 
 	// Resulting confidentiality (formula (7)) over the full assignment,
 	// including hash-routed rare terms, which add their (small) mass to
-	// whichever list the public hash selects.
+	// whichever list the public hash selects. The terms are added in one
+	// fixed order (listed is the distribution's, by descending
+	// probability), not in map order: float addition is not associative,
+	// and the table's JSON should be the same on every build.
 	mass := make([]float64, m)
-	for term, lid := range assign {
-		mass[lid] += dist.P(term)
+	for _, term := range listed {
+		mass[assign[term]] += dist.P(term)
 	}
 	for _, term := range rare {
 		mass[t.hashRoute(term)] += dist.P(term)

@@ -427,6 +427,32 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 }
 
+// TestTableJSONReproducible builds one table 20 times per heuristic and
+// requires the same JSON each time: r_value and min_mass are float sums
+// over a list's terms, which differ in their last digits when the terms
+// are added in a different order.
+func TestTableJSONReproducible(t *testing.T) {
+	d := mustDist(t, zipfDocFreqs(500))
+	for _, opts := range []Options{{Heuristic: DFM, M: 4, R: 4}, {Heuristic: UDM, M: 4}, {Heuristic: UDM, M: 16, RareCutoff: 1e-4}} {
+		var first []byte
+		for i := 0; i < 20; i++ {
+			tbl, err := Build(d, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(tbl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = got
+			} else if string(got) != string(first) {
+				t.Fatalf("%+v: build %d wrote different JSON (r_value %v, min_mass %v)", opts, i+1, tbl.RValue(), tbl.MinMass())
+			}
+		}
+	}
+}
+
 func TestSingleListPerfectConfidentiality(t *testing.T) {
 	// §6: "if all terms are merged into one posting list, then r = 1".
 	d := mustDist(t, zipfDocFreqs(50))

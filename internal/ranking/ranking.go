@@ -21,6 +21,7 @@ import (
 	"math/bits"
 	"math/rand/v2"
 	"slices"
+	"sync"
 )
 
 // Posting is one decrypted (document, term frequency) pair for one query
@@ -45,24 +46,38 @@ func idf(df, numDocs int) float64 {
 	return math.Log(1 + float64(numDocs)/float64(df))
 }
 
+// scratch is one ranking's working memory: the document table, the
+// slot of each posting and TopKByTF's per-slot term marks. TopK and
+// TopKByTF take one from scratchPool and put it back once best has
+// copied the winners out, so nothing pooled reaches a caller; ScoreAll,
+// whose result is the accumulated slice itself, uses a fresh one.
+type scratch struct {
+	table   docTable
+	docs    []ScoredDoc
+	slots   []int32
+	counted []int32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
 // slotsOf gives every document in lists a slot in docs, in first-seen
 // order with zero scores, and returns the slot of each posting, list
 // after list: one table probe per posting, the only ones either scoring
-// rule makes.
-func slotsOf(lists [][]Posting) (docs []ScoredDoc, slots []int32) {
+// rule makes. Both slices are s's, valid until s is reused.
+func (s *scratch) slotsOf(lists [][]Posting) (docs []ScoredDoc, slots []int32) {
 	longest, total := 0, 0
 	for _, ps := range lists {
 		longest, total = max(longest, len(ps)), total+len(ps)
 	}
-	var table docTable
-	slots = make([]int32, 0, total)
-	docs = make([]ScoredDoc, 0, longest)
-	table.reserve(docs, longest)
+	slots = slices.Grow(s.slots[:0], total)
+	docs = slices.Grow(s.docs[:0], longest)
+	s.table.reset(docs, longest)
 	for _, ps := range lists {
 		for _, p := range ps {
-			slots = append(slots, int32(table.slotOf(&docs, p.DocID)))
+			slots = append(slots, int32(s.table.slotOf(&docs, p.DocID)))
 		}
 	}
+	s.docs, s.slots = docs, slots
 	return docs, slots
 }
 
@@ -71,8 +86,8 @@ func slotsOf(lists [][]Posting) (docs []ScoredDoc, slots []int32) {
 // score, in first-seen order. Once slotsOf has settled the collection
 // size, it adds tf·idf contributions slot by slot, with each term's idf
 // computed once instead of once per posting.
-func accumulate(lists [][]Posting) []ScoredDoc {
-	docs, slots := slotsOf(lists)
+func (s *scratch) accumulate(lists [][]Posting) []ScoredDoc {
+	docs, slots := s.slotsOf(lists)
 	for _, ps := range lists {
 		w := idf(len(ps), len(docs))
 		for i, p := range ps {
@@ -89,7 +104,7 @@ func accumulate(lists [][]Posting) []ScoredDoc {
 // exhaustive reference implementation; TopK must agree with its first K
 // entries.
 func ScoreAll(lists [][]Posting) []ScoredDoc {
-	out := accumulate(lists)
+	out := new(scratch).accumulate(lists)
 	sortScored(out)
 	return out
 }
@@ -132,7 +147,9 @@ func TopK(lists [][]Posting, k int) []ScoredDoc {
 	if k <= 0 {
 		return nil
 	}
-	return best(accumulate(lists), k)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return best(sc.accumulate(lists), k)
 }
 
 // TopKByTF returns the k best documents of lists, one list per query
@@ -146,8 +163,12 @@ func TopKByTF(lists [][]Posting, k int) []ScoredDoc {
 	if k <= 0 {
 		return nil
 	}
-	docs, slots := slotsOf(lists)
-	counted := make([]int32, len(docs)) // slot → 1 + the last term that added to it
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	docs, slots := sc.slotsOf(lists)
+	sc.counted = slices.Grow(sc.counted[:0], len(docs))[:len(docs)]
+	counted := sc.counted // slot → 1 + the last term that added to it
+	clear(counted)
 	for term, ps := range lists {
 		for i, p := range ps {
 			if s := slots[i]; counted[s] != int32(term+1) {
@@ -252,16 +273,22 @@ type docTable struct {
 // seed: document owners choose IDs, and must not be able to pile them up.
 var docHashMul = rand.Uint64() | 1
 
-// reserve sizes the table for n documents at load factor at most 1/2.
-func (t *docTable) reserve(docs []ScoredDoc, n int) {
+// reset empties the table and sizes it for n documents at load factor
+// at most 1/2, then enters docs. The size is the power of two this n
+// needs, cut from the memory of any earlier size, so only that much is
+// cleared.
+func (t *docTable) reset(docs []ScoredDoc, n int) {
 	size := 16
 	for size < 2*n {
 		size *= 2
 	}
-	if size <= len(t.slots) {
-		return
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	if size > cap(t.slots) {
+		t.slots = make([]uint32, size)
+	} else {
+		t.slots = t.slots[:size]
+		clear(t.slots)
 	}
-	t.shift, t.slots = uint(64-bits.TrailingZeros(uint(size))), make([]uint32, size)
 	for slot, d := range docs {
 		t.slots[t.probe(docs, d.DocID)] = uint32(slot + 1)
 	}
@@ -280,7 +307,7 @@ func (t *docTable) probe(docs []ScoredDoc, doc uint32) int {
 // slotOf returns doc's slot in *docs, appending an entry for a new one.
 func (t *docTable) slotOf(docs *[]ScoredDoc, doc uint32) int {
 	if 2*len(*docs) >= len(t.slots) {
-		t.reserve(*docs, len(*docs)+1)
+		t.reset(*docs, len(*docs)+1)
 	}
 	i := t.probe(*docs, doc)
 	if t.slots[i] == 0 {
