@@ -7,7 +7,7 @@
 // Usage:
 //
 //	# once: learn the corpus statistics and publish the mapping table
-//	zerber-peer -build-table -m 64 -r 16 -docs ./shared -table table.json
+//	zerber-peer -build-table -r 16 -docs ./shared -table table.json
 //
 //	# index the directory, then serve snippets
 //	zerber-peer -addr :8301 \
@@ -44,6 +44,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -74,20 +75,19 @@ func main() {
 		name       = flag.String("name", "zerber-peer", "peer/site name")
 		journal    = flag.String("journal", ".", "mutation journal directory (crash-safe, exactly-once updates; a rerun sends only what changed)")
 		buildTable = flag.Bool("build-table", false, "build the mapping table from the corpus statistics of -docs, write -table and exit")
-		m          = flag.Int("m", 64, "number of merged posting lists (build-table)")
-		r          = flag.Float64("r", 16, "target confidentiality parameter r (build-table)")
+		r          = flag.Float64("r", 16, "confidentiality parameter r the table must meet; the number of merged lists follows from it (build-table)")
 		heuristic  = flag.String("heuristic", "DFM", "merging heuristic: DFM, BFM, UDM (build-table)")
 	)
 	flag.Parse()
 
 	if *buildTable {
 		h := merging.Heuristic(*heuristic)
-		table, err := writeTable(*docsDir, *tablePath, *m, *r, h)
+		table, err := writeTable(*docsDir, *tablePath, *r, h)
 		if err != nil {
 			log.Fatalf("zerber-peer: %v", err)
 		}
-		fmt.Printf("built %s table: M=%d, resulting r=%.4g (1/r=%.4g), %d listed terms\n",
-			h, table.M(), table.RValue(), table.MinMass(), table.NumListed())
+		fmt.Printf("built %s table for r=%.4g: M=%d, realized r=%.4g (1/r=%.4g), %d listed terms\n",
+			h, *r, table.M(), table.RValue(), table.MinMass(), table.NumListed())
 		return
 	}
 	if *servers == "" || *keyHex == "" || *user == "" {
@@ -172,10 +172,11 @@ func main() {
 	log.Fatal(http.ListenAndServe(*addr, peer.NewHTTPHandler(p, svc, groupTable)))
 }
 
-// writeTable builds the public mapping table from the corpus statistics
-// of the documents in dir — each term's document frequency — and writes
-// it to path.
-func writeTable(dir, path string, m int, r float64, h merging.Heuristic) (*merging.Table, error) {
+// writeTable builds the public mapping table that meets r from the
+// corpus statistics of the documents in dir — each term's document
+// frequency — and writes it to path. A table that cannot meet r is
+// refused, and nothing is written.
+func writeTable(dir, path string, r float64, h merging.Heuristic) (*merging.Table, error) {
 	names, err := readDir(dir)
 	if err != nil {
 		return nil, err
@@ -194,7 +195,7 @@ func writeTable(dir, path string, m int, r float64, h merging.Heuristic) (*mergi
 	if err != nil {
 		return nil, err
 	}
-	table, err := merging.Build(dist, merging.Options{Heuristic: h, M: m, R: r})
+	table, err := chooseTable(dist, h, r)
 	if err != nil {
 		return nil, fmt.Errorf("building table: %w", err)
 	}
@@ -203,6 +204,57 @@ func writeTable(dir, path string, m int, r float64, h merging.Heuristic) (*mergi
 		return nil, fmt.Errorf("encoding %s: %w", path, err)
 	}
 	return table, os.WriteFile(path, data, 0o644)
+}
+
+// chooseTable returns the table with the most lists that meets r — the
+// paper's "choosing a target value for r" left as future work (§7.5),
+// turned around: the operator states r and M follows. Formula (7) makes
+// r = 1 / (the least list mass), so every table has r >= 1 and r >= M,
+// and more lists than r needs only cost query overhead (formula (6)).
+// DFM and UDM bisect M over [1, min(⌊r⌋, listed terms)]; M = 1 puts
+// every term in one list of mass 1, so it meets any r >= 1. BFM finds
+// its own M from r and is only checked. If r(M) is not monotone the
+// bisection may settle on a smaller M than the best: that costs query
+// overhead, never confidentiality, since only a table tested against r
+// is returned.
+func chooseTable(dist *confidential.Distribution, h merging.Heuristic, r float64) (*merging.Table, error) {
+	if !(r >= 1) || math.IsInf(r, 1) {
+		return nil, fmt.Errorf("r=%g cannot be met: every table has r >= 1 (formula (7))", r)
+	}
+	build := func(m int) (*merging.Table, error) {
+		return merging.Build(dist, merging.Options{Heuristic: h, M: m, R: r})
+	}
+	if h == merging.BFM {
+		table, err := build(0)
+		if err != nil {
+			return nil, err
+		}
+		if !confidential.SatisfiesR(table.MinMass(), r) {
+			return nil, fmt.Errorf("the BFM table reaches r=%.4g, not the r=%.4g asked for", table.RValue(), r)
+		}
+		return table, nil
+	}
+	best, err := build(1)
+	if err != nil {
+		return nil, err
+	}
+	lo, hi := 1, dist.Len()
+	if r < float64(hi) {
+		hi = int(r)
+	}
+	for lo < hi {
+		mid := lo + (hi-lo+1)/2
+		table, err := build(mid)
+		if err != nil {
+			return nil, err
+		}
+		if confidential.SatisfiesR(table.MinMass(), r) {
+			best, lo = table, mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return best, nil
 }
 
 // reconcile brings the index in line with a document directory. Every

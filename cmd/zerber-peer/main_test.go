@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -135,4 +136,61 @@ func TestReconcileRestart(t *testing.T) {
 		t.Errorf("restart inserted %d and deleted %d elements, want 1 and 3", ins, del)
 	}
 	holdsExactly(p)
+}
+
+// TestChooseTable checks the table the operator's r yields: DFM and UDM
+// get the most lists that meet r (one more list misses it), BFM is built
+// once from r and checked, and an r no table can have is refused.
+func TestChooseTable(t *testing.T) {
+	dfs := make(map[string]int)
+	for i := 0; i < 2000; i++ {
+		dfs[fmt.Sprintf("t%04d", i)] = 1 + 20000/(i+1) // Zipf
+	}
+	dist, err := confidential.NewDistribution(dfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const r = 40
+	for _, h := range []merging.Heuristic{merging.DFM, merging.UDM} {
+		table, err := chooseTable(dist, h, r)
+		if err != nil {
+			t.Fatalf("%s: %v", h, err)
+		}
+		if table.Heuristic() != h || !confidential.SatisfiesR(table.MinMass(), r) {
+			t.Fatalf("%s: chose a %s table with r=%.4g, want one meeting r=%d", h, table.Heuristic(), table.RValue(), r)
+		}
+		// M must sit inside the searched range, or "one more list
+		// misses r" would hold for want of candidates.
+		if table.M() <= 1 || table.M() >= r {
+			t.Fatalf("%s: M=%d on a %d-term Zipf corpus, want 1 < M < %d", h, table.M(), dist.Len(), r)
+		}
+		next, err := merging.Build(dist, merging.Options{Heuristic: h, M: table.M() + 1, R: r})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if confidential.SatisfiesR(next.MinMass(), r) {
+			t.Errorf("%s: chose M=%d, but M=%d also meets r=%d (r=%.4g)", h, table.M(), next.M(), r, next.RValue())
+		}
+	}
+
+	table, err := chooseTable(dist, merging.BFM, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := merging.Build(dist, merging.Options{Heuristic: merging.BFM, R: r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if table.M() != want.M() || table.RValue() != want.RValue() || !confidential.SatisfiesR(table.MinMass(), r) {
+		t.Errorf("BFM: chose M=%d r=%.4g, want the one build from r: M=%d r=%.4g", table.M(), table.RValue(), want.M(), want.RValue())
+	}
+
+	for _, bad := range []float64{0.5, 0, -3, math.NaN(), math.Inf(1)} {
+		if table, err := chooseTable(dist, merging.DFM, bad); err == nil {
+			t.Errorf("r=%g: built a table with r=%.4g, want a refusal", bad, table.RValue())
+		}
+	}
+	if table, err := chooseTable(dist, merging.DFM, 1); err != nil || table.M() != 1 {
+		t.Errorf("r=1: %v, want the one-list table", err)
+	}
 }

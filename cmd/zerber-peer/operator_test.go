@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -14,7 +15,8 @@ import (
 )
 
 // TestOperatorFlow runs the operator binaries as processes over
-// loopback TCP: three zerber-server processes, zerber-peer -build-table,
+// loopback TCP: three zerber-server processes, zerber-peer -build-table
+// (which must meet the r it is given, and refuse an r no table has),
 // zerber-peer -addr= twice on one journal, and zerber-search -v after
 // each run. The search, one quoted argument with punctuation that only
 // a query tokenized like the documents matches, must find the document,
@@ -67,7 +69,28 @@ func TestOperatorFlow(t *testing.T) {
 		}
 		return string(out)
 	}
-	run("zerber-peer", "-build-table", "-m", "4", "-r", "2", "-docs", docs, "-table", table)
+	summary := run("zerber-peer", "-build-table", "-r", "2", "-docs", docs, "-table", table)
+	var built struct {
+		M      int     `json:"m"`
+		RValue float64 `json:"r_value"`
+	}
+	if data, err := os.ReadFile(table); err != nil {
+		t.Fatal(err)
+	} else if err := json.Unmarshal(data, &built); err != nil {
+		t.Fatal(err)
+	}
+	if built.RValue > 2 || !strings.Contains(summary, "for r=2:") ||
+		!strings.Contains(summary, "realized r="+strconv.FormatFloat(built.RValue, 'g', 4, 64)) {
+		t.Fatalf("-build-table -r 2 wrote M=%d r=%v:\n%s", built.M, built.RValue, summary)
+	}
+	unreachable := filepath.Join(work, "unreachable.json")
+	refuse := exec.Command(filepath.Join(bin, "zerber-peer"), "-build-table", "-r", "0.5", "-docs", docs, "-table", unreachable)
+	if out, err := refuse.CombinedOutput(); err == nil {
+		t.Fatalf("-build-table -r 0.5 exited 0:\n%s", out)
+	}
+	if _, err := os.Stat(unreachable); !os.IsNotExist(err) {
+		t.Fatalf("-build-table -r 0.5 left %s behind: %v", unreachable, err)
+	}
 
 	owner := []string{"-servers", strings.Join(addrs, ","), "-k", "2", "-key", key,
 		"-user", "alice", "-group", "1", "-table", table, "-docs", docs}

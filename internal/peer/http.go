@@ -106,7 +106,7 @@ func peerHTTPError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrUnknownDoc):
 		http.Error(w, err.Error(), http.StatusNotFound)
-	case strings.Contains(err.Error(), "access denied"):
+	case errors.Is(err, ErrAccessDenied):
 		http.Error(w, err.Error(), http.StatusForbidden)
 	default:
 		http.Error(w, err.Error(), http.StatusBadRequest)

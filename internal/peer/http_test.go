@@ -1,6 +1,7 @@
 package peer_test
 
 import (
+	"errors"
 	"math/rand"
 	"net/http/httptest"
 	"strings"
@@ -85,6 +86,9 @@ func TestSnippetHTTPAccessControl(t *testing.T) {
 	e := newHTTPEnv(t)
 	c := peer.DialSnippets(e.ts.URL, time.Second)
 	// bob is in group 2, the doc is group 1.
+	if _, err := e.peer.Snippet(1, []string{"imclone"}, 80, e.groups.GroupSetOf("bob")); !errors.Is(err, peer.ErrAccessDenied) {
+		t.Fatalf("in-process cross-group snippet: %v, want ErrAccessDenied", err)
+	}
 	if _, err := c.Snippet(e.svc.Issue("bob"), 1, []string{"imclone"}, 80); err == nil {
 		t.Fatal("cross-group snippet served over HTTP")
 	} else if !strings.Contains(err.Error(), "403") {

@@ -48,8 +48,9 @@ type elemRef struct {
 
 // Errors returned by peer operations.
 var (
-	ErrUnknownDoc = errors.New("peer: unknown document")
-	ErrDocIDRange = errors.New("peer: document ID exceeds packed width")
+	ErrUnknownDoc   = errors.New("peer: unknown document")
+	ErrDocIDRange   = errors.New("peer: document ID exceeds packed width")
+	ErrAccessDenied = errors.New("peer: access denied") // the caller is not in the document's group
 )
 
 // Config configures a peer.
@@ -225,7 +226,7 @@ func (p *Peer) Snippet(docID uint32, query []string, width int, groupsOf auth.Gr
 		return "", fmt.Errorf("%w: %d", ErrUnknownDoc, docID)
 	}
 	if !groupsOf.Has(doc.Group) {
-		return "", fmt.Errorf("peer: document %d: access denied", docID)
+		return "", fmt.Errorf("%w: document %d", ErrAccessDenied, docID)
 	}
 	return textproc.Snippet(doc.Content, query, width), nil
 }

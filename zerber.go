@@ -359,9 +359,7 @@ import (
 	"zerber/internal/server"
 	"zerber/internal/store"
 	"zerber/internal/transport"
-	"zerber/internal/tuning"
 	"zerber/internal/vocab"
-	"zerber/internal/workload"
 )
 
 // Re-exported identifiers so typical applications only import zerber and
@@ -392,7 +390,12 @@ type Options struct {
 	N, K int
 	// Heuristic, M, R and RareCutoff configure posting-list merging; see
 	// merging.Options. Defaults: DFM with M = max(1, vocab/8) lists and
-	// R tuned to the distribution (mass target 4/M).
+	// R = max(1, M/4) (mass target 4/M). R is DFM's and BFM's fill
+	// target, not a bound: NewCluster builds the table whatever r it
+	// realizes (a table of M lists has r >= M, so the default R is not
+	// met once M > 1), and RValue reports that r. zerber-peer
+	// -build-table instead derives M from an r, and refuses an r it
+	// cannot meet.
 	Heuristic  Heuristic
 	M          int
 	R          float64
@@ -449,45 +452,6 @@ type Cluster struct {
 
 	mu    sync.RWMutex
 	peers map[string]*peer.Peer
-}
-
-// SuggestOptions auto-tunes the merging configuration for a corpus — the
-// §7.5 future work ("methods of choosing a target value for r that adapt
-// to the characteristics of the document frequency distribution"). It
-// sweeps candidate list counts, measures the confidentiality/overhead
-// frontier against the query statistics (uniform if queryFreqs is nil),
-// and returns Options realizing the best point under the constraints:
-// maxR caps the confidentiality parameter, maxOverhead caps the query
-// cost ratio versus an unmerged index; zero means unconstrained (the
-// knee point is chosen).
-func SuggestOptions(docFreqs, queryFreqs map[string]int, maxR, maxOverhead float64) (Options, error) {
-	dist, err := confidential.NewDistribution(docFreqs)
-	if err != nil {
-		return Options{}, fmt.Errorf("zerber: building term distribution: %w", err)
-	}
-	if queryFreqs == nil {
-		queryFreqs = make(map[string]int, len(docFreqs))
-		for term := range docFreqs {
-			queryFreqs[term] = 1
-		}
-	}
-	stats := workload.TermStats{DocFreq: docFreqs, QueryFreq: queryFreqs}
-	points, err := tuning.Frontier(dist, stats, tuning.DefaultCandidates(dist.Len()), 0)
-	if err != nil {
-		return Options{}, err
-	}
-	chosen, err := tuning.Choose(points, tuning.Constraints{MaxR: maxR, MaxOverhead: maxOverhead})
-	if err != nil {
-		return Options{}, err
-	}
-	ranked := dist.TermsByProbability()
-	cutoff := dist.P(ranked[len(ranked)/10])
-	return Options{
-		Heuristic:  DFM,
-		M:          chosen.M,
-		R:          1 / cutoff,
-		RareCutoff: cutoff,
-	}, nil
 }
 
 // NewCluster builds a cluster. docFreqs is the corpus document-frequency

@@ -1,7 +1,6 @@
 package zerber_test
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -348,38 +347,6 @@ func TestSearcherSearchTopK(t *testing.T) {
 		if r.Peer != "site1" || !strings.Contains(strings.ToLower(r.Snippet), "martha") {
 			t.Errorf("doc %d: peer %q, snippet %q", r.DocID, r.Peer, r.Snippet)
 		}
-	}
-}
-
-func TestSuggestOptions(t *testing.T) {
-	// Build a Zipfian corpus statistic large enough for a real sweep.
-	dfs := make(map[string]int)
-	for i := 0; i < 3000; i++ {
-		dfs[fmt.Sprintf("t%04d", i)] = 1 + 30000/(i+1)
-	}
-	opts, err := zerber.SuggestOptions(dfs, nil, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opts.M < 2 || opts.R <= 0 || opts.RareCutoff <= 0 {
-		t.Fatalf("suggested options look wrong: %+v", opts)
-	}
-	// The suggested options must build a working cluster.
-	c, err := zerber.NewCluster(dfs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.RValue() <= 0 {
-		t.Errorf("RValue = %v", c.RValue())
-	}
-	// Constrained variant: r capped hard means fewer lists (more merging).
-	tight, err := zerber.SuggestOptions(dfs, nil, c.RValue()/2, 0)
-	if err == nil && tight.M > opts.M {
-		t.Errorf("tighter r cap chose more lists (%d > %d)", tight.M, opts.M)
-	}
-	// Infeasible constraints must error.
-	if _, err := zerber.SuggestOptions(dfs, nil, 1e-12, 0); err == nil {
-		t.Error("impossible constraint accepted")
 	}
 }
 
