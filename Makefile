@@ -31,7 +31,10 @@ test-full:
 # the critical path; the full-size suite runs race-free in `test` and at
 # full depth in the nightly `test-full`. The lines after it repeat the
 # tests whose subject is a race, which one pass samples too thinly:
-# recycled wire buffers against calls abandoned at random instants, the
+# recycled wire buffers against calls abandoned at random instants,
+# pooled share slices released by the server once framed and by the
+# caller once read while other calls draw them (the detector's build
+# poisons what is released, and the poisoning is itself tested), the
 # peer's concurrent per-stage fan-out (the barrier between the stages;
 # recovery from every subset of acknowledgements), the top-k client's
 # block rounds losing a responder or waiting for a slow one, with
@@ -54,7 +57,7 @@ test-full:
 # closed and must redial.
 race:
 	$(GO) test -race -short -shuffle=on ./...
-	$(GO) test -race -short -count=20 -run='^TestBinaryCancelStress$$' ./internal/transport
+	$(GO) test -race -short -count=20 -run='^(TestBinaryCancelStress|TestBinaryLookupReleasedBudget|TestReleasedSharesPoisonedUnderRace)$$' ./internal/transport ./internal/posting
 	$(GO) test -race -short -count=20 -run='^(TestDeleteStageWaitsForEveryInsertAck|TestRecoverFromAnyAckSubset)$$' ./internal/peer
 	$(GO) test -race -short -count=20 -run='^(TestTopKSurvivesResponderChange|TestTopKKeepsSlowPinnedResponder|TestConcurrentTopK|TestPooledMemoryNeverAliases|TestFanoutCancelsSlowServer|TestVerifiedFanoutHedgesHungServer|TestHungFirstServerDemoted|TestDefaultFanoutAsksK|TestExplicitFanoutNeverHedges|TestHedgeDelayEstimator)$$' ./internal/client
 	$(GO) test -race -short -count=10 -run='^(TestReshareDetectsMidGenerationMutation|TestReshareRollsBackMidApplyFailure|TestSlotChurnRace|TestMoveCompletesUnderSustainedWrites)$$' ./internal/proactive ./internal/dht

@@ -22,7 +22,10 @@ import (
 // cannedAPI is a server that answers every lookup with the same
 // prepared lists, whole or one window at a time, so a test or
 // benchmark drives the client's join → decrypt → filter → rank pipeline
-// with no store, codec or network behind it.
+// with no store, codec or network behind it. Like a real server it
+// answers each call with copies the caller owns alone, drawn from
+// posting's pool as a store's are, so the client's release of them is
+// what a budget measures.
 type cannedAPI struct {
 	x     field.Element
 	lists map[merging.ListID][]posting.EncryptedShare
@@ -33,17 +36,28 @@ func (a cannedAPI) Apply(context.Context, auth.Token, transport.OpID, []transpor
 	return errors.New("read-only fake")
 }
 func (a cannedAPI) GetPostingLists(context.Context, auth.Token, []merging.ListID) (map[merging.ListID][]posting.EncryptedShare, error) {
-	return a.lists, nil
+	out := make(map[merging.ListID][]posting.EncryptedShare, len(a.lists))
+	for lid, list := range a.lists {
+		out[lid] = pooledCopy(list)
+	}
+	return out, nil
 }
 func (a cannedAPI) GetPostingBlocks(_ context.Context, _ auth.Token, lid merging.ListID, from, n int) (transport.BlockPage, error) {
 	list := a.lists[lid]
 	from = min(from, len(list))
 	end := min(from+n, len(list))
-	page := transport.BlockPage{Shares: list[from:end], Total: len(list)}
+	page := transport.BlockPage{Shares: pooledCopy(list[from:end]), Total: len(list)}
 	if end < len(list) {
 		page.Next = posting.ImpactOf(list[end].GlobalID)
 	}
 	return page, nil
+}
+
+// pooledCopy copies shares into a slice from posting's pool.
+func pooledCopy(shares []posting.EncryptedShare) []posting.EncryptedShare {
+	out := posting.GetShares(len(shares))
+	copy(out, shares)
+	return out
 }
 
 // syntheticQuery is three of the test vocabulary's terms that the M=4
@@ -156,7 +170,9 @@ func poolsRecycle() bool {
 // recycled: one search of 35,000 elements that allocated its join
 // columns afresh would take a megabyte. Under the race detector a pool
 // drops a quarter of what is put back, so there only the counts are
-// held, to a budget with room for those refills.
+// held, to a budget with room for those refills: among them the fake
+// servers' share copies, which the pool makes afresh whenever it dropped
+// their last release.
 func allocationBudget(t *testing.T, plan string, maxAllocs, maxAllocsRace, maxBytes float64, search func(c *client.Client, elements int)) {
 	const small, large = 3500, 35000
 	recycle := poolsRecycle()
@@ -189,10 +205,12 @@ func allocationBudget(t *testing.T, plan string, maxAllocs, maxAllocsRace, maxBy
 // TestSearchAllocationBudget keeps the exact search's allocations a
 // function of the number of lists, not of the number of elements: a
 // whole search — fan-out, join, decrypt, filter, rank — over three
-// lists takes 13 allocations and 944 B at either size (17–18
-// allocations under the race detector).
+// lists takes 16 allocations and 1,504 B at either size, four of them
+// and 672 B the two fake servers' result maps; the share slices in them
+// come from posting's pool and go back once joined (20–25 allocations
+// under the race detector).
 func TestSearchAllocationBudget(t *testing.T) {
-	allocationBudget(t, "exact", 16, 26, 4096, func(c *client.Client, elements int) {
+	allocationBudget(t, "exact", 16, 32, 4096, func(c *client.Client, elements int) {
 		res, stats, err := c.Search("tok", syntheticQuery, 10)
 		if err != nil {
 			t.Fatal(err)
@@ -221,10 +239,10 @@ func BenchmarkRetrieveJoinRank(b *testing.B) {
 
 // TestTopKWholeListAllocationBudget is TestSearchAllocationBudget for
 // the whole-list plan of top-k, which the three-term query takes: join,
-// decrypt, filter and the summed-TF ranking: 13 allocations and 944 B
-// (17–21 allocations under the race detector).
+// decrypt, filter and the summed-TF ranking: 16 allocations and 1,504 B,
+// the maps included (19–28 allocations under the race detector).
 func TestTopKWholeListAllocationBudget(t *testing.T) {
-	allocationBudget(t, "whole-list top-k", 16, 26, 4096, func(c *client.Client, elements int) {
+	allocationBudget(t, "whole-list top-k", 16, 32, 4096, func(c *client.Client, elements int) {
 		res, stats, err := c.SearchTopK("tok", syntheticQuery, 10)
 		if err != nil {
 			t.Fatal(err)
@@ -238,7 +256,8 @@ func TestTopKWholeListAllocationBudget(t *testing.T) {
 // TestTopKStreamAllocationBudget is the same budget for the streamed
 // plan, which a one-term query takes: its rounds each cost a fan-out, and
 // their join, decrypt and ranking memory is recycled like the other
-// plans': 14 allocations and 1,048 B (23–25 allocations under the race
+// plans', and each round's pages go back to posting's pool once
+// joined: 13 allocations and 936 B (18–30 allocations under the race
 // detector).
 func TestTopKStreamAllocationBudget(t *testing.T) {
 	allocationBudget(t, "streamed top-k", 18, 34, 4096, func(c *client.Client, elements int) {

@@ -24,8 +24,9 @@
 // sorts shares. Nor does a warm query allocate by the element: its join
 // columns and slots, its reconstruction scratch and the arena its
 // per-term posting lists are cut from come from the client's pool and go
-// back to it when the query returns (pipeline, in join.go), and the
-// ranker recycles its document table the same way. Those lists never
+// back to it when the query returns (pipeline, in join.go), the
+// servers' responses go back to posting's share pool once joined, and
+// the ranker recycles its document table the same way. Those lists never
 // leave the client: the search paths return ranking's fresh top-k slice,
 // and Retrieve copies each term's postings into a slice the caller owns.
 // Stats and results are the same whichever servers answer; Retrieve
@@ -166,17 +167,16 @@ func (c *Client) Search(tok auth.Token, query []string, topK int) ([]ranking.Sco
 // server fan-out and the decrypt stage.
 func (c *Client) SearchContext(ctx context.Context, tok auth.Token, query []string, topK int) ([]ranking.ScoredDoc, Stats, error) {
 	terms := dedup(query)
-	var stats Stats
-	p := c.newPipeline(terms, &stats)
+	p := c.newPipeline(terms)
 	defer p.release()
 	lists, _, _, err := p.wholeLists(ctx, tok, terms, false)
 	if err != nil {
-		return nil, stats, err
+		return nil, p.stats, err
 	}
 	// Personalized collection statistics: ranking takes the collection
 	// size and the document frequencies from the decrypted lists — the
 	// documents this user can access.
-	return ranking.TopK(lists, topK), stats, nil
+	return ranking.TopK(lists, topK), p.stats, nil
 }
 
 // Retrieve performs the fetch-join-decrypt-filter pipeline and returns
@@ -194,12 +194,11 @@ func (c *Client) Retrieve(tok auth.Token, query []string) (map[string][]ranking.
 // answered or how they lay a list out.
 func (c *Client) RetrieveContext(ctx context.Context, tok auth.Token, query []string) (map[string][]ranking.Posting, Stats, error) {
 	terms := dedup(query)
-	var stats Stats
-	p := c.newPipeline(terms, &stats)
+	p := c.newPipeline(terms)
 	defer p.release()
 	lists, _, _, err := p.wholeLists(ctx, tok, terms, false)
 	if err != nil {
-		return nil, stats, err
+		return nil, p.stats, err
 	}
 	out := make(map[string][]ranking.Posting, len(terms))
 	for ti, ps := range lists {
@@ -215,7 +214,7 @@ func (c *Client) RetrieveContext(ctx context.Context, tok auth.Token, query []st
 		})
 		out[terms[ti]] = ps
 	}
-	return out, stats, nil
+	return out, p.stats, nil
 }
 
 // wholeLists is the whole-list pipeline behind exact retrieval and the
@@ -244,6 +243,16 @@ func (p *pipeline) wholeLists(ctx context.Context, tok auth.Token, terms []strin
 	if err != nil {
 		return nil, 0, 0, err
 	}
+	// The responses are this query's alone (transport.API), and the join
+	// copies what it needs of them: once every list is joined, their
+	// share slices go back to posting's pool.
+	defer func() {
+		for _, r := range responses {
+			for _, shares := range r.val {
+				posting.PutShares(shares)
+			}
+		}
+	}()
 	p.stats.ServersQueried = len(responses)
 
 	// Elements replicated on the k lowest responders share one Lagrange

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"slices"
 	"testing"
 	"time"
@@ -98,6 +99,31 @@ func (e *env) index(t *testing.T, tok auth.Token, docs ...peer.Document) {
 func (e *env) client(t *testing.T) *client.Client {
 	t.Helper()
 	c, err := client.New(e.apis, 2, e.table, e.voc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// wireClient is a client of the same servers that reaches each over
+// the binary wire on loopback.
+func (e *env) wireClient(t *testing.T) *client.Client {
+	t.Helper()
+	apis := make([]transport.API, len(e.servers))
+	for i, s := range e.servers {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := transport.ServeBinary(ln, s)
+		conn, err := transport.DialBinary(ln.Addr().String(), 10*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close(); srv.Close() })
+		apis[i] = conn
+	}
+	c, err := client.New(apis, 2, e.table, e.voc)
 	if err != nil {
 		t.Fatal(err)
 	}

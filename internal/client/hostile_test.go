@@ -17,7 +17,9 @@ import (
 )
 
 // tamperingAPI wraps a server and rewrites every share slice it returns,
-// whole lists and block pages alike.
+// whole lists and block pages alike. rewrite returns a copy, so each
+// answer is the caller's alone, as transport.API requires, and the fake
+// gives the slice it wrapped back to posting's pool.
 type tamperingAPI struct {
 	transport.API
 	rewrite func([]posting.EncryptedShare) []posting.EncryptedShare
@@ -27,30 +29,39 @@ func (a tamperingAPI) GetPostingLists(ctx context.Context, tok auth.Token, lids 
 	out, err := a.API.GetPostingLists(ctx, tok, lids)
 	for lid, shares := range out {
 		out[lid] = a.rewrite(shares)
+		posting.PutShares(shares)
 	}
 	return out, err
 }
 
 func (a tamperingAPI) GetPostingBlocks(ctx context.Context, tok auth.Token, lid merging.ListID, from, n int) (transport.BlockPage, error) {
 	page, err := a.API.GetPostingBlocks(ctx, tok, lid, from, n)
-	page.Shares = a.rewrite(page.Shares)
+	shares := page.Shares
+	page.Shares = a.rewrite(shares)
+	posting.PutShares(shares)
 	return page, err
 }
 
-// redeliver returns its first share twice, the second copy last.
+// redeliver returns a copy of its shares with the first one twice, the
+// second copy last.
 func redeliver(shares []posting.EncryptedShare) []posting.EncryptedShare {
 	if len(shares) == 0 {
-		return shares
+		return nil
 	}
-	return append(append([]posting.EncryptedShare{}, shares...), shares[0])
+	out := posting.GetShares(len(shares) + 1)
+	copy(out, shares)
+	out[len(shares)] = shares[0]
+	return out
 }
 
-// withhold drops its first share.
+// withhold returns a copy of its shares without the first.
 func withhold(shares []posting.EncryptedShare) []posting.EncryptedShare {
 	if len(shares) == 0 {
-		return shares
+		return nil
 	}
-	return shares[1:]
+	out := posting.GetShares(len(shares) - 1)
+	copy(out, shares[1:])
+	return out
 }
 
 func hostileEnv(t *testing.T) (*env, auth.Token) {

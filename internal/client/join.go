@@ -121,8 +121,10 @@ func (t *joinTable) add(col int, shares []posting.EncryptedShare) (redelivered i
 // it lives for one query on one goroutine; concurrent queries share only
 // the client's basis cache.
 type pipeline struct {
-	c     *Client
-	stats *Stats
+	c *Client
+	// stats is the query's Stats, which its caller returns by value
+	// before the pipeline goes back to the pool.
+	stats Stats
 	// wanted holds the query terms' IDs, indexed like the terms. A query
 	// has a handful of terms, so finding an element's term is a scan of
 	// a few words, cheaper than hashing into a map once per element.
@@ -139,8 +141,8 @@ type pipeline struct {
 }
 
 // newPipeline takes a pipeline from the client's pool for a query of
-// terms, reporting into stats.
-func (c *Client) newPipeline(terms []string, stats *Stats) *pipeline {
+// terms, its stats zeroed.
+func (c *Client) newPipeline(terms []string) *pipeline {
 	p, _ := c.pipelines.Get().(*pipeline)
 	if p == nil {
 		// The global IDs a join hashes are chosen by the servers, so the
@@ -148,7 +150,7 @@ func (c *Client) newPipeline(terms []string, stats *Stats) *pipeline {
 		// that all probe from one slot and turn the join quadratic.
 		p = &pipeline{c: c, join: joinTable{w: len(c.servers), mul: c.joinMul}}
 	}
-	p.stats = stats
+	p.stats = Stats{}
 	p.wanted = p.wanted[:0]
 	for _, term := range terms {
 		p.wanted = append(p.wanted, c.voc.Resolve(term))
@@ -162,7 +164,6 @@ func (c *Client) newPipeline(terms []string, stats *Stats) *pipeline {
 // release returns p to the client's pool. Nothing p's query returned
 // may point into it.
 func (p *pipeline) release() {
-	p.stats = nil
 	clear(p.bases)
 	p.bases = p.bases[:0]
 	clear(p.lists) // they may hold an arena the query outgrew

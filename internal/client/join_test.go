@@ -72,7 +72,7 @@ func TestJoinHashIsKeyed(t *testing.T) {
 	if c2, _ := New(xOnlyServers(2), 2, nil, nil); c2.joinMul == c.joinMul {
 		t.Fatalf("two clients share the multiplier %#x", c.joinMul)
 	}
-	keyed := &c.newPipeline(nil, nil).join
+	keyed := &c.newPipeline(nil).join
 	keyed.reset(0, n)
 	if i := keyed.add(0, shares); i >= 0 || len(keyed.gids) != n {
 		t.Fatalf("keyed join: %d rows, redelivery at %d; want %d rows and none", len(keyed.gids), i, n)

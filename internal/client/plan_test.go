@@ -339,22 +339,38 @@ func TestConcurrentTopK(t *testing.T) {
 // own. Every answer must equal the one the same query got alone, and
 // must still equal it after the worker's next query, which a result
 // pointing into pooled memory would not survive.
+//
+// The share buffers are pooled too, from the store's scan to the
+// client's join, and they must never mix: the workers search as two
+// users of disjoint groups, half of them through a second client that
+// reaches the same servers over the binary wire, where each response
+// is scanned, framed, released, decoded into pooled slices and joined
+// while the other workers' responses take the same path. A slice
+// released while another owner still read it would put one user's
+// shares, or under the race detector poison, into another's answer.
 func TestPooledMemoryNeverAliases(t *testing.T) {
 	e, toks := plansEnv(t, 3, 11)
 	c := e.client(t)
-	c.SetTuning(client.Tuning{BlockSize: 3})
-	tok := toks["alice"]
+	wire := e.wireClient(t)
+	for _, cl := range []*client.Client{c, wire} {
+		cl.SetTuning(client.Tuning{BlockSize: 3})
+	}
+	users := []string{"alice", "bob"}
 	type query struct {
 		kind  string
 		terms []string
+		user  string
 	}
 	var queries []query
 	for _, q := range [][]string{{"martha"}, {"process"}, {"chemical"}, {"martha", "imclone"}, {"layoff", "merger", "budget"}, terms} {
 		for _, kind := range []string{"exact", "topk", "retrieve"} {
-			queries = append(queries, query{kind, q})
+			for _, user := range users {
+				queries = append(queries, query{kind, q, user})
+			}
 		}
 	}
-	run := func(q query) (got any, err error) {
+	run := func(c *client.Client, q query) (got any, err error) {
+		tok := toks[q.user]
 		switch q.kind {
 		case "exact":
 			got, _, err = c.Search(tok, q.terms, 10)
@@ -367,29 +383,32 @@ func TestPooledMemoryNeverAliases(t *testing.T) {
 	}
 	wants := make([]string, len(queries))
 	for i, q := range queries {
-		got, err := run(q)
+		got, err := run(c, q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if wants[i] = fmt.Sprint(got); wants[i] == "[]" || wants[i] == "map[]" {
-			t.Fatalf("%s %v: empty answer", q.kind, q.terms)
+			t.Fatalf("%s %s %v: empty answer", q.user, q.kind, q.terms)
 		}
 	}
 
 	const workers = 8
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
+		cl := []*client.Client{c, wire}[w%2]
 		go func() {
 			var held any // the previous answer and its query
 			heldQ := -1
 			for i := 0; i < 40; i++ {
 				qi := (w*7 + i*5) % len(queries)
-				got, err := run(queries[qi])
+				got, err := run(cl, queries[qi])
 				if err == nil && heldQ >= 0 && fmt.Sprint(held) != wants[heldQ] {
-					err = fmt.Errorf("%s %v changed after the next query: %v, alone %s", queries[heldQ].kind, queries[heldQ].terms, held, wants[heldQ])
+					q := queries[heldQ]
+					err = fmt.Errorf("%s %s %v changed after the next query: %v, alone %s", q.user, q.kind, q.terms, held, wants[heldQ])
 				}
 				if err == nil && fmt.Sprint(got) != wants[qi] {
-					err = fmt.Errorf("%s %v under load = %v, alone %s", queries[qi].kind, queries[qi].terms, got, wants[qi])
+					q := queries[qi]
+					err = fmt.Errorf("%s %s %v under load = %v, alone %s", q.user, q.kind, q.terms, got, wants[qi])
 				}
 				if err != nil {
 					errs <- err

@@ -78,12 +78,12 @@ func (c *Client) SearchTopKContext(ctx context.Context, tok auth.Token, query []
 // Depth 1, a block per list per responder, and TotalPostings the rows
 // joined: the lists' accessible length, their full one is not on this wire.
 func (c *Client) searchTopKWhole(ctx context.Context, tok auth.Token, terms []string, k int) ([]ranking.ScoredDoc, Stats, error) {
-	var stats Stats
-	p := c.newPipeline(terms, &stats)
+	p := c.newPipeline(terms)
 	defer p.release()
+	stats := &p.stats
 	lists, shares, rows, err := p.wholeLists(ctx, tok, terms, true)
 	if err != nil {
-		return nil, stats, err
+		return nil, *stats, err
 	}
 	blocks := stats.ListsRequested * stats.ServersQueried
 	stats.TA.Depth = 1
@@ -92,7 +92,7 @@ func (c *Client) searchTopKWhole(ctx context.Context, tok auth.Token, terms []st
 	stats.TA.TotalPostings = rows
 	stats.TA.WireBytes = blocks*transport.ListHeaderBytes + shares*transport.ShareBytes
 	stats.TA.ElementsDecrypted = stats.ElementsFetched
-	return ranking.TopKByTF(lists, k), stats, nil
+	return ranking.TopKByTF(lists, k), *stats, nil
 }
 
 // searchTopKStream is the streamed plan, for one term: block rounds
@@ -102,9 +102,10 @@ func (c *Client) searchTopKWhole(ctx context.Context, tok auth.Token, terms []st
 // on what is not. Stats' work counters cover every attempt; TA.Depth and
 // TA.TotalPostings the last.
 func (c *Client) searchTopKStream(ctx context.Context, tok auth.Token, term string, k int) ([]ranking.ScoredDoc, Stats, error) {
-	stats := Stats{ListsRequested: 1}
-	p := c.newPipeline([]string{term}, &stats)
+	p := c.newPipeline([]string{term})
 	defer p.release()
+	stats := &p.stats
+	stats.ListsRequested = 1
 	lid := c.table.ListOf(term)
 	// The first round is an ordinary fan-out. Its responders are pinned
 	// for the rounds after it: order lists them first.
@@ -134,7 +135,7 @@ attempts:
 				return c.servers[i].GetPostingBlocks(ctx, tok, lid, from, size)
 			})
 			if err != nil {
-				return nil, stats, err
+				return nil, *stats, err
 			}
 			var responders uint64
 			for _, r := range results {
@@ -160,7 +161,7 @@ attempts:
 			p.bases = p.bases[:0]
 			roundBasis, err := p.basisFor(responders)
 			if err != nil {
-				return nil, stats, err
+				return nil, *stats, err
 			}
 			stats.TA.Depth = round + 1
 			stats.TA.BlocksFetched += len(results)
@@ -189,12 +190,14 @@ attempts:
 			join.reset(len(join.gids), shares)
 			for _, r := range results {
 				// A share for a cell already filled is a redelivery from
-				// an overlapping window; the join drops it.
+				// an overlapping window; the join drops it. The join keeps
+				// copies, so the page goes back to posting's pool.
 				join.add(r.idx, r.val.Shares)
+				posting.PutShares(r.val.Shares)
 			}
 			// Rows with k shares are decryptable now and leave the join.
 			if err := p.open(lid, roundBasis, nil, posts[:]); err != nil {
-				return nil, stats, err
+				return nil, *stats, err
 			}
 			p.posts = posts[0]
 			if exhausted {
@@ -225,7 +228,7 @@ attempts:
 		stats.TA.Streamed = true
 		stats.TA.ElementsDecrypted = stats.ElementsFetched
 		stats.TA.TotalPostings = total
-		return top, stats, nil
+		return top, *stats, nil
 	}
-	return nil, stats, fmt.Errorf("%w: the responders of a streamed top-k query changed in each of %d attempts", ErrNotEnough, n-c.k+1)
+	return nil, *stats, fmt.Errorf("%w: the responders of a streamed top-k query changed in each of %d attempts", ErrNotEnough, n-c.k+1)
 }

@@ -15,7 +15,9 @@ import (
 )
 
 // corruptingAPI wraps a server and flips a bit in every returned share,
-// modeling a malicious index server tampering with stored data.
+// modeling a malicious index server tampering with stored data. It
+// answers with corrupted copies and gives the slices it wrapped back to
+// posting's pool.
 type corruptingAPI struct {
 	transport.API
 }
@@ -27,12 +29,13 @@ func (c corruptingAPI) GetPostingLists(ctx context.Context, tok auth.Token, lids
 	}
 	bad := make(map[merging.ListID][]posting.EncryptedShare, len(out))
 	for lid, shares := range out {
-		bs := make([]posting.EncryptedShare, len(shares))
+		bs := posting.GetShares(len(shares))
 		for i, sh := range shares {
 			sh.Y = field.Add(sh.Y, 1) // subtle corruption
 			bs[i] = sh
 		}
 		bad[lid] = bs
+		posting.PutShares(shares)
 	}
 	return bad, nil
 }

@@ -79,8 +79,8 @@ func (d *Disk) compactLocked() error {
 			if dl.shares {
 				shares = dl.read(0, dl.len(), nil)
 			} else {
-				var err error
-				if shares, err = d.readEntries(lid, dl.entriesOf(0, dl.len(), nil)); err != nil {
+				shares = posting.GetShares(dl.len())
+				if err := d.readList(dl, lid, shares); err != nil {
 					return err
 				}
 			}
@@ -100,6 +100,7 @@ func (d *Disk) compactLocked() error {
 				}
 			}
 			newOffs[lid] = offs
+			posting.PutShares(shares)
 		}
 		if d.hooks != nil && d.hooks.CrashCompaction == 1 {
 			return fmt.Errorf("compaction stopped before rename: %w", ErrSimulatedCrash)

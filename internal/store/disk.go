@@ -729,62 +729,79 @@ func (d *Disk) shareAt(dl *diskList, lid merging.ListID, ri, i int) (posting.Enc
 	if dl.shares {
 		return r.shares[i], nil
 	}
-	shares, err := d.readEntries(lid, r.entries[i:i+1])
-	if err != nil {
-		return posting.EncryptedShare{}, err
-	}
-	return shares[0], nil
+	var one [1]posting.EncryptedShare
+	err := d.readEntries(dl, lid, []span{{int32(ri), int32(i), int32(i + 1)}}, one[:])
+	return one[0], err
 }
 
-// readEntries decodes the payloads of entries, in their order, straight
-// from the segment mappings: no sort by file position and no system
-// call, however scattered the records lie. A fault on a mapping (its
-// file cut short behind the engine, or a page the kernel cannot read
-// in) comes back as the error, under one guard for the whole read.
-func (d *Disk) readEntries(lid merging.ListID, entries []diskEntry) (out []posting.EncryptedShare, err error) {
+// readEntries decodes the records of the parts of dl's runs that spans
+// names, in their order, into dst, which holds exactly that many shares:
+// straight from the segment mappings, with no sort by file position and
+// no system call, however scattered the records lie. A fault on a
+// mapping (its file cut short behind the engine, or a page the kernel
+// cannot read in) comes back as the error, under one guard for the
+// whole read.
+func (d *Disk) readEntries(dl *diskList, lid merging.ListID, spans []span, dst []posting.EncryptedShare) (err error) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	defer func() {
 		if r := recover(); r != nil {
-			out, err = nil, fmt.Errorf("store: segment read: %v", r)
+			err = fmt.Errorf("store: segment read: %v", r)
 		}
 	}()
-	out = make([]posting.EncryptedShare, len(entries))
 	var seg uint32
 	var mem []byte
-	for i, e := range entries {
-		if mem == nil || e.seg != seg {
-			seg, mem = e.seg, d.segs[e.seg].Mapped()
-		}
-		if out[i], err = decodeUpsertAt(mem[e.off:], lid, e.gid); err != nil {
-			return nil, err
+	i := 0
+	for _, s := range spans {
+		for _, e := range dl.runs[s.r].entries[s.lo:s.hi] {
+			if mem == nil || e.seg != seg {
+				seg, mem = e.seg, d.segs[e.seg].Mapped()
+			}
+			if dst[i], err = decodeUpsertAt(mem[e.off:], lid, e.gid); err != nil {
+				return err
+			}
+			i++
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // readWindow reads from the segments the shares at positions [from, end)
 // of a list that is not resident and that keep accepts: only the
-// accepted runs' records.
+// accepted runs' records, into a slice from posting's pool (nil when
+// none are accepted).
 func (d *Disk) readWindow(dl *diskList, lid merging.ListID, from, end int, keep func(posting.EncryptedShare) bool) []posting.EncryptedShare {
-	entries := dl.entriesOf(from, end, keep)
-	if entries == nil {
+	var buf [64]span
+	spans, n := dl.spans(buf[:0], from, end, keep)
+	if n == 0 {
 		return nil
 	}
-	shares, err := d.readEntries(lid, entries)
-	if err != nil {
+	shares := posting.GetShares(n)
+	if err := d.readEntries(dl, lid, spans, shares); err != nil {
 		panic(fmt.Sprintf("store: disk read: %v", err))
 	}
 	return shares
 }
 
-// admit makes a list resident under the write lock, reading it whole,
-// if it fits the cache budget, and reports whether it did.
+// readList decodes the whole of dl from the segments into dst, which
+// holds dl.len() shares.
+func (d *Disk) readList(dl *diskList, lid merging.ListID, dst []posting.EncryptedShare) error {
+	var buf [64]span
+	spans, _ := dl.spans(buf[:0], 0, dl.len(), nil)
+	return d.readEntries(dl, lid, spans, dst)
+}
+
+// admit makes a list resident under the write lock, reading it whole
+// into a slice of its own (resident rows are engine state, never pool
+// memory), if it fits the cache budget, and reports whether it did.
 func (d *Disk) admit(dl *diskList, lid merging.ListID) bool {
 	n := dl.len() * shareBytes
 	if d.opt.CacheBytes <= 0 || n > d.opt.CacheBytes {
 		return false
 	}
-	shares := d.readWindow(dl, lid, 0, dl.len(), nil)
+	shares := make([]posting.EncryptedShare, dl.len())
+	if err := d.readList(dl, lid, shares); err != nil {
+		panic(fmt.Sprintf("store: disk read: %v", err))
+	}
 	dl.setShares(shares)
 	dl.lruElem = d.lru.PushFront(lid)
 	d.cachedBytes += n

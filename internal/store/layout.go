@@ -3,7 +3,6 @@ package store
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"zerber/internal/field"
 	"zerber/internal/merging"
@@ -205,43 +204,20 @@ func (l *layout) spans(dst []span, from, end int, keep func(posting.EncryptedSha
 	return dst, n
 }
 
-// readScratch recycles the buffers read gathers runs into. One is
-// private to a call from Get to Put; what a read returns is a copy.
-var readScratch = sync.Pool{New: func() any { return new([]posting.EncryptedShare) }}
-
-// read returns a fresh, exact-size copy of the shares at positions
-// [from, end) that keep accepts, nil when there are none. The runs must
-// carry shares. It gathers the accepted runs into a recycled buffer and
-// copies that out with one append to nil, which sizes the result
-// without zeroing it: a result is usually tens of kilobytes, and a
-// make'd one would be cleared only to be overwritten.
+// read returns the shares at positions [from, end) that keep accepts,
+// nil when there are none, in a slice from posting's pool that the
+// caller owns alone. The runs must carry shares. The accepted runs are
+// copied straight into it: a result is usually tens of kilobytes, so it
+// is neither allocated nor zeroed per read.
 func (l *layout) read(from, end int, keep func(posting.EncryptedShare) bool) []posting.EncryptedShare {
 	var buf [64]span
 	spans, n := l.spans(buf[:0], from, end, keep)
 	if n == 0 {
 		return nil
 	}
-	scratch := readScratch.Get().(*[]posting.EncryptedShare)
-	gathered := (*scratch)[:0]
+	out := posting.GetShares(n)[:0]
 	for _, s := range spans {
-		gathered = append(gathered, l.runs[s.r].shares[s.lo:s.hi]...)
-	}
-	out := append([]posting.EncryptedShare(nil), gathered...)
-	*scratch = gathered
-	readScratch.Put(scratch)
-	return out
-}
-
-// entriesOf is read for entries: the runs must carry them.
-func (l *layout) entriesOf(from, end int, keep func(posting.EncryptedShare) bool) []diskEntry {
-	var buf [64]span
-	spans, n := l.spans(buf[:0], from, end, keep)
-	if n == 0 {
-		return nil
-	}
-	out := make([]diskEntry, 0, n)
-	for _, s := range spans {
-		out = append(out, l.runs[s.r].entries[s.lo:s.hi]...)
+		out = append(out, l.runs[s.r].shares[s.lo:s.hi]...)
 	}
 	return out
 }

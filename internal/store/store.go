@@ -131,10 +131,12 @@ type Store interface {
 	// the package doc), and the same locking rules as DeleteIf's allow
 	// apply to it.
 	//
-	// The result is the caller's to keep or overwrite: a fresh slice per
-	// call that never aliases engine state or a buffer the engine
-	// reuses. It is sized to what it holds: a scan that keeps half a list
-	// does not allocate, or on Disk read, the other half.
+	// The result is the caller's alone, to keep or overwrite: a slice
+	// per call from posting's pool (GetShares) that never aliases engine
+	// state, another call's result or a buffer the engine reuses, so the
+	// caller may hand it to posting.PutShares once it is done with it. It
+	// holds only what the scan kept: a scan that keeps half a list does
+	// not copy, or on Disk read, the other half.
 	Scan(lid merging.ListID, keep func(posting.EncryptedShare) bool) []posting.EncryptedShare
 
 	// ScanRange returns the shares at positions [from, from+n) of lid's
@@ -144,7 +146,7 @@ type Store interface {
 	// position from+n (0 when the window reaches the end). total and
 	// next describe the whole list, before keep filtering, so a top-k
 	// client can bound the score of everything it has not fetched.
-	// shares is the caller's and sized like Scan's result.
+	// shares is the caller's alone, like Scan's result.
 	ScanRange(lid merging.ListID, from, n int, keep func(posting.EncryptedShare) bool) (shares []posting.EncryptedShare, total int, next uint8)
 
 	// DropList removes a whole list after it has been migrated away,

@@ -260,37 +260,39 @@ func poolsRecycle() bool {
 // scan or window of a resident list is one allocation, the result, sized
 // to what it returns — not a slice grown through append, and not one
 // sized to the list and half used. In bytes: at most a quarter more than
-// the shares returned occupy (the allocator rounds sizes up).
+// the shares returned occupy, for these two results, which sit just
+// under a size class of posting's pool (its classes are powers of two,
+// so a result that is never given back may hold up to twice what it
+// returns). A result its caller gives back to the pool, as the binary
+// server does once it has framed it, makes the next scan allocate
+// nothing.
 func TestScanAllocatesOnce(t *testing.T) {
 	each(t, func(t *testing.T, st store.Store) {
-		if _, disk := st.(*store.Disk); disk {
-			t.Skip("disk reads allocate their own buffers")
-		}
 		shares := make([]posting.EncryptedShare, 2000)
 		for i := range shares {
 			shares[i] = sh(posting.GlobalID(i+1), uint32(i%2), uint64(i))
 		}
 		st.Upsert(4, shares)
 		keep := func(s posting.EncryptedShare) bool { return s.Group == 1 }
-		// The collector may empty the engine's scratch pool, and a scratch
-		// parked in one P's private slot is invisible from another; hold
-		// the collector off and stay on one P (as testing.AllocsPerRun
-		// does) so the steady state is what gets measured.
+		// The collector may empty the share pool, and a slice parked in
+		// one P's private slot is invisible from another; hold the
+		// collector off and stay on one P (as testing.AllocsPerRun does)
+		// so the steady state is what gets measured.
 		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		if !poolsRecycle() {
 			t.Skip("sync.Pool is dropping buffers (race detector): no steady state to measure")
 		}
 		for name, tc := range map[string]struct {
-			scan func() int
+			scan func() []posting.EncryptedShare
 			want int
 		}{
-			"Scan": {func() int { return len(st.Scan(4, keep)) }, 1000},
+			"Scan": {func() []posting.EncryptedShare { return st.Scan(4, keep) }, 1000},
 			// A window across the two groups' runs, half in each.
-			"ScanRange": {func() int { got, _, _ := st.ScanRange(4, 744, 512, keep); return len(got) }, 256},
+			"ScanRange": {func() []posting.EncryptedShare { got, _, _ := st.ScanRange(4, 744, 512, keep); return got }, 256},
 		} {
 			var n int
-			if allocs := testing.AllocsPerRun(10, func() { n = tc.scan() }); allocs > 1 || n != tc.want {
+			if allocs := testing.AllocsPerRun(10, func() { n = len(tc.scan()) }); allocs > 1 || n != tc.want {
 				t.Errorf("filtered %s: %v allocations for %d shares, want 1 for %d", name, allocs, n, tc.want)
 			}
 			const runs = 20
@@ -304,16 +306,21 @@ func TestScanAllocatesOnce(t *testing.T) {
 			if got := float64(after.TotalAlloc-before.TotalAlloc) / runs; got > 1.25*returned {
 				t.Errorf("filtered %s: %.0f bytes allocated to return %.0f, want at most 1.25x", name, got, returned)
 			}
+			if allocs := testing.AllocsPerRun(10, func() { posting.PutShares(tc.scan()) }); allocs != 0 {
+				t.Errorf("filtered %s, released: %v allocations, want 0", name, allocs)
+			}
 		}
 	})
 }
 
-// TestScanResultsOutliveTheScratch: the buffer a scan filters into is
-// recycled, its result is not. Goroutines scan with different filters at
-// once and hold every result while later scans — their own and the
-// others' — reuse the scratch; each result must still be exactly its
-// filter's shares at the end. Under -race a result aliasing the scratch
-// is a report as well.
+// TestScanResultsOutliveTheScratch: a scan's result comes from posting's
+// pool and is its caller's alone. Goroutines scan with different filters
+// at once; each checks and gives back its windows at once, as the binary
+// server does once it has framed one, and holds every whole-list result
+// while later scans — their own and the others' — draw the released
+// slices. Each held result must still be exactly its filter's shares at
+// the end. Under -race a result aliasing another, or a released slice
+// read again, is a report or poison as well.
 func TestScanResultsOutliveTheScratch(t *testing.T) {
 	each(t, func(t *testing.T, st store.Store) {
 		const n, groups = 600, 4
@@ -329,20 +336,30 @@ func TestScanResultsOutliveTheScratch(t *testing.T) {
 			go func(g uint32) {
 				defer wg.Done()
 				keep := func(s posting.EncryptedShare) bool { return s.Group == g }
+				bad := func(got []posting.EncryptedShare) bool {
+					for _, s := range got {
+						if s.Group != g || s.Y != field.New(uint64(s.GlobalID-1)) {
+							t.Errorf("group %d: a result holds %+v", g, s)
+							return true
+						}
+					}
+					return false
+				}
 				var held [][]posting.EncryptedShare
 				for round := 0; round < 20; round++ {
 					whole := st.Scan(3, keep)
 					window, _, _ := st.ScanRange(3, round, n/2, keep)
-					held = append(held, whole, window, st.Scan(8, keep))
+					if bad(window) {
+						return
+					}
+					posting.PutShares(window)
+					held = append(held, whole, st.Scan(8, keep))
 				}
 				for i, got := range held {
-					for _, s := range got {
-						if s.Group != g || s.Y != field.New(uint64(s.GlobalID-1)) {
-							t.Errorf("group %d, result %d: holds %+v", g, i, s)
-							return
-						}
+					if bad(got) {
+						return
 					}
-					if want := map[int]int{0: n / groups, 2: n / 3 / groups}[i%3]; i%3 != 1 && len(got) != want {
+					if want := []int{n / groups, n / 3 / groups}[i%2]; len(got) != want {
 						t.Errorf("group %d, result %d: %d shares, want %d", g, i, len(got), want)
 					}
 				}

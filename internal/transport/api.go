@@ -86,14 +86,15 @@ type API interface {
 	// requested list, the shares belonging to groups the caller is a
 	// member of (paper §5.4.2), in the server's stored order.
 	//
-	// The map and every slice in it belong to the caller: an
-	// implementation returns copies it keeps no reference to, so the
-	// caller may reorder, overwrite or retain them, and nothing it does
-	// reaches the server or another caller. (The client only reads
-	// them: it joins shares by global ID without moving them.) Nor may
-	// whatever carries a result onward (the binary server, framing it)
-	// recycle it: a slice does not say where it came from, so a layer
-	// reuses only buffers it allocated itself.
+	// The map and every slice in it belong to the caller alone: an
+	// implementation returns copies it keeps no reference to, and no
+	// slice twice, so the caller may reorder, overwrite or retain them,
+	// and nothing it does reaches the server or another caller. Once it
+	// is done with a slice it may hand it to posting.PutShares. The
+	// stores and the binary client draw theirs from posting.GetShares,
+	// so the read path recycles one pool of share buffers: the binary
+	// server gives back what it has framed, the client what it has
+	// joined.
 	GetPostingLists(ctx context.Context, tok auth.Token, lists []merging.ListID) (map[merging.ListID][]posting.EncryptedShare, error)
 	// GetPostingBlocks is the paged lookup behind top-k retrieval
 	// (Zerber+R §6): it authenticates the caller and returns the window
@@ -101,7 +102,8 @@ type API interface {
 	// like GetPostingLists. The page reports the unfiltered list length
 	// and the impact bucket of the first element past the window so the
 	// client can bound the score of everything it has not fetched.
-	// page.Shares is the caller's, like the slices of GetPostingLists.
+	// page.Shares is the caller's alone, like the slices of
+	// GetPostingLists.
 	GetPostingBlocks(ctx context.Context, tok auth.Token, list merging.ListID, from, n int) (BlockPage, error)
 }
 

@@ -75,9 +75,9 @@ func BenchmarkApplyRequestRoundTrip(b *testing.B) {
 // 70 KB response frame, one server's part of a benchmark search) over a
 // loopback connection, server and client in one process: request
 // framing, dispatch, the response built in place, the socket, the read
-// into a recycled buffer and the decode. B/op is dominated by what
-// decoding hands the caller (84 KB of shares); what it is beyond that is
-// the transport's own.
+// into a recycled buffer and the decode into pooled share slices, which
+// the caller gives back as the client does after its join. B/op is the
+// transport's own: the 84 KB of shares a call returns are recycled.
 func BenchmarkBinaryLookupRoundTrip(b *testing.B) {
 	_, c := serveCanned(b)
 	lists := []merging.ListID{3, 17, 40}
@@ -88,5 +88,6 @@ func BenchmarkBinaryLookupRoundTrip(b *testing.B) {
 		if err != nil || len(out) != 3 {
 			b.Fatal(err)
 		}
+		releaseLists(out)
 	}
 }

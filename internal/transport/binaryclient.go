@@ -113,7 +113,8 @@ func (c *BinaryClient) Apply(ctx context.Context, tok auth.Token, op OpID, inser
 	return err
 }
 
-// GetPostingLists sends a lookup and returns the decoded share map.
+// GetPostingLists sends a lookup and returns the decoded share map. Its
+// slices come from posting's pool and are the caller's alone.
 func (c *BinaryClient) GetPostingLists(ctx context.Context, tok auth.Token, lists []merging.ListID) (map[merging.ListID][]posting.EncryptedShare, error) {
 	resp, err := c.call(ctx, binRequest{kind: binMsgLookup, tok: tok, lists: lists})
 	if err != nil {

@@ -248,14 +248,15 @@ func (r *binReader) count(size int) int {
 	return int(n)
 }
 
-// shares reads a 4-byte count and that many fixed-width share records.
-// The count is checked against the remaining bytes once, which covers
-// every record, so the loop pays one bounds check per record instead of
-// one per field.
+// shares reads a 4-byte count and that many fixed-width share records
+// into a slice from posting's pool (empty for none), which the caller
+// owns alone. The count is checked against the remaining bytes once,
+// which covers every record, so the loop pays one bounds check per
+// record instead of one per field.
 func (r *binReader) shares() []posting.EncryptedShare {
 	n := r.count(binShareSize)
 	b := r.take(n * binShareSize)
-	out := make([]posting.EncryptedShare, n)
+	out := posting.GetShares(n)
 	for i := range out {
 		rec := b[i*binShareSize : (i+1)*binShareSize]
 		out[i] = posting.EncryptedShare{

@@ -7,6 +7,8 @@ import (
 	"net"
 	"strings"
 	"sync"
+
+	"zerber/internal/posting"
 )
 
 // binMaxConnInflight bounds the request goroutines one connection may
@@ -24,8 +26,9 @@ const binMaxConnInflight = 64
 // connection reader's, released as soon as the request is decoded
 // (decoding copies out). A response frame is built in place by the
 // worker that ran the request and is that worker's until it is queued
-// for the connection's writer, which releases it once written. What the
-// API returned is never recycled: a slice does not say where it came from.
+// for the connection's writer, which releases it once written. The share
+// slices a lookup returned are the server's alone (see API), so once
+// they are framed the worker gives them to posting's pool.
 type BinaryServer struct {
 	ln  net.Listener
 	api API
@@ -212,13 +215,19 @@ func (s *BinaryServer) respond(ctx context.Context, req binRequest) *frameBuf {
 		if err != nil {
 			return failed(err)
 		}
-		return ok(binLookupBodySize(out), func(dst []byte) []byte { return appendLookupBody(dst, out) })
+		frame := ok(binLookupBodySize(out), func(dst []byte) []byte { return appendLookupBody(dst, out) })
+		for _, shares := range out {
+			posting.PutShares(shares)
+		}
+		return frame
 	case binMsgLookupBlocks:
 		page, err := s.api.GetPostingBlocks(ctx, req.tok, req.list, int(req.from), int(req.n))
 		if err != nil {
 			return failed(err)
 		}
-		return ok(binBlockBodySize(page), func(dst []byte) []byte { return appendBlockBody(dst, page) })
+		frame := ok(binBlockBodySize(page), func(dst []byte) []byte { return appendBlockBody(dst, page) })
+		posting.PutShares(page.Shares)
+		return frame
 	case binMsgApply:
 		if err := s.api.Apply(ctx, req.tok, req.op, req.inserts, req.deletes); err != nil {
 			return failed(err)

@@ -56,15 +56,17 @@ func TestDuplicateListScannedOnce(t *testing.T) {
 	}
 }
 
-// oversizeAPI answers every lookup with one list whose encoding is just
-// over the frame bound.
+// oversizeAPI answers every lookup with one list of n shares, whose
+// encoding is just over the frame bound, in a fresh slice per call:
+// the server releases what it answered, so a slice kept across calls
+// would come back recycled.
 type oversizeAPI struct {
 	transport.API
-	shares []posting.EncryptedShare
+	n int
 }
 
 func (a oversizeAPI) GetPostingLists(context.Context, auth.Token, []merging.ListID) (map[merging.ListID][]posting.EncryptedShare, error) {
-	return map[merging.ListID][]posting.EncryptedShare{1: a.shares}, nil
+	return map[merging.ListID][]posting.EncryptedShare{1: make([]posting.EncryptedShare, a.n)}, nil
 }
 
 // lookupFrame builds a lookup request frame by hand.
@@ -88,7 +90,7 @@ func TestBinaryOversizeResponse(t *testing.T) {
 		t.Skip("builds a 64 MB response")
 	}
 	srv, tok := newServer(t)
-	big := oversizeAPI{API: srv, shares: make([]posting.EncryptedShare, (64<<20)/transport.ShareBytes+1)}
+	big := oversizeAPI{API: srv, n: (64<<20)/transport.ShareBytes + 1}
 	bs := startBinary(t, big, "")
 	raw := dialRaw(t, bs.Addr().String())
 	for round := uint64(0); round < 2; round++ {
