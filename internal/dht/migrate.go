@@ -134,6 +134,8 @@ func (s *Slot) runMove(lid merging.ListID) {
 	for off := 0; off < len(snapshot); off += moveChunk {
 		dst.Upsert(lid, snapshot[off:min(off+moveChunk, len(snapshot))])
 	}
+	// Upsert keeps copies, so the snapshot goes back to posting's pool.
+	posting.PutShares(snapshot)
 	drain(mv, src, dst)
 
 	// Cutover: under the exclusive hold nothing can dirty the list
@@ -161,9 +163,11 @@ func drain(mv *listMove, src, dst store.Store) {
 		return
 	}
 	current := make(map[posting.GlobalID]posting.EncryptedShare)
-	for _, sh := range src.Scan(mv.lid, nil) {
+	shares := src.Scan(mv.lid, nil)
+	for _, sh := range shares {
 		current[sh.GlobalID] = sh
 	}
+	posting.PutShares(shares)
 	var upserts []posting.EncryptedShare
 	for _, gid := range dirty {
 		if sh, ok := current[gid]; ok {

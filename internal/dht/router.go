@@ -225,9 +225,11 @@ func (s *Slot) DropList(lid merging.ListID) int {
 	node, mv := s.routeLocked(lid)
 	if mv != nil {
 		defer mv.jmu.Unlock()
-		for _, sh := range node.Scan(lid, nil) {
+		shares := node.Scan(lid, nil)
+		for _, sh := range shares {
 			mv.markDirty(sh.GlobalID)
 		}
+		posting.PutShares(shares)
 	}
 	return node.DropList(lid)
 }

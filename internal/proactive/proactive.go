@@ -179,7 +179,8 @@ func rollback(servers []*server.Server, deltas []map[merging.ListID]map[posting.
 // inventory is one server's stored element set as list -> ascending
 // global IDs: its list lengths, then each list's IDs through a ranged
 // read. A ranged read does not admit a cold list to a disk engine's
-// cache, so a round leaves the cache as it found it. A list that
+// cache, so a round leaves the cache as it found it; its shares go back
+// to posting's pool once their IDs are copied out. A list that
 // vanished between the two calls is skipped.
 func inventory(st store.Store) map[merging.ListID][]posting.GlobalID {
 	lengths := st.ListLengths()
@@ -193,6 +194,7 @@ func inventory(st store.Store) map[merging.ListID][]posting.GlobalID {
 		for i, sh := range shares {
 			ids[i] = sh.GlobalID
 		}
+		posting.PutShares(shares)
 		slices.Sort(ids)
 		out[lid] = ids
 	}

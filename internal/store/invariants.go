@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 
+	"zerber/internal/merging"
 	"zerber/internal/posting"
 )
 
@@ -39,40 +40,52 @@ func CheckInvariants(s Store) error {
 	}
 
 	for lid, n := range lengths {
-		shares := s.Scan(lid, nil)
-		if len(shares) != n {
-			return fmt.Errorf("store: list %d: Scan returns %d shares, length reported %d", lid, len(shares), n)
+		if err := checkList(s, lid, n); err != nil {
+			return err
 		}
-		seen := make(map[posting.GlobalID]bool, len(shares))
-		for _, sh := range shares {
-			if seen[sh.GlobalID] {
-				return fmt.Errorf("store: list %d: global ID %d stored twice", lid, sh.GlobalID)
-			}
-			seen[sh.GlobalID] = true
+	}
+	return nil
+}
+
+// checkList checks one listed list of length n: Scan's length, keyed
+// addressing, canonical order and ScanRange's agreement with Scan. Both
+// reads go back to posting's pool once checked.
+func checkList(s Store, lid merging.ListID, n int) error {
+	shares := s.Scan(lid, nil)
+	defer posting.PutShares(shares)
+	if len(shares) != n {
+		return fmt.Errorf("store: list %d: Scan returns %d shares, length reported %d", lid, len(shares), n)
+	}
+	seen := make(map[posting.GlobalID]bool, len(shares))
+	for _, sh := range shares {
+		if seen[sh.GlobalID] {
+			return fmt.Errorf("store: list %d: global ID %d stored twice", lid, sh.GlobalID)
 		}
-		for i := 1; i < len(shares); i++ {
-			a, b := shares[i-1], shares[i]
-			ba, bb := posting.ImpactOf(a.GlobalID), posting.ImpactOf(b.GlobalID)
-			switch {
-			case bb > ba:
-				return fmt.Errorf("store: list %d: impact order violated at position %d (bucket %d after %d)", lid, i, bb, ba)
-			case bb == ba && b.Group < a.Group:
-				return fmt.Errorf("store: list %d: group order violated at position %d (group %d after %d in bucket %d)", lid, i, b.Group, a.Group, bb)
-			case bb == ba && b.Group == a.Group && b.GlobalID < a.GlobalID:
-				return fmt.Errorf("store: list %d: global ID order violated at position %d (%d after %d)", lid, i, b.GlobalID, a.GlobalID)
-			}
+		seen[sh.GlobalID] = true
+	}
+	for i := 1; i < len(shares); i++ {
+		a, b := shares[i-1], shares[i]
+		ba, bb := posting.ImpactOf(a.GlobalID), posting.ImpactOf(b.GlobalID)
+		switch {
+		case bb > ba:
+			return fmt.Errorf("store: list %d: impact order violated at position %d (bucket %d after %d)", lid, i, bb, ba)
+		case bb == ba && b.Group < a.Group:
+			return fmt.Errorf("store: list %d: group order violated at position %d (group %d after %d in bucket %d)", lid, i, b.Group, a.Group, bb)
+		case bb == ba && b.Group == a.Group && b.GlobalID < a.GlobalID:
+			return fmt.Errorf("store: list %d: global ID order violated at position %d (%d after %d)", lid, i, b.GlobalID, a.GlobalID)
 		}
-		ranged, totalLen, next := s.ScanRange(lid, 0, n, nil)
-		if totalLen != n || next != 0 {
-			return fmt.Errorf("store: list %d: ScanRange(0, %d) reports total=%d next=%d", lid, n, totalLen, next)
-		}
-		if len(ranged) != len(shares) {
-			return fmt.Errorf("store: list %d: ScanRange returns %d shares, Scan %d", lid, len(ranged), len(shares))
-		}
-		for i := range ranged {
-			if ranged[i] != shares[i] {
-				return fmt.Errorf("store: list %d: ScanRange/Scan disagree at position %d", lid, i)
-			}
+	}
+	ranged, totalLen, next := s.ScanRange(lid, 0, n, nil)
+	defer posting.PutShares(ranged)
+	if totalLen != n || next != 0 {
+		return fmt.Errorf("store: list %d: ScanRange(0, %d) reports total=%d next=%d", lid, n, totalLen, next)
+	}
+	if len(ranged) != len(shares) {
+		return fmt.Errorf("store: list %d: ScanRange returns %d shares, Scan %d", lid, len(ranged), len(shares))
+	}
+	for i := range ranged {
+		if ranged[i] != shares[i] {
+			return fmt.Errorf("store: list %d: ScanRange/Scan disagree at position %d", lid, i)
 		}
 	}
 	return nil

@@ -259,13 +259,14 @@ func poolsRecycle() bool {
 // TestScanAllocatesOnce is the read filter's budget: a group-filtered
 // scan or window of a resident list is one allocation, the result, sized
 // to what it returns — not a slice grown through append, and not one
-// sized to the list and half used. In bytes: at most a quarter more than
-// the shares returned occupy, for these two results, which sit just
-// under a size class of posting's pool (its classes are powers of two,
-// so a result that is never given back may hold up to twice what it
-// returns). A result its caller gives back to the pool, as the binary
-// server does once it has framed it, makes the next scan allocate
-// nothing.
+// sized to the list and half used. The result comes from posting's pool,
+// whose classes are powers of two, so its capacity is the class of what
+// it returns: under twice its length, where one sized to the list would
+// be at least twice. A result that is never given back costs that
+// capacity in bytes and no more — at most twice what it returns, for
+// the 600-share result between two classes — and one its caller gives
+// back to the pool, as the binary server does once it has framed it,
+// makes the next scan allocate nothing.
 func TestScanAllocatesOnce(t *testing.T) {
 	each(t, func(t *testing.T, st store.Store) {
 		shares := make([]posting.EncryptedShare, 2000)
@@ -290,10 +291,16 @@ func TestScanAllocatesOnce(t *testing.T) {
 			"Scan": {func() []posting.EncryptedShare { return st.Scan(4, keep) }, 1000},
 			// A window across the two groups' runs, half in each.
 			"ScanRange": {func() []posting.EncryptedShare { got, _, _ := st.ScanRange(4, 744, 512, keep); return got }, 256},
+			// A window wholly in group 1's run whose result falls between
+			// two size classes.
+			"ScanRange between classes": {func() []posting.EncryptedShare { got, _, _ := st.ScanRange(4, 1000, 600, keep); return got }, 600},
 		} {
 			var n int
 			if allocs := testing.AllocsPerRun(10, func() { n = len(tc.scan()) }); allocs > 1 || n != tc.want {
 				t.Errorf("filtered %s: %v allocations for %d shares, want 1 for %d", name, allocs, n, tc.want)
+			}
+			if c := cap(tc.scan()); c >= 2*tc.want {
+				t.Errorf("filtered %s: capacity %d for %d shares, want under twice", name, c, tc.want)
 			}
 			const runs = 20
 			var before, after runtime.MemStats
@@ -302,9 +309,9 @@ func TestScanAllocatesOnce(t *testing.T) {
 				tc.scan()
 			}
 			runtime.ReadMemStats(&after)
-			returned := float64(tc.want) * float64(unsafe.Sizeof(posting.EncryptedShare{}))
-			if got := float64(after.TotalAlloc-before.TotalAlloc) / runs; got > 1.25*returned {
-				t.Errorf("filtered %s: %.0f bytes allocated to return %.0f, want at most 1.25x", name, got, returned)
+			class := float64(cap(tc.scan())) * float64(unsafe.Sizeof(posting.EncryptedShare{}))
+			if got := float64(after.TotalAlloc-before.TotalAlloc) / runs; got > class {
+				t.Errorf("filtered %s: %.0f bytes allocated per unreleased result, want at most its capacity's %.0f", name, got, class)
 			}
 			if allocs := testing.AllocsPerRun(10, func() { posting.PutShares(tc.scan()) }); allocs != 0 {
 				t.Errorf("filtered %s, released: %v allocations, want 0", name, allocs)

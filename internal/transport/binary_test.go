@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -155,6 +156,26 @@ func TestBinaryBackoffFailsFast(t *testing.T) {
 	}
 	if d := time.Since(start); d > 500*time.Millisecond {
 		t.Errorf("backoff-window call took %v, want fail-fast", d)
+	}
+}
+
+// TestBinaryCloseWaitsForItsGoroutines: Close returns only once the
+// connection's writer and reader have exited, so nothing a closed client
+// started still runs (and allocates) after it; a test that counts
+// allocations next would otherwise count them.
+func TestBinaryCloseWaitsForItsGoroutines(t *testing.T) {
+	srv, _ := newServer(t)
+	bs := startBinary(t, srv, "")
+	c, err := transport.DialBinary(bs.Addr().String(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := runtime.NumGoroutine()
+	c.Close()
+	// The server's side of the connection may wind down too, which only
+	// lowers the count.
+	if closed := runtime.NumGoroutine(); closed > open-2 {
+		t.Errorf("%d goroutines after Close, %d before: the client's writer and reader still run", closed, open)
 	}
 }
 

@@ -142,7 +142,8 @@ func (c *BinaryClient) GetPostingBlocks(ctx context.Context, tok auth.Token, lis
 	return resp.page, nil
 }
 
-// Close tears down the connection; in-flight calls fail.
+// Close tears down the connection and returns once its reader and
+// writer goroutines have exited; in-flight calls fail.
 func (c *BinaryClient) Close() error {
 	c.mu.Lock()
 	c.closed = true
@@ -151,6 +152,7 @@ func (c *BinaryClient) Close() error {
 	c.mu.Unlock()
 	if conn != nil {
 		conn.die(errClientClosed)
+		conn.loops.Wait()
 	}
 	return nil
 }
@@ -306,6 +308,7 @@ type binConn struct {
 	nc      net.Conn
 	writeCh chan *frameBuf
 	done    chan struct{}
+	loops   sync.WaitGroup // the writer and the reader
 
 	mu      sync.Mutex
 	pending map[uint64]*binCall
@@ -321,6 +324,7 @@ func newBinConn(nc net.Conn) *binConn {
 		done:    make(chan struct{}),
 		pending: make(map[uint64]*binCall),
 	}
+	bc.loops.Add(2)
 	go bc.writeLoop()
 	go bc.readLoop()
 	return bc
@@ -390,6 +394,7 @@ func (bc *binConn) die(err error) {
 // empty — so a burst of pipelined calls shares one syscall — and
 // releases each frame once it is written.
 func (bc *binConn) writeLoop() {
+	defer bc.loops.Done()
 	bw := bufio.NewWriter(bc.nc)
 	for {
 		select {
@@ -410,6 +415,7 @@ func (bc *binConn) writeLoop() {
 }
 
 func (bc *binConn) readLoop() {
+	defer bc.loops.Done()
 	br := bufio.NewReader(bc.nc)
 	for {
 		frame, err := readFrame(br)
