@@ -113,6 +113,10 @@ func TestOperatorFlow(t *testing.T) {
 			t.Fatalf("no element count in the -v output:\n%s", out)
 		}
 		elements, _ = strconv.Atoi(m[1])
+		// Every server holds every element: none is left under k.
+		if !strings.Contains(out, ", 0 under-replicated skipped,") {
+			t.Fatalf("the -v output does not report 0 under-replicated elements:\n%s", out)
+		}
 		return out, elements
 	}
 	journal := append(owner, "-addr=", "-journal", filepath.Join(work, "jnl"))

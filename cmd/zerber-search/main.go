@@ -130,8 +130,8 @@ func main() {
 		}
 	}
 	if *verbose {
-		fmt.Printf("\n%d lists requested, %d elements decrypted, %d false positives filtered, %d servers, %v\n",
-			stats.ListsRequested, stats.ElementsFetched, stats.FalsePositives,
+		fmt.Printf("\n%d lists requested, %d elements decrypted, %d false positives filtered, %d under-replicated skipped, %d servers, %v\n",
+			stats.ListsRequested, stats.ElementsFetched, stats.FalsePositives, stats.UnderReplicated,
 			stats.ServersQueried, elapsed.Round(time.Millisecond))
 		if *topkMode {
 			plan := map[bool]string{true: "streamed", false: "whole lists"}[stats.TA.Streamed]

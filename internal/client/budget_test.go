@@ -1,12 +1,14 @@
 package client_test
 
 import (
+	"cmp"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"sync"
 	"testing"
 
@@ -68,10 +70,14 @@ var syntheticQuery = []string{"martha", "imclone", "layoff"}
 // elements posting elements spread over the three lists of
 // syntheticQuery. Half of every list belongs to a merged-in neighbor
 // term (false positives), term frequencies follow the benchmark's power
-// law, and each server holds its lists bucket-major with every impact
-// bucket shuffled independently — the layout a store produces when peers
-// reach the servers in different orders. It returns the servers too.
-func syntheticCluster(tb testing.TB, elements int) (*client.Client, []cannedAPI) {
+// law, and each server holds its lists in the store contract's canonical
+// order (bucket descending, group, global ID), as every store serves
+// them: with no mutation in flight the two responses are aligned. When
+// lack is positive the second server lacks every lack-th element of
+// each list, as it would while inserts are still reaching it, so the
+// lists go through the join and those elements are dropped. It returns
+// the servers too.
+func syntheticCluster(tb testing.TB, elements, lack int) (*client.Client, []cannedAPI) {
 	tb.Helper()
 	e := newEnv(tb, 4)
 	xs := []field.Element{10, 20}
@@ -107,14 +113,14 @@ func syntheticCluster(tb testing.TB, elements int) (*client.Client, []cannedAPI)
 			tb.Fatal(err)
 		}
 		for s := range servers {
-			shares := make([]posting.EncryptedShare, n)
-			for i := range shares {
-				shares[i] = posting.EncryptedShare{GlobalID: gids[i], Group: 1, Y: ys[s*n+i]}
+			shares := make([]posting.EncryptedShare, 0, n)
+			for i := range n {
+				if s == 1 && lack > 0 && i%lack == 0 {
+					continue
+				}
+				shares = append(shares, posting.EncryptedShare{GlobalID: gids[i], Group: 1, Y: ys[s*n+i]})
 			}
-			rng.Shuffle(n, func(a, b int) { shares[a], shares[b] = shares[b], shares[a] })
-			sort.SliceStable(shares, func(a, b int) bool {
-				return posting.ImpactOf(shares[a].GlobalID) > posting.ImpactOf(shares[b].GlobalID)
-			})
+			slices.SortFunc(shares, canonicalOrder)
 			servers[s].lists[lid] = shares
 		}
 	}
@@ -123,6 +129,15 @@ func syntheticCluster(tb testing.TB, elements int) (*client.Client, []cannedAPI)
 		tb.Fatal(err)
 	}
 	return c, servers
+}
+
+// canonicalOrder is the store contract's order within a list: impact
+// bucket descending, then group, then global ID.
+func canonicalOrder(a, b posting.EncryptedShare) int {
+	return cmp.Or(
+		cmp.Compare(posting.ImpactOf(b.GlobalID), posting.ImpactOf(a.GlobalID)),
+		cmp.Compare(a.Group, b.Group),
+		cmp.Compare(a.GlobalID, b.GlobalID))
 }
 
 // warmCost is what one warm search costs the allocator: the mean
@@ -161,52 +176,69 @@ func poolsRecycle() bool {
 	return true
 }
 
+// syntheticCounts is what a search of all three lists of
+// syntheticCluster(elements, lack) decrypts, skips as under-replicated
+// and filters as false positives.
+func syntheticCounts(elements, lack int) (fetched, under, falsePositives int) {
+	n := elements / len(syntheticQuery)
+	if lack > 0 {
+		under = len(syntheticQuery) * ((n + lack - 1) / lack)
+	}
+	// The lacking elements are the even ones, the query terms'.
+	return len(syntheticQuery)*n - under, under, len(syntheticQuery) * (n / 2)
+}
+
 // allocationBudget runs one plan's budget on the synthetic cluster at
-// 3,500 and at 35,000 elements. A warm search may make at most
-// maxAllocs allocations of at most maxBytes in all at either size, and
-// the larger size may add fewer than one allocation per 256 more
-// elements: slices that outgrow a size class, never per-element objects.
-// The byte budget is what keeps the join, decrypt and rank memory
-// recycled: one search of 35,000 elements that allocated its join
-// columns afresh would take a megabyte. Under the race detector a pool
-// drops a quarter of what is put back, so there only the counts are
-// held, to a budget with room for the client's refills. The fake
-// servers' share copies are refilled there too, whenever the pool
-// dropped their last release; fake replays one search's worth of the
-// servers' calls and releases (nil for none), and what it costs in the
-// same run is added to the race budget, so the client's own path is
-// held to maxAllocsRace alone.
-func allocationBudget(t *testing.T, plan string, maxAllocs, maxAllocsRace, maxBytes float64, search func(c *client.Client, elements int), fake func(servers []cannedAPI)) {
+// 3,500 and at 35,000 elements, once with aligned responses and once
+// with the second server lacking one element in a hundred, whose lists
+// go through the join. A warm search may make at most maxAllocs
+// allocations of at most maxBytes in all at either size, and the larger
+// size may add fewer than one allocation per 256 more elements: slices
+// that outgrow a size class, never per-element objects. The byte budget
+// is what keeps the join, decrypt and rank memory recycled: one search
+// of 35,000 elements that allocated its join columns afresh would take a
+// megabyte. Under the race detector a pool drops a quarter of what is
+// put back, so there only the counts are held, to a budget with room for
+// the client's refills. The fake servers' share copies are refilled
+// there too, whenever the pool dropped their last release; fake replays
+// one search's worth of the servers' calls and releases (nil for none),
+// and what it costs in the same run is added to the race budget, so the
+// client's own path is held to maxAllocsRace alone.
+func allocationBudget(t *testing.T, plan string, maxAllocs, maxAllocsRace, maxBytes float64, search func(c *client.Client, elements, lack int), fake func(servers []cannedAPI)) {
 	const small, large = 3500, 35000
 	recycle := poolsRecycle()
-	var allocs, bytes, fakeAllocs [2]float64
-	for i, elements := range []int{small, large} {
-		c, servers := syntheticCluster(t, elements)
-		allocs[i], bytes[i] = warmCost(func() { search(c, elements) })
-		if fake != nil {
-			fakeAllocs[i], _ = warmCost(func() { fake(servers) })
+	for _, lack := range []int{0, 100} {
+		plan := fmt.Sprintf("%s, lack %d", plan, lack)
+		var allocs, bytes, fakeAllocs [2]float64
+		for i, elements := range []int{small, large} {
+			c, servers := syntheticCluster(t, elements, lack)
+			allocs[i], bytes[i] = warmCost(func() { search(c, elements, lack) })
+			if fake != nil {
+				fakeAllocs[i], _ = warmCost(func() { fake(servers) })
+			}
 		}
-	}
-	t.Logf("%s: per warm search %.0f allocations, %.0f B at %d elements; %.0f, %.0f B at %d",
-		plan, allocs[0], bytes[0], small, allocs[1], bytes[1], large)
-	if fake != nil {
-		t.Logf("%s: the fake servers' share of it %.0f and %.0f allocations", plan, fakeAllocs[0], fakeAllocs[1])
-	}
-	if !recycle {
-		maxAllocs = maxAllocsRace + fakeAllocs[0]
-	}
-	if allocs[0] > maxAllocs {
-		t.Errorf("%s: %.0f allocations per search of %d elements, budget %.0f", plan, allocs[0], small, maxAllocs)
-	}
-	if grown := allocs[1] - allocs[0]; grown >= (large-small)/256 {
-		t.Errorf("%s: %.0f more allocations for %d more elements, budget under one per 256", plan, grown, large-small)
-	}
-	if !recycle {
-		return
-	}
-	for i, elements := range []int{small, large} {
-		if bytes[i] > maxBytes {
-			t.Errorf("%s: %.0f B allocated per search of %d elements, budget %.0f", plan, bytes[i], elements, maxBytes)
+		t.Logf("%s: per warm search %.0f allocations, %.0f B at %d elements; %.0f, %.0f B at %d",
+			plan, allocs[0], bytes[0], small, allocs[1], bytes[1], large)
+		if fake != nil {
+			t.Logf("%s: the fake servers' share of it %.0f and %.0f allocations", plan, fakeAllocs[0], fakeAllocs[1])
+		}
+		limit := maxAllocs
+		if !recycle {
+			limit = maxAllocsRace + fakeAllocs[0]
+		}
+		if allocs[0] > limit {
+			t.Errorf("%s: %.0f allocations per search of %d elements, budget %.0f", plan, allocs[0], small, limit)
+		}
+		if grown := allocs[1] - allocs[0]; grown >= (large-small)/256 {
+			t.Errorf("%s: %.0f more allocations for %d more elements, budget under one per 256", plan, grown, large-small)
+		}
+		if !recycle {
+			continue
+		}
+		for i, elements := range []int{small, large} {
+			if bytes[i] > maxBytes {
+				t.Errorf("%s: %.0f B allocated per search of %d elements, budget %.0f", plan, bytes[i], elements, maxBytes)
+			}
 		}
 	}
 }
@@ -225,29 +257,45 @@ func lookupAndRelease(servers []cannedAPI) {
 
 // TestSearchAllocationBudget keeps the exact search's allocations a
 // function of the number of lists, not of the number of elements: a
-// whole search — fan-out, join, decrypt, filter, rank — over three
-// lists takes 16 allocations and 1,504 B at either size, four of them
-// and 672 B the two fake servers' result maps; the share slices in them
-// come from posting's pool and go back once joined (20–25 allocations
-// under the race detector, about 5 of them the fake servers').
+// whole search — fan-out, pairing or join, decrypt, filter, rank — over
+// three lists takes 16 allocations and 1,504 B at either size, on either
+// path, four of them and 672 B the two fake servers' result maps; the
+// share slices in them come from posting's pool and go back once the
+// lists are decrypted (20–25 allocations under the race detector, about
+// 5 of them the fake servers').
 func TestSearchAllocationBudget(t *testing.T) {
-	allocationBudget(t, "exact", 16, 26, 4096, func(c *client.Client, elements int) {
+	allocationBudget(t, "exact", 16, 26, 4096, func(c *client.Client, elements, lack int) {
 		res, stats, err := c.Search("tok", syntheticQuery, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := elements / 3 * 3; stats.ElementsFetched != want || stats.FalsePositives != want/2 || len(res) != 10 {
-			t.Fatalf("%d elements: fetched %d, false positives %d, %d results", elements, stats.ElementsFetched, stats.FalsePositives, len(res))
+		fetched, under, fps := syntheticCounts(elements, lack)
+		if stats.ElementsFetched != fetched || stats.UnderReplicated != under || stats.FalsePositives != fps || len(res) != 10 {
+			t.Fatalf("%d elements, lack %d: fetched %d, under-replicated %d, false positives %d, %d results",
+				elements, lack, stats.ElementsFetched, stats.UnderReplicated, stats.FalsePositives, len(res))
 		}
 	}, lookupAndRelease)
 }
 
 // BenchmarkRetrieveJoinRank measures the client's whole compute path —
-// join, decrypt, false-positive filter and TF-IDF top-10 — over the
-// synthetic response of TestSearchAllocationBudget, per element.
+// pairing or join, decrypt, false-positive filter and TF-IDF top-10 —
+// over the synthetic response of TestSearchAllocationBudget, per
+// element. Its two servers hold the same elements, so every list is
+// aligned and decrypts without a join.
 func BenchmarkRetrieveJoinRank(b *testing.B) {
+	benchmarkRetrieveJoinRank(b, 0)
+}
+
+// BenchmarkRetrieveJoinRankSkewed is BenchmarkRetrieveJoinRank with the
+// second server lacking one element in a hundred of every list: no list
+// is aligned, so each goes through the join.
+func BenchmarkRetrieveJoinRankSkewed(b *testing.B) {
+	benchmarkRetrieveJoinRank(b, 100)
+}
+
+func benchmarkRetrieveJoinRank(b *testing.B, lack int) {
 	const elements = 3500
-	c, _ := syntheticCluster(b, elements)
+	c, _ := syntheticCluster(b, elements, lack)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -259,18 +307,20 @@ func BenchmarkRetrieveJoinRank(b *testing.B) {
 }
 
 // TestTopKWholeListAllocationBudget is TestSearchAllocationBudget for
-// the whole-list plan of top-k, which the three-term query takes: join,
-// decrypt, filter and the summed-TF ranking: 16 allocations and 1,504 B,
-// the maps included (19–28 allocations under the race detector, about
-// 5 of them the fake servers').
+// the whole-list plan of top-k, which the three-term query takes:
+// pairing or join, decrypt, filter and the summed-TF ranking: 16
+// allocations and 1,504 B, the maps included (19–28 allocations under
+// the race detector, about 5 of them the fake servers').
 func TestTopKWholeListAllocationBudget(t *testing.T) {
-	allocationBudget(t, "whole-list top-k", 16, 26, 4096, func(c *client.Client, elements int) {
+	allocationBudget(t, "whole-list top-k", 16, 26, 4096, func(c *client.Client, elements, lack int) {
 		res, stats, err := c.SearchTopK("tok", syntheticQuery, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := elements / 3 * 3; stats.ElementsFetched != want || stats.FalsePositives != want/2 || stats.TA.Depth != 1 || len(res) != 10 {
-			t.Fatalf("%d elements: fetched %d, false positives %d, %d rounds, %d results", elements, stats.ElementsFetched, stats.FalsePositives, stats.TA.Depth, len(res))
+		fetched, under, fps := syntheticCounts(elements, lack)
+		if stats.ElementsFetched != fetched || stats.UnderReplicated != under || stats.FalsePositives != fps || stats.TA.Depth != 1 || len(res) != 10 {
+			t.Fatalf("%d elements, lack %d: fetched %d, under-replicated %d, false positives %d, %d rounds, %d results",
+				elements, lack, stats.ElementsFetched, stats.UnderReplicated, stats.FalsePositives, stats.TA.Depth, len(res))
 		}
 	}, lookupAndRelease)
 }
@@ -283,7 +333,7 @@ func TestTopKWholeListAllocationBudget(t *testing.T) {
 // detector, the fake servers' page copies among them: the race budget is
 // the one this plan had before they were pooled).
 func TestTopKStreamAllocationBudget(t *testing.T) {
-	allocationBudget(t, "streamed top-k", 18, 34, 4096, func(c *client.Client, elements int) {
+	allocationBudget(t, "streamed top-k", 18, 34, 4096, func(c *client.Client, elements, _ int) {
 		res, stats, err := c.SearchTopK("tok", syntheticQuery[:1], 10)
 		if err != nil {
 			t.Fatal(err)

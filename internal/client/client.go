@@ -15,17 +15,25 @@
 // server finishes it: the binary wire carries no cancellation, and the
 // response is dropped unread. The compute half is one flat,
 // single-goroutine pipeline that exact, verified and top-k retrieval
-// share (join.go): each list's responses are joined through a
-// pointer-free gid → row table into share columns, whole columns are
+// share (join.go). Every store serves a list in one canonical order (see
+// package store), so while no mutation of a list is in flight the k
+// whole-list responses hold the same elements at the same positions:
+// such aligned responses are decrypted position by position straight
+// from the response slices, each row a sum of k shares under the cached
+// Lagrange basis, with no join. Any other list — one a mutation has
+// reached on some servers only, one a server lost, a hostile or
+// out-of-order response, the k+1 responses of verified retrieval, and
+// every round of the streamed top-k plan — is joined through a
+// pointer-free gid → row table into share columns, and whole columns are
 // reconstructed by one batch kernel (shamir.Reconstructor's
-// ReconstructBatch), and decode, false-positive filtering and Stats
-// counting happen in the same pass. At a few nanoseconds per element a
-// worker pool costs more than it spreads, and nothing in the pipeline
-// sorts shares. Nor does a warm query allocate by the element: its join
-// columns and slots, its reconstruction scratch and the arena its
-// per-term posting lists are cut from come from the client's pool and go
-// back to it when the query returns (pipeline, in join.go), the
-// servers' responses go back to posting's share pool once joined, and
+// ReconstructBatch). Both paths end in one loop of decode,
+// false-positive filtering and Stats counting. At a few nanoseconds per
+// element a worker pool costs more than it spreads, and nothing in the
+// pipeline sorts shares. Nor does a warm query allocate by the element:
+// its join columns and slots, its reconstruction scratch and the arena
+// its per-term posting lists are cut from come from the client's pool
+// and go back to it when the query returns (pipeline, in join.go), the
+// servers' responses go back to posting's share pool once decrypted, and
 // the ranker recycles its document table the same way. Those lists never
 // leave the client: the search paths return ranking's fresh top-k slice,
 // and Retrieve copies each term's postings into a slice the caller owns.
@@ -82,6 +90,10 @@ type Client struct {
 	// pipelines recycles the queries' join, decrypt and posting memory
 	// (see pipeline).
 	pipelines sync.Pool
+	// route, when set (by the package's tests), is shown whether each
+	// whole list's responses are aligned and returns false to send the
+	// list through the join regardless.
+	route func(lid merging.ListID, aligned bool) bool
 	// pref is the order fan-outs try the servers in: their indices, a
 	// server a hedge overtook moved to the end (see fanOutCall).
 	pref atomic.Pointer[[]int]
@@ -102,6 +114,12 @@ type Stats struct {
 	// did not match any query term (§5.4.2: "filters out false
 	// positives, i.e., elements for terms not queried").
 	FalsePositives int
+	// UnderReplicated counts elements dropped undecrypted because fewer
+	// than k of the servers that answered held them: an insert or
+	// delete still on its way to the servers, or a server that lost
+	// its store. The streamed top-k plan counts those left at the end
+	// of its list.
+	UnderReplicated int
 	// ServersQueried is how many servers contributed shares (>= k).
 	ServersQueried int
 	// ElementsVerified counts elements whose shares were cross-checked
@@ -220,9 +238,11 @@ func (c *Client) RetrieveContext(ctx context.Context, tok auth.Token, query []st
 // wholeLists is the whole-list pipeline behind exact retrieval and the
 // whole-list plan of top-k: fetch the lists of terms (the terms p was
 // made for) from k servers (k+1 under verification), one call each,
-// then join, decrypt and filter list by list. It returns the surviving
-// postings per term, indexed like terms, in join order and cut from p's
-// arena, with the number of shares received and of rows joined. A
+// then decrypt and filter list by list: a list whose k responses are
+// aligned (alignedShares) straight from the responses, any other through
+// the join. It returns the surviving postings per term, indexed like
+// terms, in row order and cut from p's arena, with the number of shares
+// received and of rows (distinct elements, paired or joined). A
 // global ID one server delivers twice fails the query, unless
 // dropRedelivered (top-k's rule on both plans) keeps the first copy.
 func (p *pipeline) wholeLists(ctx context.Context, tok auth.Token, terms []string, dropRedelivered bool) (lists [][]ranking.Posting, shares, rows int, err error) {
@@ -243,9 +263,10 @@ func (p *pipeline) wholeLists(ctx context.Context, tok auth.Token, terms []strin
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	// The responses are this query's alone (transport.API), and the join
-	// copies what it needs of them: once every list is joined, their
-	// share slices go back to posting's pool.
+	// The responses are this query's alone (transport.API). An aligned
+	// list is decrypted straight from them and the join copies what it
+	// needs of the others: once every list is decrypted, their share
+	// slices go back to posting's pool.
 	defer func() {
 		for _, r := range responses {
 			for _, shares := range r.val {
@@ -286,23 +307,51 @@ func (p *pipeline) wholeLists(ctx context.Context, tok auth.Token, terms []strin
 			listShares += len(r.val[lid])
 		}
 		shares += listShares
-		t.reset(0, listShares)
-		for _, r := range responses {
-			if i := t.add(r.idx, r.val[lid]); i >= 0 && !dropRedelivered {
-				return nil, shares, rows, errRedelivered(r.val[lid][i].GlobalID, lid, r.idx, c.xs[r.idx])
+		// Without verification the responses are exactly the k servers
+		// of basis a, in its column order. When they pair by position,
+		// the list needs no join.
+		aligned := false
+		if check == nil {
+			p.cols = p.cols[:0]
+			for _, r := range responses {
+				p.cols = append(p.cols, r.val[lid])
 			}
+			aligned = alignedShares(p.cols)
 		}
-		rows += len(t.gids)
+		if c.route != nil && !c.route(lid, aligned) {
+			aligned = false
+		}
+		n := 0
+		if aligned {
+			n = len(p.cols[0])
+		} else {
+			t.reset(0, listShares)
+			for _, r := range responses {
+				if i := t.add(r.idx, r.val[lid]); i >= 0 && !dropRedelivered {
+					return nil, shares, rows, errRedelivered(r.val[lid][i].GlobalID, lid, r.idx, c.xs[r.idx])
+				}
+			}
+			n = len(t.gids)
+		}
+		rows += n
 		// One cut per term, sized by its list's rows: a term's postings
 		// all live in the one list it maps to.
 		for ti, term := range terms {
 			if c.table.ListOf(term) == lid {
-				lists[ti] = p.cut(len(t.gids))
+				lists[ti] = p.cut(n)
 			}
+		}
+		if aligned {
+			secrets := p.secretsFor(n)
+			alignedSecrets(secrets, p.cols, a.coef)
+			p.decode(secrets, lists)
+			continue
 		}
 		if err := p.open(lid, a, check, lists); err != nil {
 			return nil, shares, rows, err
 		}
+		// What open left in the join no k responders hold: dropped.
+		p.stats.UnderReplicated += len(t.gids)
 	}
 	return lists, shares, rows, nil
 }

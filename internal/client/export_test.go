@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"zerber/internal/auth"
+	"zerber/internal/merging"
 	"zerber/internal/ranking"
 )
 
@@ -35,3 +36,9 @@ const (
 // WholeListHedgeDelay is the delay after which the client's next
 // whole-list fetch hedges.
 func (c *Client) WholeListHedgeDelay() time.Duration { return c.wholeRTT.hedgeDelay() }
+
+// RouteLists installs a hook that is shown whether each whole list's
+// responses are aligned and returns false to send the list through the
+// join regardless: a test counts the lists that pair by position, or
+// forces the join to compare it with the pairing.
+func (c *Client) RouteLists(route func(lid merging.ListID, aligned bool) bool) { c.route = route }

@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"zerber/internal/auth"
@@ -12,6 +15,7 @@ import (
 	"zerber/internal/merging"
 	"zerber/internal/peer"
 	"zerber/internal/posting"
+	"zerber/internal/ranking"
 	"zerber/internal/shamir"
 	"zerber/internal/transport"
 )
@@ -62,6 +66,36 @@ func withhold(shares []posting.EncryptedShare) []posting.EncryptedShare {
 	out := posting.GetShares(len(shares) - 1)
 	copy(out, shares[1:])
 	return out
+}
+
+// repeatFirst returns a copy of its shares with the first one twice, at
+// positions 0 and 1.
+func repeatFirst(shares []posting.EncryptedShare) []posting.EncryptedShare {
+	if len(shares) == 0 {
+		return nil
+	}
+	out := posting.GetShares(len(shares) + 1)
+	out[0] = shares[0]
+	copy(out[1:], shares)
+	return out
+}
+
+// shuffle returns a rewrite that copies its shares in a random order
+// other than the one given, when there is one, and counts the lists it
+// reordered.
+func shuffle(reordered *atomic.Int64) func([]posting.EncryptedShare) []posting.EncryptedShare {
+	return func(shares []posting.EncryptedShare) []posting.EncryptedShare {
+		out := posting.GetShares(len(shares))
+		copy(out, shares)
+		rand.New(rand.NewPCG(uint64(len(shares)), 7)).Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+		if slices.Equal(out, shares) {
+			slices.Reverse(out)
+		}
+		if !slices.Equal(out, shares) {
+			reordered.Add(1)
+		}
+		return out
+	}
 }
 
 func hostileEnv(t *testing.T) (*env, auth.Token) {
@@ -214,6 +248,94 @@ func TestVerifiedRetrievalDecryptsKOfKPlusOne(t *testing.T) {
 		}
 		if held := stats.ElementsFetched - stats.ElementsVerified; held != stats.ListsRequested {
 			t.Errorf("missing=%d: %d elements left unverified, want one per list (%d)", missing, held, stats.ListsRequested)
+		}
+	}
+}
+
+// TestRepeatedShareOnEveryResponder: when every responder delivers one
+// element twice, at the same positions, their responses still agree
+// position by position, but they are not strictly increasing in the
+// canonical order, so the lists go through the join and its rules hold:
+// exact retrieval fails with shamir.ErrDuplicateX, and top-k, on either
+// plan, keeps the first copy and answers as a clean cluster does.
+func TestRepeatedShareOnEveryResponder(t *testing.T) {
+	e, alice := hostileEnv(t)
+	clean := e.client(t)
+	clean.SetTuning(client.Tuning{Fanout: 1})
+	apis := append([]transport.API{}, e.apis...)
+	for i := range apis {
+		apis[i] = tamperingAPI{API: apis[i], rewrite: repeatFirst}
+	}
+	c, err := client.New(apis, 2, e.table, e.voc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetTuning(client.Tuning{Fanout: 1})
+	if _, _, err := c.Retrieve(alice, []string{"martha"}); !errors.Is(err, shamir.ErrDuplicateX) {
+		t.Errorf("exact retrieval: got %v, want an error wrapping ErrDuplicateX", err)
+	}
+	for _, query := range [][]string{{"martha"}, {"martha", "imclone"}} {
+		want, wantStats, err := clean.SearchTopK(alice, query, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, stats, err := c.SearchTopK(alice, query, 10)
+		if err != nil {
+			t.Fatalf("top-k %v: %v", query, err)
+		}
+		if !sameScored(got, want) {
+			t.Errorf("top-k %v = %v, clean cluster %v", query, got, want)
+		}
+		if stats.ElementsFetched != wantStats.ElementsFetched {
+			t.Errorf("top-k %v: decrypted %d elements, clean cluster %d", query, stats.ElementsFetched, wantStats.ElementsFetched)
+		}
+	}
+}
+
+// TestShuffledResponseJoined: a responder that returns its whole set out
+// of the canonical order is not aligned with the others, and the join
+// gives exactly the clean cluster's answers and Stats, on exact
+// retrieval and on the whole-list plan of top-k.
+func TestShuffledResponseJoined(t *testing.T) {
+	e, alice := hostileEnv(t)
+	query := []string{"martha", "imclone", "layoff", "budget"}
+	type answer struct {
+		retrieved map[string][]ranking.Posting
+		searched  []ranking.ScoredDoc
+		topk      []ranking.ScoredDoc
+		stats     [3]client.Stats
+	}
+	ask := func(apis []transport.API) answer {
+		c, err := client.New(apis, 2, e.table, e.voc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetTuning(client.Tuning{Fanout: 1})
+		var a answer
+		var errs [3]error
+		a.retrieved, a.stats[0], errs[0] = c.Retrieve(alice, query)
+		a.searched, a.stats[1], errs[1] = c.Search(alice, query, 10)
+		a.topk, a.stats[2], errs[2] = c.SearchTopK(alice, query, 10)
+		if err := errors.Join(errs[:]...); err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	want := ask(e.apis)
+	for hostile := 0; hostile < 2; hostile++ {
+		apis := append([]transport.API{}, e.apis...)
+		var reordered atomic.Int64
+		apis[hostile] = tamperingAPI{API: apis[hostile], rewrite: shuffle(&reordered)}
+		got := ask(apis)
+		if reordered.Load() == 0 {
+			t.Fatalf("hostile=%d: no list was long enough to reorder", hostile)
+		}
+		if fmt.Sprint(got.retrieved, got.searched, got.topk) != fmt.Sprint(want.retrieved, want.searched, want.topk) {
+			t.Errorf("hostile=%d: answers %v %v %v, clean cluster %v %v %v", hostile,
+				got.retrieved, got.searched, got.topk, want.retrieved, want.searched, want.topk)
+		}
+		if got.stats != want.stats {
+			t.Errorf("hostile=%d: stats %+v, clean cluster %+v", hostile, got.stats, want.stats)
 		}
 	}
 }

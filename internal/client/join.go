@@ -16,10 +16,14 @@ import (
 // servers one client can address.
 const maxServers = 64
 
-// joinTable is the per-list join step of Algorithm 2 as flat columns:
-// one row per global element ID, one share column per server of the
-// client (column i = servers[i], whether or not it answered), and a
-// holder mask saying which columns are filled. Rows are found through an
+// joinTable is the per-list join step of Algorithm 2 as flat columns,
+// for the lists whose responses are not aligned (alignedShares): those a
+// mutation in flight or a lost store leaves different on different
+// servers, hostile or out-of-order responses, verified retrieval's k+1
+// responses and the streamed top-k plan's windows. It has one row per
+// global element ID, one share column per server of the client (column
+// i = servers[i], whether or not it answered), and a holder mask saying
+// which columns are filled. Rows are found through an
 // open-addressing gid → row table of plain integers, so a join of any
 // size is a fixed handful of pointer-free slices — nothing per element
 // for the allocator to make or the collector to trace — and row order is
@@ -132,8 +136,11 @@ type pipeline struct {
 	// bases are the Lagrange bases fetched so far in this round of this
 	// query, so the cache is consulted once per responder set rather
 	// than once per element.
-	bases   []*basis
-	join    joinTable
+	bases []*basis
+	join  joinTable
+	// cols holds one list's k responses, in basis column order, while
+	// wholeLists checks and pairs them (alignedShares).
+	cols    [][]posting.EncryptedShare
 	secrets []field.Element // scratch: one reconstruction per row, per batch basis
 	lists   [][]ranking.Posting
 	// posts is the arena: its length is what this query has cut so far.
@@ -166,6 +173,7 @@ func (c *Client) newPipeline(terms []string) *pipeline {
 func (p *pipeline) release() {
 	clear(p.bases)
 	p.bases = p.bases[:0]
+	clear(p.cols)  // the responses went back to posting's pool
 	clear(p.lists) // they may hold an arena the query outgrew
 	p.c.pipelines.Put(p)
 }
@@ -206,16 +214,23 @@ func (p *pipeline) basisFor(held uint64) (*basis, error) {
 	return b, nil
 }
 
-// open decrypts list lid's joined rows and appends every posting of a
-// queried term to that term's slice of out, in row order. Rows holding all of basis a's
+// secretsFor returns the reconstruction scratch, at least n long.
+func (p *pipeline) secretsFor(n int) []field.Element {
+	if cap(p.secrets) < n {
+		p.secrets = make([]field.Element, n)
+	}
+	return p.secrets[:n]
+}
+
+// open decrypts list lid's joined rows and hands the secrets of those it
+// can decrypt to decode, in row order. Rows holding all of basis a's
 // columns are reconstructed in one batch; when check is non-nil
 // (verified retrieval) rows that also hold all of its columns are
 // reconstructed a second time and the two secrets must agree. A row that
 // k other servers hold takes the basis for its own holder mask, and a
 // row held by fewer than k is not decryptable: those rows — and only
 // those — are left in the join, moved to its front, for the caller to keep or
-// drop. False positives (elements of merged-in terms nobody queried,
-// §5.4.2) are counted and discarded here.
+// drop.
 func (p *pipeline) open(lid merging.ListID, a, check *basis, out [][]ranking.Posting) error {
 	t := &p.join
 	rows, w, k := len(t.gids), t.w, p.c.k
@@ -223,10 +238,8 @@ func (p *pipeline) open(lid merging.ListID, a, check *basis, out [][]ranking.Pos
 	if check != nil {
 		batches = 2
 	}
-	if cap(p.secrets) < batches*rows {
-		p.secrets = make([]field.Element, batches*rows)
-	}
-	secA, secB := p.secrets[:rows], p.secrets[rows:batches*rows]
+	secrets := p.secretsFor(batches * rows)
+	secA, secB := secrets[:rows], secrets[rows:]
 	if err := a.rec.ReconstructBatch(secA, t.ys, w, a.cols); err != nil {
 		return err
 	}
@@ -235,7 +248,10 @@ func (p *pipeline) open(lid merging.ListID, a, check *basis, out [][]ranking.Pos
 			return err
 		}
 	}
-	left := 0
+	// Decrypted secrets are packed to the front of secA as they are
+	// found: decrypted never passes row, so no row is overwritten before
+	// it is read.
+	left, decrypted := 0, 0
 	for row, held := range t.held {
 		var secret field.Element
 		switch {
@@ -266,7 +282,21 @@ func (p *pipeline) open(lid merging.ListID, a, check *basis, out [][]ranking.Pos
 			left++
 			continue
 		}
-		p.stats.ElementsFetched++
+		secA[decrypted] = secret
+		decrypted++
+	}
+	t.gids, t.ys, t.held = t.gids[:left], t.ys[:left*w], t.held[:left]
+	p.decode(secA[:decrypted], out)
+	return nil
+}
+
+// decode is where both ways of decrypting a list end: it decodes each
+// secret, in order, and appends the posting of a queried term to that
+// term's slice of out. False positives (elements of merged-in terms
+// nobody queried, §5.4.2) are counted and discarded here.
+func (p *pipeline) decode(secrets []field.Element, out [][]ranking.Posting) {
+	p.stats.ElementsFetched += len(secrets)
+	for _, secret := range secrets {
 		e := posting.Decode(secret)
 		if term := slices.Index(p.wanted, e.TermID); term >= 0 {
 			out[term] = append(out[term], ranking.Posting{DocID: e.DocID, TF: e.TF})
@@ -274,8 +304,69 @@ func (p *pipeline) open(lid merging.ListID, a, check *basis, out [][]ranking.Pos
 			p.stats.FalsePositives++
 		}
 	}
-	t.gids, t.ys, t.held = t.gids[:left], t.ys[:left*w], t.held[:left]
-	return nil
+}
+
+// alignedShares reports whether one list's responses rs pair by
+// position: all of one length, the same (global ID, group) at every
+// position of each, and rs[0] strictly increasing in the store
+// contract's canonical order (bucket descending, group ascending, global
+// ID ascending; see package store), so no key repeats. Servers holding
+// the same elements send them so, which is a list's state whenever no
+// mutation of it is in flight. Row i then holds element rs[0][i], with
+// one share from each server, and needs no join.
+//
+// A list that is not aligned goes through the join, which takes any
+// order and applies every rule for redeliveries and rows fewer than k
+// servers hold. The one input the check passes that the join would
+// refuse is a global ID repeated under two groups, at the same positions
+// on every responder: it takes all k responders sending the same lie,
+// more collusion than the scheme survives (fewer than k servers may
+// collude), and decrypts to no more than a fabricated element would.
+func alignedShares(rs [][]posting.EncryptedShare) bool {
+	first := rs[0]
+	for _, r := range rs[1:] {
+		if len(r) != len(first) {
+			return false
+		}
+	}
+	for i := 1; i < len(first); i++ {
+		a, b := first[i-1], first[i]
+		if ba, bb := posting.ImpactOf(a.GlobalID), posting.ImpactOf(b.GlobalID); ba != bb {
+			if ba < bb {
+				return false
+			}
+		} else if a.Group > b.Group || a.Group == b.Group && a.GlobalID >= b.GlobalID {
+			return false
+		}
+	}
+	for _, r := range rs[1:] {
+		r = r[:len(first)]
+		for i, sh := range r {
+			if sh.GlobalID != first[i].GlobalID || sh.Group != first[i].Group {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// alignedSecrets reconstructs the rows of aligned responses rs (see
+// alignedShares) straight from them: dst[i] = Σⱼ coef[j]·rs[j][i].Y,
+// where coef[j] is the Lagrange coefficient of the server that sent
+// rs[j]. It allocates nothing.
+func alignedSecrets(dst []field.Element, rs [][]posting.EncryptedShare, coef []field.Element) {
+	for j, r := range rs {
+		c, r := coef[j], r[:len(dst)]
+		if j == 0 {
+			for i, sh := range r {
+				dst[i] = field.Mul(c, sh.Y)
+			}
+			continue
+		}
+		for i, sh := range r {
+			dst[i] = field.Add(dst[i], field.Mul(c, sh.Y))
+		}
+	}
 }
 
 // errRedelivered is the one rule for a server that returns a global ID

@@ -6,6 +6,7 @@ import (
 	"net"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -348,13 +349,29 @@ func TestConcurrentTopK(t *testing.T) {
 // while the other workers' responses take the same path. A slice
 // released while another owner still read it would put one user's
 // shares, or under the race detector poison, into another's answer.
+//
+// No mutation runs, so every whole list is aligned on both clients: the
+// exact searches, the Retrieve calls and the top-k queries of several
+// terms decrypt straight from the pooled responses, with no join in
+// between, and each client must count such lists and no other. Only the
+// one-term top-k queries, which stream, go through the join.
 func TestPooledMemoryNeverAliases(t *testing.T) {
 	e, toks := plansEnv(t, 3, 11)
 	c := e.client(t)
 	wire := e.wireClient(t)
-	for _, cl := range []*client.Client{c, wire} {
+	var paired, joined [2]atomic.Int64
+	for i, cl := range []*client.Client{c, wire} {
 		cl.SetTuning(client.Tuning{BlockSize: 3})
+		cl.RouteLists(func(_ merging.ListID, aligned bool) bool {
+			if aligned {
+				paired[i].Add(1)
+			} else {
+				joined[i].Add(1)
+			}
+			return true
+		})
 	}
+
 	users := []string{"alice", "bob"}
 	type query struct {
 		kind  string
@@ -422,6 +439,12 @@ func TestPooledMemoryNeverAliases(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		if err := <-errs; err != nil {
 			t.Error(err)
+		}
+	}
+	for i, name := range []string{"in-process", "wire"} {
+		if paired[i].Load() == 0 || joined[i].Load() != 0 {
+			t.Errorf("%s client: %d lists paired by position and %d joined, want some and none",
+				name, paired[i].Load(), joined[i].Load())
 		}
 	}
 }

@@ -20,12 +20,16 @@ const recCacheCap = 64
 // basis is the Lagrange basis for one k-subset of the client's servers,
 // in the shape the join's share matrix wants it: held is the subset as a
 // holder mask (bit i = servers[i]), cols the same servers as ascending
-// column indices, and rec consumes their shares in that order. A basis
-// is immutable, so one entry serves concurrent queries.
+// column indices, and rec consumes their shares in that order. coef is
+// rec's Lagrange coefficients in the same order, read once when the
+// basis is built, for the aligned pairing that sums shares straight from
+// the responses (alignedSecrets). A basis is immutable, so one entry
+// serves concurrent queries.
 type basis struct {
 	held uint64
 	cols []int
 	rec  *shamir.Reconstructor
+	coef []field.Element
 }
 
 // recCache memoizes bases per holder mask, so repeated queries against
@@ -61,6 +65,7 @@ func (rc *recCache) get(held uint64, xs []field.Element) (b *basis, hit bool, er
 	if b.rec, err = shamir.NewReconstructor(bxs); err != nil {
 		return nil, false, err
 	}
+	b.coef = b.rec.Coefficients()
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if cached, ok := rc.m[held]; ok {

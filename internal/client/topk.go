@@ -203,6 +203,7 @@ attempts:
 			if exhausted {
 				// No further windows will arrive: under-replicated
 				// leftovers are skipped, as the whole-list plan skips them.
+				stats.UnderReplicated += len(join.gids)
 				join.reset(0, 0)
 			}
 			// A pending element (seen, not yet decryptable) bounds the

@@ -55,6 +55,16 @@ func (r *Reconstructor) Xs() []field.Element {
 	return out
 }
 
+// Coefficients returns a copy of the Lagrange basis at x=0, in
+// consumption order: the secret is the sum of Coefficients()[i]·ys[i].
+// A caller whose shares are not laid out as a row-major matrix (see
+// ReconstructBatch) reads them once and runs the sum itself.
+func (r *Reconstructor) Coefficients() []field.Element {
+	out := make([]field.Element, len(r.coef))
+	copy(out, r.coef)
+	return out
+}
+
 // Reconstruct recovers the secret from the share values ys, where ys[i]
 // is the share from the server with x-coordinate Xs()[i]. len(ys) must
 // equal K.

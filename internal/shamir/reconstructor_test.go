@@ -97,6 +97,36 @@ func BenchmarkReconstructorK2(b *testing.B) {
 	}
 }
 
+// TestCoefficientsReconstruct: the sum of Coefficients()[i]·ys[i] is the
+// secret, and the returned slice is the caller's to change.
+func TestCoefficientsReconstruct(t *testing.T) {
+	rng := detRand(33)
+	xs := []field.Element{11, 22, 33}
+	rec, err := NewReconstructor(xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coef := rec.Coefficients()
+	for i := 0; i < 100; i++ {
+		secret := field.New(rng.Uint64())
+		shares, err := Split(secret, 3, xs, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got field.Element
+		for j, sh := range shares {
+			got = field.Add(got, field.Mul(coef[j], sh.Y))
+		}
+		if got != secret {
+			t.Fatalf("element %d: got %d, want %d", i, got, secret)
+		}
+	}
+	coef[0] = 0
+	if rec.Coefficients()[0] == 0 {
+		t.Error("changing the returned coefficients changed the reconstructor's")
+	}
+}
+
 // TestReconstructBatchMatchesReconstruct: over a share matrix with one
 // column per server, the batch kernel recovers every row's secret from
 // whichever k columns its basis names — the same value Reconstruct gives

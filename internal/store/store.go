@@ -31,7 +31,13 @@
 //     stores holding the same elements hold them in the same order,
 //     whatever the engine, sharding, arrival order, restarts or
 //     compactions, so a position window names the same elements on
-//     each. Order across lists carries no meaning.
+//     each. Order across lists carries no meaning. The client relies on
+//     it: k responses of one list that hold the same elements at the
+//     same positions are decrypted by position, without a join by
+//     global ID, and the streamed top-k plan pages by position windows
+//     (package client). A store that broke the order would cost its
+//     clients that fast path, not their answers: any other response
+//     goes through the join.
 //   - Ranged reads. ScanRange exposes a position window of the ordered
 //     list plus the impact bucket of the first unfetched element — the
 //     upper bound a top-k client needs for early termination.
