@@ -65,18 +65,39 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // after list: one table probe per posting, the only ones either scoring
 // rule makes. Both slices are s's, valid until s is reused.
 func (s *scratch) slotsOf(lists [][]Posting) (docs []ScoredDoc, slots []int32) {
-	longest, total := 0, 0
+	total := 0
 	for _, ps := range lists {
-		longest, total = max(longest, len(ps)), total+len(ps)
+		total += len(ps)
 	}
-	slots = slices.Grow(s.slots[:0], total)
-	docs = slices.Grow(s.docs[:0], longest)
-	s.table.reset(docs, longest)
+	slots = slices.Grow(s.slots[:0], total)[:total]
+	docs = slices.Grow(s.docs[:0], total)[:total]
+	s.table.reset(total)
+	entries, shift, mul := s.table.entries, s.table.shift, docHashMul
+	mask, n, next := len(entries)-1, 0, 0
 	for _, ps := range lists {
 		for _, p := range ps {
-			slots = append(slots, int32(s.table.slotOf(&docs, p.DocID)))
+			// The probe, inline: the entry holding p's document, or the
+			// free one where its new slot goes (see docHashMul).
+			doc := p.DocID
+			h := uint64(doc) * mul
+			for i := int((h ^ h>>32) * mul >> shift); ; i = (i + 1) & mask {
+				e := entries[i]
+				if e == 0 {
+					docs[n] = ScoredDoc{DocID: doc}
+					n++
+					entries[i] = uint64(doc)<<32 | uint64(n)
+					slots[next] = int32(n - 1)
+					break
+				}
+				if uint32(e>>32) == doc {
+					slots[next] = int32(uint32(e)) - 1
+					break
+				}
+			}
+			next++
 		}
 	}
+	docs = docs[:n]
 	s.docs, s.slots = docs, slots
 	return docs, slots
 }
@@ -188,7 +209,11 @@ func best(docs []ScoredDoc, k int) []ScoredDoc {
 	}
 	h := topHeap{k: k, docs: make([]ScoredDoc, 0, min(k, len(docs)))}
 	for _, d := range docs {
-		h.offer(d)
+		// Most documents miss the cut once the heap is full: they cost
+		// one comparison with its worst, here rather than in a call.
+		if len(h.docs) < k || outranks(d, h.docs[0]) {
+			h.offer(d)
+		}
 	}
 	return h.ranked()
 }
@@ -262,57 +287,37 @@ func (h *topHeap) ranked() []ScoredDoc {
 }
 
 // docTable finds a document's slot in a []ScoredDoc holding each document
-// once: a pointer-free open-addressing table of indices into that slice
-// (the shape of the client's share join), grown by rehashing from it.
+// once: a pointer-free open-addressing table whose every entry packs the
+// document and its slot into one word, so a probe reads one entry and no
+// slice besides (slotsOf probes it). It is sized once per ranking, for
+// every posting of the query, and never grows.
 type docTable struct {
-	shift uint     // 64 - log2(len(slots))
-	slots []uint32 // doc hash → slot+1, 0 = empty; len is a power of two
+	shift   uint     // 64 - log2(len(entries))
+	entries []uint64 // doc<<32 | slot+1, 0 = empty; len is a power of two
 }
 
-// docHashMul keys the multiply-shift hash, per process like a Go map's
-// seed: document owners choose IDs, and must not be able to pile them up.
+// docHashMul keys the hash, per process like a Go map's seed: document
+// owners choose IDs, and must not be able to pile them up. The hash
+// multiplies, folds the product's high half into its low half and
+// multiplies again. One multiply-shift alone, under linear probing,
+// spreads a run of consecutive IDs perfectly under most keys but into
+// long clusters under some: up to 7 extra probes per document over
+// 10,000 consecutive IDs, in 200 keys drawn.
 var docHashMul = rand.Uint64() | 1
 
 // reset empties the table and sizes it for n documents at load factor
-// at most 1/2, then enters docs. The size is the power of two this n
-// needs, cut from the memory of any earlier size, so only that much is
-// cleared.
-func (t *docTable) reset(docs []ScoredDoc, n int) {
+// at most 1/2. The size is the power of two this n needs, cut from the
+// memory of any earlier size, so only that much is cleared.
+func (t *docTable) reset(n int) {
 	size := 16
 	for size < 2*n {
 		size *= 2
 	}
 	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
-	if size > cap(t.slots) {
-		t.slots = make([]uint32, size)
+	if size > cap(t.entries) {
+		t.entries = make([]uint64, size)
 	} else {
-		t.slots = t.slots[:size]
-		clear(t.slots)
+		t.entries = t.entries[:size]
+		clear(t.entries)
 	}
-	for slot, d := range docs {
-		t.slots[t.probe(docs, d.DocID)] = uint32(slot + 1)
-	}
-}
-
-// probe returns the index in slots of doc's entry, or of the free entry
-// where it belongs.
-func (t *docTable) probe(docs []ScoredDoc, doc uint32) int {
-	i := int(uint64(doc) * docHashMul >> t.shift)
-	for t.slots[i] != 0 && docs[t.slots[i]-1].DocID != doc {
-		i = (i + 1) & (len(t.slots) - 1)
-	}
-	return i
-}
-
-// slotOf returns doc's slot in *docs, appending an entry for a new one.
-func (t *docTable) slotOf(docs *[]ScoredDoc, doc uint32) int {
-	if 2*len(*docs) >= len(t.slots) {
-		t.reset(*docs, len(*docs)+1)
-	}
-	i := t.probe(*docs, doc)
-	if t.slots[i] == 0 {
-		*docs = append(*docs, ScoredDoc{DocID: doc})
-		t.slots[i] = uint32(len(*docs))
-	}
-	return int(t.slots[i]) - 1
 }

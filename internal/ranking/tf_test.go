@@ -9,12 +9,9 @@ import (
 // TestTopKByTFMatchesMapModel is the doc table's property test, through
 // the summed-TF ranker: 10,000 random postings — duplicate (term,
 // document) pairs, the extreme document IDs, a query wider than 64
-// terms, growth across several rehashes or none — must score exactly
-// what a map of maps does, where a document's first posting in a term
-// counts and later ones do not.
+// terms — must score exactly what a map of maps does, where a
+// document's first posting in a term counts and later ones do not.
 func TestTopKByTFMatchesMapModel(t *testing.T) {
-	// One term reserves the table for every posting up front; seventy
-	// reserve for a list of about 140 and rehash their way to thousands.
 	for _, nTerms := range []int{1, 3, 70} {
 		rng := rand.New(rand.NewSource(int64(nTerms)))
 		lists := make([][]Posting, nTerms)

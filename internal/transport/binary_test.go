@@ -160,9 +160,10 @@ func TestBinaryBackoffFailsFast(t *testing.T) {
 }
 
 // TestBinaryCloseWaitsForItsGoroutines: Close returns only once the
-// connection's writer and reader have exited, so nothing a closed client
-// started still runs (and allocates) after it; a test that counts
-// allocations next would otherwise count them.
+// connection's one goroutine, its reader, has exited, so nothing a
+// closed client started still runs (and allocates) after it; a test
+// that counts allocations next would otherwise count them. No goroutine
+// with binConn on its stack may outlive Close.
 func TestBinaryCloseWaitsForItsGoroutines(t *testing.T) {
 	srv, _ := newServer(t)
 	bs := startBinary(t, srv, "")
@@ -170,13 +171,34 @@ func TestBinaryCloseWaitsForItsGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	open := runtime.NumGoroutine()
-	c.Close()
-	// The server's side of the connection may wind down too, which only
-	// lowers the count.
-	if closed := runtime.NumGoroutine(); closed > open-2 {
-		t.Errorf("%d goroutines after Close, %d before: the client's writer and reader still run", closed, open)
+	if n := connGoroutines(); n == 0 {
+		t.Fatal("no goroutine of the open connection found: the check below would prove nothing")
 	}
+	c.Close()
+	if n := connGoroutines(); n != 0 {
+		t.Errorf("%d goroutines with binConn on their stack outlive Close", n)
+	}
+}
+
+// connGoroutines counts the goroutines with a binary client connection
+// on their stack.
+func connGoroutines() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("(*binConn)")) {
+			count++
+		}
+	}
+	return count
 }
 
 // TestBinaryCancellationKeepsConnection abandons a call via context
@@ -678,5 +700,98 @@ func TestBinaryRedialsOnce(t *testing.T) {
 	}
 	if got := p.accepted.Load(); got != 2 {
 		t.Fatalf("client opened %d connections, want the dial's and one redial", got)
+	}
+}
+
+// stallingListener serves no one on its first connection: it answers
+// the dial's x-coordinate request by hand and then never reads again, so
+// a request larger than the socket buffers blocks its writer. Every later
+// connection goes to whoever serves the listener.
+type stallingListener struct {
+	net.Listener
+	accepted atomic.Int32
+	stalled  chan net.Conn // holds the first connection until Close
+}
+
+func (l *stallingListener) Accept() (net.Conn, error) {
+	for {
+		nc, err := l.Listener.Accept()
+		if err != nil || l.accepted.Add(1) > 1 {
+			return nc, err
+		}
+		payload, err := wal.ReadFrame(bufio.NewReader(nc))
+		if err != nil || len(payload) < 8 {
+			nc.Close()
+			continue
+		}
+		// Request ID, kind xcoord, status OK, x = 5.
+		resp := binary.LittleEndian.AppendUint64(nil, binary.LittleEndian.Uint64(payload))
+		resp = binary.LittleEndian.AppendUint64(append(resp, 1, 0, 0), 5)
+		var buf bytes.Buffer
+		wal.AppendFrame(&buf, resp)
+		nc.Write(buf.Bytes())
+		l.stalled <- nc
+	}
+}
+
+func (l *stallingListener) Close() error {
+	select {
+	case nc := <-l.stalled:
+		nc.Close()
+	default:
+	}
+	return l.Listener.Close()
+}
+
+// TestBinaryWriteToStalledServer: a server that stops reading leaves a
+// large request's write blocked. The call must still fail within its
+// timeout, because the write carries the call timeout as its deadline;
+// the connection, whose stream a half-written frame has desynced, must
+// be dead afterwards, so the next call dials a fresh one instead of
+// queueing behind the stuck write.
+func TestBinaryWriteToStalledServer(t *testing.T) {
+	srv, tok := newServer(t)
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &stallingListener{Listener: inner, stalled: make(chan net.Conn, 1)}
+	bs := transport.ServeBinary(ln, srv)
+	t.Cleanup(func() { bs.Close() })
+	const timeout = 300 * time.Millisecond
+	c, err := transport.DialBinary(ln.Addr().String(), timeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// About 16 MB, four times what Linux lets a loopback socket buffer.
+	ins := make([]transport.InsertOp, 700_000)
+	for i := range ins {
+		ins[i] = transport.InsertOp{List: 1, Share: sampleShare(posting.GlobalID(i+1), uint64(i))}
+	}
+	start := time.Now()
+	errc := make(chan error, 1)
+	go func() { errc <- transporttest.Insert(context.Background(), c, tok, ins) }()
+	const slack = 3 * time.Second
+	select {
+	case err := <-errc:
+		if err == nil {
+			t.Fatal("a 16 MB Apply to a server that never reads succeeded")
+		}
+		t.Logf("after %v: %v", time.Since(start), err)
+	case <-time.After(timeout + slack):
+		t.Fatalf("the call still hangs %v after it began, its timeout %v", time.Since(start), timeout)
+	}
+
+	out, err := c.GetPostingLists(context.Background(), tok, []merging.ListID{1})
+	if err != nil {
+		t.Fatalf("the call after the stalled write: %v", err)
+	}
+	if len(out[1]) != 0 {
+		t.Fatalf("the stalled Apply reached a server: list 1 holds %d elements", len(out[1]))
+	}
+	if got := ln.accepted.Load(); got != 2 {
+		t.Fatalf("client opened %d connections, want the stalled one and one fresh", got)
 	}
 }

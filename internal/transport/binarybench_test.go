@@ -2,6 +2,8 @@ package transport
 
 import (
 	"context"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"zerber/internal/merging"
@@ -90,4 +92,31 @@ func BenchmarkBinaryLookupRoundTrip(b *testing.B) {
 		}
 		releaseLists(out)
 	}
+}
+
+// BenchmarkBinaryLookupRoundTripParallel is BenchmarkBinaryLookupRoundTrip
+// from two callers sharing the one connection, as the calls of
+// concurrent searches share it: ns/op is per call, two in flight.
+func BenchmarkBinaryLookupRoundTripParallel(b *testing.B) {
+	_, c := serveCanned(b)
+	lists := []merging.ListID{3, 17, 40}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var calls atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for calls.Add(1) <= int64(b.N) {
+				out, err := c.GetPostingLists(context.Background(), "tok", lists)
+				if err != nil || len(out) != 3 {
+					b.Error(err)
+					return
+				}
+				releaseLists(out)
+			}
+		}()
+	}
+	wg.Wait()
 }

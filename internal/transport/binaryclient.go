@@ -33,21 +33,21 @@ var errClientClosed = errors.New("transport: binary client closed")
 // BinaryClient talks to one index server over the binary framed
 // protocol (see binarycodec.go) on a single persistent TCP connection
 // with request pipelining: every call is tagged with a request ID,
-// written by a per-connection writer goroutine, and matched to its
-// response by a reader goroutine — so a connection carries many
-// in-flight calls and none of them waits for another's round trip. The
-// reader only routes: it hands the frame to the caller that is waiting
-// for it, which decodes it on its own goroutine, so a 100 KB response
-// does not hold up the connection's other calls and the response of an
-// abandoned call (a straggler the fan-out cancelled) is dropped
-// undecoded.
+// written whole by the calling goroutine under the connection's write
+// lock, and matched to its response by the connection's one goroutine,
+// its reader — so a connection carries many in-flight calls and none of
+// them waits for another's round trip. The reader only routes: it hands
+// the frame to the caller that is waiting for it, which decodes it on
+// its own goroutine, so a 100 KB response does not hold up the
+// connection's other calls and the response of an abandoned call (a
+// straggler the fan-out cancelled) is dropped undecoded.
 //
 // Frames live in pooled buffers (framebuf.go), each with one owner. A
-// request frame is built in place by the caller and is the caller's
-// until the connection's writer takes it from the queue and, once it is
-// written, releases it. A response frame is the reader's until it finds
-// the call waiting for it: then it is that call's, and finish releases
-// it after decoding. When nobody is waiting — the abandoned-call rule —
+// request frame is built in place by the caller, who writes it and then
+// releases it, or releases it unwritten if it gives up waiting for the
+// write lock. A response frame is the reader's until it finds the call
+// waiting for it: then it is that call's, and finish releases it after
+// decoding. When nobody is waiting — the abandoned-call rule —
 // the reader releases it itself. So exactly one of the two releases a
 // response buffer, except one handed over in the instant its caller gave
 // up: that is never read and goes to the garbage collector.
@@ -89,10 +89,12 @@ func DialBinary(addr string, timeout time.Duration) (*BinaryClient, error) {
 	c := &BinaryClient{addr: addr, timeout: timeout}
 	resp, err := c.call(context.Background(), binRequest{kind: binMsgXCoord})
 	if err != nil {
+		c.Close()
 		return nil, fmt.Errorf("transport: dialing binary %s: %w", addr, err)
 	}
 	xe, err := field.Check(resp.x)
 	if err != nil {
+		c.Close()
 		return nil, fmt.Errorf("transport: server x-coordinate: %w", err)
 	}
 	c.x = xe
@@ -142,8 +144,8 @@ func (c *BinaryClient) GetPostingBlocks(ctx context.Context, tok auth.Token, lis
 	return resp.page, nil
 }
 
-// Close tears down the connection and returns once its reader and
-// writer goroutines have exited; in-flight calls fail.
+// Close tears down the connection and returns once its reader has
+// exited; in-flight calls fail.
 func (c *BinaryClient) Close() error {
 	c.mu.Lock()
 	c.closed = true
@@ -152,7 +154,7 @@ func (c *BinaryClient) Close() error {
 	c.mu.Unlock()
 	if conn != nil {
 		conn.die(errClientClosed)
-		conn.loops.Wait()
+		<-conn.readerDone
 	}
 	return nil
 }
@@ -195,7 +197,10 @@ func (c *BinaryClient) attempt(ctx context.Context, req binRequest) (binResponse
 		return binResponse{}, fmt.Errorf("transport: %s %s: %w", name, c.addr, err)
 	}
 	select {
-	case conn.writeCh <- frame: // the writer's from here on
+	case conn.writing <- struct{}{}:
+		conn.write(frame) // a failed write fails the call below
+		<-conn.writing
+		frame.release()
 	case <-conn.done:
 		frame.release()
 		conn.unregister(id)
@@ -281,7 +286,7 @@ func (c *BinaryClient) register() (*binConn, uint64, *binCall, error) {
 			return nil, 0, nil, err
 		}
 		c.backoff, c.retryAt, c.lastErr = 0, time.Time{}, nil
-		c.conn = newBinConn(nc)
+		c.conn = newBinConn(nc, c.timeout)
 	}
 	id := c.nextID
 	c.nextID++
@@ -301,31 +306,31 @@ type binCall struct {
 	ch chan binResult // buffered; the reader never blocks on delivery
 }
 
-// binConn is one live connection: a writer goroutine draining writeCh
-// into batched frame writes, a reader goroutine dispatching response
-// frames to pending calls by request ID.
+// binConn is one live connection. Each call writes its own request
+// frame, whole, while it holds the write lock (writing); the
+// connection's one goroutine reads response frames and dispatches them
+// to pending calls by request ID.
 type binConn struct {
-	nc      net.Conn
-	writeCh chan *frameBuf
-	done    chan struct{}
-	loops   sync.WaitGroup // the writer and the reader
+	nc         net.Conn
+	timeout    time.Duration // bounds each frame write
+	writing    chan struct{} // one slot: the write lock, which a waiter can give up on
+	done       chan struct{}
+	readerDone chan struct{}
 
 	mu      sync.Mutex
 	pending map[uint64]*binCall
 	err     error
 }
 
-func newBinConn(nc net.Conn) *binConn {
+func newBinConn(nc net.Conn, timeout time.Duration) *binConn {
 	bc := &binConn{
-		nc: nc,
-		// Room for a burst of pipelined calls to queue without blocking
-		// on the writer's flush.
-		writeCh: make(chan *frameBuf, 64),
-		done:    make(chan struct{}),
-		pending: make(map[uint64]*binCall),
+		nc:         nc,
+		timeout:    timeout,
+		writing:    make(chan struct{}, 1),
+		done:       make(chan struct{}),
+		readerDone: make(chan struct{}),
+		pending:    make(map[uint64]*binCall),
 	}
-	bc.loops.Add(2)
-	go bc.writeLoop()
 	go bc.readLoop()
 	return bc
 }
@@ -372,7 +377,8 @@ func (bc *binConn) failure() error {
 }
 
 // die marks the connection broken exactly once: the socket closes
-// (unblocking both loops), and every pending call fails with err.
+// (unblocking the reader and any write), and every pending call fails
+// with err.
 func (bc *binConn) die(err error) {
 	bc.mu.Lock()
 	if bc.err != nil {
@@ -390,32 +396,23 @@ func (bc *binConn) die(err error) {
 	}
 }
 
-// writeLoop writes the queued frames, flushing whenever the queue runs
-// empty — so a burst of pipelined calls shares one syscall — and
-// releases each frame once it is written.
-func (bc *binConn) writeLoop() {
-	defer bc.loops.Done()
-	bw := bufio.NewWriter(bc.nc)
-	for {
-		select {
-		case <-bc.done:
-			return
-		case frame := <-bc.writeCh:
-			_, err := bw.Write(frame.b)
-			frame.release()
-			if err == nil && len(bc.writeCh) == 0 {
-				err = bw.Flush()
-			}
-			if err != nil {
-				bc.die(fmt.Errorf("transport: write: %w", err))
-				return
-			}
-		}
+// write sends one frame; the caller holds the write lock. A write that
+// has begun is never abandoned, since half a frame would desync every
+// call sharing the connection; the deadline, the call timeout, is what
+// bounds it. Any failure, a missed deadline included, kills the
+// connection.
+func (bc *binConn) write(frame *frameBuf) {
+	err := bc.nc.SetWriteDeadline(time.Now().Add(bc.timeout))
+	if err == nil {
+		_, err = bc.nc.Write(frame.b)
+	}
+	if err != nil {
+		bc.die(fmt.Errorf("transport: write: %w", err))
 	}
 }
 
 func (bc *binConn) readLoop() {
-	defer bc.loops.Done()
+	defer close(bc.readerDone)
 	br := bufio.NewReader(bc.nc)
 	for {
 		frame, err := readFrame(br)

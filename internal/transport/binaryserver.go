@@ -17,18 +17,17 @@ const binMaxConnInflight = 64
 
 // BinaryServer exposes an index server implementation over the binary
 // framed protocol: one accept loop, and per connection a frame-reader
-// goroutine plus a frame-writer goroutine with a bounded pool of
-// request workers in between — so pipelined requests execute
-// concurrently and responses return in completion order, matched by
-// request ID.
+// goroutine that starts a bounded pool of request workers — so
+// pipelined requests execute concurrently and responses return in
+// completion order, matched by request ID. Each worker writes its own
+// response, whole, under the connection's write lock.
 //
 // Frames live in pooled buffers (framebuf.go). A request frame is the
 // connection reader's, released as soon as the request is decoded
 // (decoding copies out). A response frame is built in place by the
-// worker that ran the request and is that worker's until it is queued
-// for the connection's writer, which releases it once written. The share
-// slices a lookup returned are the server's alone (see API), so once
-// they are framed the worker gives them to posting's pool.
+// worker that ran the request, which releases it once written. The
+// share slices a lookup returned are the server's alone (see API), so
+// once they are framed the worker gives them to posting's pool.
 type BinaryServer struct {
 	ln  net.Listener
 	api API
@@ -105,14 +104,18 @@ func (s *BinaryServer) serveConn(nc net.Conn) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	// One slot per request worker, so a finished worker never waits to
-	// queue its response.
-	writeCh := make(chan *frameBuf, binMaxConnInflight)
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		s.connWriter(nc, writeCh)
-	}()
+	// A frame is written whole under wmu; a write error closes the
+	// socket, which stops the reader, and fails every later write at once.
+	var wmu sync.Mutex
+	send := func(frame *frameBuf) {
+		wmu.Lock()
+		_, err := nc.Write(frame.b)
+		wmu.Unlock()
+		frame.release()
+		if err != nil {
+			nc.Close()
+		}
+	}
 
 	sem := make(chan struct{}, binMaxConnInflight)
 	var inflight sync.WaitGroup
@@ -128,41 +131,18 @@ func (s *BinaryServer) serveConn(nc net.Conn) {
 			break
 		}
 		if reject != nil {
-			writeCh <- reject
+			send(reject)
 			continue
 		}
 		sem <- struct{}{}
 		inflight.Add(1)
 		go func() {
 			defer func() { <-sem; inflight.Done() }()
-			writeCh <- s.respond(ctx, req)
+			send(s.respond(ctx, req))
 		}()
 	}
 	cancel()
 	inflight.Wait()
-	close(writeCh)
-	<-writerDone
-}
-
-// connWriter writes the queued frames, flushing whenever the queue runs
-// empty so a burst shares one syscall, and releases each frame once it
-// is written. On a write error it closes the socket (stopping the
-// reader) and keeps draining so workers never block. It runs until
-// writeCh is closed.
-func (s *BinaryServer) connWriter(nc net.Conn, writeCh chan *frameBuf) {
-	bw := bufio.NewWriter(nc)
-	var err error
-	for frame := range writeCh {
-		if err == nil {
-			if _, err = bw.Write(frame.b); err == nil && len(writeCh) == 0 {
-				err = bw.Flush()
-			}
-			if err != nil {
-				nc.Close()
-			}
-		}
-		frame.release()
-	}
 }
 
 // decodeRequest decodes one request payload. A well-framed but

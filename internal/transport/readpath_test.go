@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"net"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -286,5 +288,109 @@ func TestBinaryCancelStress(t *testing.T) {
 	out, err := c.GetPostingLists(context.Background(), tok, []merging.ListID{lists - 1})
 	if err != nil || !reflect.DeepEqual(out[lists-1], held[lists-1]) {
 		t.Fatalf("lookup after the stress: %v", err)
+	}
+}
+
+// countingListener counts the connections it accepts.
+type countingListener struct {
+	net.Listener
+	accepted atomic.Int32
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted.Add(1)
+	}
+	return nc, err
+}
+
+// TestBinaryConcurrentWritersShareConnection puts 16 goroutines on one
+// BinaryClient, each writing its own request frames: empty Apply calls,
+// whose answer is a bare header, beside lookups of 10,000 shares, whose
+// answer is a 200 KB frame, so the server's concurrent responses differ
+// in size by four orders of magnitude. A third of the calls give up at a
+// random point: a context cancelled before the call, which races the
+// free write lock, or a deadline that falls while the call waits for the
+// lock or for its reply. Every call that returns must carry its own
+// answer, share for share, and the client must never need a second
+// connection: a frame interleaved with another, a response torn, or a
+// cancel that killed the connection would each force a redial.
+func TestBinaryConcurrentWritersShareConnection(t *testing.T) {
+	srv, tok := newServer(t)
+	const lists, size = 16, 10_000
+	held := make([][]posting.EncryptedShare, lists)
+	for lid := range held {
+		shares := make([]posting.EncryptedShare, size)
+		for i := range shares {
+			shares[i] = sampleShare(posting.GlobalID(lid<<20|i+1), uint64(lid)<<40|uint64(i)*2654435761)
+		}
+		srv.Store().Upsert(merging.ListID(lid), shares)
+		held[lid] = srv.Store().Scan(merging.ListID(lid), nil)
+	}
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &countingListener{Listener: inner}
+	bs := transport.ServeBinary(ln, srv)
+	t.Cleanup(func() { bs.Close() })
+	c, err := transport.DialBinary(ln.Addr().String(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const workers = 16
+	calls := 40
+	if testing.Short() {
+		calls = 12
+	}
+	var wg sync.WaitGroup
+	var done, abandoned atomic.Int32
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < calls; i++ {
+				ctx, cancel := context.WithCancel(context.Background())
+				if rng.Intn(3) == 0 {
+					if rng.Intn(2) == 0 {
+						cancel()
+					} else {
+						ctx, cancel = context.WithTimeout(context.Background(), time.Duration(rng.Intn(2000))*time.Microsecond)
+					}
+				}
+				var err error
+				if rng.Intn(2) == 0 {
+					err = c.Apply(ctx, tok, transport.OpID{}, nil, nil)
+				} else {
+					lid := merging.ListID((w + i) % lists)
+					var out map[merging.ListID][]posting.EncryptedShare
+					out, err = c.GetPostingLists(ctx, tok, []merging.ListID{lid})
+					if err == nil && (len(out) != 1 || !reflect.DeepEqual(out[lid], held[lid])) {
+						t.Errorf("worker %d call %d: list %d came back as %d lists, %d shares of it, want %d, or wrong ones",
+							w, i, lid, len(out), len(out[lid]), size)
+					}
+				}
+				cancel()
+				switch {
+				case err == nil:
+					done.Add(1)
+				case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+					abandoned.Add(1)
+				default:
+					t.Errorf("worker %d call %d: %v", w, i, err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if total := int32(workers * calls); done.Load() < total/2 || abandoned.Load() < total/8 {
+		t.Errorf("%d calls returned and %d were abandoned of %d: the mix does not exercise both", done.Load(), abandoned.Load(), total)
+	}
+	if got := ln.accepted.Load(); got != 1 {
+		t.Fatalf("client opened %d connections, want the one it dialed", got)
 	}
 }
