@@ -16,10 +16,11 @@
 //
 // -store-engine picks where the shares live. sharded (the default)
 // keeps them in RAM: the index dies with the process. disk is
-// the durable configuration: the shares live in CRC-framed segment
-// files under -store-dir (default <name>.store), a restart on the same
-// directory replays them, and every acknowledged mutation has been
-// fsynced first — one fsync per Apply call. See the Durability section
+// the durable configuration: it keeps the shares in RAM as well and
+// logs every mutation to CRC-framed segment files under -store-dir
+// (default <name>.store), a restart on the same directory replays
+// them, and every acknowledged mutation has been fsynced first — one
+// fsync per Apply call. See the Durability section
 // of package server for the exact contract.
 //
 // The key is the 32-byte hex HMAC key of the enterprise authentication

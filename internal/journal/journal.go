@@ -177,7 +177,7 @@ type replayState struct {
 
 // fold applies one record payload to the replay state. A record it
 // rejects ends the valid prefix like a torn frame does.
-func (rs *replayState) fold(payload []byte, _ int64) error {
+func (rs *replayState) fold(payload []byte) error {
 	if len(payload) == 0 {
 		return errors.New("journal: empty record")
 	}
@@ -273,7 +273,7 @@ func appendStates(l *wal.Log, states []*State) error {
 	var err error
 	put := func(rec []byte) {
 		if err == nil {
-			_, err = l.Append(rec)
+			err = l.Append(rec)
 		}
 	}
 	for _, st := range states {
@@ -310,7 +310,7 @@ func (j *Journal) append(rec []byte, sync bool) error {
 	}
 	var err error
 	if rec != nil {
-		_, err = j.log.Append(rec)
+		err = j.log.Append(rec)
 	}
 	if err == nil && sync {
 		err = j.log.Sync()

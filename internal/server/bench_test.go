@@ -19,10 +19,9 @@ import (
 // BenchmarkServerMixed drives parallel mixed insert/lookup/delete
 // traffic against one index server, once per storage engine: the
 // one-stripe single-lock reference (shards=1), the lock-striped
-// Sharded default, and the log-structured Disk engine with a cache
-// budget well below the seeded dataset (~1.5 MB of payloads against a
-// 256 KB cache), so scans pay real segment reads and the stream of
-// updates drives rollover and auto-compaction. The in-memory workload
+// Sharded default, and the log-structured Disk engine, which serves the
+// same scans from memory under one lock and appends every update to its
+// segment log. The workload
 // models steady-state server traffic — mostly posting-list scans with
 // a stream of single-element updates — which is exactly where a global
 // RWMutex collapses: every update excludes all concurrent scans, while
@@ -44,7 +43,7 @@ func BenchmarkServerMixed(b *testing.B) {
 		{"shards=1", func(*testing.B) store.Store { return store.NewSharded(1) }},
 		{fmt.Sprintf("shards=%d", store.DefaultShards()), func(*testing.B) store.Store { return store.NewSharded(0) }},
 		{"disk", func(b *testing.B) store.Store {
-			d, err := store.OpenDisk(b.TempDir(), store.DiskOptions{CacheBytes: 256 << 10})
+			d, err := store.OpenDisk(b.TempDir(), store.DiskOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -314,15 +314,13 @@ func (r *runner) diskHooks() *store.DiskSimHooks {
 
 // newStore builds one server's storage engine. Disk engines live under
 // the run's temp dir with thresholds small enough that segment
-// rollover, cache misses, and auto-compaction all fire inside a
-// 32-step program.
+// rollover and auto-compaction both fire inside a 32-step program.
 func (r *runner) newStore(name string) (store.Store, error) {
 	if r.cfg.StoreEngine != "disk" {
 		return store.NewSharded(r.cfg.StoreShards), nil
 	}
 	d, err := store.OpenDisk(filepath.Join(r.dir, "stores", name), store.DiskOptions{
 		SegmentBytes:    4 << 10,
-		CacheBytes:      2 << 10,
 		CompactMinBytes: 8 << 10,
 	})
 	if err != nil {

@@ -2,6 +2,7 @@ package store_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"zerber/internal/auth"
@@ -143,73 +144,54 @@ func BenchmarkTableUpsertDeleteHotList(b *testing.B) {
 	}
 }
 
-// BenchmarkDiskScanCold is the disk engine's read of a list that is not
-// resident: one whole-list Scan of 2,000 elements under CacheBytes -1,
-// rotating over 128 lists. The log is built the way the repository
-// benchmark's bulk load builds it, from shuffled batches of the
-// documents, each batch one Upsert per list it touches, so a list's
-// records lie scattered over 2 MiB segments in arrival order
-// (scattered). The same log after Compact holds each list contiguous in
-// stored order (compacted). resident is the same Scan with a cache that
-// holds every list, read after one warming pass: the decoded-share cache
-// against reading the segments.
-func BenchmarkDiskScanCold(b *testing.B) {
-	const lists, perList, batch = 128, 2_000, 8_000
+// BenchmarkHeapPerElement is what an engine holds in memory per stored
+// element: the live heap after a collection with the store built, less
+// the live heap before it, over 625 lists of 640 elements (the
+// repository benchmark's server holds 625 lists), each list one Upsert
+// of shares in random global-ID order with power-law impact buckets and
+// one of 8 groups. heapB/element is the figure; ns/op is the build and
+// two collections.
+func BenchmarkHeapPerElement(b *testing.B) {
+	const lists, perList = 625, 640
 	rng := rand.New(rand.NewSource(1))
-	type elem struct {
-		lid merging.ListID
-		sh  posting.EncryptedShare
+	shares := make([]posting.EncryptedShare, lists*perList)
+	for i := range shares {
+		tf := uint16(min(1/(1-rng.Float64()), 1023))
+		gid := posting.TagImpact(posting.GlobalID(rng.Uint64()), posting.ImpactBucket(tf))
+		shares[i] = sh(gid, uint32(rng.Intn(8)), rng.Uint64()>>4)
 	}
-	all := make([]elem, 0, lists*perList)
-	for lid := merging.ListID(0); lid < lists; lid++ {
-		for i := 0; i < perList; i++ {
-			tf := uint16(min(1/(1-rng.Float64()), 1023))
-			gid := posting.TagImpact(posting.GlobalID(rng.Uint64()), posting.ImpactBucket(tf))
-			all = append(all, elem{lid, sh(gid, uint32(rng.Intn(8)), rng.Uint64()>>4)})
-		}
-	}
-	rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
-	open := func(b *testing.B, cacheBytes int) *store.Disk {
-		d, err := store.OpenDisk(b.TempDir(), store.DiskOptions{SegmentBytes: 2 << 20, CacheBytes: cacheBytes})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { d.Close() })
-		for start := 0; start < len(all); start += batch {
-			byList := make(map[merging.ListID][]posting.EncryptedShare)
-			for _, e := range all[start:min(start+batch, len(all))] {
-				byList[e.lid] = append(byList[e.lid], e.sh)
+	for _, eng := range []struct {
+		name string
+		open func(b *testing.B) store.Store
+	}{
+		{"sharded", func(*testing.B) store.Store { return store.NewSharded(0) }},
+		{"disk", func(b *testing.B) store.Store {
+			d, err := store.OpenDisk(b.TempDir(), store.DiskOptions{})
+			if err != nil {
+				b.Fatal(err)
 			}
-			for lid := merging.ListID(0); lid < lists; lid++ {
-				if shares := byList[lid]; len(shares) > 0 {
-					d.Upsert(lid, shares)
+			return d
+		}},
+	} {
+		b.Run(eng.name, func(b *testing.B) {
+			heap := 0.0
+			for i := 0; i < b.N; i++ {
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				st := eng.open(b)
+				for lid := 0; lid < lists; lid++ {
+					st.Upsert(merging.ListID(lid), shares[lid*perList:(lid+1)*perList])
+				}
+				runtime.GC()
+				runtime.ReadMemStats(&after)
+				runtime.KeepAlive(st)
+				heap += float64(after.HeapAlloc) - float64(before.HeapAlloc)
+				if d, ok := st.(*store.Disk); ok {
+					d.Close()
 				}
 			}
-		}
-		return d
+			b.ReportMetric(heap/float64(b.N*lists*perList), "heapB/element")
+		})
 	}
-	scan := func(b *testing.B, d *store.Disk) {
-		for lid := merging.ListID(0); lid < lists; lid++ {
-			d.Scan(lid, nil) // warms the cache, where there is one
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		read := 0
-		for i := 0; i < b.N; i++ {
-			read += len(d.Scan(merging.ListID(i%lists), nil))
-		}
-		if read != b.N*perList {
-			b.Fatalf("read %d elements in %d scans, want %d each", read, b.N, perList)
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(read), "ns/element")
-	}
-	b.Run("scattered", func(b *testing.B) { scan(b, open(b, -1)) })
-	b.Run("compacted", func(b *testing.B) {
-		d := open(b, -1)
-		if err := d.Compact(); err != nil {
-			b.Fatal(err)
-		}
-		scan(b, d)
-	})
-	b.Run("resident", func(b *testing.B) { scan(b, open(b, 64<<20)) })
 }

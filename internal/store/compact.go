@@ -12,12 +12,11 @@ import (
 
 // Compaction for the Disk engine. A log under churn accumulates garbage
 // — replaced upserts, delete and drop records, reset frames — that
-// replay must read but the index no longer references. Compaction
-// rewrites the live index as one snapshot segment:
+// replay must read but the table no longer holds. Compaction writes the
+// table as one snapshot segment:
 //
 //  1. wal.WriteAtomic writes a reset frame followed by every live list,
-//     each in its stored order (the canonical one, so each list's
-//     records lie in the order a read returns them), to seg-<N+1>.zseg,
+//     each in its stored order (the canonical one), to seg-<N+1>.zseg,
 //     where N is the current active segment id, through a temp file,
 //     fsync and rename.
 //  2. Delete the stale segments; the handle WriteAtomic returns is the
@@ -35,9 +34,9 @@ import (
 // far under wal.MaxFramePayload regardless of list length.
 const compactChunk = 4096
 
-// Compact rewrites the log as a single snapshot segment of the live
-// index. It runs under the engine's write lock; concurrent readers and
-// writers simply wait.
+// Compact rewrites the log as a single snapshot segment of the table.
+// It runs under the engine's write lock; concurrent readers and writers
+// simply wait.
 func (d *Disk) Compact() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -62,59 +61,43 @@ func (d *Disk) maybeCompact() {
 }
 
 func (d *Disk) compactLocked() error {
-	lids := make([]merging.ListID, 0, len(d.lists))
-	for lid := range d.lists {
+	lids := make([]merging.ListID, 0, len(d.tab.lists))
+	for lid := range d.tab.lists {
 		lids = append(lids, lid)
 	}
 	sort.Slice(lids, func(a, b int) bool { return lids[a] < lids[b] })
-	newOffs := make(map[merging.ListID][]uint32, len(lids))
 	snapID := d.activeID + 1
 	snap, err := wal.WriteAtomic(d.segPath(snapID), func(l *wal.Log) error {
-		if _, err := l.Append([]byte{segOpReset}); err != nil {
+		if err := l.Append([]byte{segOpReset}); err != nil {
 			return err
 		}
 		for _, lid := range lids {
-			dl := d.lists[lid]
-			var shares []posting.EncryptedShare
-			if dl.shares {
-				shares = dl.read(0, dl.len(), nil)
-			} else {
-				shares = posting.GetShares(dl.len())
-				if err := d.readList(dl, lid, shares); err != nil {
-					return err
-				}
-			}
-			offs := make([]uint32, len(shares))
+			list := d.tab.lists[lid]
+			shares := list.read(0, list.len(), nil)
 			for start := 0; start < len(shares); start += compactChunk {
 				chunk := shares[start:min(start+compactChunk, len(shares))]
 				payload := make([]byte, 0, len(chunk)*segUpsertSize)
 				for _, sh := range chunk {
 					payload = appendUpsertRec(payload, lid, sh)
 				}
-				off, err := l.Append(payload)
-				if err != nil {
+				if err := l.Append(payload); err != nil {
 					return err
 				}
-				for i := range chunk {
-					offs[start+i] = uint32(off + int64(i)*segUpsertSize)
-				}
 			}
-			newOffs[lid] = offs
 			posting.PutShares(shares)
 		}
 		if d.hooks != nil && d.hooks.CrashCompaction == 1 {
 			return fmt.Errorf("compaction stopped before rename: %w", ErrSimulatedCrash)
 		}
-		// Mapped before the rename, so an unreadable snapshot never commits.
-		return d.mapSegment(l)
+		return nil
 	})
 	if err != nil {
 		return fmt.Errorf("store: compaction: %w", err)
 	}
 	if d.hooks != nil && d.hooks.CrashCompaction == 2 {
 		// The snapshot is durable but the stale segments remain and the
-		// in-memory state still points at them; the engine must be
-		// Reopened before any further mutation, like after a real crash.
+		// engine still appends to them; it must be Reopened before any
+		// further mutation, like after a real crash.
 		snap.Close()
 		return fmt.Errorf("compaction stopped before stale-segment cleanup: %w", ErrSimulatedCrash)
 	}
@@ -134,14 +117,6 @@ func (d *Disk) compactLocked() error {
 	d.activeID = snapID
 	d.totalBytes = snap.Size()
 	d.dirty = false // the snapshot was fsynced whole
-	for lid, offs := range newOffs {
-		for _, r := range d.lists[lid].runs {
-			for i := range r.entries {
-				r.entries[i].seg, r.entries[i].off = snapID, offs[i]
-			}
-			offs = offs[len(r.entries):]
-		}
-	}
 	d.compactions++
 	return stale
 }

@@ -1,12 +1,10 @@
 package store
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -17,32 +15,30 @@ import (
 	"zerber/internal/wal"
 )
 
-// Disk is the log-structured engine: share payloads live in CRC-framed
-// append-only segment files, each mapped read-only (wal.Log.Map; unix
-// only), and the heap holds only a compact index of list -> (global ID,
-// segment, offset) entries plus a bounded payload cache — O(index), not
-// O(shares), so the stored volume can exceed RAM. Mapped pages are the
-// kernel's reclaimable page cache, but those a read touched count in
-// the process's RSS (as RssFile, not RssAnon).
+// Disk is the log-structured engine: every stored share is in memory,
+// in the same table a Sharded lock stripe keeps (table.go), and the
+// CRC-framed append-only segment files are its log. Each mutation
+// appends its batch as one wal frame to the active segment (see
+// segment.go for the record codec) and then applies it to the table;
+// opening a directory replays the records, which carry each share's
+// group and value, into the table. After that no read touches a file:
+// Scan, ScanRange, DeleteIf's allow and ApplyDeltas read the table under
+// the engine's lock, so a list's stored order is the contract's
+// canonical one and matches Sharded element for element.
 //
-// Every mutation batch is one wal frame appended to the active segment
-// (see segment.go for the record codec); the frame's CRC makes the batch
-// atomic across a crash, which is how ApplyDeltas stays all-or-nothing.
-// Each list's index is a layout (layout.go), the code that orders
-// Sharded's lists, with the entries in its runs and, while the list is
-// resident, the payloads beside them. The stored order is the contract's
-// canonical one, a function of the list's contents, so replay, eviction
-// and compaction leave it as it was and it matches Sharded element for
-// element. A filtered read of a list that is not resident decodes only
-// the records of the runs its filter accepts.
+// Keeping the values costs no more than an index of where they lie
+// would: a share's value is 8 bytes, the size of the segment number and
+// offset that would locate its record. BenchmarkHeapPerElement measures
+// the heap per stored element of both engines.
 //
-// Each segment file is a wal.Log, which owns replay, the torn-tail cut,
-// appending and the atomic rewrite; this engine owns segment naming and
-// discovery, rollover, the index and cache, and the multi-segment
-// policy: opening a directory replays the segments in id order, a
-// corrupt segment that is not the newest refuses to open, and only the
-// newest is truncated at its last intact frame. Compaction (see
-// compact.go) rewrites the live index as a snapshot segment with
+// A frame's CRC makes its batch atomic across a crash, which is how
+// ApplyDeltas stays all-or-nothing. Each segment file is a wal.Log,
+// which owns replay, the torn-tail cut, appending and the atomic
+// rewrite; this engine owns segment naming and discovery, rollover, and
+// the multi-segment policy: opening a directory replays the segments in
+// id order, a corrupt segment that is not the newest refuses to open,
+// and only the newest is truncated at its last intact frame. Compaction
+// (see compact.go) writes the table as a snapshot segment with
 // wal.WriteAtomic, bounding log growth under churn.
 type Disk struct {
 	mu  sync.RWMutex
@@ -51,16 +47,13 @@ type Disk struct {
 
 	hooks *DiskSimHooks
 
-	lists map[merging.ListID]*diskList
+	tab   table
 	elems int
 
 	segs       map[uint32]*wal.Log
 	active     *wal.Log // segs[activeID]
 	activeID   uint32
 	totalBytes int64
-
-	lru         *list.List // of merging.ListID, front = most recently admitted/written
-	cachedBytes int
 
 	// dirty: the active segment holds frames written since its last
 	// fsync. syncs counts the batch-boundary fsyncs, for the tests.
@@ -73,17 +66,14 @@ type Disk struct {
 
 // DiskOptions tunes a Disk engine. The zero value picks production
 // defaults; tests and the simulator shrink the sizes to exercise
-// rollover, compaction, and cache misses on small datasets.
+// rollover and compaction on small datasets.
 type DiskOptions struct {
 	// SegmentBytes is the rollover threshold: once the active segment
 	// reaches it, the next mutation starts a new segment file. 0 picks
-	// 64 MiB; values are capped at 1 GiB so record offsets fit uint32.
+	// 64 MiB.
 	SegmentBytes int64
-	// CacheBytes bounds the resident payload cache, the decoded shares
-	// of recently read or written lists (accounted at shareBytes per
-	// element); a list outside it is decoded from the segment mappings
-	// on every read. 0 picks 32 MiB; negative disables caching
-	// entirely.
+	// CacheBytes is ignored: every share is in memory, so there is no
+	// payload cache to bound. It remains only for callers that set it.
 	CacheBytes int
 	// CompactMinBytes is the log size below which auto-compaction never
 	// triggers. 0 picks 1 MiB.
@@ -99,14 +89,13 @@ type DiskOptions struct {
 	Sync bool
 }
 
-// shareBytes is the cache accounting cost of one resident share
-// (unsafe.Sizeof(posting.EncryptedShare{}) with padding).
+// shareBytes is what one stored share weighs in memory
+// (unsafe.Sizeof(posting.EncryptedShare{}) with padding), the unit of
+// DiskStats.CachedBytes.
 const shareBytes = 24
 
 const (
 	defaultSegmentBytes    = 64 << 20
-	maxSegmentBytes        = 1 << 30
-	defaultCacheBytes      = 32 << 20
 	defaultCompactMinBytes = 1 << 20
 	// maxRecsPerFrame chunks huge Upsert batches so one frame stays far
 	// under wal.MaxFramePayload. ApplyDeltas is never chunked (the whole
@@ -140,33 +129,9 @@ type DiskSimHooks struct {
 // window fired; the on-disk state is as a real crash would leave it.
 var ErrSimulatedCrash = errors.New("store: simulated crash (sim hook)")
 
-// diskEntry locates one stored share: the segment and byte offset of the
-// upsert record holding its current payload.
-type diskEntry struct {
-	gid posting.GlobalID
-	seg uint32
-	off uint32
-}
-
-// diskList is one list's index: a layout whose runs carry the entries
-// and, while the list is resident (shares set), the decoded payloads
-// beside them.
-type diskList struct {
-	*layout
-	lruElem *list.Element
-}
-
-func newDiskList() *diskList { return &diskList{layout: newLayout(true, false)} }
-
 func (o DiskOptions) withDefaults() DiskOptions {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = defaultSegmentBytes
-	}
-	if o.SegmentBytes > maxSegmentBytes {
-		o.SegmentBytes = maxSegmentBytes
-	}
-	if o.CacheBytes == 0 {
-		o.CacheBytes = defaultCacheBytes
 	}
 	if o.CompactMinBytes <= 0 {
 		o.CompactMinBytes = defaultCompactMinBytes
@@ -175,8 +140,7 @@ func (o DiskOptions) withDefaults() DiskOptions {
 }
 
 // OpenDisk opens (creating if needed) a log-structured store rooted at
-// dir, replaying its segment files into the in-memory index and mapping
-// each for reads.
+// dir, replaying its segment files into memory.
 func OpenDisk(dir string, opt DiskOptions) (*Disk, error) {
 	d := &Disk{dir: dir, opt: opt.withDefaults()}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -205,11 +169,9 @@ func (d *Disk) segPath(id uint32) string { return filepath.Join(d.dir, segName(i
 // load (re)builds the whole in-memory state from the segment files.
 // Callers hold the write lock (or are the constructor).
 func (d *Disk) load() error {
-	d.lists = make(map[merging.ListID]*diskList)
+	d.tab = newTable()
 	d.elems = 0
 	d.segs = make(map[uint32]*wal.Log)
-	d.lru = list.New()
-	d.cachedBytes = 0
 	d.totalBytes = 0
 
 	ids, err := d.segmentIDs()
@@ -254,18 +216,18 @@ func (d *Disk) segmentIDs() ([]uint32, error) {
 }
 
 // openSegment opens (creating it if absent) and replays one segment
-// file into the index. A torn or corrupt tail is legal only in the last
+// file into the table. A torn or corrupt tail is legal only in the last
 // segment, where it is truncated at the last intact frame — unless the
 // SkipTornTruncate bug shape is armed, which leaves the file full-length
 // so appends land beyond the garbage (and are lost on the next open:
 // exactly what the sim smoke test must catch).
 func (d *Disk) openSegment(id uint32, last bool) error {
-	l, valid, err := wal.Open(d.segPath(id), func(payload []byte, off int64) error {
+	l, valid, err := wal.Open(d.segPath(id), func(payload []byte) error {
 		// A CRC-valid frame holding garbage records is corruption all the
 		// same: reject the frame, keep the prefix before it.
 		recs, err := parseSegFrame(payload)
 		if err == nil {
-			d.applyRecs(id, off, recs)
+			d.applyRecs(recs)
 		}
 		return err
 	})
@@ -283,65 +245,33 @@ func (d *Disk) openSegment(id uint32, last bool) error {
 			}
 		}
 	}
-	if err := d.mapSegment(l); err != nil {
-		return fmt.Errorf("store: segment %d: %w", id, err)
-	}
 	d.totalBytes += l.Size()
 	return nil
 }
 
-// mapSegment maps a segment for reads, sized so that it never outgrows
-// the mapping: appendFrame appends only while the segment is shorter
-// than SegmentBytes, one frame at a time.
-func (d *Disk) mapSegment(l *wal.Log) error {
-	return l.Map(max(l.Size(), d.opt.SegmentBytes))
-}
-
-// applyRecs folds one parsed frame, whose payload starts at file offset
-// off, into the index. Replay is lenient about records addressing absent
-// elements (a fuzzer or a stale segment can produce them); payloads are
-// never materialized here — entries point back into the file.
-func (d *Disk) applyRecs(seg uint32, off int64, recs []segRec) {
+// applyRecs folds one parsed frame into the table. Replay is lenient
+// about records addressing absent elements (a fuzzer or a stale segment
+// can produce them).
+func (d *Disk) applyRecs(recs []segRec) {
 	for _, rec := range recs {
 		switch rec.op {
 		case segOpUpsert:
-			dl := d.lists[rec.lid]
-			if dl == nil {
-				dl = newDiskList()
-				d.lists[rec.lid] = dl
-			}
-			e := diskEntry{gid: rec.gid, seg: seg, off: uint32(off + int64(rec.relOff))}
-			if dl.put(posting.EncryptedShare{GlobalID: rec.gid, Group: rec.group}, e) {
-				d.elems++
-			}
+			d.elems += d.tab.upsert(rec.lid, []posting.EncryptedShare{{GlobalID: rec.gid, Group: rec.group, Y: rec.y}})
 		case segOpDelete:
-			dl := d.lists[rec.lid]
-			if dl == nil {
-				continue
-			}
-			ri, i, ok := dl.find(rec.gid)
-			if !ok {
-				continue
-			}
-			dl.removeAt(ri, i)
-			d.elems--
-			if dl.len() == 0 {
-				delete(d.lists, rec.lid)
+			if _, deleted := d.tab.deleteIf(rec.lid, rec.gid, nil); deleted {
+				d.elems--
 			}
 		case segOpDrop:
-			if dl := d.lists[rec.lid]; dl != nil {
-				d.elems -= dl.len()
-				delete(d.lists, rec.lid)
-			}
+			d.elems -= d.tab.dropList(rec.lid)
 		case segOpReset:
-			d.lists = make(map[merging.ListID]*diskList)
+			d.tab = newTable()
 			d.elems = 0
 		}
 	}
 }
 
-// closeFiles releases every segment handle and mapping. None holds a
-// buffered frame: appendFrame flushes each one.
+// closeFiles releases every segment handle. None holds a buffered
+// frame: appendFrame flushes each one.
 func (d *Disk) closeFiles() {
 	for _, l := range d.segs {
 		l.Close()
@@ -350,10 +280,10 @@ func (d *Disk) closeFiles() {
 	d.active = nil
 }
 
-// Reopen models a kill + restart: the cache and index are discarded and
-// rebuilt from the files, exactly as a fresh OpenDisk would see them. If
-// the TearActiveTail hook is armed, a torn frame is appended to the
-// newest segment first.
+// Reopen models a kill + restart: the table is discarded and rebuilt
+// from the files, exactly as a fresh OpenDisk would see them. If the
+// TearActiveTail hook is armed, a torn frame is appended to the newest
+// segment first.
 func (d *Disk) Reopen() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -386,7 +316,7 @@ func (d *Disk) tearNewestSegment() error {
 }
 
 // Close flushes and fsyncs the active segment and releases all file
-// handles and mappings. The store must not be mutated afterwards; a
+// handles. The store must not be mutated afterwards; a
 // read that straggles in after Close (a fan-out call nobody waits for)
 // finds no lists.
 func (d *Disk) Close() error {
@@ -401,19 +331,18 @@ func (d *Disk) Close() error {
 		err = d.active.Sync()
 	}
 	d.closeFiles()
-	d.lists = nil
+	d.tab = table{}
 	return err
 }
 
 // DiskStats is a point-in-time snapshot of the engine's resource shape,
 // for tests and operational logging.
 type DiskStats struct {
-	Segments      int
-	DiskBytes     int64 // bytes across all segment files in use
-	LiveBytes     int64 // bytes the live elements would occupy compacted
-	CachedBytes   int   // resident payload cache charge
-	ResidentLists int
-	Compactions   int // compactions since open (auto + explicit)
+	Segments    int
+	DiskBytes   int64 // bytes across all segment files in use
+	LiveBytes   int64 // bytes the live elements would occupy compacted
+	CachedBytes int   // bytes of the stored shares, every one of them in memory
+	Compactions int   // compactions since open (auto + explicit)
 }
 
 // Stats reports the engine's current resource shape.
@@ -421,12 +350,11 @@ func (d *Disk) Stats() DiskStats {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return DiskStats{
-		Segments:      len(d.segs),
-		DiskBytes:     d.totalBytes,
-		LiveBytes:     d.liveBytes(),
-		CachedBytes:   d.cachedBytes,
-		ResidentLists: d.lru.Len(),
-		Compactions:   d.compactions,
+		Segments:    len(d.segs),
+		DiskBytes:   d.totalBytes,
+		LiveBytes:   d.liveBytes(),
+		CachedBytes: d.elems * shareBytes,
+		Compactions: d.compactions,
 	}
 }
 
@@ -435,18 +363,17 @@ func (d *Disk) liveBytes() int64 { return int64(d.elems) * segUpsertSize }
 // ---- write path ----
 
 // appendFrame appends one framed mutation batch to the active segment,
-// rolling over to a new segment file at the size threshold first, and
-// returns the segment id and absolute offset of the payload's first
-// byte. I/O failure on the mutation path is fail-fast: the Store
-// interface has no error channel, and continuing past a lost write
-// would silently fork the index from its log.
-func (d *Disk) appendFrame(payload []byte) (seg uint32, payloadOff int64) {
+// rolling over to a new segment file at the size threshold first. I/O
+// failure on the mutation path is fail-fast: the Store interface has no
+// error channel, and continuing past a lost write would silently fork
+// the table from its log.
+func (d *Disk) appendFrame(payload []byte) {
 	var err error
 	if d.active.Size() >= d.opt.SegmentBytes {
 		err = d.rollover()
 	}
 	if err == nil {
-		payloadOff, err = d.active.Append(payload)
+		err = d.active.Append(payload)
 	}
 	if err == nil {
 		err = d.active.Flush()
@@ -456,7 +383,6 @@ func (d *Disk) appendFrame(payload []byte) (seg uint32, payloadOff int64) {
 	}
 	d.dirty = true
 	d.totalBytes += wal.FrameSize(payload)
-	return d.activeID, payloadOff
 }
 
 // Sync implements Store: the batch boundary. With DiskOptions.Sync it
@@ -510,71 +436,6 @@ func (d *Disk) startSegment(id uint32) error {
 	return nil
 }
 
-func (d *Disk) getList(lid merging.ListID) *diskList {
-	dl := d.lists[lid]
-	if dl == nil {
-		dl = newDiskList()
-		d.lists[lid] = dl
-		// A brand-new list is admitted resident for free: its payloads
-		// arrive through the write path, no read-back needed.
-		if d.opt.CacheBytes > 0 {
-			dl.shares = true
-			dl.lruElem = d.lru.PushFront(lid)
-		}
-	}
-	return dl
-}
-
-// groupsOf returns a list's groups, nil when there is no list.
-func (d *Disk) groupsOf(lid merging.ListID) map[posting.GlobalID]uint32 {
-	if dl := d.lists[lid]; dl != nil {
-		return dl.groups
-	}
-	return nil
-}
-
-// dropResident removes dl's payload copy from the cache.
-func (d *Disk) dropResident(dl *diskList) {
-	if dl.lruElem != nil {
-		d.lru.Remove(dl.lruElem)
-		dl.lruElem = nil
-	}
-	d.cachedBytes -= dl.len() * shareBytes
-	dl.dropShares()
-}
-
-// evict trims least-recently-touched lists until the cache fits its
-// budget.
-func (d *Disk) evict() {
-	for d.cachedBytes > d.opt.CacheBytes && d.lru.Len() > 0 {
-		back := d.lru.Back()
-		lid := back.Value.(merging.ListID)
-		dl := d.lists[lid]
-		if dl == nil || dl.lruElem != back {
-			// Stale LRU entry; should not happen, but never loop on it.
-			d.lru.Remove(back)
-			continue
-		}
-		d.dropResident(dl)
-	}
-}
-
-// touch marks a resident list recently used. Only writers call it (the
-// read fast path holds just the read lock), so eviction order is
-// admission/write recency.
-func (d *Disk) touch(dl *diskList) {
-	if dl.lruElem != nil {
-		d.lru.MoveToFront(dl.lruElem)
-	}
-}
-
-func (d *Disk) removeList(lid merging.ListID, dl *diskList) {
-	if dl.shares {
-		d.dropResident(dl)
-	}
-	delete(d.lists, lid)
-}
-
 // Upsert implements Store.
 func (d *Disk) Upsert(lid merging.ListID, shares []posting.EncryptedShare) int {
 	if len(shares) == 0 {
@@ -584,31 +445,16 @@ func (d *Disk) Upsert(lid merging.ListID, shares []posting.EncryptedShare) int {
 	defer d.mu.Unlock()
 	added := 0
 	for len(shares) > 0 {
-		batch := shares
-		if len(batch) > maxRecsPerFrame {
-			batch = batch[:maxRecsPerFrame]
-		}
+		batch := shares[:min(len(shares), maxRecsPerFrame)]
 		shares = shares[len(batch):]
 		payload := make([]byte, 0, len(batch)*segUpsertSize)
 		for _, sh := range batch {
 			payload = appendUpsertRec(payload, lid, sh)
 		}
-		seg, base := d.appendFrame(payload)
-		dl := d.getList(lid)
-		n := 0
-		for i, sh := range batch {
-			if dl.put(sh, diskEntry{gid: sh.GlobalID, seg: seg, off: uint32(base + int64(i)*segUpsertSize)}) {
-				n++
-			}
-		}
-		added += n
-		d.elems += n
-		if dl.shares {
-			d.cachedBytes += n * shareBytes
-			d.touch(dl)
-		}
+		d.appendFrame(payload)
+		added += d.tab.upsert(lid, batch)
 	}
-	d.evict()
+	d.elems += added
 	d.maybeCompact()
 	return added
 }
@@ -617,48 +463,32 @@ func (d *Disk) Upsert(lid merging.ListID, shares []posting.EncryptedShare) int {
 func (d *Disk) DeleteIf(lid merging.ListID, gid posting.GlobalID, allow func(posting.EncryptedShare) bool) (found, deleted bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	dl := d.lists[lid]
-	if dl == nil {
-		return false, false
-	}
-	ri, i, ok := dl.find(gid)
-	if !ok {
-		return false, false
-	}
-	if allow != nil {
-		sh, err := d.shareAt(dl, lid, ri, i)
-		if err != nil {
-			panic(fmt.Sprintf("store: disk read: %v", err))
+	// The frame goes to the log once the delete is decided and before
+	// the table changes, as every mutation's does.
+	found, deleted = d.tab.deleteIf(lid, gid, func(sh posting.EncryptedShare) bool {
+		if allow != nil && !allow(sh) {
+			return false
 		}
-		if !allow(sh) {
-			return true, false
-		}
+		d.appendFrame(appendDeleteRec(nil, lid, gid))
+		return true
+	})
+	if deleted {
+		d.elems--
+		d.maybeCompact()
 	}
-	d.appendFrame(appendDeleteRec(nil, lid, gid))
-	dl.removeAt(ri, i)
-	d.elems--
-	if dl.shares {
-		d.cachedBytes -= shareBytes
-	}
-	if dl.len() == 0 {
-		d.removeList(lid, dl)
-	}
-	d.maybeCompact()
-	return true, true
+	return found, deleted
 }
 
 // DropList implements Store.
 func (d *Disk) DropList(lid merging.ListID) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	dl := d.lists[lid]
-	if dl == nil {
+	if d.tab.lists[lid] == nil {
 		return 0
 	}
-	n := dl.len()
 	d.appendFrame(appendDropRec(nil, lid))
+	n := d.tab.dropList(lid)
 	d.elems -= n
-	d.removeList(lid, dl)
 	d.maybeCompact()
 	return n
 }
@@ -669,7 +499,7 @@ func (d *Disk) DropList(lid merging.ListID) int {
 func (d *Disk) ApplyDeltas(deltas map[merging.ListID]map[posting.GlobalID]field.Element) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	n, err := checkDeltas(deltas, d.groupsOf)
+	n, err := checkDeltas(deltas, d.tab.groupsOf)
 	if err != nil {
 		return err
 	}
@@ -679,21 +509,16 @@ func (d *Disk) ApplyDeltas(deltas map[merging.ListID]map[posting.GlobalID]field.
 	if int64(n)*segUpsertSize > wal.MaxFramePayload {
 		return fmt.Errorf("store: reshare round of %d elements exceeds one atomic segment frame", n)
 	}
-	// Deterministic record order (sorted list, then gid) so the log —
-	// and therefore the replayed layout — is reproducible.
+	// Deterministic record order (sorted list, then gid) so the log is
+	// reproducible.
 	lids := make([]merging.ListID, 0, len(deltas))
 	for lid := range deltas {
 		lids = append(lids, lid)
 	}
 	sort.Slice(lids, func(a, b int) bool { return lids[a] < lids[b] })
-	type upd struct {
-		lid merging.ListID
-		sh  posting.EncryptedShare
-	}
-	updates := make([]upd, 0, n)
 	payload := make([]byte, 0, n*segUpsertSize)
 	for _, lid := range lids {
-		dl := d.lists[lid]
+		l := d.tab.lists[lid]
 		byID := deltas[lid]
 		gids := make([]posting.GlobalID, 0, len(byID))
 		for gid := range byID {
@@ -701,169 +526,40 @@ func (d *Disk) ApplyDeltas(deltas map[merging.ListID]map[posting.GlobalID]field.
 		}
 		sort.Slice(gids, func(a, b int) bool { return gids[a] < gids[b] })
 		for _, gid := range gids {
-			ri, i, _ := dl.find(gid)
-			sh, err := d.shareAt(dl, lid, ri, i)
-			if err != nil {
-				panic(fmt.Sprintf("store: disk read: %v", err))
-			}
+			ri, i, _ := l.find(gid)
+			sh := l.runs[ri].shares[i]
 			sh.Y = field.Add(sh.Y, byID[gid])
 			payload = appendUpsertRec(payload, lid, sh)
-			updates = append(updates, upd{lid, sh})
 		}
 	}
-	seg, base := d.appendFrame(payload)
-	for i, u := range updates {
-		d.lists[u.lid].put(u.sh, diskEntry{gid: u.sh.GlobalID, seg: seg, off: uint32(base + int64(i)*segUpsertSize)})
-	}
+	d.appendFrame(payload)
+	d.tab.applyDeltas(deltas)
 	d.maybeCompact()
 	return d.syncLocked()
 }
 
 // ---- read path ----
 
-// shareAt returns the share at position i of run ri of dl, from the
-// resident copy or its record in the segment mappings. Lock held (read
-// or write).
-func (d *Disk) shareAt(dl *diskList, lid merging.ListID, ri, i int) (posting.EncryptedShare, error) {
-	r := &dl.runs[ri]
-	if dl.shares {
-		return r.shares[i], nil
-	}
-	var one [1]posting.EncryptedShare
-	err := d.readEntries(dl, lid, []span{{int32(ri), int32(i), int32(i + 1)}}, one[:])
-	return one[0], err
-}
-
-// readEntries decodes the records of the parts of dl's runs that spans
-// names, in their order, into dst, which holds exactly that many shares:
-// straight from the segment mappings, with no sort by file position and
-// no system call, however scattered the records lie. A fault on a
-// mapping (its file cut short behind the engine, or a page the kernel
-// cannot read in) comes back as the error, under one guard for the
-// whole read.
-func (d *Disk) readEntries(dl *diskList, lid merging.ListID, spans []span, dst []posting.EncryptedShare) (err error) {
-	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("store: segment read: %v", r)
-		}
-	}()
-	var seg uint32
-	var mem []byte
-	i := 0
-	for _, s := range spans {
-		for _, e := range dl.runs[s.r].entries[s.lo:s.hi] {
-			if mem == nil || e.seg != seg {
-				seg, mem = e.seg, d.segs[e.seg].Mapped()
-			}
-			if dst[i], err = decodeUpsertAt(mem[e.off:], lid, e.gid); err != nil {
-				return err
-			}
-			i++
-		}
-	}
-	return nil
-}
-
-// readWindow reads from the segments the shares at positions [from, end)
-// of a list that is not resident and that keep accepts: only the
-// accepted runs' records, into a slice from posting's pool (nil when
-// none are accepted).
-func (d *Disk) readWindow(dl *diskList, lid merging.ListID, from, end int, keep func(posting.EncryptedShare) bool) []posting.EncryptedShare {
-	var buf [64]span
-	spans, n := dl.spans(buf[:0], from, end, keep)
-	if n == 0 {
-		return nil
-	}
-	shares := posting.GetShares(n)
-	if err := d.readEntries(dl, lid, spans, shares); err != nil {
-		panic(fmt.Sprintf("store: disk read: %v", err))
-	}
-	return shares
-}
-
-// readList decodes the whole of dl from the segments into dst, which
-// holds dl.len() shares.
-func (d *Disk) readList(dl *diskList, lid merging.ListID, dst []posting.EncryptedShare) error {
-	var buf [64]span
-	spans, _ := dl.spans(buf[:0], 0, dl.len(), nil)
-	return d.readEntries(dl, lid, spans, dst)
-}
-
-// admit makes a list resident under the write lock, reading it whole
-// into a slice of its own (resident rows are engine state, never pool
-// memory), if it fits the cache budget, and reports whether it did.
-func (d *Disk) admit(dl *diskList, lid merging.ListID) bool {
-	n := dl.len() * shareBytes
-	if d.opt.CacheBytes <= 0 || n > d.opt.CacheBytes {
-		return false
-	}
-	shares := make([]posting.EncryptedShare, dl.len())
-	if err := d.readList(dl, lid, shares); err != nil {
-		panic(fmt.Sprintf("store: disk read: %v", err))
-	}
-	dl.setShares(shares)
-	dl.lruElem = d.lru.PushFront(lid)
-	d.cachedBytes += n
-	d.evict()
-	return true
-}
-
 // Scan implements Store.
 func (d *Disk) Scan(lid merging.ListID, keep func(posting.EncryptedShare) bool) []posting.EncryptedShare {
 	d.mu.RLock()
-	dl := d.lists[lid]
-	if dl == nil {
-		d.mu.RUnlock()
-		return nil
-	}
-	if dl.shares {
-		out := dl.read(0, dl.len(), keep)
-		d.mu.RUnlock()
-		return out
-	}
-	d.mu.RUnlock()
-	// Miss: re-enter with the write lock to materialize and admit.
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	dl = d.lists[lid]
-	if dl == nil {
-		return nil
-	}
-	if !dl.shares && !d.admit(dl, lid) {
-		return d.readWindow(dl, lid, 0, dl.len(), keep)
-	}
-	return dl.read(0, dl.len(), keep)
+	defer d.mu.RUnlock()
+	return d.tab.scan(lid, keep)
 }
 
-// ScanRange implements Store. A window read on a non-resident list
-// fetches only the window's records that keep accepts — paged top-k
-// reads never pull a whole cold list into memory.
+// ScanRange implements Store.
 func (d *Disk) ScanRange(lid merging.ListID, from, n int, keep func(posting.EncryptedShare) bool) (shares []posting.EncryptedShare, total int, next uint8) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	dl := d.lists[lid]
-	if dl == nil {
-		return nil, 0, 0
-	}
-	total = dl.len()
-	from, end := window(from, n, total)
-	if dl.shares {
-		shares = dl.read(from, end, keep)
-	} else {
-		shares = d.readWindow(dl, lid, from, end, keep)
-	}
-	return shares, total, dl.bucketAt(end)
+	return d.tab.scanRange(lid, from, n, keep)
 }
 
 // ListLengths implements Store.
 func (d *Disk) ListLengths() map[merging.ListID]int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	out := make(map[merging.ListID]int, len(d.lists))
-	for lid, dl := range d.lists {
-		out[lid] = dl.len()
-	}
+	out := make(map[merging.ListID]int, len(d.tab.lists))
+	d.tab.lengths(out)
 	return out
 }
 

@@ -13,29 +13,22 @@ import (
 // bucket descending, then group ascending, then global ID ascending; see
 // the package doc), shared by both engines. The elements sit in runs, one
 // per (bucket, group) the list holds, the runs in contract order and each
-// run's elements by ascending global ID. An element is found by its run,
+// run's shares by ascending global ID. An element is found by its run,
 // named by the bucket its global ID carries and the group groups records,
 // and a binary search within the run; a read asks its filter once per run
 // and copies each accepted run whole.
-//
-// The runs carry the rows an engine keeps: shares (Sharded; Disk while
-// the list is resident) and entries (Disk's segment locations), aligned
-// element for element when both are kept.
 type layout struct {
 	runs []run
 	// keys holds each run's key, aligned with runs: a dense array, so
 	// finding a run touches a few cache lines.
 	keys   []runKey
 	groups map[posting.GlobalID]uint32
-	// entries and shares say which rows the runs carry.
-	entries, shares bool
 }
 
-// run is the elements of one (bucket, group) of a list, never empty.
+// run is the shares of one (bucket, group) of a list, never empty.
 type run struct {
-	key     runKey
-	shares  []posting.EncryptedShare
-	entries []diskEntry
+	key    runKey
+	shares []posting.EncryptedShare
 }
 
 // runKey orders runs as the contract does: bucket descending, then group
@@ -50,32 +43,18 @@ func (k runKey) bucket() uint8 { return uint8(posting.ImpactBuckets - 1 - int(k>
 
 func (k runKey) group() uint32 { return uint32(k) }
 
-func newLayout(entries, shares bool) *layout {
-	return &layout{groups: make(map[posting.GlobalID]uint32), entries: entries, shares: shares}
+func newLayout() *layout {
+	return &layout{groups: make(map[posting.GlobalID]uint32)}
 }
 
 // len is the list's element count.
 func (l *layout) len() int { return len(l.groups) }
 
-func (r *run) len() int {
-	if r.entries != nil {
-		return len(r.entries)
-	}
-	return len(r.shares)
-}
-
-func (r *run) gidAt(i int) posting.GlobalID {
-	if r.entries != nil {
-		return r.entries[i].gid
-	}
-	return r.shares[i].GlobalID
-}
-
 // index is the position of gid in the run, or where it would go.
 func (r *run) index(gid posting.GlobalID) int {
-	lo, hi := 0, r.len()
+	lo, hi := 0, len(r.shares)
 	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); r.gidAt(m) < gid {
+		if m := int(uint(lo+hi) >> 1); r.shares[m].GlobalID < gid {
 			lo = m + 1
 		} else {
 			hi = m
@@ -99,21 +78,14 @@ func (l *layout) find(gid posting.GlobalID) (ri, i int, ok bool) {
 	return ri, l.runs[ri].index(gid), true
 }
 
-// put stores one element, sh.GlobalID in group sh.Group: sh when the
-// runs carry shares, e when they carry entries. A present element is
-// replaced in place, or moved to its new run if its group changed. It
-// reports whether the element is new.
-func (l *layout) put(sh posting.EncryptedShare, e diskEntry) bool {
+// put stores sh. A present element is replaced in place, or moved to
+// its new run if its group changed. It reports whether the element is
+// new.
+func (l *layout) put(sh posting.EncryptedShare) bool {
 	gid := sh.GlobalID
 	ri, i, present := l.find(gid)
 	if present && l.runs[ri].key.group() == sh.Group {
-		r := &l.runs[ri]
-		if l.shares {
-			r.shares[i] = sh
-		}
-		if l.entries {
-			r.entries[i] = e
-		}
+		l.runs[ri].shares[i] = sh
 		return false
 	}
 	if present {
@@ -126,13 +98,7 @@ func (l *layout) put(sh posting.EncryptedShare, e diskEntry) bool {
 		l.keys = slices.Insert(l.keys, ri, k)
 	}
 	r := &l.runs[ri]
-	i = r.index(gid)
-	if l.shares {
-		r.shares = slices.Insert(r.shares, i, sh)
-	}
-	if l.entries {
-		r.entries = slices.Insert(r.entries, i, e)
-	}
+	r.shares = slices.Insert(r.shares, r.index(gid), sh)
 	l.groups[gid] = sh.Group
 	return !present
 }
@@ -141,36 +107,11 @@ func (l *layout) put(sh posting.EncryptedShare, e diskEntry) bool {
 // with it if that empties it.
 func (l *layout) removeAt(ri, i int) {
 	r := &l.runs[ri]
-	delete(l.groups, r.gidAt(i))
-	if l.entries {
-		r.entries = slices.Delete(r.entries, i, i+1)
-	}
-	if l.shares {
-		r.shares = slices.Delete(r.shares, i, i+1)
-	}
-	if r.len() == 0 {
+	delete(l.groups, r.shares[i].GlobalID)
+	r.shares = slices.Delete(r.shares, i, i+1)
+	if len(r.shares) == 0 {
 		l.runs = slices.Delete(l.runs, ri, ri+1)
 		l.keys = slices.Delete(l.keys, ri, ri+1)
-	}
-}
-
-// setShares makes the runs carry shares, which holds them in stored
-// order. Each run gets its own part with no spare capacity, so a later
-// insert into one run cannot overwrite the next.
-func (l *layout) setShares(shares []posting.EncryptedShare) {
-	l.shares = true
-	for ri := range l.runs {
-		r := &l.runs[ri]
-		n := r.len()
-		r.shares, shares = shares[:n:n], shares[n:]
-	}
-}
-
-// dropShares stops the runs carrying shares.
-func (l *layout) dropShares() {
-	l.shares = false
-	for ri := range l.runs {
-		l.runs[ri].shares = nil
 	}
 }
 
@@ -189,7 +130,7 @@ func (l *layout) spans(dst []span, from, end int, keep func(posting.EncryptedSha
 			break
 		}
 		r := &l.runs[ri]
-		rn := r.len()
+		rn := len(r.shares)
 		lo, hi := max(from-pos, 0), min(end-pos, rn)
 		pos += rn
 		if lo >= hi {
@@ -206,9 +147,9 @@ func (l *layout) spans(dst []span, from, end int, keep func(posting.EncryptedSha
 
 // read returns the shares at positions [from, end) that keep accepts,
 // nil when there are none, in a slice from posting's pool that the
-// caller owns alone. The runs must carry shares. The accepted runs are
-// copied straight into it: a result is usually tens of kilobytes, so it
-// is neither allocated nor zeroed per read.
+// caller owns alone. The accepted runs are copied straight into it: a
+// result is usually tens of kilobytes, so it is neither allocated nor
+// zeroed per read.
 func (l *layout) read(from, end int, keep func(posting.EncryptedShare) bool) []posting.EncryptedShare {
 	var buf [64]span
 	spans, n := l.spans(buf[:0], from, end, keep)
@@ -226,7 +167,7 @@ func (l *layout) read(from, end int, keep func(posting.EncryptedShare) bool) []p
 // the end: the next bound ScanRange reports.
 func (l *layout) bucketAt(pos int) uint8 {
 	for ri := range l.runs {
-		n := l.runs[ri].len()
+		n := len(l.runs[ri].shares)
 		if pos < n {
 			return l.runs[ri].key.bucket()
 		}

@@ -213,11 +213,9 @@ func history(t *testing.T, st store.Store, want layoutModel, seed int64) {
 
 // TestLayoutIsHistoryIndependent: one element set reached by two random
 // histories reads back identically on every engine — the one-stripe and
-// the default sharded engines, and the disk engine with its lists
-// resident, evicted from a small cache or never cached, replayed after
-// Reopen and rewritten by Compact. A
-// list's order is a function of its contents, so two servers holding the
-// same set serve the same windows.
+// the default sharded engines, and the disk engine live, replayed after
+// Reopen and rewritten by Compact. A list's order is a function of its
+// contents, so two servers holding the same set serve the same windows.
 func TestLayoutIsHistoryIndependent(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	want := layoutModel{}
@@ -229,25 +227,20 @@ func TestLayoutIsHistoryIndependent(t *testing.T) {
 		}
 		want.upsert(lid, shares)
 	}
-	newDisk := func(cache int) func(t *testing.T) store.Store {
-		return func(t *testing.T) store.Store {
-			d, err := store.OpenDisk(t.TempDir(), store.DiskOptions{SegmentBytes: 4 << 10, CacheBytes: cache})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { d.Close() })
-			return d
-		}
-	}
 	engines := []struct {
 		name string
 		mk   func(t *testing.T) store.Store
 	}{
 		{"sharded-1", func(*testing.T) store.Store { return store.NewSharded(1) }},
 		{"sharded-default", func(*testing.T) store.Store { return store.NewSharded(0) }},
-		{"disk-resident", newDisk(1 << 20)},
-		{"disk-evicting", newDisk(2 << 10)},
-		{"disk-nocache", newDisk(-1)},
+		{"disk", func(t *testing.T) store.Store {
+			d, err := store.OpenDisk(t.TempDir(), store.DiskOptions{SegmentBytes: 4 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { d.Close() })
+			return d
+		}},
 	}
 	for _, e := range engines {
 		t.Run(e.name, func(t *testing.T) {

@@ -40,16 +40,13 @@ const (
 	segResetSize  = 1
 )
 
-// segRec is one decoded segment record. relOff is the record's byte
-// offset inside the frame payload; replay adds the frame's position to
-// recover the absolute offset an upsert's payload lives at.
+// segRec is one decoded segment record.
 type segRec struct {
-	op     byte
-	lid    merging.ListID
-	gid    posting.GlobalID
-	group  uint32
-	y      field.Element
-	relOff int
+	op    byte
+	lid   merging.ListID
+	gid   posting.GlobalID
+	group uint32
+	y     field.Element
 }
 
 func appendUpsertRec(buf []byte, lid merging.ListID, sh posting.EncryptedShare) []byte {
@@ -84,7 +81,7 @@ func parseSegFrame(payload []byte) ([]segRec, error) {
 	recs := make([]segRec, 0, len(payload)/segDeleteSize+1)
 	off := 0
 	for off < len(payload) {
-		rec := segRec{op: payload[off], relOff: off}
+		rec := segRec{op: payload[off]}
 		switch rec.op {
 		case segOpUpsert:
 			if off+segUpsertSize > len(payload) {
@@ -120,29 +117,4 @@ func parseSegFrame(payload []byte) ([]segRec, error) {
 		recs = append(recs, rec)
 	}
 	return recs, nil
-}
-
-// decodeUpsertAt decodes the share stored by the upsert record in buf
-// (a raw 25-byte window read back from a segment file) and verifies it
-// addresses the expected list and element. A mismatch means the in-memory
-// index and the file disagree — an engine bug, not recoverable corruption.
-func decodeUpsertAt(buf []byte, lid merging.ListID, gid posting.GlobalID) (posting.EncryptedShare, error) {
-	if len(buf) < segUpsertSize || buf[0] != segOpUpsert {
-		return posting.EncryptedShare{}, fmt.Errorf("store: disk index points at a non-upsert record")
-	}
-	gotLID := merging.ListID(binary.LittleEndian.Uint32(buf[1:]))
-	gotGID := posting.GlobalID(binary.LittleEndian.Uint64(buf[5:]))
-	if gotLID != lid || gotGID != gid {
-		return posting.EncryptedShare{}, fmt.Errorf("store: disk index points at list %d gid %d, want list %d gid %d",
-			gotLID, gotGID, lid, gid)
-	}
-	y, err := field.Check(binary.LittleEndian.Uint64(buf[17:]))
-	if err != nil {
-		return posting.EncryptedShare{}, fmt.Errorf("store: stored share: %w", err)
-	}
-	return posting.EncryptedShare{
-		GlobalID: gid,
-		Group:    binary.LittleEndian.Uint32(buf[13:]),
-		Y:        y,
-	}, nil
 }

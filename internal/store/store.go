@@ -73,14 +73,13 @@
 // Two engines ship: Sharded, which stripes lists across independently
 // locked shards for parallel mixed workloads (see BenchmarkServerMixed
 // in package server; NewSharded(1) is the one-lock reference the tests
-// compare against); and Disk, the log-structured engine whose heap is
-// O(index) rather than O(shares), for indexes that outgrow RAM: it
-// reads shares from segment files mapped into memory, whose pages are
-// the kernel's reclaimable page cache (see disk.go). A third
-// implementation composes them: dht.Slot partitions lists over several
-// engines by consistent hashing and routes each call to the one
-// authoritative for its list; the contract tests run it beside the
-// engines.
+// compare against); and Disk, the log-structured engine, which holds
+// its lists in the table a Sharded stripe holds, serves every read from
+// it, and keeps its segment files as the log it replays on open, so a
+// server survives a restart (see disk.go). A third implementation
+// composes them: dht.Slot partitions lists over several engines by
+// consistent hashing and routes each call to the one authoritative for
+// its list; the contract tests run it beside the engines.
 package store
 
 import (

@@ -24,9 +24,10 @@ import (
 // one-lock reference, 2 stripes, the default, and ("memory") the widest
 // layout NewSharded allows, 512 stripes, where almost every stripe is
 // empty, so ApplyDeltas' lock ordering and the per-stripe counters walk
-// sparse stripes. The disk rows shrink segment, cache, and compaction
-// thresholds so rollover, cache misses, and auto-compaction all fire
-// inside these small tests. The dht row is a Slot routing over three
+// sparse stripes. The disk rows shrink segment and compaction
+// thresholds so rollover and auto-compaction fire inside these small
+// tests; the second rolls a segment over every kilobyte and compacts at
+// the default threshold. The dht row is a Slot routing over three
 // one-lock node stores: the contract holds for the composition too.
 func each(t *testing.T, run func(t *testing.T, st store.Store)) {
 	t.Helper()
@@ -40,7 +41,7 @@ func each(t *testing.T, run func(t *testing.T, st store.Store)) {
 		{"sharded-default", func(t *testing.T) store.Store { return store.NewSharded(0) }},
 		{"disk", func(t *testing.T) store.Store { return newTestDisk(t) }},
 		{"disk-nocache", func(t *testing.T) store.Store {
-			d, err := store.OpenDisk(t.TempDir(), store.DiskOptions{CacheBytes: -1, SegmentBytes: 1 << 10})
+			d, err := store.OpenDisk(t.TempDir(), store.DiskOptions{SegmentBytes: 1 << 10})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,7 +67,6 @@ func newTestDisk(t *testing.T) *store.Disk {
 	t.Helper()
 	d, err := store.OpenDisk(t.TempDir(), store.DiskOptions{
 		SegmentBytes:    4 << 10,
-		CacheBytes:      2 << 10,
 		CompactMinBytes: 16 << 10,
 	})
 	if err != nil {
@@ -257,7 +257,7 @@ func poolsRecycle() bool {
 }
 
 // TestScanAllocatesOnce is the read filter's budget: a group-filtered
-// scan or window of a resident list is one allocation, the result, sized
+// scan or window of a list is one allocation, the result, sized
 // to what it returns — not a slice grown through append, and not one
 // sized to the list and half used. The result comes from posting's pool,
 // whose classes are powers of two, so its capacity is the class of what

@@ -6,11 +6,11 @@ import (
 	"zerber/internal/posting"
 )
 
-// table is the unsynchronized core of each Sharded lock stripe: merged
-// posting lists, each a layout whose runs carry its shares, never empty
-// while in the table. Callers hold the appropriate lock. All of a list
-// sits in one struct, so a call looks its list up once, however many
-// shares it carries.
+// table is the unsynchronized core of each Sharded lock stripe and of
+// the Disk engine: merged posting lists, each a layout whose runs carry
+// its shares, never empty while in the table. Callers hold the
+// appropriate lock. All of a list sits in one struct, so a call looks
+// its list up once, however many shares it carries.
 type table struct {
 	lists map[merging.ListID]*layout
 }
@@ -34,12 +34,12 @@ func (t *table) upsert(lid merging.ListID, shares []posting.EncryptedShare) int 
 	}
 	l := t.lists[lid]
 	if l == nil {
-		l = newLayout(false, true)
+		l = newLayout()
 		t.lists[lid] = l
 	}
 	added := 0
 	for _, sh := range shares {
-		if l.put(sh, diskEntry{}) {
+		if l.put(sh) {
 			added++
 		}
 	}

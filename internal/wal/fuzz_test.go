@@ -48,7 +48,7 @@ func checkLog(t *testing.T, data []byte) {
 		prefix += FrameSize(payload)
 	}
 	var got [][]byte
-	if valid, err := Replay(bytes.NewReader(data), collect(t, &got)); err != nil || valid != prefix || !reflect.DeepEqual(got, want) {
+	if valid, err := Replay(bytes.NewReader(data), collect(&got)); err != nil || valid != prefix || !reflect.DeepEqual(got, want) {
 		t.Fatalf("replay: valid %d, %d payloads, err %v; the ReadFrame walk accepts %d bytes, %d payloads",
 			valid, len(got), err, prefix, len(want))
 	}
@@ -58,7 +58,7 @@ func checkLog(t *testing.T, data []byte) {
 		t.Fatal(err)
 	}
 	got = nil
-	l, valid, err := Open(path, collect(t, &got))
+	l, valid, err := Open(path, collect(&got))
 	if err != nil || valid != prefix || l.Size() != int64(len(data)) || !reflect.DeepEqual(got, want) {
 		t.Fatalf("open: valid %d, %d payloads, err %v; want %d, %d", valid, len(got), err, prefix, len(want))
 	}
@@ -74,7 +74,7 @@ func checkLog(t *testing.T, data []byte) {
 		t.Fatalf("truncated to %d bytes, want the %d-byte prefix", st.Size(), prefix)
 	}
 	got = nil
-	l, valid, err = Open(path, collect(t, &got))
+	l, valid, err = Open(path, collect(&got))
 	if err != nil || valid != prefix || l.Size() != prefix || !reflect.DeepEqual(got, want) {
 		t.Fatalf("reopen: valid %d of %d bytes, %d payloads, err %v; want %d, %d", valid, l.Size(), len(got), err, prefix, len(want))
 	}

@@ -7,16 +7,15 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"syscall"
 )
 
 // tempSuffix names the file WriteAtomic builds a log in.
 const tempSuffix = ".tmp"
 
-// Fold receives each intact frame's payload and the file offset of the
-// payload's first byte. An error rejects the frame: replay stops and the
-// frame is not part of the valid prefix, as if its checksum had failed.
-type Fold func(payload []byte, off int64) error
+// Fold receives each intact frame's payload. An error rejects the frame:
+// replay stops and the frame is not part of the valid prefix, as if its
+// checksum had failed.
+type Fold func(payload []byte) error
 
 // Replay reads frames from r and passes each to fold, stopping at a
 // clean end, at a torn or corrupt frame, or at a frame fold rejects. It
@@ -33,7 +32,7 @@ func Replay(r io.Reader, fold Fold) (valid int64, err error) {
 		if err != nil {
 			return valid, err
 		}
-		if fold(payload, valid+4) != nil {
+		if fold(payload) != nil {
 			return valid, nil
 		}
 		valid += FrameSize(payload)
@@ -45,8 +44,7 @@ func Replay(r io.Reader, fold Fold) (valid int64, err error) {
 type Log struct {
 	f    *os.File
 	w    *bufio.Writer
-	size int64  // bytes in the file, buffered ones included
-	mem  []byte // read-only shared mapping of the file, once Map made it
+	size int64 // bytes in the file, buffered ones included
 }
 
 // Open opens the log at path, creating it if absent and removing the
@@ -102,15 +100,13 @@ func WriteAtomic(path string, write func(*Log) error) (*Log, error) {
 	return l, nil
 }
 
-// Append buffers one frame carrying payload and returns the file offset
-// of the payload's first byte.
-func (l *Log) Append(payload []byte) (off int64, err error) {
+// Append buffers one frame carrying payload.
+func (l *Log) Append(payload []byte) error {
 	if err := AppendFrame(l.w, payload); err != nil {
-		return 0, err
+		return err
 	}
-	off = l.size + 4
 	l.size += FrameSize(payload)
-	return off, nil
+	return nil
 }
 
 // Flush hands the buffered frames to the operating system: a process
@@ -133,14 +129,9 @@ func (l *Log) Sync() error {
 	return nil
 }
 
-// Close flushes and closes the file, without an fsync, and releases the
-// mapping.
+// Close flushes and closes the file, without an fsync.
 func (l *Log) Close() error {
 	ferr := l.Flush()
-	if l.mem != nil {
-		syscall.Munmap(l.mem) // fails only for a range that is not a mapping
-		l.mem = nil
-	}
 	if err := l.f.Close(); err != nil && ferr == nil {
 		return fmt.Errorf("wal: close: %w", err)
 	}
@@ -149,24 +140,6 @@ func (l *Log) Close() error {
 
 // Size is the log's length in bytes, buffered frames included.
 func (l *Log) Size() int64 { return l.size }
-
-// Map maps the file read-only and shared, n bytes plus the largest frame
-// one Append writes, so a log that appends only while shorter than n
-// never outgrows it; flushed bytes show through at once, and Close
-// releases it. Call it once. A read past the end of the file, or of a
-// page the kernel cannot read in, faults (see debug.SetPanicOnFault).
-func (l *Log) Map(n int64) error {
-	mem, err := syscall.Mmap(int(l.f.Fd()), 0, int(n+MaxFramePayload+frameOverhead), syscall.PROT_READ, syscall.MAP_SHARED)
-	if err != nil {
-		return fmt.Errorf("wal: mmap: %w", err)
-	}
-	l.mem = mem
-	return nil
-}
-
-// Mapped is Map's mapping, nil before Map. Reads of its flushed bytes
-// may run concurrently with each other and with Append, not with Close.
-func (l *Log) Mapped() []byte { return l.mem }
 
 // Truncate is the torn-tail cut: it shortens the file to n bytes, the
 // valid prefix Open reported, so appends continue from a consistent

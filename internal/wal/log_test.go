@@ -9,15 +9,9 @@ import (
 	"testing"
 )
 
-// collect returns a fold that copies every payload into *got and checks
-// that each arrives at the offset just past the frames before it.
-func collect(t *testing.T, got *[][]byte) Fold {
-	var pos int64
-	return func(payload []byte, off int64) error {
-		if off != pos+4 {
-			t.Fatalf("payload %d at offset %d, want %d", len(*got), off, pos+4)
-		}
-		pos += FrameSize(payload)
+// collect returns a fold that copies every payload into *got.
+func collect(got *[][]byte) Fold {
+	return func(payload []byte) error {
 		*got = append(*got, bytes.Clone(payload))
 		return nil
 	}
@@ -28,7 +22,7 @@ func collect(t *testing.T, got *[][]byte) Fold {
 func replayFile(t *testing.T, path string) []string {
 	t.Helper()
 	var got [][]byte
-	l, valid, err := Open(path, collect(t, &got))
+	l, valid, err := Open(path, collect(&got))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +42,7 @@ func replayFile(t *testing.T, path string) []string {
 func appendAll(t *testing.T, l *Log, payloads ...string) {
 	t.Helper()
 	for _, p := range payloads {
-		if _, err := l.Append([]byte(p)); err != nil {
+		if err := l.Append([]byte(p)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -65,7 +59,7 @@ func appendAll(t *testing.T, l *Log, payloads ...string) {
 func TestWriteAtomicCrashWindows(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "x.log")
-	old, _, err := Open(path, collect(t, new([][]byte)))
+	old, _, err := Open(path, collect(new([][]byte)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,37 +110,5 @@ func TestWriteAtomicCrashWindows(t *testing.T) {
 	}
 	if got := replayFile(t, path); !reflect.DeepEqual(got, []string{"n1", "n2", "n3"}) {
 		t.Fatalf("appends after the rename: the log replays %q", got)
-	}
-}
-
-// TestMapShowsAppendsPastTheFileEnd maps a log shorter than the mapping
-// and appends past the length it had: every flushed payload reads back
-// through the mapping at the offset Append returned, and Close releases
-// the mapping.
-func TestMapShowsAppendsPastTheFileEnd(t *testing.T) {
-	l, _, err := Open(filepath.Join(t.TempDir(), "log"), func([]byte, int64) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Map(64); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []string{"first", "second", string(bytes.Repeat([]byte{'x'}, 5000))} {
-		off, err := l.Append([]byte(p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if got := string(l.Mapped()[off : off+int64(len(p))]); got != p {
-			t.Fatalf("mapping at %d holds %.20q, want %.20q", off, got, p)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if l.Mapped() != nil {
-		t.Fatal("mapping kept after Close")
 	}
 }

@@ -123,11 +123,10 @@
 // # Disk engine
 //
 // StoreEngine "disk" swaps every server's store for the log-structured
-// on-disk engine (store.Disk), whose resident memory is O(index) rather
-// than O(data):
-// share payloads live in CRC-framed append-only segment files under
-// StoreDir and only a compact per-list index — plus a bounded LRU cache
-// of hot lists — stays in memory. The engine is the server's only log:
+// engine (store.Disk): every share is in memory, as in the in-memory
+// engine, and the CRC-framed append-only segment files under StoreDir
+// are its log, written on every mutation and read only when the store
+// opens. The engine is the server's only log:
 // a server restarted on the same directory replays it (not under
 // DHTNodes, see StoreDir), and there is no separate write-ahead log to
 // configure. Each segment is a log of
@@ -143,7 +142,7 @@
 // the pre- or post-compaction state, never a mix. The engine passes the
 // same randomized cross-engine equivalence and simulation tiers as the
 // in-memory store — retrieval output and Stats are bit-identical;
-// only residency and latency change. What an acknowledged mutation has
+// only latency and durability change. What an acknowledged mutation has
 // survived — a process kill always, a power loss only with
 // store.DiskOptions.Sync, which zerber-server -store-engine disk sets —
 // is stated once, in the Durability section of package server.
