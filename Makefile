@@ -52,8 +52,8 @@ test-full:
 # between the two; with them, a slot's moves racing writers in every
 # list, which only the cutover's drain under its exclusive hold keeps
 # whole. The next repeats the disk engine's reads of its in-memory
-# table racing writers whose churn rolls segments over and compacts the
-# log, ending in Close. The last repeats
+# table racing writers whose churn fsyncs and compacts the log, ending
+# in Close. The last repeats
 # a cluster whose every server restarts on its old address, so the
 # first search after the restart meets cached connections the servers
 # closed and must redial.
@@ -63,7 +63,7 @@ race:
 	$(GO) test -race -short -count=20 -run='^(TestDeleteStageWaitsForEveryInsertAck|TestRecoverFromAnyAckSubset)$$' ./internal/peer
 	$(GO) test -race -short -count=20 -run='^(TestTopKSurvivesResponderChange|TestTopKKeepsSlowPinnedResponder|TestConcurrentTopK|TestPooledMemoryNeverAliases|TestFanoutCancelsSlowServer|TestVerifiedFanoutHedgesHungServer|TestHungFirstServerDemoted|TestDefaultFanoutAsksK|TestExplicitFanoutNeverHedges|TestHedgeDelayEstimator)$$' ./internal/client
 	$(GO) test -race -short -count=10 -run='^(TestReshareDetectsMidGenerationMutation|TestReshareRollsBackMidApplyFailure|TestSlotChurnRace|TestMoveCompletesUnderSustainedWrites)$$' ./internal/proactive ./internal/dht
-	$(GO) test -race -short -count=10 -run='^TestDiskColdReadsRaceRolloverAndCompaction$$' ./internal/store
+	$(GO) test -race -short -count=10 -run='^TestDiskReadsRaceAppendsAndCompaction$$' ./internal/store
 	$(GO) test -race -short -count=20 -run='^TestWireDurableCluster$$' .
 
 # Fuzz smoke: every fuzz target for FUZZTIME (default 10s) each. Go

@@ -17,9 +17,9 @@
 // -store-engine picks where the shares live. sharded (the default)
 // keeps them in RAM: the index dies with the process. disk is
 // the durable configuration: it keeps the shares in RAM as well and
-// logs every mutation to CRC-framed segment files under -store-dir
+// logs every mutation to one CRC-framed log file under -store-dir
 // (default <name>.store), a restart on the same directory replays
-// them, and every acknowledged mutation has been fsynced first — one
+// it, and every acknowledged mutation has been fsynced first — one
 // fsync per Apply call. See the Durability section
 // of package server for the exact contract.
 //
@@ -51,7 +51,7 @@ func main() {
 		groups = flag.String("groups", "", "comma-separated user:group memberships, e.g. alice:1,bob:2")
 		name   = flag.String("name", "", "server name for logs (default ix<x>)")
 		engine = flag.String("store-engine", "sharded", "storage engine: sharded (in memory) or disk; disk is crash-recoverable and fsyncs every acknowledged mutation")
-		stdir  = flag.String("store-dir", "", "segment directory for -store-engine disk (default <name>.store)")
+		stdir  = flag.String("store-dir", "", "log directory for -store-engine disk (default <name>.store)")
 	)
 	flag.Parse()
 

@@ -1,5 +1,5 @@
 // Operations: running Zerber in anger — crash recovery from the disk
-// store engine's segment log, exactly-once peer mutations recovered from
+// store engine's log, exactly-once peer mutations recovered from
 // the mutation journal, proactive share resharing, and tamper-detecting
 // verified retrieval.
 //
@@ -92,7 +92,7 @@ func main() {
 	if err := p.IndexDocument(tok, peer.Document{ID: 2, Content: "merger budget", Group: 1}); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("indexed 2 documents; each server logs its shares (segment files per server)\n")
+	fmt.Printf("indexed 2 documents; each server logs its shares (one log file per server)\n")
 
 	// --- 2. Crash and recover ----------------------------------------
 	closeAll() // power cut

@@ -362,7 +362,7 @@ func (j *Journal) Close() error {
 }
 
 // Rewrite replaces the journal's contents with exactly the given states
-// — the peer-side twin of the disk store's segment compaction. A
+// — the peer-side twin of the disk store's log compaction. A
 // long-lived peer accumulates one op record per historical mutation;
 // rewriting with one completed snapshot op per live document plus the
 // in-flight ops bounds recovery time by the index size instead of its

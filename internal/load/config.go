@@ -24,7 +24,7 @@ type Config struct {
 	Servers, K int
 
 	// StoreEngine names the servers' storage engine: "" or "sharded"
-	// (in memory) or "disk" (the log-structured on-disk engine, segments
+	// (in memory) or "disk" (the log-structured on-disk engine, its logs
 	// in a temporary directory).
 	StoreEngine string
 

@@ -75,7 +75,7 @@ func Run(cfg Config) (Result, error) {
 		DHTNodes:    cfg.DHTNodes,
 	}
 	if cfg.StoreEngine == "disk" {
-		// Root the segment files in a run-scoped directory so the run
+		// Root the logs in a run-scoped directory so the run
 		// leaves nothing behind.
 		dir, err := os.MkdirTemp("", "zerber-load-store-")
 		if err != nil {

@@ -454,7 +454,7 @@ func (p *Peer) Close() error {
 // operation per hosted document plus the in-flight operations verbatim.
 // A long-lived peer's journal otherwise grows with its whole mutation
 // history; compaction bounds recovery time by the index size, exactly
-// as the disk store's segment compaction does. The rewrite is atomic
+// as the disk store's log compaction does. The rewrite is atomic
 // (temp file + rename): a crash mid-compaction leaves either journal
 // intact.
 func (p *Peer) CompactJournal() error {

@@ -21,7 +21,7 @@ import (
 // one-stripe single-lock reference (shards=1), the lock-striped
 // Sharded default, and the log-structured Disk engine, which serves the
 // same scans from memory under one lock and appends every update to its
-// segment log. The workload
+// log. The workload
 // models steady-state server traffic — mostly posting-list scans with
 // a stream of single-element updates — which is exactly where a global
 // RWMutex collapses: every update excludes all concurrent scans, while

@@ -61,13 +61,12 @@ const (
 	// lands. A no-op when it would remove the last ring node.
 	KindLeaveNode
 	// KindStoreReopen kills and recovers every disk store in place: the
-	// in-memory index and cache are discarded and rebuilt by replaying
-	// the segment files (with a torn tail injected first when the config
-	// arms TearSegments). A no-op on the in-memory engine.
+	// in-memory table is discarded and rebuilt by replaying the log
+	// (with a torn tail injected first when the config arms
+	// TearSegments). A no-op on the in-memory engine.
 	KindStoreReopen
-	// KindCrashCompact crashes every disk store's compaction inside one
-	// of its two crash windows (Server%2 selects: temp written but not
-	// renamed, or renamed but stale segments kept) and then recovers by
+	// KindCrashCompact crashes every disk store's compaction in its
+	// crash window (snapshot written, not renamed) and then recovers by
 	// reopening. A no-op on the in-memory engine.
 	KindCrashCompact
 )
@@ -190,7 +189,7 @@ func Generate(cfg Config) Program {
 				prog = append(prog, Op{Kind: KindStoreReopen})
 				continue
 			case roll < 10:
-				prog = append(prog, Op{Kind: KindCrashCompact, Server: rng.Intn(8)})
+				prog = append(prog, Op{Kind: KindCrashCompact})
 				continue
 			}
 		}

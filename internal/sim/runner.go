@@ -313,8 +313,8 @@ func (r *runner) diskHooks() *store.DiskSimHooks {
 }
 
 // newStore builds one server's storage engine. Disk engines live under
-// the run's temp dir with thresholds small enough that segment
-// rollover and auto-compaction both fire inside a 32-step program.
+// the run's temp dir with thresholds small enough that the fsync bound
+// and auto-compaction both fire inside a 32-step program.
 func (r *runner) newStore(name string) (store.Store, error) {
 	if r.cfg.StoreEngine != "disk" {
 		return store.NewSharded(r.cfg.StoreShards), nil
@@ -586,13 +586,13 @@ func (r *runner) exec(op Op) error {
 		return r.execStoreReopen()
 
 	case KindCrashCompact:
-		return r.execCrashCompact(op)
+		return r.execCrashCompact()
 	}
 	return fmt.Errorf("unknown op kind %d", op.Kind)
 }
 
-// execStoreReopen kills and recovers every disk store in place: index
-// and cache are rebuilt from the segment files. Server stats survive (a
+// execStoreReopen kills and recovers every disk store in place: its
+// table is rebuilt from its log. Server stats survive (a
 // restart loses no acknowledged writes), so quickInvariants' stats
 // identity — and the next heal's oracle equality — catch any element a
 // buggy replay loses. A no-op on non-disk engines.
@@ -605,14 +605,14 @@ func (r *runner) execStoreReopen() error {
 	return nil
 }
 
-// execCrashCompact crashes every disk store's compaction in one of its
-// two crash windows and recovers by reopening — the compaction analog
-// of KindCrash. Compact must report the simulated crash; anything else
-// (including success with the hook armed) is a checker failure.
-func (r *runner) execCrashCompact(op Op) error {
-	stage := 1 + op.Server%2
+// execCrashCompact crashes every disk store's compaction in its crash
+// window (snapshot written, not renamed) and recovers by reopening —
+// the compaction analog of KindCrash. Compact must report the simulated
+// crash; anything else (including success with the hook armed) is a
+// checker failure.
+func (r *runner) execCrashCompact() error {
 	for _, d := range r.disks {
-		h := store.DiskSimHooks{CrashCompaction: stage}
+		h := store.DiskSimHooks{CrashCompaction: true}
 		if base := r.diskHooks(); base != nil {
 			h.TearActiveTail = base.TearActiveTail
 			h.SkipTornTruncate = base.SkipTornTruncate

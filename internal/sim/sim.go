@@ -42,8 +42,8 @@ type Config struct {
 	StoreShards int
 	// StoreEngine overrides the in-memory engine: "disk"
 	// runs every server/node on a log-structured store.Disk with tiny
-	// segment/cache/compaction thresholds (so rollover, cache misses,
-	// and auto-compaction all fire inside a 32-step program), and adds
+	// fsync and compaction thresholds (so the SegmentBytes fsync and
+	// auto-compaction both fire inside a 32-step program), and adds
 	// KindStoreReopen / KindCrashCompact to generated programs. Empty
 	// keeps the StoreShards selection.
 	StoreEngine string
@@ -69,12 +69,12 @@ type Config struct {
 	// test sets it: the checker must catch the bug, proving it is not
 	// vacuous.
 	SkipDeleteReplay bool
-	// TearSegments appends a torn frame to every disk store's newest
-	// segment before each replay (the kill-mid-append shape), via
+	// TearSegments appends a torn frame to every disk store's log
+	// before each replay (the kill-mid-append shape), via
 	// store.DiskSimHooks. Lossless under correct torn-tail truncation;
 	// only meaningful with StoreEngine "disk".
 	TearSegments bool
-	// SkipTornTruncate re-enables the torn-segment bug shape through
+	// SkipTornTruncate re-enables the torn-log bug shape through
 	// store.DiskSimHooks: replay stops at a tear but leaves the file
 	// untruncated, so later appends are silently lost at the next
 	// reopen. Only the disk-torn smoke test sets it: the checker must

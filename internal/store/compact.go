@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"os"
 	"sort"
 
 	"zerber/internal/merging"
@@ -11,21 +10,15 @@ import (
 )
 
 // Compaction for the Disk engine. A log under churn accumulates garbage
-// — replaced upserts, delete and drop records, reset frames — that
-// replay must read but the table no longer holds. Compaction writes the
-// table as one snapshot segment:
+// — replaced upserts, delete and drop records — that replay must read
+// but the table no longer holds. Compaction replaces the log with a
+// snapshot of the table: wal.WriteAtomic writes every live list, each in
+// its stored order (the canonical one), to a temp file beside the log,
+// fsyncs it and renames it over the log, and the handle it returns is
+// the log from then on, as journal.Rewrite does for the peer journal.
 //
-//  1. wal.WriteAtomic writes a reset frame followed by every live list,
-//     each in its stored order (the canonical one), to seg-<N+1>.zseg,
-//     where N is the current active segment id, through a temp file,
-//     fsync and rename.
-//  2. Delete the stale segments; the handle WriteAtomic returns is the
-//     new active segment.
-//
-// Every crash window is safe: before the rename, open ignores and
-// removes the temp file; after it, replaying the stale segments
-// followed by the snapshot's reset frame converges on the snapshot
-// alone, and partially deleted stale segments only shrink that prefix.
+// The one crash window, the snapshot written but not renamed, leaves
+// the old log whole; open removes the temp file.
 //
 // Auto-compaction triggers on the mutation path once the log exceeds
 // CompactMinBytes and less than half of it is live.
@@ -34,9 +27,8 @@ import (
 // far under wal.MaxFramePayload regardless of list length.
 const compactChunk = 4096
 
-// Compact rewrites the log as a single snapshot segment of the table.
-// It runs under the engine's write lock; concurrent readers and writers
-// simply wait.
+// Compact rewrites the log as a snapshot of the table. It runs under
+// the engine's write lock; concurrent readers and writers simply wait.
 func (d *Disk) Compact() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -46,13 +38,11 @@ func (d *Disk) Compact() error {
 // maybeCompact runs on the mutation path (lock held). Failure here is
 // fail-fast like any other mutation-path I/O error.
 func (d *Disk) maybeCompact() {
-	if d.hooks != nil && d.hooks.CrashCompaction != 0 {
+	if d.hooks != nil && d.hooks.CrashCompaction {
 		return
 	}
-	if d.totalBytes < d.opt.CompactMinBytes {
-		return
-	}
-	if d.liveBytes()*2 >= d.totalBytes {
+	size := d.log.Size()
+	if size < d.opt.CompactMinBytes || d.liveBytes()*2 >= size {
 		return
 	}
 	if err := d.compactLocked(); err != nil {
@@ -66,11 +56,7 @@ func (d *Disk) compactLocked() error {
 		lids = append(lids, lid)
 	}
 	sort.Slice(lids, func(a, b int) bool { return lids[a] < lids[b] })
-	snapID := d.activeID + 1
-	snap, err := wal.WriteAtomic(d.segPath(snapID), func(l *wal.Log) error {
-		if err := l.Append([]byte{segOpReset}); err != nil {
-			return err
-		}
+	snap, err := wal.WriteAtomic(d.logPath(), func(l *wal.Log) error {
 		for _, lid := range lids {
 			list := d.tab.lists[lid]
 			shares := list.read(0, list.len(), nil)
@@ -86,7 +72,7 @@ func (d *Disk) compactLocked() error {
 			}
 			posting.PutShares(shares)
 		}
-		if d.hooks != nil && d.hooks.CrashCompaction == 1 {
+		if d.hooks != nil && d.hooks.CrashCompaction {
 			return fmt.Errorf("compaction stopped before rename: %w", ErrSimulatedCrash)
 		}
 		return nil
@@ -94,29 +80,12 @@ func (d *Disk) compactLocked() error {
 	if err != nil {
 		return fmt.Errorf("store: compaction: %w", err)
 	}
-	if d.hooks != nil && d.hooks.CrashCompaction == 2 {
-		// The snapshot is durable but the stale segments remain and the
-		// engine still appends to them; it must be Reopened before any
-		// further mutation, like after a real crash.
-		snap.Close()
-		return fmt.Errorf("compaction stopped before stale-segment cleanup: %w", ErrSimulatedCrash)
-	}
-
-	// Commit. A stale segment that cannot be removed is harmless (the
-	// next open replays it before the snapshot's reset frame), so the
-	// engine switches to the snapshot whatever happens and only reports.
-	var stale error
-	for id, old := range d.segs {
-		old.Close()
-		if err := os.Remove(d.segPath(id)); err != nil && stale == nil {
-			stale = fmt.Errorf("store: compaction cleanup: %w", err)
-		}
-	}
-	d.segs = map[uint32]*wal.Log{snapID: snap}
-	d.active = snap
-	d.activeID = snapID
-	d.totalBytes = snap.Size()
-	d.dirty = false // the snapshot was fsynced whole
+	// The old file is unlinked and the snapshot holds everything of it
+	// that still matters, so its close error changes nothing.
+	_ = d.log.Close()
+	d.log = snap
+	d.unsynced = 0 // the snapshot was fsynced whole
+	d.fsyncs++
 	d.compactions++
-	return stale
+	return nil
 }

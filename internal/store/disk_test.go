@@ -21,6 +21,9 @@ import (
 	"zerber/internal/wal"
 )
 
+// logName is the Disk engine's log file in its directory.
+const logName = "seg-00000001.zseg"
+
 // engineState renders every observable of a store as one string: totals,
 // lengths, and each list's exact stored order. Two engines (or one
 // engine before and after recovery) are equivalent iff their states
@@ -110,15 +113,9 @@ func TestDiskTornTailTruncated(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Tear the newest segment by hand: a kill mid-append leaves a frame
-	// cut short.
-	segs, err := filepath.Glob(filepath.Join(d.Dir(), "seg-*.zseg"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no segments found: %v", err)
-	}
-	sort.Strings(segs)
-	newest := segs[len(segs)-1]
-	f, err := os.OpenFile(newest, os.O_WRONLY|os.O_APPEND, 0o644)
+	// Tear the log by hand: a kill mid-append leaves a frame cut short.
+	logPath := filepath.Join(d.Dir(), logName)
+	f, err := os.OpenFile(logPath, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +124,7 @@ func TestDiskTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	before, _ := os.Stat(newest)
+	before, _ := os.Stat(logPath)
 
 	d2, err := store.OpenDisk(d.Dir(), store.DiskOptions{})
 	if err != nil {
@@ -137,7 +134,7 @@ func TestDiskTornTailTruncated(t *testing.T) {
 	if got := engineState(d2); got != want {
 		t.Fatalf("torn tail changed recovered state:\n got: %s\nwant: %s", got, want)
 	}
-	after, _ := os.Stat(newest)
+	after, _ := os.Stat(logPath)
 	if after.Size() != before.Size()-int64(len(torn)) {
 		t.Fatalf("torn tail not truncated: %d bytes, want %d", after.Size(), before.Size()-int64(len(torn)))
 	}
@@ -181,41 +178,46 @@ func TestDiskSkipTornTruncateLosesData(t *testing.T) {
 	}
 }
 
+// TestDiskCrashMidCompaction crashes a compaction in its one window,
+// the snapshot written but not renamed ("stage1"): the reopened store
+// holds the state from before it, with no temp file left, and a clean
+// compaction after that keeps the state too.
 func TestDiskCrashMidCompaction(t *testing.T) {
-	for stage := 1; stage <= 2; stage++ {
-		t.Run(fmt.Sprintf("stage%d", stage), func(t *testing.T) {
-			d := newTestDisk(t)
-			seedDisk(t, d)
-			want := engineState(d)
-			d.SetSimHooks(&store.DiskSimHooks{CrashCompaction: stage})
-			if err := d.Compact(); !errors.Is(err, store.ErrSimulatedCrash) {
-				t.Fatalf("Compact = %v, want ErrSimulatedCrash", err)
-			}
-			d.SetSimHooks(nil)
-			if err := d.Reopen(); err != nil {
-				t.Fatal(err)
-			}
-			if got := engineState(d); got != want {
-				t.Fatalf("stage-%d crash changed recovered state:\n got: %s\nwant: %s", stage, got, want)
-			}
-			if tmps, _ := filepath.Glob(filepath.Join(d.Dir(), "*.tmp")); len(tmps) != 0 {
-				t.Fatalf("compaction temp files survived reopen: %v", tmps)
-			}
-			// A clean compaction must now succeed and preserve the state.
-			if err := d.Compact(); err != nil {
-				t.Fatal(err)
-			}
-			if got := engineState(d); got != want {
-				t.Fatalf("post-crash compaction changed state:\n got: %s\nwant: %s", got, want)
-			}
-			if err := d.Reopen(); err != nil {
-				t.Fatal(err)
-			}
-			if got := engineState(d); got != want {
-				t.Fatalf("replaying the compacted log changed state:\n got: %s\nwant: %s", got, want)
-			}
-		})
-	}
+	t.Run("stage1", func(t *testing.T) {
+		d := newTestDisk(t)
+		seedDisk(t, d)
+		want := engineState(d)
+		d.SetSimHooks(&store.DiskSimHooks{CrashCompaction: true})
+		if err := d.Compact(); !errors.Is(err, store.ErrSimulatedCrash) {
+			t.Fatalf("Compact = %v, want ErrSimulatedCrash", err)
+		}
+		if tmps, _ := filepath.Glob(filepath.Join(d.Dir(), "*.tmp")); len(tmps) != 1 {
+			t.Fatalf("crashed compaction left temp files %v, want its snapshot", tmps)
+		}
+		d.SetSimHooks(nil)
+		if err := d.Reopen(); err != nil {
+			t.Fatal(err)
+		}
+		if got := engineState(d); got != want {
+			t.Fatalf("crashed compaction changed recovered state:\n got: %s\nwant: %s", got, want)
+		}
+		if tmps, _ := filepath.Glob(filepath.Join(d.Dir(), "*.tmp")); len(tmps) != 0 {
+			t.Fatalf("compaction temp files survived reopen: %v", tmps)
+		}
+		// A clean compaction must now succeed and preserve the state.
+		if err := d.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if got := engineState(d); got != want {
+			t.Fatalf("post-crash compaction changed state:\n got: %s\nwant: %s", got, want)
+		}
+		if err := d.Reopen(); err != nil {
+			t.Fatal(err)
+		}
+		if got := engineState(d); got != want {
+			t.Fatalf("replaying the compacted log changed state:\n got: %s\nwant: %s", got, want)
+		}
+	})
 }
 
 // TestDiskAutoCompaction churns one keyspace so most of the log is
@@ -298,11 +300,11 @@ func TestDiskCacheBudget(t *testing.T) {
 	}
 }
 
-// TestDiskReadFaultIsAnError cuts the segment files to nothing behind an
-// open engine. Nothing reads a segment after open, so Scan, ScanRange
-// and DeleteIf with an allow answer exactly as before the cut, with no
+// TestDiskReadFaultIsAnError cuts the log to nothing behind an open
+// engine. Nothing reads the log after open, so Scan, ScanRange and
+// DeleteIf with an allow answer exactly as before the cut, with no
 // panic, and a delete still reaches the log: a Reopen replays what the
-// files then hold, the one delete frame, and finds an empty store.
+// file then holds, the one delete frame, and finds an empty store.
 // After Close a read finds no lists.
 func TestDiskReadFaultIsAnError(t *testing.T) {
 	dir := t.TempDir()
@@ -324,14 +326,8 @@ func TestDiskReadFaultIsAnError(t *testing.T) {
 		return fmt.Sprint(d.Scan(1, nil), window, total, next, found, deleted, vetoed)
 	}
 	want := read()
-	segs, err := filepath.Glob(filepath.Join(dir, "*.zseg"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("segments = %v, %v", segs, err)
-	}
-	for _, p := range segs {
-		if err := os.Truncate(p, 0); err != nil {
-			t.Fatal(err)
-		}
+	if err := os.Truncate(filepath.Join(dir, logName), 0); err != nil {
+		t.Fatal(err)
 	}
 	if got := read(); got != want {
 		t.Fatalf("reads after the cut differ from before it:\n got: %s\nwant: %s", got, want)
@@ -362,14 +358,14 @@ func TestDiskReadFaultIsAnError(t *testing.T) {
 	}
 }
 
-// TestDiskColdReadsRaceRolloverAndCompaction runs Scan and ScanRange
-// against writers whose churn rolls segments over and auto-compacts the
-// log, so reads of the table race appends, rollovers and compaction's
+// TestDiskReadsRaceAppendsAndCompaction runs Scan and ScanRange against
+// writers whose churn fsyncs at a small SegmentBytes and auto-compacts
+// the log, so reads of the table race appends, fsyncs and compaction's
 // snapshot of the table; the run ends with Close under the readers.
 // Each writer owns its lists and feeds a Sharded the same writes, so the
 // contents must end up equal. Every share a reader gets must be one a
 // writer stored under its global ID.
-func TestDiskColdReadsRaceRolloverAndCompaction(t *testing.T) {
+func TestDiskReadsRaceAppendsAndCompaction(t *testing.T) {
 	const writers, listsPer = 2, 4
 	ops := 3000
 	if testing.Short() {
@@ -456,27 +452,12 @@ func TestDiskColdReadsRaceRolloverAndCompaction(t *testing.T) {
 	readers.Wait()
 }
 
-func TestDiskSegmentRollover(t *testing.T) {
-	d := newTestDisk(t) // 4 KiB segments
-	seedDisk(t, d)
-	if st := d.Stats(); st.Segments < 2 {
-		t.Fatalf("seed history stayed in %d segment(s), want rollover", st.Segments)
-	}
-	want := engineState(d)
-	if err := d.Reopen(); err != nil {
-		t.Fatal(err)
-	}
-	if got := engineState(d); got != want {
-		t.Fatalf("multi-segment replay diverged:\n got: %s\nwant: %s", got, want)
-	}
-}
-
-// TestDiskSyncBoundary pins DiskOptions.Sync: mutations alone never
-// fsync, one Sync call covers every frame written before it (across a
-// rollover too), an idle boundary is free, an ApplyDeltas round is its
-// own boundary, and with the option off a boundary never fsyncs.
+// TestDiskSyncBoundary pins DiskOptions.Sync: mutations below the
+// SegmentBytes bound never fsync, one Sync call covers every frame
+// written before it, an idle boundary is free, an ApplyDeltas round is
+// its own boundary, and with the option off a boundary never fsyncs.
 func TestDiskSyncBoundary(t *testing.T) {
-	d, err := store.OpenDisk(t.TempDir(), store.DiskOptions{SegmentBytes: 4 << 10, Sync: true})
+	d, err := store.OpenDisk(t.TempDir(), store.DiskOptions{Sync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +465,7 @@ func TestDiskSyncBoundary(t *testing.T) {
 	expect := func(what string, want int) {
 		t.Helper()
 		if got := d.Syncs(); got != want {
-			t.Fatalf("%s: %d batch-boundary fsyncs, want %d", what, got, want)
+			t.Fatalf("%s: %d fsyncs, want %d", what, got, want)
 		}
 	}
 	for lid := merging.ListID(1); lid <= 4; lid++ {
@@ -496,9 +477,6 @@ func TestDiskSyncBoundary(t *testing.T) {
 	}
 	d.DeleteIf(1, sortedIDs(d, 1)[0], nil)
 	d.DropList(4)
-	if st := d.Stats(); st.Segments < 2 {
-		t.Fatalf("history stayed in %d segment(s), want a rollover inside the batch", st.Segments)
-	}
 	expect("mutations without a boundary", 0)
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)
@@ -527,35 +505,86 @@ func TestDiskSyncBoundary(t *testing.T) {
 	}
 }
 
-// segmentsDigest is the SHA-256 over the names and bytes of every
-// segment file in dir, in name order.
-func segmentsDigest(t *testing.T, dir string) string {
-	t.Helper()
-	segs, err := filepath.Glob(filepath.Join(dir, "seg-*"))
+// TestDiskSyncAfterClose: Close fsyncs everything, so a batch boundary
+// that straggles in after it has nothing to do and returns nil.
+func TestDiskSyncAfterClose(t *testing.T) {
+	d, err := store.OpenDisk(t.TempDir(), store.DiskOptions{Sync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sort.Strings(segs)
+	d.Upsert(1, []posting.EncryptedShare{tagged(1, 3, 1)})
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatalf("Sync after Close = %v, want nil", err)
+	}
+}
+
+// TestDiskRefusesMultiSegmentLayout opens directories the multi-file
+// log layout left: a second segment beside the first, or a compaction
+// snapshot in place of it. OpenDisk must refuse each with an error
+// naming the foreign segment and change no file, not even the temp file
+// of a compaction, which an open removes.
+func TestDiskRefusesMultiSegmentLayout(t *testing.T) {
+	frames := segmentBytes(t)
+	for name, files := range map[string][]string{
+		"beside":  {logName, logName + ".tmp", "seg-00000002.zseg"},
+		"instead": {"seg-00000002.zseg"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			for _, f := range files {
+				if err := os.WriteFile(filepath.Join(dir, f), frames, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := dirDigest(t, dir)
+			d, err := store.OpenDisk(dir, store.DiskOptions{})
+			if err == nil {
+				d.Close()
+				t.Fatal("OpenDisk accepted a multi-segment directory")
+			}
+			if !strings.Contains(err.Error(), filepath.Join(dir, "seg-00000002.zseg")) {
+				t.Errorf("error %q does not name the foreign segment", err)
+			}
+			if after := dirDigest(t, dir); after != before {
+				t.Fatalf("refused open changed the directory:\n got: %s\nwant: %s", after, before)
+			}
+		})
+	}
+}
+
+// dirDigest is the SHA-256 over the names and bytes of every file in
+// dir, in name order.
+func dirDigest(t *testing.T, dir string) string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	h := sha256.New()
-	for _, seg := range segs {
-		data, err := os.ReadFile(seg)
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(h, "%s %d\n", filepath.Base(seg), len(data))
+		fmt.Fprintf(h, "%s %d\n", e.Name(), len(data))
 		h.Write(data)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestSegmentFormatPinned pins the segment files' bytes: a fixed history
-// (rollover, replacements, deletes, a drop, a resharing round), the
-// compaction snapshot of it, and an append to that snapshot must hash to
-// what the engine wrote before the log primitive moved into package wal.
-// The snapshot writes each list in its stored order, so its hash, and
-// the appended step's, which covers the snapshot file too, pin the
-// canonical order as well; the frames a mutation appends do not depend
-// on it.
+// TestSegmentFormatPinned pins the log's bytes: a fixed history
+// (replacements, deletes, a drop, a resharing round), the compaction
+// snapshot of it, and an append to that snapshot must hash to what the
+// engine wrote before the log primitive moved into package wal. The
+// history's file holds the bytes the multi-file layout split across its
+// segments, and the snapshot those of that layout's snapshot segment
+// without its leading reset frame. The snapshot writes each list in its
+// stored order, so its hash, and the appended step's, which covers the
+// snapshot too, pin the canonical order as well; the frames a mutation
+// appends do not depend on it.
 func TestSegmentFormatPinned(t *testing.T) {
 	d := newTestDisk(t)
 	seedDisk(t, d)
@@ -563,9 +592,9 @@ func TestSegmentFormatPinned(t *testing.T) {
 		name, want string
 		run        func() error
 	}{
-		{"history", "abcdfd39b376466fa2137bbe2ad99269e8f3c42a3530eab15dde9a46c668bda5", func() error { return nil }},
-		{"compacted", "90f5a8469b4bb8db1406dd9f4ec2259be82f2f5fe753df12cc6522a620d62b1a", d.Compact},
-		{"appended", "ef19ef5fd911313e530a226142c2017dde9e273c70c9d85cbcaeb5f8455f8a66", func() error {
+		{"history", "34ea60b92a463a41f4618934effb26a99f561076ee83bb084550eede8bebb043", func() error { return nil }},
+		{"compacted", "e1997086b3ee31f555c368e14ab4fc03c936827bdd98487dba1df5b731ed5201", d.Compact},
+		{"appended", "c1972cab497fc1fc12c593947a62e04b496a47004755e650de5b6ee2f41a0478", func() error {
 			d.Upsert(9, []posting.EncryptedShare{tagged(42, 5, 1), tagged(43, 0, 2)})
 			d.DeleteIf(1, sortedIDs(d, 1)[3], nil)
 			return nil
@@ -574,8 +603,8 @@ func TestSegmentFormatPinned(t *testing.T) {
 		if err := step.run(); err != nil {
 			t.Fatal(err)
 		}
-		if got := segmentsDigest(t, d.Dir()); got != step.want {
-			t.Errorf("%s: segment files hash to %s, want %s", step.name, got, step.want)
+		if got := dirDigest(t, d.Dir()); got != step.want {
+			t.Errorf("%s: the store directory hashes to %s, want %s", step.name, got, step.want)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 package store
 
-// Syncs reports the batch-boundary fsyncs since open (DiskOptions.Sync).
+// Syncs reports the fsyncs of the log since open.
 func (d *Disk) Syncs() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.syncs
+	return d.fsyncs
 }

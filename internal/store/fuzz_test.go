@@ -11,8 +11,8 @@ import (
 	"zerber/internal/wal"
 )
 
-// segmentBytes produces a real single-segment log by driving an actual
-// engine, for the fuzz seed corpus.
+// segmentBytes produces a real log by driving an actual engine, for the
+// fuzz seed corpus.
 func segmentBytes(t testing.TB) []byte {
 	t.Helper()
 	dir := t.TempDir()
@@ -28,7 +28,7 @@ func segmentBytes(t testing.TB) []byte {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, "seg-00000001.zseg"))
+	data, err := os.ReadFile(filepath.Join(dir, logName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func segmentBytes(t testing.TB) []byte {
 }
 
 // FuzzSegmentDecode throws arbitrary byte streams at the Disk engine's
-// segment replay — the exact code path OpenDisk runs on an untrusted
+// log replay — the exact code path OpenDisk runs on an untrusted
 // on-disk file after a crash. Opening must never panic, must recover a
 // state satisfying the store invariants, must truncate the file to a
 // prefix no longer than the input, and must be prefix-stable: reopening
@@ -54,7 +54,7 @@ func FuzzSegmentDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		seg := filepath.Join(dir, "seg-00000001.zseg")
+		seg := filepath.Join(dir, logName)
 		if err := os.WriteFile(seg, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -70,11 +70,11 @@ func FuzzSegmentDecode(f *testing.F) {
 		if st, err := os.Stat(seg); err != nil {
 			t.Fatal(err)
 		} else if st.Size() > int64(len(data)) {
-			t.Fatalf("open grew the segment: %d bytes from %d of input", st.Size(), len(data))
+			t.Fatalf("open grew the log: %d bytes from %d of input", st.Size(), len(data))
 		}
 		state := engineState(d)
 		if err := d.Reopen(); err != nil {
-			t.Fatalf("reopening the truncated segment: %v", err)
+			t.Fatalf("reopening the truncated log: %v", err)
 		}
 		if got := engineState(d); got != state {
 			t.Fatalf("replay not prefix-stable:\n first: %s\nsecond: %s", state, got)

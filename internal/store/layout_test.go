@@ -135,7 +135,7 @@ func TestLayoutMatchesModel(t *testing.T) {
 				}
 			}
 			if disk != nil && op%250 == 249 {
-				// Replay must rebuild the same order from the segments.
+				// Replay must rebuild the same order from the log.
 				if err := disk.Reopen(); err != nil {
 					t.Fatalf("op %d: reopen: %v", op, err)
 				}

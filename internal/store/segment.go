@@ -9,9 +9,9 @@ import (
 	"zerber/internal/posting"
 )
 
-// Segment record codec for the Disk engine's log-structured files.
+// Record codec for the Disk engine's log.
 //
-// A segment file is a sequence of wal frames (length + payload + CRC-32,
+// The log is a sequence of wal frames (length + payload + CRC-32,
 // see internal/wal). One frame is one atomic mutation batch: either every
 // record in a frame is applied on replay or — if the frame is torn or its
 // checksum fails — none are, which is what makes multi-list ApplyDeltas
@@ -21,26 +21,22 @@ import (
 //	upsert  op(1) lid(4) gid(8) group(4) y(8)   = 25 bytes
 //	delete  op(1) lid(4) gid(8)                 = 13 bytes
 //	drop    op(1) lid(4)                        = 5 bytes
-//	reset   op(1)                               = 1 byte
 //
-// reset clears the whole store; compaction writes it as the first frame
-// of a snapshot segment so that replaying stale predecessor segments
-// followed by the snapshot converges on the snapshot alone.
+// A compaction snapshot is upsert records only, each list's in its
+// stored order.
 const (
 	segOpUpsert byte = 1
 	segOpDelete byte = 2
 	segOpDrop   byte = 3
-	segOpReset  byte = 4
 )
 
 const (
 	segUpsertSize = 1 + 4 + 8 + 4 + 8
 	segDeleteSize = 1 + 4 + 8
 	segDropSize   = 1 + 4
-	segResetSize  = 1
 )
 
-// segRec is one decoded segment record.
+// segRec is one decoded log record.
 type segRec struct {
 	op    byte
 	lid   merging.ListID
@@ -76,7 +72,7 @@ func appendDropRec(buf []byte, lid merging.ListID) []byte {
 // rejected in full, preserving batch atomicity.
 func parseSegFrame(payload []byte) ([]segRec, error) {
 	if len(payload) == 0 {
-		return nil, fmt.Errorf("store: empty segment frame")
+		return nil, fmt.Errorf("store: empty log frame")
 	}
 	recs := make([]segRec, 0, len(payload)/segDeleteSize+1)
 	off := 0
@@ -109,10 +105,8 @@ func parseSegFrame(payload []byte) ([]segRec, error) {
 			}
 			rec.lid = merging.ListID(binary.LittleEndian.Uint32(payload[off+1:]))
 			off += segDropSize
-		case segOpReset:
-			off += segResetSize
 		default:
-			return nil, fmt.Errorf("store: unknown segment opcode %d at %d", rec.op, off)
+			return nil, fmt.Errorf("store: unknown log opcode %d at %d", rec.op, off)
 		}
 		recs = append(recs, rec)
 	}

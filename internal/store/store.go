@@ -75,8 +75,8 @@
 // in package server; NewSharded(1) is the one-lock reference the tests
 // compare against); and Disk, the log-structured engine, which holds
 // its lists in the table a Sharded stripe holds, serves every read from
-// it, and keeps its segment files as the log it replays on open, so a
-// server survives a restart (see disk.go). A third implementation
+// it, and keeps one log file that it replays on open, so a server
+// survives a restart (see disk.go). A third implementation
 // composes them: dht.Slot partitions lists over several engines by
 // consistent hashing and routes each call to the one authoritative for
 // its list; the contract tests run it beside the engines.
@@ -104,7 +104,7 @@ var ErrMissing = errors.New("store: element not found")
 //   - TotalElements is the sum of ListLengths, but the benchmark's layer
 //     metrics ask a Store for it, and on Sharded it takes no lock.
 //   - DropList and ApplyDeltas are the only all-at-once forms of what
-//     they do; on Disk each is one segment frame.
+//     they do; on Disk each is one log frame.
 //
 // The inventory is list lengths, not sorted global IDs: dht reads it
 // under its exclusive routing lock on every join and leave, where
@@ -141,7 +141,7 @@ type Store interface {
 	// state, another call's result or a buffer the engine reuses, so the
 	// caller may hand it to posting.PutShares once it is done with it. It
 	// holds only what the scan kept: a scan that keeps half a list does
-	// not copy, or on Disk read, the other half.
+	// not copy the other half.
 	Scan(lid merging.ListID, keep func(posting.EncryptedShare) bool) []posting.EncryptedShare
 
 	// ScanRange returns the shares at positions [from, from+n) of lid's
@@ -201,7 +201,7 @@ func NegateDeltas(deltas map[merging.ListID]map[posting.GlobalID]field.Element) 
 // NewEngine returns the store selected by name: "" or "sharded" (the
 // GOMAXPROCS-scaled lock-striped in-memory engine) or "disk" (the
 // log-structured engine rooted at dir, with default DiskOptions). Only
-// "disk" can fail — opening replays the segment files.
+// "disk" can fail — opening replays the log.
 func NewEngine(engine, dir string) (Store, error) {
 	switch engine {
 	case "", "sharded":

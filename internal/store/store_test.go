@@ -24,9 +24,9 @@ import (
 // one-lock reference, 2 stripes, the default, and ("memory") the widest
 // layout NewSharded allows, 512 stripes, where almost every stripe is
 // empty, so ApplyDeltas' lock ordering and the per-stripe counters walk
-// sparse stripes. The disk rows shrink segment and compaction
-// thresholds so rollover and auto-compaction fire inside these small
-// tests; the second rolls a segment over every kilobyte and compacts at
+// sparse stripes. The disk rows shrink the fsync and compaction
+// thresholds so the SegmentBytes fsync and auto-compaction fire inside
+// these small tests; the second fsyncs every kilobyte and compacts at
 // the default threshold. The dht row is a Slot routing over three
 // one-lock node stores: the contract holds for the composition too.
 func each(t *testing.T, run func(t *testing.T, st store.Store)) {

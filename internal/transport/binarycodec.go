@@ -15,7 +15,7 @@ import (
 // The binary wire codec. Every message travels as one internal/wal
 // variable-length frame (4-byte length + payload + CRC-32 over both), so
 // torn and corrupted frames are detected by the same machinery that
-// guards the journal and the disk segments. Frame payloads are fixed-width
+// guards the journal and the disk log. Frame payloads are fixed-width
 // little-endian records — no field names, no escaping, no base-10
 // integers — sized exactly by the §7.3 wire constants: an insert op is
 // ListIDBytes+ShareBytes (24) bytes, a delete op ListIDBytes+8 (12), a

@@ -1,6 +1,6 @@
 // Package wal is the one log primitive in the tree. Its CRC frame
 // carries every record: the peer-side mutation journal (package
-// journal), the disk store's segment files (package store), and the
+// journal), the disk store's log (package store), and the
 // binary wire protocol (package transport), so a torn or corrupt frame is
 // detected identically on disk and on the wire. Its log file (log.go) is
 // the rest of both on-disk logs: one replay loop, one torn-tail

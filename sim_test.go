@@ -10,7 +10,7 @@ import (
 // simEngines is the storage/routing matrix every simulation tier runs
 // across: the one-stripe single-lock reference ("memory"), the
 // lock-striped Sharded store at its default width, Sharded behind DHT-routed server slots, and the log-structured
-// Disk engine with tiny segment/cache/compaction thresholds plus torn
+// Disk engine with tiny fsync and compaction thresholds plus torn
 // tails injected before every replay (lossless under correct torn-tail
 // truncation). Disk programs additionally draw KindStoreReopen and
 // KindCrashCompact ops.
@@ -219,7 +219,7 @@ func TestSimChurnSmoke(t *testing.T) {
 }
 
 // TestSimDiskTornSmoke proves the disk-engine fault class is not
-// vacuous: with the torn-segment bug shape re-enabled behind
+// vacuous: with the torn-log bug shape re-enabled behind
 // store.DiskSimHooks (replay stops at the injected tear but leaves the
 // file untruncated, so post-recovery appends land after the tear and
 // are silently dropped at the next reopen), the harness must catch the
@@ -240,7 +240,7 @@ func TestSimDiskTornSmoke(t *testing.T) {
 	}
 	found := sim.FindFailure(cfg, budget)
 	if found == nil {
-		t.Fatalf("checker is vacuous: the re-enabled torn-segment bug survived %d programs", budget)
+		t.Fatalf("checker is vacuous: the re-enabled torn-log bug survived %d programs", budget)
 	}
 	for attempt := 0; attempt < 2; attempt++ {
 		if err := sim.Run(found.Cfg, found.Shrunk); err == nil {
@@ -252,7 +252,7 @@ func TestSimDiskTornSmoke(t *testing.T) {
 	if err := sim.Run(fixed, found.Shrunk); err != nil {
 		t.Fatalf("trace fails even without the bug — harness artifact, not detection: %v\n%s", err, found.Report())
 	}
-	t.Logf("caught and shrunk the re-enabled torn-segment bug:\n%s", found.Report())
+	t.Logf("caught and shrunk the re-enabled torn-log bug:\n%s", found.Report())
 }
 
 // TestSimBinaryWire runs the randomized fault-injected tier with every

@@ -124,20 +124,19 @@
 //
 // StoreEngine "disk" swaps every server's store for the log-structured
 // engine (store.Disk): every share is in memory, as in the in-memory
-// engine, and the CRC-framed append-only segment files under StoreDir
-// are its log, written on every mutation and read only when the store
-// opens. The engine is the server's only log:
-// a server restarted on the same directory replays it (not under
-// DHTNodes, see StoreDir), and there is no separate write-ahead log to
-// configure. Each segment is a log of
-// package wal, the one log primitive, which the peers' mutation journals
-// (JournalDir) use too: one replay, one torn-tail truncation, one append
-// handle, one atomic rewrite; the engine adds only its record schema and
-// multi-segment policy. Every store call is one framed record group, so
-// a crash either persists a whole Upsert/ApplyDeltas batch or none of
-// it; a torn tail from a kill mid-append is detected by CRC and
-// truncated at the next open; and background compaction writes live
-// data to a fresh segment with wal's atomic rewrite (temp file, fsync,
+// engine, and one CRC-framed append-only file under StoreDir is its
+// log, written on every mutation and read only when the store opens.
+// The engine is the server's only log: a server restarted on the same
+// directory replays it (not under DHTNodes, see StoreDir), and there is
+// no separate write-ahead log to configure. The file is a log of package
+// wal, the one log primitive, run exactly as the peers' mutation
+// journals (JournalDir) run theirs: one replay, one torn-tail
+// truncation, one append handle, one atomic rewrite; the engine adds
+// only its record schema. Every store call is one framed record group,
+// so a crash either persists a whole Upsert/ApplyDeltas batch or none
+// of it; a torn tail from a kill mid-append is detected by CRC and
+// truncated at the next open; and compaction replaces the log with a
+// snapshot of the live data by wal's atomic rewrite (temp file, fsync,
 // rename), so a crash at any point inside compaction recovers to exactly
 // the pre- or post-compaction state, never a mix. The engine passes the
 // same randomized cross-engine equivalence and simulation tiers as the
@@ -214,7 +213,7 @@
 // retries and replays are exactly-once in effect, with no coordination
 // beyond the operation ID. peer.CompactJournal bounds journal growth by
 // rewriting it to one snapshot per live document, like the disk
-// engine's segment compaction.
+// engine's log compaction.
 //
 // Guarantees, precisely: a mutation whose call returned nil is applied
 // on every server exactly once; a mutation that failed or was
@@ -300,7 +299,7 @@
 // host:port or a binary:// address (transport.DialBinary), which refuses
 // any other scheme by name. Every message is a 4-byte little-endian
 // length, the payload, and a CRC32 — the same frame format (package
-// wal) the peer journal and the disk engine's segments use on disk, so
+// wal) the peer journal and the disk engine's log use on disk, so
 // torn and corrupted frames are detected identically in both places.
 // Payloads are fixed-width field encodings (a share is exactly 20 bytes
 // on the wire), and decoding validates lengths before reading. A frame
@@ -417,7 +416,7 @@ type Options struct {
 	// engine" above) or "disk" (the log-structured on-disk engine — see
 	// "Disk engine"). Results and Stats are identical under both.
 	StoreEngine string
-	// StoreDir is where the "disk" engine keeps its segment files; each
+	// StoreDir is where the "disk" engine keeps its log; each
 	// server gets its own subdirectory <StoreDir>/<server name> (under
 	// DHTNodes, each node <StoreDir>/<server name>-<node name>). Empty
 	// with StoreEngine "disk" picks a fresh temporary directory (the
@@ -557,7 +556,7 @@ func NewCluster(docFreqs map[string]int, opts Options) (*Cluster, error) {
 // newStore builds the storage engine of the server named name: one
 // engine from the cluster options, or with nodes above 1 a dht.Slot over
 // that many, named n0, n1, ..., recorded in c.slots. The disk engine
-// roots each engine's segment files in its own subdirectory of
+// roots each engine's log in its own subdirectory of
 // StoreDir, so engines never share a log.
 func (c *Cluster) newStore(name string, nodes int) (store.Store, error) {
 	if nodes <= 1 {
