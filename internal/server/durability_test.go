@@ -231,9 +231,9 @@ func (b *boundaryStore) Sync() error {
 // store calls the stage spans (store.TestDiskSyncBoundary pins that a
 // boundary is one fsync), none for a deduplicated redelivery, and a
 // failing sync is Apply's error and leaves the stage unrecorded so the
-// retry applies and syncs again. With Sync off a one-share Apply costs
-// no fsync, and the engine's SegmentBytes bound keeps the unsynced tail
-// under it after every Apply, fsyncing once per threshold written.
+// retry applies and syncs again. With Sync off the boundary is a no-op
+// and the engine's SegmentBytes bound alone sets when it fsyncs
+// (store.TestDiskSyncBoundary pins both with the real fsync count).
 func TestApplySyncsOncePerCall(t *testing.T) {
 	e := newDurableEnv(t)
 	tok := e.svc.Issue("alice")
@@ -287,29 +287,4 @@ func TestApplySyncsOncePerCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	expect("retry after the failure", 4)
-
-	const bound = 1 << 10
-	off, err := store.OpenDisk(e.storeDir(1), store.DiskOptions{SegmentBytes: bound})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer off.Close()
-	so := server.New(server.Config{Name: "dx1", X: 2, Auth: e.svc, Groups: e.groups, Store: off})
-	if err := transporttest.Insert(ctx, so, tok, []transport.InsertOp{{List: 1, Share: sh(1, 1)}}); err != nil {
-		t.Fatal(err)
-	}
-	if st := off.Stats(); st.UnsyncedBytes != st.DiskBytes {
-		t.Fatalf("one share with Sync off: %d of %d log bytes unsynced, want all", st.UnsyncedBytes, st.DiskBytes)
-	}
-	for gid := uint64(2); off.Stats().DiskBytes < 5*bound; gid++ {
-		ins := []transport.InsertOp{{List: merging.ListID(gid % 5), Share: sh(gid, gid)}}
-		if err := transporttest.Insert(ctx, so, tok, ins); err != nil {
-			t.Fatal(err)
-		}
-		// Only an fsync lowers the unsynced count, so this holding over
-		// five bounds' worth of writes takes an fsync per bound.
-		if st := off.Stats(); st.UnsyncedBytes >= bound {
-			t.Fatalf("after share %d: %d bytes unsynced, bound %d", gid, st.UnsyncedBytes, bound)
-		}
-	}
 }

@@ -34,8 +34,9 @@
 //     benchmark run): every store call has been written to the OS before
 //     it returns, so a process kill loses nothing that was acknowledged;
 //     a power loss or kernel crash may lose every frame since the
-//     engine's last fsync, which is less than DiskOptions.SegmentBytes
-//     (the engine fsyncs at that bound, at compaction and at Close).
+//     engine's last fsync, at most DiskOptions.SegmentBytes or one
+//     longer frame (the engine fsyncs before an append would pass that
+//     bound, at compaction and at Close).
 //
 // Either way a crash mid-Apply can leave a prefix of the stage's store
 // calls on disk: each call is one CRC frame, atomic on its own, and the

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -67,10 +69,11 @@ const logName = "seg-00000001.zseg"
 // defaults; tests and the simulator shrink the sizes to exercise the
 // fsync bound and compaction on small datasets.
 type DiskOptions struct {
-	// SegmentBytes bounds what a power loss can take with Sync off: once
-	// that many bytes were appended to the log since its last fsync, the
-	// append that reached it fsyncs the log before the mutation returns.
-	// 0 picks 64 MiB.
+	// SegmentBytes bounds what a power loss can take with Sync off: an
+	// append that would leave more than that many bytes of the log
+	// unsynced fsyncs the log first, so only one frame longer than the
+	// bound is ever unsynced beyond it. It also bounds the damage open
+	// cuts (see load). 0 picks 64 MiB.
 	SegmentBytes int64
 	// CacheBytes is ignored: every share is in memory, so there is no
 	// payload cache to bound. It remains only for callers that set it.
@@ -143,7 +146,9 @@ func (o DiskOptions) withDefaults() DiskOptions {
 // dir, replaying its log into memory. A directory holding any other
 // segment file was written by the earlier multi-file layout, which this
 // engine does not read; it is refused with an error naming the file, and
-// no file in it is changed.
+// no file in it is changed. Otherwise the temp files of crashed
+// compactions, of either layout, are removed: the log beside them is
+// whole.
 func OpenDisk(dir string, opt DiskOptions) (*Disk, error) {
 	d := &Disk{dir: dir, opt: opt.withDefaults()}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -153,10 +158,17 @@ func OpenDisk(dir string, opt DiskOptions) (*Disk, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: disk dir: %w", err)
 	}
+	var temps []string
 	for _, e := range entries {
 		if legacy, _ := filepath.Match("seg-*.zseg", e.Name()); legacy && e.Name() != logName {
 			return nil, fmt.Errorf("store: %s is a segment of the multi-file log layout, which this engine does not read; refusing to open the directory", filepath.Join(dir, e.Name()))
 		}
+		if temp, _ := filepath.Match("seg-*.zseg.tmp", e.Name()); temp {
+			temps = append(temps, filepath.Join(dir, e.Name()))
+		}
+	}
+	for _, t := range temps {
+		os.Remove(t) // best effort: a leftover only wastes space
 	}
 	if err := d.load(); err != nil {
 		return nil, err
@@ -183,6 +195,13 @@ func (d *Disk) logPath() string { return filepath.Join(d.dir, logName) }
 // garbage (and are lost on the next open: exactly what the sim smoke
 // test must catch). Callers hold the write lock (or are the
 // constructor).
+//
+// Only a crash's tail is cut. A crash can damage only what was not yet
+// fsynced: at most SegmentBytes, or the one frame an append wrote past
+// that bound (appendFrame). Damage beyond that, with intact-looking
+// bytes after it, is corruption of acknowledged frames, and cutting
+// there would silently drop every frame after it; open refuses it
+// instead, naming the offset, and changes no file.
 func (d *Disk) load() error {
 	d.tab = newTable()
 	d.elems = 0
@@ -198,6 +217,10 @@ func (d *Disk) load() error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
+	if bad := l.Size() - valid; bad > d.opt.SegmentBytes && !d.lastFrameAt(valid, l.Size()) {
+		l.Close()
+		return fmt.Errorf("store: %s: the frame at offset %d is corrupt and %d bytes follow it, more than a crash leaves unsynced; refusing to cut them", d.logPath(), valid, bad)
+	}
 	if d.hooks == nil || !d.hooks.SkipTornTruncate {
 		if err := l.Truncate(valid); err != nil {
 			l.Close()
@@ -209,6 +232,22 @@ func (d *Disk) load() error {
 	// wrote it may not have fsynced its tail.
 	d.unsynced = l.Size()
 	return nil
+}
+
+// lastFrameAt reports whether the frame starting at off in a log of size
+// bytes is its last: its length word is cut short, or claims at least
+// the rest of the file.
+func (d *Disk) lastFrameAt(off, size int64) bool {
+	f, err := os.Open(d.logPath())
+	if err != nil {
+		return false
+	}
+	defer f.Close()
+	var hdr [4]byte
+	if _, err := f.ReadAt(hdr[:], off); err != nil {
+		return err == io.EOF
+	}
+	return off+4+int64(binary.LittleEndian.Uint32(hdr[:]))+4 >= size // length, payload, checksum
 }
 
 // applyRecs folds one parsed frame into the table. Replay is lenient
@@ -279,11 +318,10 @@ func (d *Disk) Close() error {
 // DiskStats is a point-in-time snapshot of the engine's resource shape,
 // for tests and operational logging.
 type DiskStats struct {
-	DiskBytes     int64 // bytes in the log file
-	UnsyncedBytes int64 // log bytes a power loss could still take
-	LiveBytes     int64 // bytes the live elements would occupy compacted
-	CachedBytes   int   // bytes of the stored shares, every one of them in memory
-	Compactions   int   // compactions since open (auto + explicit)
+	DiskBytes   int64 // bytes in the log file
+	LiveBytes   int64 // bytes the live elements would occupy compacted
+	CachedBytes int   // bytes of the stored shares, every one of them in memory
+	Compactions int   // compactions since open (auto + explicit)
 }
 
 // Stats reports the engine's current resource shape.
@@ -291,11 +329,10 @@ func (d *Disk) Stats() DiskStats {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return DiskStats{
-		DiskBytes:     d.log.Size(),
-		UnsyncedBytes: d.unsynced,
-		LiveBytes:     d.liveBytes(),
-		CachedBytes:   d.elems * shareBytes,
-		Compactions:   d.compactions,
+		DiskBytes:   d.log.Size(),
+		LiveBytes:   d.liveBytes(),
+		CachedBytes: d.elems * shareBytes,
+		Compactions: d.compactions,
 	}
 }
 
@@ -304,20 +341,24 @@ func (d *Disk) liveBytes() int64 { return int64(d.elems) * segUpsertSize }
 // ---- write path ----
 
 // appendFrame appends one framed mutation batch to the log and hands it
-// to the OS, fsyncing once DiskOptions.SegmentBytes bytes are unsynced.
-// I/O failure on the mutation path is fail-fast: the Store interface has
-// no error channel, and continuing past a lost write would silently fork
-// the table from its log.
+// to the OS, first fsyncing what is unsynced if the frame would take it
+// past DiskOptions.SegmentBytes. I/O failure on the mutation path is
+// fail-fast: the Store interface has no error channel, and continuing
+// past a lost write would silently fork the table from its log.
 func (d *Disk) appendFrame(payload []byte) {
-	err := d.log.Append(payload)
+	size := wal.FrameSize(payload)
+	var err error
+	if d.unsynced > 0 && d.unsynced+size > d.opt.SegmentBytes {
+		err = d.fsync()
+	}
+	if err == nil {
+		err = d.log.Append(payload)
+	}
 	if err == nil {
 		err = d.log.Flush()
 	}
 	if err == nil {
-		d.unsynced += wal.FrameSize(payload)
-		if d.unsynced >= d.opt.SegmentBytes {
-			err = d.fsync()
-		}
+		d.unsynced += size
 	}
 	if err != nil {
 		panic(fmt.Sprintf("store: disk append: %v", err))

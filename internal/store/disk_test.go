@@ -149,6 +149,90 @@ func TestDiskTornTailTruncated(t *testing.T) {
 	}
 }
 
+// TestDiskCutsOnlyACrashTail: open cuts damage a crash can leave (at
+// most SegmentBytes unsynced, or one longer frame at the end) and
+// refuses, changing no file, damage with more than that after it: a
+// bit flip in an early frame must not silently drop every acknowledged
+// frame after it.
+func TestDiskCutsOnlyACrashTail(t *testing.T) {
+	const bound = 1 << 10
+	opt := store.DiskOptions{SegmentBytes: bound}
+	// write opens a fresh store, runs fill, closes it and returns the
+	// store's directory, the log path and its bytes.
+	write := func(t *testing.T, fill func(d *store.Disk)) (string, string, []byte) {
+		t.Helper()
+		dir := t.TempDir()
+		d, err := store.OpenDisk(dir, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fill(d)
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, logName)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dir, path, data
+	}
+
+	t.Run("early flip refused", func(t *testing.T) {
+		dir, path, data := write(t, func(d *store.Disk) { seedDisk(t, d) })
+		if len(data) < 4*bound {
+			t.Fatalf("seeded log is %d bytes, want well over the %d-byte bound", len(data), bound)
+		}
+		data[20] ^= 0x01 // inside the first frame's payload
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := dirDigest(t, dir)
+		d, err := store.OpenDisk(dir, opt)
+		if err == nil {
+			d.Close()
+			t.Fatal("OpenDisk cut a log corrupt in its first frame")
+		}
+		if !strings.Contains(err.Error(), "offset 0") {
+			t.Errorf("error %q does not name the corrupt frame's offset", err)
+		}
+		if after := dirDigest(t, dir); after != before {
+			t.Fatal("refused open changed the directory")
+		}
+	})
+
+	t.Run("long last frame cut", func(t *testing.T) {
+		var want string
+		dir, path, data := write(t, func(d *store.Disk) {
+			d.Upsert(1, []posting.EncryptedShare{tagged(1, 2, 1)})
+			want = engineState(d)
+			var batch []posting.EncryptedShare
+			for j := uint64(2); j < 200; j++ {
+				batch = append(batch, tagged(j, 2, 1))
+			}
+			d.Upsert(2, batch) // one frame, several times the bound
+		})
+		for _, damage := range []func([]byte) []byte{
+			func(b []byte) []byte { return b[:len(b)-100] },           // torn
+			func(b []byte) []byte { b[len(b)-100] ^= 0x01; return b }, // corrupt
+		} {
+			if err := os.WriteFile(path, damage(slices.Clone(data)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			d, err := store.OpenDisk(dir, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := engineState(d); got != want {
+				t.Fatalf("recovered state:\n got: %s\nwant: %s", got, want)
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
 // TestDiskSkipTornTruncateLosesData proves the deliberately re-enabled
 // bug shape (replay stops at the tear but leaves the file untruncated)
 // actually loses acknowledged writes — the behavior the simulator's
@@ -456,6 +540,9 @@ func TestDiskReadsRaceAppendsAndCompaction(t *testing.T) {
 // SegmentBytes bound never fsync, one Sync call covers every frame
 // written before it, an idle boundary is free, an ApplyDeltas round is
 // its own boundary, and with the option off a boundary never fsyncs.
+// It also pins the SegmentBytes bound with Sync off: one share costs no
+// fsync, and over several bounds' worth of one-share upserts no more
+// than the bound is ever written past the last fsync.
 func TestDiskSyncBoundary(t *testing.T) {
 	d, err := store.OpenDisk(t.TempDir(), store.DiskOptions{Sync: true})
 	if err != nil {
@@ -493,8 +580,9 @@ func TestDiskSyncBoundary(t *testing.T) {
 	}
 	expect("resharing round", 2)
 
-	// With Sync off the boundary costs nothing: no fsync, ever.
-	off, err := store.OpenDisk(t.TempDir(), store.DiskOptions{})
+	// With Sync off the boundary costs nothing: no fsync below the bound.
+	const bound = 1 << 10
+	off, err := store.OpenDisk(t.TempDir(), store.DiskOptions{SegmentBytes: bound})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,6 +590,22 @@ func TestDiskSyncBoundary(t *testing.T) {
 	off.Upsert(1, []posting.EncryptedShare{tagged(1, 3, 1)})
 	if err := off.Sync(); err != nil || off.Syncs() != 0 {
 		t.Fatalf("Sync-off boundary: err %v, %d fsyncs, want none", err, off.Syncs())
+	}
+	// An fsync comes before the upsert that would cross the bound, so
+	// the log was synced up to where it stood before that upsert.
+	synced, syncs := int64(0), 0
+	for seq := uint64(2); off.Stats().DiskBytes < 5*bound; seq++ {
+		before := off.Stats().DiskBytes
+		off.Upsert(merging.ListID(seq%5), []posting.EncryptedShare{tagged(seq, 3, 1)})
+		if off.Syncs() > syncs {
+			synced, syncs = before, off.Syncs()
+		}
+		if unsynced := off.Stats().DiskBytes - synced; unsynced > bound {
+			t.Fatalf("after share %d: %d bytes past the last fsync, bound %d", seq, unsynced, bound)
+		}
+	}
+	if syncs < 4 {
+		t.Fatalf("%d fsyncs over five bounds' worth of appends, want at least 4", syncs)
 	}
 }
 
@@ -525,7 +629,9 @@ func TestDiskSyncAfterClose(t *testing.T) {
 // log layout left: a second segment beside the first, or a compaction
 // snapshot in place of it. OpenDisk must refuse each with an error
 // naming the foreign segment and change no file, not even the temp file
-// of a compaction, which an open removes.
+// of a compaction, which an open removes. The one such directory that
+// layout left with a whole log, its first segment beside the temp file
+// of a crashed compaction, opens, and the temp file is removed.
 func TestDiskRefusesMultiSegmentLayout(t *testing.T) {
 	frames := segmentBytes(t)
 	for name, files := range map[string][]string{
@@ -553,6 +659,25 @@ func TestDiskRefusesMultiSegmentLayout(t *testing.T) {
 			}
 		})
 	}
+	t.Run("crashed compaction", func(t *testing.T) {
+		dir := t.TempDir()
+		for _, f := range []string{logName, "seg-00000002.zseg.tmp"} {
+			if err := os.WriteFile(filepath.Join(dir, f), frames, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d, err := store.OpenDisk(dir, store.DiskOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		if d.TotalElements() == 0 {
+			t.Error("the log beside the temp file replayed empty")
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+			t.Errorf("directory holds %d files after open, want the log only", len(entries))
+		}
+	})
 }
 
 // dirDigest is the SHA-256 over the names and bytes of every file in

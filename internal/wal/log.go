@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 )
@@ -50,12 +51,20 @@ type Log struct {
 // Open opens the log at path, creating it if absent and removing the
 // temp file a failed or interrupted WriteAtomic left beside it; replays
 // the file into fold; and returns a handle that appends at the end of
-// the file. valid is the length of the prefix replay accepted: a file
-// longer than that ends in a torn or corrupt tail, which the caller cuts
-// with Truncate, or refuses.
+// the file. A file it creates has its directory fsynced, so a power
+// loss cannot take the file, and the frames later fsynced into it, with
+// its directory entry. valid is the length of the prefix replay
+// accepted: a file longer than that ends in a torn or corrupt tail,
+// which the caller cuts with Truncate, or refuses.
 func Open(path string, fold Fold) (l *Log, valid int64, err error) {
 	os.Remove(path + tempSuffix) // best effort: a leftover only wastes space
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0)
+	if errors.Is(err, fs.ErrNotExist) {
+		f, err = os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
+		if err == nil {
+			syncDir(filepath.Dir(path))
+		}
+	}
 	if err != nil {
 		return nil, 0, fmt.Errorf("wal: %w", err)
 	}
@@ -96,7 +105,7 @@ func WriteAtomic(path string, write func(*Log) error) (*Log, error) {
 		l.Close()
 		return nil, err
 	}
-	SyncDir(filepath.Dir(path))
+	syncDir(filepath.Dir(path))
 	return l, nil
 }
 
@@ -155,6 +164,9 @@ func (l *Log) Truncate(n int64) error {
 	l.size = n
 	return nil
 }
+
+// syncDir is SyncDir, replaceable so tests can count the calls.
+var syncDir = SyncDir
 
 // SyncDir fsyncs a directory so the entry of a file just created in it
 // or renamed into it is durable — without it a power loss after a

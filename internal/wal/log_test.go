@@ -112,3 +112,27 @@ func TestWriteAtomicCrashWindows(t *testing.T) {
 		t.Fatalf("appends after the rename: the log replays %q", got)
 	}
 }
+
+// TestOpenSyncsNewFilesDirectory: Open fsyncs the directory of a log it
+// creates, so a power loss cannot take the file with its directory
+// entry after frames in it were fsynced; reopening an existing log
+// leaves the directory alone.
+func TestOpenSyncsNewFilesDirectory(t *testing.T) {
+	var synced []string
+	syncDir = func(dir string) { synced = append(synced, dir) }
+	t.Cleanup(func() { syncDir = SyncDir })
+	dir := t.TempDir()
+	path := filepath.Join(dir, "log")
+	for _, want := range [][]string{{dir}, {dir}} {
+		l, _, err := Open(path, collect(new([][]byte)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(synced, want) {
+			t.Fatalf("directory fsyncs %v, want %v", synced, want)
+		}
+	}
+}

@@ -135,7 +135,9 @@
 // only its record schema. Every store call is one framed record group,
 // so a crash either persists a whole Upsert/ApplyDeltas batch or none
 // of it; a torn tail from a kill mid-append is detected by CRC and
-// truncated at the next open; and compaction replaces the log with a
+// truncated at the next open, while damage with more than a crash's
+// unsynced tail after it (DiskOptions.SegmentBytes) makes the open
+// fail instead of dropping acknowledged frames; and compaction replaces the log with a
 // snapshot of the live data by wal's atomic rewrite (temp file, fsync,
 // rename), so a crash at any point inside compaction recovers to exactly
 // the pre- or post-compaction state, never a mix. The engine passes the
